@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energies, ermakov, optimize, protocols, verify
-from .core import DEFAULT_GRID_N, Infeasible, NonRealFrequency, TrapSpec
+from .core import DEFAULT_GRID_N, Infeasible, NonRealFrequency, PowerUndefined, TrapSpec
 
 _PRESETS = {
     "fig1": {"omega0_hz": 2500.0, "omegaf_hz": 25.0},
@@ -432,7 +432,10 @@ def cmd_power(cfg: RunConfig) -> int:
     t_f = cfg.t_f
     grid_n = cfg.grid_n if cfg.grid_n != DEFAULT_GRID_N else 4001
     qc = protocols.quintic(spec, t_f, grid_n)
-    qp = energies.power(qc, ermakov.inverse_engineer(qc), spec)
+    try:
+        qp = energies.power(qc, ermakov.inverse_engineer(qc), spec)
+    except PowerUndefined as exc:
+        raise SystemExit(f"power: {exc}") from None
     res = optimize.optimize_septic_power(spec, t_f, grid_n)
     sc = protocols.septic(spec, t_f, res.params[0], res.params[1], grid_n)
     sp = energies.power(sc, ermakov.inverse_engineer(sc), spec)

@@ -226,11 +226,15 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
     the total energy change uniformly over the protocol.
 
     Impulse protocols are refused: the kick makes the power a squared
-    delta.  d(W^2)/dtau comes from the stored analytic samples when the
-    protocol has them, else from centered differences per segment.
+    delta.  So is gamma = 1, where the normalizing energy change C is 0.
+    d(W^2)/dtau comes from the stored analytic samples when the protocol
+    has them, else from centered differences per segment.
     """
     if profile.impulses:
         raise PowerUndefined("power is not a function for protocols with Dirac kicks")
+    expected = (spec.n + 0.5) * (spec.omega_f_rel - 1.0)
+    if expected == 0.0:
+        raise PowerUndefined("relative power needs an energy change; gamma = 1 has none")
     if not curve.grid.same_as(profile.grid):
         raise GridMismatch("curve and profile live on different grids")
     grid = curve.grid
@@ -257,7 +261,6 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
         steps.append((grid.t_f, c * (wf2 - profile.omega2[-1]) * float(curve.b[-1]) ** 2))
 
     integral = numerics.integrate(P, grid) + sum(s for _, s in steps)
-    expected = (spec.n + 0.5) * (spec.omega_f_rel - 1.0)
     C = expected / grid.t_f
     P_rel = P / C
     return PowerTrace(

@@ -16,6 +16,7 @@ the excitation-energy bookkeeping below work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .core import (
 )
 
 _B_COLLAPSE = 1e-9
+_COLLAPSE_MSG = "scaling function collapsed toward b = 0"
 
 
 def _bddot_samples(curve: ScalingCurve) -> np.ndarray:
@@ -75,10 +77,57 @@ def inverse_engineer(curve: ScalingCurve) -> FrequencyProfile:
     return FrequencyProfile(curve.grid, omega2, (), omega2_fns, domega2)
 
 
+def _rk4_piece(b, v, ts, w0, wm, w1):
+    """Classical RK4 for (b, bdot) over one piece as a scalar float loop.
+
+    ``ts`` are the piece's node times and ``w0``/``wm``/``w1`` the W^2
+    values of each step at t, t + h/2 and t + h, all as lists.  Returns the
+    per-node b and bdot lists.
+    """
+    bs = [b]
+    vs = [v]
+    for i, (wa, wb, wc) in enumerate(zip(w0, wm, w1)):
+        t = ts[i]
+        h = ts[i + 1] - t
+        hh = 0.5 * h
+        if b < _B_COLLAPSE:
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t)
+        a1 = 1.0 / b**3 - wa * b
+        b2 = b + hh * v
+        v2 = v + hh * a1
+        if b2 < _B_COLLAPSE:
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + 0.5 * h)
+        a2 = 1.0 / b2**3 - wb * b2
+        b3 = b + hh * v2
+        v3 = v + hh * a2
+        if b3 < _B_COLLAPSE:
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + 0.5 * h)
+        a3 = 1.0 / b3**3 - wb * b3
+        b4 = b + h * v3
+        v4 = v + h * a3
+        if b4 < _B_COLLAPSE:
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + h)
+        a4 = 1.0 / b4**3 - wc * b4
+        h6 = h / 6.0
+        b = b + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        if not (isfinite(b) and isfinite(v)):
+            raise TrajectoryBlowUp("ODE state became non-finite", ts[i + 1])
+        bs.append(b)
+        vs.append(v)
+    return bs, vs
+
+
 def forward_solve(
     profile: FrequencyProfile, b0: float = 1.0, bdot0: float = 0.0
 ) -> ScalingCurve:
     """Integrate b'' = 1/b^3 - W^2(tau) b through the profile with RK4.
+
+    Classical fixed-step RK4 on the grid nodes, piece by piece: the W^2
+    values at every stage time of a piece are tabulated once from
+    ``profile.piece_callable`` (closed form or cubic spline), then the
+    steps run as a scalar float loop.  A stage with b below 1e-9 aborts
+    with that stage's time, a non-finite state with the next node's time.
 
     Impulses must sit on piece boundaries (or the endpoints); each one
     applies the slope jump bdot -> bdot - D b.  The returned curve stores
@@ -102,28 +151,32 @@ def forward_solve(
     bdot = np.empty(len(grid))
     bddot = np.empty(len(grid))
 
-    state = np.array([float(b0), float(bdot0)])
+    state_b, state_v = float(b0), float(bdot0)
     for s in impulses_at(0.0):
-        state[1] -= s * state[0]
-    b0_plus = float(state[1])
+        state_v -= s * state_b
+    b0_plus = state_v
 
     for k, (lo, hi) in enumerate(grid.pieces):
         om = profile.piece_callable(k)
-
-        def rhs(t, y, om=om):
-            if y[0] < _B_COLLAPSE:
-                raise TrajectoryBlowUp("scaling function collapsed toward b = 0", float(t))
-            return np.array([y[1], 1.0 / y[0] ** 3 - float(om(t)) * y[0]])
-
         nodes = grid.nodes[lo : hi + 1]
-        traj = numerics.rk4_solve(rhs, state, nodes)
-        b[lo : hi + 1] = traj[:, 0]
-        bdot[lo : hi + 1] = traj[:, 1]
-        bddot[lo : hi + 1] = 1.0 / traj[:, 0] ** 3 - profile.omega2[lo : hi + 1] * traj[:, 0]
-        state = traj[-1].copy()
+        t0 = nodes[:-1]
+        hs = nodes[1:] - t0
+        ts = nodes.tolist()
+        w = [np.broadcast_to(om(t), t.shape).tolist() for t in (t0, t0 + 0.5 * hs, t0 + hs)]
+        try:
+            bs, vs = _rk4_piece(state_b, state_v, ts, *w)
+        except OverflowError:
+            # b**3 past ~5.6e102 raises on Python floats; numpy float64
+            # overflows to inf instead, which the non-finite check reports
+            bs, vs = _rk4_piece(np.float64(state_b), np.float64(state_v), ts, *w)
+        b[lo : hi + 1] = bs
+        bdot[lo : hi + 1] = vs
+        bp = b[lo : hi + 1]
+        bddot[lo : hi + 1] = 1.0 / bp**3 - profile.omega2[lo : hi + 1] * bp
+        state_b, state_v = float(b[hi]), float(bdot[hi])
         if k + 1 < grid.n_pieces:
             for s in impulses_at(float(nodes[-1])):
-                state[1] -= s * state[0]
+                state_v -= s * state_b
 
     bf_minus = float(bdot[-1])
     return ScalingCurve(

@@ -83,28 +83,6 @@ def rk4_solve(rhs: Callable, y0, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def rk4_solve_refined(
-    rhs: Callable,
-    y0,
-    t_f: float,
-    tol: float = 1e-10,
-    n0: int = 129,
-    max_doublings: int = 12,
-) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 with node doubling until successive final states differ < tol."""
-    n = n0 if n0 % 2 == 1 else n0 + 1
-    nodes = np.linspace(0.0, t_f, n)
-    traj = rk4_solve(rhs, y0, nodes)
-    for _ in range(max_doublings):
-        n = 2 * (n - 1) + 1
-        nodes2 = np.linspace(0.0, t_f, n)
-        traj2 = rk4_solve(rhs, y0, nodes2)
-        if np.max(np.abs(traj2[-1] - traj[-1])) < tol * (1.0 + np.max(np.abs(traj2[-1]))):
-            return nodes2, traj2
-        nodes, traj = nodes2, traj2
-    return nodes, traj
-
-
 @dataclass
 class MinimizeResult:
     x: tuple[float, ...]

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
+
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
-from . import ermakov, numerics
+from . import ermakov
 from .core import (
     DEFAULT_GRID_N,
     FrequencyProfile,
@@ -40,6 +42,8 @@ from .core import (
     TrapSpec,
 )
 
+_B_COLLAPSE = 1e-9
+_COLLAPSE_MSG = "scaling function collapsed toward b = 0"
 _OMEGA1_SERIES_SWITCH = 1e-6  # below this, sinh(w1 t)/w1 is evaluated by series
 _SNAP_TOL = 1e-12
 
@@ -424,6 +428,27 @@ def bang_bang_max_duration(spec: TrapSpec) -> float:
     return math.pi * spec.gamma / 2.0
 
 
+_DURATION_RTOL = 1e-12
+
+
+def _refuse_no_expansion(spec: TrapSpec, t_max: float) -> None:
+    # At gamma = 1 both switching times vanish except at the extreme point,
+    # so every duration below t_max = pi/2 is out of reach; the root search
+    # would land on the jump of the duration gap instead.
+    if spec.gamma == 1.0:
+        raise Infeasible(f"without expansion (gamma = 1) two-step protocols only last {t_max:.6g}")
+
+
+def _hits_duration(bb: BangBangProtocol, t_f: float) -> BangBangProtocol:
+    """Postcondition of the *_for_duration helpers: t1 + t2 = t_f."""
+    if abs(bb.t_f - t_f) > _DURATION_RTOL * t_f:
+        raise Infeasible(
+            f"two-step protocol lasts {bb.t_f:.12g} instead of the requested {t_f:.12g} "
+            f"(relative miss {abs(bb.t_f - t_f) / t_f:.2g} > {_DURATION_RTOL:g})"
+        )
+    return bb
+
+
 def bang_bang_for_duration(
     spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N
 ) -> BangBangProtocol:
@@ -437,7 +462,8 @@ def bang_bang_for_duration(
         raise Infeasible(f"equal-step protocols need 0 < t_f <= {t_max:.6g}")
     w_lo = math.sqrt(spec.omega_f_rel)
     if t_f >= t_max * (1.0 - 1e-12):
-        return bang_bang(spec, w_lo, w_lo, n)
+        return _hits_duration(bang_bang(spec, w_lo, w_lo, n), t_f)
+    _refuse_no_expansion(spec, t_max)
 
     def duration_gap(w):
         return sum(bang_bang_times(spec, w, w)) - t_f
@@ -448,7 +474,7 @@ def bang_bang_for_duration(
         if w_hi > 1e12:
             raise Infeasible("could not bracket the step frequency")
     w = brentq(duration_gap, w_lo, w_hi, xtol=1e-14, rtol=1e-14)
-    return bang_bang(spec, w, w, n)
+    return _hits_duration(bang_bang(spec, w, w, n), t_f)
 
 
 def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> BangBangProtocol:
@@ -480,7 +506,8 @@ def bang_bang_na_for_duration(
             f"free-expansion protocols need {t_min:.6g} < t_f <= {t_max:.6g}"
         )
     if t_f >= t_max * (1.0 - 1e-12):
-        return bang_bang_na(spec, 1.0 / spec.gamma, n)
+        return _hits_duration(bang_bang_na(spec, 1.0 / spec.gamma, n), t_f)
+    _refuse_no_expansion(spec, t_max)
 
     def duration_gap(beta):
         return sum(bang_bang_times(spec, 0.0, beta)) - t_f
@@ -492,7 +519,7 @@ def bang_bang_na_for_duration(
         if b_hi > 1e12:
             raise Infeasible("could not bracket beta")
     beta = brentq(duration_gap, b_lo, b_hi, xtol=1e-14, rtol=1e-14)
-    return bang_bang_na(spec, beta, n)
+    return _hits_duration(bang_bang_na(spec, beta, n), t_f)
 
 
 @dataclass
@@ -502,6 +529,50 @@ class ShootingMismatch:
     b_error: float      # b(t_f) - gamma
     bdot_f: float
     bddot_f: float
+
+
+def _rk4_constant_power(b, b1, b2, source, ts):
+    """Classical RK4 for (b, b', b'') under the constant-power condition.
+
+    A scalar float loop over the nodes; each expression keeps the order of
+    the array form y + h/2 k, y + (h/6)(k1 + 2 k2 + 2 k3 + k4), so the
+    result is bit-identical to it.  A stage with b below 1e-9 aborts with
+    that stage's time, a non-finite state with the next node's time.
+    ``ts`` are the node times as a list.  Returns the per-node lists of b,
+    b' and b''.
+    """
+    out_b, out_b1, out_b2 = [b], [b1], [b2]
+    for i in range(len(ts) - 1):
+        t = ts[i]
+        h = ts[i + 1] - t
+        hh = 0.5 * h
+        if b < _B_COLLAPSE:
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t)
+        k1 = (source + b2 * b1 - 4.0 * b1 / b**3) / b
+        c, c1, c2 = b + hh * b1, b1 + hh * b2, b2 + hh * k1
+        if c < _B_COLLAPSE:
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + 0.5 * h)
+        k2 = (source + c2 * c1 - 4.0 * c1 / c**3) / c
+        d, d1, d2 = b + hh * c1, b1 + hh * c2, b2 + hh * k2
+        if d < _B_COLLAPSE:
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + 0.5 * h)
+        k3 = (source + d2 * d1 - 4.0 * d1 / d**3) / d
+        e, e1, e2 = b + h * d1, b1 + h * d2, b2 + h * k3
+        if e < _B_COLLAPSE:
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + h)
+        k4 = (source + e2 * e1 - 4.0 * e1 / e**3) / e
+        h6 = h / 6.0
+        b, b1, b2 = (
+            b + h6 * (b1 + 2.0 * c1 + 2.0 * d1 + e1),
+            b1 + h6 * (b2 + 2.0 * c2 + 2.0 * d2 + e2),
+            b2 + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+        )
+        if not (isfinite(b) and isfinite(b1) and isfinite(b2)):
+            raise TrajectoryBlowUp("ODE state became non-finite", ts[i + 1])
+        out_b.append(b)
+        out_b1.append(b1)
+        out_b2.append(b2)
+    return out_b, out_b1, out_b2
 
 
 def constant_power_shoot(
@@ -517,16 +588,9 @@ def constant_power_shoot(
     if t_f <= 0.0:
         raise ValueError("t_f must be positive")
     source = 2.0 * (1.0 - spec.omega_f_rel) / t_f
-
-    def rhs(t, y):
-        b, b1, b2 = y
-        if b < 1e-9:
-            raise TrajectoryBlowUp("scaling function collapsed toward b = 0", float(t))
-        return np.array([b1, b2, (source + b2 * b1 - 4.0 * b1 / b**3) / b])
-
     grid = TimeGrid.uniform(t_f, n)
-    traj = numerics.rk4_solve(rhs, [1.0, 0.0, 0.0], grid.nodes)
-    b, b1, b2 = traj[:, 0], traj[:, 1], traj[:, 2]
+    cols = _rk4_constant_power(1.0, 0.0, 0.0, source, grid.nodes.tolist())
+    b, b1, b2 = (np.array(c) for c in cols)
     b3 = (source + b2 * b1 - 4.0 * b1 / b**3) / b
     curve = ScalingCurve(grid, b, b1, b2, b3, closed_form_tag="constant_power")
     mism = ShootingMismatch(

@@ -167,6 +167,13 @@ class TestPowerCommand:
             assert np.trapezoid(arr[:, col], arr[:, 0]) == pytest.approx(1.0, abs=1e-4)
 
 
+    def test_no_expansion_exits_with_message(self, tmp_path):
+        out = tmp_path / "p1.csv"
+        with pytest.raises(SystemExit, match="gamma = 1"):
+            main(["power", "--gamma", "1", "--tf-dimensionless", "5", "--grid", "201", "--out", str(out)])
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,16 @@ class TestPower:
         curve, profile = protocols.dirac_impulse(spec, 1.0)
         with pytest.raises(PowerUndefined):
             energies.power(curve, profile, spec)
+
+    def test_no_expansion_refused(self):
+        # gamma = 1 has no energy change to normalize by; this used to
+        # return peak_rel = nan with a RuntimeWarning
+        s = TrapSpec.from_gamma(1.0)
+        curve = protocols.quintic(s, 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerUndefined, match="gamma = 1"):
+                energies.power(curve, ermakov.inverse_engineer(curve), s)
 
     def test_step_protocols_account_jumps(self, spec):
         bb = protocols.bang_bang(spec, 1.0, 1.0)

@@ -9,6 +9,7 @@ from staexpand.core import (
     ScalingCurve,
     TrajectoryBlowUp,
 )
+from staexpand.numerics import rk4_solve
 
 
 @pytest.fixture
@@ -150,3 +151,139 @@ class TestClassicalAnalogy:
         state = ermakov.classical_analogy(c, p)
         assert np.allclose(state.H_cl, 0.5 * c.bdot**2 + state.U)
         assert float(np.min(state.E_ex)) >= 0.0
+
+
+# --- fast integrators against the generic closure RK4 ----------------------
+
+
+def reference_forward_solve(profile, b0=1.0, bdot0=0.0):
+    """forward_solve written as a closure right-hand side for rk4_solve."""
+    grid = profile.grid
+    tol = 1e-9 * (1.0 + grid.t_f)
+
+    def kick(state, t):
+        for ti, s in profile.impulses:
+            if abs(ti - t) <= tol:
+                state[1] -= s * state[0]
+
+    b, bdot = np.empty(len(grid)), np.empty(len(grid))
+    state = np.array([float(b0), float(bdot0)])
+    kick(state, 0.0)
+    b0_plus = float(state[1])
+    for k, (lo, hi) in enumerate(grid.pieces):
+        om = profile.piece_callable(k)
+
+        def rhs(t, y, om=om):
+            if y[0] < 1e-9:
+                raise TrajectoryBlowUp("collapse", float(t))
+            return np.array([y[1], 1.0 / y[0] ** 3 - float(om(t)) * y[0]])
+
+        nodes = grid.nodes[lo : hi + 1]
+        traj = rk4_solve(rhs, state, nodes)
+        b[lo : hi + 1], bdot[lo : hi + 1] = traj[:, 0], traj[:, 1]
+        state = traj[-1].copy()
+        if k + 1 < grid.n_pieces:
+            kick(state, float(nodes[-1]))
+    return b, bdot, b0_plus
+
+
+def reference_shoot(spec, t_f, n):
+    source = 2.0 * (1.0 - spec.omega_f_rel) / t_f
+
+    def rhs(t, y):
+        b, b1, b2 = y
+        if b < 1e-9:
+            raise TrajectoryBlowUp("collapse", float(t))
+        return np.array([b1, b2, (source + b2 * b1 - 4.0 * b1 / b**3) / b])
+
+    traj = rk4_solve(rhs, [1.0, 0.0, 0.0], TimeGrid.uniform(t_f, n).nodes)
+    b, b1, b2 = traj.T
+    return b, b1, b2, (source + b2 * b1 - 4.0 * b1 / b**3) / b
+
+
+def _profiles(n):
+    spec = TrapSpec.from_gamma(10.0)
+    cp, _ = protocols.constant_power_shoot(spec, 30.0, n)
+    lb_curve, lb_profile = protocols.linear_bottom(spec, 20.0, n)
+    return {
+        "quintic": (ermakov.inverse_engineer(protocols.quintic(spec, 25.0, n)), 0.0),
+        "septic": (ermakov.inverse_engineer(protocols.septic(spec, 25.0, 4.0, -3.0, n)), 0.0),
+        "hybrid": (ermakov.inverse_engineer(protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, n)), 0.0),
+        "dirac": (protocols.dirac_impulse(spec, 5.0, n)[1], 0.0),
+        "bang_bang": (protocols.bang_bang(spec, 1.0, 1.0, n).profile, 0.0),
+        "linear_bottom": (lb_profile, float(lb_curve.bdot[0])),
+        "constant_power": (ermakov.inverse_engineer(cp), 0.0),  # spline path
+    }
+
+
+class TestFastIntegratorsMatchReference:
+    @pytest.mark.parametrize("n", [501, 2001])
+    def test_forward_solve(self, n):
+        for name, (profile, bdot0) in _profiles(n).items():
+            if name == "bang_bang":
+                assert profile.grid.n_pieces == 2
+            if name == "constant_power":
+                assert profile.omega2_fns is None
+            b_ref, bdot_ref, b0_plus = reference_forward_solve(profile, 1.0, bdot0)
+            got = ermakov.forward_solve(profile, 1.0, bdot0)
+            for x, ref in ((got.b, b_ref), (got.bdot, bdot_ref)):
+                err = np.max(np.abs(x - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref)), (name, err)
+            assert got.b0_plus_dot == b0_plus
+            assert abs(got.bf_minus_dot - bdot_ref[-1]) <= 1e-12 * np.max(np.abs(bdot_ref))
+            bddot = 1.0 / got.b**3 - profile.omega2 * got.b
+            assert np.array_equal(got.bddot, bddot)
+
+    @pytest.mark.parametrize(
+        "gamma, t_f, n", [(10.0, 30.0, 501), (10.0, 30.0, 2001), (7.7, 31.7, 501), (1.0, 5.0, 201)]
+    )
+    def test_shoot_bit_identical(self, gamma, t_f, n):
+        spec = TrapSpec.from_gamma(gamma)
+        curve, mism = protocols.constant_power_shoot(spec, t_f, n)
+        b, b1, b2, b3 = reference_shoot(spec, t_f, n)
+        for x, ref in ((curve.b, b), (curve.bdot, b1), (curve.bddot, b2), (curve.bdddot, b3)):
+            assert np.array_equal(x, ref)
+        assert mism == protocols.ShootingMismatch(
+            float(b[-1] - spec.gamma), float(b1[-1]), float(b2[-1])
+        )
+
+    @staticmethod
+    def _blowup_times(solve, reference):
+        with pytest.raises(TrajectoryBlowUp) as ref:
+            reference()
+        with pytest.raises(TrajectoryBlowUp) as got:
+            solve()
+        return got.value.t, ref.value.t
+
+    @pytest.mark.parametrize("n, bdot0", [(3, -4.0), (11, -20.0), (11, -15.0), (11, -8.0), (21, -15.0)])
+    def test_collapse_time(self, n, bdot0):
+        # free fall onto the 1/b^3 barrier, caught at a mid or end stage
+        grid = TimeGrid.uniform(1.0, n)
+        profile = FrequencyProfile(grid, np.zeros(n))
+        got, ref = self._blowup_times(
+            lambda: ermakov.forward_solve(profile, 1.0, bdot0),
+            lambda: reference_forward_solve(profile, 1.0, bdot0),
+        )
+        assert got == ref
+
+    @pytest.mark.parametrize("gamma, t_f, n", [(100.0, 1000.0, 3), (100.0, 1000.0, 201), (1000.0, 30.0, 11)])
+    def test_shoot_collapse_time(self, gamma, t_f, n):
+        spec = TrapSpec.from_gamma(gamma)
+        got, ref = self._blowup_times(
+            lambda: protocols.constant_power_shoot(spec, t_f, n),
+            lambda: reference_shoot(spec, t_f, n),
+        )
+        assert got == ref
+
+    @pytest.mark.parametrize("w2", [-1e4, -1e6, np.nan])
+    def test_non_finite_time(self, w2):
+        # a deep imaginary band overflows b (b**3 first, past ~5.6e102);
+        # a NaN control poisons the state on the first step
+        grid = TimeGrid.uniform(10.0, 201)
+        profile = FrequencyProfile(grid, np.full(201, w2), omega2_fns=(lambda t: w2 + 0.0 * t,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = self._blowup_times(
+                lambda: ermakov.forward_solve(profile),
+                lambda: reference_forward_solve(profile),
+            )
+        assert got == ref

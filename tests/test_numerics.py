@@ -10,7 +10,6 @@ from staexpand.numerics import (
     integrate,
     nelder_mead_2d,
     rk4_solve,
-    rk4_solve_refined,
     second_derivative,
 )
 
@@ -87,11 +86,6 @@ def test_rk4_fourth_order_convergence():
 def test_rk4_blowup_reports_time():
     with np.errstate(over="ignore"), pytest.raises(TrajectoryBlowUp):
         rk4_solve(lambda t, y: y**2, [1.0], np.linspace(0.0, 5.0, 101))
-
-
-def test_rk4_refined_converges():
-    nodes, traj = rk4_solve_refined(lambda t, y: -y, [1.0], 1.0, tol=1e-12, n0=9)
-    assert traj[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-11)
 
 
 def test_golden_section_quadratic():

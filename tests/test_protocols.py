@@ -207,6 +207,35 @@ class TestBangBangNA:
             protocols.bang_bang_na_for_duration(spec, 9.0)  # below sqrt(gamma^2-1)
 
 
+class TestForDurationPostcondition:
+    HELPERS = (protocols.bang_bang_for_duration, protocols.bang_bang_na_for_duration)
+
+    @pytest.mark.parametrize("helper", HELPERS)
+    def test_no_expansion_refused(self, helper):
+        # gamma = 1: the root search used to land on the jump and return pi/2
+        with pytest.raises(Infeasible, match="gamma = 1"):
+            helper(TrapSpec.from_gamma(1.0), 1.0)
+
+    @pytest.mark.parametrize("helper", HELPERS)
+    def test_no_expansion_extreme_point_kept(self, helper):
+        bb = helper(TrapSpec.from_gamma(1.0), math.pi / 2.0, 101)
+        assert bb.t_f == pytest.approx(math.pi / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("helper", HELPERS)
+    def test_near_unit_gamma_miss_raises(self, helper):
+        # the duration gap is too ill-conditioned here to meet t_f to 1e-12;
+        # this used to return a protocol 1.1e-6 (relative) too long or short
+        gamma = 1.0 + 1e-9
+        with pytest.raises(Infeasible, match="relative miss"):
+            helper(TrapSpec.from_gamma(gamma), 0.9 * math.pi * gamma / 2.0)
+
+    @pytest.mark.parametrize("helper", HELPERS)
+    @pytest.mark.parametrize("frac", [0.7, 0.85, 0.999])
+    def test_hits_duration(self, spec, helper, frac):
+        t_f = frac * protocols.bang_bang_max_duration(spec)
+        assert abs(helper(spec, t_f, 101).t_f - t_f) <= 1e-12 * t_f
+
+
 class TestConstantPower:
     def test_flat_when_no_expansion(self):
         c, mism = protocols.constant_power_shoot(TrapSpec.from_gamma(1.0), 5.0)
