@@ -19,8 +19,6 @@ from .core import (
     TimeGrid,
     TrajectoryBlowUp,
     TrapSpec,
-    from_dimensionless,
-    to_dimensionless,
 )
 from . import energies, ermakov, numerics, optimize, protocols
 
@@ -40,9 +38,7 @@ __all__ = [
     "TrapSpec",
     "energies",
     "ermakov",
-    "from_dimensionless",
     "numerics",
     "optimize",
     "protocols",
-    "to_dimensionless",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energies, ermakov, optimize, protocols, verify
-from .core import DEFAULT_GRID_N, Infeasible, NonRealFrequency, PowerUndefined, TrapSpec
+from .core import DEFAULT_GRID_N, Infeasible, NonRealFrequency, TrapSpec
 
 _PRESETS = {
     "fig1": {"omega0_hz": 2500.0, "omegaf_hz": 25.0},
@@ -105,6 +105,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config:
         merged.update(_read_config_file(args.config))
+        unknown = sorted(set(merged) - (set(vars(args)) - {"command", "config"}))
+        if unknown:
+            raise SystemExit(f"unknown config keys: {', '.join(unknown)}")
     for key, val in vars(args).items():
         if val is not None:
             merged[key] = val
@@ -254,17 +257,8 @@ def cmd_energy(cfg: RunConfig) -> int:
     spec = cfg.spec
     bundle = _build_bundle(cfg)
     curve, profile = bundle.curve, bundle.profile
-    trace = energies.averages(
-        energies.instantaneous(curve, profile, spec), curve, spec, profile
-    )
+    trace = energies.full_trace(curve, profile, spec)
     t_f = curve.grid.t_f
-
-    ena = None
-    na_note = ""
-    if float(np.min(profile.omega2)) >= -1e-12 and spec.n == 0:
-        ena, avg_na, _ = energies.nonadiabatic_energy(curve, profile, spec)
-    else:
-        na_note = "imaginary frequency band" if float(np.min(profile.omega2)) < -1e-12 else "n > 0"
 
     bound = energies.lower_bound_avg_energy(spec, t_f, cfg.grid_n)
     slopes_ok = (
@@ -285,15 +279,16 @@ def cmd_energy(cfg: RunConfig) -> int:
         s(f"# summary virial |K/V - 1| = {_fmt(ratio)} -> {'PASS' if ratio < 1e-6 else 'FAIL'}")
     else:
         s("# summary virial check SKIPPED (boundary slope conditions unmet)")
-    if ena is not None:
-        s(f"# summary avg_Ena = {_fmt(avg_na)} (hbar*omega0)")
+    if trace.Ena is not None:
+        s(f"# summary avg_Ena = {_fmt(trace.avg_Ena)} (hbar*omega0)")
         na_bound = energies.na_lower_bound(spec, t_f)
         s(
             f"# summary bound Ena_L = {_fmt(na_bound)} respected -> "
-            f"{'PASS' if avg_na >= na_bound * (1 - 1e-6) else 'FAIL'}"
+            f"{'PASS' if trace.avg_Ena >= na_bound * (1 - 1e-6) else 'FAIL'}"
         )
     else:
-        s(f"# summary avg_Ena SKIPPED ({na_note})")
+        reason = "imaginary frequency band" if profile.has_imaginary else "n > 0"
+        s(f"# summary avg_Ena SKIPPED ({reason})")
     if virial_applies:
         # the averaged-energy bound constrains complete protocols only
         s(f"# summary bound E_nL = {_fmt(bound.value)} respected -> "
@@ -310,7 +305,7 @@ def cmd_energy(cfg: RunConfig) -> int:
                     _fmt(trace.K[i]),
                     _fmt(trace.V[i]),
                     _fmt(profile.omega2[i]),
-                    _fmt(ena[i]) if ena is not None else "",
+                    _fmt(trace.Ena[i]) if trace.Ena is not None else "",
                 ]
             )
         )
@@ -350,7 +345,7 @@ def _fig3_point(args) -> tuple[float, str, float | None, float, str]:
         if family == "quintic":
             curve = protocols.quintic(spec, t_f, grid_n)
             profile = ermakov.inverse_engineer(curve)
-            if float(np.min(profile.omega2)) < -1e-12:
+            if profile.has_imaginary:
                 return t_f, family, None, bound, "imaginary frequency band"
             _, avg, _ = energies.nonadiabatic_energy(curve, profile, spec)
             return t_f, family, avg, bound, ""
@@ -397,6 +392,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     hi = cfg.tf_max if cfg.tf_max is not None else hi_default
     if hi is None:
         hi = protocols.bang_bang_max_duration(cfg.spec)
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise SystemExit("sweep needs a positive, finite duration range (--tf-min, --tf-max)")
     n_points = max(2, int(round(cfg.points_per_decade * math.log10(hi / lo))))
     taus = np.geomspace(lo, hi, n_points)
 
@@ -431,10 +428,10 @@ def cmd_power(cfg: RunConfig) -> int:
         raise SystemExit("power needs a duration (--tf, --tf-dimensionless, or --preset fig4)")
     t_f = cfg.t_f
     grid_n = cfg.grid_n if cfg.grid_n != DEFAULT_GRID_N else 4001
-    qc = protocols.quintic(spec, t_f, grid_n)
     try:
+        qc = protocols.quintic(spec, t_f, grid_n)
         qp = energies.power(qc, ermakov.inverse_engineer(qc), spec)
-    except PowerUndefined as exc:
+    except ValueError as exc:  # a bad duration or grid, or PowerUndefined
         raise SystemExit(f"power: {exc}") from None
     res = optimize.optimize_septic_power(spec, t_f, grid_n)
     sc = protocols.septic(spec, t_f, res.params[0], res.params[1], grid_n)

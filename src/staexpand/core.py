@@ -2,9 +2,9 @@
 
 All internal math is dimensionless: time in units of 1/omega0, frequencies
 in units of omega0, energies in units of hbar*omega0.  SI quantities are
-converted at the boundary with :func:`to_dimensionless` /
-:func:`from_dimensionless`; the only physics inputs that survive the
-scaling are gamma = sqrt(omega0/omega_f) and omega_f/omega0 = 1/gamma^2.
+converted at the command-line boundary (tau = omega0 t); the only physics
+inputs that survive the scaling are gamma = sqrt(omega0/omega_f) and
+omega_f/omega0 = 1/gamma^2.
 """
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 DEFAULT_GRID_N = 2001
-
-_trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+_REAL_TOL = 1e-12   # omega^2 >= -_REAL_TOL is round-off of a real frequency
 
 
 class GridMismatch(ValueError):
@@ -82,14 +81,12 @@ class TrapSpec:
         return cls(omega0=1.0, omega_f=1.0 / gamma**2, n=n, hbar=hbar)
 
 
-def to_dimensionless(spec: TrapSpec, t: float) -> float:
-    """Time in seconds -> tau = omega0 * t."""
-    return spec.omega0 * t
-
-
-def from_dimensionless(spec: TrapSpec, tau: float) -> float:
-    """tau = omega0 * t -> time in seconds."""
-    return tau / spec.omega0
+# linspace pieces from every constructor stay within 1.5 eps |t_hi| of the
+# nominal step (t_f from 1e-9 to 1e15); anything further off is not uniform
+_UNIFORM_EPS = 4.0 * np.finfo(float).eps
+_MIN_PIECE_INTERVALS = 32                   # per segment of a piecewise grid
+_GRADED_T_C = 25.0                          # first edge of a graded grid
+_GRADED_RATIO = 20.0                        # geometric step between graded edges
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,9 @@ class TimeGrid:
     ``pieces`` holds inclusive row ranges (lo, hi).  A protocol with
     interior switching times duplicates the boundary row, so one-sided
     limits of discontinuous quantities (omega^2, bddot) can be stored per
-    side; within each piece the nodes are strictly increasing and
-    uniformly spaced with an even interval count (Simpson-compatible).
+    side.  Every piece has an odd node count and strictly increasing nodes
+    whose spacing differs from (t_hi - t_lo)/(hi - lo) by rounding only
+    (4 eps |t_hi|): the contract ``numerics.integrate`` relies on.
     """
 
     nodes: np.ndarray
@@ -120,10 +118,12 @@ class TimeGrid:
             if prev_hi is not None:
                 if lo != prev_hi + 1 or nodes[lo] != nodes[prev_hi]:
                     raise ValueError("pieces must share boundary times on adjacent rows")
-            if hi - lo < 2:
-                raise ValueError("each piece needs at least 3 nodes")
-            if np.any(np.diff(nodes[lo : hi + 1]) <= 0.0):
-                raise ValueError("nodes must increase strictly within a piece")
+            if hi - lo < 2 or (hi - lo) % 2:
+                raise ValueError("each piece needs an odd node count >= 3")
+            dt = np.diff(nodes[lo : hi + 1])
+            h = (nodes[hi] - nodes[lo]) / (hi - lo)
+            if not (np.min(dt) > 0.0 and np.max(np.abs(dt - h)) <= _UNIFORM_EPS * abs(nodes[hi])):
+                raise ValueError("nodes must increase uniformly within a piece")
             prev_hi = hi
 
     def __len__(self) -> int:
@@ -149,45 +149,56 @@ class TimeGrid:
         )
 
     @classmethod
-    def uniform(cls, t_f: float, n: int = DEFAULT_GRID_N) -> "TimeGrid":
-        if t_f <= 0.0:
-            raise ValueError("t_f must be positive")
-        if n < 3 or n % 2 == 0:
-            raise ValueError("node count must be odd and >= 3")
-        return cls(np.linspace(0.0, float(t_f), n), ((0, n - 1),))
-
-    @classmethod
-    def piecewise(
-        cls,
-        edges: Sequence[float],
-        n: int = DEFAULT_GRID_N,
-        min_intervals: int = 32,
-    ) -> "TimeGrid":
-        """Grid over consecutive segments [edges[k], edges[k+1]].
-
-        Intervals are allocated proportionally to segment length, forced
-        even and at least ``min_intervals`` per segment; interior edges are
-        duplicated (end row of one piece, start row of the next).
-        """
-        edges = [float(e) for e in edges]
-        if len(edges) < 2 or edges[0] != 0.0:
-            raise ValueError("edges must start at 0")
-        spans = np.diff(edges)
-        if np.any(spans <= 0.0):
-            raise ValueError("edges must increase strictly")
-        total = edges[-1]
+    def _segments(cls, edges: Sequence[float], intervals: Sequence[int]) -> "TimeGrid":
+        """One linspace piece per segment [edges[k], edges[k+1]] with
+        intervals[k] steps; interior edges are duplicated (end row of one
+        piece, start row of the next)."""
         parts: list[np.ndarray] = []
         pieces: list[tuple[int, int]] = []
         lo = 0
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            m = int(round((n - 1) * (e1 - e0) / total))
-            m = max(min_intervals, m)
-            if m % 2:
-                m += 1
+        for e0, e1, m in zip(edges[:-1], edges[1:], intervals):
             parts.append(np.linspace(e0, e1, m + 1))
             pieces.append((lo, lo + m))
             lo += m + 1
         return cls(np.concatenate(parts), tuple(pieces))
+
+    @classmethod
+    def uniform(cls, t_f: float, n: int = DEFAULT_GRID_N) -> "TimeGrid":
+        if t_f <= 0.0:
+            raise ValueError("t_f must be positive")
+        return cls._segments([0.0, float(t_f)], [n - 1])
+
+    @classmethod
+    def piecewise(cls, edges: Sequence[float], n: int = DEFAULT_GRID_N) -> "TimeGrid":
+        """Grid over consecutive segments [edges[k], edges[k+1]].
+
+        Intervals are allocated proportionally to segment length, forced
+        even and at least 32 per segment.
+        """
+        edges = [float(e) for e in edges]
+        if len(edges) < 2 or edges[0] != 0.0:
+            raise ValueError("edges must start at 0")
+        if np.any(np.diff(edges) <= 0.0):
+            raise ValueError("edges must increase strictly")
+        intervals = []
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            m = max(_MIN_PIECE_INTERVALS, int(round((n - 1) * (e1 - e0) / edges[-1])))
+            intervals.append(m + m % 2)
+        return cls._segments(edges, intervals)
+
+    @classmethod
+    def graded(cls, t_f: float, n: int = DEFAULT_GRID_N) -> "TimeGrid":
+        """Grid graded geometrically toward both ends: edges at 25, 500,
+        10^4, ... from each end, then t_f/2, with the same even interval
+        count on every segment.  The quasi-optimal integrand carries an O(1)
+        boundary layer at each endpoint and decays like 1/t in between, so
+        long protocols need node shares per decade, not per unit time."""
+        ladder = [_GRADED_T_C]
+        while ladder[-1] * _GRADED_RATIO < t_f / 2.0:
+            ladder.append(ladder[-1] * _GRADED_RATIO)
+        edges = [0.0] + ladder + [t_f / 2.0] + [t_f - e for e in reversed(ladder)] + [t_f]
+        m = max(8, (n - 1) // (len(edges) - 1))
+        return cls._segments(edges, [m + m % 2] * (len(edges) - 1))
 
 
 class PieceFns(NamedTuple):
@@ -217,7 +228,6 @@ class ScalingCurve:
     bdddot: np.ndarray | None = None
     b0_plus_dot: float | None = None
     bf_minus_dot: float | None = None
-    closed_form_tag: str = ""
     fns: tuple[PieceFns, ...] | None = None
 
     def __post_init__(self):
@@ -272,17 +282,20 @@ class FrequencyProfile:
 
     @property
     def has_imaginary(self) -> bool:
-        return bool(np.min(self.omega2) < 0.0)
+        """min omega^2 < -1e-12 (or NaN): omega(t) is not real somewhere.
 
-    def omega(self, tol: float = 1e-12) -> np.ndarray:
+        Smaller negative values are round-off and count as real.
+        """
+        return not float(np.min(self.omega2)) >= -_REAL_TOL
+
+    def omega(self) -> np.ndarray:
         """sqrt(omega^2), clamping tiny negative round-off to zero.
 
-        Raises NonRealFrequency when min omega^2 < -tol.
+        Raises NonRealFrequency when ``has_imaginary``.
         """
-        lo = float(np.min(self.omega2))
-        if lo < -tol:
+        if self.has_imaginary:
             raise NonRealFrequency(
-                f"omega^2 reaches {lo:.6g} < 0; omega(t) is not real"
+                f"omega^2 reaches {float(np.min(self.omega2)):.6g} < 0; omega(t) is not real"
             )
         return np.sqrt(np.clip(self.omega2, 0.0, None))
 

@@ -31,6 +31,7 @@ from .core import (
     GridMismatch,
     PowerUndefined,
     ScalingCurve,
+    TimeGrid,
     TrapSpec,
 )
 
@@ -44,7 +45,6 @@ class EnergyTrace:
     K: np.ndarray
     V: np.ndarray
     Ena: np.ndarray | None = None
-    P: np.ndarray | None = None
     avg_E: float | None = None
     avg_K: float | None = None
     avg_V: float | None = None
@@ -121,43 +121,13 @@ class EnergyLowerBound:
     closed_form_consistent: bool | None
 
 
-def _graded_grid(t_f: float, n_grid: int, t_c: float = 25.0, ratio: float = 20.0):
-    """Grid graded geometrically toward both ends: the quasi-optimal
-    integrand carries an O(1) boundary layer at each endpoint and decays
-    like 1/t in between, so long protocols need node shares per decade,
-    not per unit time."""
-    from .core import TimeGrid
-
-    ladder = [t_c]
-    while ladder[-1] * ratio < t_f / 2.0:
-        ladder.append(ladder[-1] * ratio)
-    edges = (
-        [0.0]
-        + ladder
-        + [t_f / 2.0]
-        + [t_f - e for e in reversed(ladder)]
-        + [t_f]
-    )
-    m = max(8, (n_grid - 1) // (len(edges) - 1))
-    if m % 2:
-        m += 1
-    parts = []
-    pieces = []
-    lo = 0
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        parts.append(np.linspace(e0, e1, m + 1))
-        pieces.append((lo, lo + m))
-        lo += m + 1
-    return TimeGrid(np.concatenate(parts), tuple(pieces))
-
-
 def lower_bound_avg_energy(
     spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N
 ) -> EnergyLowerBound:
     """Quadrature of the partially-integrated energy over the
     quasi-optimal curve, plus the closed form where its arctanh
     arguments are in range."""
-    grid = _graded_grid(t_f, n_grid) if t_f > 50.0 else None
+    grid = TimeGrid.graded(t_f, n_grid) if t_f > 50.0 else None
     curve = protocols.quasi_optimal(spec, t_f, n_grid, grid=grid)
     c2 = (2 * spec.n + 1) / 2.0
     value = numerics.average(c2 * (1.0 / curve.b**2 + curve.bdot**2), curve.grid)
@@ -194,7 +164,7 @@ def nonadiabatic_energy(
         raise ValueError("non-adiabatic energy is defined here for the ground state only")
     if not curve.grid.same_as(profile.grid):
         raise GridMismatch("curve and profile live on different grids")
-    omega = profile.omega()  # raises NonRealFrequency when W^2 < 0
+    omega = profile.omega()  # raises NonRealFrequency when W^2 < -1e-12
     b = curve.b
     ena = 0.25 * (curve.bdot**2 + profile.omega2 * b**2 + 1.0 / b**2) - 0.5 * omega
     avg = numerics.average(ena, curve.grid)
@@ -331,18 +301,10 @@ def bound_report(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> Bo
     )
 
 
-def full_trace(
-    curve: ScalingCurve,
-    profile: FrequencyProfile,
-    spec: TrapSpec,
-    with_na: bool = True,
-    with_power: bool = False,
-) -> EnergyTrace:
-    """Convenience: instantaneous + averages, with the non-adiabatic and
-    power traces attached where they are defined."""
+def full_trace(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> EnergyTrace:
+    """Instantaneous energies and their averages, with the non-adiabatic
+    trace attached where it is defined (n = 0 and a real frequency)."""
     trace = averages(instantaneous(curve, profile, spec), curve, spec, profile)
-    if with_na and spec.n == 0 and float(np.min(profile.omega2)) >= -1e-12:
+    if spec.n == 0 and not profile.has_imaginary:
         trace.Ena, trace.avg_Ena, trace.avg_Ena2 = nonadiabatic_energy(curve, profile, spec)
-    if with_power and not profile.impulses:
-        trace.P = power(curve, profile, spec).P
     return trace

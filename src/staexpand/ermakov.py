@@ -8,14 +8,9 @@ so a designed b yields the control W^2 = 1/b^4 - b''/b, and a given W^2
 can be integrated forward.  A Dirac impulse of strength D in omega^2
 kicks the slope: integrating b'' across the delta gives
 bdot(tau+) = bdot(tau-) - D b(tau) with b continuous.
-
-The same equation is Newton's law for a fictitious unit-mass particle at
-"position" b in the potential U = (W^2 b^2 + 1/b^2)/2, which is what makes
-the excitation-energy bookkeeping below work.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
@@ -24,10 +19,8 @@ from . import numerics
 from .core import (
     FrequencyProfile,
     GridMismatch,
-    NonRealFrequency,
     ScalingCurve,
     TrajectoryBlowUp,
-    TrapSpec,
 )
 
 _B_COLLAPSE = 1e-9
@@ -186,56 +179,4 @@ def forward_solve(
         bddot,
         b0_plus_dot=b0_plus,
         bf_minus_dot=bf_minus,
-        closed_form_tag="ode",
     )
-
-
-def post_protocol_state(curve: ScalingCurve, profile: FrequencyProfile) -> tuple[float, float]:
-    """(b, bdot) just after t_f, with any final impulses applied."""
-    t_f = curve.grid.t_f
-    b_f = float(curve.b[-1])
-    bdot_f = float(curve.bf_minus_dot)
-    for ti, s in profile.impulses:
-        if abs(ti - t_f) <= 1e-9 * (1.0 + t_f):
-            bdot_f -= s * b_f
-    return b_f, bdot_f
-
-
-def excitation_energy(
-    curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical excitation above the moving potential minimum, per node.
-
-    E_ex = bdot^2/2 + (W^2 b^2 + 1/b^2 - 2 W)/2, which is non-negative for
-    W >= 0, and the scaled non-adiabatic energy E_ex/2 in units of
-    hbar*omega0 (the TrapSpec argument fixes no scale in dimensionless
-    form).  Raises NonRealFrequency when W^2 < 0 anywhere.
-    """
-    if not curve.grid.same_as(profile.grid):
-        raise GridMismatch("curve and profile live on different grids")
-    omega = profile.omega()
-    b = curve.b
-    e_ex = 0.5 * curve.bdot**2 + 0.5 * (profile.omega2 * b**2 + 1.0 / b**2 - 2.0 * omega)
-    return e_ex, 0.5 * e_ex
-
-
-@dataclass
-class ClassicalAnalogyState:
-    """Fictitious-particle view of the curve: arrays over grid nodes."""
-
-    b: np.ndarray
-    bdot: np.ndarray
-    U: np.ndarray
-    H_cl: np.ndarray
-    E_ex: np.ndarray
-
-
-def classical_analogy(curve: ScalingCurve, profile: FrequencyProfile) -> ClassicalAnalogyState:
-    """Potential U = (W^2 b^2 + 1/b^2)/2, total energy, and excitation."""
-    if not curve.grid.same_as(profile.grid):
-        raise GridMismatch("curve and profile live on different grids")
-    b = curve.b
-    U = 0.5 * (profile.omega2 * b**2 + 1.0 / b**2)
-    H_cl = 0.5 * curve.bdot**2 + U
-    e_ex, _ = excitation_energy(curve, profile)
-    return ClassicalAnalogyState(b=b, bdot=curve.bdot, U=U, H_cl=H_cl, E_ex=e_ex)

@@ -1,16 +1,14 @@
-"""Quadrature, fixed-step RK4 integration, and derivative-free minimizers."""
+"""Simpson quadrature on grid pieces, finite differences, the reference
+fixed-step RK4, and the two-variable Nelder-Mead minimizer."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .core import GridMismatch, TimeGrid, TrajectoryBlowUp, _trapz
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .core import GridMismatch, TimeGrid, TrajectoryBlowUp
 
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:
@@ -21,22 +19,17 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
 def integrate(values: Sequence[float], grid: TimeGrid) -> float:
     """Integral of sampled values over [0, t_f].
 
-    Each uniform odd-count piece is integrated with composite Simpson
-    (error O(h^4) for smooth integrands); anything else falls back to the
-    trapezoid rule.
+    Composite Simpson on each piece, which ``TimeGrid`` guarantees to be
+    uniform with an odd node count (error O(h^4) for smooth integrands);
+    the step is the piece's first node spacing.
     """
     values = np.asarray(values, dtype=float)
     if len(values) != len(grid.nodes):
         raise GridMismatch(f"{len(values)} samples on a {len(grid.nodes)}-node grid")
+    nodes = grid.nodes
     total = 0.0
     for lo, hi in grid.pieces:
-        t = grid.nodes[lo : hi + 1]
-        y = values[lo : hi + 1]
-        dt = np.diff(t)
-        if len(t) % 2 == 1 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-            total += simpson_uniform(y, dt[0])
-        else:
-            total += float(_trapz(y, t))
+        total += simpson_uniform(values[lo : hi + 1], nodes[lo + 1] - nodes[lo])
     return total
 
 
@@ -89,37 +82,6 @@ class MinimizeResult:
     fx: float
     converged: bool
     iterations: int
-
-
-def golden_minimize(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> MinimizeResult:
-    """Golden-section search for a local minimum of f on [a, b]."""
-    if b <= a:
-        raise ValueError("need a < b")
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while (b - a) > rel_tol * (abs(a) + abs(b) + 1.0):
-        if it >= max_iter:
-            x = 0.5 * (a + b)
-            return MinimizeResult((x,), f(x), False, it)
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        it += 1
-    x = 0.5 * (a + b)
-    return MinimizeResult((x,), f(x), True, it)
 
 
 def nelder_mead_2d(

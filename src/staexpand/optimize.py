@@ -10,13 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import energies, ermakov, numerics, protocols
 from .core import DEFAULT_GRID_N, Infeasible, TrapSpec
 
 _CAP_SEED_FRACTIONS = (0.01, 0.05, 0.2)
-_FEAS_TOL = -1e-12
 
 
 @dataclass
@@ -36,7 +33,7 @@ def _hybrid_avg_ena(spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n_gr
         return math.inf
     curve = protocols.hybrid_caps(spec, t_f, tau_l, tau_s, n_grid)
     profile = ermakov.inverse_engineer(curve)
-    if float(np.min(profile.omega2)) < _FEAS_TOL:
+    if profile.has_imaginary:
         return math.inf
     _, avg, _ = energies.nonadiabatic_energy(curve, profile, spec)
     return avg

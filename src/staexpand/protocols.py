@@ -46,6 +46,15 @@ _B_COLLAPSE = 1e-9
 _COLLAPSE_MSG = "scaling function collapsed toward b = 0"
 _OMEGA1_SERIES_SWITCH = 1e-6  # below this, sinh(w1 t)/w1 is evaluated by series
 _SNAP_TOL = 1e-12
+# brentq tolerance relative to the step frequency (~1/gamma at large gamma),
+# which an absolute one cannot resolve to the 1e-12 duration postcondition
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _check_duration(t_f) -> None:
+    """The one duration check of every constructor: 0 < t_f < inf."""
+    if t_f is None or not 0.0 < t_f < math.inf:
+        raise ValueError(f"t_f must be positive and finite (got {t_f!r})")
 
 
 def _sqrt_fns(g, g1, g2, g3) -> PieceFns:
@@ -72,9 +81,7 @@ def _sqrt_fns(g, g1, g2, g3) -> PieceFns:
     return PieceFns(b, bdot, bddot, bdddot)
 
 
-def _curve_from_fns(
-    grid: TimeGrid, fns: tuple[PieceFns, ...], tag: str, **kw
-) -> ScalingCurve:
+def _curve_from_fns(grid: TimeGrid, fns: tuple[PieceFns, ...], **kw) -> ScalingCurve:
     n = len(grid)
     b = np.empty(n)
     bdot = np.empty(n)
@@ -87,9 +94,7 @@ def _curve_from_fns(
         bddot[lo : hi + 1] = fns[k].bddot(t)
         if bdddot is not None:
             bdddot[lo : hi + 1] = fns[k].bdddot(t)
-    return ScalingCurve(
-        grid, b, bdot, bddot, bdddot, closed_form_tag=tag, fns=fns, **kw
-    )
+    return ScalingCurve(grid, b, bdot, bddot, bdddot, fns=fns, **kw)
 
 
 def _poly_fns(p: Polynomial, t_f: float) -> PieceFns:
@@ -105,12 +110,11 @@ def _poly_fns(p: Polynomial, t_f: float) -> PieceFns:
 def quintic(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ScalingCurve:
     """b(s) = 1 + (gamma-1)(10 s^3 - 15 s^4 + 6 s^5): the smoothest
     textbook interpolant, frequency continuous at both ends."""
-    if t_f <= 0.0:
-        raise ValueError("t_f must be positive")
+    _check_duration(t_f)
     d = spec.gamma - 1.0
     p = Polynomial([1.0, 0.0, 0.0, 10.0 * d, -15.0 * d, 6.0 * d])
     grid = TimeGrid.uniform(t_f, n)
-    return _curve_from_fns(grid, (_poly_fns(p, t_f),), "quintic")
+    return _curve_from_fns(grid, (_poly_fns(p, t_f),))
 
 
 def septic(
@@ -123,8 +127,7 @@ def septic(
     satisfies all six boundary conditions for any (c3, c4), which is what
     makes (c3, c4) usable as power-shaping knobs.
     """
-    if t_f <= 0.0:
-        raise ValueError("t_f must be positive")
+    _check_duration(t_f)
     g = spec.gamma
     p = Polynomial(
         [
@@ -139,7 +142,7 @@ def septic(
         ]
     )
     grid = TimeGrid.uniform(t_f, n)
-    return _curve_from_fns(grid, (_poly_fns(p, t_f),), "septic")
+    return _curve_from_fns(grid, (_poly_fns(p, t_f),))
 
 
 def quasi_optimal_B(spec: TrapSpec, t_f: float) -> float:
@@ -159,8 +162,7 @@ def quasi_optimal(
     """Minimizer of the averaged 1/b^2 + bdot^2 functional between the
     endpoint values; slopes at 0+ and t_f- are recorded as one-sided
     derivatives because they do not vanish."""
-    if t_f <= 0.0:
-        raise ValueError("t_f must be positive")
+    _check_duration(t_f)
     g = spec.gamma
     B = quasi_optimal_B(spec, t_f)
     b2mt2 = _quasi_optimal_B2_minus_tf2(spec, t_f)
@@ -181,7 +183,6 @@ def quasi_optimal(
     return _curve_from_fns(
         grid,
         (fns,) * grid.n_pieces,  # one smooth closed form, any grid split
-        "quasi_optimal",
         b0_plus_dot=B / t_f,
         bf_minus_dot=(b2mt2 + B) / (g * t_f),
     )
@@ -223,9 +224,8 @@ def hybrid_caps(
     match bddot, so omega stays discontinuous at the joints); closed-form
     coefficients, with b > 0 guaranteed throughout.
     """
-    if t_f <= 0.0:
-        raise ValueError("t_f must be positive")
-    if tau_l <= 0.0 or tau_s <= 0.0:
+    _check_duration(t_f)
+    if not (tau_l > 0.0 and tau_s > 0.0):
         raise ValueError("cap durations must be positive")
     if tau_l + tau_s >= t_f:
         raise ValueError("caps must fit inside the protocol: tau_l + tau_s < t_f")
@@ -247,7 +247,7 @@ def hybrid_caps(
     )
     grid = TimeGrid.piecewise([0.0, tau_l, t_f - tau_s, t_f], n)
     fns = (_poly_fns(p1, t_f), _poly_fns(pm, t_f), cap2)
-    return _curve_from_fns(grid, fns, "hybrid")
+    return _curve_from_fns(grid, fns)
 
 
 def linear_bottom(
@@ -258,12 +258,11 @@ def linear_bottom(
     bddot = 0, so the pair solves the Ermakov equation exactly; the
     boundary slopes are (gamma-1)/t_f at both ends, deliberately nonzero.
     """
-    if t_f <= 0.0:
-        raise ValueError("t_f must be positive")
+    _check_duration(t_f)
     d = spec.gamma - 1.0
     p = Polynomial([1.0, d])
     grid = TimeGrid.uniform(t_f, n)
-    curve = _curve_from_fns(grid, (_poly_fns(p, t_f),), "linear_bottom")
+    curve = _curve_from_fns(grid, (_poly_fns(p, t_f),))
     b = curve.b
     omega2 = 1.0 / b**4
     fn = curve.fns[0]
@@ -407,7 +406,7 @@ def bang_bang(
         grid = TimeGrid.piecewise([0.0, t1, t_f], n)
         fns = (_bang_bang_seg1_fns(omega1), seg2)
         om_vals = [-(omega1**2), omega2**2]
-    curve = _curve_from_fns(grid, fns, "bang_bang")
+    curve = _curve_from_fns(grid, fns)
     omega2_samples = np.empty(len(grid))
     omega2_fns = []
     for k, (lo, hi) in enumerate(grid.pieces):
@@ -457,8 +456,9 @@ def bang_bang_for_duration(
     Solves t1(w) + t2(w) = t_f for the common step frequency by root
     bracketing; only durations up to pi*gamma/2 are reachable.
     """
+    _check_duration(t_f)
     t_max = bang_bang_max_duration(spec)
-    if not 0.0 < t_f <= t_max:
+    if t_f > t_max:
         raise Infeasible(f"equal-step protocols need 0 < t_f <= {t_max:.6g}")
     w_lo = math.sqrt(spec.omega_f_rel)
     if t_f >= t_max * (1.0 - 1e-12):
@@ -473,7 +473,7 @@ def bang_bang_for_duration(
         w_hi *= 2.0
         if w_hi > 1e12:
             raise Infeasible("could not bracket the step frequency")
-    w = brentq(duration_gap, w_lo, w_hi, xtol=1e-14, rtol=1e-14)
+    w = brentq(duration_gap, w_lo, w_hi, xtol=_ROOT_RTOL * w_lo, rtol=_ROOT_RTOL)
     return _hits_duration(bang_bang(spec, w, w, n), t_f)
 
 
@@ -499,6 +499,7 @@ def bang_bang_na_for_duration(
     Durations range over (sqrt(gamma^2 - 1), pi*gamma/2]: the upper end is
     beta = 1/gamma, the lower end the beta -> infinity free-expansion limit.
     """
+    _check_duration(t_f)
     t_max = bang_bang_max_duration(spec)
     t_min = math.sqrt(spec.gamma**2 - 1.0)
     if not t_min < t_f <= t_max:
@@ -518,7 +519,7 @@ def bang_bang_na_for_duration(
         b_hi *= 2.0
         if b_hi > 1e12:
             raise Infeasible("could not bracket beta")
-    beta = brentq(duration_gap, b_lo, b_hi, xtol=1e-14, rtol=1e-14)
+    beta = brentq(duration_gap, b_lo, b_hi, xtol=_ROOT_RTOL * b_lo, rtol=_ROOT_RTOL)
     return _hits_duration(bang_bang_na(spec, beta, n), t_f)
 
 
@@ -585,14 +586,13 @@ def constant_power_shoot(
     The three conditions at t = 0 use up every constant, so the terminal
     conditions generically fail; the mismatch is reported rather than fixed.
     """
-    if t_f <= 0.0:
-        raise ValueError("t_f must be positive")
+    _check_duration(t_f)
     source = 2.0 * (1.0 - spec.omega_f_rel) / t_f
     grid = TimeGrid.uniform(t_f, n)
     cols = _rk4_constant_power(1.0, 0.0, 0.0, source, grid.nodes.tolist())
     b, b1, b2 = (np.array(c) for c in cols)
     b3 = (source + b2 * b1 - 4.0 * b1 / b**3) / b
-    curve = ScalingCurve(grid, b, b1, b2, b3, closed_form_tag="constant_power")
+    curve = ScalingCurve(grid, b, b1, b2, b3)
     mism = ShootingMismatch(
         b_error=float(b[-1] - spec.gamma),
         bdot_f=float(b1[-1]),

@@ -342,8 +342,8 @@ def check_minimal_work_positivity(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     worst_min = math.inf
     worst_end = 0.0
     for tag, curve, profile, freq_continuous in candidates:
-        if float(np.min(profile.omega2)) < -1e-12:
-            continue  # imaginary band: non-adiabatic energy undefined here
+        if profile.has_imaginary:
+            continue  # non-adiabatic energy undefined here
         admissible += 1
         ena, _, _ = energies.nonadiabatic_energy(curve, profile, spec)
         worst_min = min(worst_min, float(np.min(ena)))

@@ -80,6 +80,11 @@ class TestProtocolCommand:
             ])
 
 
+    def test_missing_duration_exits_with_message(self):
+        with pytest.raises(SystemExit, match="t_f must be positive and finite"):
+            main(["protocol", "--gamma", "10", "--family", "bang_bang"])
+
+
 class TestEnergyCommand:
     def test_quintic_summary_passes_virial(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -152,6 +157,11 @@ class TestSweepCommand:
                 assert float(r[1]) >= float(r[2]) * (1.0 - 1e-6)
 
 
+    def test_non_positive_range_exits_with_message(self, tmp_path):
+        with pytest.raises(SystemExit, match="positive, finite duration range"):
+            main(["sweep", "--preset", "fig1", "--tf-min", "-1", "--out", str(tmp_path)])
+
+
 class TestPowerCommand:
     def test_fig4_peaks_ordered(self, tmp_path):
         out = tmp_path / "p4.csv"
@@ -174,6 +184,13 @@ class TestPowerCommand:
         assert not out.exists()
 
 
+    def test_even_grid_exits_with_message(self, tmp_path):
+        out = tmp_path / "p2.csv"
+        with pytest.raises(SystemExit, match="odd node count"):
+            main(["power", "--preset", "fig4", "--grid", "2000", "--out", str(out)])
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -185,6 +202,13 @@ class TestConfigFile:
         main(["protocol", "--config", str(cfgfile), "--grid", "101", "--out", str(out)])
         _, rows = data_rows(read_lines(out))
         assert len(rows) == 101  # flag wins over the file
+
+
+    def test_unknown_key_rejected(self, tmp_path):
+        cfgfile = tmp_path / "typo.cfg"
+        cfgfile.write_text("family = quintic\ngamma = 10\ntf_dimensionles = 25\n", encoding="utf-8")
+        with pytest.raises(SystemExit, match="unknown config keys: tf_dimensionles"):
+            main(["protocol", "--config", str(cfgfile)])
 
 
 def test_verify_command_reports_known_failure(capsys):

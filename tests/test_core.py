@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from staexpand import TimeGrid, TrapSpec, from_dimensionless, to_dimensionless
-from staexpand.core import GridMismatch, ScalingCurve
+from staexpand import TimeGrid, TrapSpec
+from staexpand.core import FrequencyProfile, GridMismatch, ScalingCurve
 
 
 def test_trap_spec_gamma():
@@ -32,20 +32,6 @@ def test_from_gamma_reproduces_gamma():
     assert spec.gamma == pytest.approx(10.0, rel=1e-15)
 
 
-def test_dimensionless_conversion_value():
-    # omega0 = 2 pi 2500 Hz, t = 1 ms  ->  tau = 5 pi
-    spec = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * 25.0)
-    assert to_dimensionless(spec, 1e-3) == pytest.approx(5.0 * math.pi, rel=1e-14)
-    assert to_dimensionless(spec, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("t", [1e-6, 3.7e-4, 0.25, 12.0])
-def test_dimensionless_round_trip(t):
-    spec = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * 25.0)
-    back = from_dimensionless(spec, to_dimensionless(spec, t))
-    assert back == pytest.approx(t, rel=1e-14)
-
-
 def test_uniform_grid_basics():
     g = TimeGrid.uniform(2.5, 101)
     assert len(g) == 101
@@ -59,7 +45,7 @@ def test_uniform_grid_basics():
 
 
 def test_piecewise_grid_duplicates_joints():
-    g = TimeGrid.piecewise([0.0, 0.3, 1.0], n=101, min_intervals=8)
+    g = TimeGrid.piecewise([0.0, 0.3, 1.0], n=101)
     (lo0, hi0), (lo1, hi1) = g.pieces
     assert g.nodes[hi0] == g.nodes[lo1] == 0.3
     assert lo1 == hi0 + 1
@@ -68,6 +54,53 @@ def test_piecewise_grid_duplicates_joints():
         d = np.diff(g.nodes[lo : hi + 1])
         assert (hi - lo) % 2 == 0
         assert np.allclose(d, d[0])
+
+
+def test_grid_rejects_even_node_count_piece():
+    with pytest.raises(ValueError, match="odd node count"):
+        TimeGrid(np.linspace(0.0, 1.0, 4), ((0, 3),))
+    with pytest.raises(ValueError, match="odd node count"):
+        TimeGrid(np.array([0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.5]), ((0, 2), (3, 6)))
+
+
+@pytest.mark.parametrize("t_f", [1e-9, 1.0, 3e5, 1e12])
+def test_grid_rejects_perturbed_node(t_f):
+    g = TimeGrid.uniform(t_f, 101)
+    nodes = g.nodes.copy()
+    nodes[37] += 1e-6 * (nodes[38] - nodes[37])  # a step 1e-6 off uniform
+    with pytest.raises(ValueError, match="uniformly"):
+        TimeGrid(nodes, g.pieces)
+    with pytest.raises(ValueError, match="uniformly"):
+        TimeGrid(-g.nodes, g.pieces)  # uniform but decreasing
+
+
+def _graded_reference(t_f, n):
+    """Reference graded grid: edges 25 * 20^k in from both ends plus t_f/2,
+    one even interval count (at least 8) on every segment."""
+    ladder = [25.0]
+    while ladder[-1] * 20.0 < t_f / 2.0:
+        ladder.append(ladder[-1] * 20.0)
+    edges = [0.0] + ladder + [t_f / 2.0] + [t_f - e for e in reversed(ladder)] + [t_f]
+    m = max(8, (n - 1) // (len(edges) - 1))
+    m += m % 2
+    parts = [np.linspace(e0, e1, m + 1) for e0, e1 in zip(edges[:-1], edges[1:])]
+    pieces = tuple((k * (m + 1), k * (m + 1) + m) for k in range(len(parts)))
+    return np.concatenate(parts), pieces
+
+
+@pytest.mark.parametrize("t_f, n", [(51.0, 2001), (1e4, 2001), (2.9e5, 201), (1e9, 4001)])
+def test_graded_grid_keeps_its_pieces(t_f, n):
+    nodes, pieces = _graded_reference(t_f, n)
+    g = TimeGrid.graded(t_f, n)
+    assert g.pieces == pieces
+    assert np.array_equal(g.nodes, nodes)
+
+
+@pytest.mark.parametrize("w2_min, imaginary", [(-1e-13, False), (-1e-11, True), (np.nan, True)])
+def test_has_imaginary_tolerates_round_off_only(w2_min, imaginary):
+    g = TimeGrid.uniform(1.0, 5)
+    profile = FrequencyProfile(g, np.array([1.0, 0.5, w2_min, 0.5, 1.0]))
+    assert profile.has_imaginary is imaginary
 
 
 def test_scaling_curve_rejects_nonpositive_b():

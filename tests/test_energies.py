@@ -22,6 +22,14 @@ def static_pair(n=201, t_f=2.0):
     )
 
 
+def excitation_energy(curve, profile):
+    """Classical excitation of the fictitious particle above the moving
+    minimum of U = (W^2 b^2 + 1/b^2)/2: bdot^2/2 + U - W, twice the
+    ground-state non-adiabatic energy (local reference)."""
+    b, omega = curve.b, profile.omega()
+    return 0.5 * curve.bdot**2 + 0.5 * (profile.omega2 * b**2 + 1.0 / b**2 - 2.0 * omega)
+
+
 def trace_for(curve, profile, spec):
     return energies.averages(
         energies.instantaneous(curve, profile, spec), curve, spec, profile
@@ -194,8 +202,8 @@ class TestNonAdiabatic:
         curve = protocols.quintic(spec, 50.0)
         profile = ermakov.inverse_engineer(curve)
         ena, _, _ = energies.nonadiabatic_energy(curve, profile, spec)
-        _, e_na = ermakov.excitation_energy(curve, profile, spec)
-        assert np.max(np.abs(ena - e_na)) < 1e-12
+        assert np.max(np.abs(ena - 0.5 * excitation_energy(curve, profile))) < 1e-12
+        assert float(np.min(ena)) >= 0.0
 
     def test_routes_agree_with_boundary_conditions(self, spec):
         curve = protocols.quintic(spec, 50.0)
@@ -212,6 +220,13 @@ class TestNonAdiabatic:
         _, avg, _ = energies.nonadiabatic_energy(c, p, spec)
         assert avg == pytest.approx(20.25, rel=1e-12)
         assert avg == pytest.approx(energies.na_lower_bound(spec, 1.0), rel=1e-12)
+
+    def test_linear_bottom_constant(self, spec):
+        # the potential part vanishes on the bottom track: E_ex = ((gamma-1)/tf)^2/2
+        c, p = protocols.linear_bottom(spec, 1.0)
+        ena, _, _ = energies.nonadiabatic_energy(c, p, spec)
+        assert np.max(np.abs(excitation_energy(c, p) - 40.5)) < 1e-10
+        assert np.max(np.abs(ena - 20.25)) < 1e-10
 
     def test_rejects_imaginary_and_excited(self, spec):
         curve = protocols.quintic(spec, 1.0)
@@ -357,10 +372,3 @@ class TestFullTrace:
         curve = protocols.quintic(spec, 1.0)
         tr = energies.full_trace(curve, ermakov.inverse_engineer(curve), spec)
         assert tr.Ena is None
-
-    def test_attaches_power_on_request(self, spec):
-        curve = protocols.quintic(spec, 25.0)
-        tr = energies.full_trace(
-            curve, ermakov.inverse_engineer(curve), spec, with_power=True
-        )
-        assert tr.P is not None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from staexpand import TimeGrid, TrapSpec, ermakov, protocols
+from staexpand import TimeGrid, TrapSpec, energies, ermakov, protocols
 from staexpand.core import (
     FrequencyProfile,
     GridMismatch,
@@ -83,9 +83,10 @@ class TestForwardSolve:
     def test_impulse_protocol_reaches_target(self, spec):
         curve, profile = protocols.dirac_impulse(spec, 1.0)
         solved = ermakov.forward_solve(profile)
-        b_f, bdot_f = ermakov.post_protocol_state(solved, profile)
+        b_f = float(solved.b[-1])
+        df = profile.impulses[1][1]  # the final kick stops the slope
         assert b_f == pytest.approx(10.0, abs=1e-6)
-        assert abs(bdot_f) < 1e-6
+        assert abs(solved.bf_minus_dot - df * b_f) < 1e-6
 
     def test_impulse_jump_rule(self, spec):
         # bdot jumps by exactly -D b across a kick
@@ -93,11 +94,8 @@ class TestForwardSolve:
         solved = ermakov.forward_solve(profile)
         d0 = profile.impulses[0][1]
         assert solved.b0_plus_dot == pytest.approx(-d0 * float(solved.b[0]), rel=1e-12)
-        df = profile.impulses[1][1]
-        _, bdot_after = ermakov.post_protocol_state(solved, profile)
-        assert bdot_after == pytest.approx(
-            solved.bf_minus_dot - df * float(solved.b[-1]), abs=1e-14
-        )
+        assert profile.impulses[1][0] == solved.grid.t_f
+        assert solved.bf_minus_dot == float(solved.bdot[-1])  # before the final kick
 
     def test_collapse_aborts_with_time(self):
         # a fast fall on a coarse grid steps straight through the 1/b^3 barrier
@@ -113,44 +111,23 @@ class TestForwardSolve:
 
 
 class TestExcitationEnergy:
-    def test_static_trap_zero(self):
+    # the fictitious particle's excitation above the moving minimum of
+    # U = (W^2 b^2 + 1/b^2)/2 is twice the ground-state non-adiabatic energy
+    def test_static_trap_zero(self, spec):
         curve, profile = static_pair()
-        e_ex, e_na = ermakov.excitation_energy(curve, profile)
-        assert np.max(np.abs(e_ex)) == 0.0
+        e_na, avg, avg2 = energies.nonadiabatic_energy(curve, profile, spec)
         assert np.max(np.abs(e_na)) == 0.0
-
-    def test_linear_bottom_constant(self, spec):
-        # potential part vanishes on the bottom track: E_ex = ((gamma-1)/tf)^2/2
-        c, p = protocols.linear_bottom(spec, 1.0)
-        e_ex, e_na = ermakov.excitation_energy(c, p)
-        assert np.max(np.abs(e_ex - 40.5)) < 1e-10
-        assert float(np.mean(e_na)) == pytest.approx(20.25, rel=1e-12)
+        assert avg == 0.0 and avg2 == 0.0
 
     def test_rejects_imaginary_band(self, spec):
         c = protocols.quintic(spec, 1.0)
         with pytest.raises(NonRealFrequency):
-            ermakov.excitation_energy(c, ermakov.inverse_engineer(c))
+            energies.nonadiabatic_energy(c, ermakov.inverse_engineer(c), spec)
 
     def test_nonnegative_for_real_frequency(self, spec):
         c = protocols.quintic(spec, 50.0)
-        e_ex, _ = ermakov.excitation_energy(c, ermakov.inverse_engineer(c))
-        assert float(np.min(e_ex)) >= 0.0
-
-
-class TestClassicalAnalogy:
-    def test_potential_minimum_is_omega(self, spec):
-        # U at b = 1/sqrt(W) equals W
-        c, p = protocols.linear_bottom(spec, 2.0)
-        state = ermakov.classical_analogy(c, p)
-        omega = p.omega()
-        assert np.max(np.abs(state.U - omega)) < 1e-12  # bottom track sits at the minimum
-
-    def test_energy_decomposition(self, spec):
-        c = protocols.quintic(spec, 50.0)
-        p = ermakov.inverse_engineer(c)
-        state = ermakov.classical_analogy(c, p)
-        assert np.allclose(state.H_cl, 0.5 * c.bdot**2 + state.U)
-        assert float(np.min(state.E_ex)) >= 0.0
+        e_na, _, _ = energies.nonadiabatic_energy(c, ermakov.inverse_engineer(c), spec)
+        assert float(np.min(e_na)) >= 0.0
 
 
 # --- fast integrators against the generic closure RK4 ----------------------

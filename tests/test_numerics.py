@@ -6,7 +6,6 @@ import pytest
 from staexpand import TimeGrid
 from staexpand.core import GridMismatch, TrajectoryBlowUp
 from staexpand.numerics import (
-    golden_minimize,
     integrate,
     nelder_mead_2d,
     rk4_solve,
@@ -43,7 +42,7 @@ def test_simpson_exact_for_cubics(coeffs):
 
 def test_integrate_piecewise_splits_at_joints():
     # |t - 0.5| has a kink; a joint-aligned grid integrates it exactly
-    g = TimeGrid.piecewise([0.0, 0.5, 1.0], n=41, min_intervals=4)
+    g = TimeGrid.piecewise([0.0, 0.5, 1.0], n=41)
     y = np.abs(g.nodes - 0.5)
     assert integrate(y, g) == pytest.approx(0.25, rel=1e-14)
 
@@ -86,17 +85,6 @@ def test_rk4_fourth_order_convergence():
 def test_rk4_blowup_reports_time():
     with np.errstate(over="ignore"), pytest.raises(TrajectoryBlowUp):
         rk4_solve(lambda t, y: y**2, [1.0], np.linspace(0.0, 5.0, 101))
-
-
-def test_golden_section_quadratic():
-    res = golden_minimize(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
-    assert res.converged
-    assert res.x[0] == pytest.approx(2.0, abs=1e-6)
-
-
-def test_golden_section_iteration_cap():
-    res = golden_minimize(lambda x: (x - 2.0) ** 2, 0.0, 5.0, max_iter=3)
-    assert not res.converged
 
 
 def test_nelder_mead_bowl():

@@ -123,6 +123,11 @@ class TestHybridCaps:
         with pytest.raises(ValueError):
             protocols.hybrid_caps(spec, 1.0, tl, ts)
 
+    @pytest.mark.parametrize("tl,ts", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_rejects_nan_caps(self, spec, tl, ts):
+        with pytest.raises(ValueError, match="cap durations must be positive"):
+            protocols.hybrid_caps(spec, 1.0, tl, ts)
+
 
 class TestLinearBottom:
     def test_endpoints_and_frequency(self, spec):
@@ -236,6 +241,18 @@ class TestForDurationPostcondition:
         assert abs(helper(spec, t_f, 101).t_f - t_f) <= 1e-12 * t_f
 
 
+    @pytest.mark.parametrize("helper", HELPERS)
+    @pytest.mark.parametrize("gamma", [1000.0, 1e4])
+    def test_large_gamma_durations_all_reached(self, helper, gamma):
+        # the root search needs a tolerance relative to the step frequency
+        # (~1/gamma); an absolute 1e-14 missed some of these by > 1e-12
+        spec = TrapSpec.from_gamma(gamma)
+        t_max = protocols.bang_bang_max_duration(spec)
+        t_lo = 0.0 if helper is protocols.bang_bang_for_duration else math.sqrt(gamma**2 - 1.0)
+        for t_f in t_lo + np.linspace(0.0, 1.0, 402)[1:-1] * (t_max - t_lo):
+            assert abs(helper(spec, t_f, 3).t_f - t_f) <= 1e-12 * t_f
+
+
 class TestConstantPower:
     def test_flat_when_no_expansion(self):
         c, mism = protocols.constant_power_shoot(TrapSpec.from_gamma(1.0), 5.0)
@@ -275,6 +292,14 @@ def test_build_dispatch_covers_families(spec):
     ]:
         bundle = protocols.build(spec, protocols.ProtocolParams(family=family, grid_n=201, **kwargs))
         assert len(bundle.curve.b) == len(bundle.profile.omega2)
+
+
+@pytest.mark.parametrize("family", protocols._FAMILIES)
+@pytest.mark.parametrize("t_f", [math.nan, math.inf])
+def test_build_rejects_non_finite_duration(spec, family, t_f):
+    params = protocols.ProtocolParams(family=family, t_f=t_f, tau_l=0.1, tau_s=0.1, grid_n=101)
+    with pytest.raises(ValueError, match="t_f must be positive and finite"):
+        protocols.build(spec, params)
 
 
 def test_unknown_family_rejected():
