@@ -101,6 +101,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None, help="parallel workers for sweeps")
 
 
+def _check_grid(n: int) -> int:
+    """Uniform grids need an odd node count; refuse any other --grid before any work."""
+    if n < 3 or n % 2 == 0:
+        raise SystemExit(f"--grid must be an odd node count >= 3 (got {n})")
+    return n
+
+
 def _resolve(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config:
@@ -159,7 +166,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         omega2=getf("omega2"),
         tau_l=None if tau_l is None else tau_l * scale,
         tau_s=None if tau_s is None else tau_s * scale,
-        grid_n=int(merged.get("grid", DEFAULT_GRID_N)),
+        grid_n=_check_grid(int(merged.get("grid", DEFAULT_GRID_N))),
         out=merged.get("out"),
         preset=preset,
         tf_min=None if getf("tf_min") is None else getf("tf_min") * scale,
@@ -260,7 +267,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     trace = energies.full_trace(curve, profile, spec)
     t_f = curve.grid.t_f
 
-    bound = energies.lower_bound_avg_energy(spec, t_f, cfg.grid_n)
+    bound = energies.lower_bound_avg_energy(spec, t_f)
     slopes_ok = (
         abs(curve.b0_plus_dot) < 1e-8 * (1.0 + spec.gamma / t_f)
         and abs(curve.bf_minus_dot) < 1e-8 * (1.0 + spec.gamma / t_f)
@@ -316,7 +323,7 @@ def cmd_energy(cfg: RunConfig) -> int:
 def _fig1_point(args) -> tuple[float, str, float | None, float, str]:
     gamma, t_f, family, grid_n = args
     spec = TrapSpec.from_gamma(gamma)
-    bound = energies.lower_bound_avg_energy(spec, t_f, grid_n).value
+    bound = energies.lower_bound_avg_energy(spec, t_f).value
     try:
         if family == "quintic":
             curve = protocols.quintic(spec, t_f, grid_n)
@@ -431,7 +438,7 @@ def cmd_power(cfg: RunConfig) -> int:
     try:
         qc = protocols.quintic(spec, t_f, grid_n)
         qp = energies.power(qc, ermakov.inverse_engineer(qc), spec)
-    except ValueError as exc:  # a bad duration or grid, or PowerUndefined
+    except ValueError as exc:  # a bad duration, or PowerUndefined
         raise SystemExit(f"power: {exc}") from None
     res = optimize.optimize_septic_power(spec, t_f, grid_n)
     sc = protocols.septic(spec, t_f, res.params[0], res.params[1], grid_n)
@@ -454,8 +461,7 @@ def cmd_power(cfg: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    n_grid = args.grid if args.grid else DEFAULT_GRID_N
-    results = verify.run_all(n_grid)
+    results = verify.run_all(_check_grid(DEFAULT_GRID_N if args.grid is None else args.grid))
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

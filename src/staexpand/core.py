@@ -85,8 +85,6 @@ class TrapSpec:
 # nominal step (t_f from 1e-9 to 1e15); anything further off is not uniform
 _UNIFORM_EPS = 4.0 * np.finfo(float).eps
 _MIN_PIECE_INTERVALS = 32                   # per segment of a piecewise grid
-_GRADED_T_C = 25.0                          # first edge of a graded grid
-_GRADED_RATIO = 20.0                        # geometric step between graded edges
 
 
 @dataclass(frozen=True)
@@ -137,10 +135,6 @@ class TimeGrid:
     def n_pieces(self) -> int:
         return len(self.pieces)
 
-    def piece_nodes(self, k: int) -> np.ndarray:
-        lo, hi = self.pieces[k]
-        return self.nodes[lo : hi + 1]
-
     def same_as(self, other: "TimeGrid") -> bool:
         return (
             self.pieces == other.pieces
@@ -185,20 +179,6 @@ class TimeGrid:
             m = max(_MIN_PIECE_INTERVALS, int(round((n - 1) * (e1 - e0) / edges[-1])))
             intervals.append(m + m % 2)
         return cls._segments(edges, intervals)
-
-    @classmethod
-    def graded(cls, t_f: float, n: int = DEFAULT_GRID_N) -> "TimeGrid":
-        """Grid graded geometrically toward both ends: edges at 25, 500,
-        10^4, ... from each end, then t_f/2, with the same even interval
-        count on every segment.  The quasi-optimal integrand carries an O(1)
-        boundary layer at each endpoint and decays like 1/t in between, so
-        long protocols need node shares per decade, not per unit time."""
-        ladder = [_GRADED_T_C]
-        while ladder[-1] * _GRADED_RATIO < t_f / 2.0:
-            ladder.append(ladder[-1] * _GRADED_RATIO)
-        edges = [0.0] + ladder + [t_f / 2.0] + [t_f - e for e in reversed(ladder)] + [t_f]
-        m = max(8, (n - 1) // (len(edges) - 1))
-        return cls._segments(edges, [m + m % 2] * (len(edges) - 1))
 
 
 class PieceFns(NamedTuple):

@@ -156,9 +156,7 @@ def _quasi_optimal_B2_minus_tf2(spec: TrapSpec, t_f: float) -> float:
     return spec.gamma**2 + 1.0 - 2.0 * math.sqrt(t_f**2 + spec.gamma**2)
 
 
-def quasi_optimal(
-    spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N, grid: TimeGrid | None = None
-) -> ScalingCurve:
+def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ScalingCurve:
     """Minimizer of the averaged 1/b^2 + bdot^2 functional between the
     endpoint values; slopes at 0+ and t_f- are recorded as one-sided
     derivatives because they do not vanish."""
@@ -176,13 +174,9 @@ def quasi_optimal(
         g2=lambda t: d2(t / t_f) / t_f**2,
         g3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     )
-    if grid is None:
-        grid = TimeGrid.uniform(t_f, n)
-    elif abs(grid.t_f - t_f) > 1e-12 * max(1.0, t_f):
-        raise ValueError("grid duration does not match t_f")
     return _curve_from_fns(
-        grid,
-        (fns,) * grid.n_pieces,  # one smooth closed form, any grid split
+        TimeGrid.uniform(t_f, n),
+        (fns,),
         b0_plus_dot=B / t_f,
         bf_minus_dot=(b2mt2 + B) / (g * t_f),
     )

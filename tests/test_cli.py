@@ -108,6 +108,25 @@ class TestEnergyCommand:
         )
         assert avg == pytest.approx(bound, rel=1e-6)
 
+    def test_dirac_bound_passes_at_coarse_grid(self, tmp_path):
+        # the protocol that attains the bound passes against the exact E_nL
+        out = tmp_path / "e.csv"
+        main([
+            "energy", "--gamma", "15", "--family", "dirac",
+            "--tf-dimensionless", "55", "--grid", "501", "--out", str(out),
+        ])
+        line = next(l for l in read_lines(out) if "bound E_nL" in l)
+        assert line.endswith("respected -> PASS")
+
+    def test_even_grid_exits_with_message(self, tmp_path):
+        out = tmp_path / "e.csv"
+        with pytest.raises(SystemExit, match="odd node count"):
+            main([
+                "energy", "--gamma", "10", "--family", "bang_bang",
+                "--tf-dimensionless", "5", "--grid", "2000", "--out", str(out),
+            ])
+        assert not out.exists()
+
     def test_linear_bottom_skips_virial(self, tmp_path):
         out = tmp_path / "e.csv"
         main([
@@ -156,6 +175,12 @@ class TestSweepCommand:
             if r[1]:
                 assert float(r[1]) >= float(r[2]) * (1.0 - 1e-6)
 
+
+    def test_even_grid_exits_with_message(self, tmp_path):
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit, match="odd node count"):
+            main(["sweep", "--preset", "fig1", "--grid", "2000", "--out", str(out)])
+        assert not out.exists()
 
     def test_non_positive_range_exits_with_message(self, tmp_path):
         with pytest.raises(SystemExit, match="positive, finite duration range"):
@@ -220,3 +245,10 @@ def test_verify_command_reports_known_failure(capsys):
     failures = [l for l in out.splitlines() if l.startswith("FAIL")]
     assert len(failures) == 1
     assert "bang_bang_log_asymptote" in failures[0]
+
+
+@pytest.mark.parametrize("grid", ["2000", "1"])
+def test_verify_rejects_grid_without_odd_node_count(grid, capsys):
+    with pytest.raises(SystemExit, match="odd node count"):
+        main(["verify", "--grid", grid])
+    assert capsys.readouterr().out == ""

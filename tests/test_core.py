@@ -74,28 +74,6 @@ def test_grid_rejects_perturbed_node(t_f):
         TimeGrid(-g.nodes, g.pieces)  # uniform but decreasing
 
 
-def _graded_reference(t_f, n):
-    """Reference graded grid: edges 25 * 20^k in from both ends plus t_f/2,
-    one even interval count (at least 8) on every segment."""
-    ladder = [25.0]
-    while ladder[-1] * 20.0 < t_f / 2.0:
-        ladder.append(ladder[-1] * 20.0)
-    edges = [0.0] + ladder + [t_f / 2.0] + [t_f - e for e in reversed(ladder)] + [t_f]
-    m = max(8, (n - 1) // (len(edges) - 1))
-    m += m % 2
-    parts = [np.linspace(e0, e1, m + 1) for e0, e1 in zip(edges[:-1], edges[1:])]
-    pieces = tuple((k * (m + 1), k * (m + 1) + m) for k in range(len(parts)))
-    return np.concatenate(parts), pieces
-
-
-@pytest.mark.parametrize("t_f, n", [(51.0, 2001), (1e4, 2001), (2.9e5, 201), (1e9, 4001)])
-def test_graded_grid_keeps_its_pieces(t_f, n):
-    nodes, pieces = _graded_reference(t_f, n)
-    g = TimeGrid.graded(t_f, n)
-    assert g.pieces == pieces
-    assert np.array_equal(g.nodes, nodes)
-
-
 @pytest.mark.parametrize("w2_min, imaginary", [(-1e-13, False), (-1e-11, True), (np.nan, True)])
 def test_has_imaginary_tolerates_round_off_only(w2_min, imaginary):
     g = TimeGrid.uniform(1.0, 5)
