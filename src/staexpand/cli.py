@@ -154,6 +154,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     scale = spec.omega0 if si_mode else 1.0
     tau_l = getf("tau_l")
     tau_s = getf("tau_s")
+    jobs = int(merged.get("jobs", 1))
+    if jobs < 1:
+        raise SystemExit(f"--jobs must be >= 1 (got {jobs})")
     return RunConfig(
         spec=spec,
         si_mode=si_mode,
@@ -172,7 +175,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         tf_min=None if getf("tf_min") is None else getf("tf_min") * scale,
         tf_max=None if getf("tf_max") is None else getf("tf_max") * scale,
         points_per_decade=int(merged.get("points_per_decade", 60)),
-        jobs=int(merged.get("jobs", 1)),
+        jobs=jobs,
     )
 
 
@@ -404,13 +407,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     n_points = max(2, int(round(cfg.points_per_decade * math.log10(hi / lo))))
     taus = np.geomspace(lo, hi, n_points)
 
-    for family in families:
-        jobs = [(gamma, float(t), family, cfg.grid_n) for t in taus]
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                rows = list(pool.map(point_fn, jobs))
-        else:
-            rows = [point_fn(j) for j in jobs]
+    jobs = [(gamma, float(t), family, cfg.grid_n) for family in families for t in taus]
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            all_rows = list(pool.map(point_fn, jobs))
+    else:
+        all_rows = [point_fn(j) for j in jobs]
+    for k, family in enumerate(families):
+        rows = all_rows[k * n_points : (k + 1) * n_points]
         lines = _config_header(cfg, f"sweep {cfg.preset} {family}")
         lines.append(f"# values in hbar*omega0; t_f column unit: {cfg.time_unit}")
         lines.append(f"t_f,{value_name},{bound_name},reason")

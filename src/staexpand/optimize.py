@@ -39,29 +39,21 @@ def _hybrid_avg_ena(spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n_gr
     return avg
 
 
-def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> OptimizationResult:
-    """Minimize the averaged non-adiabatic energy over the cap durations
-    (tau_l, tau_s), constrained to real frequencies.
+def best_cap_seed(
+    spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N
+) -> tuple[float, tuple[float, float]]:
+    """Best of the 3x3 logarithmic grid of cap fractions, as
+    (objective, (tau_l, tau_s)), ties broken by the smaller caps.
 
-    Seeds a 3x3 logarithmic grid of cap fractions, refines the best
-    feasible seed with Nelder-Mead, and raises Infeasible when no seed
-    admits a real-frequency protocol (short protocols cannot avoid an
-    imaginary band).
+    Raises Infeasible when no seed admits a real-frequency protocol
+    (short protocols cannot avoid an imaginary band).
     """
     if spec.n != 0:
         raise ValueError("cap optimization targets the ground-state energy excess")
-
-    def objective(tau_l: float, tau_s: float) -> float:
-        return _hybrid_avg_ena(spec, t_f, tau_l, tau_s, n_grid)
-
-    seeds = [
-        (fl * t_f, fs * t_f)
+    evaluated = sorted(
+        (_hybrid_avg_ena(spec, t_f, fl * t_f, fs * t_f, n_grid), (fl * t_f, fs * t_f))
         for fl in _CAP_SEED_FRACTIONS
         for fs in _CAP_SEED_FRACTIONS
-    ]
-    evaluated = sorted(
-        ((objective(tl, ts), (tl, ts)) for tl, ts in seeds),
-        key=lambda item: (item[0], item[1]),
     )
     best_f, best_p = evaluated[0]
     if not math.isfinite(best_f):
@@ -69,6 +61,22 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
             f"no real-frequency cap protocol found at t_f = {t_f:.6g} "
             f"(seed fractions {_CAP_SEED_FRACTIONS})"
         )
+    return best_f, best_p
+
+
+def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> OptimizationResult:
+    """Minimize the averaged non-adiabatic energy over the cap durations
+    (tau_l, tau_s), constrained to real frequencies.
+
+    Refines the best feasible seed of ``best_cap_seed`` with Nelder-Mead.
+    Infeasible is raised by the seed stage only, so ``optimize_caps``
+    succeeds exactly where ``best_cap_seed`` does.
+    """
+
+    def objective(tau_l: float, tau_s: float) -> float:
+        return _hybrid_avg_ena(spec, t_f, tau_l, tau_s, n_grid)
+
+    best_f, best_p = best_cap_seed(spec, t_f, n_grid)
     res = numerics.nelder_mead_2d(objective, best_p, rel_tol=1e-8)
     params, fx = res.x, res.fx
     if not math.isfinite(fx) or fx > best_f:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
 from . import ermakov
@@ -97,7 +96,31 @@ def _curve_from_fns(grid: TimeGrid, fns: tuple[PieceFns, ...], **kw) -> ScalingC
     return ScalingCurve(grid, b, bdot, bddot, bdddot, fns=fns, **kw)
 
 
-def _poly_fns(p: Polynomial, t_f: float) -> PieceFns:
+class _Poly:
+    """Power series c[0] + c[1] s + ... evaluated with the floating-point
+    operations of numpy.polynomial.polynomial.polyval and differentiated
+    with those of polyder, without numpy.polynomial's per-call overhead."""
+
+    def __init__(self, coef):
+        self.c = list(coef)
+
+    def __call__(self, x):
+        c = self.c
+        c0 = c[-1] + x * 0
+        for i in range(2, len(c) + 1):
+            c0 = c[-i] + c0 * x
+        return c0
+
+    def deriv(self, m: int) -> "_Poly":
+        c = self.c
+        if m >= len(c):
+            return _Poly([c[0] * 0])
+        for _ in range(m):
+            c = [j * c[j] for j in range(1, len(c))]
+        return _Poly(c)
+
+
+def _poly_fns(p: _Poly, t_f: float) -> PieceFns:
     d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
     return PieceFns(
         b=lambda t: p(t / t_f),
@@ -112,7 +135,7 @@ def quintic(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ScalingCurve
     textbook interpolant, frequency continuous at both ends."""
     _check_duration(t_f)
     d = spec.gamma - 1.0
-    p = Polynomial([1.0, 0.0, 0.0, 10.0 * d, -15.0 * d, 6.0 * d])
+    p = _Poly([1.0, 0.0, 0.0, 10.0 * d, -15.0 * d, 6.0 * d])
     grid = TimeGrid.uniform(t_f, n)
     return _curve_from_fns(grid, (_poly_fns(p, t_f),))
 
@@ -129,7 +152,7 @@ def septic(
     """
     _check_duration(t_f)
     g = spec.gamma
-    p = Polynomial(
+    p = _Poly(
         [
             1.0,
             0.0,
@@ -164,8 +187,8 @@ def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> Scalin
     g = spec.gamma
     B = quasi_optimal_B(spec, t_f)
     b2mt2 = _quasi_optimal_B2_minus_tf2(spec, t_f)
-    pp = Polynomial([1.0, 2.0 * B, b2mt2])  # b^2 as a polynomial in s
-    if np.min(pp.linspace(512, domain=[0.0, 1.0])[1]) <= 0.0:
+    pp = _Poly([1.0, 2.0 * B, b2mt2])  # b^2 as a polynomial in s
+    if np.min(pp(np.linspace(0.0, 1.0, 512))) <= 0.0:
         raise ValueError("radicand of the scaling function is not positive")
     d1, d2 = pp.deriv(1), pp.deriv(2)
     fns = _sqrt_fns(
@@ -227,11 +250,11 @@ def hybrid_caps(
     s_l = tau_l / t_f
     u_r = tau_s / t_f
     # cap 1 in s:  1 + (2d/s_l) s^2 - (d/s_l^2) s^3
-    p1 = Polynomial([1.0, 0.0, 2.0 * d / s_l, -d / s_l**2])
+    p1 = _Poly([1.0, 0.0, 2.0 * d / s_l, -d / s_l**2])
     # middle in s: 1 + d s
-    pm = Polynomial([1.0, d])
+    pm = _Poly([1.0, d])
     # cap 2 in u = 1 - s:  gamma - (2d/u_r) u^2 + (d/u_r^2) u^3
-    p2 = Polynomial([spec.gamma, 0.0, -2.0 * d / u_r, d / u_r**2])
+    p2 = _Poly([spec.gamma, 0.0, -2.0 * d / u_r, d / u_r**2])
     q1, q2, q3 = p2.deriv(1), p2.deriv(2), p2.deriv(3)
     cap2 = PieceFns(
         b=lambda t: p2((t_f - t) / t_f),
@@ -254,7 +277,7 @@ def linear_bottom(
     """
     _check_duration(t_f)
     d = spec.gamma - 1.0
-    p = Polynomial([1.0, d])
+    p = _Poly([1.0, d])
     grid = TimeGrid.uniform(t_f, n)
     curve = _curve_from_fns(grid, (_poly_fns(p, t_f),))
     b = curve.b

@@ -191,11 +191,14 @@ def na_feasibility_threshold(
     spec: TrapSpec, lo: float = 100.0, hi: float = 400.0, n_grid: int = 501
 ) -> float:
     """Smallest duration (by bisection) at which the seeded cap search
-    finds a real-frequency protocol."""
+    finds a real-frequency protocol.
+
+    The predicate is seed feasibility (``optimize.best_cap_seed``): by
+    construction, ``optimize_caps`` raises Infeasible exactly where it does."""
 
     def feasible(t_f: float) -> bool:
         try:
-            optimize.optimize_caps(spec, t_f, n_grid)
+            optimize.best_cap_seed(spec, t_f, n_grid)
             return True
         except Infeasible:
             return False

@@ -186,6 +186,26 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match="positive, finite duration range"):
             main(["sweep", "--preset", "fig1", "--tf-min", "-1", "--out", str(tmp_path)])
 
+    def test_parallel_sweep_writes_serial_bytes(self, tmp_path):
+        # fig3 durations are in seconds: 0.012-0.02 s spans the hybrid
+        # cap feasibility threshold (~0.014 s), so rows carry values and reasons
+        args = ["sweep", "--preset", "fig3", "--tf-min", "0.012", "--tf-max", "0.02",
+                "--points-per-decade", "20", "--grid", "301"]
+        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(tmp_path / "pool")]) == 0
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == [f"fig3_{f}.csv" for f in ("bound", "hybrid", "na_bang_bang", "quintic")]
+        assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
+        for name in names:
+            assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_exits_with_message(self, tmp_path, jobs):
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
+            main(["sweep", "--preset", "fig1", "--jobs", jobs, "--out", str(out)])
+        assert not out.exists()
+
 
 class TestPowerCommand:
     def test_fig4_peaks_ordered(self, tmp_path):

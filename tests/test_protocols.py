@@ -305,3 +305,37 @@ def test_build_rejects_non_finite_duration(spec, family, t_f):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         protocols.ProtocolParams(family="sinusoid")
+
+
+class TestPolyMatchesNumpy:
+    """protocols._Poly performs the floating-point operations of numpy's
+    polyval and polyder, so every polynomial family keeps its bytes."""
+
+    @staticmethod
+    def coefficient_vectors():
+        rng = np.random.default_rng(20150512)
+        for degree in range(8):
+            for _ in range(4):
+                yield rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=degree + 1).tolist()
+
+    def test_values_on_arrays_and_scalars(self):
+        from numpy.polynomial import polynomial as P
+
+        x = np.concatenate([np.linspace(0.0, 1.0, 257), np.linspace(-3.0, 3.0, 64)])
+        for coef in self.coefficient_vectors():
+            p = protocols._Poly(coef)
+            assert np.array_equal(p(x), P.polyval(x, coef))
+            for s in (0.0, 0.37, 1.0, -2.5):
+                assert p(s) == P.polyval(s, coef)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_derivatives(self, m):
+        from numpy.polynomial import polynomial as P
+
+        x = np.linspace(0.0, 1.0, 129)
+        for coef in self.coefficient_vectors():
+            d = protocols._Poly(coef).deriv(m)
+            ref = P.polyder(coef, m)
+            assert d.c == ref.tolist()   # past the degree: [0.0]
+            assert np.array_equal(d(x), P.polyval(x, ref))
+            assert d(0.61) == P.polyval(0.61, ref)

@@ -48,3 +48,60 @@ def test_threshold_detector_brackets_feasibility():
     with pytest.raises(Infeasible):
         optimize.optimize_caps(spec, thr * 0.9, n_grid=301)
     optimize.optimize_caps(spec, thr * 1.05, n_grid=301)  # should not raise
+
+
+def _optimize_caps_bisection(spec, lo, hi, n_grid):
+    """The threshold's bisection with the full cap search as its predicate."""
+    from staexpand import optimize
+    from staexpand.core import Infeasible
+
+    def feasible(t_f):
+        try:
+            optimize.optimize_caps(spec, t_f, n_grid)
+            return True
+        except Infeasible:
+            return False
+
+    if feasible(lo):
+        return lo
+    assert feasible(hi)
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("gamma,lo", [(3.0, 5.0), (10.0, 100.0)])
+def test_threshold_equals_full_search_bisection(gamma, lo):
+    from staexpand import TrapSpec
+
+    spec = TrapSpec.from_gamma(gamma)
+    thr = verify.na_feasibility_threshold(spec, lo, 400.0, 301)
+    assert lo < thr < 400.0
+    assert thr == _optimize_caps_bisection(spec, lo, 400.0, 301)
+
+
+def test_best_cap_seed_is_where_optimize_caps_starts(monkeypatch):
+    from staexpand import TrapSpec, optimize
+
+    spec = TrapSpec.from_gamma(10.0)
+    starts = []
+    real = optimize.numerics.nelder_mead_2d
+
+    def recording(f, start, *args, **kwargs):
+        starts.append(tuple(start))
+        return real(f, start, *args, **kwargs)
+
+    monkeypatch.setattr(optimize.numerics, "nelder_mead_2d", recording)
+    res = optimize.optimize_caps(spec, 300.0, 301)
+    best_f, best_p = optimize.best_cap_seed(spec, 300.0, 301)
+    assert best_f == res.baseline
+    assert starts == [best_p]
+    # the best of the nine seeds, ties broken by the smaller caps
+    seeds = [(fl * 300.0, fs * 300.0) for fl in (0.01, 0.05, 0.2) for fs in (0.01, 0.05, 0.2)]
+    assert (best_f, best_p) == min(
+        (optimize._hybrid_avg_ena(spec, 300.0, tl, ts, 301), (tl, ts)) for tl, ts in seeds
+    )
