@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import energies, ermakov, optimize, protocols, verify
+from . import energies, optimize, protocols, verify
 from .core import DEFAULT_GRID_N, Infeasible, NonRealFrequency, TrapSpec
 
 _PRESETS = {
@@ -37,16 +37,7 @@ def _fmt(x) -> str:
 class RunConfig:
     spec: TrapSpec
     si_mode: bool
-    t_f: float | None          # dimensionless
-    family: str | None
-    c3: float
-    c4: float
-    beta: float | None
-    omega1: float | None
-    omega2: float | None
-    tau_l: float | None        # dimensionless
-    tau_s: float | None
-    grid_n: int
+    params: protocols.ProtocolParams  # durations dimensionless
     out: str | None
     preset: str | None
     tf_min: float | None       # dimensionless
@@ -108,73 +99,72 @@ def _check_grid(n: int) -> int:
     return n
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    merged: dict = {}
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    """Merge flags over the --config file over the preset into a RunConfig.
+
+    The file's values go through ``parser``, the subcommand's own flag
+    definitions, so they get the flags' types and choices."""
+    opts = vars(args)
     if args.config:
-        merged.update(_read_config_file(args.config))
-        unknown = sorted(set(merged) - (set(vars(args)) - {"command", "config"}))
+        values = _read_config_file(args.config)
+        unknown = sorted(set(values) - (set(opts) - {"command", "config"}))
         if unknown:
             raise SystemExit(f"unknown config keys: {', '.join(unknown)}")
-    for key, val in vars(args).items():
-        if val is not None:
-            merged[key] = val
-    preset = merged.get("preset")
-    if preset:
-        for key, val in _PRESETS[preset].items():
-            merged.setdefault(key, val)
+        from_file = parser.parse_args([f"--{k.replace('_', '-')}={v}" for k, v in values.items()])
+        for key, val in vars(from_file).items():
+            if opts[key] is None:
+                opts[key] = val
+    if args.preset:
+        for key, val in _PRESETS[args.preset].items():
+            if opts[key] is None:
+                opts[key] = val
 
-    def getf(key, default=None):
-        v = merged.get(key, default)
-        return None if v is None else float(v)
-
-    omega0_hz, omegaf_hz, gamma = getf("omega0_hz"), getf("omegaf_hz"), getf("gamma")
-    si_mode = omega0_hz is not None or omegaf_hz is not None
-    if si_mode and gamma is not None:
+    si_mode = args.omega0_hz is not None or args.omegaf_hz is not None
+    if si_mode and args.gamma is not None:
         raise SystemExit("give either the SI pair or --gamma, not both")
     if si_mode:
-        if omega0_hz is None or omegaf_hz is None:
+        if args.omega0_hz is None or args.omegaf_hz is None:
             raise SystemExit("SI mode needs both --omega0-hz and --omegaf-hz")
-        spec = TrapSpec(2.0 * math.pi * omega0_hz, 2.0 * math.pi * omegaf_hz)
-    elif gamma is not None:
-        spec = TrapSpec.from_gamma(gamma)
+        spec = TrapSpec(2.0 * math.pi * args.omega0_hz, 2.0 * math.pi * args.omegaf_hz)
+    elif args.gamma is not None:
+        spec = TrapSpec.from_gamma(args.gamma)
     else:
         raise SystemExit("give a trap: --omega0-hz/--omegaf-hz, --gamma, or --preset")
 
-    def to_tau(key_si: str, key_dimless: str):
-        t_si, t_dl = getf(key_si), getf(key_dimless)
-        if t_si is not None and t_dl is not None:
-            raise SystemExit(f"give either --{key_si.replace('_','-')} or --{key_dimless.replace('_','-')}")
-        if t_si is not None:
-            if not si_mode:
-                raise SystemExit("durations in seconds need the SI trap frequencies")
-            return spec.omega0 * t_si
-        return t_dl
-
-    t_f = to_tau("tf", "tf_dimensionless")
+    if args.tf is not None and args.tf_dimensionless is not None:
+        raise SystemExit("give either --tf or --tf-dimensionless")
+    if args.tf is not None and not si_mode:
+        raise SystemExit("durations in seconds need the SI trap frequencies")
+    t_f = spec.omega0 * args.tf if args.tf is not None else args.tf_dimensionless
     scale = spec.omega0 if si_mode else 1.0
-    tau_l = getf("tau_l")
-    tau_s = getf("tau_s")
-    jobs = int(merged.get("jobs", 1))
+
+    def scaled(key):
+        return None if opts[key] is None else opts[key] * scale
+
+    jobs = 1 if args.jobs is None else args.jobs
     if jobs < 1:
         raise SystemExit(f"--jobs must be >= 1 (got {jobs})")
+    params = protocols.ProtocolParams(
+        family=args.family,
+        t_f=t_f,
+        c3=0.0 if args.c3 is None else args.c3,
+        c4=0.0 if args.c4 is None else args.c4,
+        tau_l=scaled("tau_l"),
+        tau_s=scaled("tau_s"),
+        beta=args.beta,
+        omega1=args.omega1,
+        omega2=args.omega2,
+        grid_n=_check_grid(DEFAULT_GRID_N if args.grid is None else args.grid),
+    )
     return RunConfig(
         spec=spec,
         si_mode=si_mode,
-        t_f=t_f,
-        family=merged.get("family"),
-        c3=getf("c3", 0.0),
-        c4=getf("c4", 0.0),
-        beta=getf("beta"),
-        omega1=getf("omega1"),
-        omega2=getf("omega2"),
-        tau_l=None if tau_l is None else tau_l * scale,
-        tau_s=None if tau_s is None else tau_s * scale,
-        grid_n=_check_grid(int(merged.get("grid", DEFAULT_GRID_N))),
-        out=merged.get("out"),
-        preset=preset,
-        tf_min=None if getf("tf_min") is None else getf("tf_min") * scale,
-        tf_max=None if getf("tf_max") is None else getf("tf_max") * scale,
-        points_per_decade=int(merged.get("points_per_decade", 60)),
+        params=params,
+        out=args.out,
+        preset=args.preset,
+        tf_min=scaled("tf_min"),
+        tf_max=scaled("tf_max"),
+        points_per_decade=60 if args.points_per_decade is None else args.points_per_decade,
         jobs=jobs,
     )
 
@@ -185,16 +175,16 @@ def _config_header(cfg: RunConfig, command: str) -> list[str]:
     items = {
         "gamma": spec.gamma,
         "omega_f/omega0": spec.omega_f_rel,
-        "grid": cfg.grid_n,
+        "grid": cfg.params.grid_n,
         "time_unit": cfg.time_unit,
     }
     if cfg.si_mode:
         items["omega0_rad_s"] = spec.omega0
         items["omegaf_rad_s"] = spec.omega_f
-    if cfg.t_f is not None:
-        items["tf_dimensionless"] = cfg.t_f
-    if cfg.family:
-        items["family"] = cfg.family
+    if cfg.params.t_f is not None:
+        items["tf_dimensionless"] = cfg.params.t_f
+    if cfg.params.family:
+        items["family"] = cfg.params.family
     if cfg.preset:
         items["preset"] = cfg.preset
     for key in sorted(items):
@@ -213,26 +203,8 @@ def _write_text(path: str | None, lines: list[str]) -> None:
 
 
 def _build_bundle(cfg: RunConfig) -> protocols.ProtocolBundle:
-    if cfg.family is None:
-        raise SystemExit("--family is required")
-    if cfg.family == "hybrid" and (cfg.tau_l is None or cfg.tau_s is None):
-        # default caps: a tenth of the duration each
-        cfg.tau_l = 0.1 * cfg.t_f
-        cfg.tau_s = 0.1 * cfg.t_f
-    params = protocols.ProtocolParams(
-        family=cfg.family,
-        t_f=cfg.t_f,
-        c3=cfg.c3,
-        c4=cfg.c4,
-        tau_l=cfg.tau_l,
-        tau_s=cfg.tau_s,
-        beta=cfg.beta,
-        omega1=cfg.omega1,
-        omega2=cfg.omega2,
-        grid_n=cfg.grid_n,
-    )
     try:
-        return protocols.build(cfg.spec, params)
+        return protocols.build(cfg.spec, cfg.params)
     except (ValueError, Infeasible) as exc:
         raise SystemExit(f"invalid protocol parameters: {exc}")
 
@@ -323,68 +295,43 @@ def cmd_energy(cfg: RunConfig) -> int:
     return 0
 
 
-def _fig1_point(args) -> tuple[float, str, float | None, float, str]:
-    gamma, t_f, family, grid_n = args
+def _sweep_point(job) -> tuple[float, str, float | None, float, str]:
+    """One (family, t_f) row of a preset's sweep; module level so --jobs can pickle it."""
+    preset, gamma, t_f, family, grid_n = job
     spec = TrapSpec.from_gamma(gamma)
-    bound = energies.lower_bound_avg_energy(spec, t_f).value
+    fig1 = preset == "fig1"  # fig1: avg_E against E_nL; fig3: avg_Ena against Ena_L
+    if fig1:
+        bound = energies.lower_bound_avg_energy(spec, t_f).value
+    else:
+        bound = energies.na_lower_bound(spec, t_f)
     try:
-        if family == "quintic":
-            curve = protocols.quintic(spec, t_f, grid_n)
-            profile = ermakov.inverse_engineer(curve)
-            tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
-            return t_f, family, tr.avg_E, bound, ""
-        if family == "bang_bang":
-            bb = protocols.bang_bang_for_duration(spec, t_f, grid_n)
-            e = energies.bang_bang_energies(spec, bb.omega1, bb.omega2, bb.t1, bb.t2)
-            return t_f, family, e.avg_E, bound, ""
         if family == "bound":
-            return t_f, family, bound, bound, ""
-    except Infeasible as exc:
-        return t_f, family, None, bound, str(exc)
-    raise ValueError(family)
-
-
-def _fig3_point(args) -> tuple[float, str, float | None, float, str]:
-    gamma, t_f, family, grid_n = args
-    spec = TrapSpec.from_gamma(gamma)
-    bound = energies.na_lower_bound(spec, t_f)
-    try:
-        if family == "hybrid":
-            res = optimize.optimize_caps(spec, t_f, grid_n)
-            return t_f, family, res.objective, bound, ""
-        if family == "quintic":
-            curve = protocols.quintic(spec, t_f, grid_n)
-            profile = ermakov.inverse_engineer(curve)
-            if profile.has_imaginary:
+            value = bound
+        elif family == "hybrid":  # fig3's cap protocol, optimized at each duration
+            value = optimize.optimize_caps(spec, t_f, grid_n).objective
+        else:
+            params = protocols.ProtocolParams(_SWEEP_FAMILY.get(family, family), t_f, grid_n=grid_n)
+            b = protocols.build(spec, params)
+            if fig1 and family == "bang_bang":
+                value = energies.bang_bang_energies(spec, **b.extra).avg_E
+            elif fig1:
+                inst = energies.instantaneous(b.curve, b.profile, spec)
+                value = energies.averages(inst, b.curve, spec, b.profile).avg_E
+            elif b.profile.has_imaginary:
                 return t_f, family, None, bound, "imaginary frequency band"
-            _, avg, _ = energies.nonadiabatic_energy(curve, profile, spec)
-            return t_f, family, avg, bound, ""
-        if family == "na_bang_bang":
-            bb = protocols.bang_bang_na_for_duration(spec, t_f, grid_n)
-            _, avg, _ = energies.nonadiabatic_energy(bb.curve, bb.profile, spec)
-            return t_f, family, avg, bound, ""
-        if family == "bound":
-            return t_f, family, bound, bound, ""
+            else:
+                value = energies.nonadiabatic_energy(b.curve, b.profile, spec)[1]
     except (Infeasible, NonRealFrequency) as exc:
         return t_f, family, None, bound, str(exc)
-    raise ValueError(family)
+    return t_f, family, value, bound, ""
 
 
+# sweep file label -> protocol family, where they differ
+_SWEEP_FAMILY = {"na_bang_bang": "bang_bang_na"}
+# preset -> (families, value column, bound column, default dimensionless range)
 _SWEEPS = {
-    "fig1": (
-        _fig1_point,
-        ("quintic", "bang_bang", "bound"),
-        "avg_E",
-        "E_nL",
-        (0.1, None),  # default dimensionless range; None -> pi*gamma/2
-    ),
-    "fig3": (
-        _fig3_point,
-        ("hybrid", "quintic", "na_bang_bang", "bound"),
-        "avg_Ena",
-        "Ena_L",
-        (10.0, 1600.0),
-    ),
+    "fig1": (("quintic", "bang_bang", "bound"), "avg_E", "E_nL", (0.1, None)),  # pi*gamma/2
+    "fig3": (("hybrid", "quintic", "na_bang_bang", "bound"), "avg_Ena", "Ena_L", (10.0, 1600.0)),
 }
 
 
@@ -396,7 +343,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     import os
 
     os.makedirs(cfg.out, exist_ok=True)
-    point_fn, families, value_name, bound_name, (lo_default, hi_default) = _SWEEPS[cfg.preset]
+    families, value_name, bound_name, (lo_default, hi_default) = _SWEEPS[cfg.preset]
     gamma = cfg.spec.gamma
     lo = cfg.tf_min if cfg.tf_min is not None else lo_default
     hi = cfg.tf_max if cfg.tf_max is not None else hi_default
@@ -407,16 +354,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     n_points = max(2, int(round(cfg.points_per_decade * math.log10(hi / lo))))
     taus = np.geomspace(lo, hi, n_points)
 
-    jobs = [(gamma, float(t), family, cfg.grid_n) for family in families for t in taus]
+    grid_n = cfg.params.grid_n
+    jobs = [(cfg.preset, gamma, float(t), family, grid_n) for family in families for t in taus]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            all_rows = list(pool.map(point_fn, jobs))
+            all_rows = list(pool.map(_sweep_point, jobs))
     else:
-        all_rows = [point_fn(j) for j in jobs]
+        all_rows = [_sweep_point(j) for j in jobs]
+    # reasons quote durations as the library raised them, dimensionless
+    note = "; durations in reasons: 1/omega0" if cfg.si_mode else ""
     for k, family in enumerate(families):
         rows = all_rows[k * n_points : (k + 1) * n_points]
         lines = _config_header(cfg, f"sweep {cfg.preset} {family}")
-        lines.append(f"# values in hbar*omega0; t_f column unit: {cfg.time_unit}")
+        lines.append(f"# values in hbar*omega0; t_f column unit: {cfg.time_unit}{note}")
         lines.append(f"t_f,{value_name},{bound_name},reason")
         for t_f, _, value, bound, reason in rows:
             lines.append(
@@ -435,18 +385,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_power(cfg: RunConfig) -> int:
     spec = cfg.spec
-    if cfg.t_f is None:
+    t_f, grid_n = cfg.params.t_f, cfg.params.grid_n
+    if t_f is None:
         raise SystemExit("power needs a duration (--tf, --tf-dimensionless, or --preset fig4)")
-    t_f = cfg.t_f
-    grid_n = cfg.grid_n if cfg.grid_n != DEFAULT_GRID_N else 4001
+    if grid_n == DEFAULT_GRID_N:
+        grid_n = 4001
     try:
-        qc = protocols.quintic(spec, t_f, grid_n)
-        qp = energies.power(qc, ermakov.inverse_engineer(qc), spec)
+        q = protocols.build(spec, protocols.ProtocolParams("quintic", t_f, grid_n=grid_n))
+        qp = energies.power(q.curve, q.profile, spec)
     except ValueError as exc:  # a bad duration, or PowerUndefined
         raise SystemExit(f"power: {exc}") from None
     res = optimize.optimize_septic_power(spec, t_f, grid_n)
-    sc = protocols.septic(spec, t_f, res.params[0], res.params[1], grid_n)
-    sp = energies.power(sc, ermakov.inverse_engineer(sc), spec)
+    sep = protocols.build(spec, protocols.ProtocolParams("septic", t_f, *res.params, grid_n=grid_n))
+    sp = energies.power(sep.curve, sep.profile, spec)
 
     lines = _config_header(cfg, "power")
     lines.append(f"# quintic peak |P_rel| = {_fmt(qp.peak_rel)}")
@@ -455,13 +406,16 @@ def cmd_power(cfg: RunConfig) -> int:
         f"peak |P_rel| = {_fmt(sp.peak_rel)}"
     )
     lines.append("s,P_rel_quintic,P_rel_septic")
-    s_vals = qc.grid.nodes / t_f
-    for i in range(len(qc.grid)):
+    s_vals = q.curve.grid.nodes / t_f
+    for i in range(len(s_vals)):
         lines.append(
             ",".join([_fmt(s_vals[i]), _fmt(qp.P_rel[i]), _fmt(sp.P_rel[i])])
         )
     _write_text(cfg.out, lines)
     return 0
+
+
+_COMMANDS = {"protocol": cmd_protocol, "energy": cmd_energy, "sweep": cmd_sweep, "power": cmd_power}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -482,24 +436,16 @@ def main(argv=None) -> int:
         description="design fast harmonic-trap expansions and audit their energy costs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("protocol", "energy", "sweep", "power"):
-        _add_common(sub.add_parser(name))
+    parsers = {name: sub.add_parser(name) for name in _COMMANDS}
+    for p in parsers.values():
+        _add_common(p)
     vp = sub.add_parser("verify")
     vp.add_argument("--grid", type=int, default=None)
 
     args = parser.parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args)
-    cfg = _resolve(args)
-    if args.command == "protocol":
-        return cmd_protocol(cfg)
-    if args.command == "energy":
-        return cmd_energy(cfg)
-    if args.command == "sweep":
-        return cmd_sweep(cfg)
-    if args.command == "power":
-        return cmd_power(cfg)
-    raise SystemExit(f"unknown command {args.command}")
+    return _COMMANDS[args.command](_resolve(args, parsers[args.command]))
 
 
 if __name__ == "__main__":

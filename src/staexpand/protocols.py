@@ -30,6 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import ermakov
+from .ermakov import _B_COLLAPSE, _COLLAPSE_MSG
 from .core import (
     DEFAULT_GRID_N,
     FrequencyProfile,
@@ -41,8 +42,6 @@ from .core import (
     TrapSpec,
 )
 
-_B_COLLAPSE = 1e-9
-_COLLAPSE_MSG = "scaling function collapsed toward b = 0"
 _OMEGA1_SERIES_SWITCH = 1e-6  # below this, sinh(w1 t)/w1 is evaluated by series
 _SNAP_TOL = 1e-12
 # brentq tolerance relative to the step frequency (~1/gamma at large gamma),
@@ -447,16 +446,40 @@ def bang_bang_max_duration(spec: TrapSpec) -> float:
 _DURATION_RTOL = 1e-12
 
 
-def _refuse_no_expansion(spec: TrapSpec, t_max: float) -> None:
-    # At gamma = 1 both switching times vanish except at the extreme point,
-    # so every duration below t_max = pi/2 is out of reach; the root search
-    # would land on the jump of the duration gap instead.
-    if spec.gamma == 1.0:
+def _two_step_for_duration(spec, t_f, n, label, t_min, w_lo, steps) -> BangBangProtocol:
+    """Two-step protocol of one family hitting a target duration.
+
+    ``steps(w)`` maps the family's free frequency to (omega1, omega2); the
+    duration falls from pi*gamma/2 at w = w_lo towards t_min as w grows, so
+    t1 + t2 = t_f is solved for w by root bracketing.  Postcondition:
+    |t1 + t2 - t_f| <= 1e-12 t_f, else Infeasible.
+    """
+    _check_duration(t_f)
+    t_max = bang_bang_max_duration(spec)
+    if not t_min < t_f <= t_max:
+        raise Infeasible(f"{label} protocols need {t_min:.6g} < t_f <= {t_max:.6g}")
+
+    def duration_gap(w):
+        return sum(bang_bang_times(spec, *steps(w))) - t_f
+
+    if t_f >= t_max * (1.0 - 1e-12):
+        w = w_lo
+    elif spec.gamma == 1.0:
+        # At gamma = 1 both switching times vanish except at the extreme point,
+        # so every duration below t_max = pi/2 is out of reach; the root search
+        # would land on the jump of the duration gap instead.
         raise Infeasible(f"without expansion (gamma = 1) two-step protocols only last {t_max:.6g}")
-
-
-def _hits_duration(bb: BangBangProtocol, t_f: float) -> BangBangProtocol:
-    """Postcondition of the *_for_duration helpers: t1 + t2 = t_f."""
+    else:
+        w_hi = max(1.0, 2.0 * w_lo)
+        while duration_gap(w_hi) > 0.0:
+            w_hi *= 2.0
+            if w_hi > 1e12:
+                raise Infeasible(f"could not bracket the step frequency of {label} protocols")
+        w = brentq(duration_gap, w_lo, w_hi, xtol=_ROOT_RTOL * w_lo, rtol=_ROOT_RTOL)
+    try:
+        bb = bang_bang(spec, *steps(w), n)
+    except ValueError as exc:  # e.g. a step too short to sample, next to t_min
+        raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
     if abs(bb.t_f - t_f) > _DURATION_RTOL * t_f:
         raise Infeasible(
             f"two-step protocol lasts {bb.t_f:.12g} instead of the requested {t_f:.12g} "
@@ -473,25 +496,8 @@ def bang_bang_for_duration(
     Solves t1(w) + t2(w) = t_f for the common step frequency by root
     bracketing; only durations up to pi*gamma/2 are reachable.
     """
-    _check_duration(t_f)
-    t_max = bang_bang_max_duration(spec)
-    if t_f > t_max:
-        raise Infeasible(f"equal-step protocols need 0 < t_f <= {t_max:.6g}")
     w_lo = math.sqrt(spec.omega_f_rel)
-    if t_f >= t_max * (1.0 - 1e-12):
-        return _hits_duration(bang_bang(spec, w_lo, w_lo, n), t_f)
-    _refuse_no_expansion(spec, t_max)
-
-    def duration_gap(w):
-        return sum(bang_bang_times(spec, w, w)) - t_f
-
-    w_hi = max(1.0, 2.0 * w_lo)
-    while duration_gap(w_hi) > 0.0:
-        w_hi *= 2.0
-        if w_hi > 1e12:
-            raise Infeasible("could not bracket the step frequency")
-    w = brentq(duration_gap, w_lo, w_hi, xtol=_ROOT_RTOL * w_lo, rtol=_ROOT_RTOL)
-    return _hits_duration(bang_bang(spec, w, w, n), t_f)
+    return _two_step_for_duration(spec, t_f, n, "equal-step", 0.0, w_lo, lambda w: (w, w))
 
 
 def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> BangBangProtocol:
@@ -516,28 +522,10 @@ def bang_bang_na_for_duration(
     Durations range over (sqrt(gamma^2 - 1), pi*gamma/2]: the upper end is
     beta = 1/gamma, the lower end the beta -> infinity free-expansion limit.
     """
-    _check_duration(t_f)
-    t_max = bang_bang_max_duration(spec)
     t_min = math.sqrt(spec.gamma**2 - 1.0)
-    if not t_min < t_f <= t_max:
-        raise Infeasible(
-            f"free-expansion protocols need {t_min:.6g} < t_f <= {t_max:.6g}"
-        )
-    if t_f >= t_max * (1.0 - 1e-12):
-        return _hits_duration(bang_bang_na(spec, 1.0 / spec.gamma, n), t_f)
-    _refuse_no_expansion(spec, t_max)
-
-    def duration_gap(beta):
-        return sum(bang_bang_times(spec, 0.0, beta)) - t_f
-
-    b_lo = 1.0 / spec.gamma
-    b_hi = max(1.0, 2.0 * b_lo)
-    while duration_gap(b_hi) > 0.0:
-        b_hi *= 2.0
-        if b_hi > 1e12:
-            raise Infeasible("could not bracket beta")
-    beta = brentq(duration_gap, b_lo, b_hi, xtol=_ROOT_RTOL * b_lo, rtol=_ROOT_RTOL)
-    return _hits_duration(bang_bang_na(spec, beta, n), t_f)
+    return _two_step_for_duration(
+        spec, t_f, n, "free-expansion", t_min, 1.0 / spec.gamma, lambda beta: (0.0, beta)
+    )
 
 
 @dataclass
@@ -606,7 +594,12 @@ def constant_power_shoot(
     _check_duration(t_f)
     source = 2.0 * (1.0 - spec.omega_f_rel) / t_f
     grid = TimeGrid.uniform(t_f, n)
-    cols = _rk4_constant_power(1.0, 0.0, 0.0, source, grid.nodes.tolist())
+    try:
+        cols = _rk4_constant_power(1.0, 0.0, 0.0, source, grid.nodes.tolist())
+    except OverflowError:
+        # as in ermakov.forward_solve: numpy float64 overflows to inf where
+        # Python floats raise, and the non-finite check reports it
+        cols = _rk4_constant_power(np.float64(1.0), 0.0, 0.0, source, grid.nodes.tolist())
     b, b1, b2 = (np.array(c) for c in cols)
     b3 = (source + b2 * b1 - 4.0 * b1 / b**3) / b
     curve = ScalingCurve(grid, b, b1, b2, b3)
@@ -633,9 +626,18 @@ _FAMILIES = (
 
 @dataclass
 class ProtocolParams:
-    """Declarative protocol request, used by sweeps and the CLI."""
+    """Declarative protocol request: a family and its inputs.
 
-    family: str
+    ``family=None`` is a request that has no family yet; ``build`` refuses
+    it.  Durations are dimensionless.  ``t_f`` sets the duration of every
+    family, except that bang_bang may instead be given both step
+    frequencies ``omega1``/``omega2`` and bang_bang_na its stopping
+    frequency ``beta``, from which the duration follows.  ``c3``/``c4``
+    shape septic; ``tau_l``/``tau_s`` are hybrid's caps (each defaults to
+    t_f/10).
+    """
+
+    family: str | None
     t_f: float | None = None
     c3: float = 0.0
     c4: float = 0.0
@@ -647,7 +649,7 @@ class ProtocolParams:
     grid_n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family is not None and self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
 
 
@@ -658,51 +660,59 @@ class ProtocolBundle:
     extra: dict
 
 
+_STEP_INPUTS = {"bang_bang": ("omega1", "omega2"), "bang_bang_na": ("beta",)}
+
+
 def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
-    """Construct a curve/profile pair for the requested family.
+    """Construct the curve/profile pair of a request: the one family dispatch.
 
     Families without a native profile get the inverse-engineered one.
+    Raises ValueError for a request without a family, for step inputs
+    other than the family's own (bang_bang: both omega1 and omega2;
+    bang_bang_na: beta), and for step inputs together with t_f; the
+    constructors' own ValueError and Infeasible pass through.  ``extra``
+    holds the impulses (dirac), the switching times and step frequencies
+    (bang_bang, bang_bang_na) or the shooting mismatch (constant_power).
     """
     fam, t_f, n = params.family, params.t_f, params.grid_n
-    if fam == "quintic":
-        curve = quintic(spec, t_f, n)
-        return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {})
-    if fam == "septic":
-        curve = septic(spec, t_f, params.c3, params.c4, n)
-        return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {})
-    if fam == "quasi_optimal":
-        curve = quasi_optimal(spec, t_f, n)
-        return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {})
+    if fam is None:
+        raise ValueError(f"no protocol family given; choose from {_FAMILIES}")
+    own = _STEP_INPUTS.get(fam, ())
+    given = tuple(k for k in ("omega1", "omega2", "beta") if getattr(params, k) is not None)
+    if given and given != own:
+        need = " and ".join(own) or "no step frequencies"
+        raise ValueError(f"the {fam} family takes {need}, not {'/'.join(given)}")
+    if given and t_f is not None:
+        raise ValueError(f"give either t_f or {'/'.join(given)}, not both")
+    if own:
+        steps = [getattr(params, k) for k in given]
+        if fam == "bang_bang":
+            bb = bang_bang(spec, *steps, n) if steps else bang_bang_for_duration(spec, t_f, n)
+        else:
+            bb = bang_bang_na(spec, *steps, n) if steps else bang_bang_na_for_duration(spec, t_f, n)
+        return ProtocolBundle(
+            bb.curve, bb.profile,
+            {"t1": bb.t1, "t2": bb.t2, "omega1": bb.omega1, "omega2": bb.omega2},
+        )
     if fam == "dirac":
         curve, profile = dirac_impulse(spec, t_f, n)
         return ProtocolBundle(curve, profile, {"impulses": profile.impulses})
-    if fam == "hybrid":
-        if params.tau_l is None or params.tau_s is None:
-            raise ValueError("hybrid needs tau_l and tau_s")
-        curve = hybrid_caps(spec, t_f, params.tau_l, params.tau_s, n)
-        return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {})
     if fam == "linear_bottom":
-        curve, profile = linear_bottom(spec, t_f, n)
-        return ProtocolBundle(curve, profile, {})
-    if fam == "bang_bang":
-        if params.omega1 is not None and params.omega2 is not None:
-            bb = bang_bang(spec, params.omega1, params.omega2, n)
-        else:
-            bb = bang_bang_for_duration(spec, t_f, n)
-        return ProtocolBundle(
-            bb.curve, bb.profile,
-            {"t1": bb.t1, "t2": bb.t2, "omega1": bb.omega1, "omega2": bb.omega2},
-        )
-    if fam == "bang_bang_na":
-        if params.beta is not None:
-            bb = bang_bang_na(spec, params.beta, n)
-        else:
-            bb = bang_bang_na_for_duration(spec, t_f, n)
-        return ProtocolBundle(
-            bb.curve, bb.profile,
-            {"t1": bb.t1, "t2": bb.t2, "omega1": bb.omega1, "omega2": bb.omega2},
-        )
-    if fam == "constant_power":
+        return ProtocolBundle(*linear_bottom(spec, t_f, n), {})
+    extra = {}
+    if fam == "quintic":
+        curve = quintic(spec, t_f, n)
+    elif fam == "septic":
+        curve = septic(spec, t_f, params.c3, params.c4, n)
+    elif fam == "quasi_optimal":
+        curve = quasi_optimal(spec, t_f, n)
+    elif fam == "hybrid":
+        _check_duration(t_f)  # the default caps are fractions of it
+        caps = [0.1 * t_f if tau is None else tau for tau in (params.tau_l, params.tau_s)]
+        curve = hybrid_caps(spec, t_f, *caps, n)
+    elif fam == "constant_power":
         curve, mism = constant_power_shoot(spec, t_f, n)
-        return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {"mismatch": mism})
-    raise ValueError(f"unknown family {fam!r}")
+        extra = {"mismatch": mism}
+    else:
+        raise ValueError(f"unknown family {fam!r}")
+    return ProtocolBundle(curve, ermakov.inverse_engineer(curve), extra)

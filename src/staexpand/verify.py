@@ -23,6 +23,9 @@ import numpy as np
 from . import energies, ermakov, optimize, protocols
 from .core import DEFAULT_GRID_N, Infeasible, TrapSpec
 
+_P = protocols.ProtocolParams
+_SEPTIC_REF = (78.5088, -459.7638)  # published power-shaping coefficients (c3, c4)
+
 
 @dataclass
 class CheckResult:
@@ -36,11 +39,15 @@ def _result(name: str, passed: bool, measured: str, tolerance: str) -> CheckResu
     return CheckResult(name, bool(passed), measured, tolerance)
 
 
-def _criterion1_protocols(spec: TrapSpec, t_f: float, n_grid: int):
-    yield "quintic", protocols.quintic(spec, t_f, n_grid)
-    yield "septic(0,0)", protocols.septic(spec, t_f, 0.0, 0.0, n_grid)
-    yield "septic(78.5088,-459.7638)", protocols.septic(spec, t_f, 78.5088, -459.7638, n_grid)
-    yield "hybrid(0.1,0.1)", protocols.hybrid_caps(spec, t_f, 0.1 * t_f, 0.1 * t_f, n_grid)
+def _criterion1_protocols(t_f: float, n: int) -> list[tuple[str, protocols.ProtocolParams]]:
+    """(tag, request) rows of the smooth complete protocols at one duration."""
+    cap = 0.1 * t_f
+    return [
+        (f"quintic tf={t_f}", _P("quintic", t_f, grid_n=n)),
+        (f"septic(0,0) tf={t_f}", _P("septic", t_f, 0.0, 0.0, grid_n=n)),
+        (f"septic(78.5088,-459.7638) tf={t_f}", _P("septic", t_f, *_SEPTIC_REF, grid_n=n)),
+        (f"hybrid(0.1,0.1) tf={t_f}", _P("hybrid", t_f, tau_l=cap, tau_s=cap, grid_n=n)),
+    ]
 
 
 def check_virial_equipartition(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
@@ -51,14 +58,16 @@ def check_virial_equipartition(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     worst_tag = ""
     cases = []
     for t_f in (0.1, 1.0, 10.0, 25.0):
-        for name, curve in _criterion1_protocols(spec, t_f, n_grid):
-            cases.append((f"{name} tf={t_f}", curve, ermakov.inverse_engineer(curve)))
-        dcurve, dprof = protocols.dirac_impulse(spec, t_f, n_grid)
-        cases.append((f"dirac tf={t_f}", dcurve, dprof))
-    bb = protocols.bang_bang(spec, 1.0, 1.0, n_grid)  # its duration is derived, not chosen
-    cases.append((f"bang_bang(1,1) tf={bb.t_f:.3f}", bb.curve, bb.profile))
-    for tag, curve, profile in cases:
-        tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
+        cases += _criterion1_protocols(t_f, n_grid)
+        cases.append((f"dirac tf={t_f}", _P("dirac", t_f, grid_n=n_grid)))
+    # the equal-step duration is derived, not chosen
+    t_bb = sum(protocols.bang_bang_times(spec, 1.0, 1.0))
+    bb = _P("bang_bang", omega1=1.0, omega2=1.0, grid_n=n_grid)
+    cases.append((f"bang_bang(1,1) tf={t_bb:.3f}", bb))
+    for tag, params in cases:
+        b = protocols.build(spec, params)
+        inst = energies.instantaneous(b.curve, b.profile, spec)
+        tr = energies.averages(inst, b.curve, spec, b.profile)
         ratio = abs(tr.avg_K - tr.avg_V) / tr.avg_E
         if ratio > worst:
             worst, worst_tag = ratio, tag
@@ -76,8 +85,9 @@ def check_impulse_equality_chain(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     spec = TrapSpec.from_gamma(10.0)
     worst = 0.0
     for t_f in (0.3, 1.0, 3.0):
-        curve, profile = protocols.dirac_impulse(spec, t_f, n_grid)
-        tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
+        b = protocols.build(spec, _P("dirac", t_f, grid_n=n_grid))
+        inst = energies.instantaneous(b.curve, b.profile, spec)
+        tr = energies.averages(inst, b.curve, spec, b.profile)
         bound = energies.lower_bound_avg_energy(spec, t_f).value
         vals = (tr.avg_E, tr.avg_E2, bound)
         scale = max(abs(v) for v in vals)
@@ -94,9 +104,9 @@ def check_impulse_equality_chain(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
 def check_impulse_energy_share(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     """Fast strong expansions pay half the averaged energy in the kicks."""
     spec = TrapSpec.from_gamma(100.0)
-    t_f = 1e-3
-    curve, profile = protocols.dirac_impulse(spec, t_f, n_grid)
-    tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
+    b = protocols.build(spec, _P("dirac", 1e-3, grid_n=n_grid))
+    inst = energies.instantaneous(b.curve, b.profile, spec)
+    tr = energies.averages(inst, b.curve, spec, b.profile)
     share = tr.delta_delta / tr.avg_E
     return _result(
         "impulse_energy_share",
@@ -276,17 +286,17 @@ def check_power_integral_roundtrip(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     for n in (0, 2):
         spec = TrapSpec.from_gamma(10.0, n=n)
         expected = -0.495 * (2 * n + 1)
-        for curve in (
-            protocols.quintic(spec, 25.0, n_grid),
-            protocols.septic(spec, 25.0, 0.0, 0.0, n_grid),
-            protocols.septic(spec, 25.0, 78.5088, -459.7638, n_grid),
+        for params in (
+            _P("quintic", 25.0, grid_n=n_grid),
+            _P("septic", 25.0, 0.0, 0.0, grid_n=n_grid),
+            _P("septic", 25.0, *_SEPTIC_REF, grid_n=n_grid),
         ):
-            pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
+            b = protocols.build(spec, params)
+            pw = energies.power(b.curve, b.profile, spec)
             worst = max(worst, abs(pw.integral - expected) / abs(expected))
-    spec = TrapSpec.from_gamma(10.0)
-    curve = protocols.quintic(spec, 25.0, n_grid)
-    redone = ermakov.forward_solve(ermakov.inverse_engineer(curve))
-    rt_err = float(np.max(np.abs(redone.b - curve.b)))
+    q = protocols.build(TrapSpec.from_gamma(10.0), _P("quintic", 25.0, grid_n=n_grid))
+    redone = ermakov.forward_solve(q.profile)
+    rt_err = float(np.max(np.abs(redone.b - q.curve.b)))
     ok = worst < 1e-6 and rt_err < 1e-6
     return _result(
         "power_integral_roundtrip",
@@ -302,11 +312,11 @@ def check_power_peak_optimization(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     quintic's, never below the mean-value floor of 1."""
     spec = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * 25.0)
     t_f = spec.omega0 * 8e-3
-    quintic_curve = protocols.quintic(spec, t_f, 4001)
-    q_peak = energies.power(quintic_curve, ermakov.inverse_engineer(quintic_curve), spec).peak_rel
+    q = protocols.build(spec, _P("quintic", t_f, grid_n=4001))
+    q_peak = energies.power(q.curve, q.profile, spec).peak_rel
     res = optimize.optimize_septic_power(spec, t_f)
-    ref = protocols.septic(spec, t_f, 78.5088, -459.7638, 4001)
-    ref_peak = energies.power(ref, ermakov.inverse_engineer(ref), spec).peak_rel
+    ref = protocols.build(spec, _P("septic", t_f, *_SEPTIC_REF, grid_n=4001))
+    ref_peak = energies.power(ref.curve, ref.profile, spec).peak_rel
     ok = res.objective <= q_peak and res.objective >= 1.0 and ref_peak <= q_peak
     return _result(
         "power_peak_optimization",
@@ -323,34 +333,31 @@ def check_minimal_work_positivity(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     drops below the adiabatic reference, and frequency-continuous
     protocols start and end exactly on it."""
     spec = TrapSpec.from_gamma(10.0)
-    candidates: list[tuple[str, object, object, bool]] = []
-    for t_f in (40.0, 100.0):
-        c = protocols.quintic(spec, t_f, n_grid)
-        candidates.append((f"quintic tf={t_f}", c, ermakov.inverse_engineer(c), True))
-        c = protocols.septic(spec, t_f, 0.0, 0.0, n_grid)
-        candidates.append((f"septic tf={t_f}", c, ermakov.inverse_engineer(c), True))
-    c = protocols.septic(spec, 200.0, 78.5088, -459.7638, n_grid)
-    candidates.append(("septic(ref) tf=200", c, ermakov.inverse_engineer(c), True))
-    res = optimize.optimize_caps(spec, 250.0, n_grid)
-    c = protocols.hybrid_caps(spec, 250.0, *res.params, n_grid)
-    candidates.append(("hybrid tf=250", c, ermakov.inverse_engineer(c), False))
-    for beta in (0.5, 1.0, 2.0):
-        bb = protocols.bang_bang_na(spec, beta, n_grid)
-        candidates.append((f"na_bang_bang beta={beta}", bb.curve, bb.profile, False))
-    for t_f in (1.0, 10.0):
-        cl, pl = protocols.linear_bottom(spec, t_f, n_grid)
-        candidates.append((f"linear tf={t_f}", cl, pl, False))
+    caps = optimize.optimize_caps(spec, 250.0, n_grid).params
+    rows = [
+        (f"{fam} tf={t_f}", _P(fam, t_f, grid_n=n_grid))
+        for t_f in (40.0, 100.0)
+        for fam in ("quintic", "septic")
+    ]
+    rows += [
+        ("septic(ref) tf=200", _P("septic", 200.0, *_SEPTIC_REF, grid_n=n_grid)),
+        ("hybrid tf=250", _P("hybrid", 250.0, tau_l=caps[0], tau_s=caps[1], grid_n=n_grid)),
+    ]
+    rows += [(f"na_bang_bang beta={beta}", _P("bang_bang_na", beta=beta, grid_n=n_grid))
+             for beta in (0.5, 1.0, 2.0)]
+    rows += [(f"linear tf={t_f}", _P("linear_bottom", t_f, grid_n=n_grid)) for t_f in (1.0, 10.0)]
 
     admissible = 0
     worst_min = math.inf
     worst_end = 0.0
-    for tag, curve, profile, freq_continuous in candidates:
-        if profile.has_imaginary:
+    for tag, params in rows:
+        b = protocols.build(spec, params)
+        if b.profile.has_imaginary:
             continue  # non-adiabatic energy undefined here
         admissible += 1
-        ena, _, _ = energies.nonadiabatic_energy(curve, profile, spec)
+        ena, _, _ = energies.nonadiabatic_energy(b.curve, b.profile, spec)
         worst_min = min(worst_min, float(np.min(ena)))
-        if freq_continuous:
+        if params.family in ("quintic", "septic"):  # frequency continuous at both ends
             worst_end = max(worst_end, abs(float(ena[0])), abs(float(ena[-1])))
     ok = admissible >= 6 and worst_min >= -1e-9 and worst_end < 1e-9
     return _result(
@@ -369,13 +376,11 @@ def check_mean_value_bounds(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     g1 = spec.gamma - 1.0
     worst = math.inf
     worst_tag = ""
-    curves: list[tuple[str, object, float]] = []
-    for t_f in (0.1, 1.0, 10.0, 25.0):
-        for name, curve in _criterion1_protocols(spec, t_f, n_grid):
-            curves.append((f"{name} tf={t_f}", curve, t_f))
-    bb = protocols.bang_bang(spec, 1.0, 1.0, n_grid)
-    curves.append(("bang_bang(1,1)", bb.curve, bb.t_f))
-    for tag, curve, t_f in curves:
+    rows = [row for t_f in (0.1, 1.0, 10.0, 25.0) for row in _criterion1_protocols(t_f, n_grid)]
+    rows.append(("bang_bang(1,1)", _P("bang_bang", omega1=1.0, omega2=1.0, grid_n=n_grid)))
+    for tag, params in rows:
+        curve = protocols.build(spec, params).curve
+        t_f = curve.grid.t_f
         m1 = float(np.max(curve.bdot)) / (g1 / t_f)
         m2 = float(np.max(np.abs(curve.bddot))) / (2.0 * g1 / t_f**2)
         m = min(m1, m2)

@@ -84,6 +84,29 @@ class TestProtocolCommand:
         with pytest.raises(SystemExit, match="t_f must be positive and finite"):
             main(["protocol", "--gamma", "10", "--family", "bang_bang"])
 
+    @pytest.mark.parametrize("flags, message", [
+        # the default caps are fractions of the duration, which is missing
+        (["--family", "hybrid"], "t_f must be positive and finite"),
+        # step frequencies fix the duration themselves
+        (["--family", "bang_bang", "--omega1", "1", "--omega2", "1", "--tf-dimensionless", "5"],
+         "either t_f or omega1/omega2"),
+        (["--family", "bang_bang", "--omega1", "3", "--tf-dimensionless", "5"],
+         "takes omega1 and omega2, not omega1"),
+        (["--family", "bang_bang_na", "--beta", "1", "--tf-dimensionless", "12"], "either t_f or beta"),
+    ])
+    def test_ignored_or_conflicting_inputs_exit_with_message(self, tmp_path, flags, message):
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit, match=f"invalid protocol parameters: .*{message}"):
+            main(["protocol", "--gamma", "10", *flags, "--grid", "101", "--out", str(out)])
+        assert not out.exists()
+
+    def test_given_cap_kept_when_the_other_defaults(self, tmp_path):
+        base = ["protocol", "--gamma", "10", "--family", "hybrid", "--tf-dimensionless", "20",
+                "--grid", "101", "--tau-l", "3"]
+        main(base + ["--out", str(tmp_path / "one.csv")])
+        main(base + ["--tau-s", "2", "--out", str(tmp_path / "both.csv")])
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "both.csv").read_bytes()
+
 
 class TestEnergyCommand:
     def test_quintic_summary_passes_virial(self, tmp_path):
@@ -176,6 +199,20 @@ class TestSweepCommand:
                 assert float(r[1]) >= float(r[2]) * (1.0 - 1e-6)
 
 
+    def test_si_sweep_states_the_unit_of_reason_durations(self, tmp_path):
+        # 0.63-0.7 ms is t_f = 10-11 in 1/omega0: no cap protocol is found there
+        main(["sweep", "--preset", "fig3", "--tf-min", "0.00063", "--tf-max", "0.0007",
+              "--points-per-decade", "20", "--grid", "301", "--out", str(tmp_path)])
+        omega0 = 2.0 * np.pi * 2500.0
+        for path in tmp_path.iterdir():
+            assert "# values in hbar*omega0; t_f column unit: s; durations in reasons: 1/omega0" \
+                in read_lines(path)
+        body = [l for l in read_lines(tmp_path / "fig3_hybrid.csv") if not l.startswith("#")]
+        for t_s, value, _, reason in (l.split(",", 3) for l in body[1:]):  # reasons hold commas
+            assert value == "" and reason.startswith("no real-frequency cap protocol found at t_f = ")
+            t_reason = float(reason.split("t_f = ")[1].split()[0])
+            assert t_reason == pytest.approx(float(t_s) * omega0, rel=1e-5)
+
     def test_even_grid_exits_with_message(self, tmp_path):
         out = tmp_path / "sw"
         with pytest.raises(SystemExit, match="odd node count"):
@@ -248,6 +285,19 @@ class TestConfigFile:
         _, rows = data_rows(read_lines(out))
         assert len(rows) == 101  # flag wins over the file
 
+
+    @pytest.mark.parametrize("line, message", [
+        ("family = sinusoid", "argument --family: invalid choice: 'sinusoid'"),
+        ("gamma = ten", "argument --gamma: invalid float value: 'ten'"),
+        ("jobs = 2.5", "argument --jobs: invalid int value: '2.5'"),
+        ("preset = fig9", "argument --preset: invalid choice: 'fig9'"),
+    ])
+    def test_values_get_the_flags_types_and_choices(self, tmp_path, capsys, line, message):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"family = quintic\ngamma = 10\ntf-dimensionless = 5\n{line}\n", encoding="utf-8")
+        with pytest.raises(SystemExit):
+            main(["protocol", "--config", str(cfgfile)])
+        assert message in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "typo.cfg"

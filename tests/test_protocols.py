@@ -215,6 +215,23 @@ class TestBangBangNA:
 class TestForDurationPostcondition:
     HELPERS = (protocols.bang_bang_for_duration, protocols.bang_bang_na_for_duration)
 
+    @pytest.mark.parametrize("helper, message", [
+        (protocols.bang_bang_for_duration, "equal-step protocols need 0 < t_f <= 15.708"),
+        (protocols.bang_bang_na_for_duration, "free-expansion protocols need 9.94987 < t_f <= 15.708"),
+    ])
+    def test_reachable_range_in_message(self, spec, helper, message):
+        with pytest.raises(Infeasible, match=message):
+            helper(spec, 16.0)
+
+    @pytest.mark.parametrize("gamma", [3.0, 1000.0])
+    def test_duration_an_ulp_above_the_free_expansion_limit_is_infeasible(self, gamma):
+        # the stopping step is then too short to sample; this used to raise
+        # the grid's ValueError instead of Infeasible
+        spec = TrapSpec.from_gamma(gamma)
+        t_f = math.nextafter(math.sqrt(spec.gamma**2 - 1.0), math.inf)
+        with pytest.raises(Infeasible, match="free-expansion protocol for t_f"):
+            protocols.bang_bang_na_for_duration(spec, t_f, 201)
+
     @pytest.mark.parametrize("helper", HELPERS)
     def test_no_expansion_refused(self, helper):
         # gamma = 1: the root search used to land on the jump and return pi/2
@@ -305,6 +322,38 @@ def test_build_rejects_non_finite_duration(spec, family, t_f):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         protocols.ProtocolParams(family="sinusoid")
+
+
+def test_build_refuses_a_request_without_family(spec):
+    params = protocols.ProtocolParams(family=None, t_f=2.0)
+    with pytest.raises(ValueError, match="no protocol family given"):
+        protocols.build(spec, params)
+
+
+@pytest.mark.parametrize("family, inputs, message", [
+    # one step frequency without the other
+    ("bang_bang", dict(omega1=3.0, t_f=5.0), "takes omega1 and omega2, not omega1"),
+    ("bang_bang", dict(omega2=1.0), "takes omega1 and omega2, not omega2"),
+    # step inputs that would override the requested duration
+    ("bang_bang", dict(omega1=1.0, omega2=1.0, t_f=5.0), "either t_f or omega1/omega2"),
+    ("bang_bang_na", dict(beta=1.0, t_f=12.0), "either t_f or beta"),
+    # step inputs of another family
+    ("bang_bang", dict(beta=1.0), "takes omega1 and omega2, not beta"),
+    ("bang_bang_na", dict(omega1=1.0, omega2=1.0), "takes beta, not omega1/omega2"),
+    ("quintic", dict(t_f=2.0, beta=1.0), "takes no step frequencies, not beta"),
+])
+def test_build_refuses_ignored_or_conflicting_step_inputs(spec, family, inputs, message):
+    with pytest.raises(ValueError, match=message):
+        protocols.build(spec, protocols.ProtocolParams(family=family, grid_n=101, **inputs))
+
+
+def test_hybrid_default_cap_only_replaces_the_missing_one(spec):
+    one = protocols.build(spec, protocols.ProtocolParams("hybrid", 20.0, tau_l=3.0, grid_n=101))
+    both = protocols.build(spec, protocols.ProtocolParams("hybrid", 20.0, tau_l=3.0, tau_s=2.0, grid_n=101))
+    assert np.array_equal(one.curve.grid.nodes, both.curve.grid.nodes)
+    assert np.array_equal(one.curve.b, both.curve.b)
+    joints = [float(one.curve.grid.nodes[lo]) for lo, _ in one.curve.grid.pieces[1:]]
+    assert joints == [3.0, 18.0]
 
 
 class TestPolyMatchesNumpy:
