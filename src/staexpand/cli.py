@@ -5,14 +5,18 @@ Input is either an SI pair (--omega0-hz/--omegaf-hz, values in Hz,
 multiplied by 2 pi internally) or a dimensionless --gamma; durations are
 --tf in seconds (SI mode only) or --tf-dimensionless.  Output is UTF-8
 CSV with LF line endings, ``#``-prefixed metadata, %.12g numbers, and is
-byte-stable for identical configuration.  Named presets ``fig1``,
-``fig3`` and ``fig4`` bake in the 2500 Hz -> 25 Hz trap (and 8 ms for
-``fig4``).
+byte-stable for identical configuration.  A text field that holds a
+comma, a double quote or a line break (a sweep's ``reason``) is quoted as
+RFC 4180 says.  Named presets ``fig1``, ``fig3`` and ``fig4`` bake in the
+2500 Hz -> 25 Hz trap (and 8 ms for ``fig4``).  Sweeps need
+--points-per-decade >= 1.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,8 +49,8 @@ class RunConfig:
     points_per_decade: int
     jobs: int
 
-    def time_out(self, tau: float) -> float:
-        """Time column value: seconds in SI mode, dimensionless otherwise."""
+    def time_out(self, tau):
+        """Time value (a float or an array): seconds in SI mode, dimensionless otherwise."""
         return tau / self.spec.omega0 if self.si_mode else tau
 
     @property
@@ -142,8 +146,10 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         return None if opts[key] is None else opts[key] * scale
 
     jobs = 1 if args.jobs is None else args.jobs
-    if jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1 (got {jobs})")
+    points_per_decade = 60 if args.points_per_decade is None else args.points_per_decade
+    for flag, count in (("--jobs", jobs), ("--points-per-decade", points_per_decade)):
+        if count < 1:
+            raise SystemExit(f"{flag} must be >= 1 (got {count})")
     params = protocols.ProtocolParams(
         family=args.family,
         t_f=t_f,
@@ -164,7 +170,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         preset=args.preset,
         tf_min=scaled("tf_min"),
         tf_max=scaled("tf_max"),
-        points_per_decade=60 if args.points_per_decade is None else args.points_per_decade,
+        points_per_decade=points_per_decade,
         jobs=jobs,
     )
 
@@ -193,8 +199,34 @@ def _config_header(cfg: RunConfig, command: str) -> list[str]:
     return lines
 
 
-def _write_text(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    """A list column's field: empty for None, %.12g for a number, and text as
+    RFC 4180 writes it (quoted if it holds a comma, double quote or line break)."""
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        return "%.12g" % value
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _write_table(path: str | None, lines: list[str], columns: dict) -> None:
+    """Write the ``#`` lines, a header of the column names, then the rows.
+
+    A numpy column is written %.12g, a list column by ``_cell``, and a
+    ``None`` column is left empty."""
+    n_rows = len(next(iter(columns.values())))
+    cells = []
+    for col in columns.values():
+        if col is None:
+            cells.append([""] * n_rows)
+        elif isinstance(col, np.ndarray):
+            cells.append(["%.12g" % v for v in col.tolist()])
+        else:
+            cells.append([_cell(v) for v in col])
+    rows = map(",".join, zip(*cells, strict=True))
+    text = "\n".join([*lines, ",".join(columns), *rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -216,22 +248,11 @@ def cmd_protocol(cfg: RunConfig) -> int:
     for t_imp, strength in profile.impulses:
         lines.append(f"# impulse t={_fmt(cfg.time_out(t_imp))} strength={_fmt(strength)}")
     lines.append(f"# omega2 in units of omega0^2; impulse strengths in units of omega0")
-    lines.append("t,b,bdot,bddot,omega2,omega2_negative")
-    bddot = curve.bddot
-    for i in range(len(curve.grid)):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(cfg.time_out(float(curve.grid.nodes[i]))),
-                    _fmt(curve.b[i]),
-                    _fmt(curve.bdot[i]),
-                    _fmt(bddot[i]) if bddot is not None else "",
-                    _fmt(profile.omega2[i]),
-                    "1" if profile.omega2[i] < 0.0 else "0",
-                ]
-            )
-        )
-    _write_text(cfg.out, lines)
+    _write_table(cfg.out, lines, {
+        "t": cfg.time_out(curve.grid.nodes), "b": curve.b, "bdot": curve.bdot,
+        "bddot": curve.bddot, "omega2": profile.omega2,
+        "omega2_negative": (profile.omega2 < 0.0).astype(int),
+    })
     return 0
 
 
@@ -277,21 +298,10 @@ def cmd_energy(cfg: RunConfig) -> int:
           f"{'PASS' if trace.avg_E >= bound.value * (1 - 1e-6) else 'FAIL'}")
     else:
         s(f"# summary bound E_nL = {_fmt(bound.value)} NOT APPLICABLE (boundary conditions unmet)")
-    s("t,E,K,V,omega2,Ena")
-    for i in range(len(curve.grid)):
-        s(
-            ",".join(
-                [
-                    _fmt(cfg.time_out(float(curve.grid.nodes[i]))),
-                    _fmt(trace.E[i]),
-                    _fmt(trace.K[i]),
-                    _fmt(trace.V[i]),
-                    _fmt(profile.omega2[i]),
-                    _fmt(trace.Ena[i]) if trace.Ena is not None else "",
-                ]
-            )
-        )
-    _write_text(cfg.out, lines)
+    _write_table(cfg.out, lines, {
+        "t": cfg.time_out(curve.grid.nodes), "E": trace.E, "K": trace.K, "V": trace.V,
+        "omega2": profile.omega2, "Ena": trace.Ena,
+    })
     return 0
 
 
@@ -340,8 +350,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise SystemExit("sweep needs --preset fig1 or --preset fig3")
     if cfg.out is None:
         raise SystemExit("sweep needs --out DIRECTORY")
-    import os
-
     os.makedirs(cfg.out, exist_ok=True)
     families, value_name, bound_name, (lo_default, hi_default) = _SWEEPS[cfg.preset]
     gamma = cfg.spec.gamma
@@ -364,22 +372,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # reasons quote durations as the library raised them, dimensionless
     note = "; durations in reasons: 1/omega0" if cfg.si_mode else ""
     for k, family in enumerate(families):
-        rows = all_rows[k * n_points : (k + 1) * n_points]
+        _, _, values, bounds, reasons = zip(*all_rows[k * n_points : (k + 1) * n_points])
         lines = _config_header(cfg, f"sweep {cfg.preset} {family}")
         lines.append(f"# values in hbar*omega0; t_f column unit: {cfg.time_unit}{note}")
-        lines.append(f"t_f,{value_name},{bound_name},reason")
-        for t_f, _, value, bound, reason in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(cfg.time_out(t_f)),
-                        _fmt(value) if value is not None else "",
-                        _fmt(bound),
-                        reason,
-                    ]
-                )
-            )
-        _write_text(os.path.join(cfg.out, f"{cfg.preset}_{family}.csv"), lines)
+        _write_table(os.path.join(cfg.out, f"{cfg.preset}_{family}.csv"), lines, {
+            "t_f": cfg.time_out(taus), value_name: values, bound_name: bounds, "reason": reasons,
+        })
     return 0
 
 
@@ -405,13 +403,9 @@ def cmd_power(cfg: RunConfig) -> int:
         f"# septic optimized (c3, c4) = ({_fmt(res.params[0])}, {_fmt(res.params[1])}), "
         f"peak |P_rel| = {_fmt(sp.peak_rel)}"
     )
-    lines.append("s,P_rel_quintic,P_rel_septic")
-    s_vals = q.curve.grid.nodes / t_f
-    for i in range(len(s_vals)):
-        lines.append(
-            ",".join([_fmt(s_vals[i]), _fmt(qp.P_rel[i]), _fmt(sp.P_rel[i])])
-        )
-    _write_text(cfg.out, lines)
+    _write_table(cfg.out, lines, {
+        "s": q.curve.grid.nodes / t_f, "P_rel_quintic": qp.P_rel, "P_rel_septic": sp.P_rel,
+    })
     return 0
 
 
@@ -430,7 +424,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its table subparsers, built on first use, once per process."""
     parser = argparse.ArgumentParser(
         prog="staexpand",
         description="design fast harmonic-trap expansions and audit their energy costs",
@@ -441,7 +437,11 @@ def main(argv=None) -> int:
         _add_common(p)
     vp = sub.add_parser("verify")
     vp.add_argument("--grid", type=int, default=None)
+    return parser, parsers
 
+
+def main(argv=None) -> int:
+    parser, parsers = _parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
         return cmd_verify(args)

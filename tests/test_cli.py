@@ -1,11 +1,26 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
+from staexpand import TrapSpec, energies, protocols
 from staexpand.cli import main
+
+FAMILIES = ("quintic", "septic", "quasi_optimal", "dirac", "hybrid", "linear_bottom",
+            "bang_bang", "bang_bang_na", "constant_power")
 
 
 def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def csv_rows(path):
+    """The header and rows of a table as a CSV reader splits them; every row has
+    as many fields as the header."""
+    header, *rows = csv.reader(l for l in read_lines(path) if not l.startswith("#"))
+    assert all(len(r) == len(header) for r in rows)
+    return header, rows
 
 
 def data_rows(lines):
@@ -208,7 +223,7 @@ class TestSweepCommand:
             assert "# values in hbar*omega0; t_f column unit: s; durations in reasons: 1/omega0" \
                 in read_lines(path)
         body = [l for l in read_lines(tmp_path / "fig3_hybrid.csv") if not l.startswith("#")]
-        for t_s, value, _, reason in (l.split(",", 3) for l in body[1:]):  # reasons hold commas
+        for t_s, value, _, reason in csv.reader(body[1:]):  # reasons hold commas
             assert value == "" and reason.startswith("no real-frequency cap protocol found at t_f = ")
             t_reason = float(reason.split("t_f = ")[1].split()[0])
             assert t_reason == pytest.approx(float(t_s) * omega0, rel=1e-5)
@@ -235,6 +250,24 @@ class TestSweepCommand:
         assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
         for name in names:
             assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+            csv_rows(tmp_path / "serial" / name)
+        _, rows = csv_rows(tmp_path / "serial" / "fig3_hybrid.csv")
+        assert any(r[1] for r in rows) and any(r[3] for r in rows)
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_per_decade_below_one_exits_with_message(self, tmp_path, points):
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit, match="--points-per-decade must be >= 1"):
+            main(["sweep", "--preset", "fig1", "--points-per-decade", points, "--out", str(out)])
+        assert not out.exists()
+
+    def test_points_per_decade_from_config_checked(self, tmp_path):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("preset = fig1\npoints-per-decade = 0\n", encoding="utf-8")
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit, match="--points-per-decade must be >= 1"):
+            main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_exits_with_message(self, tmp_path, jobs):
@@ -258,6 +291,12 @@ class TestPowerCommand:
         for col in (1, 2):
             assert np.trapezoid(arr[:, col], arr[:, 0]) == pytest.approx(1.0, abs=1e-4)
 
+
+    def test_table_parses_as_csv(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["power", "--preset", "fig4", "--grid", "101", "--out", str(out)]) == 0
+        header, rows = csv_rows(out)
+        assert header == ["s", "P_rel_quintic", "P_rel_septic"] and len(rows) == 101
 
     def test_no_expansion_exits_with_message(self, tmp_path):
         out = tmp_path / "p1.csv"
@@ -304,6 +343,97 @@ class TestConfigFile:
         cfgfile.write_text("family = quintic\ngamma = 10\ntf_dimensionles = 25\n", encoding="utf-8")
         with pytest.raises(SystemExit, match="unknown config keys: tf_dimensionles"):
             main(["protocol", "--config", str(cfgfile)])
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call may see another's values."""
+
+    def test_grid_of_one_call_not_kept(self, tmp_path):
+        args = ["protocol", "--family", "quintic", "--gamma", "10", "--tf-dimensionless", "25"]
+        main(args + ["--grid", "101", "--out", str(tmp_path / "a.csv")])
+        main(args + ["--out", str(tmp_path / "b.csv")])
+        _, rows = data_rows(read_lines(tmp_path / "b.csv"))
+        assert len(rows) == 2001
+
+    def test_config_values_of_one_call_not_kept(self, tmp_path):
+        args = ["protocol", "--gamma", "10", "--tf-dimensionless", "5", "--grid", "101"]
+        main(args + ["--family", "quintic", "--out", str(tmp_path / "before.csv")])
+        cfgfile = tmp_path / "septic.cfg"
+        cfgfile.write_text("family = septic\nc3 = 7.5\n", encoding="utf-8")
+        main(args + ["--config", str(cfgfile), "--out", str(tmp_path / "septic.csv")])
+        assert "# family = septic" in read_lines(tmp_path / "septic.csv")
+        main(args + ["--family", "quintic", "--out", str(tmp_path / "after.csv")])
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+        assert "# family = quintic" in read_lines(tmp_path / "after.csv")
+        with pytest.raises(SystemExit, match="no protocol family given"):
+            main(args + ["--out", str(tmp_path / "none.csv")])
+
+
+def _reference_fmt(x):
+    return "%.12g" % float(x)
+
+
+def _reference_table(command, spec, t_f, family, si):
+    """Impulse lines and table of ``command`` as the per-row loop wrote them:
+    every field "%.12g" % float(x), the SI time column tau / omega0 per node."""
+    bundle = protocols.build(spec, protocols.ProtocolParams(family, t_f, grid_n=51))
+    curve, profile = bundle.curve, bundle.profile
+
+    def time_out(tau):
+        return tau / spec.omega0 if si else tau
+
+    impulses, rows = [], []
+    if command == "protocol":
+        impulses = [f"# impulse t={_reference_fmt(time_out(t))} strength={_reference_fmt(s)}"
+                    for t, s in profile.impulses]
+        rows.append("t,b,bdot,bddot,omega2,omega2_negative")
+        for i in range(len(curve.grid)):
+            rows.append(",".join([
+                _reference_fmt(time_out(float(curve.grid.nodes[i]))),
+                _reference_fmt(curve.b[i]),
+                _reference_fmt(curve.bdot[i]),
+                _reference_fmt(curve.bddot[i]) if curve.bddot is not None else "",
+                _reference_fmt(profile.omega2[i]),
+                "1" if profile.omega2[i] < 0.0 else "0",
+            ]))
+    else:
+        trace = energies.full_trace(curve, profile, spec)
+        rows.append("t,E,K,V,omega2,Ena")
+        for i in range(len(curve.grid)):
+            rows.append(",".join([
+                _reference_fmt(time_out(float(curve.grid.nodes[i]))),
+                _reference_fmt(trace.E[i]),
+                _reference_fmt(trace.K[i]),
+                _reference_fmt(trace.V[i]),
+                _reference_fmt(profile.omega2[i]),
+                _reference_fmt(trace.Ena[i]) if trace.Ena is not None else "",
+            ]))
+    return impulses, rows
+
+
+@pytest.mark.parametrize("si", [False, True], ids=["dimensionless", "si"])
+@pytest.mark.parametrize("command", ["protocol", "energy"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tables_match_the_per_row_reference(tmp_path, family, command, si):
+    # gamma 3, t_f 4: every family is feasible; five have an imaginary band
+    # (empty Ena column) and dirac's protocol table lists two impulses
+    if si:
+        spec = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * (2500.0 / 9.0))
+        t_f = spec.omega0 * 2e-4
+        trap = ["--omega0-hz", "2500", "--omegaf-hz", repr(2500.0 / 9.0), "--tf", "2e-4"]
+    else:
+        spec, t_f = TrapSpec.from_gamma(3.0), 4.0
+        trap = ["--gamma", "3", "--tf-dimensionless", "4"]
+    out = tmp_path / "t.csv"
+    assert main([command, "--family", family, *trap, "--grid", "51", "--out", str(out)]) == 0
+    impulses, rows = _reference_table(command, spec, t_f, family, si)
+    lines = read_lines(out)
+    comments = [l for l in lines if l.startswith("#")]
+    assert [l for l in comments if l.startswith("# impulse")] == impulses
+    assert len(impulses) == (2 if (family, command) == ("dirac", "protocol") else 0)
+    assert out.read_text(encoding="utf-8") == "".join(l + "\n" for l in comments + rows)
+    header, parsed = csv_rows(out)
+    assert [header, *parsed] == [r.split(",") for r in rows]
 
 
 def test_verify_command_reports_known_failure(capsys):
