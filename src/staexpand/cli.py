@@ -8,8 +8,8 @@ CSV with LF line endings, ``#``-prefixed metadata, %.12g numbers, and is
 byte-stable for identical configuration.  A text field that holds a
 comma, a double quote or a line break (a sweep's ``reason``) is quoted as
 RFC 4180 says.  Named presets ``fig1``, ``fig3`` and ``fig4`` bake in the
-2500 Hz -> 25 Hz trap (and 8 ms for ``fig4``).  Sweeps need
---points-per-decade >= 1.
+2500 Hz -> 25 Hz trap (and 8 ms for ``fig4``); with --gamma the preset
+adds none of these SI values.  Sweeps need --points-per-decade >= 1.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         for key, val in vars(from_file).items():
             if opts[key] is None:
                 opts[key] = val
-    if args.preset:
+    if args.preset and args.gamma is None:  # a --gamma trap takes none of the preset's SI values
         for key, val in _PRESETS[args.preset].items():
             if opts[key] is None:
                 opts[key] = val

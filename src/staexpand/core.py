@@ -9,6 +9,7 @@ omega_f/omega0 = 1/gamma^2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -81,86 +82,75 @@ class TrapSpec:
         return cls(omega0=1.0, omega_f=1.0 / gamma**2, n=n, hbar=hbar)
 
 
-# linspace pieces from every constructor stay within 1.5 eps |t_hi| of the
-# nominal step (t_f from 1e-9 to 1e15); anything further off is not uniform
-_UNIFORM_EPS = 4.0 * np.finfo(float).eps
+# a piece is refused unless its step (t_hi - t_lo)/m is a normal float above
+# 4 eps |t_hi|; then its linspace nodes increase strictly, spaced within that
+_MIN_STEP, _TINY = 4.0 * np.finfo(float).eps, np.finfo(float).tiny
 _MIN_PIECE_INTERVALS = 32                   # per segment of a piecewise grid
+
+
+def _checked_edges(edges: Sequence[float]) -> tuple[float, ...]:
+    """Piece boundaries as floats: from 0, strictly increasing, finite."""
+    edges = tuple(float(e) for e in edges)
+    if len(edges) < 2 or edges[0] != 0.0:
+        raise ValueError("edges must start at 0")
+    if not (all(e0 < e1 for e0, e1 in zip(edges[:-1], edges[1:])) and math.isfinite(edges[-1])):
+        raise ValueError("edges must increase strictly to a finite t_f")
+    return edges
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Sample times on [0, t_f], split into uniform pieces.
+    """Sample times on [0, t_f]: piece boundaries ``edges`` (0 = edges[0] <
+    ... < edges[-1] = t_f) and an even interval count >= 2 per piece
+    (``intervals``); two grids are equal when these two are.
 
-    ``pieces`` holds inclusive row ranges (lo, hi).  A protocol with
-    interior switching times duplicates the boundary row, so one-sided
-    limits of discontinuous quantities (omega^2, bddot) can be stored per
-    side.  Every piece has an odd node count and strictly increasing nodes
-    whose spacing differs from (t_hi - t_lo)/(hi - lo) by rounding only
-    (4 eps |t_hi|): the contract ``numerics.integrate`` relies on.
+    ``nodes`` (read-only) and ``pieces`` (inclusive row ranges) are derived
+    once, one linspace per piece, so every piece is uniform with an odd
+    node count by construction: the contract ``numerics.integrate`` relies
+    on.  Interior edges sit on two rows, so one-sided limits of
+    discontinuous quantities (omega^2, bddot) are stored per side.
     """
 
-    nodes: np.ndarray
-    pieces: tuple[tuple[int, int], ...]
+    edges: tuple[float, ...]
+    intervals: tuple[int, ...]
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    pieces: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        edges = _checked_edges(self.edges)
+        intervals = tuple(operator.index(m) for m in self.intervals)
+        if len(intervals) != len(edges) - 1:
+            raise ValueError("need one interval count per piece")
+        parts, pieces, lo = [], [], 0
+        for e0, e1, m in zip(edges[:-1], edges[1:], intervals):
+            if m < 2 or m % 2:
+                raise ValueError("each piece needs an even interval count >= 2 (an odd node count >= 3)")
+            if not (e1 - e0) / m > max(_MIN_STEP * abs(e1), _TINY):
+                raise ValueError(f"piece [{e0!r}, {e1!r}] is too short for {m} uniform steps")
+            parts.append(np.linspace(e0, e1, m + 1))
+            pieces.append((lo, lo + m))
+            lo += m + 1
+        nodes = np.concatenate(parts)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or len(nodes) < 3:
-            raise ValueError("grid needs at least 3 nodes")
-        if nodes[0] != 0.0:
-            raise ValueError("grid must start at t = 0")
-        if not self.pieces or self.pieces[0][0] != 0 or self.pieces[-1][1] != len(nodes) - 1:
-            raise ValueError("pieces must cover all rows")
-        prev_hi = None
-        for lo, hi in self.pieces:
-            if prev_hi is not None:
-                if lo != prev_hi + 1 or nodes[lo] != nodes[prev_hi]:
-                    raise ValueError("pieces must share boundary times on adjacent rows")
-            if hi - lo < 2 or (hi - lo) % 2:
-                raise ValueError("each piece needs an odd node count >= 3")
-            dt = np.diff(nodes[lo : hi + 1])
-            h = (nodes[hi] - nodes[lo]) / (hi - lo)
-            if not (np.min(dt) > 0.0 and np.max(np.abs(dt - h)) <= _UNIFORM_EPS * abs(nodes[hi])):
-                raise ValueError("nodes must increase uniformly within a piece")
-            prev_hi = hi
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     @property
     def t_f(self) -> float:
-        return float(self.nodes[-1])
+        return self.edges[-1]
 
     @property
     def n_pieces(self) -> int:
-        return len(self.pieces)
-
-    def same_as(self, other: "TimeGrid") -> bool:
-        return (
-            self.pieces == other.pieces
-            and len(self.nodes) == len(other.nodes)
-            and bool(np.array_equal(self.nodes, other.nodes))
-        )
-
-    @classmethod
-    def _segments(cls, edges: Sequence[float], intervals: Sequence[int]) -> "TimeGrid":
-        """One linspace piece per segment [edges[k], edges[k+1]] with
-        intervals[k] steps; interior edges are duplicated (end row of one
-        piece, start row of the next)."""
-        parts: list[np.ndarray] = []
-        pieces: list[tuple[int, int]] = []
-        lo = 0
-        for e0, e1, m in zip(edges[:-1], edges[1:], intervals):
-            parts.append(np.linspace(e0, e1, m + 1))
-            pieces.append((lo, lo + m))
-            lo += m + 1
-        return cls(np.concatenate(parts), tuple(pieces))
+        return len(self.intervals)
 
     @classmethod
     def uniform(cls, t_f: float, n: int = DEFAULT_GRID_N) -> "TimeGrid":
-        if t_f <= 0.0:
-            raise ValueError("t_f must be positive")
-        return cls._segments([0.0, float(t_f)], [n - 1])
+        return cls((0.0, t_f), (n - 1,))
 
     @classmethod
     def piecewise(cls, edges: Sequence[float], n: int = DEFAULT_GRID_N) -> "TimeGrid":
@@ -169,16 +159,12 @@ class TimeGrid:
         Intervals are allocated proportionally to segment length, forced
         even and at least 32 per segment.
         """
-        edges = [float(e) for e in edges]
-        if len(edges) < 2 or edges[0] != 0.0:
-            raise ValueError("edges must start at 0")
-        if np.any(np.diff(edges) <= 0.0):
-            raise ValueError("edges must increase strictly")
+        edges = _checked_edges(edges)
         intervals = []
         for e0, e1 in zip(edges[:-1], edges[1:]):
             m = max(_MIN_PIECE_INTERVALS, int(round((n - 1) * (e1 - e0) / edges[-1])))
             intervals.append(m + m % 2)
-        return cls._segments(edges, intervals)
+        return cls(edges, tuple(intervals))
 
 
 class PieceFns(NamedTuple):

@@ -55,7 +55,7 @@ class EnergyTrace:
 
 def instantaneous(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> EnergyTrace:
     """Fill E, K, V per node; impulse nodes are handled analytically elsewhere."""
-    if not curve.grid.same_as(profile.grid):
+    if curve.grid != profile.grid:
         raise GridMismatch("curve and profile live on different grids")
     c = (2 * spec.n + 1) / 4.0
     b = curve.b
@@ -168,7 +168,7 @@ def nonadiabatic_energy(
     """
     if spec.n != 0:
         raise ValueError("non-adiabatic energy is defined here for the ground state only")
-    if not curve.grid.same_as(profile.grid):
+    if curve.grid != profile.grid:
         raise GridMismatch("curve and profile live on different grids")
     omega = profile.omega()  # raises NonRealFrequency when W^2 < -1e-12
     b = curve.b
@@ -182,10 +182,12 @@ def nonadiabatic_energy(
 class PowerTrace:
     """Sampled power within smooth segments plus analytic step terms.
 
-    ``steps`` lists (time, energy jump) for frequency discontinuities at
-    the endpoints and interior joints; ``integral`` includes them, so it
-    matches the total energy change (n+1/2)(omega_f/omega0 - 1) for every
-    complete protocol.
+    ``steps`` lists (time, energy jump) for every nonzero jump of W^2: from
+    1 to W^2(0+) at t = 0, across each interior joint, and from W^2(t_f-)
+    to (omega_f/omega0)^2 at t_f.  No jump is dropped as round-off, since
+    near gamma = 1 the jumps carry the whole energy change.  ``integral``
+    includes them, so it matches the total energy change
+    (n+1/2)(omega_f/omega0 - 1) for every complete protocol.
     """
 
     P: np.ndarray
@@ -211,7 +213,7 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
     expected = (spec.n + 0.5) * (spec.omega_f_rel - 1.0)
     if expected == 0.0:
         raise PowerUndefined("relative power needs an energy change; gamma = 1 has none")
-    if not curve.grid.same_as(profile.grid):
+    if curve.grid != profile.grid:
         raise GridMismatch("curve and profile live on different grids")
     grid = curve.grid
     c = (2 * spec.n + 1) / 4.0
@@ -226,14 +228,14 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
     P = c * dom * curve.b**2
 
     steps: list[tuple[float, float]] = []
-    if abs(profile.omega2[0] - 1.0) > 1e-9:
+    if profile.omega2[0] != 1.0:
         steps.append((0.0, c * (profile.omega2[0] - 1.0) * float(curve.b[0]) ** 2))
     for (lo0, hi0), (lo1, hi1) in zip(grid.pieces[:-1], grid.pieces[1:]):
         jump = profile.omega2[lo1] - profile.omega2[hi0]
-        if abs(jump) > 1e-12:
+        if jump != 0.0:
             steps.append((float(grid.nodes[hi0]), c * jump * float(curve.b[hi0]) ** 2))
     wf2 = spec.omega_f_rel**2
-    if abs(profile.omega2[-1] - wf2) > 1e-9:
+    if profile.omega2[-1] != wf2:
         steps.append((grid.t_f, c * (wf2 - profile.omega2[-1]) * float(curve.b[-1]) ** 2))
 
     integral = numerics.integrate(P, grid) + sum(s for _, s in steps)

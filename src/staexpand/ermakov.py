@@ -35,7 +35,7 @@ def _bddot_samples(curve: ScalingCurve) -> np.ndarray:
 
 def ermakov_residual(curve: ScalingCurve, profile: FrequencyProfile) -> float:
     """max over interior nodes of |b'' + W^2 b - 1/b^3| (impulses excluded)."""
-    if not curve.grid.same_as(profile.grid):
+    if curve.grid != profile.grid:
         raise GridMismatch("curve and profile live on different grids")
     bddot = _bddot_samples(curve)
     r = bddot + profile.omega2 * curve.b - 1.0 / curve.b**3
@@ -136,8 +136,7 @@ def forward_solve(
         return [s for (ti, s) in profile.impulses if abs(ti - t) <= time_tol]
 
     for ti, _ in profile.impulses:
-        boundary_times = [0.0, t_f] + [grid.nodes[lo] for lo, _ in grid.pieces[1:]]
-        if not any(abs(ti - tb) <= time_tol for tb in boundary_times):
+        if not any(abs(ti - tb) <= time_tol for tb in grid.edges):
             raise ValueError(f"impulse at t={ti:.6g} is not on a piece boundary")
 
     b = np.empty(len(grid))

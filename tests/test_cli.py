@@ -269,6 +269,32 @@ class TestSweepCommand:
             main(["sweep", "--config", str(cfgfile), "--out", str(out)])
         assert not out.exists()
 
+    def test_gamma_takes_no_si_value_of_the_preset(self, tmp_path):
+        # this used to exit with "give either the SI pair or --gamma, not both"
+        out = tmp_path / "sw"
+        assert main(["sweep", "--preset", "fig1", "--gamma", "3", "--points-per-decade", "2",
+                     "--out", str(out)]) == 0
+        lines = read_lines(out / "fig1_bang_bang.csv")
+        assert "# gamma = 3" in lines and "# time_unit = 1/omega0" in lines
+        assert not any(l.startswith("# omega0_rad_s") for l in lines)
+        _, rows = csv_rows(out / "fig1_bang_bang.csv")
+        assert float(rows[-1][0]) == pytest.approx(1.5 * math.pi, rel=1e-12)  # pi gamma / 2
+        cfgfile = tmp_path / "g.cfg"
+        cfgfile.write_text("preset = fig1\ngamma = 3\npoints-per-decade = 2\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "cfg")]) == 0
+        for name in ("fig1_quintic.csv", "fig1_bang_bang.csv", "fig1_bound.csv"):
+            assert (tmp_path / "cfg" / name).read_bytes() == (out / name).read_bytes()
+
+    def test_si_value_overrides_its_preset_value(self, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--preset", "fig1", "--omega0-hz", "5000", "--points-per-decade", "2",
+                     "--grid", "201", "--out", str(out)]) == 0
+        lines = read_lines(out / "fig1_bound.csv")
+        assert f"# gamma = {math.sqrt(200.0):.12g}" in lines and "# time_unit = s" in lines
+        with pytest.raises(SystemExit, match="either the SI pair or --gamma"):
+            main(["sweep", "--preset", "fig1", "--omega0-hz", "5000", "--gamma", "3",
+                  "--out", str(tmp_path / "both")])
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_exits_with_message(self, tmp_path, jobs):
         out = tmp_path / "sw"
@@ -297,6 +323,15 @@ class TestPowerCommand:
         assert main(["power", "--preset", "fig4", "--grid", "101", "--out", str(out)]) == 0
         header, rows = csv_rows(out)
         assert header == ["s", "P_rel_quintic", "P_rel_septic"] and len(rows) == 101
+
+    def test_gamma_with_fig4_preset_runs(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["power", "--preset", "fig4", "--gamma", "10", "--tf-dimensionless", "50",
+                     "--out", str(out)]) == 0
+        lines = read_lines(out)
+        assert "# tf_dimensionless = 50" in lines and "# time_unit = 1/omega0" in lines
+        with pytest.raises(SystemExit, match="power needs a duration"):
+            main(["power", "--preset", "fig4", "--gamma", "10", "--out", str(tmp_path / "q.csv")])
 
     def test_no_expansion_exits_with_message(self, tmp_path):
         out = tmp_path / "p1.csv"

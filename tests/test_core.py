@@ -58,20 +58,70 @@ def test_piecewise_grid_duplicates_joints():
 
 def test_grid_rejects_even_node_count_piece():
     with pytest.raises(ValueError, match="odd node count"):
-        TimeGrid(np.linspace(0.0, 1.0, 4), ((0, 3),))
+        TimeGrid((0.0, 1.0), (3,))
     with pytest.raises(ValueError, match="odd node count"):
-        TimeGrid(np.array([0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.5]), ((0, 2), (3, 6)))
+        TimeGrid((0.0, 1.0, 2.5), (2, 3))
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="odd node count"):
+            TimeGrid((0.0, 1.0), (m,))
+    with pytest.raises(ValueError, match="one interval count per piece"):
+        TimeGrid((0.0, 1.0, 2.5), (2,))
+    with pytest.raises(TypeError):
+        TimeGrid((0.0, 1.0), (2.0,))  # counts are integers
 
 
 @pytest.mark.parametrize("t_f", [1e-9, 1.0, 3e5, 1e12])
 def test_grid_rejects_perturbed_node(t_f):
+    """Nodes are derived from the edges and cannot be changed afterwards,
+    so a non-uniform or decreasing grid cannot be made."""
     g = TimeGrid.uniform(t_f, 101)
-    nodes = g.nodes.copy()
-    nodes[37] += 1e-6 * (nodes[38] - nodes[37])  # a step 1e-6 off uniform
-    with pytest.raises(ValueError, match="uniformly"):
-        TimeGrid(nodes, g.pieces)
-    with pytest.raises(ValueError, match="uniformly"):
-        TimeGrid(-g.nodes, g.pieces)  # uniform but decreasing
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes[37] += 1e-6 * (g.nodes[38] - g.nodes[37])
+    with pytest.raises(ValueError, match="increase strictly"):
+        TimeGrid((0.0, -t_f), (100,))  # uniform but decreasing
+    h = np.diff(g.nodes)
+    assert np.all(h > 0.0) and np.max(np.abs(h - t_f / 100)) <= 4.0 * np.finfo(float).eps * t_f
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ((1.0, 2.0), "start at 0"),
+        ((), "start at 0"),
+        ((0.0,), "start at 0"),
+        ((0.0, 1.0, 1.0), "increase strictly"),
+        ((0.0, 2.0, 1.0), "increase strictly"),
+        ((0.0, math.nan), "increase strictly"),
+        ((0.0, math.nan, 1.0), "increase strictly"),
+        ((0.0, math.inf), "finite t_f"),
+        ((0.0, 1.0, math.inf), "finite t_f"),
+    ],
+)
+def test_grid_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        TimeGrid(edges, (2,) * max(len(edges) - 1, 1))
+    with pytest.raises(ValueError, match=message):
+        TimeGrid.piecewise(edges, 101)
+
+
+def test_grid_rejects_too_short_step():
+    # a step of 2 at t = 1e16 is below 4 eps |t_hi| = 8.9
+    with pytest.raises(ValueError, match="too short"):
+        TimeGrid((0.0, 1e16, 1e16 + 4), (32, 2))
+    with pytest.raises(ValueError, match="too short"):
+        TimeGrid.piecewise((0.0, 1e16, 1e16 + 4), 101)
+    TimeGrid((0.0, 1e16, 1e16 + 20), (32, 2))  # step 10 passes
+
+
+def test_grid_is_its_edges_and_counts():
+    g = TimeGrid.piecewise([0.0, 0.3, 1.0], n=201)
+    assert g.edges == (0.0, 0.3, 1.0) and g.intervals == (60, 140)
+    assert g.pieces == ((0, 60), (61, 201))
+    assert np.array_equal(g.nodes, np.concatenate([np.linspace(0.0, 0.3, 61), np.linspace(0.3, 1.0, 141)]))
+    assert g == TimeGrid((0, 0.3, 1), (60, 140)) and hash(g) == hash(TimeGrid((0, 0.3, 1), (60, 140)))
+    assert g != TimeGrid((0.0, 0.3, 1.0), (62, 140))
+    assert g != TimeGrid.uniform(1.0, 201)
+    assert "nodes" not in repr(g)
 
 
 @pytest.mark.parametrize("w2_min, imaginary", [(-1e-13, False), (-1e-11, True), (np.nan, True)])

@@ -369,6 +369,22 @@ class TestPower:
         assert len(pw.steps) == 4  # both endpoints and both cap joints
         assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-6)
 
+    def test_every_nonzero_jump_counts_near_gamma_one(self):
+        # near gamma = 1 the frequency jumps are tiny yet carry the whole
+        # energy change; size thresholds once dropped them (integral 0.0,
+        # and a 2e-5 miss for the hybrid)
+        g = 1.0 + 1.8e-10
+        s = TrapSpec.from_gamma(g)
+        bb = protocols.bang_bang(s, 1.0 / g, 1.0 / g)
+        pw = energies.power(bb.curve, bb.profile, s)
+        assert len(pw.steps) == 2
+        assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-9)
+        s = TrapSpec.from_gamma(1.0 + 2.7e-7)
+        hy = protocols.build(s, protocols.ProtocolParams("hybrid", 1000.0))
+        pw = energies.power(hy.curve, hy.profile, s)
+        assert len(pw.steps) == 4
+        assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-9)
+
     def test_constant_power_trajectory_is_flat(self, spec):
         curve, _ = protocols.constant_power_shoot(spec, 10.0)
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)

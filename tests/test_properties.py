@@ -14,13 +14,16 @@ grids have 201-501 nodes.  Tolerances come from the methods:
   most 1001 nodes), or more where the samples show more at their known
   ends b(0) = 1 and b(t_f) = gamma; for quadratures also the error of the
   step that ``numerics.integrate`` reads off the node spacing.
+
+The last property is the grid contract all of these rest on, over
+durations 1e-9 to 1e15.
 """
 import math
 
 import numpy as np
 import pytest
 
-from staexpand import TrapSpec, energies, ermakov, numerics, protocols
+from staexpand import TimeGrid, TrapSpec, energies, ermakov, numerics, protocols
 from staexpand.core import Infeasible, PowerUndefined, TrajectoryBlowUp
 
 hyp = pytest.importorskip("hypothesis")
@@ -235,3 +238,38 @@ def test_for_duration_helpers_hit_the_duration_or_raise(log_gamma, frac, n):
         except Infeasible:
             continue
         assert abs(bb.t1 + bb.t2 - t_f) <= 1e-12 * t_f
+
+
+EPS = np.finfo(float).eps
+
+
+@hyp.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@hyp.given(
+    log_tf=st.floats(-9.0, 15.0),
+    cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    n=st.integers(1, 1000).map(lambda k: 2 * k + 1),
+)
+@hyp.example(log_tf=16.0, cuts=[1.0 - 4e-16], n=3)  # a last piece of a few ulps
+def test_grid_pieces_are_uniform_by_construction(log_tf, cuts, n):
+    """Every grid has odd node counts, duplicated joint rows, and strictly
+    increasing nodes spaced (e1 - e0)/m to within 4 eps |e1| per piece;
+    piecewise refuses only where some piece is shorter than that."""
+    t_f = 10.0**log_tf
+    edges = [0.0] + sorted({t_f * c for c in cuts} - {0.0, t_f}) + [t_f]
+    try:
+        grids = [TimeGrid.uniform(t_f, n), TimeGrid.piecewise(edges, n)]
+    except ValueError as exc:
+        assert "too short" in str(exc)
+        assert any((e1 - e0) / max(n, 34) <= max(4 * EPS * e1, np.finfo(float).tiny)
+                   for e0, e1 in zip(edges[:-1], edges[1:]))
+        return
+    for grid in grids:
+        assert grid.nodes[0] == 0.0 and grid.nodes[-1] == grid.t_f == t_f
+        for k, ((lo, hi), e0, e1, m) in enumerate(zip(grid.pieces, grid.edges[:-1], grid.edges[1:],
+                                                        grid.intervals)):
+            assert hi - lo == m and m % 2 == 0 and m >= 2
+            assert grid.nodes[lo] == e0 and grid.nodes[hi] == e1
+            d = np.diff(grid.nodes[lo : hi + 1])
+            assert np.all(d > 0.0) and np.max(np.abs(d - (e1 - e0) / m)) <= 4 * EPS * abs(e1)
+            if k:
+                assert lo == grid.pieces[k - 1][1] + 1
