@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energies, optimize, protocols, verify
-from .core import DEFAULT_GRID_N, Infeasible, NonRealFrequency, TrapSpec
+from .core import DEFAULT_GRID_N, Infeasible, NonRealFrequency, TrajectoryBlowUp, TrapSpec
 
 _PRESETS = {
     "fig1": {"omega0_hz": 2500.0, "omegaf_hz": 25.0},
@@ -239,6 +239,13 @@ def _build_bundle(cfg: RunConfig) -> protocols.ProtocolBundle:
         return protocols.build(cfg.spec, cfg.params)
     except (ValueError, Infeasible) as exc:
         raise SystemExit(f"invalid protocol parameters: {exc}")
+    except TrajectoryBlowUp as exc:  # the shooting ODE on too coarse a grid
+        p = cfg.params
+        h = p.t_f / (p.grid_n - 1)
+        raise SystemExit(
+            f"protocol integration failed: {exc}; the step h = t_f/(grid - 1) = {h:.6g} "
+            f"(in 1/omega0) may be too coarse, try a larger --grid"
+        ) from None
 
 
 def cmd_protocol(cfg: RunConfig) -> int:

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import ermakov
+from . import ermakov, numerics
 from .ermakov import _B_COLLAPSE, _COLLAPSE_MSG
 from .core import (
     DEFAULT_GRID_N,
@@ -44,7 +43,7 @@ from .core import (
 
 _OMEGA1_SERIES_SWITCH = 1e-6  # below this, sinh(w1 t)/w1 is evaluated by series
 _SNAP_TOL = 1e-12
-# brentq tolerance relative to the step frequency (~1/gamma at large gamma),
+# Brent root tolerance relative to the step frequency (~1/gamma at large gamma),
 # which an absolute one cannot resolve to the 1e-12 duration postcondition
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 
@@ -475,7 +474,10 @@ def _two_step_for_duration(spec, t_f, n, label, t_min, w_lo, steps) -> BangBangP
             w_hi *= 2.0
             if w_hi > 1e12:
                 raise Infeasible(f"could not bracket the step frequency of {label} protocols")
-        w = brentq(duration_gap, w_lo, w_hi, xtol=_ROOT_RTOL * w_lo, rtol=_ROOT_RTOL)
+        try:
+            w = numerics._brent_root(duration_gap, w_lo, w_hi, xtol=_ROOT_RTOL * w_lo)
+        except RuntimeError as exc:  # no convergence within the iteration limit
+            raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
     try:
         bb = bang_bang(spec, *steps(w), n)
     except ValueError as exc:  # e.g. a step too short to sample, next to t_min

@@ -1,9 +1,15 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import staexpand
 from staexpand import TrapSpec, energies, protocols
 from staexpand.cli import main
 
@@ -113,6 +119,13 @@ class TestProtocolCommand:
         out = tmp_path / "p.csv"
         with pytest.raises(SystemExit, match=f"invalid protocol parameters: .*{message}"):
             main(["protocol", "--gamma", "10", *flags, "--grid", "101", "--out", str(out)])
+        assert not out.exists()
+
+    def test_collapsed_constant_power_shot_exits_with_the_step(self, tmp_path):
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit, match=r"collapsed.*the step h = t_f/\(grid - 1\) = 2 .*larger --grid"):
+            main(["protocol", "--family", "constant_power", "--gamma", "3",
+                  "--tf-dimensionless", "400", "--grid", "201", "--out", str(out)])
         assert not out.exists()
 
     def test_given_cap_kept_when_the_other_defaults(self, tmp_path):
@@ -487,3 +500,28 @@ def test_verify_rejects_grid_without_odd_node_count(grid, capsys):
     with pytest.raises(SystemExit, match="odd node count"):
         main(["verify", "--grid", grid])
     assert capsys.readouterr().out == ""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    """Protocol, energy and the fig1/fig4 runs need numpy only; importing
+    SciPy would cost a fresh process several times their compute."""
+    script = textwrap.dedent(f"""
+        import os, sys
+        from staexpand.cli import main
+        runs = [
+            ["protocol", "--family", "quintic", "--gamma", "10", "--tf-dimensionless", "20"],
+            ["energy", "--family", "bang_bang", "--gamma", "10", "--tf-dimensionless", "10"],
+            ["protocol", "--family", "bang_bang_na", "--gamma", "10", "--tf-dimensionless", "12"],
+            ["sweep", "--preset", "fig1"],
+            ["power", "--preset", "fig4"],
+        ]
+        for i, argv in enumerate(runs):
+            assert main([*argv, "--out", os.path.join({str(tmp_path)!r}, f"run{{i}}")]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(staexpand.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{i}" for i in range(5)]

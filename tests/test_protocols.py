@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from staexpand import TrapSpec, ermakov, protocols
+from staexpand import TrapSpec, ermakov, numerics, protocols
 from staexpand.core import Infeasible
 
 
@@ -250,6 +250,18 @@ class TestForDurationPostcondition:
         gamma = 1.0 + 1e-9
         with pytest.raises(Infeasible, match="relative miss"):
             helper(TrapSpec.from_gamma(gamma), 0.9 * math.pi * gamma / 2.0)
+
+    @pytest.mark.parametrize("helper, label", [
+        (protocols.bang_bang_for_duration, "equal-step"),
+        (protocols.bang_bang_na_for_duration, "free-expansion"),
+    ])
+    def test_root_search_without_convergence_is_infeasible(self, spec, monkeypatch, helper, label):
+        def no_convergence(f, a, b, **kw):
+            raise RuntimeError("Failed to converge after 100 iterations.")
+
+        monkeypatch.setattr(numerics, "_brent_root", no_convergence)
+        with pytest.raises(Infeasible, match=rf"^{label} protocol for t_f = 12: Failed to converge"):
+            helper(spec, 12.0)
 
     @pytest.mark.parametrize("helper", HELPERS)
     @pytest.mark.parametrize("frac", [0.7, 0.85, 0.999])
