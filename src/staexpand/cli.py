@@ -10,6 +10,8 @@ comma, a double quote or a line break (a sweep's ``reason``) is quoted as
 RFC 4180 says.  Named presets ``fig1``, ``fig3`` and ``fig4`` bake in the
 2500 Hz -> 25 Hz trap (and 8 ms for ``fig4``); with --gamma the preset
 adds none of these SI values.  Sweeps need --points-per-decade >= 1.
+``power`` and ``sweep`` refuse the protocol inputs they do not read
+(and ``sweep`` the duration flags).
 """
 from __future__ import annotations
 
@@ -96,6 +98,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None, help="parallel workers for sweeps")
 
 
+# inputs a command reads no value of, refused when given as a flag or in --config:
+# power compares quintic with the optimized septic, sweeps run their preset's
+# families over a duration range
+_PROTOCOL_INPUTS = ("family", "c3", "c4", "tau_l", "tau_s", "beta", "omega1", "omega2")
+_UNUSED_INPUTS = {"power": _PROTOCOL_INPUTS, "sweep": ("tf", "tf_dimensionless", *_PROTOCOL_INPUTS)}
+
+
 def _check_grid(n: int) -> int:
     """Uniform grids need an odd node count; refuse any other --grid before any work."""
     if n < 3 or n % 2 == 0:
@@ -107,7 +116,9 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
     """Merge flags over the --config file over the preset into a RunConfig.
 
     The file's values go through ``parser``, the subcommand's own flag
-    definitions, so they get the flags' types and choices."""
+    definitions, so they get the flags' types and choices.  An input the
+    command does not use (``_UNUSED_INPUTS``), given as a flag or in the
+    file, is refused before the preset fills in its values."""
     opts = vars(args)
     if args.config:
         values = _read_config_file(args.config)
@@ -118,6 +129,10 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         for key, val in vars(from_file).items():
             if opts[key] is None:
                 opts[key] = val
+    unused = [k for k in _UNUSED_INPUTS.get(args.command, ()) if opts[k] is not None]
+    if unused:
+        flags = ", ".join(f"--{k.replace('_', '-')}" for k in unused)
+        raise SystemExit(f"{args.command} does not use {flags}")
     if args.preset and args.gamma is None:  # a --gamma trap takes none of the preset's SI values
         for key, val in _PRESETS[args.preset].items():
             if opts[key] is None:

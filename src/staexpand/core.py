@@ -19,6 +19,25 @@ DEFAULT_GRID_N = 2001
 _REAL_TOL = 1e-12   # omega^2 >= -_REAL_TOL is round-off of a real frequency
 
 
+def _check_positive(b: np.ndarray) -> None:
+    """A scaling function is a mode width: b <= 0 anywhere is a hard error."""
+    if np.any(b <= 0.0):
+        raise ValueError("scaling function must stay positive")
+
+
+def _is_imaginary(omega2: np.ndarray) -> bool:
+    """min omega^2 < -1e-12 (or NaN): omega(t) is not real somewhere.
+
+    Smaller negative values are round-off and count as real.
+    """
+    return not float(np.min(omega2)) >= -_REAL_TOL
+
+
+def _real_omega(omega2: np.ndarray) -> np.ndarray:
+    """sqrt(omega^2), clamping tiny negative round-off to zero."""
+    return np.sqrt(np.clip(omega2, 0.0, None))
+
+
 class GridMismatch(ValueError):
     """Sampled quantities do not live on the same grid."""
 
@@ -208,8 +227,7 @@ class ScalingCurve:
             v = getattr(self, name)
             if v is not None and len(v) != n:
                 raise GridMismatch(f"{name} has {len(v)} samples for {n} nodes")
-        if np.any(self.b <= 0.0):
-            raise ValueError("scaling function must stay positive")
+        _check_positive(self.b)
         if self.b0_plus_dot is None:
             self.b0_plus_dot = float(self.bdot[0])
         if self.bf_minus_dot is None:
@@ -248,11 +266,8 @@ class FrequencyProfile:
 
     @property
     def has_imaginary(self) -> bool:
-        """min omega^2 < -1e-12 (or NaN): omega(t) is not real somewhere.
-
-        Smaller negative values are round-off and count as real.
-        """
-        return not float(np.min(self.omega2)) >= -_REAL_TOL
+        """min omega^2 < -1e-12 (or NaN): omega(t) is not real somewhere."""
+        return _is_imaginary(self.omega2)
 
     def omega(self) -> np.ndarray:
         """sqrt(omega^2), clamping tiny negative round-off to zero.
@@ -263,7 +278,7 @@ class FrequencyProfile:
             raise NonRealFrequency(
                 f"omega^2 reaches {float(np.min(self.omega2)):.6g} < 0; omega(t) is not real"
             )
-        return np.sqrt(np.clip(self.omega2, 0.0, None))
+        return _real_omega(self.omega2)
 
     def piece_callable(self, k: int) -> Callable:
         """omega^2(t) on piece k: the closed form if present, else a spline."""

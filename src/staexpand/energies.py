@@ -157,6 +157,17 @@ def na_lower_bound(spec: TrapSpec, t_f: float) -> float:
     return (spec.gamma - 1.0) ** 2 / (4.0 * t_f**2)
 
 
+def _check_ground_state(spec: TrapSpec) -> None:
+    if spec.n != 0:
+        raise ValueError("non-adiabatic energy is defined here for the ground state only")
+
+
+def _ena(b, bdot, omega2, omega):
+    """Ground-state excess over the adiabatic energy, per node:
+    (bdot^2 + W^2 b^2 + 1/b^2)/4 - W/2."""
+    return 0.25 * (bdot**2 + omega2 * b**2 + 1.0 / b**2) - 0.5 * omega
+
+
 def nonadiabatic_energy(
     curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec
 ) -> tuple[np.ndarray, float, float]:
@@ -166,13 +177,12 @@ def nonadiabatic_energy(
     Requires a real frequency (W^2 >= 0 up to round-off) and n = 0; the
     trace is (bdot^2 + (W b - 1/b)^2)/4, manifestly non-negative.
     """
-    if spec.n != 0:
-        raise ValueError("non-adiabatic energy is defined here for the ground state only")
+    _check_ground_state(spec)
     if curve.grid != profile.grid:
         raise GridMismatch("curve and profile live on different grids")
     omega = profile.omega()  # raises NonRealFrequency when W^2 < -1e-12
     b = curve.b
-    ena = 0.25 * (curve.bdot**2 + profile.omega2 * b**2 + 1.0 / b**2) - 0.5 * omega
+    ena = _ena(b, curve.bdot, profile.omega2, omega)
     avg = numerics.average(ena, curve.grid)
     avg2 = numerics.average(0.5 * (curve.bdot**2 + 1.0 / b**2 - omega), curve.grid)
     return ena, avg, avg2
@@ -198,6 +208,21 @@ class PowerTrace:
     peak_rel: float
 
 
+def _energy_change(spec: TrapSpec) -> float:
+    """Total energy change (n+1/2)(omega_f/omega0 - 1) of a complete
+    expansion; PowerUndefined at gamma = 1, where it is 0 and cannot
+    normalize the relative power."""
+    expected = (spec.n + 0.5) * (spec.omega_f_rel - 1.0)
+    if expected == 0.0:
+        raise PowerUndefined("relative power needs an energy change; gamma = 1 has none")
+    return expected
+
+
+def _power_samples(spec: TrapSpec, domega2, b):
+    """P = ((2n+1)/4) d(W^2)/dtau b^2, per node."""
+    return (2 * spec.n + 1) / 4.0 * domega2 * b**2
+
+
 def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> PowerTrace:
     """P = ((2n+1)/4) d(W^2)/dtau b^2, and the mode-independent relative
     power P_rel = P / C where C = (n+1/2)(omega_f/omega0 - 1)/t_f spreads
@@ -210,9 +235,7 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
     """
     if profile.impulses:
         raise PowerUndefined("power is not a function for protocols with Dirac kicks")
-    expected = (spec.n + 0.5) * (spec.omega_f_rel - 1.0)
-    if expected == 0.0:
-        raise PowerUndefined("relative power needs an energy change; gamma = 1 has none")
+    expected = _energy_change(spec)
     if curve.grid != profile.grid:
         raise GridMismatch("curve and profile live on different grids")
     grid = curve.grid
@@ -225,7 +248,7 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
             dom[lo : hi + 1] = np.gradient(
                 profile.omega2[lo : hi + 1], grid.nodes[lo : hi + 1], edge_order=2
             )
-    P = c * dom * curve.b**2
+    P = _power_samples(spec, dom, curve.b)
 
     steps: list[tuple[float, float]] = []
     if profile.omega2[0] != 1.0:

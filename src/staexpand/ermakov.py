@@ -33,6 +33,16 @@ def _bddot_samples(curve: ScalingCurve) -> np.ndarray:
     return numerics.second_derivative(curve.b, curve.grid)
 
 
+def _omega2(b, bddot):
+    """The control W^2 = 1/b^4 - bddot/b read off the Ermakov equation."""
+    return 1.0 / b**4 - bddot / b
+
+
+def _domega2(b, bdot, bddot, bdddot):
+    """Its time derivative d(W^2)/dtau = -4 bdot/b^5 - bdddot/b + bddot bdot/b^2."""
+    return -4.0 * bdot / b**5 - bdddot / b + bddot * bdot / b**2
+
+
 def ermakov_residual(curve: ScalingCurve, profile: FrequencyProfile) -> float:
     """max over interior nodes of |b'' + W^2 b - 1/b^3| (impulses excluded)."""
     if curve.grid != profile.grid:
@@ -52,21 +62,14 @@ def inverse_engineer(curve: ScalingCurve) -> FrequencyProfile:
     """
     b = curve.b
     bddot = _bddot_samples(curve)
-    omega2 = 1.0 / b**4 - bddot / b
+    omega2 = _omega2(b, bddot)
 
     omega2_fns = None
     if curve.fns is not None:
-        omega2_fns = tuple(
-            (lambda t, fn=fn: 1.0 / fn.b(t) ** 4 - fn.bddot(t) / fn.b(t))
-            for fn in curve.fns
-        )
+        omega2_fns = tuple((lambda t, fn=fn: _omega2(fn.b(t), fn.bddot(t))) for fn in curve.fns)
     domega2 = None
     if curve.bdddot is not None:
-        domega2 = (
-            -4.0 * curve.bdot / b**5
-            - curve.bdddot / b
-            + bddot * curve.bdot / b**2
-        )
+        domega2 = _domega2(b, curve.bdot, bddot, curve.bdddot)
     return FrequencyProfile(curve.grid, omega2, (), omega2_fns, domega2)
 
 

@@ -4,14 +4,29 @@ Both are deterministic: fixed multistart seeds, Nelder-Mead refinement,
 lexicographic tie-breaking.  Infeasible points (imaginary frequency,
 caps that do not fit) are penalized with +inf, so the simplex walks back
 into the feasible region on its own.
+
+The objectives compute only the number they return, from the constructors
+and per-node expressions of the public path, so they equal it bit for bit
+(tests compare them with ``==``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from . import energies, ermakov, numerics, protocols
-from .core import DEFAULT_GRID_N, Infeasible, TrapSpec
+from .core import (
+    DEFAULT_GRID_N,
+    Infeasible,
+    TimeGrid,
+    TrapSpec,
+    _check_positive,
+    _is_imaginary,
+    _real_omega,
+)
 
 _CAP_SEED_FRACTIONS = (0.01, 0.05, 0.2)
 
@@ -28,15 +43,29 @@ class OptimizationResult:
 
 def _hybrid_avg_ena(spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n_grid: int) -> float:
     """Averaged non-adiabatic energy of a cap protocol; +inf when the caps
-    do not fit or the frequency goes imaginary."""
+    do not fit or the frequency goes imaginary.
+
+    Equal, bit for bit, to ``nonadiabatic_energy`` of ``hybrid_caps`` (tests
+    hold it to that path), but computes only what it returns: it builds
+    the same grid and closed forms, then takes one piece at a time, the
+    stopping cap first (where a short protocol goes imaginary), then the
+    launching cap, then the line, and stops with +inf at the first piece
+    whose W^2 is imaginary.  Only then are the Ena samples averaged.
+    """
     if not (tau_l > 0.0 and tau_s > 0.0 and tau_l + tau_s < 0.999 * t_f):
         return math.inf
-    curve = protocols.hybrid_caps(spec, t_f, tau_l, tau_s, n_grid)
-    profile = ermakov.inverse_engineer(curve)
-    if profile.has_imaginary:
-        return math.inf
-    _, avg, _ = energies.nonadiabatic_energy(curve, profile, spec)
-    return avg
+    grid, fns = protocols._hybrid_pieces(spec, t_f, tau_l, tau_s, n_grid)
+    ena = np.empty(len(grid))
+    for k in (2, 0, 1):
+        lo, hi = grid.pieces[k]
+        t = grid.nodes[lo : hi + 1]
+        b = fns[k].b(t)
+        omega2 = ermakov._omega2(b, fns[k].bddot(t))
+        if _is_imaginary(omega2):
+            return math.inf
+        ena[lo : hi + 1] = energies._ena(b, fns[k].bdot(t), omega2, _real_omega(omega2))
+    energies._check_ground_state(spec)  # where the full path refuses an excited mode
+    return numerics.average(ena, grid)
 
 
 def best_cap_seed(
@@ -70,7 +99,9 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
 
     Refines the best feasible seed of ``best_cap_seed`` with Nelder-Mead.
     Infeasible is raised by the seed stage only, so ``optimize_caps``
-    succeeds exactly where ``best_cap_seed`` does.
+    succeeds exactly where ``best_cap_seed`` does.  Each evaluation
+    (``_hybrid_avg_ena``) looks at the stopping cap first and returns +inf
+    at the first piece with an imaginary frequency.
     """
 
     def objective(tau_l: float, tau_s: float) -> float:
@@ -91,10 +122,27 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     )
 
 
-def _septic_peak(spec: TrapSpec, t_f: float, c3: float, c4: float, n_grid: int) -> float:
-    curve = protocols.septic(spec, t_f, c3, c4, n_grid)
-    profile = ermakov.inverse_engineer(curve)
-    return energies.power(curve, profile, spec).peak_rel
+def _septic_peak(spec: TrapSpec, t_f: float, n_grid: int) -> Callable[[float, float], float]:
+    """The peak relative power of the septic family as a function of
+    (c3, c4), equal bit for bit to ``power(...).peak_rel`` of ``septic``.
+
+    The duration check, the uniform grid and the gamma = 1 refusal
+    (PowerUndefined) run once, here; each call then evaluates the septic
+    closed forms, d(W^2)/dtau and the power on the grid's nodes, without
+    the W^2 samples, power integral or step terms the search never reads.
+    """
+    protocols._check_duration(t_f)
+    t = TimeGrid.uniform(t_f, n_grid).nodes
+    scale = energies._energy_change(spec) / t_f
+
+    def peak(c3: float, c4: float) -> float:
+        fn = protocols._septic_fns(spec, t_f, c3, c4)
+        b = fn.b(t)
+        _check_positive(b)
+        dom = ermakov._domega2(b, fn.bdot(t), fn.bddot(t), fn.bdddot(t))
+        return float(np.max(np.abs(energies._power_samples(spec, dom, b) / scale)))
+
+    return peak
 
 
 def optimize_septic_power(
@@ -105,12 +153,12 @@ def optimize_septic_power(
 
     The peak is taken over a dense grid (minimax objectives need it), and
     the result is clamped to never exceed the starting point.  1 is the
-    mean-value floor for the peak of any complete expansion.
+    mean-value floor for the peak of any complete expansion.  The
+    objective (``_septic_peak``) is set up once per search: one grid and
+    the PowerUndefined refusal at gamma = 1, before the first evaluation.
     """
 
-    def objective(c3: float, c4: float) -> float:
-        return _septic_peak(spec, t_f, c3, c4, n_grid)
-
+    objective = _septic_peak(spec, t_f, n_grid)
     base = objective(0.0, 0.0)
     res = numerics.nelder_mead_2d(objective, (0.0, 0.0), rel_tol=1e-6, max_iter=2000)
     params, fx = res.x, res.fx

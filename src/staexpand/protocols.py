@@ -149,6 +149,12 @@ def septic(
     makes (c3, c4) usable as power-shaping knobs.
     """
     _check_duration(t_f)
+    grid = TimeGrid.uniform(t_f, n)
+    return _curve_from_fns(grid, (_septic_fns(spec, t_f, c3, c4),))
+
+
+def _septic_fns(spec: TrapSpec, t_f: float, c3: float, c4: float) -> PieceFns:
+    """The closed forms of ``septic`` (no duration check)."""
     g = spec.gamma
     p = _Poly(
         [
@@ -162,8 +168,7 @@ def septic(
             -(15.0 + 3.0 * c3 + c4 - 15.0 * g),
         ]
     )
-    grid = TimeGrid.uniform(t_f, n)
-    return _curve_from_fns(grid, (_poly_fns(p, t_f),))
+    return _poly_fns(p, t_f)
 
 
 def quasi_optimal_B(spec: TrapSpec, t_f: float) -> float:
@@ -239,6 +244,14 @@ def hybrid_caps(
     match bddot, so omega stays discontinuous at the joints); closed-form
     coefficients, with b > 0 guaranteed throughout.
     """
+    return _curve_from_fns(*_hybrid_pieces(spec, t_f, tau_l, tau_s, n))
+
+
+def _hybrid_pieces(
+    spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n: int
+) -> tuple[TimeGrid, tuple[PieceFns, PieceFns, PieceFns]]:
+    """The grid of ``hybrid_caps`` and the closed forms of its launching
+    cap, linear middle and stopping cap, in grid order."""
     _check_duration(t_f)
     if not (tau_l > 0.0 and tau_s > 0.0):
         raise ValueError("cap durations must be positive")
@@ -261,8 +274,7 @@ def hybrid_caps(
         bdddot=lambda t: -q3((t_f - t) / t_f) / t_f**3,
     )
     grid = TimeGrid.piecewise([0.0, tau_l, t_f - tau_s, t_f], n)
-    fns = (_poly_fns(p1, t_f), _poly_fns(pm, t_f), cap2)
-    return _curve_from_fns(grid, fns)
+    return grid, (_poly_fns(p1, t_f), _poly_fns(pm, t_f), cap2)
 
 
 def linear_bottom(
@@ -270,25 +282,14 @@ def linear_bottom(
 ) -> tuple[ScalingCurve, FrequencyProfile]:
     """b = 1 + (gamma-1) t/t_f with the bottom-tracking control W = 1/b^2.
 
-    bddot = 0, so the pair solves the Ermakov equation exactly; the
-    boundary slopes are (gamma-1)/t_f at both ends, deliberately nonzero.
+    bddot = 0, so the inverse-engineered control is exactly W^2 = 1/b^4;
+    the boundary slopes are (gamma-1)/t_f at both ends, deliberately
+    nonzero.
     """
     _check_duration(t_f)
-    d = spec.gamma - 1.0
-    p = _Poly([1.0, d])
-    grid = TimeGrid.uniform(t_f, n)
-    curve = _curve_from_fns(grid, (_poly_fns(p, t_f),))
-    b = curve.b
-    omega2 = 1.0 / b**4
-    fn = curve.fns[0]
-    profile = FrequencyProfile(
-        grid,
-        omega2,
-        (),
-        (lambda t: 1.0 / fn.b(t) ** 4,),
-        domega2=-4.0 * curve.bdot / b**5,
-    )
-    return curve, profile
+    p = _Poly([1.0, spec.gamma - 1.0])
+    curve = _curve_from_fns(TimeGrid.uniform(t_f, n), (_poly_fns(p, t_f),))
+    return curve, ermakov.inverse_engineer(curve)
 
 
 @dataclass

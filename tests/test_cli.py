@@ -308,6 +308,26 @@ class TestSweepCommand:
             main(["sweep", "--preset", "fig1", "--omega0-hz", "5000", "--gamma", "3",
                   "--out", str(tmp_path / "both")])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tf-dimensionless", "5"), ("--tf", "0.001"), ("--c3", "1"), ("--c4", "1"),
+        ("--family", "hybrid"), ("--tau-l", "3"), ("--tau-s", "3"), ("--beta", "0.5"),
+        ("--omega1", "1"), ("--omega2", "0.1"),
+    ])
+    def test_unused_protocol_input_refused(self, tmp_path, flag, value):
+        # these used to run and land in the header, e.g. "# tf_dimensionless = 5"
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit, match=f"sweep does not use {flag}$"):
+            main(["sweep", "--preset", "fig1", flag, value, "--out", str(out)])
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"preset = fig1\n{flag[2:]} = {value}\n", encoding="utf-8")
+        with pytest.raises(SystemExit, match=f"sweep does not use {flag}$"):
+            main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+        assert not out.exists()
+
+    def test_fig4_preset_duration_is_not_a_given_input(self, tmp_path):
+        with pytest.raises(SystemExit, match="^sweep needs --preset fig1 or --preset fig3$"):
+            main(["sweep", "--preset", "fig4", "--out", str(tmp_path / "sw")])
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_exits_with_message(self, tmp_path, jobs):
         out = tmp_path / "sw"
@@ -352,6 +372,24 @@ class TestPowerCommand:
             main(["power", "--gamma", "1", "--tf-dimensionless", "5", "--grid", "201", "--out", str(out)])
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--family", "hybrid"), ("--c3", "1"), ("--c4", "1"), ("--tau-l", "3"), ("--tau-s", "3"),
+        ("--beta", "0.5"), ("--omega1", "1"), ("--omega2", "0.1"),
+    ])
+    def test_unused_protocol_input_refused(self, tmp_path, flag, value):
+        # `power --preset fig4 --family hybrid --tau-l 3` used to run, with "# family = hybrid"
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit, match=f"power does not use {flag}$"):
+            main(["power", "--preset", "fig4", flag, value, "--out", str(out)])
+        cfgfile = tmp_path / "power.cfg"
+        cfgfile.write_text(f"preset = fig4\n{flag[2:]} = {value}\n", encoding="utf-8")
+        with pytest.raises(SystemExit, match=f"power does not use {flag}$"):
+            main(["power", "--config", str(cfgfile), "--out", str(out)])
+        with pytest.raises(SystemExit, match="power does not use --family, --tau-l$"):
+            main(["power", "--preset", "fig4", "--family", "hybrid", "--tau-l", "3",
+                  "--out", str(out)])
+        assert not out.exists()
 
     def test_even_grid_exits_with_message(self, tmp_path):
         out = tmp_path / "p2.csv"

@@ -222,7 +222,7 @@ def test_nelder_mead_matches_scipy_on_the_cap_search(t_f):
 
 def test_nelder_mead_matches_scipy_on_the_septic_power_search():
     spec = TrapSpec.from_gamma(10.0)
-    assert_same_as_scipy(lambda c3, c4: optimize._septic_peak(spec, 30.0, c3, c4, 201), (0.0, 0.0), 1e-6, 2000)
+    assert_same_as_scipy(optimize._septic_peak(spec, 30.0, 201), (0.0, 0.0), 1e-6, 2000)
 
 
 def test_nelder_mead_matches_scipy_when_cut_short():
