@@ -252,6 +252,7 @@ class FrequencyProfile:
     impulses: tuple[tuple[float, float], ...] = ()
     omega2_fns: tuple[Callable | None, ...] | None = None
     domega2: np.ndarray | None = None
+    # per-piece Hermite interpolants; perfbench/tracer.py counts the entries by this name
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -281,14 +282,42 @@ class FrequencyProfile:
         return _real_omega(self.omega2)
 
     def piece_callable(self, k: int) -> Callable:
-        """omega^2(t) on piece k: the closed form if present, else a spline."""
+        """omega^2(t) on piece k: the closed form if present, else the
+        piecewise cubic Hermite interpolant of the piece's samples.
+
+        The Hermite slopes are the stored ``domega2`` (error O(h^4)) or,
+        for bare samples, one ``np.gradient`` of the piece (O(h^3)); at
+        the nodes it returns the stored samples exactly.  Built once per
+        piece.
+        """
         if self.omega2_fns is not None and self.omega2_fns[k] is not None:
             return self.omega2_fns[k]
         if k not in self._splines:
-            from scipy.interpolate import CubicSpline
-
             lo, hi = self.grid.pieces[k]
-            self._splines[k] = CubicSpline(
-                self.grid.nodes[lo : hi + 1], self.omega2[lo : hi + 1]
-            )
+            x = self.grid.nodes[lo : hi + 1]
+            y = self.omega2[lo : hi + 1]
+            dy = np.gradient(y, x, edge_order=2) if self.domega2 is None else self.domega2[lo : hi + 1]
+            self._splines[k] = _hermite(x, y, dy)
         return self._splines[k]
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray) -> Callable:
+    """Piecewise cubic Hermite interpolant through (x, y) with slopes dy.
+
+    On [x_i, x_i+1], with h = x_i+1 - x_i, s = (t - x_i)/h and r = 1 - s:
+    (1 + 2s) r^2 y_i + s^2 (3 - 2s) y_i+1 + h s r (r dy_i - s dy_i+1),
+    which is y_i at s = 0 and y_i+1 at s = 1 exactly.  Times outside
+    [x_0, x_-1] extend the end cubics.
+    """
+    x, y, dy = (np.array(v, dtype=float) for v in (x, y, dy))
+
+    def value(t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+        h = x[i + 1] - x[i]
+        s = (t - x[i]) / h
+        r = 1.0 - s
+        return ((1.0 + 2.0 * s) * r * r * y[i] + s * s * (3.0 - 2.0 * s) * y[i + 1]
+                + h * s * r * (r * dy[i] - s * dy[i + 1]))
+
+    return value

@@ -121,9 +121,11 @@ def forward_solve(
 
     Classical fixed-step RK4 on the grid nodes, piece by piece: the W^2
     values at every stage time of a piece are tabulated once from
-    ``profile.piece_callable`` (closed form or cubic spline), then the
-    steps run as a scalar float loop.  A stage with b below 1e-9 aborts
-    with that stage's time, a non-finite state with the next node's time.
+    ``profile.piece_callable`` (the closed form, else the cubic Hermite
+    interpolant of the samples: O(h^4) with stored d(W^2)/dtau, O(h^3)
+    with slopes from ``np.gradient``), then the steps run as a scalar
+    float loop.  A stage with b below 1e-9 aborts with that stage's
+    time, a non-finite state with the next node's time.
 
     Impulses must sit on piece boundaries (or the endpoints); each one
     applies the slope jump bdot -> bdot - D b.  The returned curve stores

@@ -1,6 +1,5 @@
-"""Simpson quadrature on grid pieces, finite differences, the reference
-fixed-step RK4, Brent's bracketing root finder and the two-variable
-Nelder-Mead minimizer.
+"""Simpson quadrature on grid pieces, finite differences, Brent's
+bracketing root finder and the two-variable Nelder-Mead minimizer.
 
 The last two are operation-for-operation ports of SciPy 1.17.1 (BSD-3,
 Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), so they
@@ -15,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridMismatch, TimeGrid, TrajectoryBlowUp
+from .core import GridMismatch, TimeGrid
 
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:
@@ -57,29 +56,6 @@ def second_derivative(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
         d[0] = (2.0 * y[0] - 5.0 * y[1] + 4.0 * y[2] - y[3]) / h**2
         d[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / h**2
         out[lo : hi + 1] = d
-    return out
-
-
-def rk4_solve(rhs: Callable, y0, nodes: np.ndarray) -> np.ndarray:
-    """Classical fixed-step RK4 over the given nodes.
-
-    Returns the trajectory with one state row per node.  A non-finite
-    state aborts with the time at which it appeared.
-    """
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    out = np.empty((len(nodes), y.size))
-    out[0] = y
-    for i in range(len(nodes) - 1):
-        t = nodes[i]
-        h = nodes[i + 1] - t
-        k1 = np.asarray(rhs(t, y), dtype=float)
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise TrajectoryBlowUp("ODE state became non-finite", float(nodes[i + 1]))
-        out[i + 1] = y
     return out
 
 

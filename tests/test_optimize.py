@@ -153,6 +153,15 @@ class TestObjectivesMatchFullPath:
                 lambda: optimize._hybrid_avg_ena(spec, 300.0, *caps, 501),
             )
 
+    def test_cap_too_short_for_its_cubic_raises_as_the_full_path(self, spec):
+        # (tau/t_f)^2 underflows to 0 (1e-300) or d/(tau/t_f)^2 overflows (1e-158)
+        for caps in ((1e-300, 60.0), (3.0, 1e-300), (1e-158, 60.0)):
+            _same_error(
+                ValueError,
+                lambda: _full_cap_objective(spec, 300.0, *caps, 501),
+                lambda: optimize._hybrid_avg_ena(spec, 300.0, *caps, 501),
+            )
+
     def test_cap_objective_refuses_an_excited_mode_as_the_full_path(self):
         excited = TrapSpec.from_gamma(10.0, n=1)
         _same_error(

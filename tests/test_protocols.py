@@ -123,6 +123,14 @@ class TestHybridCaps:
         with pytest.raises(ValueError):
             protocols.hybrid_caps(spec, 1.0, tl, ts)
 
+    @pytest.mark.parametrize("tl,ts,cap", [(1e-300, 60.0, "launching cap tau_l = 1e-300"),
+                                           (3.0, 1e-300, "stopping cap tau_s = 1e-300"),
+                                           (1e-158, 60.0, "launching cap tau_l = 1e-158")])
+    def test_rejects_cap_too_short_for_its_cubic(self, spec, tl, ts, cap):
+        # the grid accepts a 1e-300 piece, but d/(tau/t_f)^2 is not a finite float
+        with pytest.raises(ValueError, match=f"^{cap} is too short"):
+            protocols.hybrid_caps(spec, 300.0, tl, ts, 201)
+
     @pytest.mark.parametrize("tl,ts", [(math.nan, 0.1), (0.1, math.nan)])
     def test_rejects_nan_caps(self, spec, tl, ts):
         with pytest.raises(ValueError, match="cap durations must be positive"):
