@@ -13,7 +13,6 @@ from .core import (
     GridMismatch,
     Infeasible,
     NonRealFrequency,
-    PieceFns,
     PowerUndefined,
     ScalingCurve,
     TimeGrid,
@@ -30,7 +29,6 @@ __all__ = [
     "GridMismatch",
     "Infeasible",
     "NonRealFrequency",
-    "PieceFns",
     "PowerUndefined",
     "ScalingCurve",
     "TimeGrid",

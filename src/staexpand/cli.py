@@ -190,7 +190,8 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
     )
 
 
-def _config_header(cfg: RunConfig, command: str) -> list[str]:
+def _config_header(cfg: RunConfig, command: str, nodes: int | None = None) -> list[str]:
+    """Run settings as ``#`` lines; ``grid`` is as requested, ``nodes`` the rows written."""
     spec = cfg.spec
     lines = [f"# staexpand {command}"]
     items = {
@@ -202,6 +203,8 @@ def _config_header(cfg: RunConfig, command: str) -> list[str]:
     if cfg.si_mode:
         items["omega0_rad_s"] = spec.omega0
         items["omegaf_rad_s"] = spec.omega_f
+    if nodes is not None:
+        items["nodes"] = nodes
     if cfg.params.t_f is not None:
         items["tf_dimensionless"] = cfg.params.t_f
     if cfg.params.family:
@@ -266,7 +269,7 @@ def _build_bundle(cfg: RunConfig) -> protocols.ProtocolBundle:
 def cmd_protocol(cfg: RunConfig) -> int:
     bundle = _build_bundle(cfg)
     curve, profile = bundle.curve, bundle.profile
-    lines = _config_header(cfg, "protocol")
+    lines = _config_header(cfg, "protocol", len(curve.grid))
     for t_imp, strength in profile.impulses:
         lines.append(f"# impulse t={_fmt(cfg.time_out(t_imp))} strength={_fmt(strength)}")
     lines.append(f"# omega2 in units of omega0^2; impulse strengths in units of omega0")
@@ -292,7 +295,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     )
     virial_applies = slopes_ok or bool(profile.impulses)
 
-    lines = _config_header(cfg, "energy")
+    lines = _config_header(cfg, "energy", len(curve.grid))
     s = lines.append
     s(f"# summary avg_E = {_fmt(trace.avg_E)} (hbar*omega0)")
     s(f"# summary avg_E2 = {_fmt(trace.avg_E2)} (hbar*omega0)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -186,13 +186,8 @@ class TimeGrid:
         return cls(edges, tuple(intervals))
 
 
-class PieceFns(NamedTuple):
-    """Closed-form b(t) and derivatives on one grid piece (bdddot optional)."""
-
-    b: Callable
-    bdot: Callable
-    bddot: Callable
-    bdddot: Callable | None = None
+# the closed form of one grid piece: times t -> (b, bdot, bddot, bdddot) at t
+Piece = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -203,7 +198,10 @@ class ScalingCurve:
     error).  ``b0_plus_dot`` / ``bf_minus_dot`` are the one-sided
     derivatives at 0+ and t_f-; they equal the bdot endpoints for smooth
     protocols and carry the pre/post-impulse bookkeeping for impulse
-    protocols.  ``fns`` optionally carries per-piece closed forms.
+    protocols.  ``fns`` optionally carries one closed form per grid piece:
+    a ``Piece``, which maps the piece's times t to the four arrays
+    (b, bdot, bddot, bdddot) at t; sampled on the piece's nodes, they equal
+    the stored columns bit for bit.
     """
 
     grid: TimeGrid
@@ -213,27 +211,24 @@ class ScalingCurve:
     bdddot: np.ndarray | None = None
     b0_plus_dot: float | None = None
     bf_minus_dot: float | None = None
-    fns: tuple[PieceFns, ...] | None = None
+    fns: tuple[Piece, ...] | None = None
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        self.bdot = np.asarray(self.bdot, dtype=float)
-        for name in ("bddot", "bdddot"):
-            v = getattr(self, name)
-            if v is not None:
-                setattr(self, name, np.asarray(v, dtype=float))
         n = len(self.grid)
         for name in ("b", "bdot", "bddot", "bdddot"):
             v = getattr(self, name)
-            if v is not None and len(v) != n:
-                raise GridMismatch(f"{name} has {len(v)} samples for {n} nodes")
+            if v is not None:
+                v = np.asarray(v, dtype=float)
+                if len(v) != n:
+                    raise GridMismatch(f"{name} has {len(v)} samples for {n} nodes")
+                setattr(self, name, v)
         _check_positive(self.b)
         if self.b0_plus_dot is None:
             self.b0_plus_dot = float(self.bdot[0])
         if self.bf_minus_dot is None:
             self.bf_minus_dot = float(self.bdot[-1])
         if self.fns is not None and len(self.fns) != self.grid.n_pieces:
-            raise ValueError("need one PieceFns per grid piece")
+            raise ValueError("need one closed form per grid piece")
 
 
 @dataclass
@@ -244,7 +239,8 @@ class FrequencyProfile:
     delta(t - time) to omega^2(t); strengths are in units of omega0.
     omega^2 samples may be negative (imaginary frequency); that is
     legitimate for total-energy work and refused by the non-adiabatic
-    machinery.
+    machinery.  ``domega2`` holds d(omega^2)/dtau per node; bare samples
+    get one ``np.gradient(..., edge_order=2)`` per piece (O(h^2)).
     """
 
     grid: TimeGrid
@@ -259,10 +255,14 @@ class FrequencyProfile:
         self.omega2 = np.asarray(self.omega2, dtype=float)
         if len(self.omega2) != len(self.grid):
             raise GridMismatch("omega2 sample count does not match the grid")
-        if self.domega2 is not None:
-            self.domega2 = np.asarray(self.domega2, dtype=float)
-            if len(self.domega2) != len(self.grid):
-                raise GridMismatch("domega2 sample count does not match the grid")
+        if self.domega2 is None:
+            self.domega2 = np.concatenate([
+                np.gradient(self.omega2[lo : hi + 1], self.grid.nodes[lo : hi + 1], edge_order=2)
+                for lo, hi in self.grid.pieces
+            ])
+        self.domega2 = np.asarray(self.domega2, dtype=float)
+        if len(self.domega2) != len(self.grid):
+            raise GridMismatch("domega2 sample count does not match the grid")
         self.impulses = tuple((float(t), float(s)) for t, s in self.impulses)
 
     @property
@@ -285,19 +285,16 @@ class FrequencyProfile:
         """omega^2(t) on piece k: the closed form if present, else the
         piecewise cubic Hermite interpolant of the piece's samples.
 
-        The Hermite slopes are the stored ``domega2`` (error O(h^4)) or,
-        for bare samples, one ``np.gradient`` of the piece (O(h^3)); at
-        the nodes it returns the stored samples exactly.  Built once per
-        piece.
+        The Hermite slopes are ``domega2``: the error is O(h^4) with
+        analytic slopes, O(h^3) with the ``np.gradient`` ones of bare
+        samples.  At the nodes it returns the stored samples exactly.
+        Built once per piece.
         """
         if self.omega2_fns is not None and self.omega2_fns[k] is not None:
             return self.omega2_fns[k]
         if k not in self._splines:
-            lo, hi = self.grid.pieces[k]
-            x = self.grid.nodes[lo : hi + 1]
-            y = self.omega2[lo : hi + 1]
-            dy = np.gradient(y, x, edge_order=2) if self.domega2 is None else self.domega2[lo : hi + 1]
-            self._splines[k] = _hermite(x, y, dy)
+            rows = slice(self.grid.pieces[k][0], self.grid.pieces[k][1] + 1)
+            self._splines[k] = _hermite(self.grid.nodes[rows], self.omega2[rows], self.domega2[rows])
         return self._splines[k]
 
 

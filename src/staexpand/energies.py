@@ -230,8 +230,8 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
 
     Impulse protocols are refused: the kick makes the power a squared
     delta.  So is gamma = 1, where the normalizing energy change C is 0.
-    d(W^2)/dtau comes from the stored analytic samples when the protocol
-    has them, else from centered differences per segment.
+    d(W^2)/dtau is ``profile.domega2``: analytic where the protocol has a
+    closed form, else the per-piece centered differences of its samples.
     """
     if profile.impulses:
         raise PowerUndefined("power is not a function for protocols with Dirac kicks")
@@ -240,15 +240,7 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
         raise GridMismatch("curve and profile live on different grids")
     grid = curve.grid
     c = (2 * spec.n + 1) / 4.0
-    if profile.domega2 is not None:
-        dom = profile.domega2
-    else:
-        dom = np.empty(len(grid))
-        for lo, hi in grid.pieces:
-            dom[lo : hi + 1] = np.gradient(
-                profile.omega2[lo : hi + 1], grid.nodes[lo : hi + 1], edge_order=2
-            )
-    P = _power_samples(spec, dom, curve.b)
+    P = _power_samples(spec, profile.domega2, curve.b)
 
     steps: list[tuple[float, float]] = []
     if profile.omega2[0] != 1.0:

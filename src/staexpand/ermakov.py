@@ -11,7 +11,7 @@ bdot(tau+) = bdot(tau-) - D b(tau) with b continuous.
 """
 from __future__ import annotations
 
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .core import (
 
 _B_COLLAPSE = 1e-9
 _COLLAPSE_MSG = "scaling function collapsed toward b = 0"
+# b oscillates at 2W about b = W^(-1/2), and RK4 is stable on the imaginary
+# axis up to |h lambda| = 2 sqrt(2): h max W = sqrt(2) is its step limit
+_RK4_STABLE_HW = sqrt(2.0)
 
 
 def _bddot_samples(curve: ScalingCurve) -> np.ndarray:
@@ -66,10 +69,8 @@ def inverse_engineer(curve: ScalingCurve) -> FrequencyProfile:
 
     omega2_fns = None
     if curve.fns is not None:
-        omega2_fns = tuple((lambda t, fn=fn: _omega2(fn.b(t), fn.bddot(t))) for fn in curve.fns)
-    domega2 = None
-    if curve.bdddot is not None:
-        domega2 = _domega2(b, curve.bdot, bddot, curve.bdddot)
+        omega2_fns = tuple((lambda t, fn=fn: _omega2(*fn(t)[::2])) for fn in curve.fns)
+    domega2 = None if curve.bdddot is None else _domega2(b, curve.bdot, bddot, curve.bdddot)
     return FrequencyProfile(curve.grid, omega2, (), omega2_fns, domega2)
 
 
@@ -125,7 +126,9 @@ def forward_solve(
     interpolant of the samples: O(h^4) with stored d(W^2)/dtau, O(h^3)
     with slopes from ``np.gradient``), then the steps run as a scalar
     float loop.  A stage with b below 1e-9 aborts with that stage's
-    time, a non-finite state with the next node's time.
+    time, a non-finite state with the next node's time; when the piece's
+    step h has h max W above RK4's stability limit sqrt(2), the message
+    names h, that product and the limit.
 
     Impulses must sit on piece boundaries (or the endpoints); each one
     applies the slope jump bdot -> bdot - D b.  The returned curve stores
@@ -161,11 +164,18 @@ def forward_solve(
         ts = nodes.tolist()
         w = [np.broadcast_to(om(t), t.shape).tolist() for t in (t0, t0 + 0.5 * hs, t0 + hs)]
         try:
-            bs, vs = _rk4_piece(state_b, state_v, ts, *w)
-        except OverflowError:
-            # b**3 past ~5.6e102 raises on Python floats; numpy float64
-            # overflows to inf instead, which the non-finite check reports
-            bs, vs = _rk4_piece(np.float64(state_b), np.float64(state_v), ts, *w)
+            try:
+                bs, vs = _rk4_piece(state_b, state_v, ts, *w)
+            except OverflowError:
+                # b**3 past ~5.6e102 raises on Python floats; numpy float64
+                # overflows to inf instead, which the non-finite check reports
+                bs, vs = _rk4_piece(np.float64(state_b), np.float64(state_v), ts, *w)
+        except TrajectoryBlowUp as exc:
+            hw = float(hs.max()) * sqrt(max(0.0, *(max(x) for x in w)))
+            if hw > _RK4_STABLE_HW:
+                exc.args = (f"{exc}: the step h = {hs.max():.6g} gives h*max W = {hw:.6g}, above "
+                            f"RK4's stability limit sqrt(2) = {_RK4_STABLE_HW:.6g}; refine the grid",)
+            raise
         b[lo : hi + 1] = bs
         bdot[lo : hi + 1] = vs
         bp = b[lo : hi + 1]

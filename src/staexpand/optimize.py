@@ -58,12 +58,11 @@ def _hybrid_avg_ena(spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n_gr
     ena = np.empty(len(grid))
     for k in (2, 0, 1):
         lo, hi = grid.pieces[k]
-        t = grid.nodes[lo : hi + 1]
-        b = fns[k].b(t)
-        omega2 = ermakov._omega2(b, fns[k].bddot(t))
+        b, bdot, bddot, _ = fns[k](grid.nodes[lo : hi + 1])
+        omega2 = ermakov._omega2(b, bddot)
         if _is_imaginary(omega2):
             return math.inf
-        ena[lo : hi + 1] = energies._ena(b, fns[k].bdot(t), omega2, _real_omega(omega2))
+        ena[lo : hi + 1] = energies._ena(b, bdot, omega2, _real_omega(omega2))
     energies._check_ground_state(spec)  # where the full path refuses an excited mode
     return numerics.average(ena, grid)
 
@@ -136,10 +135,9 @@ def _septic_peak(spec: TrapSpec, t_f: float, n_grid: int) -> Callable[[float, fl
     scale = energies._energy_change(spec) / t_f
 
     def peak(c3: float, c4: float) -> float:
-        fn = protocols._septic_fns(spec, t_f, c3, c4)
-        b = fn.b(t)
+        b, bdot, bddot, bdddot = protocols._septic_fns(spec, t_f, c3, c4)(t)
         _check_positive(b)
-        dom = ermakov._domega2(b, fn.bdot(t), fn.bddot(t), fn.bdddot(t))
+        dom = ermakov._domega2(b, bdot, bddot, bdddot)
         return float(np.max(np.abs(energies._power_samples(spec, dom, b) / scale)))
 
     return peak

@@ -34,7 +34,7 @@ from .core import (
     DEFAULT_GRID_N,
     FrequencyProfile,
     Infeasible,
-    PieceFns,
+    Piece,
     ScalingCurve,
     TimeGrid,
     TrajectoryBlowUp,
@@ -54,44 +54,24 @@ def _check_duration(t_f) -> None:
         raise ValueError(f"t_f must be positive and finite (got {t_f!r})")
 
 
-def _sqrt_fns(g, g1, g2, g3) -> PieceFns:
-    """PieceFns for b = sqrt(g) given g and its first three derivatives."""
-
-    def b(t):
-        return np.sqrt(g(t))
-
-    def bdot(t):
-        return g1(t) / (2.0 * np.sqrt(g(t)))
-
-    def bddot(t):
-        gg = g(t)
-        return g2(t) / (2.0 * np.sqrt(gg)) - g1(t) ** 2 / (4.0 * gg**1.5)
-
-    def bdddot(t):
-        gg = g(t)
-        return (
-            g3(t) / (2.0 * np.sqrt(gg))
-            - 3.0 * g1(t) * g2(t) / (4.0 * gg**1.5)
-            + 3.0 * g1(t) ** 3 / (8.0 * gg**2.5)
-        )
-
-    return PieceFns(b, bdot, bddot, bdddot)
+def _sqrt_cols(g, g1, g2, g3):
+    """(b, bdot, bddot, bdddot) of b = sqrt(g) from g and its first three
+    derivatives, as arrays."""
+    r = np.sqrt(g)
+    g15 = g**1.5
+    return (
+        r,
+        g1 / (2.0 * r),
+        g2 / (2.0 * r) - g1**2 / (4.0 * g15),
+        g3 / (2.0 * r) - 3.0 * g1 * g2 / (4.0 * g15) + 3.0 * g1**3 / (8.0 * g**2.5),
+    )
 
 
-def _curve_from_fns(grid: TimeGrid, fns: tuple[PieceFns, ...], **kw) -> ScalingCurve:
-    n = len(grid)
-    b = np.empty(n)
-    bdot = np.empty(n)
-    bddot = np.empty(n)
-    bdddot = np.empty(n) if all(f.bdddot is not None for f in fns) else None
-    for k, (lo, hi) in enumerate(grid.pieces):
-        t = grid.nodes[lo : hi + 1]
-        b[lo : hi + 1] = fns[k].b(t)
-        bdot[lo : hi + 1] = fns[k].bdot(t)
-        bddot[lo : hi + 1] = fns[k].bddot(t)
-        if bdddot is not None:
-            bdddot[lo : hi + 1] = fns[k].bdddot(t)
-    return ScalingCurve(grid, b, bdot, bddot, bdddot, fns=fns, **kw)
+def _curve_from_fns(grid: TimeGrid, fns: tuple[Piece, ...], **kw) -> ScalingCurve:
+    cols = np.empty((4, len(grid)))
+    for fn, (lo, hi) in zip(fns, grid.pieces, strict=True):
+        cols[:, lo : hi + 1] = fn(grid.nodes[lo : hi + 1])
+    return ScalingCurve(grid, *cols, fns=fns, **kw)
 
 
 class _Poly:
@@ -118,14 +98,15 @@ class _Poly:
         return _Poly(c)
 
 
-def _poly_fns(p: _Poly, t_f: float) -> PieceFns:
+def _poly_fns(p: _Poly, t_f: float) -> Piece:
+    """The piece b(t) = p(t/t_f)."""
     d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
-    return PieceFns(
-        b=lambda t: p(t / t_f),
-        bdot=lambda t: d1(t / t_f) / t_f,
-        bddot=lambda t: d2(t / t_f) / t_f**2,
-        bdddot=lambda t: d3(t / t_f) / t_f**3,
-    )
+
+    def piece(t):
+        s = t / t_f
+        return p(s), d1(s) / t_f, d2(s) / t_f**2, d3(s) / t_f**3
+
+    return piece
 
 
 def quintic(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ScalingCurve:
@@ -153,7 +134,7 @@ def septic(
     return _curve_from_fns(grid, (_septic_fns(spec, t_f, c3, c4),))
 
 
-def _septic_fns(spec: TrapSpec, t_f: float, c3: float, c4: float) -> PieceFns:
+def _septic_fns(spec: TrapSpec, t_f: float, c3: float, c4: float) -> Piece:
     """The closed forms of ``septic`` (no duration check)."""
     g = spec.gamma
     p = _Poly(
@@ -194,15 +175,14 @@ def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> Scalin
     if np.min(pp(np.linspace(0.0, 1.0, 512))) <= 0.0:
         raise ValueError("radicand of the scaling function is not positive")
     d1, d2 = pp.deriv(1), pp.deriv(2)
-    fns = _sqrt_fns(
-        g=lambda t: pp(t / t_f),
-        g1=lambda t: d1(t / t_f) / t_f,
-        g2=lambda t: d2(t / t_f) / t_f**2,
-        g3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-    )
+
+    def piece(t):
+        s = t / t_f
+        return _sqrt_cols(pp(s), d1(s) / t_f, d2(s) / t_f**2, np.zeros_like(s))
+
     return _curve_from_fns(
         TimeGrid.uniform(t_f, n),
-        (fns,),
+        (piece,),
         b0_plus_dot=B / t_f,
         bf_minus_dot=(b2mt2 + B) / (g * t_f),
     )
@@ -249,7 +229,7 @@ def hybrid_caps(
 
 def _hybrid_pieces(
     spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n: int
-) -> tuple[TimeGrid, tuple[PieceFns, PieceFns, PieceFns]]:
+) -> tuple[TimeGrid, tuple[Piece, Piece, Piece]]:
     """The grid of ``hybrid_caps`` and the closed forms of its launching
     cap, linear middle and stopping cap, in grid order."""
     _check_duration(t_f)
@@ -273,12 +253,11 @@ def _hybrid_pieces(
     # cap 2 in u = 1 - s:  gamma - (2d/u_r) u^2 + (d/u_r^2) u^3
     p2 = _Poly([spec.gamma, 0.0, -2.0 * d / u_r, d / u_r**2])
     q1, q2, q3 = p2.deriv(1), p2.deriv(2), p2.deriv(3)
-    cap2 = PieceFns(
-        b=lambda t: p2((t_f - t) / t_f),
-        bdot=lambda t: -q1((t_f - t) / t_f) / t_f,
-        bddot=lambda t: q2((t_f - t) / t_f) / t_f**2,
-        bdddot=lambda t: -q3((t_f - t) / t_f) / t_f**3,
-    )
+
+    def cap2(t):
+        u = (t_f - t) / t_f
+        return p2(u), -q1(u) / t_f, q2(u) / t_f**2, -q3(u) / t_f**3
+
     grid = TimeGrid.piecewise([0.0, tau_l, t_f - tau_s, t_f], n)
     return grid, (_poly_fns(p1, t_f), _poly_fns(pm, t_f), cap2)
 
@@ -357,60 +336,52 @@ def bang_bang_times(spec: TrapSpec, omega1: float, omega2: float) -> tuple[float
     return t1, t2
 
 
-def _bang_bang_seg1_fns(omega1: float) -> PieceFns:
+def _bang_bang_seg1_fns(omega1: float) -> Piece:
+    """b = sqrt(g) with g = 1 + (1 + w1^2) sinh^2(w1 t)/w1^2 on (0, t1)."""
     w1s = omega1**2
+    c = 1.0 + w1s
     if omega1 < _OMEGA1_SERIES_SWITCH:
         # sinh^2(w1 t)/w1^2 and derivatives by series: exact at omega1 = 0
-        def g(t):
-            t = np.asarray(t, dtype=float)
-            return 1.0 + (1.0 + w1s) * (t**2 + w1s * t**4 / 3.0 + 2.0 * w1s**2 * t**6 / 45.0)
-
-        def g1(t):
-            t = np.asarray(t, dtype=float)
-            return (1.0 + w1s) * (2.0 * t + 4.0 * w1s * t**3 / 3.0 + 4.0 * w1s**2 * t**5 / 15.0)
-
-        def g2(t):
-            t = np.asarray(t, dtype=float)
-            return (1.0 + w1s) * (2.0 + 4.0 * w1s * t**2 + 4.0 * w1s**2 * t**4 / 3.0)
-
-        def g3(t):
-            t = np.asarray(t, dtype=float)
-            return (1.0 + w1s) * (8.0 * w1s * t + 16.0 * w1s**2 * t**3 / 3.0)
+        def piece(t):
+            return _sqrt_cols(
+                1.0 + c * (t**2 + w1s * t**4 / 3.0 + 2.0 * w1s**2 * t**6 / 45.0),
+                c * (2.0 * t + 4.0 * w1s * t**3 / 3.0 + 4.0 * w1s**2 * t**5 / 15.0),
+                c * (2.0 + 4.0 * w1s * t**2 + 4.0 * w1s**2 * t**4 / 3.0),
+                c * (8.0 * w1s * t + 16.0 * w1s**2 * t**3 / 3.0),
+            )
 
     else:
-        u = (1.0 + w1s) / w1s
+        u = c / w1s
 
-        def g(t):
-            return 1.0 + u * np.sinh(omega1 * np.asarray(t, dtype=float)) ** 2
+        def piece(t):
+            x = 2.0 * omega1 * t
+            sinh2 = np.sinh(x)
+            return _sqrt_cols(
+                1.0 + u * np.sinh(omega1 * t) ** 2,
+                u * omega1 * sinh2,
+                2.0 * u * w1s * np.cosh(x),
+                4.0 * u * omega1**3 * sinh2,
+            )
 
-        def g1(t):
-            return u * omega1 * np.sinh(2.0 * omega1 * np.asarray(t, dtype=float))
-
-        def g2(t):
-            return 2.0 * u * w1s * np.cosh(2.0 * omega1 * np.asarray(t, dtype=float))
-
-        def g3(t):
-            return 4.0 * u * omega1**3 * np.sinh(2.0 * omega1 * np.asarray(t, dtype=float))
-
-    return _sqrt_fns(g, g1, g2, g3)
+    return piece
 
 
-def _bang_bang_seg2_fns(gamma: float, omega2: float, t_f: float) -> PieceFns:
+def _bang_bang_seg2_fns(gamma: float, omega2: float, t_f: float) -> Piece:
+    """b = sqrt(g) with g = gamma^2 + a sin^2(w2 (t_f - t)) on (t1, t_f)."""
     a = (1.0 - gamma**4 * omega2**2) / (gamma**2 * omega2**2)
 
-    def g(t):
-        return gamma**2 + a * np.sin(omega2 * (t_f - np.asarray(t, dtype=float))) ** 2
+    def piece(t):
+        u = t_f - t
+        x = 2.0 * omega2 * u
+        sin2 = np.sin(x)
+        return _sqrt_cols(
+            gamma**2 + a * np.sin(omega2 * u) ** 2,
+            -a * omega2 * sin2,
+            2.0 * a * omega2**2 * np.cos(x),
+            4.0 * a * omega2**3 * sin2,
+        )
 
-    def g1(t):
-        return -a * omega2 * np.sin(2.0 * omega2 * (t_f - np.asarray(t, dtype=float)))
-
-    def g2(t):
-        return 2.0 * a * omega2**2 * np.cos(2.0 * omega2 * (t_f - np.asarray(t, dtype=float)))
-
-    def g3(t):
-        return 4.0 * a * omega2**3 * np.sin(2.0 * omega2 * (t_f - np.asarray(t, dtype=float)))
-
-    return _sqrt_fns(g, g1, g2, g3)
+    return piece
 
 
 def bang_bang(
@@ -422,23 +393,18 @@ def bang_bang(
     seg2 = _bang_bang_seg2_fns(spec.gamma, omega2, t_f)
     if t1 == 0.0:
         grid = TimeGrid.uniform(t_f, n if n % 2 else n + 1)
-        fns: tuple[PieceFns, ...] = (seg2,)
+        fns: tuple[Piece, ...] = (seg2,)
         om_vals = [omega2**2]
     else:
         grid = TimeGrid.piecewise([0.0, t1, t_f], n)
         fns = (_bang_bang_seg1_fns(omega1), seg2)
         om_vals = [-(omega1**2), omega2**2]
     curve = _curve_from_fns(grid, fns)
-    omega2_samples = np.empty(len(grid))
-    omega2_fns = []
-    for k, (lo, hi) in enumerate(grid.pieces):
-        omega2_samples[lo : hi + 1] = om_vals[k]
-        omega2_fns.append(lambda t, v=om_vals[k]: v * np.ones_like(np.asarray(t, dtype=float)))
     profile = FrequencyProfile(
         grid,
-        omega2_samples,
+        np.concatenate([np.full(hi + 1 - lo, v) for v, (lo, hi) in zip(om_vals, grid.pieces)]),
         (),
-        tuple(omega2_fns),
+        tuple((lambda t, v=v: np.full(np.shape(t), v)) for v in om_vals),
         domega2=np.zeros(len(grid)),
     )
     return BangBangProtocol(curve, profile, t1, t2, omega1, omega2)

@@ -548,6 +548,22 @@ def test_tables_match_the_per_row_reference(tmp_path, family, command, si):
     assert [header, *parsed] == [r.split(",") for r in rows]
 
 
+@pytest.mark.parametrize("command", ["protocol", "energy"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_nodes_line_counts_the_rows(tmp_path, family, command):
+    # piecewise families (hybrid, bang_bang, bang_bang_na) write more rows than
+    # the requested --grid: "# grid" keeps the request, "# nodes" counts the rows
+    out = tmp_path / "t.csv"
+    argv = [command, "--family", family, "--gamma", "3", "--tf-dimensionless", "4", "--grid", "51"]
+    assert main([*argv, "--out", str(out)]) == 0
+    comments = [l for l in read_lines(out) if l.startswith("#")]
+    _, rows = csv_rows(out)
+    at = comments.index("# grid = 51")
+    assert comments[at + 1] == f"# nodes = {len(rows)}"
+    if family == "hybrid":
+        assert len(rows) == 107
+
+
 def test_verify_command_reports_known_failure(capsys):
     # small grid keeps it fast; the logarithmic asymptote check is the one
     # documented honest failure

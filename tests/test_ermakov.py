@@ -103,8 +103,25 @@ class TestForwardSolve:
         # a fast fall on a coarse grid steps straight through the 1/b^3 barrier
         grid = TimeGrid.uniform(1.0, 11)
         profile = FrequencyProfile(grid, np.zeros(11))
-        with pytest.raises(TrajectoryBlowUp):
+        with pytest.raises(TrajectoryBlowUp) as exc:
             ermakov.forward_solve(profile, b0=1.0, bdot0=-20.0)
+        assert "stability limit" not in str(exc.value)  # W = 0: no step is unstable
+
+    def test_unstable_step_is_named(self):
+        # quintic gamma 3, t_f 40 has max W = 1, so 21 nodes (h = 2) exceed
+        # RK4's limit h max W = sqrt(2) for b's oscillation at 2W; 41 do not
+        spec = TrapSpec.from_gamma(3.0)
+        profile = ermakov.inverse_engineer(protocols.quintic(spec, 40.0, 21))
+        with pytest.raises(TrajectoryBlowUp) as exc:
+            ermakov.forward_solve(profile)
+        assert str(exc.value) == (
+            "scaling function collapsed toward b = 0 (t = 21): the step h = 2 gives "
+            "h*max W = 2, above RK4's stability limit sqrt(2) = 1.41421; refine the grid"
+        )
+        assert exc.value.t == 21.0
+        curve = protocols.quintic(spec, 40.0, 41)
+        solved = ermakov.forward_solve(ermakov.inverse_engineer(curve))
+        assert np.max(np.abs(solved.b - curve.b)) < 1e-3
 
     def test_bang_bang_profile_round_trip(self, spec):
         bb = protocols.bang_bang(spec, 1.0, 1.0)

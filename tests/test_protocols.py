@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from staexpand import TrapSpec, ermakov, numerics, protocols
+from staexpand import FrequencyProfile, TrapSpec, ermakov, numerics, protocols
 from staexpand.core import Infeasible
 
 
@@ -33,7 +33,7 @@ class TestQuintic:
     def test_midpoint_value(self, spec):
         # direct polynomial evaluation at s = 1/2: 1 + (gamma-1)/2
         c = protocols.quintic(spec, 2.0)
-        assert c.fns[0].b(1.0) == pytest.approx(5.5, rel=1e-14)
+        assert c.fns[0](1.0)[0] == pytest.approx(5.5, rel=1e-14)
 
     def test_no_expansion_is_flat(self):
         c = protocols.quintic(TrapSpec.from_gamma(1.0), 2.0)
@@ -163,9 +163,9 @@ class TestBangBang:
 
     def test_matching_continuity(self, spec):
         bb = protocols.bang_bang(spec, 1.0, 1.0)
-        left, right = bb.curve.fns
-        assert abs(float(left.b(bb.t1)) - float(right.b(bb.t1))) < 1e-10
-        assert abs(float(left.bdot(bb.t1)) - float(right.bdot(bb.t1))) < 1e-10
+        (b_l, bdot_l, _, _), (b_r, bdot_r, _, _) = (fn(bb.t1) for fn in bb.curve.fns)
+        assert abs(float(b_l) - float(b_r)) < 1e-10
+        assert abs(float(bdot_l) - float(bdot_r)) < 1e-10
 
     def test_segment_residual(self, spec):
         bb = protocols.bang_bang(spec, 1.0, 1.0)
@@ -408,3 +408,60 @@ class TestPolyMatchesNumpy:
             assert d.c == ref.tolist()   # past the degree: [0.0]
             assert np.array_equal(d(x), P.polyval(x, ref))
             assert d(0.61) == P.polyval(0.61, ref)
+
+
+def _piece(name):
+    """(curve, piece index) of each closed-form piece kind at gamma 10."""
+    spec = TrapSpec.from_gamma(10.0)
+    return {
+        "poly": lambda: (protocols.quintic(spec, 3.0, 201), 0),
+        "septic": lambda: (protocols.septic(spec, 3.0, 7.5, -20.0, 201), 0),
+        "stopping_cap": lambda: (protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 301), 2),
+        "quasi_optimal": lambda: (protocols.quasi_optimal(spec, 3.0, 201), 0),
+        "bang_bang_step1": lambda: (protocols.bang_bang(spec, 1.0, 1.0, 201).curve, 0),
+        "bang_bang_step1_series": lambda: (protocols.bang_bang(spec, 5e-7, 0.5, 201).curve, 0),
+        "bang_bang_step1_omega1_zero": lambda: (protocols.bang_bang_na(spec, 0.5, 201).curve, 0),
+        "bang_bang_step2": lambda: (protocols.bang_bang(spec, 1.0, 1.0, 201).curve, 1),
+    }[name]()
+
+
+PIECES = ("poly", "septic", "stopping_cap", "quasi_optimal", "bang_bang_step1",
+          "bang_bang_step1_series", "bang_bang_step1_omega1_zero", "bang_bang_step2")
+
+
+class TestPieceContract:
+    """A closed-form piece maps times t to (b, bdot, bddot, bdddot) at t."""
+
+    @pytest.mark.parametrize("name", PIECES)
+    def test_piece_on_its_nodes_is_the_stored_columns(self, name):
+        curve, k = _piece(name)
+        lo, hi = curve.grid.pieces[k]
+        cols = curve.fns[k](curve.grid.nodes[lo : hi + 1])
+        for got, stored in zip(cols, (curve.b, curve.bdot, curve.bddot, curve.bdddot), strict=True):
+            assert np.all(got == stored[lo : hi + 1])
+
+    @pytest.mark.parametrize("name", PIECES)
+    def test_each_derivative_is_the_slope_of_the_one_below(self, name):
+        curve, k = _piece(name)
+        e0, e1 = curve.grid.edges[k], curve.grid.edges[k + 1]
+        h = 1e-5 * (e1 - e0)  # truncation and round-off both below 1e-7 here
+        t = np.linspace(e0 + h, e1 - h, 2001)
+        below, at, above = (curve.fns[k](x) for x in (t - h, t, t + h))
+        for i in range(3):
+            slope = (above[i] - below[i]) / (2.0 * h)
+            assert np.max(np.abs(slope - at[i + 1])) <= 1e-6 * np.max(np.abs(at[i + 1]))
+
+    def test_septic_fns_is_the_septic_piece(self):
+        spec = TrapSpec.from_gamma(10.0)
+        curve = protocols.septic(spec, 3.0, 7.5, -20.0, 201)
+        cols = protocols._septic_fns(spec, 3.0, 7.5, -20.0)(curve.grid.nodes)
+        for got, stored in zip(cols, (curve.b, curve.bdot, curve.bddot, curve.bdddot), strict=True):
+            assert np.all(got == stored)
+
+    @pytest.mark.parametrize("name", ("stopping_cap", "bang_bang_step1", "quasi_optimal"))
+    def test_bare_profile_gets_the_per_piece_gradient(self, name):
+        profile = ermakov.inverse_engineer(_piece(name)[0])
+        bare = FrequencyProfile(profile.grid, profile.omega2)
+        for lo, hi in profile.grid.pieces:
+            x, y = profile.grid.nodes[lo : hi + 1], profile.omega2[lo : hi + 1]
+            assert np.all(bare.domega2[lo : hi + 1] == np.gradient(y, x, edge_order=2))
