@@ -40,8 +40,7 @@ for name, curve in (
     ("quintic", protocols.quintic(spec, 10.0)),
     ("septic ", protocols.septic(spec, 10.0, 78.5088, -459.7638)),
 ):
-    tr = energies.averages(
-        energies.instantaneous(curve, ermakov.inverse_engineer(curve), spec), curve, spec
-    )
+    profile = ermakov.inverse_engineer(curve)
+    tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
     print(f"  {name}: avg_K = {tr.avg_K:8.4f}, avg_V = {tr.avg_V:8.4f}, "
           f"kick term = {tr.delta_delta:.1e}")

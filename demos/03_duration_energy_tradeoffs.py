@@ -19,9 +19,8 @@ print("gamma = 10 trap, energies in hbar*omega0, times in ms")
 print("   t_f(ms)   quintic    bang-bang   bound E_nL")
 for tau in np.geomspace(0.05 * t_max, t_max, 10):
     curve = protocols.quintic(spec, tau)
-    tr = energies.averages(
-        energies.instantaneous(curve, ermakov.inverse_engineer(curve), spec), curve, spec
-    )
+    profile = ermakov.inverse_engineer(curve)
+    tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
     bound = energies.lower_bound_avg_energy(spec, float(tau)).value
     try:
         bb = protocols.bang_bang_for_duration(spec, float(tau))

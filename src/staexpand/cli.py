@@ -10,8 +10,9 @@ comma, a double quote or a line break (a sweep's ``reason``) is quoted as
 RFC 4180 says.  Named presets ``fig1``, ``fig3`` and ``fig4`` bake in the
 2500 Hz -> 25 Hz trap (and 8 ms for ``fig4``); with --gamma the preset
 adds none of these SI values.  Sweeps need --points-per-decade >= 1.
-``power`` and ``sweep`` refuse the protocol inputs they do not read
-(and ``sweep`` the duration flags).
+Each table command refuses the inputs it does not read: ``power`` and
+``sweep`` the protocol inputs, ``sweep`` the duration flags, and
+``protocol``, ``energy`` and ``power`` the sweep-only flags.
 """
 from __future__ import annotations
 
@@ -100,9 +101,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 # inputs a command reads no value of, refused when given as a flag or in --config:
 # power compares quintic with the optimized septic, sweeps run their preset's
-# families over a duration range
+# families over a duration range, and only sweeps read the range and the pool size
 _PROTOCOL_INPUTS = ("family", "c3", "c4", "tau_l", "tau_s", "beta", "omega1", "omega2")
-_UNUSED_INPUTS = {"power": _PROTOCOL_INPUTS, "sweep": ("tf", "tf_dimensionless", *_PROTOCOL_INPUTS)}
+_SWEEP_INPUTS = ("tf_min", "tf_max", "points_per_decade", "jobs")
+_UNUSED_INPUTS = {
+    "protocol": _SWEEP_INPUTS,
+    "energy": _SWEEP_INPUTS,
+    "power": (*_PROTOCOL_INPUTS, *_SWEEP_INPUTS),
+    "sweep": ("tf", "tf_dimensionless", *_PROTOCOL_INPUTS),
+}
 
 
 def _check_grid(n: int) -> int:

@@ -192,7 +192,8 @@ Piece = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 @dataclass
 class ScalingCurve:
-    """A scaling function b with derivatives sampled on a grid.
+    """A scaling function b and its derivatives bdot, bddot and bdddot,
+    all four sampled on a grid.
 
     b > 0 everywhere (it is a mode width; a zero crossing is a hard
     error).  ``b0_plus_dot`` / ``bf_minus_dot`` are the one-sided
@@ -207,8 +208,8 @@ class ScalingCurve:
     grid: TimeGrid
     b: np.ndarray
     bdot: np.ndarray
-    bddot: np.ndarray | None = None
-    bdddot: np.ndarray | None = None
+    bddot: np.ndarray
+    bdddot: np.ndarray
     b0_plus_dot: float | None = None
     bf_minus_dot: float | None = None
     fns: tuple[Piece, ...] | None = None
@@ -216,12 +217,10 @@ class ScalingCurve:
     def __post_init__(self):
         n = len(self.grid)
         for name in ("b", "bdot", "bddot", "bdddot"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=float)
-                if len(v) != n:
-                    raise GridMismatch(f"{name} has {len(v)} samples for {n} nodes")
-                setattr(self, name, v)
+            v = np.asarray(getattr(self, name), dtype=float)
+            if len(v) != n:
+                raise GridMismatch(f"{name} has {len(v)} samples for {n} nodes")
+            setattr(self, name, v)
         _check_positive(self.b)
         if self.b0_plus_dot is None:
             self.b0_plus_dot = float(self.bdot[0])
@@ -239,15 +238,14 @@ class FrequencyProfile:
     delta(t - time) to omega^2(t); strengths are in units of omega0.
     omega^2 samples may be negative (imaginary frequency); that is
     legitimate for total-energy work and refused by the non-adiabatic
-    machinery.  ``domega2`` holds d(omega^2)/dtau per node; bare samples
-    get one ``np.gradient(..., edge_order=2)`` per piece (O(h^2)).
+    machinery.  ``domega2`` holds d(omega^2)/dtau per node.
     """
 
     grid: TimeGrid
     omega2: np.ndarray
+    domega2: np.ndarray
     impulses: tuple[tuple[float, float], ...] = ()
     omega2_fns: tuple[Callable | None, ...] | None = None
-    domega2: np.ndarray | None = None
     # per-piece Hermite interpolants; perfbench/tracer.py counts the entries by this name
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -255,11 +253,6 @@ class FrequencyProfile:
         self.omega2 = np.asarray(self.omega2, dtype=float)
         if len(self.omega2) != len(self.grid):
             raise GridMismatch("omega2 sample count does not match the grid")
-        if self.domega2 is None:
-            self.domega2 = np.concatenate([
-                np.gradient(self.omega2[lo : hi + 1], self.grid.nodes[lo : hi + 1], edge_order=2)
-                for lo, hi in self.grid.pieces
-            ])
         self.domega2 = np.asarray(self.domega2, dtype=float)
         if len(self.domega2) != len(self.grid):
             raise GridMismatch("domega2 sample count does not match the grid")
@@ -285,10 +278,8 @@ class FrequencyProfile:
         """omega^2(t) on piece k: the closed form if present, else the
         piecewise cubic Hermite interpolant of the piece's samples.
 
-        The Hermite slopes are ``domega2``: the error is O(h^4) with
-        analytic slopes, O(h^3) with the ``np.gradient`` ones of bare
-        samples.  At the nodes it returns the stored samples exactly.
-        Built once per piece.
+        The Hermite slopes are ``domega2``, so the error is O(h^4); at the
+        nodes it returns the stored samples exactly.  Built once per piece.
         """
         if self.omega2_fns is not None and self.omega2_fns[k] is not None:
             return self.omega2_fns[k]

@@ -38,7 +38,6 @@ from .core import (
 class EnergyTrace:
     """Per-node energies plus their averages and impulse bookkeeping."""
 
-    grid: object
     E: np.ndarray
     K: np.ndarray
     V: np.ndarray
@@ -48,9 +47,7 @@ class EnergyTrace:
     avg_V: float | None = None
     avg_E2: float | None = None
     avg_Ena: float | None = None
-    avg_Ena2: float | None = None
     delta_delta: float = 0.0
-    delta_boundary: float = 0.0
 
 
 def instantaneous(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> EnergyTrace:
@@ -61,26 +58,20 @@ def instantaneous(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec
     b = curve.b
     K = c * (curve.bdot**2 + 1.0 / b**2)
     V = c * profile.omega2 * b**2
-    return EnergyTrace(grid=curve.grid, E=K + V, K=K, V=V)
+    return EnergyTrace(E=K + V, K=K, V=V)
 
 
-def impulse_contribution(curve: ScalingCurve, spec: TrapSpec) -> tuple[float, float]:
-    """Averaged-energy contribution of endpoint Dirac kicks, and the
-    boundary term from partial integration; equal and opposite.
-
-    delta_delta = ((2n+1)/(4 t_f)) [bdot(tf-) b(tf) - bdot(0+) b(0)].
-    """
+def impulse_contribution(curve: ScalingCurve, spec: TrapSpec) -> float:
+    """Averaged-energy contribution of the endpoint Dirac kicks,
+    ((2n+1)/(4 t_f)) [bdot(tf-) b(tf) - bdot(0+) b(0)]; its negative is
+    the boundary term of the partially-integrated route."""
     t_f = curve.grid.t_f
     c = (2 * spec.n + 1) / 4.0
-    dd = c / t_f * (curve.bf_minus_dot * float(curve.b[-1]) - curve.b0_plus_dot * float(curve.b[0]))
-    return dd, -dd
+    return c / t_f * (curve.bf_minus_dot * float(curve.b[-1]) - curve.b0_plus_dot * float(curve.b[0]))
 
 
 def averages(
-    trace: EnergyTrace,
-    curve: ScalingCurve,
-    spec: TrapSpec,
-    profile: FrequencyProfile | None = None,
+    trace: EnergyTrace, curve: ScalingCurve, spec: TrapSpec, profile: FrequencyProfile
 ) -> EnergyTrace:
     """Fill avg_E (direct route), avg_E2 (partially integrated route),
     avg_K, avg_V.
@@ -91,13 +82,12 @@ def averages(
     """
     grid = curve.grid
     c = (2 * spec.n + 1) / 4.0
-    dd, db = impulse_contribution(curve, spec)
-    trace.delta_delta, trace.delta_boundary = dd, db
+    dd = trace.delta_delta = impulse_contribution(curve, spec)
     trace.avg_K = numerics.average(trace.K, grid)
     trace.avg_V = numerics.average(trace.V, grid)
     trace.avg_E = numerics.average(trace.E, grid)
     trace.avg_E2 = numerics.average(2.0 * c * (1.0 / curve.b**2 + curve.bdot**2), grid)
-    if profile is not None and profile.impulses:
+    if profile.impulses:
         trace.avg_E += dd
         trace.avg_V += dd
     return trace
@@ -230,8 +220,7 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
 
     Impulse protocols are refused: the kick makes the power a squared
     delta.  So is gamma = 1, where the normalizing energy change C is 0.
-    d(W^2)/dtau is ``profile.domega2``: analytic where the protocol has a
-    closed form, else the per-piece centered differences of its samples.
+    d(W^2)/dtau is ``profile.domega2``, the slope the curve's bdddot gives.
     """
     if profile.impulses:
         raise PowerUndefined("power is not a function for protocols with Dirac kicks")
@@ -329,5 +318,5 @@ def full_trace(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -
     trace attached where it is defined (n = 0 and a real frequency)."""
     trace = averages(instantaneous(curve, profile, spec), curve, spec, profile)
     if spec.n == 0 and not profile.has_imaginary:
-        trace.Ena, trace.avg_Ena, trace.avg_Ena2 = nonadiabatic_energy(curve, profile, spec)
+        trace.Ena, trace.avg_Ena, _ = nonadiabatic_energy(curve, profile, spec)
     return trace

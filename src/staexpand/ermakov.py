@@ -5,8 +5,10 @@ In dimensionless form the scaling function obeys
     b'' + W^2(tau) b = 1 / b^3,      W = omega/omega0, tau = omega0 t,
 
 so a designed b yields the control W^2 = 1/b^4 - b''/b, and a given W^2
-can be integrated forward.  A Dirac impulse of strength D in omega^2
-kicks the slope: integrating b'' across the delta gives
+can be integrated forward.  Each direction hands on every derivative the
+other reads: a curve carries b, bdot, bddot and bdddot, a profile W^2
+and d(W^2)/dtau.  A Dirac impulse of strength D in omega^2 kicks the
+slope: integrating b'' across the delta gives
 bdot(tau+) = bdot(tau-) - D b(tau) with b continuous.
 """
 from __future__ import annotations
@@ -15,7 +17,6 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from . import numerics
 from .core import (
     FrequencyProfile,
     GridMismatch,
@@ -28,12 +29,6 @@ _COLLAPSE_MSG = "scaling function collapsed toward b = 0"
 # b oscillates at 2W about b = W^(-1/2), and RK4 is stable on the imaginary
 # axis up to |h lambda| = 2 sqrt(2): h max W = sqrt(2) is its step limit
 _RK4_STABLE_HW = sqrt(2.0)
-
-
-def _bddot_samples(curve: ScalingCurve) -> np.ndarray:
-    if curve.bddot is not None:
-        return curve.bddot
-    return numerics.second_derivative(curve.b, curve.grid)
 
 
 def _omega2(b, bddot):
@@ -50,28 +45,23 @@ def ermakov_residual(curve: ScalingCurve, profile: FrequencyProfile) -> float:
     """max over interior nodes of |b'' + W^2 b - 1/b^3| (impulses excluded)."""
     if curve.grid != profile.grid:
         raise GridMismatch("curve and profile live on different grids")
-    bddot = _bddot_samples(curve)
-    r = bddot + profile.omega2 * curve.b - 1.0 / curve.b**3
+    r = curve.bddot + profile.omega2 * curve.b - 1.0 / curve.b**3
     return float(np.max(np.abs(r[1:-1])))
 
 
 def inverse_engineer(curve: ScalingCurve) -> FrequencyProfile:
     """Read the control W^2 = 1/b^4 - b''/b off a designed curve.
 
-    Uses the curve's stored bddot (analytic for closed-form protocols);
-    falls back to O(h^2) central differences for bare samples.  No
-    impulses are added; the imaginary-band flag comes from the sign of
-    min W^2.
+    W^2 and its slope d(W^2)/dtau come from the curve's stored bddot and
+    bdddot (analytic for closed-form protocols).  No impulses are added;
+    the imaginary-band flag comes from the sign of min W^2.
     """
-    b = curve.b
-    bddot = _bddot_samples(curve)
-    omega2 = _omega2(b, bddot)
-
+    b, bdot, bddot = curve.b, curve.bdot, curve.bddot
     omega2_fns = None
     if curve.fns is not None:
         omega2_fns = tuple((lambda t, fn=fn: _omega2(*fn(t)[::2])) for fn in curve.fns)
-    domega2 = None if curve.bdddot is None else _domega2(b, curve.bdot, bddot, curve.bdddot)
-    return FrequencyProfile(curve.grid, omega2, (), omega2_fns, domega2)
+    return FrequencyProfile(curve.grid, _omega2(b, bddot), _domega2(b, bdot, bddot, curve.bdddot),
+                            omega2_fns=omega2_fns)
 
 
 def _rk4_piece(b, v, ts, w0, wm, w1):
@@ -122,19 +112,19 @@ def forward_solve(
 
     Classical fixed-step RK4 on the grid nodes, piece by piece: the W^2
     values at every stage time of a piece are tabulated once from
-    ``profile.piece_callable`` (the closed form, else the cubic Hermite
-    interpolant of the samples: O(h^4) with stored d(W^2)/dtau, O(h^3)
-    with slopes from ``np.gradient``), then the steps run as a scalar
-    float loop.  A stage with b below 1e-9 aborts with that stage's
-    time, a non-finite state with the next node's time; when the piece's
-    step h has h max W above RK4's stability limit sqrt(2), the message
-    names h, that product and the limit.
+    ``profile.piece_callable`` (the closed form, else the O(h^4) cubic
+    Hermite interpolant of the W^2 samples and slopes), then the steps
+    run as a scalar float loop.  A stage with b below 1e-9 aborts with
+    that stage's time, a non-finite state with the next node's time; when
+    the piece's step h has h max W above RK4's stability limit sqrt(2),
+    the message names h, that product and the limit.
 
     Impulses must sit on piece boundaries (or the endpoints); each one
     applies the slope jump bdot -> bdot - D b.  The returned curve stores
-    bddot evaluated from the equation itself, the one-sided slope just
-    after the t=0 impulses in ``b0_plus_dot`` and just before the final
-    ones in ``bf_minus_dot``.
+    bddot = 1/b^3 - W^2 b and bdddot = -3 bdot/b^4 - d(W^2)/dtau b - W^2 bdot
+    from the equation itself, the one-sided slope just after the t=0
+    impulses in ``b0_plus_dot`` and just before the final ones in
+    ``bf_minus_dot``.
     """
     grid = profile.grid
     t_f = grid.t_f
@@ -149,7 +139,6 @@ def forward_solve(
 
     b = np.empty(len(grid))
     bdot = np.empty(len(grid))
-    bddot = np.empty(len(grid))
 
     state_b, state_v = float(b0), float(bdot0)
     for s in impulses_at(0.0):
@@ -178,19 +167,12 @@ def forward_solve(
             raise
         b[lo : hi + 1] = bs
         bdot[lo : hi + 1] = vs
-        bp = b[lo : hi + 1]
-        bddot[lo : hi + 1] = 1.0 / bp**3 - profile.omega2[lo : hi + 1] * bp
         state_b, state_v = float(b[hi]), float(bdot[hi])
         if k + 1 < grid.n_pieces:
             for s in impulses_at(float(nodes[-1])):
                 state_v -= s * state_b
 
-    bf_minus = float(bdot[-1])
-    return ScalingCurve(
-        grid,
-        b,
-        bdot,
-        bddot,
-        b0_plus_dot=b0_plus,
-        bf_minus_dot=bf_minus,
-    )
+    w2 = profile.omega2
+    bddot = 1.0 / b**3 - w2 * b
+    bdddot = -3.0 * bdot / b**4 - profile.domega2 * b - w2 * bdot
+    return ScalingCurve(grid, b, bdot, bddot, bdddot, b0_plus_dot=b0_plus, bf_minus_dot=float(bdot[-1]))

@@ -1,5 +1,5 @@
-"""Simpson quadrature on grid pieces, finite differences, Brent's
-bracketing root finder and the two-variable Nelder-Mead minimizer.
+"""Simpson quadrature on grid pieces, Brent's bracketing root finder and
+the two-variable Nelder-Mead minimizer.
 
 The last two are operation-for-operation ports of SciPy 1.17.1 (BSD-3,
 Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), so they
@@ -42,21 +42,6 @@ def integrate(values: Sequence[float], grid: TimeGrid) -> float:
 def average(values: Sequence[float], grid: TimeGrid) -> float:
     """Time average (integral divided by t_f)."""
     return integrate(values, grid) / grid.t_f
-
-
-def second_derivative(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Finite-difference second derivative, O(h^2), one-sided at piece ends."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    for lo, hi in grid.pieces:
-        y = values[lo : hi + 1]
-        h = grid.nodes[lo + 1] - grid.nodes[lo]
-        d = np.empty_like(y)
-        d[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2
-        d[0] = (2.0 * y[0] - 5.0 * y[1] + 4.0 * y[2] - y[3]) / h**2
-        d[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / h**2
-        out[lo : hi + 1] = d
-    return out
 
 
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # brentq's default rtol

@@ -203,11 +203,7 @@ def dirac_impulse(
     d0 = -curve.b0_plus_dot / float(curve.b[0])
     df = curve.bf_minus_dot / float(curve.b[-1])
     return curve, FrequencyProfile(
-        base.grid,
-        base.omega2,
-        ((0.0, d0), (t_f, df)),
-        base.omega2_fns,
-        base.domega2,
+        base.grid, base.omega2, base.domega2, ((0.0, d0), (t_f, df)), base.omega2_fns
     )
 
 
@@ -403,9 +399,8 @@ def bang_bang(
     profile = FrequencyProfile(
         grid,
         np.concatenate([np.full(hi + 1 - lo, v) for v, (lo, hi) in zip(om_vals, grid.pieces)]),
-        (),
-        tuple((lambda t, v=v: np.full(np.shape(t), v)) for v in om_vals),
-        domega2=np.zeros(len(grid)),
+        np.zeros(len(grid)),
+        omega2_fns=tuple((lambda t, v=v: np.full(np.shape(t), v)) for v in om_vals),
     )
     return BangBangProtocol(curve, profile, t1, t2, omega1, omega2)
 
@@ -636,6 +631,9 @@ class ProtocolBundle:
 
 
 _STEP_INPUTS = {"bang_bang": ("omega1", "omega2"), "bang_bang_na": ("beta",)}
+# shape input -> (the family that reads it, the value that leaves it unset)
+_SHAPE_INPUTS = {"c3": ("septic", 0.0), "c4": ("septic", 0.0), "tau_l": ("hybrid", None),
+                 "tau_s": ("hybrid", None)}
 
 
 def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
@@ -644,10 +642,12 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     Families without a native profile get the inverse-engineered one.
     Raises ValueError for a request without a family, for step inputs
     other than the family's own (bang_bang: both omega1 and omega2;
-    bang_bang_na: beta), and for step inputs together with t_f; the
-    constructors' own ValueError and Infeasible pass through.  ``extra``
-    holds the impulses (dirac), the switching times and step frequencies
-    (bang_bang, bang_bang_na) or the shooting mismatch (constant_power).
+    bang_bang_na: beta), for step inputs together with t_f, for a bad
+    t_f, and for another family's shape inputs (a nonzero c3/c4 outside
+    septic, tau_l/tau_s outside hybrid); the constructors' own ValueError
+    and Infeasible pass through.  ``extra`` holds the switching times and
+    step frequencies (bang_bang, bang_bang_na) or the shooting mismatch
+    (constant_power).
     """
     fam, t_f, n = params.family, params.t_f, params.grid_n
     if fam is None:
@@ -659,6 +659,11 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
         raise ValueError(f"the {fam} family takes {need}, not {'/'.join(given)}")
     if given and t_f is not None:
         raise ValueError(f"give either t_f or {'/'.join(given)}, not both")
+    if not given:
+        _check_duration(t_f)
+    ignored = [k for k, (f, unset) in _SHAPE_INPUTS.items() if f != fam and getattr(params, k) != unset]
+    if ignored:
+        raise ValueError(f"the {fam} family does not use {'/'.join(ignored)}")
     if own:
         steps = [getattr(params, k) for k in given]
         if fam == "bang_bang":
@@ -670,8 +675,7 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
             {"t1": bb.t1, "t2": bb.t2, "omega1": bb.omega1, "omega2": bb.omega2},
         )
     if fam == "dirac":
-        curve, profile = dirac_impulse(spec, t_f, n)
-        return ProtocolBundle(curve, profile, {"impulses": profile.impulses})
+        return ProtocolBundle(*dirac_impulse(spec, t_f, n), {})
     if fam == "linear_bottom":
         return ProtocolBundle(*linear_bottom(spec, t_f, n), {})
     extra = {}
@@ -682,7 +686,6 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     elif fam == "quasi_optimal":
         curve = quasi_optimal(spec, t_f, n)
     elif fam == "hybrid":
-        _check_duration(t_f)  # the default caps are fractions of it
         caps = [0.1 * t_f if tau is None else tau for tau in (params.tau_l, params.tau_s)]
         curve = hybrid_caps(spec, t_f, *caps, n)
     elif fam == "constant_power":

@@ -128,11 +128,37 @@ class TestProtocolCommand:
         (["--family", "bang_bang", "--omega1", "3", "--tf-dimensionless", "5"],
          "takes omega1 and omega2, not omega1"),
         (["--family", "bang_bang_na", "--beta", "1", "--tf-dimensionless", "12"], "either t_f or beta"),
+        # another family's shape inputs
+        (["--family", "quintic", "--tf-dimensionless", "4", "--c3", "5", "--c4", "2", "--tau-l", "1",
+          "--tau-s", "1"], "the quintic family does not use c3/c4/tau_l/tau_s"),
+        (["--family", "septic", "--tf-dimensionless", "4", "--tau-l", "1"], "septic family does not use tau_l"),
+        (["--family", "hybrid", "--tf-dimensionless", "20", "--c4", "1"], "hybrid family does not use c4"),
     ])
     def test_ignored_or_conflicting_inputs_exit_with_message(self, tmp_path, flags, message):
         out = tmp_path / "p.csv"
         with pytest.raises(SystemExit, match=f"invalid protocol parameters: .*{message}"):
             main(["protocol", "--gamma", "10", *flags, "--grid", "101", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["protocol", "energy"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--tf-min", "2"), ("--tf-max", "7"), ("--points-per-decade", "9"), ("--jobs", "4"), ("--jobs", "0"),
+    ])
+    def test_unused_sweep_input_refused(self, tmp_path, command, flag, value):
+        # `protocol ... --jobs 4 --tf-min 2` used to run, and `energy ... --jobs 0` to
+        # exit with "--jobs must be >= 1", about a flag it never reads
+        out = tmp_path / "p.csv"
+        base = [command, "--gamma", "3", "--family", "quintic", "--tf-dimensionless", "4", "--grid", "11"]
+        with pytest.raises(SystemExit, match=f"{command} does not use {flag}$"):
+            main(base + [flag, value, "--out", str(out)])
+        cfgfile = tmp_path / "table.cfg"
+        cfgfile.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+        with pytest.raises(SystemExit, match=f"{command} does not use {flag}$"):
+            main(base + ["--config", str(cfgfile), "--out", str(out)])
+        with pytest.raises(SystemExit,
+                           match=f"{command} does not use --tf-min, --tf-max, --points-per-decade, --jobs$"):
+            main(base + ["--jobs", "4", "--tf-min", "2", "--tf-max", "7", "--points-per-decade", "9",
+                         "--out", str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, cap", [("--tau-l", "launching cap tau_l"),
@@ -402,9 +428,11 @@ class TestPowerCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--family", "hybrid"), ("--c3", "1"), ("--c4", "1"), ("--tau-l", "3"), ("--tau-s", "3"),
         ("--beta", "0.5"), ("--omega1", "1"), ("--omega2", "0.1"),
+        ("--tf-min", "1"), ("--tf-max", "7"), ("--points-per-decade", "3"), ("--jobs", "2"),
     ])
     def test_unused_protocol_input_refused(self, tmp_path, flag, value):
-        # `power --preset fig4 --family hybrid --tau-l 3` used to run, with "# family = hybrid"
+        # `power --preset fig4 --family hybrid --tau-l 3` used to run, with "# family = hybrid",
+        # and `power --preset fig4 --points-per-decade 3 --jobs 2 --tf-min 1` too
         out = tmp_path / "p.csv"
         with pytest.raises(SystemExit, match=f"power does not use {flag}$"):
             main(["power", "--preset", "fig4", flag, value, "--out", str(out)])
@@ -414,6 +442,9 @@ class TestPowerCommand:
             main(["power", "--config", str(cfgfile), "--out", str(out)])
         with pytest.raises(SystemExit, match="power does not use --family, --tau-l$"):
             main(["power", "--preset", "fig4", "--family", "hybrid", "--tau-l", "3",
+                  "--out", str(out)])
+        with pytest.raises(SystemExit, match="power does not use --tf-min, --points-per-decade, --jobs$"):
+            main(["power", "--preset", "fig4", "--points-per-decade", "3", "--jobs", "2", "--tf-min", "1",
                   "--out", str(out)])
         assert not out.exists()
 

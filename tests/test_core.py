@@ -127,17 +127,32 @@ def test_grid_is_its_edges_and_counts():
 @pytest.mark.parametrize("w2_min, imaginary", [(-1e-13, False), (-1e-11, True), (np.nan, True)])
 def test_has_imaginary_tolerates_round_off_only(w2_min, imaginary):
     g = TimeGrid.uniform(1.0, 5)
-    profile = FrequencyProfile(g, np.array([1.0, 0.5, w2_min, 0.5, 1.0]))
+    profile = FrequencyProfile(g, np.array([1.0, 0.5, w2_min, 0.5, 1.0]), np.zeros(5))  # slope unread
     assert profile.has_imaginary is imaginary
 
 
 def test_scaling_curve_rejects_nonpositive_b():
     g = TimeGrid.uniform(1.0, 5)
     with pytest.raises(ValueError):
-        ScalingCurve(g, np.array([1.0, 0.5, 0.0, 0.5, 1.0]), np.zeros(5))
+        ScalingCurve(g, np.array([1.0, 0.5, 0.0, 0.5, 1.0]), np.zeros(5), np.zeros(5), np.zeros(5))
 
 
 def test_scaling_curve_shape_check():
     g = TimeGrid.uniform(1.0, 5)
     with pytest.raises(GridMismatch):
-        ScalingCurve(g, np.ones(4), np.zeros(4))
+        ScalingCurve(g, np.ones(4), np.zeros(4), np.zeros(4), np.zeros(4))
+    with pytest.raises(GridMismatch, match="bdddot has 4 samples for 5 nodes"):
+        ScalingCurve(g, np.ones(5), np.zeros(5), np.zeros(5), np.zeros(4))
+    with pytest.raises(GridMismatch, match="domega2"):
+        FrequencyProfile(g, np.ones(5), np.zeros(4))
+
+
+def test_records_carry_every_derivative():
+    # a curve is b and three derivatives, a profile W^2 and its slope: none is estimated
+    g = TimeGrid.uniform(1.0, 5)
+    with pytest.raises(TypeError):
+        ScalingCurve(g, np.ones(5), np.zeros(5))
+    with pytest.raises(TypeError):
+        ScalingCurve(g, np.ones(5), np.zeros(5), np.zeros(5))
+    with pytest.raises(TypeError):
+        FrequencyProfile(g, np.ones(5))

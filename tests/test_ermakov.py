@@ -21,8 +21,8 @@ def spec():
 
 def static_pair(n=201, t_f=2.0):
     grid = TimeGrid.uniform(t_f, n)
-    curve = ScalingCurve(grid, np.ones(n), np.zeros(n), np.zeros(n))
-    profile = FrequencyProfile(grid, np.ones(n))
+    curve = ScalingCurve(grid, np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n))
+    profile = FrequencyProfile(grid, np.ones(n), np.zeros(n))
     return curve, profile
 
 
@@ -62,14 +62,6 @@ class TestInverseEngineer:
         assert p.has_imaginary
         assert float(np.min(p.omega2)) < 0.0
 
-    def test_finite_difference_fallback(self, spec):
-        # samples-only curve: central differences give omega^2 to O(h^2)
-        c = protocols.quintic(spec, 25.0)
-        bare = ScalingCurve(c.grid, c.b, c.bdot)  # no bddot, no fns
-        p_fd = ermakov.inverse_engineer(bare)
-        p = ermakov.inverse_engineer(c)
-        assert np.max(np.abs(p_fd.omega2 - p.omega2)) < 1e-3
-
 
 class TestForwardSolve:
     def test_equilibrium(self):
@@ -102,7 +94,7 @@ class TestForwardSolve:
     def test_collapse_aborts_with_time(self):
         # a fast fall on a coarse grid steps straight through the 1/b^3 barrier
         grid = TimeGrid.uniform(1.0, 11)
-        profile = FrequencyProfile(grid, np.zeros(11))
+        profile = FrequencyProfile(grid, np.zeros(11), np.zeros(11))
         with pytest.raises(TrajectoryBlowUp) as exc:
             ermakov.forward_solve(profile, b0=1.0, bdot0=-20.0)
         assert "stability limit" not in str(exc.value)  # W = 0: no step is unstable
@@ -138,7 +130,7 @@ def constant_power(n):
     has stored W^2 and d(W^2)/dtau samples but no closed form."""
     curve, _ = protocols.constant_power_shoot(TrapSpec.from_gamma(10.0), 30.0, n)
     profile = ermakov.inverse_engineer(curve)
-    assert profile.omega2_fns is None and profile.domega2 is not None
+    assert profile.omega2_fns is None
     return curve, profile
 
 
@@ -146,17 +138,9 @@ class TestHermiteInterpolant:
     """A piece without a closed form is read through the cubic Hermite
     interpolant of its W^2 samples and slopes."""
 
-    def test_node_values_are_the_samples(self, spec):
+    def test_node_values_are_the_samples(self):
         _, profile = constant_power(501)
         assert np.all(profile.piece_callable(0)(profile.grid.nodes) == profile.omega2)
-        # bare samples of a piecewise control: one slope estimate per piece
-        hybrid = ermakov.inverse_engineer(protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 501))
-        bare = FrequencyProfile(hybrid.grid, hybrid.omega2)
-        for k, (lo, hi) in enumerate(bare.grid.pieces):
-            om = bare.piece_callable(k)
-            assert np.all(om(bare.grid.nodes[lo : hi + 1]) == bare.omega2[lo : hi + 1])
-            assert om(bare.grid.nodes[hi]) == bare.omega2[hi]
-        assert len(bare._splines) == bare.grid.n_pieces
 
     def test_cubic_with_its_derivative_is_reproduced_at_midpoints(self):
         def w2(t):
@@ -181,13 +165,9 @@ class TestHermiteInterpolant:
     def test_constant_power_round_trip_as_close_as_a_cubic_spline(self, n):
         curve, profile = constant_power(n)
         spline = CubicSpline(profile.grid.nodes, profile.omega2)
-        reference = FrequencyProfile(profile.grid, profile.omega2, omega2_fns=(spline,))
+        reference = FrequencyProfile(profile.grid, profile.omega2, spline(profile.grid.nodes, 1),
+                                     omega2_fns=(spline,))
         assert round_trip_error(curve, profile) <= 1.05 * round_trip_error(curve, reference)
-
-    def test_bare_samples_round_trip(self, spec):
-        curve = protocols.quintic(spec, 25.0, 2001)
-        bare = FrequencyProfile(curve.grid, ermakov.inverse_engineer(curve).omega2)
-        assert round_trip_error(curve, bare) < 1e-6
 
 
 class TestExcitationEnergy:
@@ -290,6 +270,8 @@ class TestFastIntegratorsMatchReference:
             assert abs(got.bf_minus_dot - bdot_ref[-1]) <= 1e-12 * np.max(np.abs(bdot_ref))
             bddot = 1.0 / got.b**3 - profile.omega2 * got.b
             assert np.array_equal(got.bddot, bddot)
+            bdddot = -3.0 * got.bdot / got.b**4 - profile.domega2 * got.b - profile.omega2 * got.bdot
+            assert np.array_equal(got.bdddot, bdddot)
 
     @pytest.mark.parametrize(
         "gamma, t_f, n", [(10.0, 30.0, 501), (10.0, 30.0, 2001), (7.7, 31.7, 501), (1.0, 5.0, 201)]
@@ -316,7 +298,7 @@ class TestFastIntegratorsMatchReference:
     def test_collapse_time(self, n, bdot0):
         # free fall onto the 1/b^3 barrier, caught at a mid or end stage
         grid = TimeGrid.uniform(1.0, n)
-        profile = FrequencyProfile(grid, np.zeros(n))
+        profile = FrequencyProfile(grid, np.zeros(n), np.zeros(n))
         got, ref = self._blowup_times(
             lambda: ermakov.forward_solve(profile, 1.0, bdot0),
             lambda: reference_forward_solve(profile, 1.0, bdot0),
@@ -337,7 +319,8 @@ class TestFastIntegratorsMatchReference:
         # a deep imaginary band overflows b (b**3 first, past ~5.6e102);
         # a NaN control poisons the state on the first step
         grid = TimeGrid.uniform(10.0, 201)
-        profile = FrequencyProfile(grid, np.full(201, w2), omega2_fns=(lambda t: w2 + 0.0 * t,))
+        profile = FrequencyProfile(grid, np.full(201, w2), np.zeros(201),
+                                   omega2_fns=(lambda t: w2 + 0.0 * t,))
         with np.errstate(over="ignore", invalid="ignore"):
             got, ref = self._blowup_times(
                 lambda: ermakov.forward_solve(profile),

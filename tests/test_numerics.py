@@ -11,7 +11,6 @@ from staexpand.numerics import (
     _brent_root,
     integrate,
     nelder_mead_2d,
-    second_derivative,
 )
 
 from rk4_reference import rk4_solve
@@ -103,13 +102,6 @@ def test_nelder_mead_rosenbrock():
     )
     assert res.x[0] == pytest.approx(1.0, abs=1e-4)
     assert res.x[1] == pytest.approx(1.0, abs=1e-4)
-
-
-def test_second_derivative_on_polynomial():
-    g = TimeGrid.uniform(1.0, 201)
-    y = g.nodes**3
-    d2 = second_derivative(y, g)
-    assert np.max(np.abs(d2 - 6.0 * g.nodes)) < 1e-3
 
 
 # ---------------------------------------------------------------------------

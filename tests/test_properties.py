@@ -171,12 +171,27 @@ def test_power_integral_is_the_energy_change(log_gamma, log_tf, u, n):
         assert abs(pw.integral - pw.integral_expected) <= allowance, params
 
 
+def assert_control_recovered(profile, solved):
+    """Inverse engineering the solved curve gives back W^2 and d(W^2)/dtau
+    to a few eps of the terms each is a difference of."""
+    b, b1, b2, b3 = solved.b, solved.bdot, solved.bddot, solved.bdddot
+    back = ermakov.inverse_engineer(solved)
+    eps = np.finfo(float).eps
+    w2_terms = 1.0 / b**4 + np.abs(b2 / b)
+    dw2_terms = 4.0 * np.abs(b1) / b**5 + np.abs(b3 / b) + np.abs(b2 * b1) / b**2
+    assert np.all(np.abs(back.omega2 - profile.omega2) <= 8.0 * eps * w2_terms)
+    assert np.all(np.abs(back.domega2 - profile.domega2) <= 8.0 * eps * dw2_terms)
+
+
 def relative_misses(bundle):
-    """|b_forward / b_designed - 1| per node after forward-solving the control."""
-    curve = bundle.curve
+    """|b_forward / b_designed - 1| per node after forward-solving the
+    control, whose inverse engineering must give the control back."""
+    curve, profile = bundle.curve, bundle.profile
     # kicks at t = 0 are applied by the solver; otherwise start on the curve's slope
-    bdot0 = 0.0 if bundle.profile.impulses else float(curve.bdot[0])
-    return np.abs(ermakov.forward_solve(bundle.profile, 1.0, bdot0).b / curve.b - 1.0)
+    bdot0 = 0.0 if profile.impulses else float(curve.bdot[0])
+    solved = ermakov.forward_solve(profile, 1.0, bdot0)
+    assert_control_recovered(profile, solved)
+    return np.abs(solved.b / curve.b - 1.0)
 
 
 @SETTINGS

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from staexpand import FrequencyProfile, TrapSpec, ermakov, numerics, protocols
+from staexpand import TrapSpec, ermakov, numerics, protocols
 from staexpand.core import Infeasible
 
 
@@ -361,10 +361,26 @@ def test_build_refuses_a_request_without_family(spec):
     ("bang_bang", dict(beta=1.0), "takes omega1 and omega2, not beta"),
     ("bang_bang_na", dict(omega1=1.0, omega2=1.0), "takes beta, not omega1/omega2"),
     ("quintic", dict(t_f=2.0, beta=1.0), "takes no step frequencies, not beta"),
+    # shape inputs of another family: a nonzero c3/c4 outside septic, a cap outside hybrid
+    ("quintic", dict(t_f=2.0, c3=5.0, c4=2.0, tau_l=1.0, tau_s=1.0),
+     "quintic family does not use c3/c4/tau_l/tau_s$"),
+    ("septic", dict(t_f=2.0, tau_l=1.0), "septic family does not use tau_l$"),
+    ("hybrid", dict(t_f=20.0, c3=1.0), "hybrid family does not use c3$"),
+    ("dirac", dict(t_f=2.0, tau_s=0.0), "dirac family does not use tau_s$"),
+    ("bang_bang", dict(omega1=1.0, omega2=1.0, c4=-1.0), "bang_bang family does not use c4$"),
+    ("bang_bang_na", dict(t_f=12.0, c3=math.nan), "bang_bang_na family does not use c3$"),
 ])
 def test_build_refuses_ignored_or_conflicting_step_inputs(spec, family, inputs, message):
     with pytest.raises(ValueError, match=message):
         protocols.build(spec, protocols.ProtocolParams(family=family, grid_n=101, **inputs))
+
+
+@pytest.mark.parametrize("family", protocols._FAMILIES)
+def test_build_takes_a_zero_septic_shape_as_unset(spec, family):
+    # every family accepts c3 = c4 = 0, the values a request without a septic shape holds
+    zero = protocols.build(spec, protocols.ProtocolParams(family, 12.0, c3=-0.0, c4=0.0, grid_n=101))
+    bare = protocols.build(spec, protocols.ProtocolParams(family, 12.0, grid_n=101))
+    assert np.array_equal(zero.curve.b, bare.curve.b)
 
 
 def test_hybrid_default_cap_only_replaces_the_missing_one(spec):
@@ -457,11 +473,3 @@ class TestPieceContract:
         cols = protocols._septic_fns(spec, 3.0, 7.5, -20.0)(curve.grid.nodes)
         for got, stored in zip(cols, (curve.b, curve.bdot, curve.bddot, curve.bdddot), strict=True):
             assert np.all(got == stored)
-
-    @pytest.mark.parametrize("name", ("stopping_cap", "bang_bang_step1", "quasi_optimal"))
-    def test_bare_profile_gets_the_per_piece_gradient(self, name):
-        profile = ermakov.inverse_engineer(_piece(name)[0])
-        bare = FrequencyProfile(profile.grid, profile.omega2)
-        for lo, hi in profile.grid.pieces:
-            x, y = profile.grid.nodes[lo : hi + 1], profile.omega2[lo : hi + 1]
-            assert np.all(bare.domega2[lo : hi + 1] == np.gradient(y, x, edge_order=2))
