@@ -30,12 +30,12 @@ def _is_imaginary(omega2: np.ndarray) -> bool:
 
     Smaller negative values are round-off and count as real.
     """
-    return not float(np.min(omega2)) >= -_REAL_TOL
+    return not float(omega2.min()) >= -_REAL_TOL
 
 
 def _real_omega(omega2: np.ndarray) -> np.ndarray:
     """sqrt(omega^2), clamping tiny negative round-off to zero."""
-    return np.sqrt(np.clip(omega2, 0.0, None))
+    return np.sqrt(omega2.clip(0.0, None))
 
 
 class GridMismatch(ValueError):
@@ -103,7 +103,7 @@ class TrapSpec:
 
 # a piece is refused unless its step (t_hi - t_lo)/m is a normal float above
 # 4 eps |t_hi|; then its linspace nodes increase strictly, spaced within that
-_MIN_STEP, _TINY = 4.0 * np.finfo(float).eps, np.finfo(float).tiny
+_MIN_STEP, _TINY = 4.0 * float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _MIN_PIECE_INTERVALS = 32                   # per segment of a piecewise grid
 
 
@@ -117,6 +117,11 @@ def _checked_edges(edges: Sequence[float]) -> tuple[float, ...]:
     return edges
 
 
+def _check_interval_count(m: int) -> None:
+    if m < 2 or m % 2:
+        raise ValueError("each piece needs an even interval count >= 2 (an odd node count >= 3)")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Sample times on [0, t_f]: piece boundaries ``edges`` (0 = edges[0] <
@@ -124,10 +129,12 @@ class TimeGrid:
     (``intervals``); two grids are equal when these two are.
 
     ``nodes`` (read-only) and ``pieces`` (inclusive row ranges) are derived
-    once, one linspace per piece, so every piece is uniform with an odd
-    node count by construction: the contract ``numerics.integrate`` relies
-    on.  Interior edges sit on two rows, so one-sided limits of
-    discontinuous quantities (omega^2, bddot) are stored per side.
+    once, per piece with numpy's ``linspace`` arithmetic (e0 + k step, the
+    last node set to e1; the minimum-step check keeps the step nonzero),
+    so every piece is uniform with an odd node count by construction: the
+    contract ``numerics.integrate`` relies on.  Interior edges sit on two
+    rows, so one-sided limits of discontinuous quantities (omega^2, bddot)
+    are stored per side.
     """
 
     edges: tuple[float, ...]
@@ -142,11 +149,12 @@ class TimeGrid:
             raise ValueError("need one interval count per piece")
         parts, pieces, lo = [], [], 0
         for e0, e1, m in zip(edges[:-1], edges[1:], intervals):
-            if m < 2 or m % 2:
-                raise ValueError("each piece needs an even interval count >= 2 (an odd node count >= 3)")
+            _check_interval_count(m)
             if not (e1 - e0) / m > max(_MIN_STEP * abs(e1), _TINY):
                 raise ValueError(f"piece [{e0!r}, {e1!r}] is too short for {m} uniform steps")
-            parts.append(np.linspace(e0, e1, m + 1))
+            part = np.arange(m + 1.0) * ((e1 - e0) / m) + e0   # np.linspace(e0, e1, m + 1)
+            part[-1] = e1
+            parts.append(part)
             pieces.append((lo, lo + m))
             lo += m + 1
         nodes = np.concatenate(parts)
@@ -176,8 +184,10 @@ class TimeGrid:
         """Grid over consecutive segments [edges[k], edges[k+1]].
 
         Intervals are allocated proportionally to segment length, forced
-        even and at least 32 per segment.
+        even and at least 32 per segment.  ``n`` must be odd and at least 3,
+        as for ``uniform``.
         """
+        _check_interval_count(operator.index(n) - 1)
         edges = _checked_edges(edges)
         intervals = []
         for e0, e1 in zip(edges[:-1], edges[1:]):

@@ -155,7 +155,8 @@ def _check_ground_state(spec: TrapSpec) -> None:
 def _ena(b, bdot, omega2, omega):
     """Ground-state excess over the adiabatic energy, per node:
     (bdot^2 + W^2 b^2 + 1/b^2)/4 - W/2."""
-    return 0.25 * (bdot**2 + omega2 * b**2 + 1.0 / b**2) - 0.5 * omega
+    b2 = b**2
+    return 0.25 * (bdot**2 + omega2 * b2 + 1.0 / b2) - 0.5 * omega
 
 
 def nonadiabatic_energy(

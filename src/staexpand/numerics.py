@@ -19,7 +19,7 @@ from .core import GridMismatch, TimeGrid
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:
     """Composite Simpson on uniformly spaced samples (odd count)."""
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
 def integrate(values: Sequence[float], grid: TimeGrid) -> float:

@@ -7,7 +7,10 @@ into the feasible region on its own.
 
 The objectives compute only the number they return, from the constructors
 and per-node expressions of the public path, so they equal it bit for bit
-(tests compare them with ``==``).
+(tests compare them with ``==``).  One cap evaluation builds the hybrid
+grid and cap polynomials, then per piece b, bdot, bddot, W^2, Ena and a
+Simpson sum; one septic evaluation the four columns, d(W^2)/dtau and the
+power on a grid built once per search.
 """
 from __future__ import annotations
 
@@ -47,24 +50,29 @@ def _hybrid_avg_ena(spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n_gr
 
     Equal, bit for bit, to ``nonadiabatic_energy`` of ``hybrid_caps`` (tests
     hold it to that path), but computes only what it returns: it builds
-    the same grid and closed forms, then takes one piece at a time, the
+    the same grid and cap polynomials, then takes one piece at a time, the
     stopping cap first (where a short protocol goes imaginary), then the
-    launching cap, then the line, and stops with +inf at the first piece
-    whose W^2 is imaginary.  Only then are the Ena samples averaged.
+    launching cap, then the line.  Per piece it evaluates b, bdot and bddot
+    (not bdddot), W^2 and, unless W^2 is imaginary (then it stops with
+    +inf), the Ena samples and their Simpson sum; the three sums are added
+    in grid order, as ``numerics.average`` adds them.
     """
+    tau_l, tau_s = float(tau_l), float(tau_s)  # Nelder-Mead's np.float64: same bits, slower scalars
     if not (tau_l > 0.0 and tau_s > 0.0 and tau_l + tau_s < 0.999 * t_f):
         return math.inf
-    grid, fns = protocols._hybrid_pieces(spec, t_f, tau_l, tau_s, n_grid)
-    ena = np.empty(len(grid))
+    grid, polys = protocols._hybrid_pieces(spec, t_f, tau_l, tau_s, n_grid)
+    sums = [0.0, 0.0, 0.0]
     for k in (2, 0, 1):
         lo, hi = grid.pieces[k]
-        b, bdot, bddot, _ = fns[k](grid.nodes[lo : hi + 1])
+        t = grid.nodes[lo : hi + 1]
+        b, bdot, bddot = protocols._poly_cols(polys[k], t_f, t, k == 2, 2)
         omega2 = ermakov._omega2(b, bddot)
         if _is_imaginary(omega2):
             return math.inf
-        ena[lo : hi + 1] = energies._ena(b, bdot, omega2, _real_omega(omega2))
+        ena = energies._ena(b, bdot, omega2, _real_omega(omega2))
+        sums[k] = numerics.simpson_uniform(ena, t[1] - t[0])
     energies._check_ground_state(spec)  # where the full path refuses an excited mode
-    return numerics.average(ena, grid)
+    return (0.0 + sums[0] + sums[1] + sums[2]) / grid.t_f
 
 
 def best_cap_seed(
@@ -74,8 +82,10 @@ def best_cap_seed(
     (objective, (tau_l, tau_s)), ties broken by the smaller caps.
 
     Raises Infeasible when no seed admits a real-frequency protocol
-    (short protocols cannot avoid an imaginary band).
+    (short protocols cannot avoid an imaginary band), and ValueError for a
+    t_f that is not positive and finite.
     """
+    protocols._check_duration(t_f)
     if spec.n != 0:
         raise ValueError("cap optimization targets the ground-state energy excess")
     evaluated = sorted(
@@ -102,6 +112,7 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     (``_hybrid_avg_ena``) looks at the stopping cap first and returns +inf
     at the first piece with an imaginary frequency.
     """
+    protocols._check_duration(t_f)
 
     def objective(tau_l: float, tau_s: float) -> float:
         return _hybrid_avg_ena(spec, t_f, tau_l, tau_s, n_grid)

@@ -77,15 +77,21 @@ def _curve_from_fns(grid: TimeGrid, fns: tuple[Piece, ...], **kw) -> ScalingCurv
 class _Poly:
     """Power series c[0] + c[1] s + ... evaluated with the floating-point
     operations of numpy.polynomial.polynomial.polyval and differentiated
-    with those of polyder, without numpy.polynomial's per-call overhead."""
+    with those of polyder, without numpy.polynomial's per-call overhead.
+
+    polyval's Horner starts at c[-1] + x*0, which for finite x is c[-1];
+    starting at c[-2] + c[-1] x gives the same values, two operations sooner.
+    """
 
     def __init__(self, coef):
         self.c = list(coef)
 
     def __call__(self, x):
         c = self.c
-        c0 = c[-1] + x * 0
-        for i in range(2, len(c) + 1):
+        if len(c) == 1:
+            return c[0] + x * 0
+        c0 = c[-2] + c[-1] * x
+        for i in range(3, len(c) + 1):
             c0 = c[-i] + c0 * x
         return c0
 
@@ -98,15 +104,33 @@ class _Poly:
         return _Poly(c)
 
 
-def _poly_fns(p: _Poly, t_f: float) -> Piece:
-    """The piece b(t) = p(t/t_f)."""
-    d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
+def _check_time_scale(t_f: float, k: int) -> None:
+    """Refuse a closed form that divides its k-th derivative by t_f**k where
+    that overflows: above t_f ~ 5.6e102 for k = 3, ~1.3e154 for k = 2."""
+    try:
+        float(t_f) ** k
+    except OverflowError:
+        raise ValueError(
+            f"t_f = {t_f:.6g} is too long for this protocol: t_f^{k} overflows "
+            f"above t_f ~ {float(np.finfo(float).max) ** (1.0 / k):.4g}"
+        ) from None
 
-    def piece(t):
-        s = t / t_f
-        return p(s), d1(s) / t_f, d2(s) / t_f**2, d3(s) / t_f**3
 
-    return piece
+def _poly_cols(p: _Poly, t_f: float, t, reverse: bool = False, order: int = 3) -> tuple:
+    """b = p(x) at times t and its first ``order`` time derivatives, with
+    x = t/t_f, or x = (t_f - t)/t_f when ``reverse`` (odd orders change sign)."""
+    x = (t_f - t) / t_f if reverse else t / t_f
+    cols = [p(x)]
+    for j in range(1, order + 1):
+        v = p.deriv(j)(x) / t_f**j
+        cols.append(-v if reverse and j % 2 else v)
+    return tuple(cols)
+
+
+def _poly_fns(p: _Poly, t_f: float, reverse: bool = False) -> Piece:
+    """The piece b(t) = p(t/t_f), or p((t_f - t)/t_f) when ``reverse``."""
+    _check_time_scale(t_f, 3)
+    return lambda t: _poly_cols(p, t_f, t, reverse)
 
 
 def quintic(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ScalingCurve:
@@ -168,6 +192,7 @@ def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> Scalin
     endpoint values; slopes at 0+ and t_f- are recorded as one-sided
     derivatives because they do not vanish."""
     _check_duration(t_f)
+    _check_time_scale(t_f, 2)
     g = spec.gamma
     B = quasi_optimal_B(spec, t_f)
     b2mt2 = _quasi_optimal_B2_minus_tf2(spec, t_f)
@@ -220,15 +245,18 @@ def hybrid_caps(
     match bddot, so omega stays discontinuous at the joints); closed-form
     coefficients, with b > 0 guaranteed throughout.
     """
-    return _curve_from_fns(*_hybrid_pieces(spec, t_f, tau_l, tau_s, n))
+    grid, (p1, pm, p2) = _hybrid_pieces(spec, t_f, tau_l, tau_s, n)
+    return _curve_from_fns(grid, (_poly_fns(p1, t_f), _poly_fns(pm, t_f), _poly_fns(p2, t_f, True)))
 
 
 def _hybrid_pieces(
     spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n: int
-) -> tuple[TimeGrid, tuple[Piece, Piece, Piece]]:
-    """The grid of ``hybrid_caps`` and the closed forms of its launching
-    cap, linear middle and stopping cap, in grid order."""
+) -> tuple[TimeGrid, tuple[_Poly, _Poly, _Poly]]:
+    """The grid of ``hybrid_caps`` and the polynomials of its launching cap
+    and linear middle in s = t/t_f and of its stopping cap in u = 1 - s,
+    in grid order."""
     _check_duration(t_f)
+    _check_time_scale(t_f, 3)   # here as well: the cap objective never forms t_f**3
     if not (tau_l > 0.0 and tau_s > 0.0):
         raise ValueError("cap durations must be positive")
     if tau_l + tau_s >= t_f:
@@ -248,14 +276,8 @@ def _hybrid_pieces(
     pm = _Poly([1.0, d])
     # cap 2 in u = 1 - s:  gamma - (2d/u_r) u^2 + (d/u_r^2) u^3
     p2 = _Poly([spec.gamma, 0.0, -2.0 * d / u_r, d / u_r**2])
-    q1, q2, q3 = p2.deriv(1), p2.deriv(2), p2.deriv(3)
-
-    def cap2(t):
-        u = (t_f - t) / t_f
-        return p2(u), -q1(u) / t_f, q2(u) / t_f**2, -q3(u) / t_f**3
-
     grid = TimeGrid.piecewise([0.0, tau_l, t_f - tau_s, t_f], n)
-    return grid, (_poly_fns(p1, t_f), _poly_fns(pm, t_f), cap2)
+    return grid, (p1, pm, p2)
 
 
 def linear_bottom(
@@ -388,7 +410,7 @@ def bang_bang(
     t_f = t1 + t2
     seg2 = _bang_bang_seg2_fns(spec.gamma, omega2, t_f)
     if t1 == 0.0:
-        grid = TimeGrid.uniform(t_f, n if n % 2 else n + 1)
+        grid = TimeGrid.uniform(t_f, n)
         fns: tuple[Piece, ...] = (seg2,)
         om_vals = [omega2**2]
     else:

@@ -173,6 +173,28 @@ class TestProtocolCommand:
                                "coefficient (gamma - 1)/(tau/t_f)^2 is not a finite float\n")
         assert not out.exists()
 
+    def test_too_long_closed_form_exits_with_one_line(self, tmp_path):
+        # t_f^3 of the polynomial pieces used to overflow into an OverflowError traceback
+        out = tmp_path / "p.csv"
+        proc = run_cli(["energy", "--family", "quintic", "--gamma", "10", "--tf-dimensionless", "1e160",
+                        "--out", str(out)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("invalid protocol parameters: t_f = 1e+160 is too long for this "
+                               "protocol: t_f^3 overflows above t_f ~ 5.644e+102\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["protocol", "energy"])
+    @pytest.mark.parametrize("family, t_f, power", [
+        ("quintic", "5.7e102", 3), ("septic", "1e110", 3), ("hybrid", "1e110", 3),
+        ("linear_bottom", "1e160", 3), ("quasi_optimal", "1e160", 2), ("dirac", "1e160", 2),
+    ])
+    def test_too_long_closed_form_names_the_limit(self, tmp_path, command, family, t_f, power):
+        out = tmp_path / "p.csv"
+        with pytest.raises(SystemExit, match=rf"invalid protocol parameters: .*t_f\^{power} overflows above"):
+            main([command, "--family", family, "--gamma", "10", "--tf-dimensionless", t_f,
+                  "--grid", "101", "--out", str(out)])
+        assert not out.exists()
+
     def test_collapsed_constant_power_shot_exits_with_the_step(self, tmp_path):
         out = tmp_path / "p.csv"
         with pytest.raises(SystemExit, match=r"collapsed.*the step h = t_f/\(grid - 1\) = 2 .*larger --grid"):

@@ -113,6 +113,39 @@ def test_grid_rejects_too_short_step():
     TimeGrid((0.0, 1e16, 1e16 + 20), (32, 2))  # step 10 passes
 
 
+@pytest.mark.parametrize("n", [2000, 2, 1, 0, -1, -7])
+def test_piecewise_refuses_the_node_counts_uniform_refuses(n):
+    with pytest.raises(ValueError) as uniform:
+        TimeGrid.uniform(1.0, n)
+    with pytest.raises(ValueError) as piecewise:
+        TimeGrid.piecewise([0.0, 0.3, 1.0], n)
+    assert str(piecewise.value) == str(uniform.value)
+
+
+def test_nodes_are_the_per_piece_linspace_bit_for_bit():
+    """Each piece is numpy's linspace arithmetic (e0 + k step, the last node
+    e1), so the nodes equal the concatenated np.linspace calls, signs of
+    zero included, over edges from 1e-6 to 1e12."""
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(400):
+        k = int(rng.integers(1, 5))
+        edges = [0.0, *np.unique(np.exp(rng.uniform(np.log(1e-6), np.log(1e12), k))).tolist()]
+        intervals = tuple(2 * int(m) for m in rng.integers(1, 1200, len(edges) - 1))
+        try:
+            g = TimeGrid(edges, intervals)
+        except ValueError as exc:   # a piece below 4 eps |t_hi| per step
+            assert "too short" in str(exc)
+            continue
+        ref = np.concatenate([np.linspace(e0, e1, m + 1)
+                              for e0, e1, m in zip(g.edges[:-1], g.edges[1:], intervals)])
+        assert np.array_equal(g.nodes.view(np.int64), ref.view(np.int64))
+        checked += 1
+    assert checked >= 300
+    neg = TimeGrid((-0.0, 1.0), (4,)).nodes   # a -0.0 start gives +0.0, as linspace does
+    assert np.array_equal(neg.view(np.int64), np.linspace(-0.0, 1.0, 5).view(np.int64))
+
+
 def test_grid_is_its_edges_and_counts():
     g = TimeGrid.piecewise([0.0, 0.3, 1.0], n=201)
     assert g.edges == (0.0, 0.3, 1.0) and g.intervals == (60, 140)

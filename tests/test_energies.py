@@ -189,6 +189,14 @@ class TestLowerBound:
         val = energies.lower_bound_avg_energy(TrapSpec.from_gamma(gamma), t_f).value
         assert val == pytest.approx(float(exact), rel=1e-13)
 
+    def test_accepts_durations_the_polynomial_families_refuse(self, spec):
+        # t_f^3 overflows past ~5.6e102, which only the polynomial closed forms form
+        with pytest.raises(ValueError, match="overflows"):
+            protocols.quintic(spec, 1e110, 101)
+        vals = [energies.lower_bound_avg_energy(spec, t_f).value for t_f in (1e100, 1e110, 1e150)]
+        assert all(math.isfinite(v) and v > 0.0 for v in vals)
+        assert vals[0] > vals[1] > vals[2]
+
     def test_monotone_decreasing_in_duration(self, spec):
         taus = np.geomspace(0.01, 100.0, 25)
         vals = [energies.lower_bound_avg_energy(spec, float(t)).value for t in taus]

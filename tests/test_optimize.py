@@ -49,6 +49,21 @@ class TestOptimizeCaps:
         with pytest.raises(ValueError):
             optimize.optimize_caps(TrapSpec.from_gamma(10.0, n=1), 300.0)
 
+    @pytest.mark.parametrize("t_f", [math.nan, math.inf, 0.0, -5.0])
+    def test_invalid_duration_is_refused_as_invalid(self, spec, t_f):
+        """Not reported as infeasible: the same ValueError as hybrid_caps."""
+        for search in (optimize.optimize_caps, optimize.best_cap_seed):
+            _same_error(
+                ValueError,
+                lambda: protocols.hybrid_caps(spec, t_f, 1.0, 1.0, 301),
+                lambda: search(spec, t_f, 301),
+            )
+
+    @pytest.mark.parametrize("n_grid", [500, 2, 1, 0, -1, -7])
+    def test_grid_size_is_refused_as_for_a_uniform_grid(self, spec, n_grid):
+        with pytest.raises(ValueError, match="odd node count >= 3"):
+            optimize.optimize_caps(spec, 500.0, n_grid)
+
 
 @pytest.fixture(scope="module")
 def fig4():
@@ -122,16 +137,17 @@ class TestObjectivesMatchFullPath:
         rng = np.random.default_rng(20260513)
         finite = infinite = 0
         for _ in range(150):
-            gamma = float(np.exp(rng.uniform(0.0, np.log(300.0))))
+            gamma = 1.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(0.0, np.log(300.0))))
             t_f = float(np.exp(rng.uniform(np.log(5.0), np.log(3000.0))))
             fl, fs = np.exp(rng.uniform(np.log(1e-3), np.log(0.7), 2))
             if fl + fs >= 0.999:
                 continue
             n = int(rng.choice([301, 501, 2001]))
             spec = TrapSpec.from_gamma(gamma)
-            tau_l, tau_s = float(fl * t_f), float(fs * t_f)
+            tau_l, tau_s = fl * t_f, fs * t_f   # np.float64, as Nelder-Mead passes them
             fast = optimize._hybrid_avg_ena(spec, t_f, tau_l, tau_s, n)
-            assert fast == _full_cap_objective(spec, t_f, tau_l, tau_s, n)
+            assert type(fast) is float
+            assert fast == _full_cap_objective(spec, t_f, float(tau_l), float(tau_s), n)
             if math.isinf(fast):
                 infinite += 1
             else:
@@ -161,6 +177,17 @@ class TestObjectivesMatchFullPath:
                 lambda: _full_cap_objective(spec, 300.0, *caps, 501),
                 lambda: optimize._hybrid_avg_ena(spec, 300.0, *caps, 501),
             )
+
+    def test_cap_objective_refuses_a_too_long_protocol_as_the_full_path(self, spec):
+        # t_f^3 overflows past ~5.6e102; the objective itself forms only t_f^2
+        for t_f in (5.7e102, 1e160):
+            _same_error(
+                ValueError,
+                lambda: _full_cap_objective(spec, t_f, 0.1 * t_f, 0.2 * t_f, 301),
+                lambda: optimize._hybrid_avg_ena(spec, t_f, 0.1 * t_f, 0.2 * t_f, 301),
+            )
+        with pytest.raises(ValueError, match=r"t_f\^3 overflows above t_f ~ 5.644e\+102"):
+            optimize.optimize_caps(spec, 1e160, 301)
 
     def test_cap_objective_refuses_an_excited_mode_as_the_full_path(self):
         excited = TrapSpec.from_gamma(10.0, n=1)
@@ -214,6 +241,13 @@ class TestSearchesPinned:
         assert res.objective.hex() == "0x1.0f0a9a3127482p+1"
         assert res.baseline.hex() == "0x1.eb5f8dcaf8ce4p+1"
         assert (res.iterations, res.converged, res.feasible) == (162, True, True)
+
+    def test_cap_search_on_the_benchmark_grid(self, spec):
+        res = optimize.optimize_caps(spec, 300.0, 2001)
+        assert [x.hex() for x in res.params] == ["0x1.629a78b613108p+1", "0x1.ba3e143b726ecp+7"]
+        assert res.objective.hex() == "0x1.1a1801a1cd042p-12"
+        assert res.baseline.hex() == "0x1.3faebfebf8d76p-12"
+        assert (res.iterations, res.converged, res.feasible) == (70, True, True)
 
     def test_short_cap_protocol_has_no_feasible_seed(self, spec):
         with pytest.raises(Infeasible, match="no real-frequency cap protocol found at t_f = 100"):

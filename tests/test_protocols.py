@@ -175,6 +175,11 @@ class TestBangBang:
         with pytest.raises(ValueError):
             protocols.bang_bang(spec, 1.0, 0.05)  # below sqrt(omega_f_rel) = 0.1
 
+    @pytest.mark.parametrize("w", [0.1, 1.0])   # one uniform piece (t1 = 0), two pieces
+    def test_even_grid_refused_on_either_grid(self, spec, w):
+        with pytest.raises(ValueError, match="odd node count"):
+            protocols.bang_bang(spec, w, w, 500)
+
     def test_for_duration_hits_target(self, spec):
         bb = protocols.bang_bang_for_duration(spec, 3.0)
         assert bb.t_f == pytest.approx(3.0, rel=1e-10)
@@ -402,6 +407,13 @@ class TestPolyMatchesNumpy:
         for degree in range(8):
             for _ in range(4):
                 yield rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=degree + 1).tolist()
+                # exact zeros of either sign, as the gamma = 1 polynomials have
+                c = rng.normal(size=degree + 1)
+                c[rng.random(degree + 1) < 0.5] = 0.0
+                yield [-0.0 if z and rng.random() < 0.5 else v for v, z in zip(c.tolist(), c == 0.0)]
+        yield [1.0, 0.0, 0.0, 0.0, -0.0, 0.0]   # quintic at gamma = 1
+        yield [1.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0, -0.0]   # septic at gamma = 1, c3 = c4 = 0
+        yield [1.0, 0.0, 0.0, -0.0]   # launching cap at gamma = 1
 
     def test_values_on_arrays_and_scalars(self):
         from numpy.polynomial import polynomial as P
