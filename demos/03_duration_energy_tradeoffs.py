@@ -9,7 +9,7 @@ averaged energy any two-step protocol can have.
 """
 import numpy as np
 
-from staexpand import TrapSpec, energies, ermakov, protocols
+from staexpand import TrapSpec, energies, protocols
 from staexpand.core import Infeasible
 
 spec = TrapSpec(2.0 * np.pi * 2500.0, 2.0 * np.pi * 25.0)
@@ -18,13 +18,13 @@ t_max = protocols.bang_bang_max_duration(spec)
 print("gamma = 10 trap, energies in hbar*omega0, times in ms")
 print("   t_f(ms)   quintic    bang-bang   bound E_nL")
 for tau in np.geomspace(0.05 * t_max, t_max, 10):
-    curve = protocols.quintic(spec, tau)
-    profile = ermakov.inverse_engineer(curve)
+    p = protocols.quintic(spec, tau)
+    curve, profile = p.curve, p.profile
     tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
     bound = energies.lower_bound_avg_energy(spec, float(tau)).value
     try:
         bb = protocols.bang_bang_for_duration(spec, float(tau))
-        e_bb = energies.bang_bang_energies(spec, bb.omega1, bb.omega2, bb.t1, bb.t2).avg_E
+        e_bb = energies.bang_bang_energies(spec, **bb.extra).avg_E
         bb_txt = f"{e_bb:9.4f}"
     except Infeasible:
         bb_txt = "        -"

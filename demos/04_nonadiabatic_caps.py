@@ -9,7 +9,7 @@ close to the bound, subject to keeping omega real everywhere.
 """
 import numpy as np
 
-from staexpand import TrapSpec, energies, ermakov, optimize, protocols
+from staexpand import TrapSpec, energies, optimize, protocols
 
 spec = TrapSpec.from_gamma(10.0)
 
@@ -29,7 +29,8 @@ print("   beta    t_f      avg_Ena    bound")
 for beta in (0.15, 0.3, 1.0, 3.0):
     bb = protocols.bang_bang_na(spec, beta)
     _, avg, _ = energies.nonadiabatic_energy(bb.curve, bb.profile, spec)
-    print(f"  {beta:5.2f}  {bb.t_f:6.3f}  {avg:9.4f}  {energies.na_lower_bound(spec, bb.t_f):8.4f}")
+    t_f = bb.curve.grid.t_f
+    print(f"  {beta:5.2f}  {t_f:6.3f}  {avg:9.4f}  {energies.na_lower_bound(spec, t_f):8.4f}")
 
 print("\nits durations are pinned to (sqrt(gamma^2-1), pi*gamma/2] =",
       f"({np.sqrt(spec.gamma**2 - 1):.3f}, {protocols.bang_bang_max_duration(spec):.3f}]")

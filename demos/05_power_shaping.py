@@ -9,14 +9,14 @@ coefficients gets the peak within a factor ~2 of the ideal floor of 1.
 """
 import numpy as np
 
-from staexpand import TrapSpec, energies, ermakov, optimize, protocols
+from staexpand import TrapSpec, energies, optimize, protocols
 
 spec = TrapSpec(2.0 * np.pi * 2500.0, 2.0 * np.pi * 25.0)  # gamma = 10
 t_f = spec.omega0 * 8e-3  # 8 ms
 
 print("relative power |P_rel| peaks at gamma = 10, t_f = 8 ms")
 quintic = protocols.quintic(spec, t_f, 4001)
-q = energies.power(quintic, ermakov.inverse_engineer(quintic), spec)
+q = energies.power(quintic.curve, quintic.profile, spec)
 print(f"  quintic interpolant:        {q.peak_rel:.4f}")
 
 res = optimize.optimize_septic_power(spec, t_f)
@@ -34,7 +34,7 @@ print("the terminal conditions fail generically, so peak shaping with the")
 print("septic family is the practical route")
 
 sc = protocols.septic(spec, t_f, res.params[0], res.params[1], 4001)
-sp = energies.power(sc, ermakov.inverse_engineer(sc), spec)
+sp = energies.power(sc.curve, sc.profile, spec)
 print("\n     s     P_rel quintic   P_rel septic")
 for s in np.linspace(0.0, 1.0, 11):
     i = int(round(s * 4000))

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energies, optimize, protocols, verify
-from .core import DEFAULT_GRID_N, Infeasible, NonRealFrequency, TrajectoryBlowUp, TrapSpec
+from .core import DEFAULT_GRID_N, Infeasible, TrajectoryBlowUp, TrapSpec
+
+_POWER_GRID_N = 4001   # power's default grid: its peaks need the dense grid
 
 _PRESETS = {
     "fig1": {"omega0_hz": 2500.0, "omegaf_hz": 25.0},
@@ -91,7 +93,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega2", type=float, help="second step frequency in units of omega0")
     p.add_argument("--tau-l", type=float, help="launching cap duration (same unit as the tf flag)")
     p.add_argument("--tau-s", type=float, help="stopping cap duration (same unit as the tf flag)")
-    p.add_argument("--grid", type=int, default=None, help=f"grid nodes (default {DEFAULT_GRID_N})")
+    p.add_argument("--grid", type=int, default=None,
+                   help=f"grid nodes (default {DEFAULT_GRID_N}; power: {_POWER_GRID_N})")
     p.add_argument("--out", help="output file (directory for sweep)")
     p.add_argument("--tf-min", type=float, help="sweep start (same unit as tf flags)")
     p.add_argument("--tf-max", type=float, help="sweep end (same unit as tf flags)")
@@ -167,6 +170,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
     def scaled(key):
         return None if opts[key] is None else opts[key] * scale
 
+    default_grid = _POWER_GRID_N if args.command == "power" else DEFAULT_GRID_N
     jobs = 1 if args.jobs is None else args.jobs
     points_per_decade = 60 if args.points_per_decade is None else args.points_per_decade
     for flag, count in (("--jobs", jobs), ("--points-per-decade", points_per_decade)):
@@ -182,7 +186,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         beta=args.beta,
         omega1=args.omega1,
         omega2=args.omega2,
-        grid_n=_check_grid(DEFAULT_GRID_N if args.grid is None else args.grid),
+        grid_n=_check_grid(default_grid if args.grid is None else args.grid),
     )
     return RunConfig(
         spec=spec,
@@ -363,7 +367,7 @@ def _sweep_point(job) -> tuple[float, str, float | None, float, str]:
                 return t_f, family, None, bound, "imaginary frequency band"
             else:
                 value = energies.nonadiabatic_energy(b.curve, b.profile, spec)[1]
-    except (Infeasible, NonRealFrequency) as exc:
+    except (Infeasible, ValueError) as exc:  # NonRealFrequency, or a t_f too long for a closed form
         return t_f, family, None, bound, str(exc)
     return t_f, family, value, bound, ""
 
@@ -418,8 +422,6 @@ def cmd_power(cfg: RunConfig) -> int:
     t_f, grid_n = cfg.params.t_f, cfg.params.grid_n
     if t_f is None:
         raise SystemExit("power needs a duration (--tf, --tf-dimensionless, or --preset fig4)")
-    if grid_n == DEFAULT_GRID_N:
-        grid_n = 4001
     try:
         q = protocols.build(spec, protocols.ProtocolParams("quintic", t_f, grid_n=grid_n))
         qp = energies.power(q.curve, q.profile, spec)

@@ -69,13 +69,13 @@ class TrapSpec:
     omega0 and omega_f are angular frequencies in any consistent unit
     (rad/s for SI work, or omega0 = 1 for dimensionless work); only their
     ratio enters the math.  gamma = sqrt(omega0/omega_f) >= 1 is the
-    expansion factor of the mode width.
+    expansion factor of the mode width.  Energies are in units of
+    hbar*omega0, so hbar itself never enters.
     """
 
     omega0: float
     omega_f: float
     n: int = 0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not (self.omega0 > 0.0 and self.omega_f > 0.0):
@@ -95,10 +95,10 @@ class TrapSpec:
         return self.omega_f / self.omega0
 
     @classmethod
-    def from_gamma(cls, gamma: float, n: int = 0, hbar: float = 1.0) -> "TrapSpec":
+    def from_gamma(cls, gamma: float, n: int = 0) -> "TrapSpec":
         if gamma < 1.0:
             raise ValueError("gamma = sqrt(omega0/omega_f) must be >= 1")
-        return cls(omega0=1.0, omega_f=1.0 / gamma**2, n=n, hbar=hbar)
+        return cls(omega0=1.0, omega_f=1.0 / gamma**2, n=n)
 
 
 # a piece is refused unless its step (t_hi - t_lo)/m is a normal float above

@@ -130,8 +130,11 @@ def lower_bound_avg_energy(spec: TrapSpec, t_f: float) -> EnergyLowerBound:
     d = (g - 1.0) / t_f  # d * d, not d**2: inf rather than OverflowError for t_f -> 0
     value = c2 * (d * d - 2.0 / (g + r) + 2.0 * math.asinh(t_f / g) / t_f)
 
-    B = protocols.quasi_optimal_B(spec, t_f)
-    b2mt2 = protocols._quasi_optimal_B2_minus_tf2(spec, t_f)
+    try:
+        B = protocols.quasi_optimal_B(spec, t_f)
+        b2mt2 = protocols._quasi_optimal_B2_minus_tf2(spec, t_f)
+    except OverflowError:   # t_f^2 overflows above ~1.34e154, where B/t_f rounds to 1: invalid
+        return EnergyLowerBound(value, None, False)
     a1 = (b2mt2 + B) / t_f
     a2 = B / t_f
     valid = max(abs(a1), abs(a2)) < 1.0
@@ -141,10 +144,19 @@ def lower_bound_avg_energy(spec: TrapSpec, t_f: float) -> EnergyLowerBound:
     return EnergyLowerBound(value, closed, valid)
 
 
+def _per_tf2(num: float, den: float, t_f: float) -> float:
+    """num / (den t_f^2); where t_f^2 overflows (t_f above ~1.34e154),
+    num / den / t_f / t_f, which is finite or underflows to 0."""
+    try:
+        return num / (den * t_f**2)
+    except OverflowError:
+        return num / den / t_f / t_f
+
+
 def na_lower_bound(spec: TrapSpec, t_f: float) -> float:
     """Ground-state bound on the averaged non-adiabatic energy:
     (gamma-1)^2 / (4 t_f^2) in units of hbar*omega0."""
-    return (spec.gamma - 1.0) ** 2 / (4.0 * t_f**2)
+    return _per_tf2((spec.gamma - 1.0) ** 2, 4.0, t_f)
 
 
 def _check_ground_state(spec: TrapSpec) -> None:
@@ -307,8 +319,8 @@ def bound_report(spec: TrapSpec, t_f: float) -> BoundReport:
         Ena_L=na_lower_bound(spec, t_f),
         tf_max=math.pi * g / 2.0,
         E_min=tn * (1.0 + wf) / 4.0,
-        E_nL_small_tf=tn * g**2 / (2.0 * t_f**2),
-        bb_equal_steps_avg_E=tn * math.pi * math.log(2.0 * g) / (16.0 * wf * t_f**2),
+        E_nL_small_tf=_per_tf2(tn * g**2, 2.0, t_f),
+        bb_equal_steps_avg_E=_per_tf2(tn * math.pi * math.log(2.0 * g), 16.0 * wf, t_f),
         free_expansion_tf=g,
         free_expansion_avg_E=spec.n + 0.5,
     )

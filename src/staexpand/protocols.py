@@ -1,8 +1,9 @@
 """Constructors for every expansion protocol.
 
 All constructors work in dimensionless units (time in 1/omega0,
-frequencies in omega0) and return curves sampled on a grid together with
-analytic derivatives where a closed form exists.  The families:
+frequencies in omega0) and return a ``ProtocolBundle``: the curve sampled
+on a grid with its analytic derivatives, and its omega^2 profile (read off
+the Ermakov equation unless the family sets it).  The families:
 
 * quintic / septic  -- polynomial interpolants of b(s), s = t/t_f, pinned
   by b(0)=1, bdot(0)=0, b(t_f)=gamma, bdot(t_f)=0 and bddot(0)=bddot(t_f)=0.
@@ -67,11 +68,28 @@ def _sqrt_cols(g, g1, g2, g3):
     )
 
 
-def _curve_from_fns(grid: TimeGrid, fns: tuple[Piece, ...], **kw) -> ScalingCurve:
+@dataclass
+class ProtocolBundle:
+    """One protocol: the curve b(t), its omega^2(t) profile with any kicks,
+    and ``extra``: the switching times and step frequencies t1, t2, omega1,
+    omega2 of a two-step protocol, the shooting ``mismatch`` of the
+    constant-power family (from ``build``), else empty."""
+
+    curve: ScalingCurve
+    profile: FrequencyProfile
+    extra: dict
+
+
+def _bundle(grid: TimeGrid, fns: tuple[Piece, ...], profile=None, extra=None, **kw) -> ProtocolBundle:
+    """The protocol whose curve samples the closed forms ``fns`` piece by
+    piece on ``grid``; its profile is ``profile``, else the inverse-engineered one."""
     cols = np.empty((4, len(grid)))
     for fn, (lo, hi) in zip(fns, grid.pieces, strict=True):
         cols[:, lo : hi + 1] = fn(grid.nodes[lo : hi + 1])
-    return ScalingCurve(grid, *cols, fns=fns, **kw)
+    curve = ScalingCurve(grid, *cols, fns=fns, **kw)
+    if profile is None:
+        profile = ermakov.inverse_engineer(curve)
+    return ProtocolBundle(curve, profile, {} if extra is None else extra)
 
 
 class _Poly:
@@ -133,19 +151,18 @@ def _poly_fns(p: _Poly, t_f: float, reverse: bool = False) -> Piece:
     return lambda t: _poly_cols(p, t_f, t, reverse)
 
 
-def quintic(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ScalingCurve:
+def quintic(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
     """b(s) = 1 + (gamma-1)(10 s^3 - 15 s^4 + 6 s^5): the smoothest
     textbook interpolant, frequency continuous at both ends."""
     _check_duration(t_f)
     d = spec.gamma - 1.0
     p = _Poly([1.0, 0.0, 0.0, 10.0 * d, -15.0 * d, 6.0 * d])
-    grid = TimeGrid.uniform(t_f, n)
-    return _curve_from_fns(grid, (_poly_fns(p, t_f),))
+    return _bundle(TimeGrid.uniform(t_f, n), (_poly_fns(p, t_f),))
 
 
 def septic(
     spec: TrapSpec, t_f: float, c3: float = 0.0, c4: float = 0.0, n: int = DEFAULT_GRID_N
-) -> ScalingCurve:
+) -> ProtocolBundle:
     """Seventh-order interpolant with two free shape parameters.
 
     b = 1 + c3 s^3 + c4 s^4 - (21 + 6c3 + 3c4 - 21g) s^5
@@ -154,8 +171,7 @@ def septic(
     makes (c3, c4) usable as power-shaping knobs.
     """
     _check_duration(t_f)
-    grid = TimeGrid.uniform(t_f, n)
-    return _curve_from_fns(grid, (_septic_fns(spec, t_f, c3, c4),))
+    return _bundle(TimeGrid.uniform(t_f, n), (_septic_fns(spec, t_f, c3, c4),))
 
 
 def _septic_fns(spec: TrapSpec, t_f: float, c3: float, c4: float) -> Piece:
@@ -187,7 +203,7 @@ def _quasi_optimal_B2_minus_tf2(spec: TrapSpec, t_f: float) -> float:
     return spec.gamma**2 + 1.0 - 2.0 * math.sqrt(t_f**2 + spec.gamma**2)
 
 
-def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ScalingCurve:
+def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
     """Minimizer of the averaged 1/b^2 + bdot^2 functional between the
     endpoint values; slopes at 0+ and t_f- are recorded as one-sided
     derivatives because they do not vanish."""
@@ -205,7 +221,7 @@ def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> Scalin
         s = t / t_f
         return _sqrt_cols(pp(s), d1(s) / t_f, d2(s) / t_f**2, np.zeros_like(s))
 
-    return _curve_from_fns(
+    return _bundle(
         TimeGrid.uniform(t_f, n),
         (piece,),
         b0_plus_dot=B / t_f,
@@ -213,9 +229,7 @@ def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> Scalin
     )
 
 
-def dirac_impulse(
-    spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N
-) -> tuple[ScalingCurve, FrequencyProfile]:
+def dirac_impulse(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
     """Quasi-optimal interior plus delta kicks of omega^2 at 0 and t_f.
 
     The kick strengths D0 = -bdot(0+)/b(0) and Df = +bdot(t_f-)/b(t_f)
@@ -223,13 +237,10 @@ def dirac_impulse(
     boundary conditions hold and the averaged-energy bound is attained.
     D0 is always negative; Df may take either sign.
     """
-    curve = quasi_optimal(spec, t_f, n)
-    base = ermakov.inverse_engineer(curve)
-    d0 = -curve.b0_plus_dot / float(curve.b[0])
-    df = curve.bf_minus_dot / float(curve.b[-1])
-    return curve, FrequencyProfile(
-        base.grid, base.omega2, base.domega2, ((0.0, d0), (t_f, df)), base.omega2_fns
-    )
+    base = quasi_optimal(spec, t_f, n)
+    c, p = base.curve, base.profile
+    kicks = ((0.0, -c.b0_plus_dot / float(c.b[0])), (t_f, c.bf_minus_dot / float(c.b[-1])))
+    return ProtocolBundle(c, FrequencyProfile(p.grid, p.omega2, p.domega2, kicks, p.omega2_fns), {})
 
 
 def hybrid_caps(
@@ -238,7 +249,7 @@ def hybrid_caps(
     tau_l: float,
     tau_s: float,
     n: int = DEFAULT_GRID_N,
-) -> ScalingCurve:
+) -> ProtocolBundle:
     """Cubic launching/stopping caps around the linear bottom segment.
 
     The caps match b and bdot at both of their ends (a cubic cannot also
@@ -246,7 +257,7 @@ def hybrid_caps(
     coefficients, with b > 0 guaranteed throughout.
     """
     grid, (p1, pm, p2) = _hybrid_pieces(spec, t_f, tau_l, tau_s, n)
-    return _curve_from_fns(grid, (_poly_fns(p1, t_f), _poly_fns(pm, t_f), _poly_fns(p2, t_f, True)))
+    return _bundle(grid, (_poly_fns(p1, t_f), _poly_fns(pm, t_f), _poly_fns(p2, t_f, True)))
 
 
 def _hybrid_pieces(
@@ -280,9 +291,7 @@ def _hybrid_pieces(
     return grid, (p1, pm, p2)
 
 
-def linear_bottom(
-    spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N
-) -> tuple[ScalingCurve, FrequencyProfile]:
+def linear_bottom(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
     """b = 1 + (gamma-1) t/t_f with the bottom-tracking control W = 1/b^2.
 
     bddot = 0, so the inverse-engineered control is exactly W^2 = 1/b^4;
@@ -291,24 +300,7 @@ def linear_bottom(
     """
     _check_duration(t_f)
     p = _Poly([1.0, spec.gamma - 1.0])
-    curve = _curve_from_fns(TimeGrid.uniform(t_f, n), (_poly_fns(p, t_f),))
-    return curve, ermakov.inverse_engineer(curve)
-
-
-@dataclass
-class BangBangProtocol:
-    """Two-step protocol: frequency i*omega1 on (0, t1), omega2 on (t1, t_f)."""
-
-    curve: ScalingCurve
-    profile: FrequencyProfile
-    t1: float
-    t2: float
-    omega1: float
-    omega2: float
-
-    @property
-    def t_f(self) -> float:
-        return self.t1 + self.t2
+    return _bundle(TimeGrid.uniform(t_f, n), (_poly_fns(p, t_f),))
 
 
 def bang_bang_times(spec: TrapSpec, omega1: float, omega2: float) -> tuple[float, float]:
@@ -404,8 +396,10 @@ def _bang_bang_seg2_fns(gamma: float, omega2: float, t_f: float) -> Piece:
 
 def bang_bang(
     spec: TrapSpec, omega1: float, omega2: float, n: int = DEFAULT_GRID_N
-) -> BangBangProtocol:
-    """Analytic two-step protocol for given step frequencies (omega0 units)."""
+) -> ProtocolBundle:
+    """Analytic two-step protocol for given step frequencies (omega0 units):
+    frequency i*omega1 on (0, t1), omega2 on (t1, t_f); ``extra`` holds
+    t1, t2, omega1 and omega2."""
     t1, t2 = bang_bang_times(spec, omega1, omega2)
     t_f = t1 + t2
     seg2 = _bang_bang_seg2_fns(spec.gamma, omega2, t_f)
@@ -417,14 +411,13 @@ def bang_bang(
         grid = TimeGrid.piecewise([0.0, t1, t_f], n)
         fns = (_bang_bang_seg1_fns(omega1), seg2)
         om_vals = [-(omega1**2), omega2**2]
-    curve = _curve_from_fns(grid, fns)
     profile = FrequencyProfile(
         grid,
         np.concatenate([np.full(hi + 1 - lo, v) for v, (lo, hi) in zip(om_vals, grid.pieces)]),
         np.zeros(len(grid)),
         omega2_fns=tuple((lambda t, v=v: np.full(np.shape(t), v)) for v in om_vals),
     )
-    return BangBangProtocol(curve, profile, t1, t2, omega1, omega2)
+    return _bundle(grid, fns, profile, {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2})
 
 
 def bang_bang_max_duration(spec: TrapSpec) -> float:
@@ -435,7 +428,7 @@ def bang_bang_max_duration(spec: TrapSpec) -> float:
 _DURATION_RTOL = 1e-12
 
 
-def _two_step_for_duration(spec, t_f, n, label, t_min, w_lo, steps) -> BangBangProtocol:
+def _two_step_for_duration(spec, t_f, n, label, t_min, w_lo, steps) -> ProtocolBundle:
     """Two-step protocol of one family hitting a target duration.
 
     ``steps(w)`` maps the family's free frequency to (omega1, omega2); the
@@ -472,17 +465,16 @@ def _two_step_for_duration(spec, t_f, n, label, t_min, w_lo, steps) -> BangBangP
         bb = bang_bang(spec, *steps(w), n)
     except ValueError as exc:  # e.g. a step too short to sample, next to t_min
         raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
-    if abs(bb.t_f - t_f) > _DURATION_RTOL * t_f:
+    lasts = bb.curve.grid.t_f
+    if abs(lasts - t_f) > _DURATION_RTOL * t_f:
         raise Infeasible(
-            f"two-step protocol lasts {bb.t_f:.12g} instead of the requested {t_f:.12g} "
-            f"(relative miss {abs(bb.t_f - t_f) / t_f:.2g} > {_DURATION_RTOL:g})"
+            f"two-step protocol lasts {lasts:.12g} instead of the requested {t_f:.12g} "
+            f"(relative miss {abs(lasts - t_f) / t_f:.2g} > {_DURATION_RTOL:g})"
         )
     return bb
 
 
-def bang_bang_for_duration(
-    spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N
-) -> BangBangProtocol:
+def bang_bang_for_duration(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
     """Equal-step protocol (omega1 = omega2) hitting a target duration.
 
     Solves t1(w) + t2(w) = t_f for the common step frequency by root
@@ -492,7 +484,7 @@ def bang_bang_for_duration(
     return _two_step_for_duration(spec, t_f, n, "equal-step", 0.0, w_lo, lambda w: (w, w))
 
 
-def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> BangBangProtocol:
+def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
     """Free-expansion two-step protocol: omega1 = 0, omega2 = beta*omega0.
 
     All frequencies are real and non-negative, so the non-adiabatic energy
@@ -508,7 +500,7 @@ def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> BangBa
 
 def bang_bang_na_for_duration(
     spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N
-) -> BangBangProtocol:
+) -> ProtocolBundle:
     """Free-expansion protocol hitting a target duration.
 
     Durations range over (sqrt(gamma^2 - 1), pi*gamma/2]: the upper end is
@@ -659,17 +651,16 @@ _SHAPE_INPUTS = {"c3": ("septic", 0.0), "c4": ("septic", 0.0), "tau_l": ("hybrid
 
 
 def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
-    """Construct the curve/profile pair of a request: the one family dispatch.
+    """The protocol of a request: the one family dispatch.
 
-    Families without a native profile get the inverse-engineered one.
-    Raises ValueError for a request without a family, for step inputs
-    other than the family's own (bang_bang: both omega1 and omega2;
-    bang_bang_na: beta), for step inputs together with t_f, for a bad
-    t_f, and for another family's shape inputs (a nonzero c3/c4 outside
-    septic, tau_l/tau_s outside hybrid); the constructors' own ValueError
-    and Infeasible pass through.  ``extra`` holds the switching times and
-    step frequencies (bang_bang, bang_bang_na) or the shooting mismatch
-    (constant_power).
+    Returns the family constructor's bundle; the constant-power shot gets
+    the inverse-engineered profile and its mismatch in ``extra``.  Raises
+    ValueError for a request without a family, for step inputs other than
+    the family's own (bang_bang: both omega1 and omega2; bang_bang_na:
+    beta), for step inputs together with t_f, for a bad t_f, and for
+    another family's shape inputs (a nonzero c3/c4 outside septic,
+    tau_l/tau_s outside hybrid); the constructors' own ValueError and
+    Infeasible pass through.
     """
     fam, t_f, n = params.family, params.t_f, params.grid_n
     if fam is None:
@@ -689,30 +680,22 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     if own:
         steps = [getattr(params, k) for k in given]
         if fam == "bang_bang":
-            bb = bang_bang(spec, *steps, n) if steps else bang_bang_for_duration(spec, t_f, n)
-        else:
-            bb = bang_bang_na(spec, *steps, n) if steps else bang_bang_na_for_duration(spec, t_f, n)
-        return ProtocolBundle(
-            bb.curve, bb.profile,
-            {"t1": bb.t1, "t2": bb.t2, "omega1": bb.omega1, "omega2": bb.omega2},
-        )
-    if fam == "dirac":
-        return ProtocolBundle(*dirac_impulse(spec, t_f, n), {})
-    if fam == "linear_bottom":
-        return ProtocolBundle(*linear_bottom(spec, t_f, n), {})
-    extra = {}
-    if fam == "quintic":
-        curve = quintic(spec, t_f, n)
-    elif fam == "septic":
-        curve = septic(spec, t_f, params.c3, params.c4, n)
-    elif fam == "quasi_optimal":
-        curve = quasi_optimal(spec, t_f, n)
-    elif fam == "hybrid":
+            return bang_bang(spec, *steps, n) if steps else bang_bang_for_duration(spec, t_f, n)
+        return bang_bang_na(spec, *steps, n) if steps else bang_bang_na_for_duration(spec, t_f, n)
+    if fam == "septic":
+        return septic(spec, t_f, params.c3, params.c4, n)
+    if fam == "hybrid":
         caps = [0.1 * t_f if tau is None else tau for tau in (params.tau_l, params.tau_s)]
-        curve = hybrid_caps(spec, t_f, *caps, n)
-    elif fam == "constant_power":
+        return hybrid_caps(spec, t_f, *caps, n)
+    if fam == "constant_power":
         curve, mism = constant_power_shoot(spec, t_f, n)
-        extra = {"mismatch": mism}
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return ProtocolBundle(curve, ermakov.inverse_engineer(curve), extra)
+        return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {"mismatch": mism})
+    if fam == "quintic":
+        return quintic(spec, t_f, n)
+    if fam == "quasi_optimal":
+        return quasi_optimal(spec, t_f, n)
+    if fam == "dirac":
+        return dirac_impulse(spec, t_f, n)
+    if fam == "linear_bottom":
+        return linear_bottom(spec, t_f, n)
+    raise ValueError(f"unknown family {fam!r}")

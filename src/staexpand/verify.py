@@ -138,20 +138,20 @@ def check_bang_bang_extremes(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     averaged energy reaches its minimum (1 + omega_f/omega0)/4 (n = 0)."""
     spec = TrapSpec.from_gamma(10.0)
     w = math.sqrt(spec.omega_f_rel)
-    bb = protocols.bang_bang(spec, w, w, n_grid)
-    e = energies.bang_bang_energies(spec, w, w, bb.t1, bb.t2)
+    bb = protocols.bang_bang(spec, w, w, n_grid).extra
+    e = energies.bang_bang_energies(spec, **bb)
     si = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * 25.0)
     tf_si = math.pi / (2.0 * math.sqrt(si.omega0 * si.omega_f))
     ok = (
-        bb.t1 < 1e-12
-        and abs(bb.t_f - 5.0 * math.pi) < 1e-9
+        bb["t1"] < 1e-12
+        and abs(e.t_f - 5.0 * math.pi) < 1e-9
         and abs(e.avg_E - 0.2525) < 1e-12
         and abs(tf_si - 1e-3) < 1e-9
     )
     return _result(
         "bang_bang_extremes",
         ok,
-        f"t1 = {bb.t1:.2e}, t_f - 5pi = {bb.t_f - 5*math.pi:.2e}, "
+        f"t1 = {bb['t1']:.2e}, t_f - 5pi = {e.t_f - 5*math.pi:.2e}, "
         f"avg_E - 0.2525 = {e.avg_E - 0.2525:.2e}, t_f(SI) - 1 ms = {tf_si - 1e-3:.2e} s",
         "t1 < 1e-12, |t_f - 5pi| < 1e-9, |avg_E - 0.2525| < 1e-12, |t_f - 1 ms| < 1e-9 s",
     )
@@ -244,7 +244,7 @@ def check_na_bound_sweep(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     for t_f in np.geomspace(t_lo, t_hi, 20):
         bb = protocols.bang_bang_na_for_duration(spec, float(t_f), n_grid)
         _, avg, _ = energies.nonadiabatic_energy(bb.curve, bb.profile, spec)
-        bound = energies.na_lower_bound(spec, bb.t_f)
+        bound = energies.na_lower_bound(spec, bb.curve.grid.t_f)
         worst_margin = min(worst_margin, avg / bound - 1.0)
     ok = worst_margin >= -1e-6 and hybrid_ratios[-1] <= 2.0
     return _result(
@@ -262,16 +262,17 @@ def check_free_expansion_matching(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     arcsin(sqrt(99/9999)) ~ 0.099674, and the curve closes on (gamma, 0)."""
     spec = TrapSpec.from_gamma(10.0)
     bb = protocols.bang_bang_na(spec, 1.0, n_grid)
+    t1, t2 = bb.extra["t1"], bb.extra["t2"]
     ok = (
-        abs(bb.t1 - 9.9) < 1e-10
-        and abs(bb.t2 - 0.099674) < 1e-5
+        abs(t1 - 9.9) < 1e-10
+        and abs(t2 - 0.099674) < 1e-5
         and abs(float(bb.curve.b[-1]) - spec.gamma) < 1e-8
         and abs(float(bb.curve.bdot[-1])) < 1e-8
     )
     return _result(
         "free_expansion_matching",
         ok,
-        f"t1 - 9.9 = {bb.t1 - 9.9:.2e}, t2 = {bb.t2:.8f}, "
+        f"t1 - 9.9 = {t1 - 9.9:.2e}, t2 = {t2:.8f}, "
         f"b(t_f) - gamma = {float(bb.curve.b[-1]) - spec.gamma:.2e}, "
         f"bdot(t_f) = {float(bb.curve.bdot[-1]):.2e}",
         "|t1 - 9.9| < 1e-10, |t2 - 0.099674| < 1e-5, closure < 1e-8",

@@ -286,6 +286,25 @@ class TestSweepCommand:
         vals = [float(r[1]) for r in rows if r[1]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("preset, trap", [("fig1", []), ("fig3", ["--gamma", "10"])])
+    def test_extreme_durations_are_rows_with_reasons(self, tmp_path, preset, trap):
+        # both used to end in a traceback: the polynomial families' typed
+        # ValueError (t_f^3 overflows) and the bounds' OverflowError (t_f^2)
+        out = tmp_path / preset
+        proc = run_cli(["sweep", "--preset", preset, *trap, "--tf-min", "1e150", "--tf-max", "1e155",
+                        "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        families = {"fig1": ("quintic", "bang_bang", "bound"),
+                    "fig3": ("hybrid", "quintic", "na_bang_bang", "bound")}[preset]
+        for fam in families:
+            _, rows = csv_rows(out / f"{preset}_{fam}.csv")
+            assert len(rows) == 300 and all(math.isfinite(float(r[2])) for r in rows)
+            if fam == "bound":
+                assert all(r[1] == r[2] and not r[3] for r in rows)
+            else:
+                reason = "too long for this protocol" if fam in ("quintic", "hybrid") else "need"
+                assert all(not r[1] and reason in r[3] for r in rows), fam
+
     def test_fig3_infeasible_points_carry_reasons(self, tmp_path):
         out = tmp_path / "sw3"
         main([
@@ -469,6 +488,16 @@ class TestPowerCommand:
             main(["power", "--preset", "fig4", "--points-per-decade", "3", "--jobs", "2", "--tf-min", "1",
                   "--out", str(out)])
         assert not out.exists()
+
+    def test_grid_default_is_4001_and_an_explicit_2001_is_kept(self, tmp_path):
+        # --grid 2001 used to be taken for the unset default and replaced by
+        # 4001, under a "# grid = 2001" header
+        for argv, nodes in (([], 4001), (["--grid", "2001"], 2001)):
+            out = tmp_path / f"p{nodes}.csv"
+            assert main(["power", "--preset", "fig4", *argv, "--out", str(out)]) == 0
+            header, rows = csv_rows(out)
+            assert len(rows) == nodes and f"# grid = {nodes}" in read_lines(out)
+            assert float(rows[1][0]) == 1.0 / (nodes - 1)
 
     def test_even_grid_exits_with_message(self, tmp_path):
         out = tmp_path / "p2.csv"

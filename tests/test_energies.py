@@ -46,18 +46,18 @@ class TestInstantaneous:
         # quintic/septic close on instantaneous eigenstates of omega0 / omega_f
         for n in (0, 2):
             s = TrapSpec.from_gamma(10.0, n=n)
-            for curve in (protocols.quintic(s, 25.0), protocols.septic(s, 25.0)):
+            for curve in (protocols.quintic(s, 25.0).curve, protocols.septic(s, 25.0).curve):
                 tr = energies.instantaneous(curve, ermakov.inverse_engineer(curve), s)
                 assert float(tr.E[0]) == pytest.approx(n + 0.5, rel=1e-12)
                 assert float(tr.E[-1]) == pytest.approx((n + 0.5) * 0.01, rel=1e-9)
 
     def test_e_equals_k_plus_v(self, spec):
-        curve = protocols.quintic(spec, 3.0)
+        curve = protocols.quintic(spec, 3.0).curve
         tr = energies.instantaneous(curve, ermakov.inverse_engineer(curve), spec)
         assert np.array_equal(tr.E, tr.K + tr.V)
 
     def test_negative_potential_in_fast_protocols(self, spec):
-        curve = protocols.quintic(spec, 1.0)
+        curve = protocols.quintic(spec, 1.0).curve
         tr = energies.instantaneous(curve, ermakov.inverse_engineer(curve), spec)
         assert float(np.min(tr.V)) < 0.0
         assert float(np.min(tr.K)) >= 0.0
@@ -72,24 +72,25 @@ class TestAverages:
 
     @pytest.mark.parametrize("tf", [0.5, 5.0, 50.0])
     def test_virial_quintic(self, spec, tf):
-        curve = protocols.quintic(spec, tf)
+        curve = protocols.quintic(spec, tf).curve
         tr = trace_for(curve, ermakov.inverse_engineer(curve), spec)
         assert abs(tr.avg_K - tr.avg_V) / tr.avg_E < 1e-6
 
     def test_avg_v_positive_despite_negative_stretches(self, spec):
-        curve = protocols.quintic(spec, 1.0)
+        curve = protocols.quintic(spec, 1.0).curve
         tr = trace_for(curve, ermakov.inverse_engineer(curve), spec)
         assert float(np.min(tr.V)) < 0.0
         assert tr.avg_V > 0.0
 
     def test_linear_bottom_route_discrepancy_is_boundary_term(self, spec):
-        c, p = protocols.linear_bottom(spec, 1.0)
+        bundle = protocols.linear_bottom(spec, 1.0)
+        c, p = bundle.curve, bundle.profile
         tr = trace_for(c, p, spec)
         assert tr.avg_E != pytest.approx(tr.avg_E2, rel=1e-3)
         assert tr.avg_E - tr.avg_E2 == pytest.approx(-tr.delta_delta, rel=1e-9)
 
     def test_energy_change_matches_eigenvalues(self, spec):
-        curve = protocols.quintic(spec, 25.0)
+        curve = protocols.quintic(spec, 25.0).curve
         tr = energies.instantaneous(curve, ermakov.inverse_engineer(curve), spec)
         assert float(tr.E[-1] - tr.E[0]) == pytest.approx(0.5 * (0.01 - 1.0), rel=1e-9)
 
@@ -97,25 +98,28 @@ class TestAverages:
 class TestImpulseContribution:
     def test_quasi_optimal_value(self, spec):
         # ((2n+1)/(4 tf^2)) (B^2 - tf^2) with B = sqrt(101) - 1
-        curve, profile = protocols.dirac_impulse(spec, 1.0)
+        bundle = protocols.dirac_impulse(spec, 1.0)
+        curve, profile = bundle.curve, bundle.profile
         dd = energies.impulse_contribution(curve, spec)
         B = math.sqrt(101.0) - 1.0
         assert dd == pytest.approx((B**2 - 1.0) / 4.0, rel=1e-12)
 
     def test_smooth_protocol_has_no_contribution(self, spec):
-        curve = protocols.quintic(spec, 2.0)
+        curve = protocols.quintic(spec, 2.0).curve
         dd = energies.impulse_contribution(curve, spec)
         assert abs(dd) < 1e-12
 
     def test_half_share_in_fast_strong_limit(self):
         spec = TrapSpec.from_gamma(100.0)
-        curve, profile = protocols.dirac_impulse(spec, 1e-3)
+        bundle = protocols.dirac_impulse(spec, 1e-3)
+        curve, profile = bundle.curve, bundle.profile
         tr = trace_for(curve, profile, spec)
         assert tr.delta_delta / tr.avg_E == pytest.approx(0.5, abs=0.01)
 
     def test_equality_chain(self, spec):
         for tf in (0.3, 1.0, 3.0):
-            curve, profile = protocols.dirac_impulse(spec, tf)
+            bundle = protocols.dirac_impulse(spec, tf)
+            curve, profile = bundle.curve, bundle.profile
             tr = trace_for(curve, profile, spec)
             bound = energies.lower_bound_avg_energy(spec, tf).value
             assert tr.avg_E == pytest.approx(tr.avg_E2, rel=1e-6)
@@ -225,9 +229,9 @@ class TestLowerBound:
         for tf in (0.5, 5.0, 50.0):
             bound = energies.lower_bound_avg_energy(spec, tf).value
             for curve in (
-                protocols.quintic(spec, tf),
-                protocols.septic(spec, tf, 78.5088, -459.7638),
-                protocols.hybrid_caps(spec, tf, 0.1 * tf, 0.1 * tf),
+                protocols.quintic(spec, tf).curve,
+                protocols.septic(spec, tf, 78.5088, -459.7638).curve,
+                protocols.hybrid_caps(spec, tf, 0.1 * tf, 0.1 * tf).curve,
             ):
                 tr = trace_for(curve, ermakov.inverse_engineer(curve), spec)
                 assert tr.avg_E >= bound * (1.0 - 1e-6)
@@ -248,12 +252,13 @@ def test_complete_protocols_respect_exact_bound():
         t_f = 10.0**log_tf
         bound = energies.lower_bound_avg_energy(spec, t_f).value
         curves = (
-            protocols.quintic(spec, t_f),
-            protocols.septic(spec, t_f, 0.0, 0.0),
-            protocols.hybrid_caps(spec, t_f, 0.1 * t_f, 0.1 * t_f),
+            protocols.quintic(spec, t_f).curve,
+            protocols.septic(spec, t_f, 0.0, 0.0).curve,
+            protocols.hybrid_caps(spec, t_f, 0.1 * t_f, 0.1 * t_f).curve,
         )
         cases = [(c, ermakov.inverse_engineer(c)) for c in curves]
-        cases.append(protocols.dirac_impulse(spec, t_f))
+        dirac = protocols.dirac_impulse(spec, t_f)
+        cases.append((dirac.curve, dirac.profile))
         for curve, profile in cases:
             assert trace_for(curve, profile, spec).avg_E >= bound * (1.0 - 1e-6)
 
@@ -267,41 +272,43 @@ class TestNonAdiabatic:
         assert np.max(np.abs(ena)) == 0.0 and avg == 0.0 and avg2 == 0.0
 
     def test_matches_excitation_scaling(self, spec):
-        curve = protocols.quintic(spec, 50.0)
+        curve = protocols.quintic(spec, 50.0).curve
         profile = ermakov.inverse_engineer(curve)
         ena, _, _ = energies.nonadiabatic_energy(curve, profile, spec)
         assert np.max(np.abs(ena - 0.5 * excitation_energy(curve, profile))) < 1e-12
         assert float(np.min(ena)) >= 0.0
 
     def test_routes_agree_with_boundary_conditions(self, spec):
-        curve = protocols.quintic(spec, 50.0)
+        curve = protocols.quintic(spec, 50.0).curve
         _, avg, avg2 = energies.nonadiabatic_energy(curve, ermakov.inverse_engineer(curve), spec)
         assert avg == pytest.approx(avg2, rel=1e-9)
 
     def test_endpoints_zero_for_frequency_continuous(self, spec):
-        curve = protocols.quintic(spec, 50.0)
+        curve = protocols.quintic(spec, 50.0).curve
         ena, _, _ = energies.nonadiabatic_energy(curve, ermakov.inverse_engineer(curve), spec)
         assert abs(float(ena[0])) < 1e-10 and abs(float(ena[-1])) < 1e-10
 
     def test_linear_bottom_average(self, spec):
-        c, p = protocols.linear_bottom(spec, 1.0)
+        bundle = protocols.linear_bottom(spec, 1.0)
+        c, p = bundle.curve, bundle.profile
         _, avg, _ = energies.nonadiabatic_energy(c, p, spec)
         assert avg == pytest.approx(20.25, rel=1e-12)
         assert avg == pytest.approx(energies.na_lower_bound(spec, 1.0), rel=1e-12)
 
     def test_linear_bottom_constant(self, spec):
         # the potential part vanishes on the bottom track: E_ex = ((gamma-1)/tf)^2/2
-        c, p = protocols.linear_bottom(spec, 1.0)
+        bundle = protocols.linear_bottom(spec, 1.0)
+        c, p = bundle.curve, bundle.profile
         ena, _, _ = energies.nonadiabatic_energy(c, p, spec)
         assert np.max(np.abs(excitation_energy(c, p) - 40.5)) < 1e-10
         assert np.max(np.abs(ena - 20.25)) < 1e-10
 
     def test_rejects_imaginary_and_excited(self, spec):
-        curve = protocols.quintic(spec, 1.0)
+        curve = protocols.quintic(spec, 1.0).curve
         with pytest.raises(NonRealFrequency):
             energies.nonadiabatic_energy(curve, ermakov.inverse_engineer(curve), spec)
         s2 = TrapSpec.from_gamma(10.0, n=2)
-        slow = protocols.quintic(s2, 50.0)
+        slow = protocols.quintic(s2, 50.0).curve
         with pytest.raises(ValueError):
             energies.nonadiabatic_energy(slow, ermakov.inverse_engineer(slow), s2)
 
@@ -314,7 +321,7 @@ class TestNonAdiabatic:
 
 class TestPower:
     def test_integral_matches_energy_change(self, spec):
-        curve = protocols.quintic(spec, 25.0)
+        curve = protocols.quintic(spec, 25.0).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         assert pw.integral == pytest.approx(-0.495, rel=1e-6)
 
@@ -322,15 +329,15 @@ class TestPower:
         traces = []
         for n in (0, 5):
             s = TrapSpec.from_gamma(10.0, n=n)
-            curve = protocols.quintic(s, 25.0)
+            curve = protocols.quintic(s, 25.0).curve
             traces.append(energies.power(curve, ermakov.inverse_engineer(curve), s).P_rel)
         assert np.max(np.abs(traces[0] - traces[1])) < 1e-12
 
     def test_peak_floor(self, spec):
         for mk in (
-            lambda: protocols.quintic(spec, 25.0),
-            lambda: protocols.septic(spec, 25.0),
-            lambda: protocols.septic(spec, 25.0, 78.5088, -459.7638),
+            lambda: protocols.quintic(spec, 25.0).curve,
+            lambda: protocols.septic(spec, 25.0).curve,
+            lambda: protocols.septic(spec, 25.0, 78.5088, -459.7638).curve,
         ):
             curve = mk()
             pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
@@ -339,7 +346,7 @@ class TestPower:
     def test_quintic_endpoint_power_is_third_derivative(self, spec):
         # d(omega^2)/dt at t=0 is -bdddot(0), so P_rel(0) = 30(gamma-1)/((1-Wf) tf^2)
         tf = 25.0
-        curve = protocols.quintic(spec, tf)
+        curve = protocols.quintic(spec, tf).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         expected = 30.0 * 9.0 / ((1.0 - 0.01) * tf**2)
         assert float(pw.P_rel[0]) == pytest.approx(expected, rel=1e-12)
@@ -347,12 +354,13 @@ class TestPower:
     def test_relative_power_normalization(self, spec):
         from staexpand import numerics
 
-        curve = protocols.quintic(spec, 25.0)
+        curve = protocols.quintic(spec, 25.0).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         assert numerics.integrate(pw.P_rel, curve.grid) / 25.0 == pytest.approx(1.0, abs=1e-6)
 
     def test_impulse_protocol_refused(self, spec):
-        curve, profile = protocols.dirac_impulse(spec, 1.0)
+        bundle = protocols.dirac_impulse(spec, 1.0)
+        curve, profile = bundle.curve, bundle.profile
         with pytest.raises(PowerUndefined):
             energies.power(curve, profile, spec)
 
@@ -360,7 +368,7 @@ class TestPower:
         # gamma = 1 has no energy change to normalize by; this used to
         # return peak_rel = nan with a RuntimeWarning
         s = TrapSpec.from_gamma(1.0)
-        curve = protocols.quintic(s, 5.0)
+        curve = protocols.quintic(s, 5.0).curve
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PowerUndefined, match="gamma = 1"):
@@ -371,7 +379,7 @@ class TestPower:
         pw = energies.power(bb.curve, bb.profile, spec)
         assert np.max(np.abs(pw.P)) == 0.0  # constant frequency inside segments
         assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-9)
-        curve = protocols.hybrid_caps(spec, 25.0, 2.5, 2.5)
+        curve = protocols.hybrid_caps(spec, 25.0, 2.5, 2.5).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         assert len(pw.steps) == 4  # both endpoints and both cap joints
         assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-6)
@@ -402,17 +410,17 @@ class TestBangBangEnergies:
     def test_extreme_point_average(self, spec):
         w = math.sqrt(spec.omega_f_rel)
         bb = protocols.bang_bang(spec, w, w)
-        e = energies.bang_bang_energies(spec, w, w, bb.t1, bb.t2)
+        e = energies.bang_bang_energies(spec, **bb.extra)
         assert e.avg_E == pytest.approx(0.2525, abs=1e-12)
 
     def test_first_segment_dies_at_omega0(self, spec):
         bb = protocols.bang_bang(spec, 1.0, 1.0)
-        e = energies.bang_bang_energies(spec, 1.0, 1.0, bb.t1, bb.t2)
+        e = energies.bang_bang_energies(spec, **bb.extra)
         assert e.e_segment1 == 0.0
 
     def test_segment_energies_match_trace(self, spec):
         bb = protocols.bang_bang(spec, 0.7, 2.0)
-        e = energies.bang_bang_energies(spec, 0.7, 2.0, bb.t1, bb.t2)
+        e = energies.bang_bang_energies(spec, **bb.extra)
         tr = trace_for(bb.curve, bb.profile, spec)
         lo, hi = bb.curve.grid.pieces[0]
         assert np.max(np.abs(tr.E[lo : hi + 1] - e.e_segment1)) < 1e-9
@@ -435,6 +443,40 @@ class TestBangBangEnergies:
         assert vals[0] > vals[1] > vals[2] > 1.0
 
 
+class TestBeyondSquaredDuration:
+    """Above t_f ~ 1.34e154 t_f^2 overflows; the bounds it divides stay finite."""
+
+    @pytest.mark.parametrize("gamma", [1.5, 10.0, 1e6])
+    def test_bounds_at_1e160_are_finite(self, gamma):
+        spec = TrapSpec.from_gamma(gamma)
+        lb = energies.lower_bound_avg_energy(spec, 1e160)
+        assert math.isfinite(lb.value) and lb.value > 0.0
+        assert (lb.closed_form, lb.closed_form_valid) == (None, False)
+        assert energies.na_lower_bound(spec, 1e160) == pytest.approx((gamma - 1.0) ** 2 / 4e320, rel=1e-14)
+        rep = energies.bound_report(spec, 1e160)
+        assert rep.E_nL == lb and rep.Ena_L == energies.na_lower_bound(spec, 1e160)
+        assert rep.E_nL_small_tf == pytest.approx(gamma**2 / 2e320, rel=1e-14)
+        wf = spec.omega_f_rel
+        bb = math.pi * math.log(2.0 * gamma) / (16.0 * wf) / 1e320
+        assert rep.bb_equal_steps_avg_E == pytest.approx(bb, rel=1e-14)
+
+    def test_values_underflow_rather_than_raise(self):
+        spec = TrapSpec.from_gamma(10.0)
+        rep = energies.bound_report(spec, 1e300)
+        assert rep.Ena_L == rep.E_nL_small_tf == rep.bb_equal_steps_avg_E == 0.0
+        assert rep.E_nL.value > 0.0
+
+    @pytest.mark.parametrize("t_f", [1e-3, 1.0, 25.0, 1e100, 1e150, 1.3e154])
+    def test_below_the_overflow_the_values_are_unchanged(self, t_f):
+        # the printed expressions, evaluated as written wherever t_f^2 is a float
+        spec = TrapSpec.from_gamma(10.0, n=1)
+        g, wf, tn = spec.gamma, spec.omega_f_rel, 3
+        assert energies.na_lower_bound(spec, t_f) == (g - 1.0) ** 2 / (4.0 * t_f**2)
+        rep = energies.bound_report(spec, t_f)
+        assert rep.E_nL_small_tf == tn * g**2 / (2.0 * t_f**2)
+        assert rep.bb_equal_steps_avg_E == tn * math.pi * math.log(2.0 * g) / (16.0 * wf * t_f**2)
+
+
 class TestBoundReport:
     def test_fields(self, spec):
         rep = energies.bound_report(spec, 1.0)
@@ -447,12 +489,12 @@ class TestBoundReport:
 
 class TestFullTrace:
     def test_attaches_na_when_defined(self, spec):
-        curve = protocols.quintic(spec, 50.0)
+        curve = protocols.quintic(spec, 50.0).curve
         tr = energies.full_trace(curve, ermakov.inverse_engineer(curve), spec)
         assert tr.Ena is not None and tr.avg_Ena > 0.0
         assert tr.avg_E is not None
 
     def test_skips_na_in_imaginary_band(self, spec):
-        curve = protocols.quintic(spec, 1.0)
+        curve = protocols.quintic(spec, 1.0).curve
         tr = energies.full_trace(curve, ermakov.inverse_engineer(curve), spec)
         assert tr.Ena is None

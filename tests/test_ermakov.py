@@ -32,7 +32,7 @@ class TestResidual:
         assert ermakov.ermakov_residual(curve, profile) == 0.0
 
     def test_quintic_inverse_engineered(self, spec):
-        c = protocols.quintic(spec, 3.0)
+        c = protocols.quintic(spec, 3.0).curve
         assert ermakov.ermakov_residual(c, ermakov.inverse_engineer(c)) < 1e-10
 
     def test_bang_bang_closed_forms(self, spec):
@@ -40,8 +40,8 @@ class TestResidual:
         assert ermakov.ermakov_residual(bb.curve, bb.profile) < 1e-9
 
     def test_grid_mismatch(self, spec):
-        c = protocols.quintic(spec, 3.0)
-        other = ermakov.inverse_engineer(protocols.quintic(spec, 3.0, n=1001))
+        c = protocols.quintic(spec, 3.0).curve
+        other = ermakov.inverse_engineer(protocols.quintic(spec, 3.0, n=1001).curve)
         with pytest.raises(GridMismatch):
             ermakov.ermakov_residual(c, other)
 
@@ -53,12 +53,12 @@ class TestInverseEngineer:
         assert np.max(np.abs(p.omega2 - 1.0)) == 0.0
 
     def test_quintic_endpoint_frequencies(self, spec):
-        p = ermakov.inverse_engineer(protocols.quintic(spec, 25.0))
+        p = ermakov.inverse_engineer(protocols.quintic(spec, 25.0).curve)
         assert float(p.omega2[0]) == pytest.approx(1.0, abs=1e-12)
         assert float(p.omega2[-1]) == pytest.approx(1e-4, rel=1e-10)
 
     def test_fast_quintic_has_imaginary_band(self, spec):
-        p = ermakov.inverse_engineer(protocols.quintic(spec, 1.0))
+        p = ermakov.inverse_engineer(protocols.quintic(spec, 1.0).curve)
         assert p.has_imaginary
         assert float(np.min(p.omega2)) < 0.0
 
@@ -70,12 +70,13 @@ class TestForwardSolve:
         assert np.max(np.abs(c.b - 1.0)) < 1e-12
 
     def test_round_trip_quintic(self, spec):
-        c = protocols.quintic(spec, 25.0)
+        c = protocols.quintic(spec, 25.0).curve
         c2 = ermakov.forward_solve(ermakov.inverse_engineer(c))
         assert np.max(np.abs(c2.b - c.b)) < 1e-6
 
     def test_impulse_protocol_reaches_target(self, spec):
-        curve, profile = protocols.dirac_impulse(spec, 1.0)
+        bundle = protocols.dirac_impulse(spec, 1.0)
+        curve, profile = bundle.curve, bundle.profile
         solved = ermakov.forward_solve(profile)
         b_f = float(solved.b[-1])
         df = profile.impulses[1][1]  # the final kick stops the slope
@@ -84,7 +85,8 @@ class TestForwardSolve:
 
     def test_impulse_jump_rule(self, spec):
         # bdot jumps by exactly -D b across a kick
-        curve, profile = protocols.dirac_impulse(spec, 1.0)
+        bundle = protocols.dirac_impulse(spec, 1.0)
+        curve, profile = bundle.curve, bundle.profile
         solved = ermakov.forward_solve(profile)
         d0 = profile.impulses[0][1]
         assert solved.b0_plus_dot == pytest.approx(-d0 * float(solved.b[0]), rel=1e-12)
@@ -103,7 +105,7 @@ class TestForwardSolve:
         # quintic gamma 3, t_f 40 has max W = 1, so 21 nodes (h = 2) exceed
         # RK4's limit h max W = sqrt(2) for b's oscillation at 2W; 41 do not
         spec = TrapSpec.from_gamma(3.0)
-        profile = ermakov.inverse_engineer(protocols.quintic(spec, 40.0, 21))
+        profile = ermakov.inverse_engineer(protocols.quintic(spec, 40.0, 21).curve)
         with pytest.raises(TrajectoryBlowUp) as exc:
             ermakov.forward_solve(profile)
         assert str(exc.value) == (
@@ -111,7 +113,7 @@ class TestForwardSolve:
             "h*max W = 2, above RK4's stability limit sqrt(2) = 1.41421; refine the grid"
         )
         assert exc.value.t == 21.0
-        curve = protocols.quintic(spec, 40.0, 41)
+        curve = protocols.quintic(spec, 40.0, 41).curve
         solved = ermakov.forward_solve(ermakov.inverse_engineer(curve))
         assert np.max(np.abs(solved.b - curve.b)) < 1e-3
 
@@ -180,12 +182,12 @@ class TestExcitationEnergy:
         assert avg == 0.0 and avg2 == 0.0
 
     def test_rejects_imaginary_band(self, spec):
-        c = protocols.quintic(spec, 1.0)
+        c = protocols.quintic(spec, 1.0).curve
         with pytest.raises(NonRealFrequency):
             energies.nonadiabatic_energy(c, ermakov.inverse_engineer(c), spec)
 
     def test_nonnegative_for_real_frequency(self, spec):
-        c = protocols.quintic(spec, 50.0)
+        c = protocols.quintic(spec, 50.0).curve
         e_na, _, _ = energies.nonadiabatic_energy(c, ermakov.inverse_engineer(c), spec)
         assert float(np.min(e_na)) >= 0.0
 
@@ -241,14 +243,14 @@ def reference_shoot(spec, t_f, n):
 def _profiles(n):
     spec = TrapSpec.from_gamma(10.0)
     cp, _ = protocols.constant_power_shoot(spec, 30.0, n)
-    lb_curve, lb_profile = protocols.linear_bottom(spec, 20.0, n)
+    lb = protocols.linear_bottom(spec, 20.0, n)
     return {
-        "quintic": (ermakov.inverse_engineer(protocols.quintic(spec, 25.0, n)), 0.0),
-        "septic": (ermakov.inverse_engineer(protocols.septic(spec, 25.0, 4.0, -3.0, n)), 0.0),
-        "hybrid": (ermakov.inverse_engineer(protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, n)), 0.0),
-        "dirac": (protocols.dirac_impulse(spec, 5.0, n)[1], 0.0),
+        "quintic": (protocols.quintic(spec, 25.0, n).profile, 0.0),
+        "septic": (protocols.septic(spec, 25.0, 4.0, -3.0, n).profile, 0.0),
+        "hybrid": (protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, n).profile, 0.0),
+        "dirac": (protocols.dirac_impulse(spec, 5.0, n).profile, 0.0),
         "bang_bang": (protocols.bang_bang(spec, 1.0, 1.0, n).profile, 0.0),
-        "linear_bottom": (lb_profile, float(lb_curve.bdot[0])),
+        "linear_bottom": (lb.profile, float(lb.curve.bdot[0])),
         "constant_power": (ermakov.inverse_engineer(cp), 0.0),  # Hermite path: no closed form
     }
 

@@ -23,7 +23,7 @@ class TestOptimizeCaps:
 
     def test_returned_caps_reproduce_objective(self, spec):
         res = optimize.optimize_caps(spec, 300.0, n_grid=1001)
-        curve = protocols.hybrid_caps(spec, 300.0, *res.params, n=1001)
+        curve = protocols.hybrid_caps(spec, 300.0, *res.params, n=1001).curve
         profile = ermakov.inverse_engineer(curve)
         assert float(np.min(profile.omega2)) >= -1e-12
         _, avg, _ = energies.nonadiabatic_energy(curve, profile, spec)
@@ -55,7 +55,7 @@ class TestOptimizeCaps:
         for search in (optimize.optimize_caps, optimize.best_cap_seed):
             _same_error(
                 ValueError,
-                lambda: protocols.hybrid_caps(spec, t_f, 1.0, 1.0, 301),
+                lambda: protocols.hybrid_caps(spec, t_f, 1.0, 1.0, 301).curve,
                 lambda: search(spec, t_f, 301),
             )
 
@@ -76,7 +76,7 @@ class TestOptimizeSepticPower:
 
     def test_beats_quintic_and_respects_floor(self, fig4):
         spec, t_f = fig4
-        quintic = protocols.quintic(spec, t_f, 4001)
+        quintic = protocols.quintic(spec, t_f, 4001).curve
         q_peak = energies.power(quintic, ermakov.inverse_engineer(quintic), spec).peak_rel
         res = optimize.optimize_septic_power(spec, t_f)
         assert res.objective <= q_peak
@@ -85,9 +85,9 @@ class TestOptimizeSepticPower:
 
     def test_reference_coefficients_also_beat_quintic(self, fig4):
         spec, t_f = fig4
-        quintic = protocols.quintic(spec, t_f, 4001)
+        quintic = protocols.quintic(spec, t_f, 4001).curve
         q_peak = energies.power(quintic, ermakov.inverse_engineer(quintic), spec).peak_rel
-        ref = protocols.septic(spec, t_f, 78.5088, -459.7638, 4001)
+        ref = protocols.septic(spec, t_f, 78.5088, -459.7638, 4001).curve
         ref_peak = energies.power(ref, ermakov.inverse_engineer(ref), spec).peak_rel
         assert ref_peak <= q_peak
 
@@ -95,7 +95,7 @@ class TestOptimizeSepticPower:
         # not required, but the search from (0,0) does find the published basin
         spec, t_f = fig4
         res = optimize.optimize_septic_power(spec, t_f)
-        ref = protocols.septic(spec, t_f, 78.5088, -459.7638, 4001)
+        ref = protocols.septic(spec, t_f, 78.5088, -459.7638, 4001).curve
         ref_peak = energies.power(ref, ermakov.inverse_engineer(ref), spec).peak_rel
         assert res.objective == pytest.approx(ref_peak, rel=1e-3)
 
@@ -108,7 +108,7 @@ class TestOptimizeSepticPower:
 
 def _full_cap_objective(spec, t_f, tau_l, tau_s, n):
     """The cap objective through the public path: protocol, profile, energy report."""
-    curve = protocols.hybrid_caps(spec, t_f, tau_l, tau_s, n)
+    curve = protocols.hybrid_caps(spec, t_f, tau_l, tau_s, n).curve
     profile = ermakov.inverse_engineer(curve)
     if profile.has_imaginary:
         return math.inf
@@ -157,7 +157,7 @@ class TestObjectivesMatchFullPath:
     def test_cap_objective_is_inf_exactly_where_imaginary(self, spec):
         # at t_f = 100 the stopping cap turns imaginary below tau_s ~ 44.5
         for tau_s in (5.0, 40.0, 44.0, 45.0, 60.0, 90.0):
-            curve = protocols.hybrid_caps(spec, 100.0, 5.0, tau_s, 501)
+            curve = protocols.hybrid_caps(spec, 100.0, 5.0, tau_s, 501).curve
             imaginary = ermakov.inverse_engineer(curve).has_imaginary
             assert math.isinf(optimize._hybrid_avg_ena(spec, 100.0, 5.0, tau_s, 501)) == imaginary
 

@@ -252,7 +252,7 @@ def test_for_duration_helpers_hit_the_duration_or_raise(log_gamma, frac, n):
             bb = helper(spec, t_f, n)
         except Infeasible:
             continue
-        assert abs(bb.t1 + bb.t2 - t_f) <= 1e-12 * t_f
+        assert abs(bb.extra["t1"] + bb.extra["t2"] - t_f) <= 1e-12 * t_f
 
 
 EPS = np.finfo(float).eps

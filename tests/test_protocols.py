@@ -25,32 +25,32 @@ def boundary_values(curve):
 
 class TestQuintic:
     def test_boundaries(self, spec):
-        c = protocols.quintic(spec, 2.0)
+        c = protocols.quintic(spec, 2.0).curve
         b0, bf, d0, df, dd0, ddf = boundary_values(c)
         assert (b0, bf) == (1.0, 10.0)
         assert max(abs(d0), abs(df), abs(dd0), abs(ddf)) < 1e-12
 
     def test_midpoint_value(self, spec):
         # direct polynomial evaluation at s = 1/2: 1 + (gamma-1)/2
-        c = protocols.quintic(spec, 2.0)
+        c = protocols.quintic(spec, 2.0).curve
         assert c.fns[0](1.0)[0] == pytest.approx(5.5, rel=1e-14)
 
     def test_no_expansion_is_flat(self):
-        c = protocols.quintic(TrapSpec.from_gamma(1.0), 2.0)
+        c = protocols.quintic(TrapSpec.from_gamma(1.0), 2.0).curve
         assert np.max(np.abs(c.b - 1.0)) == 0.0
 
 
 class TestSeptic:
     @pytest.mark.parametrize("c3,c4", [(0.0, 0.0), (78.5088, -459.7638), (-12.5, 30.0)])
     def test_boundaries_any_coefficients(self, spec, c3, c4):
-        c = protocols.septic(spec, 2.0, c3, c4)
+        c = protocols.septic(spec, 2.0, c3, c4).curve
         b0, bf, d0, df, dd0, ddf = boundary_values(c)
         assert b0 == 1.0
         assert bf == pytest.approx(10.0, abs=1e-10)
         assert max(abs(d0), abs(df), abs(dd0), abs(ddf)) < 1e-9
 
     def test_no_low_order_terms(self, spec):
-        c = protocols.septic(spec, 2.0, 5.0, -3.0)
+        c = protocols.septic(spec, 2.0, 5.0, -3.0).curve
         assert float(c.b[0]) == 1.0
         assert float(c.bddot[0]) == 0.0
 
@@ -62,7 +62,7 @@ class TestQuasiOptimal:
         )
 
     def test_endpoints(self, spec):
-        c = protocols.quasi_optimal(spec, 1.0)
+        c = protocols.quasi_optimal(spec, 1.0).curve
         assert float(c.b[0]) == 1.0
         # (B+1)^2 - tf^2 = gamma^2 algebraically
         assert float(c.b[-1]) == pytest.approx(10.0, rel=1e-12)
@@ -70,14 +70,14 @@ class TestQuasiOptimal:
     def test_one_sided_slopes(self, spec):
         tf = 1.0
         B = math.sqrt(101.0) - 1.0
-        c = protocols.quasi_optimal(spec, tf)
+        c = protocols.quasi_optimal(spec, tf).curve
         assert c.b0_plus_dot == pytest.approx(B / tf, rel=1e-12)
         assert c.bf_minus_dot == pytest.approx((B**2 + B - tf**2) / (10.0 * tf), rel=1e-12)
 
 
 class TestDiracImpulse:
     def test_strengths(self, spec):
-        _, profile = protocols.dirac_impulse(spec, 1.0)
+        profile = protocols.dirac_impulse(spec, 1.0).profile
         (t0, d0), (tf, df) = profile.impulses
         B = math.sqrt(101.0) - 1.0
         assert (t0, tf) == (0.0, 1.0)
@@ -86,14 +86,14 @@ class TestDiracImpulse:
 
     @pytest.mark.parametrize("tf", [0.1, 1.0, 30.0, 200.0])
     def test_first_impulse_always_negative(self, spec, tf):
-        _, profile = protocols.dirac_impulse(spec, tf)
+        profile = protocols.dirac_impulse(spec, tf).profile
         assert profile.impulses[0][1] < 0.0
 
 
 class TestHybridCaps:
     def test_joint_continuity(self, spec):
         tf = 2.0
-        c = protocols.hybrid_caps(spec, tf, 0.2 * tf, 0.3 * tf)
+        c = protocols.hybrid_caps(spec, tf, 0.2 * tf, 0.3 * tf).curve
         (l0, h0), (l1, h1), (l2, h2) = c.grid.pieces
         assert abs(c.b[h0] - c.b[l1]) < 1e-12
         assert abs(c.bdot[h0] - c.bdot[l1]) < 1e-12
@@ -101,7 +101,7 @@ class TestHybridCaps:
         assert abs(c.bdot[h1] - c.bdot[l2]) < 1e-12
 
     def test_cap_boundary_conditions(self, spec):
-        c = protocols.hybrid_caps(spec, 2.0, 0.2, 0.2)
+        c = protocols.hybrid_caps(spec, 2.0, 0.2, 0.2).curve
         assert float(c.b[0]) == 1.0
         assert float(c.bdot[0]) == 0.0
         assert float(c.b[-1]) == pytest.approx(10.0, abs=1e-12)
@@ -109,13 +109,13 @@ class TestHybridCaps:
 
     def test_converges_to_linear_for_small_caps(self, spec):
         tf = 2.0
-        c = protocols.hybrid_caps(spec, tf, 1e-3 * tf, 1e-3 * tf)
+        c = protocols.hybrid_caps(spec, tf, 1e-3 * tf, 1e-3 * tf).curve
         lin = 1.0 + (spec.gamma - 1.0) * c.grid.nodes / tf
         # middle segment coincides exactly; cap deviation <= 4 (gamma-1) s_l / 27
         assert np.max(np.abs(c.b - lin)) < 2e-3 * (spec.gamma - 1.0)
 
     def test_positive_everywhere(self, spec):
-        c = protocols.hybrid_caps(spec, 1.0, 0.45, 0.45)
+        c = protocols.hybrid_caps(spec, 1.0, 0.45, 0.45).curve
         assert np.min(c.b) > 0.0
 
     @pytest.mark.parametrize("tl,ts", [(0.0, 0.1), (0.1, 0.0), (0.6, 0.6)])
@@ -139,22 +139,23 @@ class TestHybridCaps:
 
 class TestLinearBottom:
     def test_endpoints_and_frequency(self, spec):
-        c, p = protocols.linear_bottom(spec, 2.0)
+        lb = protocols.linear_bottom(spec, 2.0)
+        c, p = lb.curve, lb.profile
         assert (float(c.b[0]), float(c.b[-1])) == (1.0, 10.0)
         # bottom tracking ends exactly at the final trap frequency
         assert float(p.omega2[-1]) == pytest.approx(spec.omega_f_rel**2, rel=1e-12)
 
     def test_exact_ermakov_solution(self, spec):
-        c, p = protocols.linear_bottom(spec, 2.0)
-        assert ermakov.ermakov_residual(c, p) < 1e-12
+        lb = protocols.linear_bottom(spec, 2.0)
+        assert ermakov.ermakov_residual(lb.curve, lb.profile) < 1e-12
 
 
 class TestBangBang:
     def test_extreme_point(self, spec):
         w = math.sqrt(spec.omega_f_rel)
         bb = protocols.bang_bang(spec, w, w)
-        assert bb.t1 == 0.0
-        assert bb.t_f == pytest.approx(5.0 * math.pi, abs=1e-12)
+        assert bb.extra["t1"] == 0.0
+        assert bb.curve.grid.t_f == pytest.approx(5.0 * math.pi, abs=1e-12)
 
     def test_extreme_point_si_milliseconds(self):
         si = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * 25.0)
@@ -163,7 +164,7 @@ class TestBangBang:
 
     def test_matching_continuity(self, spec):
         bb = protocols.bang_bang(spec, 1.0, 1.0)
-        (b_l, bdot_l, _, _), (b_r, bdot_r, _, _) = (fn(bb.t1) for fn in bb.curve.fns)
+        (b_l, bdot_l, _, _), (b_r, bdot_r, _, _) = (fn(bb.extra["t1"]) for fn in bb.curve.fns)
         assert abs(float(b_l) - float(b_r)) < 1e-10
         assert abs(float(bdot_l) - float(bdot_r)) < 1e-10
 
@@ -182,8 +183,8 @@ class TestBangBang:
 
     def test_for_duration_hits_target(self, spec):
         bb = protocols.bang_bang_for_duration(spec, 3.0)
-        assert bb.t_f == pytest.approx(3.0, rel=1e-10)
-        assert bb.omega1 == bb.omega2
+        assert bb.curve.grid.t_f == pytest.approx(3.0, rel=1e-10)
+        assert bb.extra["omega1"] == bb.extra["omega2"]
         with pytest.raises(Infeasible):
             protocols.bang_bang_for_duration(spec, 25.0)  # beyond pi*gamma/2
 
@@ -191,8 +192,8 @@ class TestBangBang:
 class TestBangBangNA:
     def test_switch_times(self, spec):
         bb = protocols.bang_bang_na(spec, 1.0)
-        assert bb.t1 == pytest.approx(9.9, abs=1e-12)
-        assert bb.t2 == pytest.approx(math.asin(math.sqrt(99.0 / 9999.0)), rel=1e-12)
+        assert bb.extra["t1"] == pytest.approx(9.9, abs=1e-12)
+        assert bb.extra["t2"] == pytest.approx(math.asin(math.sqrt(99.0 / 9999.0)), rel=1e-12)
 
     def test_curve_closes(self, spec):
         bb = protocols.bang_bang_na(spec, 1.0)
@@ -220,7 +221,7 @@ class TestBangBangNA:
 
     def test_for_duration(self, spec):
         bb = protocols.bang_bang_na_for_duration(spec, 12.0)
-        assert bb.t_f == pytest.approx(12.0, rel=1e-10)
+        assert bb.curve.grid.t_f == pytest.approx(12.0, rel=1e-10)
         with pytest.raises(Infeasible):
             protocols.bang_bang_na_for_duration(spec, 9.0)  # below sqrt(gamma^2-1)
 
@@ -254,7 +255,7 @@ class TestForDurationPostcondition:
     @pytest.mark.parametrize("helper", HELPERS)
     def test_no_expansion_extreme_point_kept(self, helper):
         bb = helper(TrapSpec.from_gamma(1.0), math.pi / 2.0, 101)
-        assert bb.t_f == pytest.approx(math.pi / 2.0, rel=1e-12)
+        assert bb.curve.grid.t_f == pytest.approx(math.pi / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("helper", HELPERS)
     def test_near_unit_gamma_miss_raises(self, helper):
@@ -280,7 +281,7 @@ class TestForDurationPostcondition:
     @pytest.mark.parametrize("frac", [0.7, 0.85, 0.999])
     def test_hits_duration(self, spec, helper, frac):
         t_f = frac * protocols.bang_bang_max_duration(spec)
-        assert abs(helper(spec, t_f, 101).t_f - t_f) <= 1e-12 * t_f
+        assert abs(helper(spec, t_f, 101).curve.grid.t_f - t_f) <= 1e-12 * t_f
 
 
     @pytest.mark.parametrize("helper", HELPERS)
@@ -292,7 +293,7 @@ class TestForDurationPostcondition:
         t_max = protocols.bang_bang_max_duration(spec)
         t_lo = 0.0 if helper is protocols.bang_bang_for_duration else math.sqrt(gamma**2 - 1.0)
         for t_f in t_lo + np.linspace(0.0, 1.0, 402)[1:-1] * (t_max - t_lo):
-            assert abs(helper(spec, t_f, 3).t_f - t_f) <= 1e-12 * t_f
+            assert abs(helper(spec, t_f, 3).curve.grid.t_f - t_f) <= 1e-12 * t_f
 
 
 class TestConstantPower:
@@ -312,28 +313,62 @@ class TestMeanValueBounds:
     def test_slope_and_curvature_floors(self, spec, tf):
         g1 = spec.gamma - 1.0
         for curve in (
-            protocols.quintic(spec, tf),
-            protocols.septic(spec, tf, 78.5088, -459.7638),
-            protocols.hybrid_caps(spec, tf, 0.1 * tf, 0.1 * tf),
+            protocols.quintic(spec, tf).curve,
+            protocols.septic(spec, tf, 78.5088, -459.7638).curve,
+            protocols.hybrid_caps(spec, tf, 0.1 * tf, 0.1 * tf).curve,
         ):
             assert np.max(curve.bdot) >= g1 / tf * (1.0 - 1e-12)
             assert np.max(np.abs(curve.bddot)) >= 2.0 * g1 / tf**2 * (1.0 - 1e-12)
 
 
+def _shot_bundle(spec, t_f, n):
+    curve, mism = protocols.constant_power_shoot(spec, t_f, n)
+    return protocols.ProtocolBundle(curve, ermakov.inverse_engineer(curve), {"mismatch": mism})
+
+
 def test_build_dispatch_covers_families(spec):
-    for family, kwargs in [
-        ("quintic", dict(t_f=2.0)),
-        ("septic", dict(t_f=2.0, c3=1.0, c4=-1.0)),
-        ("quasi_optimal", dict(t_f=2.0)),
-        ("dirac", dict(t_f=2.0)),
-        ("hybrid", dict(t_f=2.0, tau_l=0.2, tau_s=0.2)),
-        ("linear_bottom", dict(t_f=2.0)),
-        ("bang_bang", dict(omega1=1.0, omega2=1.0)),
-        ("bang_bang_na", dict(beta=1.0)),
-        ("constant_power", dict(t_f=2.0)),
+    for family, kwargs, direct in [
+        ("quintic", dict(t_f=2.0), lambda: protocols.quintic(spec, 2.0, 201)),
+        ("septic", dict(t_f=2.0, c3=1.0, c4=-1.0), lambda: protocols.septic(spec, 2.0, 1.0, -1.0, 201)),
+        ("quasi_optimal", dict(t_f=2.0), lambda: protocols.quasi_optimal(spec, 2.0, 201)),
+        ("dirac", dict(t_f=2.0), lambda: protocols.dirac_impulse(spec, 2.0, 201)),
+        ("hybrid", dict(t_f=2.0, tau_l=0.2, tau_s=0.2), lambda: protocols.hybrid_caps(spec, 2.0, 0.2, 0.2, 201)),
+        ("linear_bottom", dict(t_f=2.0), lambda: protocols.linear_bottom(spec, 2.0, 201)),
+        ("bang_bang", dict(omega1=1.0, omega2=1.0), lambda: protocols.bang_bang(spec, 1.0, 1.0, 201)),
+        ("bang_bang_na", dict(beta=1.0), lambda: protocols.bang_bang_na(spec, 1.0, 201)),
+        ("constant_power", dict(t_f=2.0), lambda: _shot_bundle(spec, 2.0, 201)),
     ]:
         bundle = protocols.build(spec, protocols.ProtocolParams(family=family, grid_n=201, **kwargs))
         assert len(bundle.curve.b) == len(bundle.profile.omega2)
+        # build only dispatches: the family constructor's bundle, equal column for column
+        ref = direct()
+        assert isinstance(bundle, protocols.ProtocolBundle) and isinstance(ref, protocols.ProtocolBundle)
+        assert bundle.curve.grid == ref.curve.grid
+        for name in ("b", "bdot", "bddot", "bdddot"):
+            assert np.array_equal(getattr(bundle.curve, name), getattr(ref.curve, name)), (family, name)
+        assert (bundle.curve.b0_plus_dot, bundle.curve.bf_minus_dot) == (
+            ref.curve.b0_plus_dot, ref.curve.bf_minus_dot)
+        assert np.array_equal(bundle.profile.omega2, ref.profile.omega2), family
+        assert np.array_equal(bundle.profile.domega2, ref.profile.domega2), family
+        assert bundle.profile.impulses == ref.profile.impulses
+        assert bundle.extra == ref.extra
+
+
+def test_two_step_bundles_carry_their_switching_times(spec):
+    for bb, steps in [(protocols.bang_bang(spec, 1.0, 1.0, 201), (1.0, 1.0)),
+                      (protocols.bang_bang_na(spec, 1.0, 201), (0.0, 1.0))]:
+        t1, t2 = protocols.bang_bang_times(spec, *steps)
+        assert bb.extra == {"t1": t1, "t2": t2, "omega1": steps[0], "omega2": steps[1]}
+        assert bb.curve.grid.t_f == t1 + t2
+
+
+@pytest.mark.parametrize("ctor", [protocols.quintic, protocols.quasi_optimal, protocols.linear_bottom])
+def test_designed_families_carry_the_inverse_engineered_profile(spec, ctor):
+    bundle = ctor(spec, 3.0, 201)
+    redone = ermakov.inverse_engineer(bundle.curve)
+    assert np.array_equal(bundle.profile.omega2, redone.omega2)
+    assert np.array_equal(bundle.profile.domega2, redone.domega2)
+    assert bundle.profile.impulses == () and bundle.extra == {}
 
 
 @pytest.mark.parametrize("family", protocols._FAMILIES)
@@ -442,10 +477,10 @@ def _piece(name):
     """(curve, piece index) of each closed-form piece kind at gamma 10."""
     spec = TrapSpec.from_gamma(10.0)
     return {
-        "poly": lambda: (protocols.quintic(spec, 3.0, 201), 0),
-        "septic": lambda: (protocols.septic(spec, 3.0, 7.5, -20.0, 201), 0),
-        "stopping_cap": lambda: (protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 301), 2),
-        "quasi_optimal": lambda: (protocols.quasi_optimal(spec, 3.0, 201), 0),
+        "poly": lambda: (protocols.quintic(spec, 3.0, 201).curve, 0),
+        "septic": lambda: (protocols.septic(spec, 3.0, 7.5, -20.0, 201).curve, 0),
+        "stopping_cap": lambda: (protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 301).curve, 2),
+        "quasi_optimal": lambda: (protocols.quasi_optimal(spec, 3.0, 201).curve, 0),
         "bang_bang_step1": lambda: (protocols.bang_bang(spec, 1.0, 1.0, 201).curve, 0),
         "bang_bang_step1_series": lambda: (protocols.bang_bang(spec, 5e-7, 0.5, 201).curve, 0),
         "bang_bang_step1_omega1_zero": lambda: (protocols.bang_bang_na(spec, 0.5, 201).curve, 0),
@@ -481,7 +516,7 @@ class TestPieceContract:
 
     def test_septic_fns_is_the_septic_piece(self):
         spec = TrapSpec.from_gamma(10.0)
-        curve = protocols.septic(spec, 3.0, 7.5, -20.0, 201)
+        curve = protocols.septic(spec, 3.0, 7.5, -20.0, 201).curve
         cols = protocols._septic_fns(spec, 3.0, 7.5, -20.0)(curve.grid.nodes)
         for got, stored in zip(cols, (curve.b, curve.bdot, curve.bddot, curve.bdddot), strict=True):
             assert np.all(got == stored)

@@ -32,7 +32,8 @@ def test_quadrature_identities_degrade_gracefully_on_coarse_grids():
     from staexpand import TrapSpec, energies, protocols
 
     spec = TrapSpec.from_gamma(10.0)
-    curve, profile = protocols.dirac_impulse(spec, 1.0, 51)
+    bundle = protocols.dirac_impulse(spec, 1.0, 51)
+    curve, profile = bundle.curve, bundle.profile
     tr = energies.averages(
         energies.instantaneous(curve, profile, spec), curve, spec, profile
     )
