@@ -30,7 +30,7 @@ def _is_imaginary(omega2: np.ndarray) -> bool:
 
     Smaller negative values are round-off and count as real.
     """
-    return not float(omega2.min()) >= -_REAL_TOL
+    return not float(np.minimum.reduce(omega2)) >= -_REAL_TOL
 
 
 def _real_omega(omega2: np.ndarray) -> np.ndarray:

@@ -145,12 +145,14 @@ def lower_bound_avg_energy(spec: TrapSpec, t_f: float) -> EnergyLowerBound:
 
 
 def _per_tf2(num: float, den: float, t_f: float) -> float:
-    """num / (den t_f^2); where t_f^2 overflows (t_f above ~1.34e154),
-    num / den / t_f / t_f, which is finite or underflows to 0."""
+    """num / (den t_f^2); where t_f^2 or den t_f^2 overflows (t_f above
+    ~1.34e154, or ~6.7e153 for den = 4), num / den / t_f / t_f, which is
+    finite or underflows to 0."""
     try:
-        return num / (den * t_f**2)
+        den_tf2 = den * t_f**2
     except OverflowError:
-        return num / den / t_f / t_f
+        den_tf2 = math.inf
+    return num / den_tf2 if den_tf2 < math.inf else num / den / t_f / t_f
 
 
 def na_lower_bound(spec: TrapSpec, t_f: float) -> float:

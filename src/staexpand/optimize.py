@@ -8,9 +8,11 @@ into the feasible region on its own.
 The objectives compute only the number they return, from the constructors
 and per-node expressions of the public path, so they equal it bit for bit
 (tests compare them with ``==``).  One cap evaluation builds the hybrid
-grid and cap polynomials, then per piece b, bdot, bddot, W^2, Ena and a
-Simpson sum; one septic evaluation the four columns, d(W^2)/dtau and the
-power on a grid built once per search.
+grid and cap polynomials and fills four preallocated node rows in place:
+b and W^2 cap by cap, the stopping cap first, then bdot and Ena over the
+whole grid, and one Simpson sum per piece.  One septic evaluation forms
+the four columns, d(W^2)/dtau and the power on a grid built once per
+search.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from .core import (
     TrapSpec,
     _check_positive,
     _is_imaginary,
-    _real_omega,
 )
 
 _CAP_SEED_FRACTIONS = (0.01, 0.05, 0.2)
@@ -44,34 +45,83 @@ class OptimizationResult:
     baseline: float | None = None   # objective at the unoptimized reference
 
 
+def _horner(c, x, out):
+    """The series c[0] + c[1] x + ... (two or more coefficients) at x, into
+    ``out``, with the operations of ``protocols._Poly.__call__``, except
+    that adding a 0.0 coefficient is left out: that add changes at most
+    the sign of a zero, which neither the cap's b (never zero) nor its bdot
+    (only squared) carries into the objective."""
+    np.multiply(x, c[-1], out=out)
+    np.add(out, c[-2], out=out)
+    for ck in c[-3::-1]:
+        np.multiply(out, x, out=out)
+        if ck != 0.0:
+            np.add(out, ck, out=out)
+    return out
+
+
+def _cap_is_real(dc, t_f, x, b, bddot, w2) -> bool:
+    """Finish W^2 = 1/b^4 - bddot/b of a cap whose b' has coefficients dc
+    on its node rows, where ``w2`` holds 1/b^4 already, as
+    ``protocols._poly_cols`` and ``ermakov._omega2`` form it (bddot/b
+    passes through ``bddot``, a scratch row); whether W^2 is real."""
+    np.divide(_horner(protocols._dcoef(dc), x, bddot), t_f**2, out=bddot)
+    np.subtract(w2, np.divide(bddot, b, out=bddot), out=w2)
+    return not _is_imaginary(w2)
+
+
 def _hybrid_avg_ena(spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n_grid: int) -> float:
     """Averaged non-adiabatic energy of a cap protocol; +inf when the caps
     do not fit or the frequency goes imaginary.
 
     Equal, bit for bit, to ``nonadiabatic_energy`` of ``hybrid_caps`` (tests
-    hold it to that path), but computes only what it returns: it builds
-    the same grid and cap polynomials, then takes one piece at a time, the
-    stopping cap first (where a short protocol goes imaginary), then the
-    launching cap, then the line.  Per piece it evaluates b, bdot and bddot
-    (not bdddot), W^2 and, unless W^2 is imaginary (then it stops with
-    +inf), the Ena samples and their Simpson sum; the three sums are added
-    in grid order, as ``numerics.average`` adds them.
+    hold it to that path), but computes only what it returns, in place in
+    four preallocated node rows (x, b, bdot, W^2) on the grid and
+    polynomials of ``_hybrid_pieces``.  First b and W^2 = 1/b^4 - bddot/b:
+    on the stopping cap (where a short protocol goes imaginary; it stops
+    there with +inf), then on the launching cap and the line, each cap by
+    Horner passes on its ``_Poly`` coefficients; a cap with an imaginary
+    W^2 stops the evaluation with +inf.  On the line bddot is exactly 0.0,
+    so W^2 = 1/b^4, real.  Then bdot (the line's is d/t_f) and the Ena
+    samples over the whole grid in one pass, and one Simpson sum per piece,
+    added in grid order as ``numerics.average`` adds them.
     """
     tau_l, tau_s = float(tau_l), float(tau_s)  # Nelder-Mead's np.float64: same bits, slower scalars
     if not (tau_l > 0.0 and tau_s > 0.0 and tau_l + tau_s < 0.999 * t_f):
         return math.inf
-    grid, polys = protocols._hybrid_pieces(spec, t_f, tau_l, tau_s, n_grid)
-    sums = [0.0, 0.0, 0.0]
-    for k in (2, 0, 1):
-        lo, hi = grid.pieces[k]
-        t = grid.nodes[lo : hi + 1]
-        b, bdot, bddot = protocols._poly_cols(polys[k], t_f, t, k == 2, 2)
-        omega2 = ermakov._omega2(b, bddot)
-        if _is_imaginary(omega2):
-            return math.inf
-        ena = energies._ena(b, bdot, omega2, _real_omega(omega2))
-        sums[k] = numerics.simpson_uniform(ena, t[1] - t[0])
-    energies._check_ground_state(spec)  # where the full path refuses an excited mode
+    grid, (p_l, p_m, p_s) = protocols._hybrid_pieces(spec, t_f, tau_l, tau_s, n_grid)
+    dc_l, dc_s = protocols._dcoef(p_l.c), protocols._dcoef(p_s.c)
+    t = grid.nodes
+    (_, l1), (m0, _), (s0, _) = grid.pieces
+    buf = np.empty((4, len(t)))
+    x, b, bdot, w2 = buf[0], buf[1], buf[2], buf[3]
+    xs, bs, bdots, w2s = x[s0:], b[s0:], bdot[s0:], w2[s0:]     # the stopping cap
+    np.divide(np.subtract(t_f, t[s0:], out=xs), t_f, out=xs)   # u = 1 - t/t_f
+    np.divide(1.0, np.power(_horner(p_s.c, xs, bs), 4.0, out=w2s), out=w2s)
+    if not _cap_is_real(dc_s, t_f, xs, bs, bdots, w2s):
+        return math.inf
+    xa, ba, w2a = x[:s0], b[:s0], w2[:s0]                     # the launching cap and the line
+    xl, bl, bdotl = x[: l1 + 1], b[: l1 + 1], bdot[: l1 + 1]  # the launching cap
+    np.divide(t[:s0], t_f, out=xa)
+    _horner(p_l.c, xl, bl)
+    _horner(p_m.c, x[m0:s0], b[m0:s0])
+    np.divide(1.0, np.power(ba, 4.0, out=w2a), out=w2a)
+    if not _cap_is_real(dc_l, t_f, xl, bl, bdotl, w2[: l1 + 1]):
+        return math.inf
+    energies._check_ground_state(spec)     # where the full path refuses an excited mode
+    _horner(dc_l, xl, bdotl)
+    bdot[m0:s0] = p_m.c[1]                 # the line: d, so bdot = d/t_f after the division below
+    _horner(dc_s, xs, bdots)               # db/du: the sign it lacks is squared away
+    np.divide(bdot, t_f, out=bdot)
+    # Ena = (bdot^2 + W^2 b^2 + 1/b^2)/4 - W/2, as energies._ena forms it
+    np.square(b, out=b)
+    np.square(bdot, out=bdot)
+    np.add(bdot, np.multiply(w2, b, out=x), out=bdot)
+    np.add(bdot, np.divide(1.0, b, out=b), out=bdot)
+    np.multiply(bdot, 0.25, out=bdot)
+    np.sqrt(np.maximum(w2, 0.0, out=w2), out=w2)
+    ena = np.subtract(bdot, np.multiply(w2, 0.5, out=w2), out=bdot)
+    sums = [numerics.simpson_uniform(ena[lo : hi + 1], t[lo + 1] - t[lo]) for lo, hi in grid.pieces]
     return (0.0 + sums[0] + sums[1] + sums[2]) / grid.t_f
 
 

@@ -118,8 +118,13 @@ class _Poly:
         if m >= len(c):
             return _Poly([c[0] * 0])
         for _ in range(m):
-            c = [j * c[j] for j in range(1, len(c))]
+            c = _dcoef(c)
         return _Poly(c)
+
+
+def _dcoef(c: list) -> list:
+    """The coefficients of one differentiation step of ``_Poly.deriv``."""
+    return [j * c[j] for j in range(1, len(c))]
 
 
 def _check_time_scale(t_f: float, k: int) -> None:
@@ -134,12 +139,12 @@ def _check_time_scale(t_f: float, k: int) -> None:
         ) from None
 
 
-def _poly_cols(p: _Poly, t_f: float, t, reverse: bool = False, order: int = 3) -> tuple:
-    """b = p(x) at times t and its first ``order`` time derivatives, with
+def _poly_cols(p: _Poly, t_f: float, t, reverse: bool = False) -> tuple:
+    """b = p(x) at times t and its first three time derivatives, with
     x = t/t_f, or x = (t_f - t)/t_f when ``reverse`` (odd orders change sign)."""
     x = (t_f - t) / t_f if reverse else t / t_f
     cols = [p(x)]
-    for j in range(1, order + 1):
+    for j in range(1, 4):
         v = p.deriv(j)(x) / t_f**j
         cols.append(-v if reverse and j % 2 else v)
     return tuple(cols)

@@ -303,6 +303,31 @@ class TestNonAdiabatic:
         assert np.max(np.abs(excitation_energy(c, p) - 40.5)) < 1e-10
         assert np.max(np.abs(ena - 20.25)) < 1e-10
 
+    def test_hybrid_line_piece_rides_the_bound(self):
+        # on hybrid_caps' middle segment bddot = 0 and W = 1/b^2, so each node's
+        # Ena is Ena_L = (gamma-1)^2/(4 t_f^2) up to the rounding of the terms
+        # it sums; no flat relative tolerance holds (5.2e-9 at gamma 1.5,
+        # t_f 3000, where 1/b^2 is ~1e8 times Ena_L)
+        eps = float(np.finfo(float).eps)
+        rng = np.random.default_rng(20261019)
+        cases = [(1.5, 3000.0, 0.01, 0.01, 2001), (1.0, 50.0, 0.1, 0.2, 301)]
+        for _ in range(60):
+            fl, fs = np.exp(rng.uniform(np.log(1e-3), np.log(0.49), 2))
+            cases.append((float(np.exp(rng.uniform(0.0, np.log(300.0)))),
+                           float(np.exp(rng.uniform(np.log(5.0), np.log(3000.0)))),
+                           float(fl), float(fs), int(rng.choice([301, 501, 2001]))))
+        for gamma, t_f, fl, fs, n in cases:
+            spec = TrapSpec.from_gamma(gamma)
+            bundle = protocols.hybrid_caps(spec, t_f, fl * t_f, fs * t_f, n)
+            c, p = bundle.curve, bundle.profile
+            lo, hi = c.grid.pieces[1]
+            b, bdot, w2 = c.b[lo : hi + 1], c.bdot[lo : hi + 1], p.omega2[lo : hi + 1]
+            ena = energies._ena(b, bdot, w2, np.sqrt(w2))   # the line is real even where a cap is not
+            if not p.has_imaginary:
+                assert np.array_equal(ena, energies.nonadiabatic_energy(c, p, spec)[0][lo : hi + 1])
+            terms = bdot**2 + w2 * b**2 + 1.0 / b**2
+            assert np.all(np.abs(ena - energies.na_lower_bound(spec, t_f)) <= 2.0 * eps * terms)
+
     def test_rejects_imaginary_and_excited(self, spec):
         curve = protocols.quintic(spec, 1.0).curve
         with pytest.raises(NonRealFrequency):
@@ -466,15 +491,34 @@ class TestBeyondSquaredDuration:
         assert rep.Ena_L == rep.E_nL_small_tf == rep.bb_equal_steps_avg_E == 0.0
         assert rep.E_nL.value > 0.0
 
-    @pytest.mark.parametrize("t_f", [1e-3, 1.0, 25.0, 1e100, 1e150, 1.3e154])
+    @pytest.mark.parametrize("t_f", [1e-3, 1.0, 25.0, 1e100, 1e150, 6e153, 1.3e154])
     def test_below_the_overflow_the_values_are_unchanged(self, t_f):
-        # the printed expressions, evaluated as written wherever t_f^2 is a float
+        # the printed expressions, evaluated as written wherever den t_f^2 is a
+        # float; where it overflows to inf (4 t_f^2 and 2 t_f^2 at 1.3e154) the
+        # expression would read 0, and the values are num/den/t_f/t_f instead
         spec = TrapSpec.from_gamma(10.0, n=1)
         g, wf, tn = spec.gamma, spec.omega_f_rel, 3
-        assert energies.na_lower_bound(spec, t_f) == (g - 1.0) ** 2 / (4.0 * t_f**2)
         rep = energies.bound_report(spec, t_f)
-        assert rep.E_nL_small_tf == tn * g**2 / (2.0 * t_f**2)
-        assert rep.bb_equal_steps_avg_E == tn * math.pi * math.log(2.0 * g) / (16.0 * wf * t_f**2)
+        for value, num, den in (
+            (energies.na_lower_bound(spec, t_f), (g - 1.0) ** 2, 4.0),
+            (rep.E_nL_small_tf, tn * g**2, 2.0),
+            (rep.bb_equal_steps_avg_E, tn * math.pi * math.log(2.0 * g), 16.0 * wf),
+        ):
+            if den * t_f**2 < math.inf:
+                assert value == num / (den * t_f**2)
+            else:
+                assert value == num / den / t_f / t_f > 0.0
+
+    def test_no_zero_where_den_times_t_f_squared_overflows(self):
+        # 4 t_f^2 overflows from t_f ~ 6.7e153, t_f^2 itself only from ~1.34e154
+        spec = TrapSpec.from_gamma(1e10)
+        below, above = energies.na_lower_bound(spec, 6e153), energies.na_lower_bound(spec, 2e154)
+        for t_f in (6.8e153, 1e154, 1.3e154):
+            value = energies.na_lower_bound(spec, t_f)
+            assert below > value > above
+            assert value == pytest.approx((spec.gamma - 1.0) ** 2 / 4.0 / t_f**2, rel=1e-15)
+            rep = energies.bound_report(spec, t_f)
+            assert rep.Ena_L == value and rep.E_nL_small_tf > 0.0 and rep.bb_equal_steps_avg_E > 0.0
 
 
 class TestBoundReport:

@@ -223,3 +223,24 @@ def test_nelder_mead_matches_scipy_when_cut_short():
     assert not assert_same_as_scipy(rosen, (-1.2, 1.0), max_iter=5).converged
     assert_same_as_scipy(rosen, (0.0, 0.0))
     assert_same_as_scipy(lambda x, y: abs(x - 3.0) + (math.inf if y > 1.0 else y * y), (2.0, 0.5))
+
+
+@pytest.mark.parametrize("start, max_iter", [((-1.2, 1.0), 10_000), ((-1.2, 1.0), 5), ((0.0, 0.0), 1)])
+def test_nelder_mead_calls_the_objective_as_often_as_scipy(start, max_iter):
+    """f(start) sets fatol and is the first vertex's value: one call, counted
+    against the budget, so the minimizer makes SciPy's nfev calls and no more."""
+    calls = []
+
+    def rosen(x, y):
+        calls.append((float(x), float(y)))
+        return (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2
+
+    nelder_mead_2d(rosen, start, max_iter=max_iter)
+    ours = list(calls)
+    nfev = minimize(
+        lambda p: rosen(p[0], p[1]), np.asarray(start, dtype=float), method="Nelder-Mead",
+        options={"xatol": 1e-8 * (1.0 + max(map(abs, start))), "fatol": 1e-12 * (1.0 + rosen(*start)),
+                 "maxiter": max_iter, "maxfev": 4 * max_iter},
+    ).nfev
+    assert len(ours) == nfev <= 4 * max_iter
+    assert ours.count(tuple(map(float, start))) == 1

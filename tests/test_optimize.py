@@ -154,6 +154,34 @@ class TestObjectivesMatchFullPath:
                 finite += 1
         assert finite >= 20 and infinite >= 20   # both branches are exercised
 
+        under = 0.999 * 300.0 - 8.0
+        while 8.0 + under >= 0.999 * 300.0:
+            under = math.nextafter(under, 0.0)
+        edges = {   # (gamma, mode n, t_f, tau_l, tau_s, grid n)
+            "caps_at_32_intervals": (10.0, 0, 1000.0, 10.0, 60.0, 301),
+            "caps_just_under_0.999_t_f": (10.0, 0, 300.0, 8.0, under, 2001),
+            "imaginary_launching_cap": (10.0, 0, 300.0, 0.05, 200.0, 2001),
+            "gamma_1": (1.0, 0, 50.0, 5.0, 10.0, 501),
+            "excited_mode_imaginary_caps": (10.0, 1, 100.0, 0.05, 5.0, 301),
+        }
+        for name, (gamma, mode, t_f, tau_l, tau_s, n) in edges.items():
+            spec = TrapSpec.from_gamma(gamma, n=mode)
+            fast = optimize._hybrid_avg_ena(spec, t_f, tau_l, tau_s, n)
+            assert fast == _full_cap_objective(spec, t_f, tau_l, tau_s, n), name
+            grid = protocols._hybrid_pieces(spec, t_f, tau_l, tau_s, n)[0]
+            omega2 = protocols.hybrid_caps(spec, t_f, tau_l, tau_s, n).profile.omega2
+            cap_min = [float(omega2[lo : hi + 1].min()) for lo, hi in grid.pieces[::2]]
+            if name == "caps_at_32_intervals":
+                assert grid.intervals[0] == grid.intervals[2] == 32 and math.isfinite(fast)
+            elif name == "caps_just_under_0.999_t_f":
+                assert grid.intervals[1] == 32 and math.isfinite(fast)
+            elif name == "imaginary_launching_cap":
+                assert cap_min[0] < -1e-12 <= cap_min[1] and fast == math.inf
+            elif name == "gamma_1":
+                assert fast == 0.0
+            else:   # +inf at an imaginary cap, before the ground-state refusal
+                assert min(cap_min) < -1e-12 and fast == math.inf
+
     def test_cap_objective_is_inf_exactly_where_imaginary(self, spec):
         # at t_f = 100 the stopping cap turns imaginary below tau_s ~ 44.5
         for tau_s in (5.0, 40.0, 44.0, 45.0, 60.0, 90.0):
