@@ -5,6 +5,8 @@ The last two are operation-for-operation ports of SciPy 1.17.1 (BSD-3,
 Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), so they
 return the same bits as ``scipy.optimize.brentq`` and
 ``scipy.optimize.minimize(method="Nelder-Mead")`` without importing SciPy.
+Both run on Python floats, whose IEEE operations are numpy's; Nelder-Mead
+keeps only SciPy's ``np.argsort``, for its order of tied values.
 """
 from __future__ import annotations
 
@@ -132,6 +134,13 @@ class _MaxEvals(Exception):
     """The evaluation budget of ``nelder_mead_2d`` is spent."""
 
 
+def _sorted(sim: list, fsim: list) -> tuple[list, list]:
+    """The vertices and their values in the order of ``np.argsort(fsim)``,
+    SciPy's sort, whose order of tied values is the platform's."""
+    ind = np.argsort(fsim).tolist()
+    return [sim[k] for k in ind], [fsim[k] for k in ind]
+
+
 def nelder_mead_2d(
     f: Callable,
     start: Sequence[float],
@@ -143,10 +152,13 @@ def nelder_mead_2d(
     Nelder & Mead, Comput. J. 7, 308 (1965), as SciPy 1.17.1's
     ``_minimize_neldermead`` implements it (``scipy/optimize/_optimize.py``,
     BSD-3, Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers):
-    the unbounded, non-adaptive branch with its default start simplex and
-    the same array operations, so iterates match it bit for bit.  Stops
-    when the simplex is within xatol = rel_tol (1 + max|start|) and its
-    values within fatol = 1e-12 (1 + |f(start)|), after ``max_iter``
+    the unbounded, non-adaptive branch with its default start simplex.  The
+    three vertices are pairs of Python floats, each coordinate formed by
+    SciPy's operations in SciPy's order and sorted by ``np.argsort`` as
+    SciPy sorts them, so iterates match it bit for bit; f is called with two
+    Python floats.  Stops when the simplex is within xatol = rel_tol
+    (1 + max|start|) and its values within fatol = 1e-12 (1 + |f(start)|)
+    (a NaN fails both, as under SciPy's ``np.max``), after ``max_iter``
     iterations, or at the 4 ``max_iter``-th evaluation; only the first
     counts as converged.  f(start) is evaluated once: it sets fatol and is
     the first vertex's value, and it counts against the budget there.
@@ -154,7 +166,8 @@ def nelder_mead_2d(
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     start = np.asarray(start, dtype=float)
     scale = 1.0 + float(np.max(np.abs(start)))
-    f0 = f(start[0], start[1])
+    x0 = tuple(start.tolist())
+    f0 = f(*x0)
     fatol = 1e-12 * (1.0 + abs(f0)) if np.isfinite(f0) else 1e-12
     xatol = rel_tol * scale
     max_evals = 4 * max_iter
@@ -165,70 +178,66 @@ def nelder_mead_2d(
         if evals >= max_evals:
             raise _MaxEvals
         evals += 1
-        return f(x[0], x[1]) if known is None else known
+        return float(f(*x) if known is None else known)
 
-    n = len(start)
-    sim = np.empty((n + 1, n), dtype=float)
-    sim[0] = start
-    for k in range(n):
-        y = np.array(start, copy=True)
+    sim = [x0]
+    for k in range(2):
+        y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full((n + 1,), np.inf, dtype=float)
+        sim.append(tuple(y))
+    fsim = [math.inf] * 3
     try:
-        for k in range(n + 1):   # the first vertex is start: f0, counted as SciPy counts it
+        for k in range(3):   # the first vertex is start: f0, counted as SciPy counts it
             fsim[k] = func(sim[k], f0 if k == 0 else None)
     except _MaxEvals:
         pass
     # SciPy sorts twice here; an unstable argsort may reorder ties again.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _sorted(sim, fsim)
 
     iterations = 1
     while evals < max_evals and iterations < max_iter:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            (a0, a1), (b0, b1), (c0, c1) = sim
+            if (all(d <= xatol for d in (abs(b0 - a0), abs(b1 - a1), abs(c0 - a0), abs(c1 - a1)))
+                    and all(d <= fatol for d in (abs(fsim[0] - fsim[1]), abs(fsim[0] - fsim[2])))):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            m0, m1 = (a0 + b0) / 2, (a1 + b1) / 2   # xbar, the centroid of the best two
+            xr = ((1 + rho) * m0 - rho * c0, (1 + rho) * m1 - rho * c1)
             fxr = func(xr)
             shrink = False
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                xe = ((1 + rho * chi) * m0 - rho * chi * c0, (1 + rho * chi) * m1 - rho * chi * c1)
                 fxe = func(xe)
                 if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
+                    sim[2], fsim[2] = xe, fxe
                 else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    sim[2], fsim[2] = xr, fxr
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
+            elif fxr < fsim[2]:  # outside contraction
+                xc = ((1 + psi * rho) * m0 - psi * rho * c0, (1 + psi * rho) * m1 - psi * rho * c1)
                 fxc = func(xc)
                 if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
+                    sim[2], fsim[2] = xc, fxc
                 else:
                     shrink = True
             else:  # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
+                xcc = ((1 - psi) * m0 + psi * c0, (1 - psi) * m1 + psi * c1)
                 fxcc = func(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
+                if fxcc < fsim[2]:
+                    sim[2], fsim[2] = xcc, fxcc
                 else:
                     shrink = True
             if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                for j in (1, 2):
+                    sj = sim[j]
+                    sim[j] = (a0 + sigma * (sj[0] - a0), a1 + sigma * (sj[1] - a1))
                     fsim[j] = func(sim[j])
             iterations += 1
         except _MaxEvals:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _sorted(sim, fsim)
 
     converged = evals < max_evals and iterations < max_iter
-    return MinimizeResult(tuple(float(v) for v in sim[0]), float(np.min(fsim)), converged, iterations)
+    return MinimizeResult(sim[0], float(np.min(fsim)), converged, iterations)

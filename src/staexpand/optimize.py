@@ -2,17 +2,18 @@
 
 Both are deterministic: fixed multistart seeds, Nelder-Mead refinement,
 lexicographic tie-breaking.  Infeasible points (imaginary frequency,
-caps that do not fit) are penalized with +inf, so the simplex walks back
-into the feasible region on its own.
+caps that do not fit, a septic b that is not positive) are penalized with
++inf, so the simplex walks back into the feasible region on its own.
 
 The objectives compute only the number they return, from the constructors
 and per-node expressions of the public path, so they equal it bit for bit
 (tests compare them with ``==``).  One cap evaluation builds the hybrid
 grid and cap polynomials and fills four preallocated node rows in place:
 b and W^2 cap by cap, the stopping cap first, then bdot and Ena over the
-whole grid, and one Simpson sum per piece.  One septic evaluation forms
-the four columns, d(W^2)/dtau and the power on a grid built once per
-search.
+whole grid, and one Simpson sum per piece.  One septic evaluation fills
+six node rows, set up once per search with the grid, in place: b (+inf
+where it is not positive), its three derivatives, d(W^2)/dtau and the
+power.
 """
 from __future__ import annotations
 
@@ -22,13 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import energies, ermakov, numerics, protocols
+from . import energies, numerics, protocols
 from .core import (
     DEFAULT_GRID_N,
     Infeasible,
     TimeGrid,
     TrapSpec,
-    _check_positive,
     _is_imaginary,
 )
 
@@ -49,8 +49,9 @@ def _horner(c, x, out):
     """The series c[0] + c[1] x + ... (two or more coefficients) at x, into
     ``out``, with the operations of ``protocols._Poly.__call__``, except
     that adding a 0.0 coefficient is left out: that add changes at most
-    the sign of a zero, which neither the cap's b (never zero) nor its bdot
-    (only squared) carries into the objective."""
+    the sign of a zero, which neither objective carries into its value (a
+    cap's b is never zero and its bdot only squared; the septic peak is an
+    absolute value, and a zero b is penalized)."""
     np.multiply(x, c[-1], out=out)
     np.add(out, c[-2], out=out)
     for ck in c[-3::-1]:
@@ -86,7 +87,6 @@ def _hybrid_avg_ena(spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n_gr
     samples over the whole grid in one pass, and one Simpson sum per piece,
     added in grid order as ``numerics.average`` adds them.
     """
-    tau_l, tau_s = float(tau_l), float(tau_s)  # Nelder-Mead's np.float64: same bits, slower scalars
     if not (tau_l > 0.0 and tau_s > 0.0 and tau_l + tau_s < 0.999 * t_f):
         return math.inf
     grid, (p_l, p_m, p_s) = protocols._hybrid_pieces(spec, t_f, tau_l, tau_s, n_grid)
@@ -184,22 +184,47 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
 
 def _septic_peak(spec: TrapSpec, t_f: float, n_grid: int) -> Callable[[float, float], float]:
     """The peak relative power of the septic family as a function of
-    (c3, c4), equal bit for bit to ``power(...).peak_rel`` of ``septic``.
+    (c3, c4), equal bit for bit to ``power(...).peak_rel`` of ``septic``
+    where b > 0, and +inf where b <= 0 somewhere (a shape the search
+    penalizes, where ``septic`` refuses the curve).
 
-    The duration check, the uniform grid and the gamma = 1 refusal
-    (PowerUndefined) run once, here; each call then evaluates the septic
-    closed forms, d(W^2)/dtau and the power on the grid's nodes, without
-    the W^2 samples, power integral or step terms the search never reads.
+    The checks, the uniform grid, x = t/t_f and the gamma = 1 refusal
+    (PowerUndefined) run once, here, in the order of the full path.  Each
+    call then fills six preallocated node rows in place: b, bdot, bddot
+    and bdddot by Horner passes on the ``protocols._septic_coef``
+    coefficients and their derivatives', then d(W^2)/dtau in
+    ``ermakov._domega2``'s operation order and the power in
+    ``energies._power_samples``', b^2 formed once for both, without the
+    W^2 samples, power integral or step terms the search never reads.
     """
     protocols._check_duration(t_f)
     t = TimeGrid.uniform(t_f, n_grid).nodes
+    protocols._check_time_scale(t_f, 3)
     scale = energies._energy_change(spec) / t_f
+    c_p = (2 * spec.n + 1) / 4.0
+    tf2, tf3 = t_f**2, t_f**3
+    buf = np.empty((6, len(t)))
+    x, b, b1, b2, b3, b_sq = buf
+    np.divide(t, t_f, out=x)
 
     def peak(c3: float, c4: float) -> float:
-        b, bdot, bddot, bdddot = protocols._septic_fns(spec, t_f, c3, c4)(t)
-        _check_positive(b)
-        dom = ermakov._domega2(b, bdot, bddot, bdddot)
-        return float(np.max(np.abs(energies._power_samples(spec, dom, b) / scale)))
+        c = protocols._septic_coef(spec.gamma, float(c3), float(c4))
+        if (_horner(c, x, b) <= 0.0).any():
+            return math.inf
+        d1 = protocols._dcoef(c)
+        d2 = protocols._dcoef(d1)
+        np.divide(_horner(d1, x, b1), t_f, out=b1)
+        np.divide(_horner(d2, x, b2), tf2, out=b2)
+        np.divide(_horner(protocols._dcoef(d2), x, b3), tf3, out=b3)
+        # d(W^2)/dtau = -4 bdot/b^5 - bdddot/b + bddot bdot/b^2, as ermakov._domega2 forms it
+        np.square(b, out=b_sq)
+        np.divide(np.multiply(b2, b1, out=b2), b_sq, out=b2)
+        np.divide(b3, b, out=b3)
+        np.divide(np.multiply(b1, -4.0, out=b1), np.power(b, 5, out=b), out=b1)
+        dom = np.add(np.subtract(b1, b3, out=b1), b2, out=b1)
+        # P = ((2n+1)/4) d(W^2)/dtau b^2, relative to the uniform power
+        np.multiply(np.multiply(dom, c_p, out=dom), b_sq, out=dom)
+        return float(np.maximum.reduce(np.abs(np.divide(dom, scale, out=dom), out=dom)))
 
     return peak
 
@@ -213,8 +238,10 @@ def optimize_septic_power(
     The peak is taken over a dense grid (minimax objectives need it), and
     the result is clamped to never exceed the starting point.  1 is the
     mean-value floor for the peak of any complete expansion.  The
-    objective (``_septic_peak``) is set up once per search: one grid and
-    the PowerUndefined refusal at gamma = 1, before the first evaluation.
+    objective (``_septic_peak``) is set up once per search: the checks,
+    one grid and its node rows, and the PowerUndefined refusal at
+    gamma = 1, before the first evaluation.  Shapes whose b is not
+    positive somewhere read +inf, so the search steps back from them.
     """
 
     objective = _septic_peak(spec, t_f, n_grid)

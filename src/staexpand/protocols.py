@@ -179,22 +179,23 @@ def septic(
     return _bundle(TimeGrid.uniform(t_f, n), (_septic_fns(spec, t_f, c3, c4),))
 
 
+def _septic_coef(g: float, c3: float, c4: float) -> list:
+    """The power-series coefficients of the septic b(s) at gamma = g."""
+    return [
+        1.0,
+        0.0,
+        0.0,
+        c3,
+        c4,
+        -(21.0 + 6.0 * c3 + 3.0 * c4 - 21.0 * g),
+        (35.0 + 8.0 * c3 + 3.0 * c4 - 35.0 * g),
+        -(15.0 + 3.0 * c3 + c4 - 15.0 * g),
+    ]
+
+
 def _septic_fns(spec: TrapSpec, t_f: float, c3: float, c4: float) -> Piece:
     """The closed forms of ``septic`` (no duration check)."""
-    g = spec.gamma
-    p = _Poly(
-        [
-            1.0,
-            0.0,
-            0.0,
-            c3,
-            c4,
-            -(21.0 + 6.0 * c3 + 3.0 * c4 - 21.0 * g),
-            (35.0 + 8.0 * c3 + 3.0 * c4 - 35.0 * g),
-            -(15.0 + 3.0 * c3 + c4 - 15.0 * g),
-        ]
-    )
-    return _poly_fns(p, t_f)
+    return _poly_fns(_Poly(_septic_coef(spec.gamma, c3, c4)), t_f)
 
 
 def quasi_optimal_B(spec: TrapSpec, t_f: float) -> float:

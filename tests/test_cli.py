@@ -459,6 +459,17 @@ class TestPowerCommand:
         with pytest.raises(SystemExit, match="power needs a duration"):
             main(["power", "--preset", "fig4", "--gamma", "10", "--out", str(tmp_path / "q.csv")])
 
+    def test_search_over_a_non_positive_b_runs(self, tmp_path):
+        # the septic search steps onto a shape whose b dips to zero; this used
+        # to exit 1 with a "scaling function must stay positive" traceback
+        out = tmp_path / "p.csv"
+        proc = run_cli(["power", "--gamma", "1000", "--tf-dimensionless", "1e5", "--grid", "201",
+                        "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert ("# septic optimized (c3, c4) = (1002.45145518, -11802.7410801), "
+                "peak |P_rel| = 5.45335406259") in read_lines(out)
+        assert "# quintic peak |P_rel| = 25.5113137491" in read_lines(out)
+
     def test_no_expansion_exits_with_message(self, tmp_path):
         out = tmp_path / "p1.csv"
         with pytest.raises(SystemExit, match="gamma = 1"):

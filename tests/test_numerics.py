@@ -199,9 +199,15 @@ def scipy_nelder_mead(f, start, rel_tol=1e-8, max_iter=10_000):
     return tuple(float(v) for v in res.x), float(res.fun), bool(res.success), int(res.nit)
 
 
+def _bits(x, fx, converged, iterations):
+    """A result with its floats as hex strings: NaN equals NaN, and 0.0 is not -0.0."""
+    return [v.hex() for v in x], fx.hex(), converged, iterations
+
+
 def assert_same_as_scipy(f, start, rel_tol=1e-8, max_iter=10_000):
     ours = nelder_mead_2d(f, start, rel_tol, max_iter)
-    assert (ours.x, ours.fx, ours.converged, ours.iterations) == scipy_nelder_mead(f, start, rel_tol, max_iter)
+    theirs = scipy_nelder_mead(f, start, rel_tol, max_iter)
+    assert _bits(ours.x, ours.fx, ours.converged, ours.iterations) == _bits(*theirs)
     return ours
 
 
@@ -223,6 +229,51 @@ def test_nelder_mead_matches_scipy_when_cut_short():
     assert not assert_same_as_scipy(rosen, (-1.2, 1.0), max_iter=5).converged
     assert_same_as_scipy(rosen, (0.0, 0.0))
     assert_same_as_scipy(lambda x, y: abs(x - 3.0) + (math.inf if y > 1.0 else y * y), (2.0, 0.5))
+
+
+def _counted(f):
+    """f, and the list of the points it is called at."""
+    calls = []
+
+    def g(x, y):
+        calls.append((x, y))
+        return f(x, y)
+
+    return g, calls
+
+
+def test_nelder_mead_matches_scipy_through_tied_infinite_vertices():
+    """Two +inf vertices at once: every step is a failed contraction and a
+    shrink, and the +inf ties keep the order numpy's argsort gives them."""
+    only_start = lambda x, y: 0.5 if (x, y) == (1.0, 2.0) else math.inf  # noqa: E731
+    res = assert_same_as_scipy(only_start, (1.0, 2.0), max_iter=40)
+    assert not res.converged and res.fx == 0.5
+    counted, calls = _counted(only_start)
+    nelder_mead_2d(counted, (1.0, 2.0), max_iter=40)
+    assert len(calls) == 3 + 4 * (res.iterations - 1)  # reflect, contract, shrink two
+    # a wall of +inf: shrinks until the simplex fits on the finite side
+    wall = lambda x, y: (x - 0.3) ** 2 + (y + 0.2) ** 2 if x + y < 1e-4 else math.inf  # noqa: E731
+    assert assert_same_as_scipy(wall, (0.0, 0.0)).converged
+    assert_same_as_scipy(wall, (2e-4, -1e-4))
+
+
+def test_nelder_mead_matches_scipy_on_nan_values():
+    """NaN never compares below anything, fails both convergence tests, and
+    is the final value while any vertex holds it (np.min's NaN)."""
+    # the minimum sits on the edge of a NaN half-plane: from (0.5, 1.0) a NaN
+    # vertex stays while the other two close in, and holds the simplex open
+    edge = lambda x, y: (x - 0.5) ** 2 + (y - 1.0) ** 2 if x <= 0.5 else math.nan  # noqa: E731
+    assert_same_as_scipy(edge, (0.45, 1.0))
+    assert assert_same_as_scipy(edge, (0.5, 1.0), max_iter=200).iterations == 50
+    only_start = lambda x, y: 1.0 if (x, y) == (0.0, 0.0) else math.nan  # noqa: E731
+    res = assert_same_as_scipy(only_start, (0.0, 0.0), max_iter=20)
+    assert math.isnan(res.fx) and not res.converged
+
+
+def test_nelder_mead_hands_the_objective_python_floats():
+    bowl, calls = _counted(lambda x, y: (x - 1.0) ** 2 + (y + 2.0) ** 2)
+    nelder_mead_2d(bowl, np.array([0.5, 0.5]))
+    assert {(type(x), type(y)) for x, y in calls} == {(float, float)}
 
 
 @pytest.mark.parametrize("start, max_iter", [((-1.2, 1.0), 10_000), ((-1.2, 1.0), 5), ((0.0, 0.0), 1)])

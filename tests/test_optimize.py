@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from staexpand import TrapSpec, energies, ermakov, optimize, protocols
+from staexpand import TrapSpec, energies, ermakov, numerics, optimize, protocols
 from staexpand.core import Infeasible, PowerUndefined
 
 
@@ -229,20 +229,38 @@ class TestObjectivesMatchFullPath:
     def test_septic_evaluator_equals_full_path(self):
         rng = np.random.default_rng(20260514)
         for _ in range(40):
-            spec = TrapSpec.from_gamma(float(np.exp(rng.uniform(np.log(1.01), np.log(300.0)))))
+            gamma = float(np.exp(rng.uniform(np.log(1.01), np.log(300.0))))
             t_f = float(np.exp(rng.uniform(np.log(1.0), np.log(500.0))))
             n = int(rng.choice([201, 801, 4001]))
-            peak = optimize._septic_peak(spec, t_f, n)
-            for c3, c4 in [(0.0, 0.0), *rng.uniform(-30.0, 30.0, (3, 2)).tolist()]:
-                assert peak(c3, c4) == _full_septic_peak(spec, t_f, c3, c4, n)
+            shapes = [(0.0, 0.0), *rng.uniform(-30.0, 30.0, (3, 2)).tolist()]
+            for mode in (0, 1, 2):   # the ground state and two excited modes
+                spec = TrapSpec.from_gamma(gamma, n=mode)
+                peak = optimize._septic_peak(spec, t_f, n)
+                for c3, c4 in shapes:
+                    full = _full_septic_peak(spec, t_f, c3, c4, n)
+                    assert peak(c3, c4) == full
+                    c3_, c4_ = np.float64(c3), np.float64(c4)   # as Nelder-Mead used to pass them
+                    assert peak(c3_, c4_) == full == _full_septic_peak(spec, t_f, c3_, c4_, n)
 
-    def test_septic_evaluator_raises_as_the_full_path(self, spec):
-        # b dips below zero for a strongly negative c3
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_septic_evaluator_at_the_longest_duration(self, n):
+        # the last t_f whose t_f^3 is finite, and the first the t_f^3 check refuses
+        spec = TrapSpec.from_gamma(10.0, n=n)
+        longest = float.fromhex("0x1.428a2f98d728ap+341")
+        for c3, c4 in ((0.0, 0.0), (3.0, -2.0)):
+            assert optimize._septic_peak(spec, longest, 201)(c3, c4) == _full_septic_peak(
+                spec, longest, c3, c4, 201
+            )
+        too_long = math.nextafter(longest, math.inf)
         _same_error(
             ValueError,
-            lambda: _full_septic_peak(spec, 30.0, -1e4, 0.0, 201),
-            lambda: optimize._septic_peak(spec, 30.0, 201)(-1e4, 0.0),
+            lambda: _full_septic_peak(spec, too_long, 0.0, 0.0, 201),
+            lambda: optimize._septic_peak(spec, too_long, 201)(0.0, 0.0),
         )
+        with pytest.raises(ValueError, match=r"t_f\^3 overflows"):
+            optimize.optimize_septic_power(spec, too_long, 201)
+
+    def test_septic_evaluator_raises_as_the_full_path(self, spec):
         # gamma = 1 has no energy change to normalize the power by
         flat = TrapSpec.from_gamma(1.0)
         _same_error(
@@ -250,6 +268,31 @@ class TestObjectivesMatchFullPath:
             lambda: _full_septic_peak(flat, 30.0, 0.0, 0.0, 201),
             lambda: optimize._septic_peak(flat, 30.0, 201)(0.0, 0.0),
         )
+
+    def test_septic_evaluator_penalizes_a_non_positive_b(self, spec):
+        # b dips below zero for a strongly negative c3: the full path refuses
+        # the curve, the search's objective reads +inf there
+        with pytest.raises(ValueError, match="scaling function must stay positive"):
+            _full_septic_peak(spec, 30.0, -1e4, 0.0, 201)
+        assert optimize._septic_peak(spec, 30.0, 201)(-1e4, 0.0) == math.inf
+
+    def test_septic_search_steps_over_a_non_positive_b(self):
+        # Nelder-Mead reaches (c3, c4) ~ (2176, -24104), where b <= 0, after
+        # 297 evaluations; the search used to abort there with a ValueError
+        spec = TrapSpec.from_gamma(1000.0)
+        peak = optimize._septic_peak(spec, 1e5, 201)
+        values = []
+
+        def recorded(c3, c4):
+            values.append(peak(c3, c4))
+            return values[-1]
+
+        res = numerics.nelder_mead_2d(recorded, (0.0, 0.0), rel_tol=1e-6, max_iter=2000)
+        assert len(values) > 297 and values[296] == math.inf == max(values)
+        assert values.count(math.inf) == 1 and math.isfinite(res.fx)
+        opt = optimize.optimize_septic_power(spec, 1e5, 201)
+        assert opt.converged and 1.0 <= opt.objective < opt.baseline
+        assert opt.objective == _full_septic_peak(spec, 1e5, *opt.params, 201)
 
 
 class TestSearchesPinned:
@@ -276,6 +319,14 @@ class TestSearchesPinned:
         assert res.objective.hex() == "0x1.1a1801a1cd042p-12"
         assert res.baseline.hex() == "0x1.3faebfebf8d76p-12"
         assert (res.iterations, res.converged, res.feasible) == (70, True, True)
+
+    def test_septic_power_search_on_the_benchmark_grid(self, fig4):
+        spec, t_f = fig4
+        res = optimize.optimize_septic_power(spec, t_f, 4001)
+        assert [x.hex() for x in res.params] == ["0x1.3a0cd4fb96102p+6", "-0x1.cbca931cf8724p+8"]
+        assert res.objective.hex() == "0x1.0f0af6e79f88ap+1"
+        assert res.baseline.hex() == "0x1.eb6002675d105p+1"
+        assert (res.iterations, res.converged, res.feasible) == (155, True, True)
 
     def test_short_cap_protocol_has_no_feasible_seed(self, spec):
         with pytest.raises(Infeasible, match="no real-frequency cap protocol found at t_f = 100"):
