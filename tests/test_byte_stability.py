@@ -1,0 +1,21 @@
+"""The CLI's output bytes, pinned: every case of ``byte_digests.CASES`` run
+in-process gives the exit code and the SHA-256 digests that
+``byte_digests.json`` records, with no tolerance."""
+import pytest
+
+import byte_digests
+
+DIGESTS = byte_digests.load()
+
+
+def test_every_case_is_pinned():
+    assert sorted(DIGESTS["cases"]) == sorted(byte_digests.CASES)
+
+
+def test_parallel_sweep_writes_the_serial_bytes():
+    assert DIGESTS["cases"]["sweep_fig3_jobs2"] == DIGESTS["cases"]["sweep_fig3"]
+
+
+@pytest.mark.parametrize("name", sorted(byte_digests.CASES))
+def test_output_bytes(name):
+    assert byte_digests.run_case(byte_digests.CASES[name]) == DIGESTS["cases"][name]

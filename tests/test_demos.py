@@ -1,26 +1,21 @@
-"""Every script under demos/ runs to completion against this checkout."""
-import os
-import subprocess
-import sys
-from pathlib import Path
-
+"""Every script under demos/ runs to completion against this checkout and
+prints the bytes that ``byte_digests.json`` records."""
 import pytest
 
-import staexpand
+import byte_digests
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMOS = byte_digests.DEMOS
 
 
 def test_demos_are_found():
     assert len(DEMOS) >= 5
+    assert sorted(byte_digests.load()["demos"]) == [d.stem for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # a fresh interpreter in an empty directory, importing this checkout's staexpand
-    src = str(Path(staexpand.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    # a fresh interpreter in an empty directory
+    run = byte_digests.run_demo(demo, tmp_path)
+    assert run.returncode == 0, run.stderr.decode()
     assert run.stdout
+    assert byte_digests.sha256(run.stdout) == byte_digests.load()["demos"][demo.stem]
