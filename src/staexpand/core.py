@@ -33,9 +33,11 @@ def _is_imaginary(omega2: np.ndarray) -> bool:
     return not float(np.minimum.reduce(omega2)) >= -_REAL_TOL
 
 
-def _real_omega(omega2: np.ndarray) -> np.ndarray:
-    """sqrt(omega^2), clamping tiny negative round-off to zero."""
-    return np.sqrt(omega2.clip(0.0, None))
+def _real_omega(omega2: np.ndarray, out=None) -> np.ndarray:
+    """sqrt(omega^2), clamping tiny negative round-off to zero, into ``out``
+    when given."""
+    out = np.maximum(omega2, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 class GridMismatch(ValueError):

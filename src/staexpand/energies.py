@@ -166,11 +166,17 @@ def _check_ground_state(spec: TrapSpec) -> None:
         raise ValueError("non-adiabatic energy is defined here for the ground state only")
 
 
-def _ena(b, bdot, omega2, omega):
+def _ena(b, bdot, omega2, omega, out=None):
     """Ground-state excess over the adiabatic energy, per node:
-    (bdot^2 + W^2 b^2 + 1/b^2)/4 - W/2."""
-    b2 = b**2
-    return 0.25 * (bdot**2 + omega2 * b2 + 1.0 / b2) - 0.5 * omega
+    (bdot^2 + W^2 b^2 + 1/b^2)/4 - W/2, into ``out`` when given (it must
+    not be ``omega``)."""
+    b2 = np.square(b)
+    term = np.multiply(omega2, b2)
+    out = np.square(bdot, out=out)
+    np.add(out, term, out=out)
+    np.add(out, np.divide(1.0, b2, out=b2), out=out)
+    np.multiply(out, 0.25, out=out)
+    return np.subtract(out, np.multiply(omega, 0.5, out=term), out=out)
 
 
 def nonadiabatic_energy(
@@ -223,9 +229,11 @@ def _energy_change(spec: TrapSpec) -> float:
     return expected
 
 
-def _power_samples(spec: TrapSpec, domega2, b):
-    """P = ((2n+1)/4) d(W^2)/dtau b^2, per node."""
-    return (2 * spec.n + 1) / 4.0 * domega2 * b**2
+def _power_samples(spec: TrapSpec, domega2, b, out=None):
+    """P = ((2n+1)/4) d(W^2)/dtau b^2, per node, into ``out`` when given
+    (it may be ``domega2``)."""
+    out = np.multiply(domega2, (2 * spec.n + 1) / 4.0, out=out)
+    return np.multiply(out, np.square(b), out=out)
 
 
 def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> PowerTrace:

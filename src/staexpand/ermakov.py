@@ -31,14 +31,23 @@ _COLLAPSE_MSG = "scaling function collapsed toward b = 0"
 _RK4_STABLE_HW = sqrt(2.0)
 
 
-def _omega2(b, bddot):
-    """The control W^2 = 1/b^4 - bddot/b read off the Ermakov equation."""
-    return 1.0 / b**4 - bddot / b
+def _omega2(b, bddot, out=None):
+    """The control W^2 = 1/b^4 - bddot/b read off the Ermakov equation,
+    into ``out`` when given (it must not be an input)."""
+    out = np.power(b, 4.0, out=np.empty(np.shape(b)) if out is None else out)
+    np.divide(1.0, out, out=out)
+    return np.subtract(out, np.divide(bddot, b), out=out)
 
 
-def _domega2(b, bdot, bddot, bdddot):
-    """Its time derivative d(W^2)/dtau = -4 bdot/b^5 - bdddot/b + bddot bdot/b^2."""
-    return -4.0 * bdot / b**5 - bdddot / b + bddot * bdot / b**2
+def _domega2(b, bdot, bddot, bdddot, out=None):
+    """Its time derivative d(W^2)/dtau = -4 bdot/b^5 - bdddot/b + bddot bdot/b^2
+    on node arrays, into ``out`` when given (it must not be an input)."""
+    out = np.multiply(bdot, -4.0, out=out)
+    term = np.power(b, 5.0)
+    np.divide(out, term, out=out)
+    np.subtract(out, np.divide(bdddot, b, out=term), out=out)
+    np.multiply(bddot, bdot, out=term)
+    return np.add(out, np.divide(term, np.square(b), out=term), out=out)
 
 
 def ermakov_residual(curve: ScalingCurve, profile: FrequencyProfile) -> float:

@@ -144,6 +144,7 @@ def _sorted(sim: list, fsim: list) -> tuple[list, list]:
 def nelder_mead_2d(
     f: Callable,
     start: Sequence[float],
+    f_start: float,
     rel_tol: float = 1e-8,
     max_iter: int = 10_000,
 ) -> MinimizeResult:
@@ -160,15 +161,15 @@ def nelder_mead_2d(
     (1 + max|start|) and its values within fatol = 1e-12 (1 + |f(start)|)
     (a NaN fails both, as under SciPy's ``np.max``), after ``max_iter``
     iterations, or at the 4 ``max_iter``-th evaluation; only the first
-    counts as converged.  f(start) is evaluated once: it sets fatol and is
-    the first vertex's value, and it counts against the budget there.
+    counts as converged.  The caller passes ``f_start`` = f(start), which
+    it has already evaluated: it sets fatol and is the first vertex's value,
+    and it counts against the budget there, as SciPy's first call does.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     start = np.asarray(start, dtype=float)
     scale = 1.0 + float(np.max(np.abs(start)))
     x0 = tuple(start.tolist())
-    f0 = f(*x0)
-    fatol = 1e-12 * (1.0 + abs(f0)) if np.isfinite(f0) else 1e-12
+    fatol = 1e-12 * (1.0 + abs(f_start)) if np.isfinite(f_start) else 1e-12
     xatol = rel_tol * scale
     max_evals = 4 * max_iter
     evals = 0
@@ -187,8 +188,8 @@ def nelder_mead_2d(
         sim.append(tuple(y))
     fsim = [math.inf] * 3
     try:
-        for k in range(3):   # the first vertex is start: f0, counted as SciPy counts it
-            fsim[k] = func(sim[k], f0 if k == 0 else None)
+        for k in range(3):   # the first vertex is start: f_start, counted as SciPy counts it
+            fsim[k] = func(sim[k], f_start if k == 0 else None)
     except _MaxEvals:
         pass
     # SciPy sorts twice here; an unstable argsort may reorder ties again.

@@ -104,14 +104,24 @@ class _Poly:
     def __init__(self, coef):
         self.c = list(coef)
 
-    def __call__(self, x):
-        c = self.c
-        if len(c) == 1:
-            return c[0] + x * 0
-        c0 = c[-2] + c[-1] * x
-        for i in range(3, len(c) + 1):
-            c0 = c[-i] + c0 * x
-        return c0
+    def __call__(self, x, out=None):
+        """The series at x (an array, 0-d for a scalar x), into ``out`` when given.
+
+        A 0.0 coefficient is not added while a nonzero one of lower order is
+        still to come: that add could change only the sign of a zero, which
+        the nonzero add replaces, so the bits are those of adding every one.
+        """
+        c = self.c if len(self.c) > 1 else [self.c[0], 0.0]   # c[0] + x*0
+        first = 0   # the lowest order with a nonzero (or NaN) coefficient, else the top
+        while c[first] == 0.0 and first < len(c) - 1:
+            first += 1
+        out = np.multiply(x, c[-1], out=np.empty(np.shape(x)) if out is None else out)
+        for k in range(len(c) - 2, -1, -1):
+            if c[k] != 0.0 or k <= first:
+                np.add(out, c[k], out=out)
+            if k:
+                np.multiply(out, x, out=out)
+        return out
 
     def deriv(self, m: int) -> "_Poly":
         c = self.c

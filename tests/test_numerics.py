@@ -91,15 +91,14 @@ def test_rk4_blowup_reports_time():
 
 
 def test_nelder_mead_bowl():
-    res = nelder_mead_2d(lambda x, y: x**2 + y**2, (1.0, 1.0))
+    res = nelder_mead_2d(lambda x, y: x**2 + y**2, (1.0, 1.0), 2.0)
     assert res.converged
     assert abs(res.x[0]) < 1e-6 and abs(res.x[1]) < 1e-6
 
 
 def test_nelder_mead_rosenbrock():
-    res = nelder_mead_2d(
-        lambda x, y: (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2, (-1.2, 1.0)
-    )
+    rosen = lambda x, y: (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2  # noqa: E731
+    res = nelder_mead_2d(rosen, (-1.2, 1.0), rosen(-1.2, 1.0))
     assert res.x[0] == pytest.approx(1.0, abs=1e-4)
     assert res.x[1] == pytest.approx(1.0, abs=1e-4)
 
@@ -205,7 +204,7 @@ def _bits(x, fx, converged, iterations):
 
 
 def assert_same_as_scipy(f, start, rel_tol=1e-8, max_iter=10_000):
-    ours = nelder_mead_2d(f, start, rel_tol, max_iter)
+    ours = nelder_mead_2d(f, start, f(*np.asarray(start, dtype=float).tolist()), rel_tol, max_iter)
     theirs = scipy_nelder_mead(f, start, rel_tol, max_iter)
     assert _bits(ours.x, ours.fx, ours.converged, ours.iterations) == _bits(*theirs)
     return ours
@@ -249,8 +248,8 @@ def test_nelder_mead_matches_scipy_through_tied_infinite_vertices():
     res = assert_same_as_scipy(only_start, (1.0, 2.0), max_iter=40)
     assert not res.converged and res.fx == 0.5
     counted, calls = _counted(only_start)
-    nelder_mead_2d(counted, (1.0, 2.0), max_iter=40)
-    assert len(calls) == 3 + 4 * (res.iterations - 1)  # reflect, contract, shrink two
+    nelder_mead_2d(counted, (1.0, 2.0), 0.5, max_iter=40)
+    assert len(calls) == 2 + 4 * (res.iterations - 1)  # reflect, contract, shrink two
     # a wall of +inf: shrinks until the simplex fits on the finite side
     wall = lambda x, y: (x - 0.3) ** 2 + (y + 0.2) ** 2 if x + y < 1e-4 else math.inf  # noqa: E731
     assert assert_same_as_scipy(wall, (0.0, 0.0)).converged
@@ -272,26 +271,29 @@ def test_nelder_mead_matches_scipy_on_nan_values():
 
 def test_nelder_mead_hands_the_objective_python_floats():
     bowl, calls = _counted(lambda x, y: (x - 1.0) ** 2 + (y + 2.0) ** 2)
-    nelder_mead_2d(bowl, np.array([0.5, 0.5]))
+    nelder_mead_2d(bowl, np.array([0.5, 0.5]), 6.5)
     assert {(type(x), type(y)) for x, y in calls} == {(float, float)}
 
 
 @pytest.mark.parametrize("start, max_iter", [((-1.2, 1.0), 10_000), ((-1.2, 1.0), 5), ((0.0, 0.0), 1)])
 def test_nelder_mead_calls_the_objective_as_often_as_scipy(start, max_iter):
-    """f(start) sets fatol and is the first vertex's value: one call, counted
-    against the budget, so the minimizer makes SciPy's nfev calls and no more."""
+    """f(start) sets fatol and is the first vertex's value, counted against
+    the budget; the caller passes it, so the minimizer calls f at every
+    point SciPy's nfev counts but the start: nfev - 1 calls and no more."""
     calls = []
 
     def rosen(x, y):
         calls.append((float(x), float(y)))
         return (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2
 
-    nelder_mead_2d(rosen, start, max_iter=max_iter)
+    f_start = rosen(*start)
+    calls.clear()
+    nelder_mead_2d(rosen, start, f_start, max_iter=max_iter)
     ours = list(calls)
     nfev = minimize(
         lambda p: rosen(p[0], p[1]), np.asarray(start, dtype=float), method="Nelder-Mead",
         options={"xatol": 1e-8 * (1.0 + max(map(abs, start))), "fatol": 1e-12 * (1.0 + rosen(*start)),
                  "maxiter": max_iter, "maxfev": 4 * max_iter},
     ).nfev
-    assert len(ours) == nfev <= 4 * max_iter
-    assert ours.count(tuple(map(float, start))) == 1
+    assert len(ours) == nfev - 1 and nfev <= 4 * max_iter
+    assert ours.count(tuple(map(float, start))) == 0
