@@ -105,22 +105,23 @@ class _Poly:
         self.c = list(coef)
 
     def __call__(self, x, out=None):
-        """The series at x (an array, 0-d for a scalar x), into ``out`` when given.
+        """The series at x, into ``out`` (not x itself) when given.
 
         A 0.0 coefficient is not added while a nonzero one of lower order is
         still to come: that add could change only the sign of a zero, which
         the nonzero add replaces, so the bits are those of adding every one.
+        The in-place operators keep a scalar x on scalar arithmetic.
         """
         c = self.c if len(self.c) > 1 else [self.c[0], 0.0]   # c[0] + x*0
         first = 0   # the lowest order with a nonzero (or NaN) coefficient, else the top
         while c[first] == 0.0 and first < len(c) - 1:
             first += 1
-        out = np.multiply(x, c[-1], out=np.empty(np.shape(x)) if out is None else out)
+        out = x * c[-1] if out is None else np.multiply(x, c[-1], out=out)
         for k in range(len(c) - 2, -1, -1):
             if c[k] != 0.0 or k <= first:
-                np.add(out, c[k], out=out)
+                out += c[k]
             if k:
-                np.multiply(out, x, out=out)
+                out *= x
         return out
 
     def deriv(self, m: int) -> "_Poly":

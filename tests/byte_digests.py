@@ -75,7 +75,8 @@ def run_demo(demo: Path, cwd) -> subprocess.CompletedProcess:
     """A demo in a fresh interpreter in ``cwd``, importing this checkout's staexpand."""
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env, capture_output=True, timeout=120)
+    return subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env, capture_output=True,
+                          timeout=120)
 
 
 def load() -> dict:

@@ -64,7 +64,7 @@ def test_omega2_and_its_slope(nodes):
     assert ermakov._domega2(b, bdot, bddot, bdddot, out=row) is row and np.array_equal(row, dw2)
 
 
-def test_omega2_of_scalars_is_a_0d_array():
+def test_omega2_of_scalars():
     assert ermakov._omega2(2.0, 0.5) == 1.0 / 2.0**4 - 0.5 / 2.0
 
 

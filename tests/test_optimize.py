@@ -287,7 +287,8 @@ class TestObjectivesMatchFullPath:
             values.append(peak(c3, c4))
             return values[-1]
 
-        res = numerics.nelder_mead_2d(recorded, (0.0, 0.0), recorded(0.0, 0.0), rel_tol=1e-6, max_iter=2000)
+        start = recorded(0.0, 0.0)
+        res = numerics.nelder_mead_2d(recorded, (0.0, 0.0), start, rel_tol=1e-6, max_iter=2000)
         assert len(values) > 297 and values[296] == math.inf == max(values)
         assert values.count(math.inf) == 1 and math.isfinite(res.fx)
         opt = optimize.optimize_septic_power(spec, 1e5, 201)
