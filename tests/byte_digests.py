@@ -25,6 +25,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from staexpand.cli import main as cli_main
+
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("byte_digests.json")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -61,12 +63,10 @@ def sha256(data: bytes) -> str:
 def run_case(argv: list[str]) -> dict:
     """``staexpand argv`` in this process: its exit code and the digests of
     its stdout and of each file it writes, by file name."""
-    from staexpand.cli import main
-
     with tempfile.TemporaryDirectory() as out:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main([a.format(out=out) for a in argv])
+            code = cli_main([a.format(out=out) for a in argv])
         files = {p.name: sha256(p.read_bytes()) for p in sorted(Path(out).iterdir())}
     return {"exit": code, "stdout": sha256(stdout.getvalue().encode("utf-8")), "files": files}
 

@@ -5,11 +5,12 @@ import pytest
 import byte_digests
 
 DEMOS = byte_digests.DEMOS
+DIGESTS = byte_digests.load()["demos"]
 
 
 def test_demos_are_found():
     assert len(DEMOS) >= 5
-    assert sorted(byte_digests.load()["demos"]) == [d.stem for d in DEMOS]
+    assert sorted(DIGESTS) == [d.stem for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -18,4 +19,4 @@ def test_demo_runs(demo, tmp_path):
     run = byte_digests.run_demo(demo, tmp_path)
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout
-    assert byte_digests.sha256(run.stdout) == byte_digests.load()["demos"][demo.stem]
+    assert byte_digests.sha256(run.stdout) == DIGESTS[demo.stem]
