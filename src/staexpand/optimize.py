@@ -7,9 +7,9 @@ caps that do not fit, a septic b that is not positive) are penalized with
 
 The objectives compute only the number they return, with the per-node
 kernels the public path calls (``protocols._Poly``, ``ermakov._omega2``
-and ``_domega2``, ``energies._ena`` and ``_power_samples``) writing into
-preallocated node rows, so they equal it bit for bit (tests compare them
-with ``==``).  A cap evaluation stops at the first piece, the stopping cap
+and ``_domega2``, ``energies._ena`` and ``_power_samples``,
+``core._real_omega``) writing into preallocated node rows, so they equal
+it bit for bit (tests compare them with ``==``).  A cap evaluation stops at the first piece, the stopping cap
 first, whose frequency is imaginary; a septic evaluation stops where b is
 not positive.
 """
