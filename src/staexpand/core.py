@@ -244,20 +244,25 @@ class ScalingCurve:
 
 @dataclass
 class FrequencyProfile:
-    """Piecewise omega^2(t) in units of omega0^2, plus Dirac impulses.
+    """Piecewise omega^2(t) in units of omega0^2, plus Dirac impulses at
+    the two ends.
 
     ``impulses`` are (time, strength) pairs contributing strength *
-    delta(t - time) to omega^2(t); strengths are in units of omega0.
-    omega^2 samples may be negative (imaginary frequency); that is
-    legitimate for total-energy work and refused by the non-adiabatic
-    machinery.  ``domega2`` holds d(omega^2)/dtau per node.
+    delta(t - time) to omega^2(t); strengths are in units of omega0, and
+    the time must be 0.0 or ``grid.t_f`` exactly (the paper's kicks switch
+    the slopes at the start and the end; ValueError otherwise).  omega^2
+    samples may be negative (imaginary frequency); that is legitimate for
+    total-energy work and refused by the non-adiabatic machinery.
+    ``domega2`` holds d(omega^2)/dtau per node.  ``omega2_fns``, when
+    given, holds one closed form omega^2(t) per grid piece (ValueError for
+    another count); the integrator reads it between the nodes only.
     """
 
     grid: TimeGrid
     omega2: np.ndarray
     domega2: np.ndarray
     impulses: tuple[tuple[float, float], ...] = ()
-    omega2_fns: tuple[Callable | None, ...] | None = None
+    omega2_fns: tuple[Callable, ...] | None = None
     # per-piece Hermite interpolants; perfbench/tracer.py counts the entries by this name
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -269,6 +274,11 @@ class FrequencyProfile:
         if len(self.domega2) != len(self.grid):
             raise GridMismatch("domega2 sample count does not match the grid")
         self.impulses = tuple((float(t), float(s)) for t, s in self.impulses)
+        for t, _ in self.impulses:
+            if t not in (0.0, self.grid.t_f):
+                raise ValueError(f"impulse at t = {t!r}: kicks sit at t = 0 or t_f = {self.grid.t_f!r}")
+        if self.omega2_fns is not None and len(self.omega2_fns) != self.grid.n_pieces:
+            raise ValueError("need one closed form per grid piece")
 
     @property
     def has_imaginary(self) -> bool:
@@ -293,7 +303,7 @@ class FrequencyProfile:
         The Hermite slopes are ``domega2``, so the error is O(h^4); at the
         nodes it returns the stored samples exactly.  Built once per piece.
         """
-        if self.omega2_fns is not None and self.omega2_fns[k] is not None:
+        if self.omega2_fns is not None:
             return self.omega2_fns[k]
         if k not in self._splines:
             rows = slice(self.grid.pieces[k][0], self.grid.pieces[k][1] + 1)

@@ -7,15 +7,16 @@ Units: energies in hbar*omega0, power in hbar*omega0^2, time dimensionless
     K      = c (bdot^2 + 1/b^2),
     V      = c W^2 b^2.
 
-Two routes to the time-averaged energy are kept side by side: the direct
-average of E (plus the analytic Dirac-impulse contribution when the
-protocol has kicks), and the partially-integrated form
+The time-averaged energy is the direct average of E, plus the analytic
+contribution of the Dirac kicks at t = 0 and t_f when the protocol has
+them.  Beside it stands the virial form
 
-    avg_E2 = 2c < 1/b^2 + bdot^2 >,
+    avg_E2 = 2 <K> = 2c < 1/b^2 + bdot^2 >,
 
-which equals the average energy exactly when the boundary slope terms
-vanish.  Their difference is itself a diagnostic: it equals the boundary
-term -((2n+1)/(4 t_f)) [bdot b]_0^tf for slope-violating protocols.
+which integration by parts shows equals the average energy exactly when
+the boundary slope terms vanish.  Their difference is itself a
+diagnostic: it equals the boundary term -((2n+1)/(4 t_f)) [bdot b]_0^tf
+for slope-violating protocols.
 """
 from __future__ import annotations
 
@@ -73,20 +74,21 @@ def impulse_contribution(curve: ScalingCurve, spec: TrapSpec) -> float:
 def averages(
     trace: EnergyTrace, curve: ScalingCurve, spec: TrapSpec, profile: FrequencyProfile
 ) -> EnergyTrace:
-    """Fill avg_E (direct route), avg_E2 (partially integrated route),
-    avg_K, avg_V.
+    """Fill avg_E (direct route), avg_K, avg_V and the virial form
+    avg_E2 = 2 avg_K.
 
-    For impulse protocols (profile with kicks) the analytic delta
+    2.0 * avg_K has the bits of a Simpson average of 2c(1/b^2 + bdot^2):
+    a power-of-two scale and a commuted add are exact.  For impulse
+    protocols (profile with kicks at t = 0 and t_f) the analytic delta
     contribution is added to avg_E and avg_V; it belongs to the potential
     energy, which is what keeps the virial relation exact.
     """
     grid = curve.grid
-    c = (2 * spec.n + 1) / 4.0
     dd = trace.delta_delta = impulse_contribution(curve, spec)
     trace.avg_K = numerics.average(trace.K, grid)
     trace.avg_V = numerics.average(trace.V, grid)
     trace.avg_E = numerics.average(trace.E, grid)
-    trace.avg_E2 = numerics.average(2.0 * c * (1.0 / curve.b**2 + curve.bdot**2), grid)
+    trace.avg_E2 = 2.0 * trace.avg_K
     if profile.impulses:
         trace.avg_E += dd
         trace.avg_V += dd

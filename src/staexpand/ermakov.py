@@ -33,10 +33,8 @@ _RK4_STABLE_HW = sqrt(2.0)
 
 def _omega2(b, bddot, out=None):
     """The control W^2 = 1/b^4 - bddot/b read off the Ermakov equation,
-    into ``out`` when given (it must not be an input)."""
-    out = np.power(b, 4.0, out=np.empty(np.shape(b)) if out is None else out)
-    np.divide(1.0, out, out=out)
-    return np.subtract(out, np.divide(bddot, b), out=out)
+    into ``out`` when given (it must not be an input); a float for a float b."""
+    return np.subtract(np.divide(1.0, np.power(b, 4.0, out=out), out=out), np.divide(bddot, b), out=out)
 
 
 def _domega2(b, bdot, bddot, bdddot, out=None):
@@ -119,48 +117,42 @@ def forward_solve(
 ) -> ScalingCurve:
     """Integrate b'' = 1/b^3 - W^2(tau) b through the profile with RK4.
 
-    Classical fixed-step RK4 on the grid nodes, piece by piece: the W^2
-    values at every stage time of a piece are tabulated once from
-    ``profile.piece_callable`` (the closed form, else the O(h^4) cubic
-    Hermite interpolant of the W^2 samples and slopes), then the steps
-    run as a scalar float loop.  A stage with b below 1e-9 aborts with
-    that stage's time, a non-finite state with the next node's time; when
-    the piece's step h has h max W above RK4's stability limit sqrt(2),
-    the message names h, that product and the limit.
+    Classical fixed-step RK4 on the grid nodes, piece by piece: W^2 at
+    each step's ends t and t + h is the stored sample ``profile.omega2``
+    (the piece's own one-sided value at a joint), and at its midpoints
+    t + h/2 it comes from one call of ``profile.piece_callable`` per piece
+    (the closed form, else the O(h^4) cubic Hermite interpolant of the W^2
+    samples and slopes); the steps then run as a scalar float loop.  A
+    stage with b below 1e-9 aborts with that stage's time, a non-finite
+    state with the next node's time; when the piece's step h has h max W
+    above RK4's stability limit sqrt(2), the message names h, that product
+    and the limit.
 
-    Impulses must sit on piece boundaries (or the endpoints); each one
-    applies the slope jump bdot -> bdot - D b.  The returned curve stores
-    bddot = 1/b^3 - W^2 b and bdddot = -3 bdot/b^4 - d(W^2)/dtau b - W^2 bdot
-    from the equation itself, the one-sided slope just after the t=0
-    impulses in ``b0_plus_dot`` and just before the final ones in
-    ``bf_minus_dot``.
+    A kick D at t = 0 applies the slope jump bdot -> bdot - D b before the
+    first step; one at t_f is left to the caller, as the returned curve
+    ends at t_f-.  The curve stores bddot = 1/b^3 - W^2 b and
+    bdddot = -3 bdot/b^4 - d(W^2)/dtau b - W^2 bdot from the equation
+    itself, the slope just after the t = 0 kicks in ``b0_plus_dot`` and
+    the final one in ``bf_minus_dot``.
     """
     grid = profile.grid
-    t_f = grid.t_f
-    time_tol = 1e-9 * (1.0 + t_f)
-
-    def impulses_at(t: float):
-        return [s for (ti, s) in profile.impulses if abs(ti - t) <= time_tol]
-
-    for ti, _ in profile.impulses:
-        if not any(abs(ti - tb) <= time_tol for tb in grid.edges):
-            raise ValueError(f"impulse at t={ti:.6g} is not on a piece boundary")
-
     b = np.empty(len(grid))
     bdot = np.empty(len(grid))
 
     state_b, state_v = float(b0), float(bdot0)
-    for s in impulses_at(0.0):
-        state_v -= s * state_b
+    for t, s in profile.impulses:
+        if t == 0.0:
+            state_v -= s * state_b
     b0_plus = state_v
 
+    w2 = profile.omega2
     for k, (lo, hi) in enumerate(grid.pieces):
-        om = profile.piece_callable(k)
         nodes = grid.nodes[lo : hi + 1]
-        t0 = nodes[:-1]
-        hs = nodes[1:] - t0
+        hs = nodes[1:] - nodes[:-1]
         ts = nodes.tolist()
-        w = [np.broadcast_to(om(t), t.shape).tolist() for t in (t0, t0 + 0.5 * hs, t0 + hs)]
+        ends = w2[lo : hi + 1].tolist()
+        mid = nodes[:-1] + 0.5 * hs
+        w = (ends[:-1], np.broadcast_to(profile.piece_callable(k)(mid), mid.shape).tolist(), ends[1:])
         try:
             try:
                 bs, vs = _rk4_piece(state_b, state_v, ts, *w)
@@ -177,11 +169,7 @@ def forward_solve(
         b[lo : hi + 1] = bs
         bdot[lo : hi + 1] = vs
         state_b, state_v = float(b[hi]), float(bdot[hi])
-        if k + 1 < grid.n_pieces:
-            for s in impulses_at(float(nodes[-1])):
-                state_v -= s * state_b
 
-    w2 = profile.omega2
     bddot = 1.0 / b**3 - w2 * b
     bdddot = -3.0 * bdot / b**4 - profile.domega2 * b - w2 * bdot
     return ScalingCurve(grid, b, bdot, bddot, bdddot, b0_plus_dot=b0_plus, bf_minus_dot=float(bdot[-1]))

@@ -150,21 +150,22 @@ def _check_time_scale(t_f: float, k: int) -> None:
         ) from None
 
 
-def _poly_cols(p: _Poly, t_f: float, t, reverse: bool = False) -> tuple:
-    """b = p(x) at times t and its first three time derivatives, with
-    x = t/t_f, or x = (t_f - t)/t_f when ``reverse`` (odd orders change sign)."""
-    x = (t_f - t) / t_f if reverse else t / t_f
-    cols = [p(x)]
-    for j in range(1, 4):
-        v = p.deriv(j)(x) / t_f**j
-        cols.append(-v if reverse and j % 2 else v)
-    return tuple(cols)
-
-
 def _poly_fns(p: _Poly, t_f: float, reverse: bool = False) -> Piece:
-    """The piece b(t) = p(t/t_f), or p((t_f - t)/t_f) when ``reverse``."""
+    """The piece b(t) = p(x) with x = t/t_f, or x = (t_f - t)/t_f when
+    ``reverse`` (odd orders change sign), and its first three time
+    derivatives; p is differentiated here, once, not per evaluation."""
     _check_time_scale(t_f, 3)
-    return lambda t: _poly_cols(p, t_f, t, reverse)
+    derivs = [(p.deriv(j), t_f**j, reverse and j % 2) for j in (1, 2, 3)]
+
+    def piece(t):
+        x = (t_f - t) / t_f if reverse else t / t_f
+        cols = [p(x)]
+        for d, scale, flip in derivs:
+            v = d(x) / scale
+            cols.append(-v if flip else v)
+        return tuple(cols)
+
+    return piece
 
 
 def quintic(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
@@ -652,13 +653,6 @@ class ProtocolParams:
     def __post_init__(self):
         if self.family is not None and self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
-
-
-@dataclass
-class ProtocolBundle:
-    curve: ScalingCurve
-    profile: FrequencyProfile
-    extra: dict
 
 
 _STEP_INPUTS = {"bang_bang": ("omega1", "omega2"), "bang_bang_na": ("beta",)}

@@ -189,3 +189,24 @@ def test_records_carry_every_derivative():
         ScalingCurve(g, np.ones(5), np.zeros(5), np.zeros(5))
     with pytest.raises(TypeError):
         FrequencyProfile(g, np.ones(5))
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-12, -1e-12, 2.0 - 1e-12])
+def test_profile_refuses_a_kick_away_from_the_ends(t):
+    # kicks sit at t = 0 and t_f, where the energy bookkeeping books them
+    g = TimeGrid.piecewise([0.0, 1.0, 2.0], 201)
+    n = len(g)
+    FrequencyProfile(g, np.ones(n), np.zeros(n), ((0.0, 0.3), (2.0, -0.3)))
+    with pytest.raises(ValueError, match="kicks sit at t = 0 or t_f"):
+        FrequencyProfile(g, np.ones(n), np.zeros(n), ((t, 0.3),))
+
+
+def test_profile_refuses_a_closed_form_count_other_than_the_pieces():
+    g = TimeGrid.piecewise([0.0, 1.0, 2.0], 201)
+    n = len(g)
+    one = lambda t: 1.0 + 0.0 * t  # noqa: E731
+    FrequencyProfile(g, np.ones(n), np.zeros(n), omega2_fns=(one, one))
+    for fns in ((one,), (one, one, one), ()):
+        with pytest.raises(ValueError, match="one closed form per grid piece"):
+            FrequencyProfile(g, np.ones(n), np.zeros(n), omega2_fns=fns)
+

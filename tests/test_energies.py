@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from staexpand import TimeGrid, TrapSpec, energies, ermakov, protocols
+from staexpand import TimeGrid, TrapSpec, energies, ermakov, numerics, protocols
 from staexpand.core import FrequencyProfile, NonRealFrequency, PowerUndefined, ScalingCurve
 
 
@@ -88,6 +88,16 @@ class TestAverages:
         tr = trace_for(c, p, spec)
         assert tr.avg_E != pytest.approx(tr.avg_E2, rel=1e-3)
         assert tr.avg_E - tr.avg_E2 == pytest.approx(-tr.delta_delta, rel=1e-9)
+
+    @pytest.mark.parametrize("family", ["quintic", "hybrid", "dirac", "linear_bottom", "bang_bang"])
+    @pytest.mark.parametrize("mode", [0, 3])
+    def test_virial_form_is_the_simpson_average_bit_for_bit(self, family, mode):
+        spec = TrapSpec.from_gamma(7.0, n=mode)
+        kw = {"omega1": 1.0, "omega2": 1.0} if family == "bang_bang" else {"t_f": 4.0}
+        bundle = protocols.build(spec, protocols.ProtocolParams(family=family, grid_n=401, **kw))
+        c, b, bdot = (2 * mode + 1) / 4.0, bundle.curve.b, bundle.curve.bdot
+        tr = trace_for(bundle.curve, bundle.profile, spec)
+        assert tr.avg_E2 == numerics.average(2.0 * c * (1.0 / b**2 + bdot**2), bundle.curve.grid)
 
     def test_energy_change_matches_eigenvalues(self, spec):
         curve = protocols.quintic(spec, 25.0).curve

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -198,16 +200,11 @@ class TestExcitationEnergy:
 def reference_forward_solve(profile, b0=1.0, bdot0=0.0):
     """forward_solve written as a closure right-hand side for rk4_solve."""
     grid = profile.grid
-    tol = 1e-9 * (1.0 + grid.t_f)
-
-    def kick(state, t):
-        for ti, s in profile.impulses:
-            if abs(ti - t) <= tol:
-                state[1] -= s * state[0]
-
     b, bdot = np.empty(len(grid)), np.empty(len(grid))
     state = np.array([float(b0), float(bdot0)])
-    kick(state, 0.0)
+    for ti, s in profile.impulses:
+        if ti == 0.0:   # a profile holds kicks at t = 0 and t_f only
+            state[1] -= s * state[0]
     b0_plus = float(state[1])
     for k, (lo, hi) in enumerate(grid.pieces):
         om = profile.piece_callable(k)
@@ -221,8 +218,6 @@ def reference_forward_solve(profile, b0=1.0, bdot0=0.0):
         traj = rk4_solve(rhs, state, nodes)
         b[lo : hi + 1], bdot[lo : hi + 1] = traj[:, 0], traj[:, 1]
         state = traj[-1].copy()
-        if k + 1 < grid.n_pieces:
-            kick(state, float(nodes[-1]))
     return b, bdot, b0_plus
 
 
@@ -329,3 +324,64 @@ class TestFastIntegratorsMatchReference:
                 lambda: reference_forward_solve(profile),
             )
         assert got == ref
+
+
+# float.hex of b[-1] and bdot[-1], and the SHA-256 of b.tobytes() + bdot.tobytes(),
+# of forward_solve on each _profiles(501) control
+FORWARD_SOLVE_PINS = {
+    "quintic": ("0x1.3fffffe747e16p+3", "-0x1.1d92e23290000p-30",
+                "0d7f4f2797abd4ae513aa22f93a6bbcd7266d73fde31041e7a4fa449fcc0622f"),
+    "septic": ("0x1.4000000aee67bp+3", "0x1.9ed6b63c00000p-34",
+               "e09bed76f11d69eb5de8abc18bb7f952d23c358be7bc446746e01b350b779a28"),
+    "hybrid": ("0x1.4000017b0a439p+3", "-0x1.b1d67af800000p-26",
+               "fbfb17b4b4b1b0d3cbec5eb8e7c9998f1d9de2dcd40b289f20ad9cc6593d7dd2"),
+    "dirac": ("0x1.3fffffff06518p+3", "0x1.c6c1b47385d87p+0",
+              "8976e46153f9862a243000cee91dcb3e86d3377c0d11243686438869f5207d61"),
+    "bang_bang": ("0x1.400000002c8d4p+3", "0x1.cc291c0000000p-34",
+                  "56d8557bb6e2d2a15c47765221e2a40705b3e88133d540952a061826d6bcd2fa"),
+    "linear_bottom": ("0x1.3ffffffffffe0p+3", "0x1.ccccccccccccdp-2",
+                      "6e8d459d653358d744942112dc97dc2ac1af4c7dc7c95db5b8553659dbe1fe3b"),
+    "constant_power": ("0x1.d4396307a28cbp+1", "0x1.a635f7947ab53p-2",
+                       "19c485ab0b438801fd635eee07c9f0165d1be963d61b18eb6323292e243d026f"),
+}
+
+
+class TestForwardSolveReadsTheProfile:
+    """Node W^2 comes from the stored samples, midpoint W^2 from one call of
+    the piece's callable, and the result keeps its bits."""
+
+    @pytest.mark.parametrize("name", sorted(FORWARD_SOLVE_PINS))
+    def test_bits_are_pinned(self, name):
+        profile, bdot0 = _profiles(501)[name]
+        got = ermakov.forward_solve(profile, 1.0, bdot0)
+        digest = hashlib.sha256(got.b.tobytes() + got.bdot.tobytes()).hexdigest()
+        assert (float(got.b[-1]).hex(), float(got.bdot[-1]).hex(), digest) == FORWARD_SOLVE_PINS[name]
+
+    def test_each_closed_form_is_called_once(self):
+        grid = TimeGrid.piecewise([0.0, 1.0, 2.5, 4.0], 201)
+        calls = [0] * grid.n_pieces
+
+        def counting(k):
+            def w2(t):
+                calls[k] += 1
+                return 1.0 + 0.0 * t
+            return w2
+
+        n = len(grid)
+        profile = FrequencyProfile(grid, np.ones(n), np.zeros(n),
+                                   omega2_fns=tuple(counting(k) for k in range(grid.n_pieces)))
+        solved = ermakov.forward_solve(profile)
+        assert calls == [1, 1, 1]
+        assert np.max(np.abs(solved.b - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("ctor", [
+        lambda spec: protocols.quintic(spec, 25.0, 501),
+        lambda spec: protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 501),
+    ], ids=["quintic", "hybrid"])
+    def test_polynomial_pieces_are_not_differentiated_per_solve(self, spec, ctor, monkeypatch):
+        profile = ctor(spec).profile
+        calls = []
+        monkeypatch.setattr(protocols._Poly, "deriv", lambda self, m: calls.append(m))
+        ermakov.forward_solve(profile)
+        assert calls == []
+

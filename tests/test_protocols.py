@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +361,24 @@ def test_two_step_bundles_carry_their_switching_times(spec):
         t1, t2 = protocols.bang_bang_times(spec, *steps)
         assert bb.extra == {"t1": t1, "t2": t2, "omega1": steps[0], "omega2": steps[1]}
         assert bb.curve.grid.t_f == t1 + t2
+
+
+def test_bundle_docstring_names_the_extra_keys():
+    doc = protocols.ProtocolBundle.__doc__
+    for key in ("t1", "t2", "omega1", "omega2", "mismatch"):
+        assert re.search(rf"\b{key}\b", doc), key
+
+
+@pytest.mark.parametrize("ctor", [
+    lambda spec: protocols.quintic(spec, 25.0, 201),
+    lambda spec: protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 201),
+    lambda spec: protocols.dirac_impulse(spec, 5.0, 201),
+], ids=["quintic", "hybrid", "dirac"])
+def test_closed_form_omega2_of_a_float_is_a_number(spec, ctor):
+    profile = ctor(spec).profile
+    value = profile.piece_callable(0)(3.0)
+    assert not isinstance(value, np.ndarray)
+    assert value == profile.piece_callable(0)(np.array([3.0]))[0]
 
 
 @pytest.mark.parametrize("ctor", [protocols.quintic, protocols.quasi_optimal, protocols.linear_bottom])
