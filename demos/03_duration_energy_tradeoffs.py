@@ -23,8 +23,8 @@ for tau in np.geomspace(0.05 * t_max, t_max, 10):
     tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
     bound = energies.lower_bound_avg_energy(spec, float(tau)).value
     try:
-        bb = protocols.bang_bang_for_duration(spec, float(tau))
-        e_bb = energies.bang_bang_energies(spec, **bb.extra).avg_E
+        times = protocols.bang_bang_times_for_duration(spec, float(tau))
+        e_bb = energies.bang_bang_energies(spec, **times).avg_E
         bb_txt = f"{e_bb:9.4f}"
     except Infeasible:
         bb_txt = "        -"

@@ -244,17 +244,21 @@ def _write_table(path: str | None, lines: list[str], columns: dict) -> None:
     """Write the ``#`` lines, a header of the column names, then the rows.
 
     A numpy column is written %.12g, a list column by ``_cell``, and a
-    ``None`` column is left empty."""
+    ``None`` column is left empty.  Each row is one ``%`` of a format string
+    built once from the column kinds (never from the data), so a text cell
+    holding ``%`` is written as it is.  Columns of unequal length raise
+    ``zip``'s ValueError."""
     n_rows = len(next(iter(columns.values())))
-    cells = []
+    specs, fields = [], []
     for col in columns.values():
-        if col is None:
-            cells.append([""] * n_rows)
-        elif isinstance(col, np.ndarray):
-            cells.append(["%.12g" % v for v in col.tolist()])
+        if isinstance(col, np.ndarray):
+            specs.append("%.12g")
+            fields.append(col.tolist())
         else:
-            cells.append([_cell(v) for v in col])
-    rows = map(",".join, zip(*cells, strict=True))
+            specs.append("%s")
+            fields.append([""] * n_rows if col is None else [_cell(v) for v in col])
+    fmt = ",".join(specs)
+    rows = [fmt % row for row in zip(*fields, strict=True)]
     text = "\n".join([*lines, ",".join(columns), *rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -355,12 +359,13 @@ def _sweep_point(job) -> tuple[float, str, float | None, float, str]:
             value = bound
         elif family == "hybrid":  # fig3's cap protocol, optimized at each duration
             value = optimize.optimize_caps(spec, t_f, grid_n).objective
+        elif fig1 and family == "bang_bang":  # closed form in the switching times: no grid
+            times = protocols.bang_bang_times_for_duration(spec, t_f)
+            value = energies.bang_bang_energies(spec, **times).avg_E
         else:
             params = protocols.ProtocolParams(_SWEEP_FAMILY.get(family, family), t_f, grid_n=grid_n)
             b = protocols.build(spec, params)
-            if fig1 and family == "bang_bang":
-                value = energies.bang_bang_energies(spec, **b.extra).avg_E
-            elif fig1:
+            if fig1:
                 inst = energies.instantaneous(b.curve, b.profile, spec)
                 value = energies.averages(inst, b.curve, spec, b.profile).avg_E
             elif b.profile.has_imaginary:

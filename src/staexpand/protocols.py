@@ -446,8 +446,10 @@ def bang_bang_max_duration(spec: TrapSpec) -> float:
 _DURATION_RTOL = 1e-12
 
 
-def _two_step_for_duration(spec, t_f, n, label, t_min, w_lo, steps) -> ProtocolBundle:
-    """Two-step protocol of one family hitting a target duration.
+def _two_step_times(spec, t_f, label, t_min, w_lo, steps) -> dict:
+    """Switching times and step frequencies of one two-step family's
+    protocol that lasts t_f: the ``extra`` of its bundle, found without
+    building it.
 
     ``steps(w)`` maps the family's free frequency to (omega1, omega2); the
     duration falls from pi*gamma/2 at w = w_lo towards t_min as w grows, so
@@ -479,17 +481,31 @@ def _two_step_for_duration(spec, t_f, n, label, t_min, w_lo, steps) -> ProtocolB
             w = numerics._brent_root(duration_gap, w_lo, w_hi, xtol=_ROOT_RTOL * w_lo)
         except RuntimeError as exc:  # no convergence within the iteration limit
             raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
-    try:
-        bb = bang_bang(spec, *steps(w), n)
-    except ValueError as exc:  # e.g. a step too short to sample, next to t_min
-        raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
-    lasts = bb.curve.grid.t_f
+    omega1, omega2 = steps(w)
+    t1, t2 = bang_bang_times(spec, omega1, omega2)
+    lasts = t1 + t2   # the float bang_bang's grid ends at
     if abs(lasts - t_f) > _DURATION_RTOL * t_f:
         raise Infeasible(
             f"two-step protocol lasts {lasts:.12g} instead of the requested {t_f:.12g} "
             f"(relative miss {abs(lasts - t_f) / t_f:.2g} > {_DURATION_RTOL:g})"
         )
-    return bb
+    return {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2}
+
+
+def _two_step_bundle(spec, t_f, n, label, times: dict) -> ProtocolBundle:
+    """``bang_bang`` at the step frequencies ``_two_step_times`` found for t_f."""
+    try:
+        return bang_bang(spec, times["omega1"], times["omega2"], n)
+    except ValueError as exc:  # e.g. a step too short to sample, next to t_min
+        raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
+
+
+def bang_bang_times_for_duration(spec: TrapSpec, t_f: float) -> dict:
+    """``bang_bang_for_duration(spec, t_f).extra`` (t1, t2, omega1 = omega2)
+    without sampling the protocol: same values, same refusals, except a
+    refusal of the grid itself, which only the bundle can meet."""
+    w_lo = math.sqrt(spec.omega_f_rel)
+    return _two_step_times(spec, t_f, "equal-step", 0.0, w_lo, lambda w: (w, w))
 
 
 def bang_bang_for_duration(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
@@ -498,8 +514,7 @@ def bang_bang_for_duration(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) 
     Solves t1(w) + t2(w) = t_f for the common step frequency by root
     bracketing; only durations up to pi*gamma/2 are reachable.
     """
-    w_lo = math.sqrt(spec.omega_f_rel)
-    return _two_step_for_duration(spec, t_f, n, "equal-step", 0.0, w_lo, lambda w: (w, w))
+    return _two_step_bundle(spec, t_f, n, "equal-step", bang_bang_times_for_duration(spec, t_f))
 
 
 def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
@@ -516,6 +531,16 @@ def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> Protoc
     return bang_bang(spec, 0.0, beta, n)
 
 
+def bang_bang_na_times_for_duration(spec: TrapSpec, t_f: float) -> dict:
+    """``bang_bang_na_for_duration(spec, t_f).extra`` (t1, t2, omega1 = 0,
+    omega2 = beta) without sampling the protocol, as
+    ``bang_bang_times_for_duration`` is for equal steps."""
+    t_min = math.sqrt(spec.gamma**2 - 1.0)
+    return _two_step_times(
+        spec, t_f, "free-expansion", t_min, 1.0 / spec.gamma, lambda beta: (0.0, beta)
+    )
+
+
 def bang_bang_na_for_duration(
     spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N
 ) -> ProtocolBundle:
@@ -524,10 +549,8 @@ def bang_bang_na_for_duration(
     Durations range over (sqrt(gamma^2 - 1), pi*gamma/2]: the upper end is
     beta = 1/gamma, the lower end the beta -> infinity free-expansion limit.
     """
-    t_min = math.sqrt(spec.gamma**2 - 1.0)
-    return _two_step_for_duration(
-        spec, t_f, n, "free-expansion", t_min, 1.0 / spec.gamma, lambda beta: (0.0, beta)
-    )
+    times = bang_bang_na_times_for_duration(spec, t_f)
+    return _two_step_bundle(spec, t_f, n, "free-expansion", times)
 
 
 @dataclass

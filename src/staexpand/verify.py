@@ -138,12 +138,12 @@ def check_bang_bang_extremes(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     averaged energy reaches its minimum (1 + omega_f/omega0)/4 (n = 0)."""
     spec = TrapSpec.from_gamma(10.0)
     w = math.sqrt(spec.omega_f_rel)
-    bb = protocols.bang_bang(spec, w, w, n_grid).extra
-    e = energies.bang_bang_energies(spec, **bb)
+    t1, t2 = protocols.bang_bang_times(spec, w, w)
+    e = energies.bang_bang_energies(spec, w, w, t1, t2)
     si = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * 25.0)
     tf_si = math.pi / (2.0 * math.sqrt(si.omega0 * si.omega_f))
     ok = (
-        bb["t1"] < 1e-12
+        t1 < 1e-12
         and abs(e.t_f - 5.0 * math.pi) < 1e-9
         and abs(e.avg_E - 0.2525) < 1e-12
         and abs(tf_si - 1e-3) < 1e-9
@@ -151,7 +151,7 @@ def check_bang_bang_extremes(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     return _result(
         "bang_bang_extremes",
         ok,
-        f"t1 = {bb['t1']:.2e}, t_f - 5pi = {e.t_f - 5*math.pi:.2e}, "
+        f"t1 = {t1:.2e}, t_f - 5pi = {e.t_f - 5*math.pi:.2e}, "
         f"avg_E - 0.2525 = {e.avg_E - 0.2525:.2e}, t_f(SI) - 1 ms = {tf_si - 1e-3:.2e} s",
         "t1 < 1e-12, |t_f - 5pi| < 1e-9, |avg_E - 0.2525| < 1e-12, |t_f - 1 ms| < 1e-9 s",
     )

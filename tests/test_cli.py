@@ -1,5 +1,6 @@
 import ast
 import csv
+import io
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import staexpand
-from staexpand import TrapSpec, energies, protocols
+from staexpand import TrapSpec, cli, energies, protocols
 from staexpand.cli import main
 
 FAMILIES = ("quintic", "septic", "quasi_optimal", "dirac", "hybrid", "linear_bottom",
@@ -655,6 +656,75 @@ def test_nodes_line_counts_the_rows(tmp_path, family, command):
     assert comments[at + 1] == f"# nodes = {len(rows)}"
     if family == "hybrid":
         assert len(rows) == 107
+
+
+def _per_cell_table(lines, columns):
+    """The table text with every field formatted on its own: %.12g per value
+    of a numpy column, ``_cell`` per value of a list column, "" for None."""
+    n_rows = len(next(iter(columns.values())))
+    cells = []
+    for col in columns.values():
+        if col is None:
+            cells.append([""] * n_rows)
+        elif isinstance(col, np.ndarray):
+            cells.append(["%.12g" % v for v in col.tolist()])
+        else:
+            cells.append([cli._cell(v) for v in col])
+    rows = map(",".join, zip(*cells, strict=True))
+    return "\n".join([*lines, ",".join(columns), *rows]) + "\n"
+
+
+def test_write_table_matches_the_per_cell_reference(tmp_path, capsys):
+    columns = {
+        "x": np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0, 1e-300]),
+        "i": np.array([0, 1, -3, 2**40, 2**62, -(2**63), 7, 12345678901234, 9]),
+        "none": None,
+        "text": ["a,b", 'say "hi"', "cr\r", "lf\n", "100%", "%s %d %% %(k)s", None, 2.5, math.nan],
+        "num": [math.inf, -0.0, 5e-324, 1e308, None, 0.0, 3, "plain", ""],
+    }
+    lines = ["# table", "# 50% = %.12g"]
+    expected = _per_cell_table(lines, columns)
+    assert "%s %d %% %(k)s" in expected and '"say ""hi"""' in expected
+    out = tmp_path / "t.csv"
+    cli._write_table(str(out), lines, columns)
+    assert out.read_bytes() == expected.encode("utf-8")
+    cli._write_table(None, lines, columns)
+    assert capsys.readouterr().out == expected
+    header, *rows = csv.reader(io.StringIO(expected.split("\n", len(lines))[-1], newline=""))
+    assert header == list(columns) and all(len(r) == len(columns) for r in rows)
+    assert [r[3] for r in rows[:6]] == ["a,b", 'say "hi"', "cr\r", "lf\n", "100%", "%s %d %% %(k)s"]
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": np.zeros(3), "b": [1.0, 2.0]},
+    {"a": [1.0, 2.0], "b": np.zeros(3)},
+    {"a": np.zeros(2), "b": None, "c": ["x"]},
+], ids=["short_list", "long_array", "short_after_none"])
+def test_write_table_refuses_unequal_columns_as_zip_does(tmp_path, columns):
+    with pytest.raises(ValueError) as ref:
+        _per_cell_table([], columns)
+    with pytest.raises(ValueError) as got:
+        cli._write_table(str(tmp_path / "t.csv"), [], columns)
+    assert str(got.value) == str(ref.value) and str(ref.value).startswith("zip()")
+
+
+@pytest.mark.parametrize("gamma", [1.5, 10.0])
+def test_fig1_bang_bang_row_needs_no_grid(gamma):
+    # the closed-form row: the same tuple at any grid, and the value of the
+    # built equal-step protocol's switching times, or its refusal
+    spec = TrapSpec.from_gamma(gamma)
+    t_max = protocols.bang_bang_max_duration(spec)
+    for t_f in [0.1, 0.5 * t_max, t_max * (1.0 - 1e-3), t_max * (1.0 - 1e-9), t_max, 1.01 * t_max]:
+        row = cli._sweep_point(("fig1", gamma, t_f, "bang_bang", 51))
+        assert row == cli._sweep_point(("fig1", gamma, t_f, "bang_bang", 2001))
+        bound = energies.lower_bound_avg_energy(spec, t_f).value
+        try:
+            bb = protocols.bang_bang_for_duration(spec, t_f, 2001)
+        except staexpand.Infeasible as exc:
+            assert row == (t_f, "bang_bang", None, bound, str(exc))
+        else:
+            value = energies.bang_bang_energies(spec, **bb.extra).avg_E
+            assert row == (t_f, "bang_bang", value, bound, "")
 
 
 def test_verify_command_reports_known_failure(capsys):

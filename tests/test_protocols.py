@@ -297,6 +297,87 @@ class TestForDurationPostcondition:
             assert abs(helper(spec, t_f, 3).curve.grid.t_f - t_f) <= 1e-12 * t_f
 
 
+def _built_for_duration(spec, t_f, n, free_expansion):
+    """The two-step duration helpers as one step: the root search, then
+    ``bang_bang``, then the duration check on the built grid's t_f.  The
+    reference that the solve without a grid must reproduce."""
+    if free_expansion:
+        label, t_min, w_lo = "free-expansion", math.sqrt(spec.gamma**2 - 1.0), 1.0 / spec.gamma
+        steps = lambda w: (0.0, w)
+    else:
+        label, t_min, w_lo = "equal-step", 0.0, math.sqrt(spec.omega_f_rel)
+        steps = lambda w: (w, w)
+    t_max = math.pi * spec.gamma / 2.0
+    if not t_min < t_f <= t_max:
+        raise Infeasible(f"{label} protocols need {t_min:.6g} < t_f <= {t_max:.6g}")
+
+    def duration_gap(w):
+        return sum(protocols.bang_bang_times(spec, *steps(w))) - t_f
+
+    if t_f >= t_max * (1.0 - 1e-12):
+        w = w_lo
+    else:
+        w_hi = max(1.0, 2.0 * w_lo)
+        while duration_gap(w_hi) > 0.0:
+            w_hi *= 2.0
+        w = numerics._brent_root(duration_gap, w_lo, w_hi, xtol=4.0 * np.finfo(float).eps * w_lo)
+    try:
+        bb = protocols.bang_bang(spec, *steps(w), n)
+    except ValueError as exc:
+        raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
+    lasts = bb.curve.grid.t_f
+    if abs(lasts - t_f) > 1e-12 * t_f:
+        raise Infeasible(
+            f"two-step protocol lasts {lasts:.12g} instead of the requested {t_f:.12g} "
+            f"(relative miss {abs(lasts - t_f) / t_f:.2g} > 1e-12)"
+        )
+    return bb
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Infeasible as exc:
+        return exc
+
+
+@pytest.mark.parametrize("free_expansion", [False, True], ids=["equal_step", "free_expansion"])
+@pytest.mark.parametrize("gamma", [1.0001, 1.5, 10.0, 100.0])
+def test_duration_solve_matches_the_built_protocol(gamma, free_expansion):
+    # the solve returns the built protocol's extra, ==, or its refusal, word
+    # for word; only a grid too fine for a step (next to the free-expansion
+    # limit) is refused by the bundle alone
+    spec = TrapSpec.from_gamma(gamma)
+    t_max = protocols.bang_bang_max_duration(spec)
+    if free_expansion:
+        solve, helper = protocols.bang_bang_na_times_for_duration, protocols.bang_bang_na_for_duration
+        t_min = math.sqrt(gamma**2 - 1.0)
+        t_fs = [math.nextafter(t_min, math.inf), *np.geomspace(t_min, t_max, 25)[1:]]
+    else:
+        solve, helper = protocols.bang_bang_times_for_duration, protocols.bang_bang_for_duration
+        t_fs = list(np.geomspace(1e-3 * t_max, t_max, 25))
+    t_fs += [t_max * (1.0 - m * 10.0**-k) for m in (1, 3) for k in range(3, 13)]
+    outcomes = set()
+    for t_f in map(float, t_fs):
+        ref = _outcome(_built_for_duration, spec, t_f, 3, free_expansion)
+        got = _outcome(solve, spec, t_f)
+        bundle = _outcome(helper, spec, t_f, 3)
+        if isinstance(ref, Infeasible):
+            assert isinstance(bundle, Infeasible) and str(bundle) == str(ref)
+            if isinstance(got, Infeasible):
+                assert str(got) == str(ref)
+                outcomes.add("refused")
+            else:  # the grid's own refusal
+                assert "is too short for" in str(ref)
+                outcomes.add("grid refused")
+        else:
+            assert got == ref.extra and bundle.extra == ref.extra
+            outcomes.add("solved")
+    assert {"solved", "refused"} <= outcomes
+    if free_expansion:
+        assert "grid refused" in outcomes
+
+
 class TestConstantPower:
     def test_flat_when_no_expansion(self):
         c, mism = protocols.constant_power_shoot(TrapSpec.from_gamma(1.0), 5.0)
