@@ -21,12 +21,11 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import energies, optimize, protocols, verify
+from . import energies, optimize, protocols
 from .core import DEFAULT_GRID_N, Infeasible, TrajectoryBlowUp, TrapSpec
 
 _POWER_GRID_N = 4001   # power's default grid: its peaks need the dense grid
@@ -406,6 +405,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     grid_n = cfg.params.grid_n
     jobs = [(cfg.preset, gamma, float(t), family, grid_n) for family in families for t in taus]
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its ~30 modules
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             all_rows = list(pool.map(_sweep_point, jobs))
     else:
@@ -452,6 +453,8 @@ _COMMANDS = {"protocol": cmd_protocol, "energy": cmd_energy, "sweep": cmd_sweep,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify  # only this command reads the check registry
+
     results = verify.run_all(_check_grid(DEFAULT_GRID_N if args.grid is None else args.grid))
     failed = 0
     for r in results:

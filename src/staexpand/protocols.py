@@ -419,7 +419,13 @@ def bang_bang(
     frequency i*omega1 on (0, t1), omega2 on (t1, t_f); ``extra`` holds
     t1, t2, omega1 and omega2."""
     t1, t2 = bang_bang_times(spec, omega1, omega2)
-    t_f = t1 + t2
+    return _bang_bang_bundle(spec, {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2}, n)
+
+
+def _bang_bang_bundle(spec: TrapSpec, times: dict, n: int) -> ProtocolBundle:
+    """``bang_bang``'s bundle from its solved ``extra``: t1, t2, omega1, omega2."""
+    t1, omega1, omega2 = times["t1"], times["omega1"], times["omega2"]
+    t_f = t1 + times["t2"]
     seg2 = _bang_bang_seg2_fns(spec.gamma, omega2, t_f)
     if t1 == 0.0:
         grid = TimeGrid.uniform(t_f, n)
@@ -435,7 +441,7 @@ def bang_bang(
         np.zeros(len(grid)),
         omega2_fns=tuple((lambda t, v=v: np.full(np.shape(t), v)) for v in om_vals),
     )
-    return _bundle(grid, fns, profile, {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2})
+    return _bundle(grid, fns, profile, times)
 
 
 def bang_bang_max_duration(spec: TrapSpec) -> float:
@@ -493,9 +499,9 @@ def _two_step_times(spec, t_f, label, t_min, w_lo, steps) -> dict:
 
 
 def _two_step_bundle(spec, t_f, n, label, times: dict) -> ProtocolBundle:
-    """``bang_bang`` at the step frequencies ``_two_step_times`` found for t_f."""
+    """``bang_bang``'s bundle of the times ``_two_step_times`` found for t_f."""
     try:
-        return bang_bang(spec, times["omega1"], times["omega2"], n)
+        return _bang_bang_bundle(spec, times, n)
     except ValueError as exc:  # e.g. a step too short to sample, next to t_min
         raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
 

@@ -24,9 +24,13 @@ def read_lines(path):
 
 
 def csv_rows(path):
-    """The header and rows of a table as a CSV reader splits them; every row has
-    as many fields as the header."""
-    header, *rows = csv.reader(l for l in read_lines(path) if not l.startswith("#"))
+    """The header and rows of a table as a CSV reader splits them after its
+    leading ``#`` lines, so a quoted field may hold a line break; every row
+    has as many fields as the header."""
+    text = path.read_bytes().decode("utf-8")
+    while text.startswith("#"):
+        text = text.partition("\n")[2]
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
     assert all(len(r) == len(header) for r in rows)
     return header, rows
 
@@ -695,6 +699,13 @@ def test_write_table_matches_the_per_cell_reference(tmp_path, capsys):
     assert [r[3] for r in rows[:6]] == ["a,b", 'say "hi"', "cr\r", "lf\n", "100%", "%s %d %% %(k)s"]
 
 
+def test_write_table_round_trips_a_reason_with_a_line_break(tmp_path):
+    out = tmp_path / "t.csv"
+    reasons = ["refused: t_f = 3,\nsee the log", ""]
+    cli._write_table(str(out), ["# sweep"], {"t_f": np.array([1.0, 2.0]), "reason": reasons})
+    assert csv_rows(out) == (["t_f", "reason"], [["1", reasons[0]], ["2", ""]])
+
+
 @pytest.mark.parametrize("columns", [
     {"a": np.zeros(3), "b": [1.0, 2.0]},
     {"a": [1.0, 2.0], "b": np.zeros(3)},
@@ -749,7 +760,9 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     """Every command and the sample-only round trip need numpy only: SciPy
     is a test dependency, so a process where importing it fails still runs
     protocol, energy, fig1, fig4 and ``forward_solve`` of the constant-power
-    shot (no closed form, so the Hermite interpolant)."""
+    shot (no closed form, so the Hermite interpolant).  Nor do these runs load
+    the process pool or the check registry, which only ``sweep --jobs N``
+    with N > 1 and ``verify`` use."""
     script = textwrap.dedent(f"""
         import importlib.abc, os, sys
 
@@ -776,7 +789,8 @@ def test_cli_runs_without_importing_scipy(tmp_path):
         curve, _ = protocols.constant_power_shoot(TrapSpec.from_gamma(10.0), 30.0, 1001)
         redone = ermakov.forward_solve(ermakov.inverse_engineer(curve))
         assert abs(redone.b - curve.b).max() < 1e-6
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        unused = ("scipy", "concurrent.futures", "multiprocessing", "staexpand.verify")
+        print(sorted(m for m in sys.modules if m.startswith(unused)))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=python_env(), timeout=120)
