@@ -324,10 +324,12 @@ def linear_bottom(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> Protoc
 def bang_bang_times(spec: TrapSpec, omega1: float, omega2: float) -> tuple[float, float]:
     """Switching durations (t1, t2) from the matching conditions.
 
-    omega1, omega2 in units of omega0.  Requires omega1 >= 0 and
+    omega1, omega2 in units of omega0.  Requires finite omega1 >= 0 and
     omega2 >= sqrt(omega_f/omega0) (i.e. omega2 >= sqrt(omega0*omega_f)),
     which is what makes t1 >= 0; at equality t1 = 0 exactly.
     """
+    if not (math.isfinite(omega1) and math.isfinite(omega2)):
+        raise ValueError(f"step frequencies must be finite, not omega1 = {omega1}, omega2 = {omega2}")
     if omega1 < 0.0:
         raise ValueError("omega1 must be >= 0")
     if omega2 <= 0.0:
@@ -498,65 +500,34 @@ def _two_step_times(spec, t_f, label, t_min, w_lo, steps) -> dict:
     return {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2}
 
 
-def _two_step_bundle(spec, t_f, n, label, times: dict) -> ProtocolBundle:
-    """``bang_bang``'s bundle of the times ``_two_step_times`` found for t_f."""
-    try:
-        return _bang_bang_bundle(spec, times, n)
-    except ValueError as exc:  # e.g. a step too short to sample, next to t_min
-        raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
-
-
 def bang_bang_times_for_duration(spec: TrapSpec, t_f: float) -> dict:
-    """``bang_bang_for_duration(spec, t_f).extra`` (t1, t2, omega1 = omega2)
-    without sampling the protocol: same values, same refusals, except a
-    refusal of the grid itself, which only the bundle can meet."""
+    """The ``extra`` (t1, t2, omega1 = omega2) of the equal-step protocol
+    lasting t_f, without sampling it; ``build`` makes the bundle from it.
+    Solves t1(w) + t2(w) = t_f for the common step frequency by root
+    bracketing; only durations up to pi*gamma/2 are reachable."""
     w_lo = math.sqrt(spec.omega_f_rel)
     return _two_step_times(spec, t_f, "equal-step", 0.0, w_lo, lambda w: (w, w))
-
-
-def bang_bang_for_duration(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
-    """Equal-step protocol (omega1 = omega2) hitting a target duration.
-
-    Solves t1(w) + t2(w) = t_f for the common step frequency by root
-    bracketing; only durations up to pi*gamma/2 are reachable.
-    """
-    return _two_step_bundle(spec, t_f, n, "equal-step", bang_bang_times_for_duration(spec, t_f))
 
 
 def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
     """Free-expansion two-step protocol: omega1 = 0, omega2 = beta*omega0.
 
     All frequencies are real and non-negative, so the non-adiabatic energy
-    is defined.  Requires beta >= 1/gamma (t1 real) which also keeps the
-    arcsin argument in range.
+    is defined.  ``bang_bang_times`` requires beta >= 1/gamma (t1 real),
+    which also keeps the arcsin argument in range.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if beta * spec.gamma < 1.0 - 1e-12:
-        raise ValueError("beta >= 1/gamma is required for a real switching time")
     return bang_bang(spec, 0.0, beta, n)
 
 
 def bang_bang_na_times_for_duration(spec: TrapSpec, t_f: float) -> dict:
-    """``bang_bang_na_for_duration(spec, t_f).extra`` (t1, t2, omega1 = 0,
-    omega2 = beta) without sampling the protocol, as
-    ``bang_bang_times_for_duration`` is for equal steps."""
+    """The ``extra`` (t1, t2, omega1 = 0, omega2 = beta) of the
+    free-expansion protocol lasting t_f, as ``bang_bang_times_for_duration``
+    is for equal steps.  Durations range over (sqrt(gamma^2 - 1), pi*gamma/2]:
+    beta = 1/gamma at the upper end, beta -> infinity at the lower."""
     t_min = math.sqrt(spec.gamma**2 - 1.0)
     return _two_step_times(
         spec, t_f, "free-expansion", t_min, 1.0 / spec.gamma, lambda beta: (0.0, beta)
     )
-
-
-def bang_bang_na_for_duration(
-    spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N
-) -> ProtocolBundle:
-    """Free-expansion protocol hitting a target duration.
-
-    Durations range over (sqrt(gamma^2 - 1), pi*gamma/2]: the upper end is
-    beta = 1/gamma, the lower end the beta -> infinity free-expansion limit.
-    """
-    times = bang_bang_na_times_for_duration(spec, t_f)
-    return _two_step_bundle(spec, t_f, n, "free-expansion", times)
 
 
 @dataclass
@@ -700,7 +671,8 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     beta), for step inputs together with t_f, for a bad t_f, and for
     another family's shape inputs (a nonzero c3/c4 outside septic,
     tau_l/tau_s outside hybrid); the constructors' own ValueError and
-    Infeasible pass through.
+    Infeasible pass through, except that a two-step bundle for a given t_f
+    refuses its grid's ValueError as Infeasible.
     """
     fam, t_f, n = params.family, params.t_f, params.grid_n
     if fam is None:
@@ -719,9 +691,16 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
         raise ValueError(f"the {fam} family does not use {'/'.join(ignored)}")
     if own:
         steps = [getattr(params, k) for k in given]
+        if steps:
+            return (bang_bang if fam == "bang_bang" else bang_bang_na)(spec, *steps, n)
         if fam == "bang_bang":
-            return bang_bang(spec, *steps, n) if steps else bang_bang_for_duration(spec, t_f, n)
-        return bang_bang_na(spec, *steps, n) if steps else bang_bang_na_for_duration(spec, t_f, n)
+            label, times = "equal-step", bang_bang_times_for_duration(spec, t_f)
+        else:
+            label, times = "free-expansion", bang_bang_na_times_for_duration(spec, t_f)
+        try:
+            return _bang_bang_bundle(spec, times, n)
+        except ValueError as exc:  # e.g. a step too short to sample, next to t_min
+            raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
     if fam == "septic":
         return septic(spec, t_f, params.c3, params.c4, n)
     if fam == "hybrid":

@@ -242,7 +242,7 @@ def check_na_bound_sweep(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     t_lo = math.sqrt(spec.gamma**2 - 1.0) * 1.001
     t_hi = protocols.bang_bang_max_duration(spec) * 0.999
     for t_f in np.geomspace(t_lo, t_hi, 20):
-        bb = protocols.bang_bang_na_for_duration(spec, float(t_f), n_grid)
+        bb = protocols.build(spec, _P("bang_bang_na", float(t_f), grid_n=n_grid))
         _, avg, _ = energies.nonadiabatic_energy(bb.curve, bb.profile, spec)
         bound = energies.na_lower_bound(spec, bb.curve.grid.t_f)
         worst_margin = min(worst_margin, avg / bound - 1.0)

@@ -118,6 +118,9 @@ class TestProtocolCommand:
                 "protocol", "--family", "bang_bang", "--gamma", "10",
                 "--omega1", "1", "--omega2", "0.05",  # below sqrt(omega0 omega_f)
             ])
+        with pytest.raises(SystemExit, match="^invalid protocol parameters: step frequencies must be finite, "
+                                             "not omega1 = 0.0, omega2 = nan$"):
+            main(["protocol", "--family", "bang_bang_na", "--gamma", "10", "--beta", "nan"])
 
 
     def test_missing_duration_exits_with_message(self):
@@ -730,7 +733,7 @@ def test_fig1_bang_bang_row_needs_no_grid(gamma):
         assert row == cli._sweep_point(("fig1", gamma, t_f, "bang_bang", 2001))
         bound = energies.lower_bound_avg_energy(spec, t_f).value
         try:
-            bb = protocols.bang_bang_for_duration(spec, t_f, 2001)
+            bb = protocols.build(spec, protocols.ProtocolParams("bang_bang", t_f, grid_n=2001))
         except staexpand.Infeasible as exc:
             assert row == (t_f, "bang_bang", None, bound, str(exc))
         else:

@@ -159,10 +159,10 @@ def test_brent_root_matches_brentq_on_the_duration_solves(monkeypatch):
     for gamma in np.exp(rng.uniform(math.log(1.0001), math.log(1000.0), 30)):
         spec = TrapSpec.from_gamma(float(gamma))
         t_max = protocols.bang_bang_max_duration(spec)
-        for build in (protocols.bang_bang_for_duration, protocols.bang_bang_na_for_duration):
+        for family in ("bang_bang", "bang_bang_na"):
             for frac in rng.uniform(0.02, 0.999, 2):
                 try:
-                    build(spec, float(frac * t_max), 51)
+                    protocols.build(spec, protocols.ProtocolParams(family, float(frac * t_max), grid_n=51))
                 except Infeasible:  # refusals still made their root solve
                     pass
     assert len(solves) > 60

@@ -243,13 +243,10 @@ def test_for_duration_helpers_hit_the_duration_or_raise(log_gamma, frac, n):
     gamma = 10.0**log_gamma
     spec = TrapSpec.from_gamma(gamma)
     t_max = protocols.bang_bang_max_duration(spec)
-    for helper, t_min in (
-        (protocols.bang_bang_for_duration, 0.0),
-        (protocols.bang_bang_na_for_duration, math.sqrt(gamma**2 - 1.0)),
-    ):
+    for family, t_min in (("bang_bang", 0.0), ("bang_bang_na", math.sqrt(gamma**2 - 1.0))):
         t_f = t_min + frac * (t_max - t_min)
         try:
-            bb = helper(spec, t_f, n)
+            bb = protocols.build(spec, protocols.ProtocolParams(family, t_f, grid_n=n))
         except Infeasible:
             continue
         assert abs(bb.extra["t1"] + bb.extra["t2"] - t_f) <= 1e-12 * t_f

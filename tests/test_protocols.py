@@ -1,16 +1,29 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from staexpand import TrapSpec, ermakov, numerics, protocols
-from staexpand.core import Infeasible
+from staexpand.core import DEFAULT_GRID_N, Infeasible
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
 def spec():
     return TrapSpec.from_gamma(10.0)
+
+
+def bang_bang_for_duration(spec, t_f, n=DEFAULT_GRID_N):
+    """The equal-step protocol that lasts t_f, as ``build`` makes it."""
+    return protocols.build(spec, protocols.ProtocolParams("bang_bang", t_f, grid_n=n))
+
+
+def bang_bang_na_for_duration(spec, t_f, n=DEFAULT_GRID_N):
+    """The free-expansion protocol that lasts t_f, as ``build`` makes it."""
+    return protocols.build(spec, protocols.ProtocolParams("bang_bang_na", t_f, grid_n=n))
 
 
 def boundary_values(curve):
@@ -177,17 +190,28 @@ class TestBangBang:
         with pytest.raises(ValueError):
             protocols.bang_bang(spec, 1.0, 0.05)  # below sqrt(omega_f_rel) = 0.1
 
+    @pytest.mark.parametrize("omega1, omega2", [
+        (math.nan, math.nan), (0.0, math.inf), (math.inf, 1.0), (1.0, -math.inf),
+    ])
+    def test_rejects_non_finite_steps(self, spec, omega1, omega2):
+        # NaN fails no comparison, and an infinite step would reach the grid
+        message = rf"^step frequencies must be finite, not omega1 = {omega1}, omega2 = {omega2}$"
+        with pytest.raises(ValueError, match=message):
+            protocols.bang_bang_times(spec, omega1, omega2)
+        with pytest.raises(ValueError, match=message):
+            protocols.bang_bang(spec, omega1, omega2)
+
     @pytest.mark.parametrize("w", [0.1, 1.0])   # one uniform piece (t1 = 0), two pieces
     def test_even_grid_refused_on_either_grid(self, spec, w):
         with pytest.raises(ValueError, match="odd node count"):
             protocols.bang_bang(spec, w, w, 500)
 
     def test_for_duration_hits_target(self, spec):
-        bb = protocols.bang_bang_for_duration(spec, 3.0)
+        bb = bang_bang_for_duration(spec, 3.0)
         assert bb.curve.grid.t_f == pytest.approx(3.0, rel=1e-10)
         assert bb.extra["omega1"] == bb.extra["omega2"]
         with pytest.raises(Infeasible):
-            protocols.bang_bang_for_duration(spec, 25.0)  # beyond pi*gamma/2
+            bang_bang_for_duration(spec, 25.0)  # beyond pi*gamma/2
 
 
 class TestBangBangNA:
@@ -220,19 +244,29 @@ class TestBangBangNA:
         t_exact = protocols.bang_bang_times(spec, 2e-6, 1.0)
         assert t_series[0] == pytest.approx(t_exact[0], rel=1e-5)
 
+    def test_refusals_are_the_step_check_of_bang_bang_times(self, spec):
+        # one check, one tolerance: beta gamma on either side of 1 - 1e-12
+        # reads the same refusal
+        message = r"^omega2 >= sqrt\(omega0\*omega_f\) is required for t1 >= 0 "
+        for beta_gamma in (1.0 - 8e-13, 1.0 - 1.1e-12):
+            with pytest.raises(ValueError, match=message):
+                protocols.bang_bang_na(spec, beta_gamma / spec.gamma)
+        with pytest.raises(ValueError, match="^omega2 must be > 0$"):
+            protocols.bang_bang_na(spec, 0.0)
+
     def test_for_duration(self, spec):
-        bb = protocols.bang_bang_na_for_duration(spec, 12.0)
+        bb = bang_bang_na_for_duration(spec, 12.0)
         assert bb.curve.grid.t_f == pytest.approx(12.0, rel=1e-10)
         with pytest.raises(Infeasible):
-            protocols.bang_bang_na_for_duration(spec, 9.0)  # below sqrt(gamma^2-1)
+            bang_bang_na_for_duration(spec, 9.0)  # below sqrt(gamma^2-1)
 
 
 class TestForDurationPostcondition:
-    HELPERS = (protocols.bang_bang_for_duration, protocols.bang_bang_na_for_duration)
+    HELPERS = (bang_bang_for_duration, bang_bang_na_for_duration)
 
     @pytest.mark.parametrize("helper, message", [
-        (protocols.bang_bang_for_duration, "equal-step protocols need 0 < t_f <= 15.708"),
-        (protocols.bang_bang_na_for_duration, "free-expansion protocols need 9.94987 < t_f <= 15.708"),
+        (bang_bang_for_duration, "equal-step protocols need 0 < t_f <= 15.708"),
+        (bang_bang_na_for_duration, "free-expansion protocols need 9.94987 < t_f <= 15.708"),
     ])
     def test_reachable_range_in_message(self, spec, helper, message):
         with pytest.raises(Infeasible, match=message):
@@ -245,7 +279,7 @@ class TestForDurationPostcondition:
         spec = TrapSpec.from_gamma(gamma)
         t_f = math.nextafter(math.sqrt(spec.gamma**2 - 1.0), math.inf)
         with pytest.raises(Infeasible, match="free-expansion protocol for t_f"):
-            protocols.bang_bang_na_for_duration(spec, t_f, 201)
+            bang_bang_na_for_duration(spec, t_f, 201)
 
     @pytest.mark.parametrize("helper", HELPERS)
     def test_no_expansion_refused(self, helper):
@@ -267,8 +301,8 @@ class TestForDurationPostcondition:
             helper(TrapSpec.from_gamma(gamma), 0.9 * math.pi * gamma / 2.0)
 
     @pytest.mark.parametrize("helper, label", [
-        (protocols.bang_bang_for_duration, "equal-step"),
-        (protocols.bang_bang_na_for_duration, "free-expansion"),
+        (bang_bang_for_duration, "equal-step"),
+        (bang_bang_na_for_duration, "free-expansion"),
     ])
     def test_root_search_without_convergence_is_infeasible(self, spec, monkeypatch, helper, label):
         def no_convergence(f, a, b, **kw):
@@ -292,15 +326,15 @@ class TestForDurationPostcondition:
         # (~1/gamma); an absolute 1e-14 missed some of these by > 1e-12
         spec = TrapSpec.from_gamma(gamma)
         t_max = protocols.bang_bang_max_duration(spec)
-        t_lo = 0.0 if helper is protocols.bang_bang_for_duration else math.sqrt(gamma**2 - 1.0)
+        t_lo = 0.0 if helper is bang_bang_for_duration else math.sqrt(gamma**2 - 1.0)
         for t_f in t_lo + np.linspace(0.0, 1.0, 402)[1:-1] * (t_max - t_lo):
             assert abs(helper(spec, t_f, 3).curve.grid.t_f - t_f) <= 1e-12 * t_f
 
 
 def _built_for_duration(spec, t_f, n, free_expansion):
-    """The two-step duration helpers as one step: the root search, then
-    ``bang_bang``, then the duration check on the built grid's t_f.  The
-    reference that the solve without a grid must reproduce."""
+    """A two-step protocol for a duration in one step: the root search,
+    then ``bang_bang``, then the duration check on the built grid's t_f.
+    The reference that the solve without a grid and ``build`` reproduce."""
     if free_expansion:
         label, t_min, w_lo = "free-expansion", math.sqrt(spec.gamma**2 - 1.0), 1.0 / spec.gamma
         steps = lambda w: (0.0, w)
@@ -345,23 +379,23 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("gamma", [1.0001, 1.5, 10.0, 100.0])
 def test_duration_solve_matches_the_built_protocol(gamma, free_expansion):
     # the solve returns the built protocol's extra, ==, or its refusal, word
-    # for word; only a grid too fine for a step (next to the free-expansion
-    # limit) is refused by the bundle alone
+    # for word, and so does build; only a grid too fine for a step (next to
+    # the free-expansion limit) is refused by the bundle alone
     spec = TrapSpec.from_gamma(gamma)
     t_max = protocols.bang_bang_max_duration(spec)
     if free_expansion:
-        solve, helper = protocols.bang_bang_na_times_for_duration, protocols.bang_bang_na_for_duration
+        solve, family = protocols.bang_bang_na_times_for_duration, "bang_bang_na"
         t_min = math.sqrt(gamma**2 - 1.0)
         t_fs = [math.nextafter(t_min, math.inf), *np.geomspace(t_min, t_max, 25)[1:]]
     else:
-        solve, helper = protocols.bang_bang_times_for_duration, protocols.bang_bang_for_duration
+        solve, family = protocols.bang_bang_times_for_duration, "bang_bang"
         t_fs = list(np.geomspace(1e-3 * t_max, t_max, 25))
     t_fs += [t_max * (1.0 - m * 10.0**-k) for m in (1, 3) for k in range(3, 13)]
     outcomes = set()
     for t_f in map(float, t_fs):
         ref = _outcome(_built_for_duration, spec, t_f, 3, free_expansion)
         got = _outcome(solve, spec, t_f)
-        bundle = _outcome(helper, spec, t_f, 3)
+        bundle = _outcome(protocols.build, spec, protocols.ProtocolParams(family, t_f, grid_n=3))
         if isinstance(ref, Infeasible):
             assert isinstance(bundle, Infeasible) and str(bundle) == str(ref)
             if isinstance(got, Infeasible):
@@ -442,6 +476,16 @@ def test_two_step_bundles_carry_their_switching_times(spec):
         t1, t2 = protocols.bang_bang_times(spec, *steps)
         assert bb.extra == {"t1": t1, "t2": t2, "omega1": steps[0], "omega2": steps[1]}
         assert bb.curve.grid.t_f == t1 + t2
+
+
+def test_readme_constructor_table_names_exist():
+    # the README's constructor table names only what protocols defines
+    table = README.read_text(encoding="utf-8").split("| constructor | description |\n")[1]
+    rows = table.split("\n\n")[0].splitlines()[1:]
+    names = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(names) >= 9
+    for name in names:
+        assert callable(getattr(protocols, name, None)), name
 
 
 def test_bundle_docstring_names_the_extra_keys():
