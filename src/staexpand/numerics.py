@@ -1,15 +1,18 @@
-"""Simpson quadrature on grid pieces, Brent's bracketing root finder and
-the two-variable Nelder-Mead minimizer.
+"""Simpson quadrature on grid pieces, Gauss-Legendre nodes, Brent's
+bracketing root finder, Brent's bounded minimizer and the two-variable
+Nelder-Mead minimizer.
 
-The last two are operation-for-operation ports of SciPy 1.17.1 (BSD-3,
+The last three are operation-for-operation ports of SciPy 1.17.1 (BSD-3,
 Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), so they
-return the same bits as ``scipy.optimize.brentq`` and
+return the same bits as ``scipy.optimize.brentq``,
+``scipy.optimize.minimize_scalar(method="bounded")`` and
 ``scipy.optimize.minimize(method="Nelder-Mead")`` without importing SciPy.
-Both run on Python floats, whose IEEE operations are numpy's; Nelder-Mead
-keeps only SciPy's ``np.argsort``, for its order of tied values.
+All three run on Python floats, whose IEEE operations are numpy's;
+Nelder-Mead keeps only SciPy's ``np.argsort``, for its order of tied values.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,6 +53,32 @@ def integrate(values: Sequence[float], grid: TimeGrid) -> float:
 def average(values: Sequence[float], grid: TimeGrid) -> float:
     """Time average (integral divided by t_f)."""
     return integrate(values, grid) / grid.t_f
+
+
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m Gauss-Legendre nodes (ascending) and weights on [0, 1], as
+    read-only arrays computed once per m.
+
+    Newton's method on the Legendre polynomial P_m from the guesses
+    cos(pi (i - 1/4)/(m + 1/2)), with P_m and P_m' from the three-term
+    recurrence; on [-1, 1] the weights are 2/((1 - x^2) P_m'(x)^2).  Only
+    elementwise ufuncs: no LAPACK call, whose work buffers would add about
+    a megabyte to the process.
+    """
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones(m), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = m * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / slope
+        x = x - step
+        if float(np.max(np.abs(step))) <= 1e-15:
+            break
+    nodes, weights = (x + 1.0) / 2.0, 1.0 / ((1.0 - x * x) * slope * slope)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # brentq's default rtol
@@ -128,6 +157,100 @@ class MinimizeResult:
     fx: float
     converged: bool
     iterations: int
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)            # fminbound's own, not sqrt(machine eps)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _unit(v: float) -> float:
+    """SciPy's ``np.sign(v) + (v == 0)``: -1.0 below zero, else 1.0."""
+    return -1.0 if v < 0.0 else 1.0
+
+
+def _minimize_bounded(f: Callable, lo: float, hi: float, xatol: float = 1e-5,
+                      max_iter: int = 500) -> MinimizeResult:
+    """Local minimum of f(x) on [lo, hi] by Brent's method (fminbound).
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5,
+    as SciPy 1.17.1's ``_minimize_scalar_bounded`` implements it
+    (``scipy/optimize/_optimize.py``): a parabola through the three best
+    points where it steps inside the bracket and shrinks the step, a
+    golden-section step otherwise, and never a step shorter than
+    tol1 = sqrt(2.2e-16) |x| + xatol/3.  f is called with Python floats,
+    never at lo or hi.  Stops when x is within 2 tol1 - (b - a)/2 of the
+    middle of the bracket [a, b], or at the ``max_iter``-th evaluation;
+    only the first counts as converged, and a NaN x or value fails it.
+    ``iterations`` counts evaluations, as both SciPy's nit and nfev do.
+    Raises ValueError for bounds that are not finite or out of order.
+    """
+    a, b = float(lo), float(hi)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if a > b:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    fulc = nfc = xf = a + _GOLDEN_MEAN * (b - a)
+    rat = e = 0.0
+    fx = float(f(xf))
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    converged = True
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _unit(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+        x = xf + _unit(rat) * max(abs(rat), tol1)
+        fu = float(f(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= max_iter:
+            converged = False
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        converged = False
+    return MinimizeResult((xf,), fx, converged, num)
 
 
 class _MaxEvals(Exception):

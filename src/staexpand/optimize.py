@@ -1,17 +1,21 @@
 """The two protocol searches: cap durations and power-peak shaping.
 
-Both are deterministic: fixed multistart seeds, Nelder-Mead refinement,
-lexicographic tie-breaking.  Infeasible points (imaginary frequency,
-caps that do not fit, a septic b that is not positive) are penalized with
-+inf, so the simplex walks back into the feasible region on its own.
+Both are deterministic.  The cap search gates and bounds itself with the
+best of nine seed caps on the grid objective (lexicographic tie-breaking),
+then refines off the grid: the objective separates into one excess per
+cap, each minimized by a bounded 1-D search on the interval where that cap
+has a real frequency, and a third along the joint limit where the two
+minima break it.  The septic search refines (0, 0) with Nelder-Mead; a
+septic b that is not positive is penalized with +inf, so the simplex walks
+back into the feasible region on its own.
 
-The objectives compute only the number they return, with the per-node
-kernels the public path calls (``protocols._Poly``, ``ermakov._omega2``
-and ``_domega2``, ``energies._ena`` and ``_power_samples``,
-``core._real_omega``) writing into preallocated node rows, so they equal
-it bit for bit (tests compare them with ``==``).  A cap evaluation stops at the first piece, the stopping cap
-first, whose frequency is imaginary; a septic evaluation stops where b is
-not positive.
+The grid objectives compute only the number they return, with the
+per-node kernels the public path calls (``protocols._Poly``,
+``ermakov._omega2`` and ``_domega2``, ``energies._ena`` and
+``_power_samples``, ``core._real_omega``) writing into preallocated node
+rows, so they equal it bit for bit (tests compare them with ``==``).  A
+cap evaluation stops at the first piece, the stopping cap first, whose
+frequency is imaginary; a septic evaluation stops where b is not positive.
 """
 from __future__ import annotations
 
@@ -32,6 +36,8 @@ from .core import (
 )
 
 _CAP_SEED_FRACTIONS = (0.01, 0.05, 0.2)
+_CAP_NODES = 32                          # Gauss-Legendre nodes per cap
+_P_PEAK = (2.0 - math.sqrt(1.6)) / 3.0   # where P(s) = 8s - 20s^2 + 10s^3 peaks
 
 
 @dataclass
@@ -118,32 +124,125 @@ def best_cap_seed(
     return best_f, best_p
 
 
+class _Cap:
+    """One cap of the cap protocol as a function of its duration tau, off
+    the grid: its excess X(tau), the integral of Ena - Ena_L over the cap,
+    and its margin h(tau), >= 0 exactly where W^2 >= 0 on the whole cap.
+
+    In the cap's own variable s in [0, 1] (t/tau on the launching cap,
+    (t_f - t)/tau on the stopping cap), with d = gamma - 1, D = d tau/t_f and
+    r = 4 - 6s: b = 1 + D(2s^2 - s^3), or gamma - D(2s^2 - s^3) on the
+    stopping cap; bdot = d(4s - 3s^2)/t_f and bddot b^3 = +-d r b^3/(t_f tau).
+    With y = W b^2 = sqrt(1 - bddot b^3), the Ena kernel
+    (bdot^2 + W^2 b^2 + 1/b^2)/4 - W/2 is bdot^2/4 + (bddot b^2/(1 + y))^2/4,
+    free of cancellation, and the bdot^2/4 part exceeds the line's
+    d^2/(4 t_f^2) by 2/15 of it on average.  So, on Gauss-Legendre nodes s_i
+    and weights w_i on [0, 1],
+
+        X(tau) = (d/t_f)^2 [tau/30 + sum_i w_i (r_i b_i^2/(1 + y_i))^2/(4 tau)].
+
+    W^2 >= 0 iff t_f tau >= d max(+-r b^3) over the half of the cap where
+    +-r > 0, [0, 2/3] or [2/3, 1].  The maximum is at an end, or on the
+    falling branch of P = 8s - 20s^2 + 10s^3 where D P(s) = 1 (launching)
+    or -gamma (stopping): D P(s) -+ b(0) has the sign of d(+-r b^3)/ds.
+    h(tau) = t_f tau - d max(...) is concave, so the real caps form one
+    interval.
+    """
+
+    def __init__(self, gamma: float, t_f: float, launching: bool, nodes: np.ndarray, weights: np.ndarray):
+        self.d, self.t_f = gamma - 1.0, t_f
+        if launching:
+            self.b0, self.sign, self.half = 1.0, 1.0, (0.0, 2.0 / 3.0)
+        else:
+            self.b0, self.sign, self.half = gamma, -1.0, (2.0 / 3.0, 1.0)
+        self.c = nodes * nodes * (2.0 - nodes)
+        self.r = 4.0 - 6.0 * nodes
+        self.wr2 = weights * self.r * self.r
+
+    def excess(self, tau: float) -> float:
+        d, t_f, sign = self.d, self.t_f, self.sign
+        b = self.b0 + (sign * d * tau / t_f) * self.c
+        b2 = b * b
+        y = 1.0 - (sign * d / (t_f * tau)) * self.r * b2 * b
+        np.sqrt(np.maximum(y, 0.0, out=y), out=y)      # round-off at an edge of the interval
+        q = np.divide(b2, 1.0 + y, out=y)
+        # a ufunc reduction, not np.dot: BLAS would add its buffers to the process
+        total = float(np.add.reduce(self.wr2 * q * q))
+        return (d / t_f) ** 2 * (tau / 30.0 + total / (4.0 * tau))
+
+    def margin(self, tau: float) -> float:
+        big_d, b0, sign = self.d * tau / self.t_f, self.b0, self.sign
+
+        def peak(s: float) -> float:
+            return sign * (4.0 - 6.0 * s) * (b0 + sign * big_d * s * s * (2.0 - s)) ** 3
+
+        def slope(s: float) -> float:
+            return big_d * s * (8.0 + s * (10.0 * s - 20.0)) - sign * b0
+
+        lo, hi = self.half
+        top = max(peak(lo), peak(hi))
+        start = max(lo, _P_PEAK)
+        if slope(start) > 0.0 > slope(hi):
+            top = max(top, peak(numerics._brent_root(slope, start, hi, 1e-12)))
+        return self.t_f * tau - self.d * top
+
+    def interval(self, inside: float, limit: float) -> tuple[float, float]:
+        """The caps up to ``limit`` with a real frequency, around ``inside``,
+        whose margin must be positive: both edges by ``_brent_root``.  The
+        margin is negative at 2d/t_f, where b >= 1 makes max(+-r b^3) > 2."""
+        xtol = 1e-15 * self.t_f
+        lo = numerics._brent_root(self.margin, 2.0 * self.d / self.t_f, inside, xtol)
+        if self.margin(limit) >= 0.0:
+            return lo, limit
+        return lo, numerics._brent_root(self.margin, inside, limit, xtol)
+
+
 def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> OptimizationResult:
     """Minimize the averaged non-adiabatic energy over the cap durations
     (tau_l, tau_s), constrained to real frequencies.
 
-    Refines the best feasible seed of ``best_cap_seed`` with Nelder-Mead.
-    Infeasible is raised by the seed stage only, so ``optimize_caps``
-    succeeds exactly where ``best_cap_seed`` does.  Each evaluation
-    (``_hybrid_avg_ena``) looks at the stopping cap first and returns +inf
-    at the first piece with an imaginary frequency.
+    Infeasible is raised by the seed stage (``best_cap_seed``) only, so
+    ``optimize_caps`` succeeds exactly where it does, and its best seed is
+    the ``baseline``.  The objective separates: Ena = Ena_L on the line, so
+    avg Ena = Ena_L + (X_l(tau_l) + X_s(tau_s))/t_f.  Each cap's excess X
+    and real-frequency interval come off the grid (``_Cap``), and X is
+    minimized on that interval with ``_minimize_bounded``.  Where the two
+    minima break the joint limit tau_l + tau_s < 0.999 t_f, one more bounded
+    search runs along a line just inside it.  The result reports
+    ``_hybrid_avg_ena`` at the found caps, the grid value that the seeds
+    report; where it is not finite or is above the best seed, the seed is
+    the result.  So is a best seed with a real frequency on the grid only,
+    within its round-off tolerance: then no search runs, and the result is
+    not converged.  ``iterations`` sums the bounded searches' evaluations,
+    and ``converged`` holds when all of them converged.
     """
-    protocols._check_duration(t_f)
-
-    def objective(tau_l: float, tau_s: float) -> float:
-        return _hybrid_avg_ena(spec, t_f, tau_l, tau_s, n_grid)
-
     best_f, best_p = best_cap_seed(spec, t_f, n_grid)
-    res = numerics.nelder_mead_2d(objective, best_p, best_f, rel_tol=1e-8)
-    params, fx = res.x, res.fx
+    nodes, weights = numerics._gauss_legendre(_CAP_NODES)
+    cap_l, cap_s = caps = [_Cap(spec.gamma, t_f, launching, nodes, weights) for launching in (True, False)]
+    if not all(cap.margin(seed) > 0.0 for cap, seed in zip(caps, best_p)):
+        return OptimizationResult(best_p, best_f, True, 0, False, best_f)
+    # a few ulp inside _hybrid_avg_ena's strict limit, so that on the line
+    # tau_l + (limit - tau_l) rounds below 0.999 t_f
+    limit = 0.999 * t_f * (1.0 - 1e-15)
+    (lo_l, hi_l), (lo_s, hi_s) = bounds = [cap.interval(seed, limit) for cap, seed in zip(caps, best_p)]
+    xatol = 1e-10 * t_f   # finer than the reported grid value resolves the caps
+    runs = [numerics._minimize_bounded(cap.excess, lo, hi, xatol) for cap, (lo, hi) in zip(caps, bounds)]
+    (tau_l,), (tau_s,) = runs[0].x, runs[1].x
+    if not tau_l + tau_s < limit:
+        runs.append(numerics._minimize_bounded(
+            lambda tau: cap_l.excess(tau) + cap_s.excess(limit - tau),
+            max(lo_l, limit - hi_s), min(hi_l, limit - lo_s), xatol))
+        (tau_l,) = runs[-1].x
+        tau_s = limit - tau_l
+    params, fx = (tau_l, tau_s), _hybrid_avg_ena(spec, t_f, tau_l, tau_s, n_grid)
     if not math.isfinite(fx) or fx > best_f:
         params, fx = best_p, best_f
     return OptimizationResult(
         params=tuple(params),
         objective=fx,
         feasible=math.isfinite(fx),
-        iterations=res.iterations,
-        converged=res.converged,
+        iterations=sum(run.iterations for run in runs),
+        converged=all(run.converged for run in runs),
         baseline=best_f,
     )
 

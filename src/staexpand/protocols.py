@@ -672,7 +672,8 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     another family's shape inputs (a nonzero c3/c4 outside septic,
     tau_l/tau_s outside hybrid); the constructors' own ValueError and
     Infeasible pass through, except that a two-step bundle for a given t_f
-    refuses its grid's ValueError as Infeasible.
+    refuses its grid's ValueError as Infeasible, and a free-expansion
+    bundle for a given beta names beta and its value in its ValueError.
     """
     fam, t_f, n = params.family, params.t_f, params.grid_n
     if fam is None:
@@ -691,8 +692,14 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
         raise ValueError(f"the {fam} family does not use {'/'.join(ignored)}")
     if own:
         steps = [getattr(params, k) for k in given]
+        if steps and fam == "bang_bang":
+            return bang_bang(spec, *steps, n)
         if steps:
-            return (bang_bang if fam == "bang_bang" else bang_bang_na)(spec, *steps, n)
+            try:
+                return bang_bang_na(spec, *steps, n)
+            except ValueError as exc:  # its checks name omega2, which the request calls beta
+                beta = f"{params.beta:.12g}"
+                raise ValueError(f"beta = {beta} (the stopping frequency omega2): {exc}") from None
         if fam == "bang_bang":
             label, times = "equal-step", bang_bang_times_for_duration(spec, t_f)
         else:

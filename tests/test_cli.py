@@ -118,9 +118,16 @@ class TestProtocolCommand:
                 "protocol", "--family", "bang_bang", "--gamma", "10",
                 "--omega1", "1", "--omega2", "0.05",  # below sqrt(omega0 omega_f)
             ])
-        with pytest.raises(SystemExit, match="^invalid protocol parameters: step frequencies must be finite, "
-                                             "not omega1 = 0.0, omega2 = nan$"):
-            main(["protocol", "--family", "bang_bang_na", "--gamma", "10", "--beta", "nan"])
+        # bang_bang_na's stopping frequency omega2 is the request's beta: the refusal names both
+        prefix = r"^invalid protocol parameters: beta = {} \(the stopping frequency omega2\): "
+        for beta, reason in (
+            ("nan", r"step frequencies must be finite, not omega1 = 0\.0, omega2 = nan$"),
+            ("-1", r"omega2 must be > 0$"),
+            ("0.05", r"omega2 >= sqrt\(omega0\*omega_f\) is required for t1 >= 0 "
+                     r"\(gamma\^2 omega2\^2 - 1 = -0\.75\)$"),
+        ):
+            with pytest.raises(SystemExit, match=prefix.format(beta) + reason):
+                main(["protocol", "--family", "bang_bang_na", "--gamma", "10", "--beta", beta])
 
 
     def test_missing_duration_exits_with_message(self):
@@ -761,17 +768,18 @@ def test_verify_rejects_grid_without_odd_node_count(grid, capsys):
 
 def test_cli_runs_without_importing_scipy(tmp_path):
     """Every command and the sample-only round trip need numpy only: SciPy
-    is a test dependency, so a process where importing it fails still runs
-    protocol, energy, fig1, fig4 and ``forward_solve`` of the constant-power
-    shot (no closed form, so the Hermite interpolant).  Nor do these runs load
-    the process pool or the check registry, which only ``sweep --jobs N``
-    with N > 1 and ``verify`` use."""
+    is a test dependency, so a process where importing it (or
+    ``numpy.polynomial``) fails still runs protocol, energy, fig1, a short
+    fig3 whose cap searches refine their seeds, fig4 and ``forward_solve`` of
+    the constant-power shot (no closed form, so the Hermite interpolant).
+    Nor do these runs load the process pool or the check registry, which
+    only ``sweep --jobs N`` with N > 1 and ``verify`` use."""
     script = textwrap.dedent(f"""
         import importlib.abc, os, sys
 
         class NoScipy(importlib.abc.MetaPathFinder):
             def find_spec(self, name, path=None, target=None):
-                if name.split(".")[0] == "scipy":
+                if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "polynomial"]:
                     raise ImportError(f"{{name}} is blocked")
 
         sys.meta_path.insert(0, NoScipy())
@@ -782,6 +790,8 @@ def test_cli_runs_without_importing_scipy(tmp_path):
             ["energy", "--family", "bang_bang", "--gamma", "10", "--tf-dimensionless", "10"],
             ["protocol", "--family", "bang_bang_na", "--gamma", "10", "--tf-dimensionless", "12"],
             ["sweep", "--preset", "fig1"],
+            ["sweep", "--preset", "fig3", "--gamma", "10", "--tf-min", "290", "--tf-max", "310",
+             "--points-per-decade", "50", "--grid", "501"],
             ["power", "--preset", "fig4"],
             ["protocol", "--family", "constant_power", "--gamma", "10", "--tf-dimensionless", "30",
              "--grid", "501"],
@@ -792,14 +802,14 @@ def test_cli_runs_without_importing_scipy(tmp_path):
         curve, _ = protocols.constant_power_shoot(TrapSpec.from_gamma(10.0), 30.0, 1001)
         redone = ermakov.forward_solve(ermakov.inverse_engineer(curve))
         assert abs(redone.b - curve.b).max() < 1e-6
-        unused = ("scipy", "concurrent.futures", "multiprocessing", "staexpand.verify")
+        unused = ("scipy", "numpy.polynomial", "concurrent.futures", "multiprocessing", "staexpand.verify")
         print(sorted(m for m in sys.modules if m.startswith(unused)))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=python_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{i}" for i in range(7)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{i}" for i in range(8)]
 
 
 def test_no_library_module_imports_scipy():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from staexpand import verify
@@ -87,20 +89,27 @@ def test_threshold_equals_full_search_bisection(gamma, lo):
 
 def test_best_cap_seed_is_where_optimize_caps_starts(monkeypatch):
     from staexpand import TrapSpec, optimize
+    from staexpand.core import Infeasible
 
     spec = TrapSpec.from_gamma(10.0)
-    starts = []
-    real = optimize.numerics.nelder_mead_2d
+    seeded = []
+    real = optimize.best_cap_seed
 
-    def recording(f, start, *args, **kwargs):
-        starts.append(tuple(start))
-        return real(f, start, *args, **kwargs)
+    def recording(*args):
+        seeded.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(optimize.numerics, "nelder_mead_2d", recording)
+    monkeypatch.setattr(optimize, "best_cap_seed", recording)
     res = optimize.optimize_caps(spec, 300.0, 301)
     best_f, best_p = optimize.best_cap_seed(spec, 300.0, 301)
     assert best_f == res.baseline
-    assert starts == [best_p]
+    # one seed stage, whose best seed bounds the result; Infeasible is its refusal
+    assert seeded[0] == (spec, 300.0, 301) and res.objective <= res.baseline
+    with pytest.raises(Infeasible) as from_search:
+        optimize.optimize_caps(spec, 100.0, 301)
+    assert seeded[-1] == (spec, 100.0, 301)
+    with pytest.raises(Infeasible, match=f"^{re.escape(str(from_search.value))}$"):
+        real(spec, 100.0, 301)
     # the best of the nine seeds, ties broken by the smaller caps
     seeds = [(fl * 300.0, fs * 300.0) for fl in (0.01, 0.05, 0.2) for fs in (0.01, 0.05, 0.2)]
     assert (best_f, best_p) == min(
