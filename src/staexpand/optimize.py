@@ -13,9 +13,9 @@ The grid objectives compute only the number they return, with the
 per-node kernels the public path calls (``protocols._Poly``,
 ``ermakov._omega2`` and ``_domega2``, ``energies._ena`` and
 ``_power_samples``, ``core._real_omega``) writing into preallocated node
-rows, so they equal it bit for bit (tests compare them with ``==``).  A
-cap evaluation stops at the first piece, the stopping cap first, whose
-frequency is imaginary; a septic evaluation stops where b is not positive.
+rows.  The cap objective equals it bit for bit (tests compare with ``==``)
+and stops at the first imaginary piece, the stopping cap first; the septic
+one, within ~1e-13 of it, stops where b is not positive.
 """
 from __future__ import annotations
 
@@ -210,11 +210,11 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     minima break the joint limit tau_l + tau_s < 0.999 t_f, one more bounded
     search runs along a line just inside it.  The result reports
     ``_hybrid_avg_ena`` at the found caps, the grid value that the seeds
-    report; where it is not finite or is above the best seed, the seed is
-    the result.  So is a best seed with a real frequency on the grid only,
-    within its round-off tolerance: then no search runs, and the result is
-    not converged.  ``iterations`` sums the bounded searches' evaluations,
-    and ``converged`` holds when all of them converged.
+    report; where it is not below the best seed (a tie at gamma = 1), the
+    seed is the result.  So is a best seed with a real frequency on the
+    grid only, within its round-off tolerance: then no search runs, and the
+    result is not converged.  ``iterations`` sums the bounded searches'
+    evaluations, and ``converged`` holds when all of them converged.
     """
     best_f, best_p = best_cap_seed(spec, t_f, n_grid)
     nodes, weights = numerics._gauss_legendre(_CAP_NODES)
@@ -235,7 +235,7 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
         (tau_l,) = runs[-1].x
         tau_s = limit - tau_l
     params, fx = (tau_l, tau_s), _hybrid_avg_ena(spec, t_f, tau_l, tau_s, n_grid)
-    if not math.isfinite(fx) or fx > best_f:
+    if not fx < best_f:   # at gamma = 1 every excess is 0: the tie keeps the seed
         params, fx = best_p, best_f
     return OptimizationResult(
         params=tuple(params),
@@ -249,30 +249,31 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
 
 def _septic_peak(spec: TrapSpec, t_f: float, n_grid: int) -> Callable[[float, float], float]:
     """The peak relative power of the septic family as a function of
-    (c3, c4), equal bit for bit to ``power(...).peak_rel`` of ``septic``
-    where b > 0, and +inf where b <= 0 somewhere (a shape the search
-    penalizes, where ``septic`` refuses the curve).
+    (c3, c4), and +inf where b <= 0 somewhere (a shape the search
+    penalizes, where ``septic`` refuses the curve); no checks run here.
 
-    The checks, the uniform grid, x = t/t_f and the gamma = 1 refusal
-    (PowerUndefined) run once, here, in the order of the full path.  Each
-    call fills six node rows with the kernels the full path calls: b, its
-    three time derivatives, then d(W^2)/dtau and the power in one row.
+    b is affine in (c3, c4): its node rows (b and three time derivatives)
+    are R0 + c3 R3 + c4 R4, three (4, n) blocks built once with ``_Poly``
+    from the terms of ``_septic_coef`` and the full path's 1/t_f^j.  A call
+    combines them in four ufunc calls, then runs the full path's d(W^2)/dtau
+    and power kernels: within ~1e-13 relative of ``power(...).peak_rel``,
+    and equal to it at (0, 0).
     """
-    protocols._check_duration(t_f)
-    t = TimeGrid.uniform(t_f, n_grid).nodes
-    protocols._check_time_scale(t_f, 3)
+    x = TimeGrid.uniform(t_f, n_grid).nodes / t_f
     scale = energies._energy_change(spec) / t_f
-    x, b, b1, b2, b3, power = np.empty((6, len(t)))
-    np.divide(t, t_f, out=x)
+    r0, r3, r4, rows, work = blocks = np.empty((5, 4, len(x)))
+    basis = protocols._septic_coef(spec.gamma, 0.0, 0.0), [0, 0, 0, 1, 0, -6, 8, -3], [0, 0, 0, 0, 1, -3, 3, -1]
+    for coef, block in zip(basis, blocks):
+        for j, row in enumerate(block):
+            np.divide(protocols._Poly(coef).deriv(j)(x, out=row), t_f**j, out=row)
+    b, power = rows[0], work[0]
 
     def peak(c3: float, c4: float) -> float:
-        p = protocols._Poly(protocols._septic_coef(spec.gamma, float(c3), float(c4)))
-        if (p(x, out=b) <= 0.0).any():
+        np.add(r0, np.multiply(r3, c3, out=rows), out=rows)
+        np.add(rows, np.multiply(r4, c4, out=work), out=rows)
+        if not np.minimum.reduce(b) > 0.0:
             return math.inf
-        for j, row in enumerate((b1, b2, b3), 1):
-            p = p.deriv(1)
-            np.divide(p(x, out=row), t_f**j, out=row)
-        energies._power_samples(spec, ermakov._domega2(b, b1, b2, b3, out=power), b, out=power)
+        energies._power_samples(spec, ermakov._domega2(*rows, out=power), b, out=power)
         return float(np.maximum.reduce(np.abs(np.divide(power, scale, out=power), out=power)))
 
     return peak
@@ -286,24 +287,20 @@ def optimize_septic_power(
 
     The peak is taken over a dense grid (minimax objectives need it), and
     the result is clamped to never exceed the starting point.  1 is the
-    mean-value floor for the peak of any complete expansion.  The
-    objective (``_septic_peak``) is set up once per search: the checks,
-    one grid and its node rows, and the PowerUndefined refusal at
-    gamma = 1, before the first evaluation.  Shapes whose b is not
-    positive somewhere read +inf, so the search steps back from them.
+    mean-value floor for the peak of any complete expansion.  ``baseline``
+    and ``objective`` are ``power(...).peak_rel`` of ``build`` at (0, 0),
+    first, so it raises the full path's errors, and at the result.  The
+    search runs on ``_septic_peak``, within ~1e-13 of them; its +inf at a
+    non-positive b makes the search step back.
     """
+    def full(c3: float, c4: float) -> float:
+        bundle = protocols.build(spec, protocols.ProtocolParams("septic", t_f, c3, c4, grid_n=n_grid))
+        return energies.power(bundle.curve, bundle.profile, spec).peak_rel
 
-    objective = _septic_peak(spec, t_f, n_grid)
-    base = objective(0.0, 0.0)
-    res = numerics.nelder_mead_2d(objective, (0.0, 0.0), base, rel_tol=1e-6, max_iter=2000)
-    params, fx = res.x, res.fx
+    base = full(0.0, 0.0)
+    peak = _septic_peak(spec, t_f, n_grid)
+    res = numerics.nelder_mead_2d(peak, (0.0, 0.0), base, rel_tol=1e-6, max_iter=2000)
+    params, fx = res.x, full(*res.x)
     if fx > base:
         params, fx = (0.0, 0.0), base
-    return OptimizationResult(
-        params=tuple(params),
-        objective=fx,
-        feasible=True,
-        iterations=res.iterations,
-        converged=res.converged,
-        baseline=base,
-    )
+    return OptimizationResult(tuple(params), fx, True, res.iterations, res.converged, base)

@@ -45,6 +45,11 @@ class TestOptimizeCaps:
         b = optimize.optimize_caps(spec, 300.0, n_grid=501)
         assert a.params == b.params and a.objective == b.objective
 
+    def test_gamma_1_keeps_the_best_seed(self):
+        # every cap has zero excess over the line: a tie, which the best seed wins
+        res = optimize.optimize_caps(TrapSpec.from_gamma(1.0), 300.0, 501)
+        assert res.params == (3.0, 3.0) and res.objective == res.baseline == 0.0
+
     def test_excited_mode_rejected(self):
         with pytest.raises(ValueError):
             optimize.optimize_caps(TrapSpec.from_gamma(10.0, n=1), 300.0)
@@ -321,7 +326,9 @@ class TestObjectivesMatchFullPath:
         )
         assert optimize._hybrid_avg_ena(excited, 100.0, 5.0, 5.0, 301) == math.inf
 
-    def test_septic_evaluator_equals_full_path(self):
+    @staticmethod
+    def _septic_draws():
+        """(spec, t_f, n, shapes) over gamma, t_f, grid size and mode."""
         rng = np.random.default_rng(20260514)
         for _ in range(40):
             gamma = float(np.exp(rng.uniform(np.log(1.01), np.log(300.0))))
@@ -329,40 +336,58 @@ class TestObjectivesMatchFullPath:
             n = int(rng.choice([201, 801, 4001]))
             shapes = [(0.0, 0.0), *rng.uniform(-30.0, 30.0, (3, 2)).tolist()]
             for mode in (0, 1, 2):   # the ground state and two excited modes
-                spec = TrapSpec.from_gamma(gamma, n=mode)
-                peak = optimize._septic_peak(spec, t_f, n)
-                for c3, c4 in shapes:
-                    full = _full_septic_peak(spec, t_f, c3, c4, n)
-                    assert peak(c3, c4) == full
-                    c3_, c4_ = np.float64(c3), np.float64(c4)   # as Nelder-Mead used to pass them
-                    assert peak(c3_, c4_) == full == _full_septic_peak(spec, t_f, c3_, c4_, n)
+                yield TrapSpec.from_gamma(gamma, n=mode), t_f, n, shapes
+
+    def test_septic_evaluator_equals_full_path(self):
+        # the affine node rows round differently from one Horner pass: equal
+        # at (0, 0), elsewhere within 1e-12 relative, far inside the search's
+        # fatol of 1e-12 (1 + f)
+        for spec, t_f, n, shapes in self._septic_draws():
+            peak = optimize._septic_peak(spec, t_f, n)
+            assert peak(0.0, 0.0) == _full_septic_peak(spec, t_f, 0.0, 0.0, n)
+            for c3, c4 in shapes[1:]:
+                assert peak(c3, c4) == pytest.approx(_full_septic_peak(spec, t_f, c3, c4, n), rel=1e-12, abs=0.0)
+
+    def test_septic_search_reports_the_full_path(self):
+        # the ground state only: a search costs ~20 ms, and P_rel does not depend on the mode
+        for spec, t_f, n, _ in self._septic_draws():
+            if spec.n:
+                continue
+            res = optimize.optimize_septic_power(spec, t_f, n)
+            assert res.baseline == _full_septic_peak(spec, t_f, 0.0, 0.0, n)
+            assert res.objective == _full_septic_peak(spec, t_f, *res.params, n)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_septic_evaluator_at_the_longest_duration(self, n):
+    def test_septic_search_at_the_longest_duration(self, n):
         # the last t_f whose t_f^3 is finite, and the first the t_f^3 check refuses
         spec = TrapSpec.from_gamma(10.0, n=n)
         longest = float.fromhex("0x1.428a2f98d728ap+341")
-        for c3, c4 in ((0.0, 0.0), (3.0, -2.0)):
-            assert optimize._septic_peak(spec, longest, 201)(c3, c4) == _full_septic_peak(
-                spec, longest, c3, c4, 201
-            )
+        res = optimize.optimize_septic_power(spec, longest, 201)
+        assert res.baseline == _full_septic_peak(spec, longest, 0.0, 0.0, 201)
+        assert res.objective == _full_septic_peak(spec, longest, *res.params, 201)
         too_long = math.nextafter(longest, math.inf)
         _same_error(
             ValueError,
             lambda: _full_septic_peak(spec, too_long, 0.0, 0.0, 201),
-            lambda: optimize._septic_peak(spec, too_long, 201)(0.0, 0.0),
+            lambda: optimize.optimize_septic_power(spec, too_long, 201),
         )
         with pytest.raises(ValueError, match=r"t_f\^3 overflows"):
             optimize.optimize_septic_power(spec, too_long, 201)
 
-    def test_septic_evaluator_raises_as_the_full_path(self, spec):
+    def test_septic_search_raises_as_the_full_path(self, spec):
         # gamma = 1 has no energy change to normalize the power by
         flat = TrapSpec.from_gamma(1.0)
         _same_error(
             PowerUndefined,
             lambda: _full_septic_peak(flat, 30.0, 0.0, 0.0, 201),
-            lambda: optimize._septic_peak(flat, 30.0, 201)(0.0, 0.0),
+            lambda: optimize.optimize_septic_power(flat, 30.0, 201),
         )
+        for t_f, n in ((math.nan, 201), (-5.0, 201), (0.0, 201), (30.0, 500), (30.0, 1)):
+            _same_error(
+                ValueError,
+                lambda: _full_septic_peak(spec, t_f, 0.0, 0.0, n),
+                lambda: optimize.optimize_septic_power(spec, t_f, n),
+            )
 
     def test_septic_evaluator_penalizes_a_non_positive_b(self, spec):
         # b dips below zero for a strongly negative c3: the full path refuses
