@@ -9,13 +9,15 @@ minima break it.  The septic search refines (0, 0) with Nelder-Mead; a
 septic b that is not positive is penalized with +inf, so the simplex walks
 back into the feasible region on its own.
 
-The grid objectives compute only the number they return, with the
-per-node kernels the public path calls (``protocols._Poly``,
-``ermakov._omega2`` and ``_domega2``, ``energies._ena`` and
-``_power_samples``, ``core._real_omega``) writing into preallocated node
-rows.  The cap objective equals it bit for bit (tests compare with ``==``)
-and stops at the first imaginary piece, the stopping cap first; the septic
-one, within ~1e-13 of it, stops where b is not positive.
+The grid objectives compute only the number they return, writing into
+preallocated node rows.  The cap objective calls the per-node kernels the
+public path calls (``protocols._Poly``, ``ermakov._omega2``,
+``energies._ena``, ``core._real_omega``), equals it bit for bit (tests
+compare with ``==``) and stops at the first imaginary piece, the stopping
+cap first.  The septic one builds its rows with ``_Poly`` and takes the
+power in its own fused form, not with ``ermakov._domega2`` and
+``energies._power_samples``; it is within ~1e-13 of the public path and
+stops where b is not positive.
 """
 from __future__ import annotations
 
@@ -255,9 +257,13 @@ def _septic_peak(spec: TrapSpec, t_f: float, n_grid: int) -> Callable[[float, fl
     b is affine in (c3, c4): its node rows (b and three time derivatives)
     are R0 + c3 R3 + c4 R4, three (4, n) blocks built once with ``_Poly``
     from the terms of ``_septic_coef`` and the full path's 1/t_f^j.  A call
-    combines them in four ufunc calls, then runs the full path's d(W^2)/dtau
-    and power kernels: within ~1e-13 relative of ``power(...).peak_rel``,
-    and equal to it at (0, 0).
+    combines them in four ufunc calls, then takes the power in the search's
+    own fused form, d(W^2)/dtau b^2 = bddot bdot - b bdddot - 4 bdot/b^3
+    (no pow, no division by b^5): within ~1e-13 relative of
+    ``power(...).peak_rel``, (0, 0) included.  The public path keeps
+    ``ermakov._domega2`` and ``energies._power_samples``: where W^2 is
+    constant (the two-step pieces) they give exactly 0, where this form
+    gives round-off.
     """
     x = TimeGrid.uniform(t_f, n_grid).nodes / t_f
     scale = energies._energy_change(spec) / t_f
@@ -266,15 +272,18 @@ def _septic_peak(spec: TrapSpec, t_f: float, n_grid: int) -> Callable[[float, fl
     for coef, block in zip(basis, blocks):
         for j, row in enumerate(block):
             np.divide(protocols._Poly(coef).deriv(j)(x, out=row), t_f**j, out=row)
-    b, power = rows[0], work[0]
+    b, bdot, bddot, bdddot = rows
+    p, term = work[0], work[1]
 
     def peak(c3: float, c4: float) -> float:
         np.add(r0, np.multiply(r3, c3, out=rows), out=rows)
         np.add(rows, np.multiply(r4, c4, out=work), out=rows)
         if not np.minimum.reduce(b) > 0.0:
             return math.inf
-        energies._power_samples(spec, ermakov._domega2(*rows, out=power), b, out=power)
-        return float(np.maximum.reduce(np.abs(np.divide(power, scale, out=power), out=power)))
+        np.subtract(np.multiply(bddot, bdot, out=p), np.multiply(b, bdddot, out=term), out=p)
+        np.multiply(np.multiply(b, b, out=term), b, out=term)
+        np.subtract(p, np.multiply(np.divide(bdot, term, out=term), 4.0, out=term), out=p)
+        return float(np.maximum.reduce(np.abs(p, out=p))) * ((2 * spec.n + 1) / 4.0) / abs(scale)
 
     return peak
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from staexpand import TrapSpec, energies, ermakov, numerics, optimize, protocols
-from staexpand.core import Infeasible, PowerUndefined
+from staexpand.core import Infeasible, PowerUndefined, TimeGrid
 
 
 @pytest.fixture
@@ -220,6 +220,30 @@ def _full_septic_peak(spec, t_f, c3, c4, n):
     return energies.power(b.curve, b.profile, spec).peak_rel
 
 
+def _public_kernel_septic_peak(spec, t_f, n):
+    """The septic evaluator on the public power kernels: the same affine node
+    rows as ``optimize._septic_peak``, then ``ermakov._domega2`` and
+    ``energies._power_samples``, and max |P / scale|."""
+    x = TimeGrid.uniform(t_f, n).nodes / t_f
+    scale = energies._energy_change(spec) / t_f
+    r0, r3, r4, rows, work = blocks = np.empty((5, 4, len(x)))
+    basis = protocols._septic_coef(spec.gamma, 0.0, 0.0), [0, 0, 0, 1, 0, -6, 8, -3], [0, 0, 0, 0, 1, -3, 3, -1]
+    for coef, block in zip(basis, blocks):
+        for j, row in enumerate(block):
+            np.divide(protocols._Poly(coef).deriv(j)(x, out=row), t_f**j, out=row)
+    b, power = rows[0], work[0]
+
+    def peak(c3, c4):
+        np.add(r0, np.multiply(r3, c3, out=rows), out=rows)
+        np.add(rows, np.multiply(r4, c4, out=work), out=rows)
+        if not np.minimum.reduce(b) > 0.0:
+            return math.inf
+        energies._power_samples(spec, ermakov._domega2(*rows, out=power), b, out=power)
+        return float(np.maximum.reduce(np.abs(np.divide(power, scale, out=power), out=power)))
+
+    return peak
+
+
 def _same_error(exc_type, full, fast):
     """Both calls raise exc_type, of the same class and with the same message."""
     with pytest.raises(exc_type) as a:
@@ -339,13 +363,12 @@ class TestObjectivesMatchFullPath:
                 yield TrapSpec.from_gamma(gamma, n=mode), t_f, n, shapes
 
     def test_septic_evaluator_equals_full_path(self):
-        # the affine node rows round differently from one Horner pass: equal
-        # at (0, 0), elsewhere within 1e-12 relative, far inside the search's
-        # fatol of 1e-12 (1 + f)
+        # the affine node rows and the fused power form round differently
+        # from one Horner pass and the public kernels: within 1e-12 relative,
+        # (0, 0) included, far inside the search's fatol of 1e-12 (1 + f)
         for spec, t_f, n, shapes in self._septic_draws():
             peak = optimize._septic_peak(spec, t_f, n)
-            assert peak(0.0, 0.0) == _full_septic_peak(spec, t_f, 0.0, 0.0, n)
-            for c3, c4 in shapes[1:]:
+            for c3, c4 in shapes:
                 assert peak(c3, c4) == pytest.approx(_full_septic_peak(spec, t_f, c3, c4, n), rel=1e-12, abs=0.0)
 
     def test_septic_search_reports_the_full_path(self):
@@ -414,6 +437,22 @@ class TestObjectivesMatchFullPath:
         opt = optimize.optimize_septic_power(spec, 1e5, 201)
         assert opt.converged and 1.0 <= opt.objective < opt.baseline
         assert opt.objective == _full_septic_peak(spec, 1e5, *opt.params, 201)
+
+    def test_fused_power_form_takes_the_same_search_steps(self, fig4):
+        # the fused form rounds differently from the public kernels, so the
+        # final values may differ in their last bits; the simplex must not
+        spec4 = fig4[0]
+        cases = [(spec4, spec4.omega0 * t, 801) for t in np.geomspace(5e-3, 12e-3, 6)]
+        cases += [(TrapSpec.from_gamma(10.0), 30.0, 201), (TrapSpec.from_gamma(1000.0), 1e5, 201)]
+        for spec, t_f, n in cases:
+            start = _full_septic_peak(spec, t_f, 0.0, 0.0, n)
+            public, fused = (
+                numerics.nelder_mead_2d(peak, (0.0, 0.0), start, rel_tol=1e-6, max_iter=2000)
+                for peak in (_public_kernel_septic_peak(spec, t_f, n), optimize._septic_peak(spec, t_f, n))
+            )
+            assert fused.x == public.x and fused.iterations == public.iterations, (t_f, n)
+            assert fused.converged and public.converged
+            assert fused.fx == pytest.approx(public.fx, rel=1e-12, abs=0.0)
 
 
 class TestSearchesPinned:
