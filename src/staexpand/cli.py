@@ -9,7 +9,8 @@ byte-stable for identical configuration.  A text field that holds a
 comma, a double quote or a line break (a sweep's ``reason``) is quoted as
 RFC 4180 says.  Named presets ``fig1``, ``fig3`` and ``fig4`` bake in the
 2500 Hz -> 25 Hz trap (and 8 ms for ``fig4``); with --gamma the preset
-adds none of these SI values.  Sweeps need --points-per-decade >= 1.
+adds none of these SI values.  Sweeps need --points-per-decade >= 1 and
+run in one serial loop that takes each duration's bound once for every family.
 Each table command refuses the inputs it does not read: ``power`` and
 ``sweep`` the protocol inputs, ``sweep`` the duration flags, and
 ``protocol``, ``energy`` and ``power`` the sweep-only flags.
@@ -51,7 +52,6 @@ class RunConfig:
     tf_min: float | None       # dimensionless
     tf_max: float | None
     points_per_decade: int
-    jobs: int
 
     def time_out(self, tau):
         """Time value (a float or an array): seconds in SI mode, dimensionless otherwise."""
@@ -98,14 +98,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tf-min", type=float, help="sweep start (same unit as tf flags)")
     p.add_argument("--tf-max", type=float, help="sweep end (same unit as tf flags)")
     p.add_argument("--points-per-decade", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers for sweeps")
 
 
 # inputs a command reads no value of, refused when given as a flag or in --config:
 # power compares quintic with the optimized septic, sweeps run their preset's
-# families over a duration range, and only sweeps read the range and the pool size
+# families over a duration range, and only sweeps read the range
 _PROTOCOL_INPUTS = ("family", "c3", "c4", "tau_l", "tau_s", "beta", "omega1", "omega2")
-_SWEEP_INPUTS = ("tf_min", "tf_max", "points_per_decade", "jobs")
+_SWEEP_INPUTS = ("tf_min", "tf_max", "points_per_decade")
 _UNUSED_INPUTS = {
     "protocol": _SWEEP_INPUTS,
     "energy": _SWEEP_INPUTS,
@@ -170,11 +169,9 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         return None if opts[key] is None else opts[key] * scale
 
     default_grid = _POWER_GRID_N if args.command == "power" else DEFAULT_GRID_N
-    jobs = 1 if args.jobs is None else args.jobs
     points_per_decade = 60 if args.points_per_decade is None else args.points_per_decade
-    for flag, count in (("--jobs", jobs), ("--points-per-decade", points_per_decade)):
-        if count < 1:
-            raise SystemExit(f"{flag} must be >= 1 (got {count})")
+    if points_per_decade < 1:
+        raise SystemExit(f"--points-per-decade must be >= 1 (got {points_per_decade})")
     params = protocols.ProtocolParams(
         family=args.family,
         t_f=t_f,
@@ -196,7 +193,6 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         tf_min=scaled("tf_min"),
         tf_max=scaled("tf_max"),
         points_per_decade=points_per_decade,
-        jobs=jobs,
     )
 
 
@@ -343,36 +339,29 @@ def cmd_energy(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_point(job) -> tuple[float, str, float | None, float, str]:
-    """One (family, t_f) row of a preset's sweep; module level so --jobs can pickle it."""
-    preset, gamma, t_f, family, grid_n = job
-    spec = TrapSpec.from_gamma(gamma)
+def _sweep_row(preset: str, spec: TrapSpec, t_f: float, family: str, grid_n: int,
+               bound: float) -> tuple[float | None, str]:
+    """One (family, t_f) point of a preset's sweep whose bound at t_f is
+    ``bound``: its value, and the reason when it has none."""
     fig1 = preset == "fig1"  # fig1: avg_E against E_nL; fig3: avg_Ena against Ena_L
-    if fig1:
-        bound = energies.lower_bound_avg_energy(spec, t_f).value
-    else:
-        bound = energies.na_lower_bound(spec, t_f)
     try:
         if family == "bound":
-            value = bound
-        elif family == "hybrid":  # fig3's cap protocol, optimized at each duration
-            value = optimize.optimize_caps(spec, t_f, grid_n).objective
-        elif fig1 and family == "bang_bang":  # closed form in the switching times: no grid
+            return bound, ""
+        if family == "hybrid":  # fig3's cap protocol, optimized at each duration
+            return optimize.optimize_caps(spec, t_f, grid_n).objective, ""
+        if fig1 and family == "bang_bang":  # closed form in the switching times: no grid
             times = protocols.bang_bang_times_for_duration(spec, t_f)
-            value = energies.bang_bang_energies(spec, **times).avg_E
-        else:
-            params = protocols.ProtocolParams(_SWEEP_FAMILY.get(family, family), t_f, grid_n=grid_n)
-            b = protocols.build(spec, params)
-            if fig1:
-                inst = energies.instantaneous(b.curve, b.profile, spec)
-                value = energies.averages(inst, b.curve, spec, b.profile).avg_E
-            elif b.profile.has_imaginary:
-                return t_f, family, None, bound, "imaginary frequency band"
-            else:
-                value = energies.nonadiabatic_energy(b.curve, b.profile, spec)[1]
+            return energies.bang_bang_energies(spec, **times).avg_E, ""
+        params = protocols.ProtocolParams(_SWEEP_FAMILY.get(family, family), t_f, grid_n=grid_n)
+        b = protocols.build(spec, params)
+        if fig1:
+            inst = energies.instantaneous(b.curve, b.profile, spec)
+            return energies.averages(inst, b.curve, spec, b.profile).avg_E, ""
+        if b.profile.has_imaginary:
+            return None, "imaginary frequency band"
+        return energies.nonadiabatic_energy(b.curve, b.profile, spec)[1], ""
     except (Infeasible, ValueError) as exc:  # NonRealFrequency, or a t_f too long for a closed form
-        return t_f, family, None, bound, str(exc)
-    return t_f, family, value, bound, ""
+        return None, str(exc)
 
 
 # sweep file label -> protocol family, where they differ
@@ -391,7 +380,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise SystemExit("sweep needs --out DIRECTORY")
     os.makedirs(cfg.out, exist_ok=True)
     families, value_name, bound_name, (lo_default, hi_default) = _SWEEPS[cfg.preset]
-    gamma = cfg.spec.gamma
     lo = cfg.tf_min if cfg.tf_min is not None else lo_default
     hi = cfg.tf_max if cfg.tf_max is not None else hi_default
     if hi is None:
@@ -401,19 +389,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     n_points = max(2, int(round(cfg.points_per_decade * math.log10(hi / lo))))
     taus = np.geomspace(lo, hi, n_points)
 
-    grid_n = cfg.params.grid_n
-    jobs = [(cfg.preset, gamma, float(t), family, grid_n) for family in families for t in taus]
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its ~30 modules
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            all_rows = list(pool.map(_sweep_point, jobs))
+    # rows use the gamma trap: an SI spec's omega_f_rel can differ from it in the last bit
+    spec = TrapSpec.from_gamma(cfg.spec.gamma)
+    durations = taus.tolist()
+    if cfg.preset == "fig1":
+        bounds = [energies.lower_bound_avg_energy(spec, t_f).value for t_f in durations]
     else:
-        all_rows = [_sweep_point(j) for j in jobs]
+        bounds = [energies.na_lower_bound(spec, t_f) for t_f in durations]
+    rows = {family: [_sweep_row(cfg.preset, spec, t_f, family, cfg.params.grid_n, bound)
+                     for t_f, bound in zip(durations, bounds)] for family in families}
     # reasons quote durations as the library raised them, dimensionless
     note = "; durations in reasons: 1/omega0" if cfg.si_mode else ""
-    for k, family in enumerate(families):
-        _, _, values, bounds, reasons = zip(*all_rows[k * n_points : (k + 1) * n_points])
+    for family, family_rows in rows.items():
+        values, reasons = zip(*family_rows)
         lines = _config_header(cfg, f"sweep {cfg.preset} {family}")
         lines.append(f"# values in hbar*omega0; t_f column unit: {cfg.time_unit}{note}")
         _write_table(os.path.join(cfg.out, f"{cfg.preset}_{family}.csv"), lines, {

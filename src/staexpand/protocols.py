@@ -397,7 +397,10 @@ def _bang_bang_seg1_fns(omega1: float) -> Piece:
 
 
 def _bang_bang_seg2_fns(gamma: float, omega2: float, t_f: float) -> Piece:
-    """b = sqrt(g) with g = gamma^2 + a sin^2(w2 (t_f - t)) on (t1, t_f)."""
+    """b = sqrt(g) with g = gamma^2 + a sin^2(w2 (t_f - t)) on (t1, t_f).
+
+    g is summed as gamma^2 cos^2 + sin^2/(gamma w2)^2, the same g without
+    the cancellation of gamma^2 against a ~ -gamma^2 where b is near 1."""
     a = (1.0 - gamma**4 * omega2**2) / (gamma**2 * omega2**2)
 
     def piece(t):
@@ -405,7 +408,7 @@ def _bang_bang_seg2_fns(gamma: float, omega2: float, t_f: float) -> Piece:
         x = 2.0 * omega2 * u
         sin2 = np.sin(x)
         return _sqrt_cols(
-            gamma**2 + a * np.sin(omega2 * u) ** 2,
+            gamma**2 * np.cos(omega2 * u) ** 2 + np.sin(omega2 * u) ** 2 / (gamma**2 * omega2**2),
             -a * omega2 * sin2,
             2.0 * a * omega2**2 * np.cos(x),
             4.0 * a * omega2**3 * sin2,

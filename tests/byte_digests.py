@@ -47,14 +47,12 @@ _POINTS = {
 # case name -> CLI argv; "{out}" is a fresh directory for the files written
 CASES = {
     "sweep_fig1": ["sweep", "--preset", "fig1", "--out", "{out}"],
-    "sweep_fig1_jobs2": ["sweep", "--preset", "fig1", "--jobs", "2", "--out", "{out}"],
     # up to just below t_max = pi*gamma/2, where the equal-step duration solve
     # lands on t_max and refuses the rows closest to it
     "sweep_fig1_gamma1.5_near_tmax": ["sweep", "--preset", "fig1", "--gamma", "1.5",
                                       "--tf-min", "2.356", "--tf-max", "2.35619449",
                                       "--points-per-decade", "1000000", "--out", "{out}"],
     "sweep_fig3": ["sweep", "--preset", "fig3", "--out", "{out}"],
-    "sweep_fig3_jobs2": ["sweep", "--preset", "fig3", "--jobs", "2", "--out", "{out}"],
     "power_fig4": ["power", "--preset", "fig4"],
     "verify": ["verify"],
     **{f"{command}_{family}": [command, "--family", family, "--gamma", "10", *argv]

@@ -5,9 +5,14 @@ its pinned tolerance.  ``bang_bang_log_asymptote`` is known to fail and is
 asserted anyway: the pinned +-5% window cannot hold at gamma = 100 because
 the scaling law it checks is accurate only to an additive pi/4 - ln(sqrt 2)
 term inside the logarithm (exact ratio 1.082, -> 1 only as gamma -> inf).
-The failure is intentional evidence, not a regression.
+The failure is intentional evidence, not a regression; the library-level
+test after it holds the same ratio to that exact value.
 """
-from staexpand import verify
+import math
+
+import pytest
+
+from staexpand import TrapSpec, energies, protocols, verify
 
 _BY_NAME = dict(verify.CHECKS)
 
@@ -42,6 +47,20 @@ def test_05_bang_bang_extremes():
 def test_06_bang_bang_log_asymptote():
     # documented honest failure; see the module docstring
     _run("bang_bang_log_asymptote")
+
+
+def test_06_bang_bang_log_asymptote_with_its_constant():
+    # test_06's steep equal steps, against the ratio with the additive term
+    # kept: (ln(sqrt 2 gamma) + pi/4)/ln(2 gamma) = 1.082823 at gamma = 100
+    spec = TrapSpec.from_gamma(100.0)
+    w = 1000.0
+    e = energies.bang_bang_energies(spec, w, w, *protocols.bang_bang_times(spec, w, w))
+    log_law = (2 * spec.n + 1) * math.pi * math.log(2.0 * spec.gamma) / (16.0 * spec.omega_f_rel * e.t_f**2)
+    exact = (math.log(math.sqrt(2.0) * spec.gamma) + math.pi / 4.0) / math.log(2.0 * spec.gamma)
+    ratio = e.avg_E / log_law
+    print(f"\nACCEPTANCE bang_bang_log_asymptote with its constant: ratio = {ratio:.6f} "
+          f"[tolerance: {exact:.6f} within 1e-3 relative]")
+    assert ratio == pytest.approx(exact, rel=1e-3)
 
 
 def test_07_free_expansion_limit():

@@ -12,10 +12,6 @@ def test_every_case_is_pinned():
     assert sorted(DIGESTS["cases"]) == sorted(byte_digests.CASES)
 
 
-def test_parallel_sweep_writes_the_serial_bytes():
-    assert DIGESTS["cases"]["sweep_fig3_jobs2"] == DIGESTS["cases"]["sweep_fig3"]
-
-
 @pytest.mark.parametrize("name", sorted(byte_digests.CASES))
 def test_output_bytes(name):
     assert byte_digests.run_case(byte_digests.CASES[name]) == DIGESTS["cases"][name]

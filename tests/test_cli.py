@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -157,11 +158,11 @@ class TestProtocolCommand:
 
     @pytest.mark.parametrize("command", ["protocol", "energy"])
     @pytest.mark.parametrize("flag, value", [
-        ("--tf-min", "2"), ("--tf-max", "7"), ("--points-per-decade", "9"), ("--jobs", "4"), ("--jobs", "0"),
+        ("--tf-min", "2"), ("--tf-max", "7"), ("--points-per-decade", "9"), ("--points-per-decade", "0"),
     ])
     def test_unused_sweep_input_refused(self, tmp_path, command, flag, value):
-        # `protocol ... --jobs 4 --tf-min 2` used to run, and `energy ... --jobs 0` to
-        # exit with "--jobs must be >= 1", about a flag it never reads
+        # `protocol ... --tf-min 2` used to run; a value the flag's own check
+        # refuses (`--points-per-decade 0`) is refused as unused first
         out = tmp_path / "p.csv"
         base = [command, "--gamma", "3", "--family", "quintic", "--tf-dimensionless", "4", "--grid", "11"]
         with pytest.raises(SystemExit, match=f"{command} does not use {flag}$"):
@@ -171,9 +172,8 @@ class TestProtocolCommand:
         with pytest.raises(SystemExit, match=f"{command} does not use {flag}$"):
             main(base + ["--config", str(cfgfile), "--out", str(out)])
         with pytest.raises(SystemExit,
-                           match=f"{command} does not use --tf-min, --tf-max, --points-per-decade, --jobs$"):
-            main(base + ["--jobs", "4", "--tf-min", "2", "--tf-max", "7", "--points-per-decade", "9",
-                         "--out", str(out)])
+                           match=f"{command} does not use --tf-min, --tf-max, --points-per-decade$"):
+            main(base + ["--tf-min", "2", "--tf-max", "7", "--points-per-decade", "9", "--out", str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, cap", [("--tau-l", "launching cap tau_l"),
@@ -359,21 +359,41 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match="positive, finite duration range"):
             main(["sweep", "--preset", "fig1", "--tf-min", "-1", "--out", str(tmp_path)])
 
-    def test_parallel_sweep_writes_serial_bytes(self, tmp_path):
+    def test_fig3_writes_one_file_per_family_across_the_cap_threshold(self, tmp_path):
         # fig3 durations are in seconds: 0.012-0.02 s spans the hybrid
         # cap feasibility threshold (~0.014 s), so rows carry values and reasons
-        args = ["sweep", "--preset", "fig3", "--tf-min", "0.012", "--tf-max", "0.02",
-                "--points-per-decade", "20", "--grid", "301"]
-        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
-        assert main(args + ["--jobs", "2", "--out", str(tmp_path / "pool")]) == 0
-        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert main(["sweep", "--preset", "fig3", "--tf-min", "0.012", "--tf-max", "0.02",
+                     "--points-per-decade", "20", "--grid", "301", "--out", str(tmp_path)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [f"fig3_{f}.csv" for f in ("bound", "hybrid", "na_bang_bang", "quintic")]
-        assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
         for name in names:
-            assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
-            csv_rows(tmp_path / "serial" / name)
-        _, rows = csv_rows(tmp_path / "serial" / "fig3_hybrid.csv")
+            csv_rows(tmp_path / name)
+        _, rows = csv_rows(tmp_path / "fig3_hybrid.csv")
         assert any(r[1] for r in rows) and any(r[3] for r in rows)
+
+    @pytest.mark.parametrize("preset, bound_fn, trap", [
+        ("fig1", "lower_bound_avg_energy", []),
+        ("fig3", "na_lower_bound", ["--tf-min", "0.012", "--tf-max", "0.02", "--points-per-decade", "20"]),
+    ])
+    def test_each_duration_takes_its_bound_once(self, tmp_path, monkeypatch, preset, bound_fn, trap):
+        # every family's row used to take the bound again: 396 calls for fig1's 132 durations
+        calls = []
+        original = getattr(energies, bound_fn)
+        monkeypatch.setattr(energies, bound_fn, lambda spec, t_f: calls.append(t_f) or original(spec, t_f))
+        assert main(["sweep", "--preset", preset, *trap, "--grid", "301", "--out", str(tmp_path)]) == 0
+        _, rows = csv_rows(tmp_path / f"{preset}_bound.csv")
+        assert len(calls) == len(rows) == len(set(calls))
+
+    def test_jobs_is_not_an_option(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig3", "--jobs", "2", "--out", str(out)])
+        assert exc.value.code == 2 and "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("preset = fig3\njobs = 2\n", encoding="utf-8")
+        with pytest.raises(SystemExit, match="^unknown config keys: jobs$"):
+            main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_per_decade_below_one_exits_with_message(self, tmp_path, points):
@@ -436,13 +456,6 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match="^sweep needs --preset fig1 or --preset fig3$"):
             main(["sweep", "--preset", "fig4", "--out", str(tmp_path / "sw")])
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_non_positive_jobs_exits_with_message(self, tmp_path, jobs):
-        out = tmp_path / "sw"
-        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
-            main(["sweep", "--preset", "fig1", "--jobs", jobs, "--out", str(out)])
-        assert not out.exists()
-
 
 class TestPowerCommand:
     def test_fig4_peaks_ordered(self, tmp_path):
@@ -495,11 +508,11 @@ class TestPowerCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--family", "hybrid"), ("--c3", "1"), ("--c4", "1"), ("--tau-l", "3"), ("--tau-s", "3"),
         ("--beta", "0.5"), ("--omega1", "1"), ("--omega2", "0.1"),
-        ("--tf-min", "1"), ("--tf-max", "7"), ("--points-per-decade", "3"), ("--jobs", "2"),
+        ("--tf-min", "1"), ("--tf-max", "7"), ("--points-per-decade", "3"),
     ])
     def test_unused_protocol_input_refused(self, tmp_path, flag, value):
         # `power --preset fig4 --family hybrid --tau-l 3` used to run, with "# family = hybrid",
-        # and `power --preset fig4 --points-per-decade 3 --jobs 2 --tf-min 1` too
+        # and `power --preset fig4 --points-per-decade 3 --tf-min 1` too
         out = tmp_path / "p.csv"
         with pytest.raises(SystemExit, match=f"power does not use {flag}$"):
             main(["power", "--preset", "fig4", flag, value, "--out", str(out)])
@@ -510,8 +523,8 @@ class TestPowerCommand:
         with pytest.raises(SystemExit, match="power does not use --family, --tau-l$"):
             main(["power", "--preset", "fig4", "--family", "hybrid", "--tau-l", "3",
                   "--out", str(out)])
-        with pytest.raises(SystemExit, match="power does not use --tf-min, --points-per-decade, --jobs$"):
-            main(["power", "--preset", "fig4", "--points-per-decade", "3", "--jobs", "2", "--tf-min", "1",
+        with pytest.raises(SystemExit, match="power does not use --tf-min, --points-per-decade$"):
+            main(["power", "--preset", "fig4", "--points-per-decade", "3", "--tf-min", "1",
                   "--out", str(out)])
         assert not out.exists()
 
@@ -548,7 +561,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line, message", [
         ("family = sinusoid", "argument --family: invalid choice: 'sinusoid'"),
         ("gamma = ten", "argument --gamma: invalid float value: 'ten'"),
-        ("jobs = 2.5", "argument --jobs: invalid int value: '2.5'"),
+        ("points-per-decade = 2.5", "argument --points-per-decade: invalid int value: '2.5'"),
         ("preset = fig9", "argument --preset: invalid choice: 'fig9'"),
     ])
     def test_values_get_the_flags_types_and_choices(self, tmp_path, capsys, line, message):
@@ -731,21 +744,21 @@ def test_write_table_refuses_unequal_columns_as_zip_does(tmp_path, columns):
 
 @pytest.mark.parametrize("gamma", [1.5, 10.0])
 def test_fig1_bang_bang_row_needs_no_grid(gamma):
-    # the closed-form row: the same tuple at any grid, and the value of the
+    # the closed-form row: the same pair at any grid, and the value of the
     # built equal-step protocol's switching times, or its refusal
     spec = TrapSpec.from_gamma(gamma)
     t_max = protocols.bang_bang_max_duration(spec)
     for t_f in [0.1, 0.5 * t_max, t_max * (1.0 - 1e-3), t_max * (1.0 - 1e-9), t_max, 1.01 * t_max]:
-        row = cli._sweep_point(("fig1", gamma, t_f, "bang_bang", 51))
-        assert row == cli._sweep_point(("fig1", gamma, t_f, "bang_bang", 2001))
         bound = energies.lower_bound_avg_energy(spec, t_f).value
+        row = cli._sweep_row("fig1", spec, t_f, "bang_bang", 51, bound)
+        assert row == cli._sweep_row("fig1", spec, t_f, "bang_bang", 2001, bound)
         try:
             bb = protocols.build(spec, protocols.ProtocolParams("bang_bang", t_f, grid_n=2001))
         except staexpand.Infeasible as exc:
-            assert row == (t_f, "bang_bang", None, bound, str(exc))
+            assert row == (None, str(exc))
         else:
             value = energies.bang_bang_energies(spec, **bb.extra).avg_E
-            assert row == (t_f, "bang_bang", value, bound, "")
+            assert row == (value, "")
 
 
 def test_verify_command_reports_known_failure(capsys):
@@ -772,8 +785,8 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     ``numpy.polynomial``) fails still runs protocol, energy, fig1, a short
     fig3 whose cap searches refine their seeds, fig4 and ``forward_solve`` of
     the constant-power shot (no closed form, so the Hermite interpolant).
-    Nor do these runs load the process pool or the check registry, which
-    only ``sweep --jobs N`` with N > 1 and ``verify`` use."""
+    Nor do these runs load a process pool, which no command starts, or the
+    check registry, which only ``verify`` uses."""
     script = textwrap.dedent(f"""
         import importlib.abc, os, sys
 
@@ -810,6 +823,13 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{i}" for i in range(8)]
+
+
+def test_readme_lists_exactly_the_sweep_only_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("read no sweep-only flag:", 1)[1].split(".\n", 1)[0]
+    flags = [f"--{k.replace('_', '-')}" for k in cli._SWEEP_INPUTS]
+    assert re.findall(r"`(--[\w-]+)`", listed) == flags
 
 
 def test_no_library_module_imports_scipy():

@@ -213,6 +213,25 @@ class TestBangBang:
         with pytest.raises(Infeasible):
             bang_bang_for_duration(spec, 25.0)  # beyond pi*gamma/2
 
+    @pytest.mark.parametrize("gamma", [316.0, 1000.0])
+    @pytest.mark.parametrize("w_gamma", [1.0, 1.0 + 1e-7])
+    def test_second_step_exact_where_b_is_near_one(self, gamma, w_gamma):
+        # g = gamma^2 + a sin^2 with a ~ -gamma^2 cancelled near b = 1:
+        # 5.5e-11 relative at gamma 1000, w gamma = 1 + 1e-7
+        mp = pytest.importorskip("mpmath")
+        w = w_gamma / gamma
+        bb = protocols.bang_bang(TrapSpec.from_gamma(gamma), w, w, 2001)
+        t_f = bb.extra["t1"] + bb.extra["t2"]
+        lo, hi = bb.curve.grid.pieces[-1]
+        worst = 0.0
+        with mp.workdps(40):
+            g, w2 = mp.mpf(gamma), mp.mpf(w)
+            for i in range(lo, hi + 1, 7):
+                s = mp.sin(w2 * (mp.mpf(t_f) - mp.mpf(float(bb.curve.grid.nodes[i]))))
+                exact = mp.sqrt(g**2 * (1 - s**2) + s**2 / (g * w2) ** 2)
+                worst = max(worst, float(abs(bb.curve.b[i] - exact) / exact))
+        assert worst < 1e-13
+
 
 class TestBangBangNA:
     def test_switch_times(self, spec):
