@@ -149,14 +149,16 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
     si_mode = args.omega0_hz is not None or args.omegaf_hz is not None
     if si_mode and args.gamma is not None:
         raise SystemExit("give either the SI pair or --gamma, not both")
-    if si_mode:
-        if args.omega0_hz is None or args.omegaf_hz is None:
-            raise SystemExit("SI mode needs both --omega0-hz and --omegaf-hz")
-        spec = TrapSpec(2.0 * math.pi * args.omega0_hz, 2.0 * math.pi * args.omegaf_hz)
-    elif args.gamma is not None:
-        spec = TrapSpec.from_gamma(args.gamma)
-    else:
+    if si_mode and (args.omega0_hz is None or args.omegaf_hz is None):
+        raise SystemExit("SI mode needs both --omega0-hz and --omegaf-hz")
+    if not si_mode and args.gamma is None:
         raise SystemExit("give a trap: --omega0-hz/--omegaf-hz, --gamma, or --preset")
+    try:
+        spec = (TrapSpec(2.0 * math.pi * args.omega0_hz, 2.0 * math.pi * args.omegaf_hz) if si_mode
+                else TrapSpec.from_gamma(args.gamma))
+    except ValueError as exc:
+        flags = "--omega0-hz/--omegaf-hz" if si_mode else "--gamma"
+        raise SystemExit(f"invalid {flags}: {exc}") from None
 
     if args.tf is not None and args.tf_dimensionless is not None:
         raise SystemExit("give either --tf or --tf-dimensionless")

@@ -84,6 +84,8 @@ class TrapSpec:
             raise ValueError("omega0 and omega_f must be positive")
         if self.omega_f > self.omega0:
             raise ValueError("expansion requires omega_f <= omega0")
+        if not self.omega0 / self.omega_f < math.inf:
+            raise ValueError("omega0/omega_f must be finite")
         if int(self.n) != self.n or self.n < 0:
             raise ValueError("mode index n must be a non-negative integer")
 
@@ -98,9 +100,12 @@ class TrapSpec:
 
     @classmethod
     def from_gamma(cls, gamma: float, n: int = 0) -> "TrapSpec":
-        if gamma < 1.0:
-            raise ValueError("gamma = sqrt(omega0/omega_f) must be >= 1")
-        return cls(omega0=1.0, omega_f=1.0 / gamma**2, n=n)
+        if not 1.0 <= gamma < math.inf:
+            raise ValueError("gamma = sqrt(omega0/omega_f) must be finite and >= 1")
+        try:
+            return cls(omega0=1.0, omega_f=1.0 / gamma**2, n=n)
+        except OverflowError:   # gamma^2 overflows above ~1.34e154
+            raise ValueError(f"gamma = {gamma:g} is too large: gamma^2 overflows") from None
 
 
 # a piece is refused unless its step (t_hi - t_lo)/m is a normal float above

@@ -103,7 +103,8 @@ class EnergyLowerBound:
     the quasi-optimal curve, from the asinh closed form valid for every
     t_f > 0.  ``closed_form`` evaluates the printed arctanh expression,
     which is only real when both arguments sit inside (-1, 1); outside
-    that range it is reported as invalid rather than patched.
+    that range, or where it is not finite (as where t_f^2 underflows,
+    for t_f below ~1e-154), it is reported as invalid rather than patched.
     """
 
     value: float
@@ -139,11 +140,11 @@ def lower_bound_avg_energy(spec: TrapSpec, t_f: float) -> EnergyLowerBound:
         return EnergyLowerBound(value, None, False)
     a1 = (b2mt2 + B) / t_f
     a2 = B / t_f
-    valid = max(abs(a1), abs(a2)) < 1.0
     closed = None
-    if valid:
+    if max(abs(a1), abs(a2)) < 1.0 and t_f**2 > 0.0:   # t_f^2 underflows to 0 below ~1.5e-162
         closed = c2 / t_f**2 * (b2mt2 - 2.0 * t_f * (math.atanh(a1) - math.atanh(a2)))
-    return EnergyLowerBound(value, closed, valid)
+    valid = closed is not None and math.isfinite(closed)   # inf * 0 where t_f^2 is subnormal
+    return EnergyLowerBound(value, closed if valid else None, valid)
 
 
 def _per_tf2(num: float, den: float, t_f: float) -> float:

@@ -71,42 +71,42 @@ def inverse_engineer(curve: ScalingCurve) -> FrequencyProfile:
                             omega2_fns=omega2_fns)
 
 
-def _rk4_piece(b, v, ts, w0, wm, w1):
-    """Classical RK4 for (b, bdot) over one piece as a scalar float loop.
+def _rk4_piece(b, v, ts, hs, w0, wm, w1):
+    """Classical RK4 for b'' = 1/b^3 - W^2 b over one piece as a scalar float loop.
 
-    ``ts`` are the piece's node times and ``w0``/``wm``/``w1`` the W^2
-    values of each step at t, t + h/2 and t + h, all as lists.  Returns the
-    per-node b and bdot lists.
+    The stages take the Nystrom form of the same method, which needs only
+    the four slopes a_i: b2 = b + (h/2) v, b3 = b2 + (h/2)^2 a1 and
+    b4 = b + h v + (h^2/2) a2, then b <- b + h v + (h^2/6)(a1 + a2 + a3)
+    and v <- v + (h/6)(a1 + 2 a2 + 2 a3 + a4).  ``ts`` are the piece's node
+    times, ``hs`` its steps and ``w0``/``wm``/``w1`` the W^2 values of each
+    step at t, t + h/2 and t + h, all as lists.  Returns the per-node b and
+    bdot lists.
     """
     bs = [b]
     vs = [v]
-    for i, (wa, wb, wc) in enumerate(zip(w0, wm, w1)):
-        t = ts[i]
-        h = ts[i + 1] - t
+    for t, t1, h, wa, wb, wc in zip(ts, ts[1:], hs, w0, wm, w1):
         hh = 0.5 * h
         if b < _B_COLLAPSE:
             raise TrajectoryBlowUp(_COLLAPSE_MSG, t)
-        a1 = 1.0 / b**3 - wa * b
+        a1 = 1.0 / (b * b * b) - wa * b
         b2 = b + hh * v
-        v2 = v + hh * a1
         if b2 < _B_COLLAPSE:
-            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + 0.5 * h)
-        a2 = 1.0 / b2**3 - wb * b2
-        b3 = b + hh * v2
-        v3 = v + hh * a2
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + hh)
+        a2 = 1.0 / (b2 * b2 * b2) - wb * b2
+        b3 = b2 + hh * hh * a1
         if b3 < _B_COLLAPSE:
-            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + 0.5 * h)
-        a3 = 1.0 / b3**3 - wb * b3
-        b4 = b + h * v3
-        v4 = v + h * a3
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + hh)
+        a3 = 1.0 / (b3 * b3 * b3) - wb * b3
+        bh = b + h * v
+        b4 = bh + h * hh * a2
         if b4 < _B_COLLAPSE:
             raise TrajectoryBlowUp(_COLLAPSE_MSG, t + h)
-        a4 = 1.0 / b4**3 - wc * b4
+        a4 = 1.0 / (b4 * b4 * b4) - wc * b4
         h6 = h / 6.0
-        b = b + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        b = bh + h * h6 * (a1 + a2 + a3)
         v = v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         if not (isfinite(b) and isfinite(v)):
-            raise TrajectoryBlowUp("ODE state became non-finite", ts[i + 1])
+            raise TrajectoryBlowUp("ODE state became non-finite", t1)
         bs.append(b)
         vs.append(v)
     return bs, vs
@@ -154,12 +154,7 @@ def forward_solve(
         mid = nodes[:-1] + 0.5 * hs
         w = (ends[:-1], np.broadcast_to(profile.piece_callable(k)(mid), mid.shape).tolist(), ends[1:])
         try:
-            try:
-                bs, vs = _rk4_piece(state_b, state_v, ts, *w)
-            except OverflowError:
-                # b**3 past ~5.6e102 raises on Python floats; numpy float64
-                # overflows to inf instead, which the non-finite check reports
-                bs, vs = _rk4_piece(np.float64(state_b), np.float64(state_v), ts, *w)
+            bs, vs = _rk4_piece(state_b, state_v, ts, hs.tolist(), *w)
         except TrajectoryBlowUp as exc:
             hw = float(hs.max()) * sqrt(max(0.0, *(max(x) for x in w)))
             if hw > _RK4_STABLE_HW:
@@ -170,6 +165,7 @@ def forward_solve(
         bdot[lo : hi + 1] = vs
         state_b, state_v = float(b[hi]), float(bdot[hi])
 
-    bddot = 1.0 / b**3 - w2 * b
-    bdddot = -3.0 * bdot / b**4 - profile.domega2 * b - w2 * bdot
+    b3 = b * b * b
+    bddot = 1.0 / b3 - w2 * b
+    bdddot = -3.0 * bdot / (b3 * b) - profile.domega2 * b - w2 * bdot
     return ScalingCurve(grid, b, bdot, bddot, bdddot, b0_plus_dot=b0_plus, bf_minus_dot=float(bdot[-1]))

@@ -546,32 +546,32 @@ def _rk4_constant_power(b, b1, b2, source, ts):
     """Classical RK4 for (b, b', b'') under the constant-power condition.
 
     A scalar float loop over the nodes; each expression keeps the order of
-    the array form y + h/2 k, y + (h/6)(k1 + 2 k2 + 2 k3 + k4), so the
-    result is bit-identical to it.  A stage with b below 1e-9 aborts with
+    the array form y + h/2 k, y + (h/6)(k1 + 2 k2 + 2 k3 + k4) and each
+    cube is the product b*b*b, so the result is bit-identical to that form
+    with the same right-hand side.  A stage with b below 1e-9 aborts with
     that stage's time, a non-finite state with the next node's time.
     ``ts`` are the node times as a list.  Returns the per-node lists of b,
     b' and b''.
     """
     out_b, out_b1, out_b2 = [b], [b1], [b2]
-    for i in range(len(ts) - 1):
-        t = ts[i]
-        h = ts[i + 1] - t
+    for t, t1 in zip(ts, ts[1:]):
+        h = t1 - t
         hh = 0.5 * h
         if b < _B_COLLAPSE:
             raise TrajectoryBlowUp(_COLLAPSE_MSG, t)
-        k1 = (source + b2 * b1 - 4.0 * b1 / b**3) / b
+        k1 = (source + b2 * b1 - 4.0 * b1 / (b * b * b)) / b
         c, c1, c2 = b + hh * b1, b1 + hh * b2, b2 + hh * k1
         if c < _B_COLLAPSE:
-            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + 0.5 * h)
-        k2 = (source + c2 * c1 - 4.0 * c1 / c**3) / c
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + hh)
+        k2 = (source + c2 * c1 - 4.0 * c1 / (c * c * c)) / c
         d, d1, d2 = b + hh * c1, b1 + hh * c2, b2 + hh * k2
         if d < _B_COLLAPSE:
-            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + 0.5 * h)
-        k3 = (source + d2 * d1 - 4.0 * d1 / d**3) / d
+            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + hh)
+        k3 = (source + d2 * d1 - 4.0 * d1 / (d * d * d)) / d
         e, e1, e2 = b + h * d1, b1 + h * d2, b2 + h * k3
         if e < _B_COLLAPSE:
             raise TrajectoryBlowUp(_COLLAPSE_MSG, t + h)
-        k4 = (source + e2 * e1 - 4.0 * e1 / e**3) / e
+        k4 = (source + e2 * e1 - 4.0 * e1 / (e * e * e)) / e
         h6 = h / 6.0
         b, b1, b2 = (
             b + h6 * (b1 + 2.0 * c1 + 2.0 * d1 + e1),
@@ -579,7 +579,7 @@ def _rk4_constant_power(b, b1, b2, source, ts):
             b2 + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
         )
         if not (isfinite(b) and isfinite(b1) and isfinite(b2)):
-            raise TrajectoryBlowUp("ODE state became non-finite", ts[i + 1])
+            raise TrajectoryBlowUp("ODE state became non-finite", t1)
         out_b.append(b)
         out_b1.append(b1)
         out_b2.append(b2)
@@ -599,14 +599,9 @@ def constant_power_shoot(
     _check_duration(t_f)
     source = 2.0 * (1.0 - spec.omega_f_rel) / t_f
     grid = TimeGrid.uniform(t_f, n)
-    try:
-        cols = _rk4_constant_power(1.0, 0.0, 0.0, source, grid.nodes.tolist())
-    except OverflowError:
-        # as in ermakov.forward_solve: numpy float64 overflows to inf where
-        # Python floats raise, and the non-finite check reports it
-        cols = _rk4_constant_power(np.float64(1.0), 0.0, 0.0, source, grid.nodes.tolist())
+    cols = _rk4_constant_power(1.0, 0.0, 0.0, source, grid.nodes.tolist())
     b, b1, b2 = (np.array(c) for c in cols)
-    b3 = (source + b2 * b1 - 4.0 * b1 / b**3) / b
+    b3 = (source + b2 * b1 - 4.0 * b1 / (b * b * b)) / b
     curve = ScalingCurve(grid, b, b1, b2, b3)
     mism = ShootingMismatch(
         b_error=float(b[-1] - spec.gamma),

@@ -779,6 +779,40 @@ def test_verify_rejects_grid_without_odd_node_count(grid, capsys):
     assert capsys.readouterr().out == ""
 
 
+_GAMMA, _SI_PAIR = "--gamma", "--omega0-hz/--omegaf-hz"
+_BAD_TRAPS = [
+    *((_GAMMA, ["--gamma", g]) for g in ("0.5", "-2", "nan", "inf", "1e160")),
+    *((_SI_PAIR, ["--omega0-hz", w0, "--omegaf-hz", wf])
+      for w0, wf in (("0", "25"), ("2500", "0"), ("-2500", "25"), ("2500", "-25"), ("25", "2500"),
+                     ("inf", "25"))),
+]
+_TRAP_COMMANDS = {
+    "protocol": ["protocol", "--family", "quintic", "--tf-dimensionless", "5"],
+    "energy": ["energy", "--family", "quintic", "--tf-dimensionless", "5"],
+    "power": ["power", "--tf-dimensionless", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TRAP_COMMANDS))
+@pytest.mark.parametrize("flag, trap", _BAD_TRAPS, ids=[" ".join(t) for _, t in _BAD_TRAPS])
+def test_bad_trap_exits_with_one_line_naming_its_flag(tmp_path, command, flag, trap):
+    # pytest.raises(SystemExit) lets any other exception, a raw traceback, fail the test
+    with pytest.raises(SystemExit) as exc:
+        main([*_TRAP_COMMANDS[command], *trap, "--out", str(tmp_path / "t.csv")])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message   # a string exits with status 1
+    assert message.startswith(f"invalid {flag}: ")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flag, trap", [(_GAMMA, ["--gamma", "1e160"]),
+                                        (_SI_PAIR, ["--omega0-hz", "25", "--omegaf-hz", "2500"])])
+def test_bad_trap_prints_no_traceback(flag, trap):
+    proc = run_cli(["energy", "--family", "quintic", "--tf-dimensionless", "5", *trap])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"invalid {flag}: ") and "Traceback" not in proc.stderr
+
+
 def test_cli_runs_without_importing_scipy(tmp_path):
     """Every command and the sample-only round trip need numpy only: SciPy
     is a test dependency, so a process where importing it (or

@@ -235,6 +235,13 @@ class TestLowerBound:
         assert not lb.closed_form_valid
         assert lb.closed_form is None
 
+    @pytest.mark.parametrize("t_f", [1e-155, 1e-200])
+    def test_closed_form_invalid_where_tf_squared_underflows(self, t_f):
+        # at gamma = 1 both arctanh arguments are in range, but t_f^2 is
+        # subnormal (the form is inf * 0) or 0 (it divides by zero)
+        lb = energies.lower_bound_avg_energy(TrapSpec.from_gamma(1.0), t_f)
+        assert lb == energies.EnergyLowerBound(0.5, None, False)
+
     def test_bounds_every_complete_protocol(self, spec):
         for tf in (0.5, 5.0, 50.0):
             bound = energies.lower_bound_avg_energy(spec, tf).value
