@@ -57,6 +57,10 @@ CASES = {
     "verify": ["verify"],
     **{f"{command}_{family}": [command, "--family", family, "--gamma", "10", *argv]
        for command in ("protocol", "energy") for family, argv in _POINTS.items()},
+    # the same tables written to a file: the --out sink of the table commands
+    **{f"{command}_{family}_out": [command, "--family", family, "--gamma", "10",
+                                   *_POINTS[family], "--out", "{out}/table.csv"]
+       for command, family in (("protocol", "quintic"), ("energy", "dirac"))},
 }
 
 
