@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -36,10 +37,6 @@ _PRESETS = {
     "fig3": {"omega0_hz": 2500.0, "omegaf_hz": 25.0},
     "fig4": {"omega0_hz": 2500.0, "omegaf_hz": 25.0, "tf": 8e-3},
 }
-
-
-def _fmt(x) -> str:
-    return "%.12g" % float(x)
 
 
 @dataclass
@@ -221,13 +218,14 @@ def _config_header(cfg: RunConfig, command: str, nodes: int | None = None) -> li
         items["preset"] = cfg.preset
     for key in sorted(items):
         val = items[key]
-        lines.append(f"# {key} = {_fmt(val) if isinstance(val, float) else val}")
+        lines.append(f"# {key} = {_cell(val) if isinstance(val, float) else val}")
     return lines
 
 
 def _cell(value) -> str:
-    """A list column's field: empty for None, %.12g for a number, and text as
-    RFC 4180 writes it (quoted if it holds a comma, double quote or line break)."""
+    """The one scalar formatter: a list column's field and every number in
+    a ``#`` line.  Empty for None, %.12g for a number, and text as RFC 4180
+    writes it (quoted if it holds a comma, double quote or line break)."""
     if value is None:
         return ""
     if not isinstance(value, str):
@@ -241,10 +239,11 @@ def _write_table(path: str | None, lines: list[str], columns: dict) -> None:
     """Write the ``#`` lines, a header of the column names, then the rows.
 
     A numpy column is written %.12g, a list column by ``_cell``, and a
-    ``None`` column is left empty.  Each row is one ``%`` of a format string
-    built once from the column kinds (never from the data), so a text cell
-    holding ``%`` is written as it is.  Columns of unequal length raise
-    ``zip``'s ValueError."""
+    ``None`` column is left empty.  The body is one ``%`` of a row format
+    built from the column kinds (never from the data) and repeated once per
+    row, so a text cell holding ``%`` is written as it is.  Columns of
+    unequal length raise ``zip``'s ValueError.  A file gets the UTF-8 bytes
+    in one write."""
     n_rows = len(next(iter(columns.values())))
     specs, fields = [], []
     for col in columns.values():
@@ -254,14 +253,13 @@ def _write_table(path: str | None, lines: list[str], columns: dict) -> None:
         else:
             specs.append("%s")
             fields.append([""] * n_rows if col is None else [_cell(v) for v in col])
-    fmt = ",".join(specs)
-    rows = [fmt % row for row in zip(*fields, strict=True)]
-    text = "\n".join([*lines, ",".join(columns), *rows]) + "\n"
+    cells = itertools.chain.from_iterable(zip(*fields, strict=True))
+    text = "\n".join([*lines, ",".join(columns), (",".join(specs) + "\n") * n_rows % tuple(cells)])
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _build_bundle(cfg: RunConfig) -> protocols.ProtocolBundle:
@@ -283,7 +281,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
     curve, profile = bundle.curve, bundle.profile
     lines = _config_header(cfg, "protocol", len(curve.grid))
     for t_imp, strength in profile.impulses:
-        lines.append(f"# impulse t={_fmt(cfg.time_out(t_imp))} strength={_fmt(strength)}")
+        lines.append(f"# impulse t={_cell(cfg.time_out(t_imp))} strength={_cell(strength)}")
     lines.append(f"# omega2 in units of omega0^2; impulse strengths in units of omega0")
     _write_table(cfg.out, lines, {
         "t": cfg.time_out(curve.grid.nodes), "b": curve.b, "bdot": curve.bdot,
@@ -309,31 +307,31 @@ def cmd_energy(cfg: RunConfig) -> int:
 
     lines = _config_header(cfg, "energy", len(curve.grid))
     s = lines.append
-    s(f"# summary avg_E = {_fmt(trace.avg_E)} (hbar*omega0)")
-    s(f"# summary avg_E2 = {_fmt(trace.avg_E2)} (hbar*omega0)")
-    s(f"# summary avg_K = {_fmt(trace.avg_K)} (hbar*omega0)")
-    s(f"# summary avg_V = {_fmt(trace.avg_V)} (hbar*omega0)")
-    s(f"# summary delta_delta = {_fmt(trace.delta_delta)} (hbar*omega0)")
+    s(f"# summary avg_E = {_cell(trace.avg_E)} (hbar*omega0)")
+    s(f"# summary avg_E2 = {_cell(trace.avg_E2)} (hbar*omega0)")
+    s(f"# summary avg_K = {_cell(trace.avg_K)} (hbar*omega0)")
+    s(f"# summary avg_V = {_cell(trace.avg_V)} (hbar*omega0)")
+    s(f"# summary delta_delta = {_cell(trace.delta_delta)} (hbar*omega0)")
     if virial_applies:
         ratio = abs(trace.avg_K / trace.avg_V - 1.0)
-        s(f"# summary virial |K/V - 1| = {_fmt(ratio)} -> {'PASS' if ratio < 1e-6 else 'FAIL'}")
+        s(f"# summary virial |K/V - 1| = {_cell(ratio)} -> {'PASS' if ratio < 1e-6 else 'FAIL'}")
     else:
         s("# summary virial check SKIPPED (boundary slope conditions unmet)")
     if trace.Ena is not None:
-        s(f"# summary avg_Ena = {_fmt(trace.avg_Ena)} (hbar*omega0)")
+        s(f"# summary avg_Ena = {_cell(trace.avg_Ena)} (hbar*omega0)")
         na_bound = energies.na_lower_bound(spec, t_f)
         s(
-            f"# summary bound Ena_L = {_fmt(na_bound)} respected -> "
+            f"# summary bound Ena_L = {_cell(na_bound)} respected -> "
             f"{'PASS' if trace.avg_Ena >= na_bound * (1 - 1e-6) else 'FAIL'}"
         )
     else:
         s("# summary avg_Ena SKIPPED (imaginary frequency band)")  # every CLI trap has n = 0
     if virial_applies:
         # the averaged-energy bound constrains complete protocols only
-        s(f"# summary bound E_nL = {_fmt(bound.value)} respected -> "
+        s(f"# summary bound E_nL = {_cell(bound.value)} respected -> "
           f"{'PASS' if trace.avg_E >= bound.value * (1 - 1e-6) else 'FAIL'}")
     else:
-        s(f"# summary bound E_nL = {_fmt(bound.value)} NOT APPLICABLE (boundary conditions unmet)")
+        s(f"# summary bound E_nL = {_cell(bound.value)} NOT APPLICABLE (boundary conditions unmet)")
     _write_table(cfg.out, lines, {
         "t": cfg.time_out(curve.grid.nodes), "E": trace.E, "K": trace.K, "V": trace.V,
         "omega2": profile.omega2, "Ena": trace.Ena,
@@ -427,10 +425,10 @@ def cmd_power(cfg: RunConfig) -> int:
     sp = energies.power(sep.curve, sep.profile, spec)
 
     lines = _config_header(cfg, "power")
-    lines.append(f"# quintic peak |P_rel| = {_fmt(qp.peak_rel)}")
+    lines.append(f"# quintic peak |P_rel| = {_cell(qp.peak_rel)}")
     lines.append(
-        f"# septic optimized (c3, c4) = ({_fmt(res.params[0])}, {_fmt(res.params[1])}), "
-        f"peak |P_rel| = {_fmt(sp.peak_rel)}"
+        f"# septic optimized (c3, c4) = ({_cell(res.params[0])}, {_cell(res.params[1])}), "
+        f"peak |P_rel| = {_cell(sp.peak_rel)}"
     )
     _write_table(cfg.out, lines, {
         "s": q.curve.grid.nodes / t_f, "P_rel_quintic": qp.P_rel, "P_rel_septic": sp.P_rel,
