@@ -243,7 +243,7 @@ def _write_table(path: str | None, lines: list[str], columns: dict) -> None:
     built from the column kinds (never from the data) and repeated once per
     row, so a text cell holding ``%`` is written as it is.  Columns of
     unequal length raise ``zip``'s ValueError.  A file gets the UTF-8 bytes
-    in one write."""
+    in one write; an OSError opening or writing it exits with one line."""
     n_rows = len(next(iter(columns.values())))
     specs, fields = [], []
     for col in columns.values():
@@ -258,8 +258,11 @@ def _write_table(path: str | None, lines: list[str], columns: dict) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
+    try:
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    except OSError as exc:
+        raise SystemExit(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
 def _build_bundle(cfg: RunConfig) -> protocols.ProtocolBundle:
@@ -378,7 +381,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise SystemExit("sweep needs --preset fig1 or --preset fig3")
     if cfg.out is None:
         raise SystemExit("sweep needs --out DIRECTORY")
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from None
     families, value_name, bound_name, (lo_default, hi_default) = _SWEEPS[cfg.preset]
     lo = cfg.tf_min if cfg.tf_min is not None else lo_default
     hi = cfg.tf_max if cfg.tf_max is not None else hi_default

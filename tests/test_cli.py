@@ -722,6 +722,59 @@ def test_write_table_matches_the_per_cell_reference(tmp_path, capsys):
     assert [r[3] for r in rows[:6]] == ["a,b", 'say "hi"', "cr\r", "lf\n", "100%", "%s %d %% %(k)s"]
 
 
+def test_write_table_matches_the_per_cell_reference_on_drawn_columns(tmp_path, capsys):
+    """Columns drawn with hypothesis: floats with NaN, infinities, signed
+    zeros, subnormals, values near the float limits and exact ties of
+    %.12g's 12-digit rounding; int64 values of 1e12 and beyond; lists that
+    mix None, numbers and text holding %, a comma, a double quote, CR or LF;
+    and None columns."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    ties = st.integers(10**11, 10**12 - 1).flatmap(   # 13 significant digits ending in 5
+        lambda k: st.sampled_from([10.0 * k + 5.0, k + 0.5, -(10.0 * k + 5.0), -(k + 0.5)]))
+    floats = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308, 1e308, 1e-308]),
+        st.floats(1e300, 1.7976931348623157e308), ties,
+    )
+    ints = st.one_of(st.integers(-(2**63), 2**63 - 1),
+                     st.integers(10**12, 2**63 - 1).flatmap(lambda v: st.sampled_from([v, -v])))
+    cells = st.one_of(st.none(), floats, st.integers(-(10**15), 10**15),
+                      st.text(alphabet=st.sampled_from(list('ab%,"\r\n s.5')), max_size=8))
+
+    def column(kind, n):
+        if kind == "float":
+            return st.lists(floats, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float))
+        if kind == "int":
+            return st.lists(ints, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+        if kind == "list":
+            return st.lists(cells, min_size=n, max_size=n)
+        return st.none()
+
+    @st.composite
+    def tables(draw):
+        n = draw(st.integers(0, 12))
+        kinds = draw(st.lists(st.sampled_from(["float", "int", "list", "none"]), min_size=1,
+                              max_size=5).filter(lambda k: k[0] != "none"))
+        return {f"c{i}": draw(column(kind, n)) for i, kind in enumerate(kinds)}
+
+    lines = ["# drawn", "# 100% = %s %.12g"]
+    out = tmp_path / "t.csv"
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hyp.given(columns=tables())
+    def check(columns):
+        expected = _per_cell_table(lines, columns)
+        cli._write_table(str(out), lines, columns)
+        assert out.read_bytes() == expected.encode("utf-8")
+        cli._write_table(None, lines, columns)
+        assert capsys.readouterr().out == expected
+
+    check()
+
+
 def test_write_table_round_trips_a_reason_with_a_line_break(tmp_path):
     out = tmp_path / "t.csv"
     reasons = ["refused: t_f = 3,\nsee the log", ""]
@@ -811,6 +864,46 @@ def test_bad_trap_prints_no_traceback(flag, trap):
     proc = run_cli(["energy", "--family", "quintic", "--tf-dimensionless", "5", *trap])
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(f"invalid {flag}: ") and "Traceback" not in proc.stderr
+
+
+_OUT_COMMANDS = {
+    "protocol": ["protocol", "--family", "quintic", "--gamma", "10", "--tf-dimensionless", "5",
+                 "--grid", "101"],
+    "energy": ["energy", "--family", "quintic", "--gamma", "10", "--tf-dimensionless", "5",
+               "--grid", "101"],
+    "power": ["power", "--gamma", "10", "--tf-dimensionless", "50", "--grid", "101"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_unwritable_out_exits_with_one_line(tmp_path, command):
+    # an existing directory used to end in a raw IsADirectoryError traceback
+    for out, reason in [(tmp_path, "Is a directory"),
+                        (tmp_path / "missing" / "t.csv", "No such file or directory")]:
+        with pytest.raises(SystemExit) as exc:
+            main([*_OUT_COMMANDS[command], "--out", str(out)])
+        assert exc.value.code == f"cannot write --out {out}: {reason}"
+
+
+def test_sweep_out_that_cannot_hold_its_files_exits_with_one_line(tmp_path):
+    argv = ["sweep", "--preset", "fig1", "--gamma", "10", "--tf-min", "1", "--tf-max", "2",
+            "--points-per-decade", "1", "--grid", "101"]
+    taken = tmp_path / "file"    # used to end in a raw FileExistsError traceback
+    taken.write_text("kept", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(taken)])
+    assert exc.value.code == f"cannot write --out {taken}: File exists"
+    assert taken.read_text(encoding="utf-8") == "kept"
+    (tmp_path / "fig1_quintic.csv").mkdir()     # a table's own path is a directory
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == f"cannot write --out {tmp_path / 'fig1_quintic.csv'}: Is a directory"
+
+
+def test_unwritable_out_prints_no_traceback(tmp_path):
+    proc = run_cli([*_OUT_COMMANDS["energy"], "--out", str(tmp_path)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"cannot write --out {tmp_path}: Is a directory\n"
 
 
 def test_cli_runs_without_importing_scipy(tmp_path):
