@@ -150,6 +150,35 @@ def _check_time_scale(t_f: float, k: int) -> None:
         ) from None
 
 
+# gamma^k/t_f^3 stays this far below the float maximum: it covers each family's
+# constant factor, at most ~1.4e4 (hybrid's t_f/10 caps) for k = 2 and ~7e6 (the
+# two-step sinh segment near the gamma edge) for k = 6 on a log scan of gamma and t_f
+_SCALE_MARGIN = 1e8
+# 8 gamma^5 reaches the float maximum here: b^5 in d(W^2)/dtau, 8 g^(5/2) in _sqrt_cols
+_GAMMA_MAX = (float(np.finfo(float).max) / 8.0) ** 0.2
+_T_PER_GAMMA = (_SCALE_MARGIN / float(np.finfo(float).max)) ** (1.0 / 3.0)
+
+
+def _check_scale(spec: TrapSpec, t_f: float, k: int) -> None:
+    """Refuse a trap or duration at which a closed form overflows, the mirror
+    of ``_check_time_scale``: a gamma above ``_GAMMA_MAX`` (about 2.95e61),
+    and a t_f below which gamma^k/t_f^3 comes within ``_SCALE_MARGIN`` of
+    the float maximum.  k = 6 for b = sqrt(g) (its g'^3 in ``_sqrt_cols``),
+    else 2 (the power's b^2 d^3b/dt^3)."""
+    g = spec.gamma
+    if g > _GAMMA_MAX:
+        raise ValueError(
+            f"gamma = {g:.6g} is too large for a protocol: its closed form overflows "
+            f"above gamma ~ {_GAMMA_MAX:.4g}"
+        )
+    t_min = g ** (k / 3.0) * _T_PER_GAMMA
+    if t_f < t_min:
+        raise ValueError(
+            f"t_f = {t_f:.6g} is too short for this protocol at gamma = {g:.6g}: "
+            f"its closed form overflows below t_f ~ {t_min:.4g}"
+        )
+
+
 def _poly_fns(p: _Poly, t_f: float, reverse: bool = False) -> Piece:
     """The piece b(t) = p(x) with x = t/t_f, or x = (t_f - t)/t_f when
     ``reverse`` (odd orders change sign), and its first three time
@@ -428,9 +457,11 @@ def bang_bang(
 
 
 def _bang_bang_bundle(spec: TrapSpec, times: dict, n: int) -> ProtocolBundle:
-    """``bang_bang``'s bundle from its solved ``extra``: t1, t2, omega1, omega2."""
+    """``bang_bang``'s bundle from its solved ``extra``: t1, t2, omega1, omega2;
+    its duration t1 + t2 goes through ``_check_scale`` first."""
     t1, omega1, omega2 = times["t1"], times["omega1"], times["omega2"]
     t_f = t1 + times["t2"]
+    _check_scale(spec, t_f, 6)
     seg2 = _bang_bang_seg2_fns(spec.gamma, omega2, t_f)
     if t1 == 0.0:
         grid = TimeGrid.uniform(t_f, n)
@@ -668,9 +699,11 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     the family's own (bang_bang: both omega1 and omega2; bang_bang_na:
     beta), for step inputs together with t_f, for a bad t_f, and for
     another family's shape inputs (a nonzero c3/c4 outside septic,
-    tau_l/tau_s outside hybrid); the constructors' own ValueError and
+    tau_l/tau_s outside hybrid), and for a gamma or t_f at which the closed
+    form overflows (``_check_scale``, which the two-step bundles apply to
+    their solved duration); the constructors' own ValueError and
     Infeasible pass through, except that a two-step bundle for a given t_f
-    refuses its grid's ValueError as Infeasible, and a free-expansion
+    refuses its grid's or scale's ValueError as Infeasible, and a free-expansion
     bundle for a given beta names beta and its value in its ValueError.
     """
     fam, t_f, n = params.family, params.t_f, params.grid_n
@@ -706,6 +739,7 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
             return _bang_bang_bundle(spec, times, n)
         except ValueError as exc:  # e.g. a step too short to sample, next to t_min
             raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
+    _check_scale(spec, t_f, 6 if fam in ("quasi_optimal", "dirac") else 2)
     if fam == "septic":
         return septic(spec, t_f, params.c3, params.c4, n)
     if fam == "hybrid":

@@ -210,6 +210,22 @@ class TestProtocolCommand:
                   "--grid", "101", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["protocol", "--family", "quintic", "--gamma", "10", "--tf-dimensionless", "1e-200"],
+         "invalid protocol parameters: t_f = 1e-200 is too short for this protocol at "
+         "gamma = 10: its closed form overflows below t_f ~ 3.817e-100"),
+        (["energy", "--family", "quintic", "--gamma", "1e62", "--tf-dimensionless", "5"],
+         "invalid protocol parameters: gamma = 1e+62 is too large for a protocol: its closed "
+         "form overflows above gamma ~ 2.953e+61"),
+        (["power", "--gamma", "1e62", "--tf-dimensionless", "5"],
+         "power: gamma = 1e+62 is too large for a protocol: its closed form overflows above "
+         "gamma ~ 2.953e+61"),
+    ], ids=["short_tf", "large_gamma", "power_large_gamma"])
+    def test_scale_edge_exits_with_one_line(self, argv, message):
+        # these used to print overflow warnings, write nan and inf, and exit 0
+        proc = run_cli(argv)
+        assert proc.returncode == 1 and proc.stdout == "" and proc.stderr == message + "\n"
+
     def test_collapsed_constant_power_shot_exits_with_the_step(self, tmp_path):
         out = tmp_path / "p.csv"
         with pytest.raises(SystemExit, match=r"collapsed.*the step h = t_f/\(grid - 1\) = 2 .*larger --grid"):

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from staexpand import TrapSpec, ermakov, numerics, protocols
-from staexpand.core import DEFAULT_GRID_N, Infeasible
+from staexpand import TrapSpec, energies, ermakov, numerics, protocols
+from staexpand.core import DEFAULT_GRID_N, Infeasible, PowerUndefined
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -505,6 +505,76 @@ def test_readme_constructor_table_names_exist():
     assert len(names) >= 9
     for name in names:
         assert callable(getattr(protocols, name, None)), name
+
+
+def _named_edge(spec, params, what):
+    """The edge that build's refusal of ``params`` names: "... below t_f ~ X"
+    or "... above gamma ~ X"."""
+    with pytest.raises(ValueError, match=rf"{what} ~ \S+$") as exc:
+        protocols.build(spec, params)
+    return float(str(exc.value).rsplit("~ ", 1)[1])
+
+
+def _assert_finite_run(spec, bundle):
+    """The curve, profile, energy trace and (where defined) power of a bundle
+    are finite, with no float overflow or invalid operation on the way."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        c, p = bundle.curve, bundle.profile
+        trace = energies.full_trace(c, p, spec)
+        rows = [c.b, c.bdot, c.bddot, c.bdddot, p.omega2, p.domega2, trace.E, trace.K, trace.V]
+        values = [trace.avg_E, trace.avg_K, trace.avg_V, trace.delta_delta,
+                  *(s for _, s in p.impulses)]
+        try:
+            pw = energies.power(c, p, spec)
+        except PowerUndefined:      # kicks, or gamma = 1
+            assert p.impulses or spec.gamma == 1.0
+        else:
+            rows += [pw.P, pw.P_rel]
+            values += [pw.integral, pw.peak_rel]
+    assert all(np.isfinite(r).all() for r in rows) and all(map(math.isfinite, values))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 10.0, 1e30, 2.9e61])
+@pytest.mark.parametrize("family", ["quintic", "septic", "quasi_optimal", "dirac", "hybrid",
+                                    "linear_bottom", "constant_power"])
+def test_duration_too_short_for_the_closed_form_refused(family, gamma):
+    # at t_f = 1e-200 the polynomial pieces used to divide by an underflowed
+    # t_f^3 and write NaN and inf; just inside the named edge all is finite
+    spec = TrapSpec.from_gamma(gamma)
+    t_min = _named_edge(spec, protocols.ProtocolParams(family, 1e-200, grid_n=201), "below t_f")
+    _assert_finite_run(spec, protocols.build(spec, protocols.ProtocolParams(family, 1.01 * t_min,
+                                                                            grid_n=201)))
+
+
+def test_two_step_duration_too_short_for_the_closed_form_refused():
+    # the sinh segment's g'^3 used to overflow at gamma 1e50 and t_f 0.5, and
+    # with given steps at gamma 2.9e61; the solved duration is checked
+    spec = TrapSpec.from_gamma(1e50)
+    with pytest.raises(Infeasible, match=r"equal-step .* too short .* below t_f ~ 0.8224$"):
+        protocols.build(spec, protocols.ProtocolParams("bang_bang", 0.5, grid_n=201))
+    _assert_finite_run(spec, protocols.build(spec, protocols.ProtocolParams("bang_bang", 0.831,
+                                                                            grid_n=201)))
+    steps = protocols.ProtocolParams("bang_bang", omega1=1.0, omega2=1.0, grid_n=201)
+    _named_edge(TrapSpec.from_gamma(2.9e61), steps, "below t_f")
+
+
+@pytest.mark.parametrize("family, t_f", [
+    ("quintic", 5.0), ("septic", 5.0), ("hybrid", 5.0), ("linear_bottom", 5.0),
+    ("constant_power", 5.0), ("quasi_optimal", 1e30), ("dirac", 1e30),
+])
+def test_gamma_too_large_for_the_closed_form_refused(family, t_f):
+    # at gamma = 1e62, b^5 in d(W^2)/dtau used to overflow into inf and NaN averages
+    g_max = _named_edge(TrapSpec.from_gamma(1e62), protocols.ProtocolParams(family, t_f, grid_n=201),
+                        "above gamma")
+    spec = TrapSpec.from_gamma(0.999 * g_max)
+    _assert_finite_run(spec, protocols.build(spec, protocols.ProtocolParams(family, t_f, grid_n=201)))
+
+
+@pytest.mark.parametrize("steps", [dict(omega1=1.0, omega2=1.0), dict(beta=1.0)])
+def test_gamma_edge_holds_for_step_inputs(steps):
+    family = "bang_bang" if "omega1" in steps else "bang_bang_na"
+    with pytest.raises(ValueError, match="too large for a protocol: .* above gamma ~ 2.953e"):
+        protocols.build(TrapSpec.from_gamma(1e62), protocols.ProtocolParams(family, **steps))
 
 
 def test_bundle_docstring_names_the_extra_keys():
