@@ -232,11 +232,9 @@ def _energy_change(spec: TrapSpec) -> float:
     return expected
 
 
-def _power_samples(spec: TrapSpec, domega2, b, out=None):
-    """P = ((2n+1)/4) d(W^2)/dtau b^2, per node, into ``out`` when given
-    (it may be ``domega2``)."""
-    out = np.multiply(domega2, (2 * spec.n + 1) / 4.0, out=out)
-    return np.multiply(out, np.square(b), out=out)
+def _power_samples(spec: TrapSpec, domega2, b):
+    """P = ((2n+1)/4) d(W^2)/dtau b^2, per node."""
+    return domega2 * ((2 * spec.n + 1) / 4.0) * np.square(b)
 
 
 def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> PowerTrace:

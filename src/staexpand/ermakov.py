@@ -37,10 +37,10 @@ def _omega2(b, bddot, out=None):
     return np.subtract(np.divide(1.0, np.power(b, 4.0, out=out), out=out), np.divide(bddot, b), out=out)
 
 
-def _domega2(b, bdot, bddot, bdddot, out=None):
+def _domega2(b, bdot, bddot, bdddot):
     """Its time derivative d(W^2)/dtau = -4 bdot/b^5 - bdddot/b + bddot bdot/b^2
-    on node arrays, into ``out`` when given (it must not be an input)."""
-    out = np.multiply(bdot, -4.0, out=out)
+    on node arrays."""
+    out = np.multiply(bdot, -4.0)
     term = np.power(b, 5.0)
     np.divide(out, term, out=out)
     np.subtract(out, np.divide(bdddot, b, out=term), out=out)

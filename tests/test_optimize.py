@@ -231,14 +231,14 @@ def _public_kernel_septic_peak(spec, t_f, n):
     for coef, block in zip(basis, blocks):
         for j, row in enumerate(block):
             np.divide(protocols._Poly(coef).deriv(j)(x, out=row), t_f**j, out=row)
-    b, power = rows[0], work[0]
+    b = rows[0]
 
     def peak(c3, c4):
         np.add(r0, np.multiply(r3, c3, out=rows), out=rows)
         np.add(rows, np.multiply(r4, c4, out=work), out=rows)
         if not np.minimum.reduce(b) > 0.0:
             return math.inf
-        energies._power_samples(spec, ermakov._domega2(*rows, out=power), b, out=power)
+        power = energies._power_samples(spec, ermakov._domega2(*rows), b)
         return float(np.maximum.reduce(np.abs(np.divide(power, scale, out=power), out=power)))
 
     return peak
