@@ -2,8 +2,8 @@
 """Design a trap-expansion protocol and audit it end to end.
 
 We pick a tenfold expansion (gamma = 10) and interpolate the scaling
-function b(t) with the quintic ansatz.  The constructor returns the design
-as one record: the curve, and the trap control omega^2(t) read off the
+function b(t) with the quintic ansatz.  ``protocols.build`` returns the
+design as one record: the curve, and the trap control omega^2(t) read off the
 Ermakov equation bddot + omega^2 b = 1/b^3.  Then we close the loop:
 integrating that control forward must reproduce the curve we designed.
 """
@@ -14,10 +14,10 @@ from staexpand import TrapSpec, ermakov, protocols
 spec = TrapSpec.from_gamma(10.0)
 t_f = 25.0  # units of 1/omega0
 
-design = protocols.quintic(spec, t_f)
+design = protocols.build(spec, protocols.ProtocolParams("quintic", t_f))
 curve = design.curve
 # the inverse-engineering step, omega^2 = 1/b^4 - bddot/b at every node,
-# is what the constructor ran to fill design.profile
+# is what build ran to fill design.profile
 profile = ermakov.inverse_engineer(curve)
 assert np.array_equal(profile.omega2, design.profile.omega2)
 
@@ -35,7 +35,7 @@ print(f"  forward-solve round trip, max |b - b_designed|: "
       f"{np.max(np.abs(redone.b - curve.b)):.2e}")
 
 # the same expansion done fast needs an expelling (omega^2 < 0) stretch
-fast_profile = protocols.quintic(spec, 1.0).profile
+fast_profile = protocols.build(spec, protocols.ProtocolParams("quintic", 1.0)).profile
 print(f"\nsame design at t_f = 1/omega0: min omega^2/omega0^2 = "
       f"{fast_profile.omega2.min():+.1f}  (inverted potential needed)")
 

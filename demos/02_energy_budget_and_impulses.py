@@ -14,7 +14,7 @@ spec = TrapSpec.from_gamma(10.0)
 print("impulse protocol at gamma = 10  (energies in hbar*omega0)")
 print("    t_f     avg_E     bound E_nL   kick share   |K-V|/E")
 for t_f in (0.3, 1.0, 3.0, 10.0):
-    p = protocols.dirac_impulse(spec, t_f)
+    p = protocols.build(spec, protocols.ProtocolParams("dirac", t_f))
     curve, profile = p.curve, p.profile
     tr = energies.averages(
         energies.instantaneous(curve, profile, spec), curve, spec, profile
@@ -24,12 +24,12 @@ for t_f in (0.3, 1.0, 3.0, 10.0):
           f"{tr.delta_delta / tr.avg_E:10.4f}  {abs(tr.avg_K - tr.avg_V) / tr.avg_E:.1e}")
 
 print("\nkick strengths at t_f = 1/omega0 (units of omega0):")
-for t, strength in protocols.dirac_impulse(spec, 1.0).profile.impulses:
+for t, strength in protocols.build(spec, protocols.ProtocolParams("dirac", 1.0)).profile.impulses:
     print(f"  t = {t:4.1f}: D = {strength:+.6f}")
 
 print("\nfast strong expansion (gamma = 100, t_f = 1e-3/omega0):")
 spec100 = TrapSpec.from_gamma(100.0)
-p = protocols.dirac_impulse(spec100, 1e-3)
+p = protocols.build(spec100, protocols.ProtocolParams("dirac", 1e-3))
 curve, profile = p.curve, p.profile
 tr = energies.averages(
     energies.instantaneous(curve, profile, spec100), curve, spec100, profile
@@ -38,8 +38,8 @@ print(f"  kick share of avg_E = {tr.delta_delta / tr.avg_E:.6f}  (half, asymptot
 
 print("\nsmooth protocols have no kick term; equipartition still holds:")
 for name, p in (
-    ("quintic", protocols.quintic(spec, 10.0)),
-    ("septic ", protocols.septic(spec, 10.0, 78.5088, -459.7638)),
+    ("quintic", protocols.build(spec, protocols.ProtocolParams("quintic", 10.0))),
+    ("septic ", protocols.build(spec, protocols.ProtocolParams("septic", 10.0, 78.5088, -459.7638))),
 ):
     curve, profile = p.curve, p.profile
     tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)

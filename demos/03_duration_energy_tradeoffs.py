@@ -18,12 +18,12 @@ t_max = protocols.bang_bang_max_duration(spec)
 print("gamma = 10 trap, energies in hbar*omega0, times in ms")
 print("   t_f(ms)   quintic    bang-bang   bound E_nL")
 for tau in np.geomspace(0.05 * t_max, t_max, 10):
-    p = protocols.quintic(spec, tau)
+    p = protocols.build(spec, protocols.ProtocolParams("quintic", tau))
     curve, profile = p.curve, p.profile
     tr = energies.averages(energies.instantaneous(curve, profile, spec), curve, spec, profile)
     bound = energies.lower_bound_avg_energy(spec, float(tau)).value
     try:
-        times = protocols.bang_bang_times_for_duration(spec, float(tau))
+        times = protocols.two_step_times(spec, "bang_bang", float(tau))
         e_bb = energies.bang_bang_energies(spec, **times).avg_E
         bb_txt = f"{e_bb:9.4f}"
     except Infeasible:

@@ -27,7 +27,7 @@ print("finite, and below t_f ~ 223/omega0 no real-frequency cap pair exists")
 print("\nfree-expansion bang-bang alternative (omega1 = 0):")
 print("   beta    t_f      avg_Ena    bound")
 for beta in (0.15, 0.3, 1.0, 3.0):
-    bb = protocols.bang_bang_na(spec, beta)
+    bb = protocols.build(spec, protocols.ProtocolParams("bang_bang_na", beta=beta))
     _, avg, _ = energies.nonadiabatic_energy(bb.curve, bb.profile, spec)
     t_f = bb.curve.grid.t_f
     print(f"  {beta:5.2f}  {t_f:6.3f}  {avg:9.4f}  {energies.na_lower_bound(spec, t_f):8.4f}")

@@ -15,7 +15,7 @@ spec = TrapSpec(2.0 * np.pi * 2500.0, 2.0 * np.pi * 25.0)  # gamma = 10
 t_f = spec.omega0 * 8e-3  # 8 ms
 
 print("relative power |P_rel| peaks at gamma = 10, t_f = 8 ms")
-quintic = protocols.quintic(spec, t_f, 4001)
+quintic = protocols.build(spec, protocols.ProtocolParams("quintic", t_f, grid_n=4001))
 q = energies.power(quintic.curve, quintic.profile, spec)
 print(f"  quintic interpolant:        {q.peak_rel:.4f}")
 
@@ -33,7 +33,7 @@ for tau in (0.3 * t_f, t_f, 2.0 * t_f):
 print("the terminal conditions fail generically, so peak shaping with the")
 print("septic family is the practical route")
 
-sc = protocols.septic(spec, t_f, res.params[0], res.params[1], 4001)
+sc = protocols.build(spec, protocols.ProtocolParams("septic", t_f, *res.params, grid_n=4001))
 sp = energies.power(sc.curve, sc.profile, spec)
 print("\n     s     P_rel quintic   P_rel septic")
 for s in np.linspace(0.0, 1.0, 11):

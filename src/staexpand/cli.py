@@ -353,7 +353,7 @@ def _sweep_row(preset: str, spec: TrapSpec, t_f: float, family: str, grid_n: int
         if family == "hybrid":  # fig3's cap protocol, optimized at each duration
             return optimize.optimize_caps(spec, t_f, grid_n).objective, ""
         if fig1 and family == "bang_bang":  # closed form in the switching times: no grid
-            times = protocols.bang_bang_times_for_duration(spec, t_f)
+            times = protocols.two_step_times(spec, "bang_bang", t_f)
             return energies.bang_bang_energies(spec, **times).avg_E, ""
         params = protocols.ProtocolParams(_SWEEP_FAMILY.get(family, family), t_f, grid_n=grid_n)
         b = protocols.build(spec, params)
@@ -392,11 +392,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         hi = protocols.bang_bang_max_duration(cfg.spec)
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise SystemExit("sweep needs a positive, finite duration range (--tf-min, --tf-max)")
-    n_points = max(2, int(round(cfg.points_per_decade * math.log10(hi / lo))))
-    taus = np.geomspace(lo, hi, n_points)
-
     # rows use the gamma trap: an SI spec's omega_f_rel can differ from it in the last bit
     spec = TrapSpec.from_gamma(cfg.spec.gamma)
+    try:  # below the lowest scale edge no family's closed form, nor the bound, stays finite
+        protocols._check_scale(spec, min(lo, hi), 2)
+    except ValueError as exc:
+        unit = " (durations in 1/omega0)" if cfg.si_mode else ""
+        raise SystemExit(f"sweep: {exc}{unit}") from None
+    n_points = max(2, int(round(cfg.points_per_decade * math.log10(hi / lo))))
+    taus = np.geomspace(lo, hi, n_points)
     durations = taus.tolist()
     if cfg.preset == "fig1":
         bounds = [energies.lower_bound_avg_energy(spec, t_f).value for t_f in durations]

@@ -148,14 +148,15 @@ def lower_bound_avg_energy(spec: TrapSpec, t_f: float) -> EnergyLowerBound:
 
 
 def _per_tf2(num: float, den: float, t_f: float) -> float:
-    """num / (den t_f^2); where t_f^2 or den t_f^2 overflows (t_f above
-    ~1.34e154, or ~6.7e153 for den = 4), num / den / t_f / t_f, which is
-    finite or underflows to 0."""
+    """num / (den t_f^2) for t_f > 0; where den t_f^2 overflows (t_f above
+    ~1.34e154, or ~6.7e153 for den = 4) or underflows to 0 (t_f below
+    ~1e-162), num / den / t_f / t_f, which is finite, 0 or inf, never a
+    division by zero."""
     try:
         den_tf2 = den * t_f**2
     except OverflowError:
         den_tf2 = math.inf
-    return num / den_tf2 if den_tf2 < math.inf else num / den / t_f / t_f
+    return num / den_tf2 if 0.0 < den_tf2 < math.inf else num / den / t_f / t_f
 
 
 def na_lower_bound(spec: TrapSpec, t_f: float) -> float:

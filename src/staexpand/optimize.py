@@ -56,14 +56,15 @@ def _hybrid_avg_ena(spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n_gr
     """Averaged non-adiabatic energy of a cap protocol; +inf when the caps
     do not fit or the frequency goes imaginary.
 
-    Equal, bit for bit, to ``nonadiabatic_energy`` of ``hybrid_caps`` (tests
-    hold it to that path): it calls the same per-node kernels on the grid
-    and polynomials of ``_hybrid_pieces``, into four node rows (x, b, bdot,
-    W^2), and computes only what it returns.  First b, bddot and W^2 on the
-    stopping cap (where a short protocol goes imaginary), then on the
-    launching cap and the line, stopping with +inf where W^2 is imaginary;
-    then bdot and the Ena samples over the whole grid, and one Simpson sum
-    per piece, added in grid order as ``numerics.average`` adds them.
+    Equal, bit for bit, to ``nonadiabatic_energy`` of the hybrid bundle
+    that ``build`` makes (tests hold it to that path): it calls the same
+    per-node kernels on the grid and polynomials of ``_hybrid_pieces``,
+    into four node rows (x, b, bdot, W^2), and computes only what it
+    returns.  First b, bddot and W^2 on the stopping cap (where a short
+    protocol goes imaginary), then on the launching cap and the line,
+    stopping with +inf where W^2 is imaginary; then bdot and the Ena samples
+    over the whole grid, and one Simpson sum per piece, added in grid order
+    as ``numerics.average`` adds them.
     """
     if not (tau_l > 0.0 and tau_s > 0.0 and tau_l + tau_s < 0.999 * t_f):
         return math.inf

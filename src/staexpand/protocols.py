@@ -1,25 +1,27 @@
-"""Constructors for every expansion protocol.
+"""Every expansion protocol, made by ``build`` from a ``ProtocolParams``.
 
-All constructors work in dimensionless units (time in 1/omega0,
-frequencies in omega0) and return a ``ProtocolBundle``: the curve sampled
-on a grid with its analytic derivatives, and its omega^2 profile (read off
-the Ermakov equation unless the family sets it).  The families:
+``build`` is the one constructor.  It works in dimensionless units (time
+in 1/omega0, frequencies in omega0) and returns a ``ProtocolBundle``: the
+curve sampled on a grid with its analytic derivatives, and its omega^2
+profile (read off the Ermakov equation unless the family sets it).  The
+families:
 
 * quintic / septic  -- polynomial interpolants of b(s), s = t/t_f, pinned
   by b(0)=1, bdot(0)=0, b(t_f)=gamma, bdot(t_f)=0 and bddot(0)=bddot(t_f)=0.
 * quasi_optimal     -- b = sqrt((B^2 - tf^2) s^2 + 2 B s + 1) with
   B = sqrt(tf^2 + gamma^2) - 1; hits the endpoint values but not the
   derivative conditions, so on its own it only bounds the averaged energy.
-* dirac_impulse     -- the quasi-optimal interior closed by delta kicks of
+* dirac             -- the quasi-optimal interior closed by delta kicks of
   omega^2 at t = 0 and t_f that switch the slopes to zero.
-* hybrid_caps       -- cubic launching/stopping caps around the linear
+* hybrid            -- cubic launching/stopping caps around the linear
   bottom-tracking segment, matched in value and slope at the joints.
 * linear_bottom     -- b = 1 + (gamma-1) t/t_f with omega = omega0/b^2;
   rides the potential minimum, boundary slopes intentionally nonzero.
 * bang_bang         -- two constant-frequency steps (the first possibly
-  imaginary), switching times fixed by the matching conditions.
-* constant_power_shoot -- shooting solution of the constant-power ODE
-  b b''' - b'' b' + 4 b'/b^3 = 2(1 - omega_f/omega0)/t_f.
+  imaginary), switching times fixed by the matching conditions;
+  bang_bang_na is its free-expansion variant (omega1 = 0).
+* constant_power    -- ``constant_power_shoot``, the shooting solution of
+  the constant-power ODE b b''' - b'' b' + 4 b'/b^3 = 2(1 - omega_f/omega0)/t_f.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 def _check_duration(t_f) -> None:
-    """The one duration check of every constructor: 0 < t_f < inf."""
+    """The one duration check of ``build`` and the public solvers: 0 < t_f < inf."""
     if t_f is None or not 0.0 < t_f < math.inf:
         raise ValueError(f"t_f must be positive and finite (got {t_f!r})")
 
@@ -197,29 +199,6 @@ def _poly_fns(p: _Poly, t_f: float, reverse: bool = False) -> Piece:
     return piece
 
 
-def quintic(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
-    """b(s) = 1 + (gamma-1)(10 s^3 - 15 s^4 + 6 s^5): the smoothest
-    textbook interpolant, frequency continuous at both ends."""
-    _check_duration(t_f)
-    d = spec.gamma - 1.0
-    p = _Poly([1.0, 0.0, 0.0, 10.0 * d, -15.0 * d, 6.0 * d])
-    return _bundle(TimeGrid.uniform(t_f, n), (_poly_fns(p, t_f),))
-
-
-def septic(
-    spec: TrapSpec, t_f: float, c3: float = 0.0, c4: float = 0.0, n: int = DEFAULT_GRID_N
-) -> ProtocolBundle:
-    """Seventh-order interpolant with two free shape parameters.
-
-    b = 1 + c3 s^3 + c4 s^4 - (21 + 6c3 + 3c4 - 21g) s^5
-        + (35 + 8c3 + 3c4 - 35g) s^6 - (15 + 3c3 + c4 - 15g) s^7
-    satisfies all six boundary conditions for any (c3, c4), which is what
-    makes (c3, c4) usable as power-shaping knobs.
-    """
-    _check_duration(t_f)
-    return _bundle(TimeGrid.uniform(t_f, n), (_septic_fns(spec, t_f, c3, c4),))
-
-
 def _septic_coef(g: float, c3: float, c4: float) -> list:
     """The power-series coefficients of the septic b(s) at gamma = g."""
     return [
@@ -234,11 +213,6 @@ def _septic_coef(g: float, c3: float, c4: float) -> list:
     ]
 
 
-def _septic_fns(spec: TrapSpec, t_f: float, c3: float, c4: float) -> Piece:
-    """The closed forms of ``septic`` (no duration check)."""
-    return _poly_fns(_Poly(_septic_coef(spec.gamma, c3, c4)), t_f)
-
-
 def quasi_optimal_B(spec: TrapSpec, t_f: float) -> float:
     """B = sqrt(tf^2 + gamma^2) - 1 (positive root)."""
     return math.sqrt(t_f**2 + spec.gamma**2) - 1.0
@@ -250,11 +224,10 @@ def _quasi_optimal_B2_minus_tf2(spec: TrapSpec, t_f: float) -> float:
     return spec.gamma**2 + 1.0 - 2.0 * math.sqrt(t_f**2 + spec.gamma**2)
 
 
-def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
+def _quasi_optimal(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
     """Minimizer of the averaged 1/b^2 + bdot^2 functional between the
     endpoint values; slopes at 0+ and t_f- are recorded as one-sided
     derivatives because they do not vanish."""
-    _check_duration(t_f)
     _check_time_scale(t_f, 2)
     g = spec.gamma
     B = quasi_optimal_B(spec, t_f)
@@ -262,21 +235,25 @@ def quasi_optimal(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> Protoc
     pp = _Poly([1.0, 2.0 * B, b2mt2])  # b^2 as a polynomial in s
     if np.min(pp(np.linspace(0.0, 1.0, 512))) <= 0.0:
         raise ValueError("radicand of the scaling function is not positive")
+    # b^2 peaks at s = -B/(B^2 - tf^2) where that lies inside, else at s = 1;
+    # ~tf/2 for tf >> gamma^2, so b passes the gamma edge near tf ~ 1.7e123
+    top = pp(min(1.0, -B / b2mt2) if b2mt2 < 0.0 else 1.0)
+    if top > _GAMMA_MAX**2:
+        raise ValueError(
+            f"t_f = {t_f:.6g} is too long for this protocol at gamma = {g:.6g}: b peaks at "
+            f"{math.sqrt(top):.4g}, above b ~ {_GAMMA_MAX:.4g} where its closed form overflows"
+        )
     d1, d2 = pp.deriv(1), pp.deriv(2)
 
     def piece(t):
         s = t / t_f
         return _sqrt_cols(pp(s), d1(s) / t_f, d2(s) / t_f**2, np.zeros_like(s))
 
-    return _bundle(
-        TimeGrid.uniform(t_f, n),
-        (piece,),
-        b0_plus_dot=B / t_f,
-        bf_minus_dot=(b2mt2 + B) / (g * t_f),
-    )
+    return _bundle(TimeGrid.uniform(t_f, params.grid_n), (piece,),
+                   b0_plus_dot=B / t_f, bf_minus_dot=(b2mt2 + B) / (g * t_f))
 
 
-def dirac_impulse(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
+def _dirac(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
     """Quasi-optimal interior plus delta kicks of omega^2 at 0 and t_f.
 
     The kick strengths D0 = -bdot(0+)/b(0) and Df = +bdot(t_f-)/b(t_f)
@@ -284,33 +261,29 @@ def dirac_impulse(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> Protoc
     boundary conditions hold and the averaged-energy bound is attained.
     D0 is always negative; Df may take either sign.
     """
-    base = quasi_optimal(spec, t_f, n)
+    base = _quasi_optimal(spec, t_f, params)
     c, p = base.curve, base.profile
     kicks = ((0.0, -c.b0_plus_dot / float(c.b[0])), (t_f, c.bf_minus_dot / float(c.b[-1])))
     return ProtocolBundle(c, FrequencyProfile(p.grid, p.omega2, p.domega2, kicks, p.omega2_fns), {})
 
 
-def hybrid_caps(
-    spec: TrapSpec,
-    t_f: float,
-    tau_l: float,
-    tau_s: float,
-    n: int = DEFAULT_GRID_N,
-) -> ProtocolBundle:
-    """Cubic launching/stopping caps around the linear bottom segment.
+def _hybrid(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
+    """Cubic launching/stopping caps around the linear bottom segment, each
+    cap t_f/10 unless given.
 
     The caps match b and bdot at both of their ends (a cubic cannot also
     match bddot, so omega stays discontinuous at the joints); closed-form
     coefficients, with b > 0 guaranteed throughout.
     """
-    grid, (p1, pm, p2) = _hybrid_pieces(spec, t_f, tau_l, tau_s, n)
+    caps = [0.1 * t_f if tau is None else tau for tau in (params.tau_l, params.tau_s)]
+    grid, (p1, pm, p2) = _hybrid_pieces(spec, t_f, *caps, params.grid_n)
     return _bundle(grid, (_poly_fns(p1, t_f), _poly_fns(pm, t_f), _poly_fns(p2, t_f, True)))
 
 
 def _hybrid_pieces(
     spec: TrapSpec, t_f: float, tau_l: float, tau_s: float, n: int
 ) -> tuple[TimeGrid, tuple[_Poly, _Poly, _Poly]]:
-    """The grid of ``hybrid_caps`` and the polynomials of its launching cap
+    """The grid of the hybrid family and the polynomials of its launching cap
     and linear middle in s = t/t_f and of its stopping cap in u = 1 - s,
     in grid order."""
     _check_duration(t_f)
@@ -336,18 +309,6 @@ def _hybrid_pieces(
     p2 = _Poly([spec.gamma, 0.0, -2.0 * d / u_r, d / u_r**2])
     grid = TimeGrid.piecewise([0.0, tau_l, t_f - tau_s, t_f], n)
     return grid, (p1, pm, p2)
-
-
-def linear_bottom(spec: TrapSpec, t_f: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
-    """b = 1 + (gamma-1) t/t_f with the bottom-tracking control W = 1/b^2.
-
-    bddot = 0, so the inverse-engineered control is exactly W^2 = 1/b^4;
-    the boundary slopes are (gamma-1)/t_f at both ends, deliberately
-    nonzero.
-    """
-    _check_duration(t_f)
-    p = _Poly([1.0, spec.gamma - 1.0])
-    return _bundle(TimeGrid.uniform(t_f, n), (_poly_fns(p, t_f),))
 
 
 def bang_bang_times(spec: TrapSpec, omega1: float, omega2: float) -> tuple[float, float]:
@@ -446,22 +407,16 @@ def _bang_bang_seg2_fns(gamma: float, omega2: float, t_f: float) -> Piece:
     return piece
 
 
-def bang_bang(
-    spec: TrapSpec, omega1: float, omega2: float, n: int = DEFAULT_GRID_N
-) -> ProtocolBundle:
-    """Analytic two-step protocol for given step frequencies (omega0 units):
-    frequency i*omega1 on (0, t1), omega2 on (t1, t_f); ``extra`` holds
-    t1, t2, omega1 and omega2."""
-    t1, t2 = bang_bang_times(spec, omega1, omega2)
-    return _bang_bang_bundle(spec, {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2}, n)
-
-
 def _bang_bang_bundle(spec: TrapSpec, times: dict, n: int) -> ProtocolBundle:
-    """``bang_bang``'s bundle from its solved ``extra``: t1, t2, omega1, omega2;
-    its duration t1 + t2 goes through ``_check_scale`` first."""
-    t1, omega1, omega2 = times["t1"], times["omega1"], times["omega2"]
-    t_f = t1 + times["t2"]
+    """The two-step protocol of its ``extra``: frequency i*omega1 on (0, t1),
+    omega2 on (t1, t_f).  Its duration t_f = t1 + t2 goes through
+    ``_check_scale`` first, then a t2 that t1 + t2 rounds away is refused."""
+    t1, t2, omega1, omega2 = times["t1"], times["t2"], times["omega1"], times["omega2"]
+    t_f = t1 + t2
     _check_scale(spec, t_f, 6)
+    if t1 > 0.0 and t_f == t1:
+        raise ValueError(f"the second step t2 = {t2:.6g} is lost in t1 + t2 = t1 = {t1:.6g}: "
+                         "it is below t1's float spacing")
     seg2 = _bang_bang_seg2_fns(spec.gamma, omega2, t_f)
     if t1 == 0.0:
         grid = TimeGrid.uniform(t_f, n)
@@ -486,19 +441,33 @@ def bang_bang_max_duration(spec: TrapSpec) -> float:
 
 
 _DURATION_RTOL = 1e-12
+# two-step family -> the name its refusals give its protocols
+_TWO_STEP_LABELS = {"bang_bang": "equal-step", "bang_bang_na": "free-expansion"}
 
 
-def _two_step_times(spec, t_f, label, t_min, w_lo, steps) -> dict:
-    """Switching times and step frequencies of one two-step family's
-    protocol that lasts t_f: the ``extra`` of its bundle, found without
-    building it.
+def two_step_times(spec: TrapSpec, family: str, t_f: float) -> dict:
+    """The ``extra`` (t1, t2, omega1, omega2) of the two-step protocol of
+    ``family`` that lasts t_f, found without sampling it; ``build`` makes
+    the bundle from it.
 
-    ``steps(w)`` maps the family's free frequency to (omega1, omega2); the
-    duration falls from pi*gamma/2 at w = w_lo towards t_min as w grows, so
-    t1 + t2 = t_f is solved for w by root bracketing.  Postcondition:
+    bang_bang has equal steps omega1 = omega2 = w and reaches durations in
+    (0, pi*gamma/2]; bang_bang_na (free expansion) has omega1 = 0 and
+    omega2 = beta and reaches (sqrt(gamma^2 - 1), pi*gamma/2], beta =
+    1/gamma at the upper end and beta -> infinity at the lower.  The
+    duration falls from pi*gamma/2 as the free frequency grows, so
+    t1 + t2 = t_f is solved for it by root bracketing.  Postcondition:
     |t1 + t2 - t_f| <= 1e-12 t_f, else Infeasible.
     """
     _check_duration(t_f)
+    if family == "bang_bang":
+        t_min, w_lo = 0.0, math.sqrt(spec.omega_f_rel)
+        steps = lambda w: (w, w)   # noqa: E731
+    elif family == "bang_bang_na":
+        t_min, w_lo = math.sqrt(spec.gamma**2 - 1.0), 1.0 / spec.gamma
+        steps = lambda beta: (0.0, beta)   # noqa: E731
+    else:
+        raise ValueError(f"{family!r} is not a two-step family; choose from {tuple(_TWO_STEP_LABELS)}")
+    label = _TWO_STEP_LABELS[family]
     t_max = bang_bang_max_duration(spec)
     if not t_min < t_f <= t_max:
         raise Infeasible(f"{label} protocols need {t_min:.6g} < t_f <= {t_max:.6g}")
@@ -525,43 +494,13 @@ def _two_step_times(spec, t_f, label, t_min, w_lo, steps) -> dict:
             raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
     omega1, omega2 = steps(w)
     t1, t2 = bang_bang_times(spec, omega1, omega2)
-    lasts = t1 + t2   # the float bang_bang's grid ends at
+    lasts = t1 + t2   # the float the bundle's grid ends at
     if abs(lasts - t_f) > _DURATION_RTOL * t_f:
         raise Infeasible(
             f"two-step protocol lasts {lasts:.12g} instead of the requested {t_f:.12g} "
             f"(relative miss {abs(lasts - t_f) / t_f:.2g} > {_DURATION_RTOL:g})"
         )
     return {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2}
-
-
-def bang_bang_times_for_duration(spec: TrapSpec, t_f: float) -> dict:
-    """The ``extra`` (t1, t2, omega1 = omega2) of the equal-step protocol
-    lasting t_f, without sampling it; ``build`` makes the bundle from it.
-    Solves t1(w) + t2(w) = t_f for the common step frequency by root
-    bracketing; only durations up to pi*gamma/2 are reachable."""
-    w_lo = math.sqrt(spec.omega_f_rel)
-    return _two_step_times(spec, t_f, "equal-step", 0.0, w_lo, lambda w: (w, w))
-
-
-def bang_bang_na(spec: TrapSpec, beta: float, n: int = DEFAULT_GRID_N) -> ProtocolBundle:
-    """Free-expansion two-step protocol: omega1 = 0, omega2 = beta*omega0.
-
-    All frequencies are real and non-negative, so the non-adiabatic energy
-    is defined.  ``bang_bang_times`` requires beta >= 1/gamma (t1 real),
-    which also keeps the arcsin argument in range.
-    """
-    return bang_bang(spec, 0.0, beta, n)
-
-
-def bang_bang_na_times_for_duration(spec: TrapSpec, t_f: float) -> dict:
-    """The ``extra`` (t1, t2, omega1 = 0, omega2 = beta) of the
-    free-expansion protocol lasting t_f, as ``bang_bang_times_for_duration``
-    is for equal steps.  Durations range over (sqrt(gamma^2 - 1), pi*gamma/2]:
-    beta = 1/gamma at the upper end, beta -> infinity at the lower."""
-    t_min = math.sqrt(spec.gamma**2 - 1.0)
-    return _two_step_times(
-        spec, t_f, "free-expansion", t_min, 1.0 / spec.gamma, lambda beta: (0.0, beta)
-    )
 
 
 @dataclass
@@ -642,17 +581,43 @@ def constant_power_shoot(
     return curve, mism
 
 
-_FAMILIES = (
-    "quintic",
-    "septic",
-    "quasi_optimal",
-    "dirac",
-    "hybrid",
-    "linear_bottom",
-    "bang_bang",
-    "bang_bang_na",
-    "constant_power",
-)
+def _uniform_poly(coef):
+    """The maker of a family whose b(s) is the one polynomial with power
+    series ``coef(gamma, params)`` on a uniform grid."""
+    def make(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
+        p = _Poly(coef(spec.gamma, params))
+        return _bundle(TimeGrid.uniform(t_f, params.grid_n), (_poly_fns(p, t_f),))
+
+    return make
+
+
+def _constant_power(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
+    """The constant-power shot with its inverse-engineered profile and its
+    mismatch in ``extra``."""
+    curve, mism = constant_power_shoot(spec, t_f, params.grid_n)
+    return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {"mismatch": mism})
+
+
+# designed family -> (exponent k of its _check_scale, its maker (spec, t_f, params) -> bundle)
+_DESIGNED = {
+    # b(s) = 1 + (gamma-1)(10 s^3 - 15 s^4 + 6 s^5): the smoothest textbook interpolant
+    "quintic": (2, _uniform_poly(lambda g, params: [1.0, 0.0, 0.0, 10.0 * (g - 1.0),
+                                                   -15.0 * (g - 1.0), 6.0 * (g - 1.0)])),
+    # all six boundary conditions for any (c3, c4), the power-shaping knobs
+    "septic": (2, _uniform_poly(lambda g, params: _septic_coef(g, params.c3, params.c4))),
+    "quasi_optimal": (6, _quasi_optimal),
+    "dirac": (6, _dirac),
+    "hybrid": (2, _hybrid),
+    # b = 1 + (gamma-1) s: bddot = 0, so W^2 = 1/b^4 exactly; slopes (gamma-1)/t_f at both ends
+    "linear_bottom": (2, _uniform_poly(lambda g, params: [1.0, g - 1.0])),
+    "constant_power": (2, _constant_power),
+}
+# two-step family -> its step inputs, from which the duration follows
+_STEP_INPUTS = {"bang_bang": ("omega1", "omega2"), "bang_bang_na": ("beta",)}
+_FAMILIES = (*_DESIGNED, *_STEP_INPUTS)
+# shape input -> (the family that reads it, the value that leaves it unset)
+_SHAPE_INPUTS = {"c3": ("septic", 0.0), "c4": ("septic", 0.0), "tau_l": ("hybrid", None),
+                 "tau_s": ("hybrid", None)}
 
 
 @dataclass
@@ -684,29 +649,22 @@ class ProtocolParams:
             raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
 
 
-_STEP_INPUTS = {"bang_bang": ("omega1", "omega2"), "bang_bang_na": ("beta",)}
-# shape input -> (the family that reads it, the value that leaves it unset)
-_SHAPE_INPUTS = {"c3": ("septic", 0.0), "c4": ("septic", 0.0), "tau_l": ("hybrid", None),
-                 "tau_s": ("hybrid", None)}
-
-
 def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
-    """The protocol of a request: the one family dispatch.
+    """The protocol of a request: the one family dispatch and the only
+    constructor of a ``ProtocolBundle``.
 
-    Returns the family constructor's bundle; the constant-power shot gets
-    the inverse-engineered profile and its mismatch in ``extra``.  Raises
-    ValueError for a request without a family, for step inputs other than
-    the family's own (bang_bang: both omega1 and omega2; bang_bang_na:
-    beta), for step inputs together with t_f, for a bad t_f, and for
-    another family's shape inputs (a nonzero c3/c4 outside septic,
-    tau_l/tau_s outside hybrid), and for a gamma or t_f at which the closed
-    form overflows (``_check_scale``, which the two-step bundles apply to
-    their solved duration); the constructors' own ValueError and
-    Infeasible pass through, except that a two-step bundle for a given t_f
-    refuses its grid's or scale's ValueError as Infeasible, and a free-expansion
-    bundle for a given beta names beta and its value in its ValueError.
+    A designed family's t_f goes through ``_check_scale`` with its table
+    row's exponent, then to the row's maker; a two-step family's duration
+    follows from its step inputs (``bang_bang_times``) or is solved for
+    (``two_step_times``).  Raises ValueError for a request without a
+    family, for step inputs other than the family's own, for step inputs
+    together with t_f, for a bad t_f, for another family's shape inputs
+    and for a gamma or t_f at which the closed form overflows; the makers'
+    own ValueError and Infeasible pass through, except that a two-step
+    bundle for a given t_f refuses its ValueError as Infeasible, and one
+    for a given beta names beta and its value in its ValueError.
     """
-    fam, t_f, n = params.family, params.t_f, params.grid_n
+    fam, t_f = params.family, params.t_f
     if fam is None:
         raise ValueError(f"no protocol family given; choose from {_FAMILIES}")
     own = _STEP_INPUTS.get(fam, ())
@@ -721,39 +679,23 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     ignored = [k for k, (f, unset) in _SHAPE_INPUTS.items() if f != fam and getattr(params, k) != unset]
     if ignored:
         raise ValueError(f"the {fam} family does not use {'/'.join(ignored)}")
-    if own:
-        steps = [getattr(params, k) for k in given]
-        if steps and fam == "bang_bang":
-            return bang_bang(spec, *steps, n)
-        if steps:
-            try:
-                return bang_bang_na(spec, *steps, n)
-            except ValueError as exc:  # its checks name omega2, which the request calls beta
-                beta = f"{params.beta:.12g}"
-                raise ValueError(f"beta = {beta} (the stopping frequency omega2): {exc}") from None
-        if fam == "bang_bang":
-            label, times = "equal-step", bang_bang_times_for_duration(spec, t_f)
-        else:
-            label, times = "free-expansion", bang_bang_na_times_for_duration(spec, t_f)
+    if fam in _DESIGNED:
+        k, make = _DESIGNED[fam]
+        _check_scale(spec, t_f, k)
+        return make(spec, t_f, params)
+    if not given:
+        times = two_step_times(spec, fam, t_f)
         try:
-            return _bang_bang_bundle(spec, times, n)
+            return _bang_bang_bundle(spec, times, params.grid_n)
         except ValueError as exc:  # e.g. a step too short to sample, next to t_min
-            raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
-    _check_scale(spec, t_f, 6 if fam in ("quasi_optimal", "dirac") else 2)
-    if fam == "septic":
-        return septic(spec, t_f, params.c3, params.c4, n)
-    if fam == "hybrid":
-        caps = [0.1 * t_f if tau is None else tau for tau in (params.tau_l, params.tau_s)]
-        return hybrid_caps(spec, t_f, *caps, n)
-    if fam == "constant_power":
-        curve, mism = constant_power_shoot(spec, t_f, n)
-        return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {"mismatch": mism})
-    if fam == "quintic":
-        return quintic(spec, t_f, n)
-    if fam == "quasi_optimal":
-        return quasi_optimal(spec, t_f, n)
-    if fam == "dirac":
-        return dirac_impulse(spec, t_f, n)
-    if fam == "linear_bottom":
-        return linear_bottom(spec, t_f, n)
-    raise ValueError(f"unknown family {fam!r}")
+            raise Infeasible(f"{_TWO_STEP_LABELS[fam]} protocol for t_f = {t_f:.12g}: {exc}") from None
+    omega1, omega2 = (params.omega1, params.omega2) if fam == "bang_bang" else (0.0, params.beta)
+    try:
+        t1, t2 = bang_bang_times(spec, omega1, omega2)
+        return _bang_bang_bundle(spec, {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2},
+                                 params.grid_n)
+    except ValueError as exc:
+        if fam == "bang_bang":
+            raise
+        # the checks name omega2, which the request calls beta
+        raise ValueError(f"beta = {params.beta:.12g} (the stopping frequency omega2): {exc}") from None

@@ -261,7 +261,7 @@ def check_free_expansion_matching(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     """omega1 = 0, beta = 1, gamma = 10: switching times 9.9 and
     arcsin(sqrt(99/9999)) ~ 0.099674, and the curve closes on (gamma, 0)."""
     spec = TrapSpec.from_gamma(10.0)
-    bb = protocols.bang_bang_na(spec, 1.0, n_grid)
+    bb = protocols.build(spec, _P("bang_bang_na", beta=1.0, grid_n=n_grid))
     t1, t2 = bb.extra["t1"], bb.extra["t2"]
     ok = (
         abs(t1 - 9.9) < 1e-10

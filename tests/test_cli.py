@@ -336,6 +336,19 @@ class TestSweepCommand:
                 reason = "too long for this protocol" if fam in ("quintic", "hybrid") else "need"
                 assert all(not r[1] and reason in r[3] for r in rows), fam
 
+    @pytest.mark.parametrize("preset", ["fig1", "fig3"])
+    def test_durations_below_the_scale_edge_exit_with_one_line(self, tmp_path, preset):
+        # fig3 used to end in a ZeroDivisionError from t_f^2 underflowing to 0,
+        # and fig1 wrote inf into every E_nL cell and exited 0
+        out = tmp_path / preset
+        proc = run_cli(["sweep", "--preset", preset, "--gamma", "10", "--tf-min", "1e-200",
+                        "--tf-max", "1e-199", "--points-per-decade", "1", "--grid", "201",
+                        "--out", str(out)])
+        assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == ("sweep: t_f = 1e-200 is too short for this protocol at gamma = 10: "
+                               "its closed form overflows below t_f ~ 3.817e-100\n")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_fig3_infeasible_points_carry_reasons(self, tmp_path):
         out = tmp_path / "sw3"
         main([

@@ -8,6 +8,8 @@ from scipy.integrate import quad
 from staexpand import TimeGrid, TrapSpec, energies, ermakov, numerics, protocols
 from staexpand.core import FrequencyProfile, NonRealFrequency, PowerUndefined, ScalingCurve
 
+from protocol_requests import make
+
 
 @pytest.fixture
 def spec():
@@ -46,18 +48,18 @@ class TestInstantaneous:
         # quintic/septic close on instantaneous eigenstates of omega0 / omega_f
         for n in (0, 2):
             s = TrapSpec.from_gamma(10.0, n=n)
-            for curve in (protocols.quintic(s, 25.0).curve, protocols.septic(s, 25.0).curve):
+            for curve in (make(s, "quintic", 25.0).curve, make(s, "septic", 25.0).curve):
                 tr = energies.instantaneous(curve, ermakov.inverse_engineer(curve), s)
                 assert float(tr.E[0]) == pytest.approx(n + 0.5, rel=1e-12)
                 assert float(tr.E[-1]) == pytest.approx((n + 0.5) * 0.01, rel=1e-9)
 
     def test_e_equals_k_plus_v(self, spec):
-        curve = protocols.quintic(spec, 3.0).curve
+        curve = make(spec, "quintic", 3.0).curve
         tr = energies.instantaneous(curve, ermakov.inverse_engineer(curve), spec)
         assert np.array_equal(tr.E, tr.K + tr.V)
 
     def test_negative_potential_in_fast_protocols(self, spec):
-        curve = protocols.quintic(spec, 1.0).curve
+        curve = make(spec, "quintic", 1.0).curve
         tr = energies.instantaneous(curve, ermakov.inverse_engineer(curve), spec)
         assert float(np.min(tr.V)) < 0.0
         assert float(np.min(tr.K)) >= 0.0
@@ -72,18 +74,18 @@ class TestAverages:
 
     @pytest.mark.parametrize("tf", [0.5, 5.0, 50.0])
     def test_virial_quintic(self, spec, tf):
-        curve = protocols.quintic(spec, tf).curve
+        curve = make(spec, "quintic", tf).curve
         tr = trace_for(curve, ermakov.inverse_engineer(curve), spec)
         assert abs(tr.avg_K - tr.avg_V) / tr.avg_E < 1e-6
 
     def test_avg_v_positive_despite_negative_stretches(self, spec):
-        curve = protocols.quintic(spec, 1.0).curve
+        curve = make(spec, "quintic", 1.0).curve
         tr = trace_for(curve, ermakov.inverse_engineer(curve), spec)
         assert float(np.min(tr.V)) < 0.0
         assert tr.avg_V > 0.0
 
     def test_linear_bottom_route_discrepancy_is_boundary_term(self, spec):
-        bundle = protocols.linear_bottom(spec, 1.0)
+        bundle = make(spec, "linear_bottom", 1.0)
         c, p = bundle.curve, bundle.profile
         tr = trace_for(c, p, spec)
         assert tr.avg_E != pytest.approx(tr.avg_E2, rel=1e-3)
@@ -100,7 +102,7 @@ class TestAverages:
         assert tr.avg_E2 == numerics.average(2.0 * c * (1.0 / b**2 + bdot**2), bundle.curve.grid)
 
     def test_energy_change_matches_eigenvalues(self, spec):
-        curve = protocols.quintic(spec, 25.0).curve
+        curve = make(spec, "quintic", 25.0).curve
         tr = energies.instantaneous(curve, ermakov.inverse_engineer(curve), spec)
         assert float(tr.E[-1] - tr.E[0]) == pytest.approx(0.5 * (0.01 - 1.0), rel=1e-9)
 
@@ -108,27 +110,27 @@ class TestAverages:
 class TestImpulseContribution:
     def test_quasi_optimal_value(self, spec):
         # ((2n+1)/(4 tf^2)) (B^2 - tf^2) with B = sqrt(101) - 1
-        bundle = protocols.dirac_impulse(spec, 1.0)
+        bundle = make(spec, "dirac", 1.0)
         curve, profile = bundle.curve, bundle.profile
         dd = energies.impulse_contribution(curve, spec)
         B = math.sqrt(101.0) - 1.0
         assert dd == pytest.approx((B**2 - 1.0) / 4.0, rel=1e-12)
 
     def test_smooth_protocol_has_no_contribution(self, spec):
-        curve = protocols.quintic(spec, 2.0).curve
+        curve = make(spec, "quintic", 2.0).curve
         dd = energies.impulse_contribution(curve, spec)
         assert abs(dd) < 1e-12
 
     def test_half_share_in_fast_strong_limit(self):
         spec = TrapSpec.from_gamma(100.0)
-        bundle = protocols.dirac_impulse(spec, 1e-3)
+        bundle = make(spec, "dirac", 1e-3)
         curve, profile = bundle.curve, bundle.profile
         tr = trace_for(curve, profile, spec)
         assert tr.delta_delta / tr.avg_E == pytest.approx(0.5, abs=0.01)
 
     def test_equality_chain(self, spec):
         for tf in (0.3, 1.0, 3.0):
-            bundle = protocols.dirac_impulse(spec, tf)
+            bundle = make(spec, "dirac", tf)
             curve, profile = bundle.curve, bundle.profile
             tr = trace_for(curve, profile, spec)
             bound = energies.lower_bound_avg_energy(spec, tf).value
@@ -206,7 +208,7 @@ class TestLowerBound:
     def test_accepts_durations_the_polynomial_families_refuse(self, spec):
         # t_f^3 overflows past ~5.6e102, which only the polynomial closed forms form
         with pytest.raises(ValueError, match="overflows"):
-            protocols.quintic(spec, 1e110, 101)
+            make(spec, "quintic", 1e110, 101)
         vals = [energies.lower_bound_avg_energy(spec, t_f).value for t_f in (1e100, 1e110, 1e150)]
         assert all(math.isfinite(v) and v > 0.0 for v in vals)
         assert vals[0] > vals[1] > vals[2]
@@ -246,9 +248,9 @@ class TestLowerBound:
         for tf in (0.5, 5.0, 50.0):
             bound = energies.lower_bound_avg_energy(spec, tf).value
             for curve in (
-                protocols.quintic(spec, tf).curve,
-                protocols.septic(spec, tf, 78.5088, -459.7638).curve,
-                protocols.hybrid_caps(spec, tf, 0.1 * tf, 0.1 * tf).curve,
+                make(spec, "quintic", tf).curve,
+                make(spec, "septic", tf, c3=78.5088, c4=-459.7638).curve,
+                make(spec, "hybrid", tf, tau_l=0.1 * tf, tau_s=0.1 * tf).curve,
             ):
                 tr = trace_for(curve, ermakov.inverse_engineer(curve), spec)
                 assert tr.avg_E >= bound * (1.0 - 1e-6)
@@ -269,12 +271,12 @@ def test_complete_protocols_respect_exact_bound():
         t_f = 10.0**log_tf
         bound = energies.lower_bound_avg_energy(spec, t_f).value
         curves = (
-            protocols.quintic(spec, t_f).curve,
-            protocols.septic(spec, t_f, 0.0, 0.0).curve,
-            protocols.hybrid_caps(spec, t_f, 0.1 * t_f, 0.1 * t_f).curve,
+            make(spec, "quintic", t_f).curve,
+            make(spec, "septic", t_f, c3=0.0, c4=0.0).curve,
+            make(spec, "hybrid", t_f, tau_l=0.1 * t_f, tau_s=0.1 * t_f).curve,
         )
         cases = [(c, ermakov.inverse_engineer(c)) for c in curves]
-        dirac = protocols.dirac_impulse(spec, t_f)
+        dirac = make(spec, "dirac", t_f)
         cases.append((dirac.curve, dirac.profile))
         for curve, profile in cases:
             assert trace_for(curve, profile, spec).avg_E >= bound * (1.0 - 1e-6)
@@ -289,24 +291,24 @@ class TestNonAdiabatic:
         assert np.max(np.abs(ena)) == 0.0 and avg == 0.0 and avg2 == 0.0
 
     def test_matches_excitation_scaling(self, spec):
-        curve = protocols.quintic(spec, 50.0).curve
+        curve = make(spec, "quintic", 50.0).curve
         profile = ermakov.inverse_engineer(curve)
         ena, _, _ = energies.nonadiabatic_energy(curve, profile, spec)
         assert np.max(np.abs(ena - 0.5 * excitation_energy(curve, profile))) < 1e-12
         assert float(np.min(ena)) >= 0.0
 
     def test_routes_agree_with_boundary_conditions(self, spec):
-        curve = protocols.quintic(spec, 50.0).curve
+        curve = make(spec, "quintic", 50.0).curve
         _, avg, avg2 = energies.nonadiabatic_energy(curve, ermakov.inverse_engineer(curve), spec)
         assert avg == pytest.approx(avg2, rel=1e-9)
 
     def test_endpoints_zero_for_frequency_continuous(self, spec):
-        curve = protocols.quintic(spec, 50.0).curve
+        curve = make(spec, "quintic", 50.0).curve
         ena, _, _ = energies.nonadiabatic_energy(curve, ermakov.inverse_engineer(curve), spec)
         assert abs(float(ena[0])) < 1e-10 and abs(float(ena[-1])) < 1e-10
 
     def test_linear_bottom_average(self, spec):
-        bundle = protocols.linear_bottom(spec, 1.0)
+        bundle = make(spec, "linear_bottom", 1.0)
         c, p = bundle.curve, bundle.profile
         _, avg, _ = energies.nonadiabatic_energy(c, p, spec)
         assert avg == pytest.approx(20.25, rel=1e-12)
@@ -314,14 +316,14 @@ class TestNonAdiabatic:
 
     def test_linear_bottom_constant(self, spec):
         # the potential part vanishes on the bottom track: E_ex = ((gamma-1)/tf)^2/2
-        bundle = protocols.linear_bottom(spec, 1.0)
+        bundle = make(spec, "linear_bottom", 1.0)
         c, p = bundle.curve, bundle.profile
         ena, _, _ = energies.nonadiabatic_energy(c, p, spec)
         assert np.max(np.abs(excitation_energy(c, p) - 40.5)) < 1e-10
         assert np.max(np.abs(ena - 20.25)) < 1e-10
 
     def test_hybrid_line_piece_rides_the_bound(self):
-        # on hybrid_caps' middle segment bddot = 0 and W = 1/b^2, so each node's
+        # on the hybrid family's middle segment bddot = 0 and W = 1/b^2, so each node's
         # Ena is Ena_L = (gamma-1)^2/(4 t_f^2) up to the rounding of the terms
         # it sums; no flat relative tolerance holds (5.2e-9 at gamma 1.5,
         # t_f 3000, where 1/b^2 is ~1e8 times Ena_L)
@@ -335,7 +337,7 @@ class TestNonAdiabatic:
                            float(fl), float(fs), int(rng.choice([301, 501, 2001]))))
         for gamma, t_f, fl, fs, n in cases:
             spec = TrapSpec.from_gamma(gamma)
-            bundle = protocols.hybrid_caps(spec, t_f, fl * t_f, fs * t_f, n)
+            bundle = make(spec, "hybrid", t_f, n, tau_l=fl * t_f, tau_s=fs * t_f)
             c, p = bundle.curve, bundle.profile
             lo, hi = c.grid.pieces[1]
             b, bdot, w2 = c.b[lo : hi + 1], c.bdot[lo : hi + 1], p.omega2[lo : hi + 1]
@@ -346,11 +348,11 @@ class TestNonAdiabatic:
             assert np.all(np.abs(ena - energies.na_lower_bound(spec, t_f)) <= 2.0 * eps * terms)
 
     def test_rejects_imaginary_and_excited(self, spec):
-        curve = protocols.quintic(spec, 1.0).curve
+        curve = make(spec, "quintic", 1.0).curve
         with pytest.raises(NonRealFrequency):
             energies.nonadiabatic_energy(curve, ermakov.inverse_engineer(curve), spec)
         s2 = TrapSpec.from_gamma(10.0, n=2)
-        slow = protocols.quintic(s2, 50.0).curve
+        slow = make(s2, "quintic", 50.0).curve
         with pytest.raises(ValueError):
             energies.nonadiabatic_energy(slow, ermakov.inverse_engineer(slow), s2)
 
@@ -363,7 +365,7 @@ class TestNonAdiabatic:
 
 class TestPower:
     def test_integral_matches_energy_change(self, spec):
-        curve = protocols.quintic(spec, 25.0).curve
+        curve = make(spec, "quintic", 25.0).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         assert pw.integral == pytest.approx(-0.495, rel=1e-6)
 
@@ -371,15 +373,15 @@ class TestPower:
         traces = []
         for n in (0, 5):
             s = TrapSpec.from_gamma(10.0, n=n)
-            curve = protocols.quintic(s, 25.0).curve
+            curve = make(s, "quintic", 25.0).curve
             traces.append(energies.power(curve, ermakov.inverse_engineer(curve), s).P_rel)
         assert np.max(np.abs(traces[0] - traces[1])) < 1e-12
 
     def test_peak_floor(self, spec):
         for mk in (
-            lambda: protocols.quintic(spec, 25.0).curve,
-            lambda: protocols.septic(spec, 25.0).curve,
-            lambda: protocols.septic(spec, 25.0, 78.5088, -459.7638).curve,
+            lambda: make(spec, "quintic", 25.0).curve,
+            lambda: make(spec, "septic", 25.0).curve,
+            lambda: make(spec, "septic", 25.0, c3=78.5088, c4=-459.7638).curve,
         ):
             curve = mk()
             pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
@@ -388,7 +390,7 @@ class TestPower:
     def test_quintic_endpoint_power_is_third_derivative(self, spec):
         # d(omega^2)/dt at t=0 is -bdddot(0), so P_rel(0) = 30(gamma-1)/((1-Wf) tf^2)
         tf = 25.0
-        curve = protocols.quintic(spec, tf).curve
+        curve = make(spec, "quintic", tf).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         expected = 30.0 * 9.0 / ((1.0 - 0.01) * tf**2)
         assert float(pw.P_rel[0]) == pytest.approx(expected, rel=1e-12)
@@ -396,12 +398,12 @@ class TestPower:
     def test_relative_power_normalization(self, spec):
         from staexpand import numerics
 
-        curve = protocols.quintic(spec, 25.0).curve
+        curve = make(spec, "quintic", 25.0).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         assert numerics.integrate(pw.P_rel, curve.grid) / 25.0 == pytest.approx(1.0, abs=1e-6)
 
     def test_impulse_protocol_refused(self, spec):
-        bundle = protocols.dirac_impulse(spec, 1.0)
+        bundle = make(spec, "dirac", 1.0)
         curve, profile = bundle.curve, bundle.profile
         with pytest.raises(PowerUndefined):
             energies.power(curve, profile, spec)
@@ -410,18 +412,18 @@ class TestPower:
         # gamma = 1 has no energy change to normalize by; this used to
         # return peak_rel = nan with a RuntimeWarning
         s = TrapSpec.from_gamma(1.0)
-        curve = protocols.quintic(s, 5.0).curve
+        curve = make(s, "quintic", 5.0).curve
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PowerUndefined, match="gamma = 1"):
                 energies.power(curve, ermakov.inverse_engineer(curve), s)
 
     def test_step_protocols_account_jumps(self, spec):
-        bb = protocols.bang_bang(spec, 1.0, 1.0)
+        bb = make(spec, "bang_bang", omega1=1.0, omega2=1.0)
         pw = energies.power(bb.curve, bb.profile, spec)
         assert np.max(np.abs(pw.P)) == 0.0  # constant frequency inside segments
         assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-9)
-        curve = protocols.hybrid_caps(spec, 25.0, 2.5, 2.5).curve
+        curve = make(spec, "hybrid", 25.0, tau_l=2.5, tau_s=2.5).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         assert len(pw.steps) == 4  # both endpoints and both cap joints
         assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-6)
@@ -432,7 +434,7 @@ class TestPower:
         # and a 2e-5 miss for the hybrid)
         g = 1.0 + 1.8e-10
         s = TrapSpec.from_gamma(g)
-        bb = protocols.bang_bang(s, 1.0 / g, 1.0 / g)
+        bb = make(s, "bang_bang", omega1=1.0 / g, omega2=1.0 / g)
         pw = energies.power(bb.curve, bb.profile, s)
         assert len(pw.steps) == 2
         assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-9)
@@ -451,17 +453,17 @@ class TestPower:
 class TestBangBangEnergies:
     def test_extreme_point_average(self, spec):
         w = math.sqrt(spec.omega_f_rel)
-        bb = protocols.bang_bang(spec, w, w)
+        bb = make(spec, "bang_bang", omega1=w, omega2=w)
         e = energies.bang_bang_energies(spec, **bb.extra)
         assert e.avg_E == pytest.approx(0.2525, abs=1e-12)
 
     def test_first_segment_dies_at_omega0(self, spec):
-        bb = protocols.bang_bang(spec, 1.0, 1.0)
+        bb = make(spec, "bang_bang", omega1=1.0, omega2=1.0)
         e = energies.bang_bang_energies(spec, **bb.extra)
         assert e.e_segment1 == 0.0
 
     def test_segment_energies_match_trace(self, spec):
-        bb = protocols.bang_bang(spec, 0.7, 2.0)
+        bb = make(spec, "bang_bang", omega1=0.7, omega2=2.0)
         e = energies.bang_bang_energies(spec, **bb.extra)
         tr = trace_for(bb.curve, bb.profile, spec)
         lo, hi = bb.curve.grid.pieces[0]
@@ -508,6 +510,11 @@ class TestBeyondSquaredDuration:
         assert rep.Ena_L == rep.E_nL_small_tf == rep.bb_equal_steps_avg_E == 0.0
         assert rep.E_nL.value > 0.0
 
+    @pytest.mark.parametrize("gamma, ena_l", [(10.0, math.inf), (1.0, 0.0)])
+    def test_squared_duration_underflow_is_no_division_by_zero(self, gamma, ena_l):
+        # t_f^2 underflows to 0 below ~1e-162; this used to raise ZeroDivisionError
+        assert energies.na_lower_bound(TrapSpec.from_gamma(gamma), 1e-200) == ena_l
+
     @pytest.mark.parametrize("t_f", [1e-3, 1.0, 25.0, 1e100, 1e150, 6e153, 1.3e154])
     def test_below_the_overflow_the_values_are_unchanged(self, t_f):
         # the printed expressions, evaluated as written wherever den t_f^2 is a
@@ -550,12 +557,12 @@ class TestBoundReport:
 
 class TestFullTrace:
     def test_attaches_na_when_defined(self, spec):
-        curve = protocols.quintic(spec, 50.0).curve
+        curve = make(spec, "quintic", 50.0).curve
         tr = energies.full_trace(curve, ermakov.inverse_engineer(curve), spec)
         assert tr.Ena is not None and tr.avg_Ena > 0.0
         assert tr.avg_E is not None
 
     def test_skips_na_in_imaginary_band(self, spec):
-        curve = protocols.quintic(spec, 1.0).curve
+        curve = make(spec, "quintic", 1.0).curve
         tr = energies.full_trace(curve, ermakov.inverse_engineer(curve), spec)
         assert tr.Ena is None

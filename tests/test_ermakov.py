@@ -13,6 +13,7 @@ from staexpand.core import (
     TrajectoryBlowUp,
 )
 
+from protocol_requests import make
 from rk4_reference import rk4_solve
 
 
@@ -34,16 +35,16 @@ class TestResidual:
         assert ermakov.ermakov_residual(curve, profile) == 0.0
 
     def test_quintic_inverse_engineered(self, spec):
-        c = protocols.quintic(spec, 3.0).curve
+        c = make(spec, "quintic", 3.0).curve
         assert ermakov.ermakov_residual(c, ermakov.inverse_engineer(c)) < 1e-10
 
     def test_bang_bang_closed_forms(self, spec):
-        bb = protocols.bang_bang(spec, 2.0, 3.0)
+        bb = make(spec, "bang_bang", omega1=2.0, omega2=3.0)
         assert ermakov.ermakov_residual(bb.curve, bb.profile) < 1e-9
 
     def test_grid_mismatch(self, spec):
-        c = protocols.quintic(spec, 3.0).curve
-        other = ermakov.inverse_engineer(protocols.quintic(spec, 3.0, n=1001).curve)
+        c = make(spec, "quintic", 3.0).curve
+        other = ermakov.inverse_engineer(make(spec, "quintic", 3.0, 1001).curve)
         with pytest.raises(GridMismatch):
             ermakov.ermakov_residual(c, other)
 
@@ -55,12 +56,12 @@ class TestInverseEngineer:
         assert np.max(np.abs(p.omega2 - 1.0)) == 0.0
 
     def test_quintic_endpoint_frequencies(self, spec):
-        p = ermakov.inverse_engineer(protocols.quintic(spec, 25.0).curve)
+        p = ermakov.inverse_engineer(make(spec, "quintic", 25.0).curve)
         assert float(p.omega2[0]) == pytest.approx(1.0, abs=1e-12)
         assert float(p.omega2[-1]) == pytest.approx(1e-4, rel=1e-10)
 
     def test_fast_quintic_has_imaginary_band(self, spec):
-        p = ermakov.inverse_engineer(protocols.quintic(spec, 1.0).curve)
+        p = ermakov.inverse_engineer(make(spec, "quintic", 1.0).curve)
         assert p.has_imaginary
         assert float(np.min(p.omega2)) < 0.0
 
@@ -72,12 +73,12 @@ class TestForwardSolve:
         assert np.max(np.abs(c.b - 1.0)) < 1e-12
 
     def test_round_trip_quintic(self, spec):
-        c = protocols.quintic(spec, 25.0).curve
+        c = make(spec, "quintic", 25.0).curve
         c2 = ermakov.forward_solve(ermakov.inverse_engineer(c))
         assert np.max(np.abs(c2.b - c.b)) < 1e-6
 
     def test_impulse_protocol_reaches_target(self, spec):
-        bundle = protocols.dirac_impulse(spec, 1.0)
+        bundle = make(spec, "dirac", 1.0)
         curve, profile = bundle.curve, bundle.profile
         solved = ermakov.forward_solve(profile)
         b_f = float(solved.b[-1])
@@ -87,7 +88,7 @@ class TestForwardSolve:
 
     def test_impulse_jump_rule(self, spec):
         # bdot jumps by exactly -D b across a kick
-        bundle = protocols.dirac_impulse(spec, 1.0)
+        bundle = make(spec, "dirac", 1.0)
         curve, profile = bundle.curve, bundle.profile
         solved = ermakov.forward_solve(profile)
         d0 = profile.impulses[0][1]
@@ -107,7 +108,7 @@ class TestForwardSolve:
         # quintic gamma 3, t_f 40 has max W = 1, so 21 nodes (h = 2) exceed
         # RK4's limit h max W = sqrt(2) for b's oscillation at 2W; 41 do not
         spec = TrapSpec.from_gamma(3.0)
-        profile = ermakov.inverse_engineer(protocols.quintic(spec, 40.0, 21).curve)
+        profile = ermakov.inverse_engineer(make(spec, "quintic", 40.0, 21).curve)
         with pytest.raises(TrajectoryBlowUp) as exc:
             ermakov.forward_solve(profile)
         assert str(exc.value) == (
@@ -115,12 +116,12 @@ class TestForwardSolve:
             "h*max W = 2, above RK4's stability limit sqrt(2) = 1.41421; refine the grid"
         )
         assert exc.value.t == 21.0
-        curve = protocols.quintic(spec, 40.0, 41).curve
+        curve = make(spec, "quintic", 40.0, 41).curve
         solved = ermakov.forward_solve(ermakov.inverse_engineer(curve))
         assert np.max(np.abs(solved.b - curve.b)) < 1e-3
 
     def test_bang_bang_profile_round_trip(self, spec):
-        bb = protocols.bang_bang(spec, 1.0, 1.0)
+        bb = make(spec, "bang_bang", omega1=1.0, omega2=1.0)
         solved = ermakov.forward_solve(bb.profile)
         assert np.max(np.abs(solved.b - bb.curve.b)) < 1e-6
 
@@ -184,12 +185,12 @@ class TestExcitationEnergy:
         assert avg == 0.0 and avg2 == 0.0
 
     def test_rejects_imaginary_band(self, spec):
-        c = protocols.quintic(spec, 1.0).curve
+        c = make(spec, "quintic", 1.0).curve
         with pytest.raises(NonRealFrequency):
             energies.nonadiabatic_energy(c, ermakov.inverse_engineer(c), spec)
 
     def test_nonnegative_for_real_frequency(self, spec):
-        c = protocols.quintic(spec, 50.0).curve
+        c = make(spec, "quintic", 50.0).curve
         e_na, _, _ = energies.nonadiabatic_energy(c, ermakov.inverse_engineer(c), spec)
         assert float(np.min(e_na)) >= 0.0
 
@@ -238,13 +239,13 @@ def reference_shoot(spec, t_f, n):
 def _profiles(n):
     spec = TrapSpec.from_gamma(10.0)
     cp, _ = protocols.constant_power_shoot(spec, 30.0, n)
-    lb = protocols.linear_bottom(spec, 20.0, n)
+    lb = make(spec, "linear_bottom", 20.0, n)
     return {
-        "quintic": (protocols.quintic(spec, 25.0, n).profile, 0.0),
-        "septic": (protocols.septic(spec, 25.0, 4.0, -3.0, n).profile, 0.0),
-        "hybrid": (protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, n).profile, 0.0),
-        "dirac": (protocols.dirac_impulse(spec, 5.0, n).profile, 0.0),
-        "bang_bang": (protocols.bang_bang(spec, 1.0, 1.0, n).profile, 0.0),
+        "quintic": (make(spec, "quintic", 25.0, n).profile, 0.0),
+        "septic": (make(spec, "septic", 25.0, n, c3=4.0, c4=-3.0).profile, 0.0),
+        "hybrid": (make(spec, "hybrid", 30.0, n, tau_l=4.0, tau_s=6.0).profile, 0.0),
+        "dirac": (make(spec, "dirac", 5.0, n).profile, 0.0),
+        "bang_bang": (make(spec, "bang_bang", n=n, omega1=1.0, omega2=1.0).profile, 0.0),
         "linear_bottom": (lb.profile, float(lb.curve.bdot[0])),
         "constant_power": (ermakov.inverse_engineer(cp), 0.0),  # Hermite path: no closed form
     }
@@ -377,8 +378,8 @@ class TestForwardSolveReadsTheProfile:
         assert np.max(np.abs(solved.b - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("ctor", [
-        lambda spec: protocols.quintic(spec, 25.0, 501),
-        lambda spec: protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 501),
+        lambda spec: make(spec, "quintic", 25.0, 501),
+        lambda spec: make(spec, "hybrid", 30.0, 501, tau_l=4.0, tau_s=6.0),
     ], ids=["quintic", "hybrid"])
     def test_polynomial_pieces_are_not_differentiated_per_solve(self, spec, ctor, monkeypatch):
         profile = ctor(spec).profile

@@ -6,6 +6,8 @@ import pytest
 from staexpand import TrapSpec, energies, ermakov, numerics, optimize, protocols
 from staexpand.core import Infeasible, PowerUndefined, TimeGrid
 
+from protocol_requests import make
+
 
 @pytest.fixture
 def spec():
@@ -23,7 +25,7 @@ class TestOptimizeCaps:
 
     def test_returned_caps_reproduce_objective(self, spec):
         res = optimize.optimize_caps(spec, 300.0, n_grid=1001)
-        curve = protocols.hybrid_caps(spec, 300.0, *res.params, n=1001).curve
+        curve = make(spec, "hybrid", 300.0, 1001, tau_l=res.params[0], tau_s=res.params[1]).curve
         profile = ermakov.inverse_engineer(curve)
         assert float(np.min(profile.omega2)) >= -1e-12
         _, avg, _ = energies.nonadiabatic_energy(curve, profile, spec)
@@ -56,11 +58,11 @@ class TestOptimizeCaps:
 
     @pytest.mark.parametrize("t_f", [math.nan, math.inf, 0.0, -5.0])
     def test_invalid_duration_is_refused_as_invalid(self, spec, t_f):
-        """Not reported as infeasible: the same ValueError as hybrid_caps."""
+        """Not reported as infeasible: the same ValueError as building the hybrid protocol."""
         for search in (optimize.optimize_caps, optimize.best_cap_seed):
             _same_error(
                 ValueError,
-                lambda: protocols.hybrid_caps(spec, t_f, 1.0, 1.0, 301).curve,
+                lambda: make(spec, "hybrid", t_f, 301, tau_l=1.0, tau_s=1.0).curve,
                 lambda: search(spec, t_f, 301),
             )
 
@@ -72,7 +74,7 @@ class TestOptimizeCaps:
 
 def _dense_cap_min_omega2(spec, t_f, tau, launching, points=4001):
     """min W^2 over one cap of duration tau, on `points` points of the cap
-    polynomial that ``hybrid_caps`` builds (the other cap kept short)."""
+    polynomial of ``_hybrid_pieces`` (the other cap kept short)."""
     other = 1e-4 * t_f
     _, (p_l, _, p_s) = protocols._hybrid_pieces(spec, t_f, *((tau, other) if launching else (other, tau)), 3)
     p = p_l if launching else p_s
@@ -176,7 +178,7 @@ class TestOptimizeSepticPower:
 
     def test_beats_quintic_and_respects_floor(self, fig4):
         spec, t_f = fig4
-        quintic = protocols.quintic(spec, t_f, 4001).curve
+        quintic = make(spec, "quintic", t_f, 4001).curve
         q_peak = energies.power(quintic, ermakov.inverse_engineer(quintic), spec).peak_rel
         res = optimize.optimize_septic_power(spec, t_f)
         assert res.objective <= q_peak
@@ -185,9 +187,9 @@ class TestOptimizeSepticPower:
 
     def test_reference_coefficients_also_beat_quintic(self, fig4):
         spec, t_f = fig4
-        quintic = protocols.quintic(spec, t_f, 4001).curve
+        quintic = make(spec, "quintic", t_f, 4001).curve
         q_peak = energies.power(quintic, ermakov.inverse_engineer(quintic), spec).peak_rel
-        ref = protocols.septic(spec, t_f, 78.5088, -459.7638, 4001).curve
+        ref = make(spec, "septic", t_f, 4001, c3=78.5088, c4=-459.7638).curve
         ref_peak = energies.power(ref, ermakov.inverse_engineer(ref), spec).peak_rel
         assert ref_peak <= q_peak
 
@@ -195,7 +197,7 @@ class TestOptimizeSepticPower:
         # not required, but the search from (0,0) does find the published basin
         spec, t_f = fig4
         res = optimize.optimize_septic_power(spec, t_f)
-        ref = protocols.septic(spec, t_f, 78.5088, -459.7638, 4001).curve
+        ref = make(spec, "septic", t_f, 4001, c3=78.5088, c4=-459.7638).curve
         ref_peak = energies.power(ref, ermakov.inverse_engineer(ref), spec).peak_rel
         assert res.objective == pytest.approx(ref_peak, rel=1e-3)
 
@@ -208,7 +210,7 @@ class TestOptimizeSepticPower:
 
 def _full_cap_objective(spec, t_f, tau_l, tau_s, n):
     """The cap objective through the public path: protocol, profile, energy report."""
-    curve = protocols.hybrid_caps(spec, t_f, tau_l, tau_s, n).curve
+    curve = make(spec, "hybrid", t_f, n, tau_l=tau_l, tau_s=tau_s).curve
     profile = ermakov.inverse_engineer(curve)
     if profile.has_imaginary:
         return math.inf
@@ -293,7 +295,7 @@ class TestObjectivesMatchFullPath:
             fast = optimize._hybrid_avg_ena(spec, t_f, tau_l, tau_s, n)
             assert fast == _full_cap_objective(spec, t_f, tau_l, tau_s, n), name
             grid = protocols._hybrid_pieces(spec, t_f, tau_l, tau_s, n)[0]
-            omega2 = protocols.hybrid_caps(spec, t_f, tau_l, tau_s, n).profile.omega2
+            omega2 = make(spec, "hybrid", t_f, n, tau_l=tau_l, tau_s=tau_s).profile.omega2
             cap_min = [float(omega2[lo : hi + 1].min()) for lo, hi in grid.pieces[::2]]
             if name == "caps_at_32_intervals":
                 assert grid.intervals[0] == grid.intervals[2] == 32 and math.isfinite(fast)
@@ -309,7 +311,7 @@ class TestObjectivesMatchFullPath:
     def test_cap_objective_is_inf_exactly_where_imaginary(self, spec):
         # at t_f = 100 the stopping cap turns imaginary below tau_s ~ 44.5
         for tau_s in (5.0, 40.0, 44.0, 45.0, 60.0, 90.0):
-            curve = protocols.hybrid_caps(spec, 100.0, 5.0, tau_s, 501).curve
+            curve = make(spec, "hybrid", 100.0, 501, tau_l=5.0, tau_s=tau_s).curve
             imaginary = ermakov.inverse_engineer(curve).has_imaginary
             assert math.isinf(optimize._hybrid_avg_ena(spec, 100.0, 5.0, tau_s, 501)) == imaginary
 

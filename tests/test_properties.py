@@ -15,8 +15,10 @@ grids have 201-501 nodes.  Tolerances come from the methods:
   ends b(0) = 1 and b(t_f) = gamma; for quadratures also the error of the
   step that ``numerics.integrate`` reads off the node spacing.
 
-The last property is the grid contract all of these rest on, over
-durations 1e-9 to 1e15.
+The grid contract all of these rest on is a property over durations
+1e-9 to 1e15.  The last property spans the whole scale every family is
+built at: gamma log-uniform in [1, 2.95e61] and t_f in [1e-300, 1e300],
+where each request gives finite numbers or a typed refusal.
 """
 import math
 
@@ -285,3 +287,40 @@ def test_grid_pieces_are_uniform_by_construction(log_tf, cuts, n):
             assert np.all(d > 0.0) and np.max(np.abs(d - (e1 - e0) / m)) <= 4 * EPS * abs(e1)
             if k:
                 assert lo == grid.pieces[k - 1][1] + 1
+
+
+# what build, full_trace and power may raise instead of a result: build's
+# ValueError (NonRealFrequency and PowerUndefined are ValueErrors), Infeasible
+# and TrajectoryBlowUp; a float overflow, NaN or division by zero is a fault
+TYPED_ERRORS = (ValueError, Infeasible, TrajectoryBlowUp)
+
+
+@pytest.mark.parametrize("family", protocols._FAMILIES)
+@hyp.settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@hyp.given(log_gamma=st.floats(0.0, math.log10(2.95e61)), log_tf=st.floats(-300.0, 300.0),
+           n=st.sampled_from((3, 101)))
+# quasi_optimal's b^2 peaks near t_f/2 past gamma^2: g^2.5 used to overflow here
+@hyp.example(log_gamma=44.88843224435358, log_tf=129.50310658948706, n=33)
+@hyp.example(log_gamma=60.46982201597816, log_tf=134.51191494122838, n=33)
+def test_every_family_is_finite_or_refused_over_the_whole_scale(family, log_gamma, log_tf, n):
+    spec = TrapSpec.from_gamma(10.0**log_gamma)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            bundle = protocols.build(spec, protocols.ProtocolParams(family, 10.0**log_tf, grid_n=n))
+            c, p = bundle.curve, bundle.profile
+            trace = energies.full_trace(c, p, spec)
+        except TYPED_ERRORS:
+            return
+        rows = [c.b, c.bdot, c.bddot, c.bdddot, p.omega2, p.domega2, trace.E, trace.K, trace.V]
+        values = [trace.avg_E, trace.avg_K, trace.avg_V, trace.delta_delta, *(d for _, d in p.impulses)]
+        if trace.Ena is not None:
+            rows.append(trace.Ena)
+            values.append(trace.avg_Ena)
+        try:
+            pw = energies.power(c, p, spec)
+        except TYPED_ERRORS:
+            pass
+        else:
+            rows += [pw.P, pw.P_rel]
+            values += [pw.integral, pw.peak_rel]
+    assert all(np.isfinite(r).all() for r in rows) and all(map(math.isfinite, values))

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 from staexpand import TrapSpec, energies, ermakov, numerics, protocols
 from staexpand.core import DEFAULT_GRID_N, Infeasible, PowerUndefined
+
+from protocol_requests import make
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,32 +42,32 @@ def boundary_values(curve):
 
 class TestQuintic:
     def test_boundaries(self, spec):
-        c = protocols.quintic(spec, 2.0).curve
+        c = make(spec, "quintic", 2.0).curve
         b0, bf, d0, df, dd0, ddf = boundary_values(c)
         assert (b0, bf) == (1.0, 10.0)
         assert max(abs(d0), abs(df), abs(dd0), abs(ddf)) < 1e-12
 
     def test_midpoint_value(self, spec):
         # direct polynomial evaluation at s = 1/2: 1 + (gamma-1)/2
-        c = protocols.quintic(spec, 2.0).curve
+        c = make(spec, "quintic", 2.0).curve
         assert c.fns[0](1.0)[0] == pytest.approx(5.5, rel=1e-14)
 
     def test_no_expansion_is_flat(self):
-        c = protocols.quintic(TrapSpec.from_gamma(1.0), 2.0).curve
+        c = make(TrapSpec.from_gamma(1.0), "quintic", 2.0).curve
         assert np.max(np.abs(c.b - 1.0)) == 0.0
 
 
 class TestSeptic:
     @pytest.mark.parametrize("c3,c4", [(0.0, 0.0), (78.5088, -459.7638), (-12.5, 30.0)])
     def test_boundaries_any_coefficients(self, spec, c3, c4):
-        c = protocols.septic(spec, 2.0, c3, c4).curve
+        c = make(spec, "septic", 2.0, c3=c3, c4=c4).curve
         b0, bf, d0, df, dd0, ddf = boundary_values(c)
         assert b0 == 1.0
         assert bf == pytest.approx(10.0, abs=1e-10)
         assert max(abs(d0), abs(df), abs(dd0), abs(ddf)) < 1e-9
 
     def test_no_low_order_terms(self, spec):
-        c = protocols.septic(spec, 2.0, 5.0, -3.0).curve
+        c = make(spec, "septic", 2.0, c3=5.0, c4=-3.0).curve
         assert float(c.b[0]) == 1.0
         assert float(c.bddot[0]) == 0.0
 
@@ -76,7 +79,7 @@ class TestQuasiOptimal:
         )
 
     def test_endpoints(self, spec):
-        c = protocols.quasi_optimal(spec, 1.0).curve
+        c = make(spec, "quasi_optimal", 1.0).curve
         assert float(c.b[0]) == 1.0
         # (B+1)^2 - tf^2 = gamma^2 algebraically
         assert float(c.b[-1]) == pytest.approx(10.0, rel=1e-12)
@@ -84,14 +87,14 @@ class TestQuasiOptimal:
     def test_one_sided_slopes(self, spec):
         tf = 1.0
         B = math.sqrt(101.0) - 1.0
-        c = protocols.quasi_optimal(spec, tf).curve
+        c = make(spec, "quasi_optimal", tf).curve
         assert c.b0_plus_dot == pytest.approx(B / tf, rel=1e-12)
         assert c.bf_minus_dot == pytest.approx((B**2 + B - tf**2) / (10.0 * tf), rel=1e-12)
 
 
 class TestDiracImpulse:
     def test_strengths(self, spec):
-        profile = protocols.dirac_impulse(spec, 1.0).profile
+        profile = make(spec, "dirac", 1.0).profile
         (t0, d0), (tf, df) = profile.impulses
         B = math.sqrt(101.0) - 1.0
         assert (t0, tf) == (0.0, 1.0)
@@ -100,14 +103,14 @@ class TestDiracImpulse:
 
     @pytest.mark.parametrize("tf", [0.1, 1.0, 30.0, 200.0])
     def test_first_impulse_always_negative(self, spec, tf):
-        profile = protocols.dirac_impulse(spec, tf).profile
+        profile = make(spec, "dirac", tf).profile
         assert profile.impulses[0][1] < 0.0
 
 
 class TestHybridCaps:
     def test_joint_continuity(self, spec):
         tf = 2.0
-        c = protocols.hybrid_caps(spec, tf, 0.2 * tf, 0.3 * tf).curve
+        c = make(spec, "hybrid", tf, tau_l=0.2 * tf, tau_s=0.3 * tf).curve
         (l0, h0), (l1, h1), (l2, h2) = c.grid.pieces
         assert abs(c.b[h0] - c.b[l1]) < 1e-12
         assert abs(c.bdot[h0] - c.bdot[l1]) < 1e-12
@@ -115,7 +118,7 @@ class TestHybridCaps:
         assert abs(c.bdot[h1] - c.bdot[l2]) < 1e-12
 
     def test_cap_boundary_conditions(self, spec):
-        c = protocols.hybrid_caps(spec, 2.0, 0.2, 0.2).curve
+        c = make(spec, "hybrid", 2.0, tau_l=0.2, tau_s=0.2).curve
         assert float(c.b[0]) == 1.0
         assert float(c.bdot[0]) == 0.0
         assert float(c.b[-1]) == pytest.approx(10.0, abs=1e-12)
@@ -123,19 +126,19 @@ class TestHybridCaps:
 
     def test_converges_to_linear_for_small_caps(self, spec):
         tf = 2.0
-        c = protocols.hybrid_caps(spec, tf, 1e-3 * tf, 1e-3 * tf).curve
+        c = make(spec, "hybrid", tf, tau_l=1e-3 * tf, tau_s=1e-3 * tf).curve
         lin = 1.0 + (spec.gamma - 1.0) * c.grid.nodes / tf
         # middle segment coincides exactly; cap deviation <= 4 (gamma-1) s_l / 27
         assert np.max(np.abs(c.b - lin)) < 2e-3 * (spec.gamma - 1.0)
 
     def test_positive_everywhere(self, spec):
-        c = protocols.hybrid_caps(spec, 1.0, 0.45, 0.45).curve
+        c = make(spec, "hybrid", 1.0, tau_l=0.45, tau_s=0.45).curve
         assert np.min(c.b) > 0.0
 
     @pytest.mark.parametrize("tl,ts", [(0.0, 0.1), (0.1, 0.0), (0.6, 0.6)])
     def test_rejects_degenerate_caps(self, spec, tl, ts):
         with pytest.raises(ValueError):
-            protocols.hybrid_caps(spec, 1.0, tl, ts)
+            make(spec, "hybrid", 1.0, tau_l=tl, tau_s=ts)
 
     @pytest.mark.parametrize("tl,ts,cap", [(1e-300, 60.0, "launching cap tau_l = 1e-300"),
                                            (3.0, 1e-300, "stopping cap tau_s = 1e-300"),
@@ -143,31 +146,31 @@ class TestHybridCaps:
     def test_rejects_cap_too_short_for_its_cubic(self, spec, tl, ts, cap):
         # the grid accepts a 1e-300 piece, but d/(tau/t_f)^2 is not a finite float
         with pytest.raises(ValueError, match=f"^{cap} is too short"):
-            protocols.hybrid_caps(spec, 300.0, tl, ts, 201)
+            make(spec, "hybrid", 300.0, 201, tau_l=tl, tau_s=ts)
 
     @pytest.mark.parametrize("tl,ts", [(math.nan, 0.1), (0.1, math.nan)])
     def test_rejects_nan_caps(self, spec, tl, ts):
         with pytest.raises(ValueError, match="cap durations must be positive"):
-            protocols.hybrid_caps(spec, 1.0, tl, ts)
+            make(spec, "hybrid", 1.0, tau_l=tl, tau_s=ts)
 
 
 class TestLinearBottom:
     def test_endpoints_and_frequency(self, spec):
-        lb = protocols.linear_bottom(spec, 2.0)
+        lb = make(spec, "linear_bottom", 2.0)
         c, p = lb.curve, lb.profile
         assert (float(c.b[0]), float(c.b[-1])) == (1.0, 10.0)
         # bottom tracking ends exactly at the final trap frequency
         assert float(p.omega2[-1]) == pytest.approx(spec.omega_f_rel**2, rel=1e-12)
 
     def test_exact_ermakov_solution(self, spec):
-        lb = protocols.linear_bottom(spec, 2.0)
+        lb = make(spec, "linear_bottom", 2.0)
         assert ermakov.ermakov_residual(lb.curve, lb.profile) < 1e-12
 
 
 class TestBangBang:
     def test_extreme_point(self, spec):
         w = math.sqrt(spec.omega_f_rel)
-        bb = protocols.bang_bang(spec, w, w)
+        bb = make(spec, "bang_bang", omega1=w, omega2=w)
         assert bb.extra["t1"] == 0.0
         assert bb.curve.grid.t_f == pytest.approx(5.0 * math.pi, abs=1e-12)
 
@@ -177,18 +180,18 @@ class TestBangBang:
         assert t_max == pytest.approx(1e-3, abs=1e-9)
 
     def test_matching_continuity(self, spec):
-        bb = protocols.bang_bang(spec, 1.0, 1.0)
+        bb = make(spec, "bang_bang", omega1=1.0, omega2=1.0)
         (b_l, bdot_l, _, _), (b_r, bdot_r, _, _) = (fn(bb.extra["t1"]) for fn in bb.curve.fns)
         assert abs(float(b_l) - float(b_r)) < 1e-10
         assert abs(float(bdot_l) - float(bdot_r)) < 1e-10
 
     def test_segment_residual(self, spec):
-        bb = protocols.bang_bang(spec, 1.0, 1.0)
+        bb = make(spec, "bang_bang", omega1=1.0, omega2=1.0)
         assert ermakov.ermakov_residual(bb.curve, bb.profile) < 1e-9
 
     def test_rejects_too_slow_second_step(self, spec):
         with pytest.raises(ValueError):
-            protocols.bang_bang(spec, 1.0, 0.05)  # below sqrt(omega_f_rel) = 0.1
+            make(spec, "bang_bang", omega1=1.0, omega2=0.05)  # below sqrt(omega_f_rel) = 0.1
 
     @pytest.mark.parametrize("omega1, omega2", [
         (math.nan, math.nan), (0.0, math.inf), (math.inf, 1.0), (1.0, -math.inf),
@@ -199,12 +202,12 @@ class TestBangBang:
         with pytest.raises(ValueError, match=message):
             protocols.bang_bang_times(spec, omega1, omega2)
         with pytest.raises(ValueError, match=message):
-            protocols.bang_bang(spec, omega1, omega2)
+            make(spec, "bang_bang", omega1=omega1, omega2=omega2)
 
     @pytest.mark.parametrize("w", [0.1, 1.0])   # one uniform piece (t1 = 0), two pieces
     def test_even_grid_refused_on_either_grid(self, spec, w):
         with pytest.raises(ValueError, match="odd node count"):
-            protocols.bang_bang(spec, w, w, 500)
+            make(spec, "bang_bang", n=500, omega1=w, omega2=w)
 
     def test_for_duration_hits_target(self, spec):
         bb = bang_bang_for_duration(spec, 3.0)
@@ -220,7 +223,7 @@ class TestBangBang:
         # 5.5e-11 relative at gamma 1000, w gamma = 1 + 1e-7
         mp = pytest.importorskip("mpmath")
         w = w_gamma / gamma
-        bb = protocols.bang_bang(TrapSpec.from_gamma(gamma), w, w, 2001)
+        bb = make(TrapSpec.from_gamma(gamma), "bang_bang", n=2001, omega1=w, omega2=w)
         t_f = bb.extra["t1"] + bb.extra["t2"]
         lo, hi = bb.curve.grid.pieces[-1]
         worst = 0.0
@@ -235,18 +238,18 @@ class TestBangBang:
 
 class TestBangBangNA:
     def test_switch_times(self, spec):
-        bb = protocols.bang_bang_na(spec, 1.0)
+        bb = make(spec, "bang_bang_na", beta=1.0)
         assert bb.extra["t1"] == pytest.approx(9.9, abs=1e-12)
         assert bb.extra["t2"] == pytest.approx(math.asin(math.sqrt(99.0 / 9999.0)), rel=1e-12)
 
     def test_curve_closes(self, spec):
-        bb = protocols.bang_bang_na(spec, 1.0)
+        bb = make(spec, "bang_bang_na", beta=1.0)
         assert float(bb.curve.b[-1]) == pytest.approx(10.0, abs=1e-10)
         assert abs(float(bb.curve.bdot[-1])) < 1e-10
 
     def test_free_expansion_segment(self, spec):
         # omega1 = 0: segment 1 is b = sqrt(1 + t^2) exactly
-        bb = protocols.bang_bang_na(spec, 1.0)
+        bb = make(spec, "bang_bang_na", beta=1.0)
         lo, hi = bb.curve.grid.pieces[0]
         t = bb.curve.grid.nodes[lo : hi + 1]
         assert np.max(np.abs(bb.curve.b[lo : hi + 1] - np.sqrt(1.0 + t**2))) < 1e-12
@@ -265,13 +268,14 @@ class TestBangBangNA:
 
     def test_refusals_are_the_step_check_of_bang_bang_times(self, spec):
         # one check, one tolerance: beta gamma on either side of 1 - 1e-12
-        # reads the same refusal
-        message = r"^omega2 >= sqrt\(omega0\*omega_f\) is required for t1 >= 0 "
+        # reads the same refusal, named for beta by build
+        message = r"\(the stopping frequency omega2\): omega2 >= sqrt\(omega0\*omega_f\) is required for t1 >= 0 "
         for beta_gamma in (1.0 - 8e-13, 1.0 - 1.1e-12):
-            with pytest.raises(ValueError, match=message):
-                protocols.bang_bang_na(spec, beta_gamma / spec.gamma)
-        with pytest.raises(ValueError, match="^omega2 must be > 0$"):
-            protocols.bang_bang_na(spec, 0.0)
+            beta = beta_gamma / spec.gamma
+            with pytest.raises(ValueError, match=rf"^beta = {re.escape(f'{beta:.12g}')} {message}"):
+                make(spec, "bang_bang_na", beta=beta)
+        with pytest.raises(ValueError, match=r"^beta = 0 \(the stopping frequency omega2\): omega2 must be > 0$"):
+            make(spec, "bang_bang_na", beta=0.0)
 
     def test_for_duration(self, spec):
         bb = bang_bang_na_for_duration(spec, 12.0)
@@ -352,7 +356,7 @@ class TestForDurationPostcondition:
 
 def _built_for_duration(spec, t_f, n, free_expansion):
     """A two-step protocol for a duration in one step: the root search,
-    then ``bang_bang``, then the duration check on the built grid's t_f.
+    then the bundle of the found steps, then the duration check on the built grid's t_f.
     The reference that the solve without a grid and ``build`` reproduce."""
     if free_expansion:
         label, t_min, w_lo = "free-expansion", math.sqrt(spec.gamma**2 - 1.0), 1.0 / spec.gamma
@@ -374,8 +378,9 @@ def _built_for_duration(spec, t_f, n, free_expansion):
         while duration_gap(w_hi) > 0.0:
             w_hi *= 2.0
         w = numerics._brent_root(duration_gap, w_lo, w_hi, xtol=4.0 * np.finfo(float).eps * w_lo)
+    omega1, omega2 = steps(w)
     try:
-        bb = protocols.bang_bang(spec, *steps(w), n)
+        bb = make(spec, "bang_bang", n=n, omega1=omega1, omega2=omega2)
     except ValueError as exc:
         raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
     lasts = bb.curve.grid.t_f
@@ -402,18 +407,17 @@ def test_duration_solve_matches_the_built_protocol(gamma, free_expansion):
     # the free-expansion limit) is refused by the bundle alone
     spec = TrapSpec.from_gamma(gamma)
     t_max = protocols.bang_bang_max_duration(spec)
+    family = "bang_bang_na" if free_expansion else "bang_bang"
     if free_expansion:
-        solve, family = protocols.bang_bang_na_times_for_duration, "bang_bang_na"
         t_min = math.sqrt(gamma**2 - 1.0)
         t_fs = [math.nextafter(t_min, math.inf), *np.geomspace(t_min, t_max, 25)[1:]]
     else:
-        solve, family = protocols.bang_bang_times_for_duration, "bang_bang"
         t_fs = list(np.geomspace(1e-3 * t_max, t_max, 25))
     t_fs += [t_max * (1.0 - m * 10.0**-k) for m in (1, 3) for k in range(3, 13)]
     outcomes = set()
     for t_f in map(float, t_fs):
         ref = _outcome(_built_for_duration, spec, t_f, 3, free_expansion)
-        got = _outcome(solve, spec, t_f)
+        got = _outcome(protocols.two_step_times, spec, family, t_f)
         bundle = _outcome(protocols.build, spec, protocols.ProtocolParams(family, t_f, grid_n=3))
         if isinstance(ref, Infeasible):
             assert isinstance(bundle, Infeasible) and str(bundle) == str(ref)
@@ -448,9 +452,9 @@ class TestMeanValueBounds:
     def test_slope_and_curvature_floors(self, spec, tf):
         g1 = spec.gamma - 1.0
         for curve in (
-            protocols.quintic(spec, tf).curve,
-            protocols.septic(spec, tf, 78.5088, -459.7638).curve,
-            protocols.hybrid_caps(spec, tf, 0.1 * tf, 0.1 * tf).curve,
+            make(spec, "quintic", tf).curve,
+            make(spec, "septic", tf, c3=78.5088, c4=-459.7638).curve,
+            make(spec, "hybrid", tf, tau_l=0.1 * tf, tau_s=0.1 * tf).curve,
         ):
             assert np.max(curve.bdot) >= g1 / tf * (1.0 - 1e-12)
             assert np.max(np.abs(curve.bddot)) >= 2.0 * g1 / tf**2 * (1.0 - 1e-12)
@@ -461,21 +465,32 @@ def _shot_bundle(spec, t_f, n):
     return protocols.ProtocolBundle(curve, ermakov.inverse_engineer(curve), {"mismatch": mism})
 
 
+def _two_step_bundle(spec, omega1, omega2, n):
+    t1, t2 = protocols.bang_bang_times(spec, omega1, omega2)
+    return protocols._bang_bang_bundle(spec, {"t1": t1, "t2": t2, "omega1": omega1, "omega2": omega2}, n)
+
+
 def test_build_dispatch_covers_families(spec):
-    for family, kwargs, direct in [
-        ("quintic", dict(t_f=2.0), lambda: protocols.quintic(spec, 2.0, 201)),
-        ("septic", dict(t_f=2.0, c3=1.0, c4=-1.0), lambda: protocols.septic(spec, 2.0, 1.0, -1.0, 201)),
-        ("quasi_optimal", dict(t_f=2.0), lambda: protocols.quasi_optimal(spec, 2.0, 201)),
-        ("dirac", dict(t_f=2.0), lambda: protocols.dirac_impulse(spec, 2.0, 201)),
-        ("hybrid", dict(t_f=2.0, tau_l=0.2, tau_s=0.2), lambda: protocols.hybrid_caps(spec, 2.0, 0.2, 0.2, 201)),
-        ("linear_bottom", dict(t_f=2.0), lambda: protocols.linear_bottom(spec, 2.0, 201)),
-        ("bang_bang", dict(omega1=1.0, omega2=1.0), lambda: protocols.bang_bang(spec, 1.0, 1.0, 201)),
-        ("bang_bang_na", dict(beta=1.0), lambda: protocols.bang_bang_na(spec, 1.0, 201)),
+    def row(family, t_f, **inputs):   # the family table's maker, past build's checks
+        params = protocols.ProtocolParams(family, t_f, grid_n=201, **inputs)
+        return lambda: protocols._DESIGNED[family][1](spec, t_f, params)
+
+    cases = [
+        ("quintic", dict(t_f=2.0), row("quintic", 2.0)),
+        ("septic", dict(t_f=2.0, c3=1.0, c4=-1.0), row("septic", 2.0, c3=1.0, c4=-1.0)),
+        ("quasi_optimal", dict(t_f=2.0), row("quasi_optimal", 2.0)),
+        ("dirac", dict(t_f=2.0), row("dirac", 2.0)),
+        ("hybrid", dict(t_f=2.0, tau_l=0.2, tau_s=0.2), row("hybrid", 2.0, tau_l=0.2, tau_s=0.2)),
+        ("linear_bottom", dict(t_f=2.0), row("linear_bottom", 2.0)),
+        ("bang_bang", dict(omega1=1.0, omega2=1.0), lambda: _two_step_bundle(spec, 1.0, 1.0, 201)),
+        ("bang_bang_na", dict(beta=1.0), lambda: _two_step_bundle(spec, 0.0, 1.0, 201)),
         ("constant_power", dict(t_f=2.0), lambda: _shot_bundle(spec, 2.0, 201)),
-    ]:
+    ]
+    assert sorted(family for family, _, _ in cases) == sorted(protocols._FAMILIES)
+    for family, kwargs, direct in cases:
         bundle = protocols.build(spec, protocols.ProtocolParams(family=family, grid_n=201, **kwargs))
         assert len(bundle.curve.b) == len(bundle.profile.omega2)
-        # build only dispatches: the family constructor's bundle, equal column for column
+        # build only checks and dispatches: the bundle of the family's own closed forms
         ref = direct()
         assert isinstance(bundle, protocols.ProtocolBundle) and isinstance(ref, protocols.ProtocolBundle)
         assert bundle.curve.grid == ref.curve.grid
@@ -490,21 +505,28 @@ def test_build_dispatch_covers_families(spec):
 
 
 def test_two_step_bundles_carry_their_switching_times(spec):
-    for bb, steps in [(protocols.bang_bang(spec, 1.0, 1.0, 201), (1.0, 1.0)),
-                      (protocols.bang_bang_na(spec, 1.0, 201), (0.0, 1.0))]:
+    for bb, steps in [(make(spec, "bang_bang", n=201, omega1=1.0, omega2=1.0), (1.0, 1.0)),
+                      (make(spec, "bang_bang_na", n=201, beta=1.0), (0.0, 1.0))]:
         t1, t2 = protocols.bang_bang_times(spec, *steps)
         assert bb.extra == {"t1": t1, "t2": t2, "omega1": steps[0], "omega2": steps[1]}
         assert bb.curve.grid.t_f == t1 + t2
 
 
-def test_readme_constructor_table_names_exist():
-    # the README's constructor table names only what protocols defines
-    table = README.read_text(encoding="utf-8").split("| constructor | description |\n")[1]
+def test_readme_family_table_lists_exactly_the_families():
+    # the README's family table names every family build takes, and only those
+    table = README.read_text(encoding="utf-8").split("| family | description |\n")[1]
     rows = table.split("\n\n")[0].splitlines()[1:]
     names = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
-    assert len(names) >= 9
-    for name in names:
-        assert callable(getattr(protocols, name, None)), name
+    assert sorted(names) == sorted(protocols._FAMILIES)
+
+
+def test_build_is_the_only_public_bundle_constructor():
+    # every other public function returns something else: times, a number, a shot
+    returns_bundle = [name for name, fn in vars(protocols).items()
+                      if inspect.isfunction(fn) and fn.__module__ == protocols.__name__
+                      and not name.startswith("_")
+                      and inspect.signature(fn).return_annotation in ("ProtocolBundle", protocols.ProtocolBundle)]
+    assert returns_bundle == ["build"]
 
 
 def _named_edge(spec, params, what):
@@ -577,6 +599,15 @@ def test_gamma_edge_holds_for_step_inputs(steps):
         protocols.build(TrapSpec.from_gamma(1e62), protocols.ProtocolParams(family, **steps))
 
 
+def test_a_second_step_lost_in_the_duration_is_named():
+    # at gamma 2.9e61, beta = 1 gives t1 = 2.9e61 and t2 = 3.4e-62, so
+    # t1 + t2 == t1; the grid used to refuse its edges instead
+    message = (r"^beta = 1 \(the stopping frequency omega2\): the second step t2 = 3.44828e-62 "
+               r"is lost in t1 \+ t2 = t1 = 2.9e\+61: it is below t1's float spacing$")
+    with pytest.raises(ValueError, match=message):
+        make(TrapSpec.from_gamma(2.9e61), "bang_bang_na", beta=1.0)
+
+
 def test_bundle_docstring_names_the_extra_keys():
     doc = protocols.ProtocolBundle.__doc__
     for key in ("t1", "t2", "omega1", "omega2", "mismatch"):
@@ -584,9 +615,9 @@ def test_bundle_docstring_names_the_extra_keys():
 
 
 @pytest.mark.parametrize("ctor", [
-    lambda spec: protocols.quintic(spec, 25.0, 201),
-    lambda spec: protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 201),
-    lambda spec: protocols.dirac_impulse(spec, 5.0, 201),
+    lambda spec: make(spec, "quintic", 25.0, 201),
+    lambda spec: make(spec, "hybrid", 30.0, 201, tau_l=4.0, tau_s=6.0),
+    lambda spec: make(spec, "dirac", 5.0, 201),
 ], ids=["quintic", "hybrid", "dirac"])
 def test_closed_form_omega2_of_a_float_is_a_number(spec, ctor):
     profile = ctor(spec).profile
@@ -595,9 +626,9 @@ def test_closed_form_omega2_of_a_float_is_a_number(spec, ctor):
     assert value == profile.piece_callable(0)(np.array([3.0]))[0]
 
 
-@pytest.mark.parametrize("ctor", [protocols.quintic, protocols.quasi_optimal, protocols.linear_bottom])
-def test_designed_families_carry_the_inverse_engineered_profile(spec, ctor):
-    bundle = ctor(spec, 3.0, 201)
+@pytest.mark.parametrize("family", ["quintic", "quasi_optimal", "linear_bottom"])
+def test_designed_families_carry_the_inverse_engineered_profile(spec, family):
+    bundle = make(spec, family, 3.0, 201)
     redone = ermakov.inverse_engineer(bundle.curve)
     assert np.array_equal(bundle.profile.omega2, redone.omega2)
     assert np.array_equal(bundle.profile.domega2, redone.domega2)
@@ -710,14 +741,14 @@ def _piece(name):
     """(curve, piece index) of each closed-form piece kind at gamma 10."""
     spec = TrapSpec.from_gamma(10.0)
     return {
-        "poly": lambda: (protocols.quintic(spec, 3.0, 201).curve, 0),
-        "septic": lambda: (protocols.septic(spec, 3.0, 7.5, -20.0, 201).curve, 0),
-        "stopping_cap": lambda: (protocols.hybrid_caps(spec, 30.0, 4.0, 6.0, 301).curve, 2),
-        "quasi_optimal": lambda: (protocols.quasi_optimal(spec, 3.0, 201).curve, 0),
-        "bang_bang_step1": lambda: (protocols.bang_bang(spec, 1.0, 1.0, 201).curve, 0),
-        "bang_bang_step1_series": lambda: (protocols.bang_bang(spec, 5e-7, 0.5, 201).curve, 0),
-        "bang_bang_step1_omega1_zero": lambda: (protocols.bang_bang_na(spec, 0.5, 201).curve, 0),
-        "bang_bang_step2": lambda: (protocols.bang_bang(spec, 1.0, 1.0, 201).curve, 1),
+        "poly": lambda: (make(spec, "quintic", 3.0, 201).curve, 0),
+        "septic": lambda: (make(spec, "septic", 3.0, 201, c3=7.5, c4=-20.0).curve, 0),
+        "stopping_cap": lambda: (make(spec, "hybrid", 30.0, 301, tau_l=4.0, tau_s=6.0).curve, 2),
+        "quasi_optimal": lambda: (make(spec, "quasi_optimal", 3.0, 201).curve, 0),
+        "bang_bang_step1": lambda: (make(spec, "bang_bang", n=201, omega1=1.0, omega2=1.0).curve, 0),
+        "bang_bang_step1_series": lambda: (make(spec, "bang_bang", n=201, omega1=5e-7, omega2=0.5).curve, 0),
+        "bang_bang_step1_omega1_zero": lambda: (make(spec, "bang_bang_na", n=201, beta=0.5).curve, 0),
+        "bang_bang_step2": lambda: (make(spec, "bang_bang", n=201, omega1=1.0, omega2=1.0).curve, 1),
     }[name]()
 
 
@@ -747,9 +778,11 @@ class TestPieceContract:
             slope = (above[i] - below[i]) / (2.0 * h)
             assert np.max(np.abs(slope - at[i + 1])) <= 1e-6 * np.max(np.abs(at[i + 1]))
 
-    def test_septic_fns_is_the_septic_piece(self):
+    def test_septic_coef_is_the_septic_piece(self):
+        # the septic search builds its rows from _septic_coef
         spec = TrapSpec.from_gamma(10.0)
-        curve = protocols.septic(spec, 3.0, 7.5, -20.0, 201).curve
-        cols = protocols._septic_fns(spec, 3.0, 7.5, -20.0)(curve.grid.nodes)
+        curve = make(spec, "septic", 3.0, 201, c3=7.5, c4=-20.0).curve
+        piece = protocols._poly_fns(protocols._Poly(protocols._septic_coef(10.0, 7.5, -20.0)), 3.0)
+        cols = piece(curve.grid.nodes)
         for got, stored in zip(cols, (curve.b, curve.bdot, curve.bddot, curve.bdddot), strict=True):
             assert np.all(got == stored)

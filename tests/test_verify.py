@@ -4,6 +4,8 @@ import pytest
 
 from staexpand import verify
 
+from protocol_requests import make
+
 
 def test_registry_names_unique():
     names = [name for name, _ in verify.CHECKS]
@@ -34,7 +36,7 @@ def test_quadrature_identities_degrade_gracefully_on_coarse_grids():
     from staexpand import TrapSpec, energies, protocols
 
     spec = TrapSpec.from_gamma(10.0)
-    bundle = protocols.dirac_impulse(spec, 1.0, 51)
+    bundle = make(spec, "dirac", 1.0, 51)
     curve, profile = bundle.curve, bundle.profile
     tr = energies.averages(
         energies.instantaneous(curve, profile, spec), curve, spec, profile
