@@ -33,7 +33,7 @@ def test_virial_check_catches_injected_sign_error(monkeypatch):
 def test_quadrature_identities_degrade_gracefully_on_coarse_grids():
     # 51 nodes: the chain still holds to ~1e-5 even though 1e-6 fails,
     # and the order-4 solver convergence is untouched by grid choice
-    from staexpand import TrapSpec, energies, protocols
+    from staexpand import TrapSpec, energies
 
     spec = TrapSpec.from_gamma(10.0)
     bundle = make(spec, "dirac", 1.0, 51)
