@@ -10,10 +10,14 @@ other reads: a curve carries b, bdot, bddot and bdddot, a profile W^2
 and d(W^2)/dtau.  A Dirac impulse of strength D in omega^2 kicks the
 slope: integrating b'' across the delta gives
 bdot(tau+) = bdot(tau-) - D b(tau) with b continuous.
+
+Forward, the equation is solved through its linear reduction (Pinney):
+b = |z| for the complex solution z of z'' + W^2 z = 0 whose Wronskian is
+1, so each RK4 step is a 2x2 matrix and the steps compose as array work.
 """
 from __future__ import annotations
 
-from math import isfinite, sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -24,10 +28,9 @@ from .core import (
     TrajectoryBlowUp,
 )
 
-_B_COLLAPSE = 1e-9
-_COLLAPSE_MSG = "scaling function collapsed toward b = 0"
-# b oscillates at 2W about b = W^(-1/2), and RK4 is stable on the imaginary
-# axis up to |h lambda| = 2 sqrt(2): h max W = sqrt(2) is its step limit
+# z = u + i w turns at W, so b = |z| oscillates at 2W, and RK4 is stable on
+# the imaginary axis up to |h lambda| = 2 sqrt(2): forward_solve refuses a
+# step with h sqrt(max |W^2|) above sqrt(2), on a real or an imaginary band
 _RK4_STABLE_HW = sqrt(2.0)
 
 
@@ -71,62 +74,58 @@ def inverse_engineer(curve: ScalingCurve) -> FrequencyProfile:
                             omega2_fns=omega2_fns)
 
 
-def _rk4_piece(b, v, ts, hs, w0, wm, w1):
-    """Classical RK4 for b'' = 1/b^3 - W^2 b over one piece as a scalar float loop.
+def _rk4_maps(h, a, m, c):
+    """Each step's classical RK4 map of x'' + W^2 x = 0 on (x, x'), as the
+    four entry arrays of 2x2 matrices, from the step h and W^2 = a, m, c at
+    t, t + h/2 and t + h.  Each matrix is divided by the square root of its
+    determinant, so the maps keep the Wronskian at 1 as the exact flow does."""
+    h2 = h * h
+    am, cm = a * m, c * m
+    m11 = 1.0 - h2 * (a + 2.0 * m) / 6.0 + am * h2 * h2 / 24.0
+    m12 = h - m * h2 * h / 6.0
+    m21 = -h * (a + 4.0 * m + c) / 6.0 + (am + cm) * h2 * h / 12.0
+    m22 = 1.0 - h2 * (2.0 * m + c) / 6.0 + cm * h2 * h2 / 24.0
+    s = np.sqrt(m11 * m22 - m12 * m21)
+    return m11 / s, m12 / s, m21 / s, m22 / s
 
-    The stages take the Nystrom form of the same method, which needs only
-    the four slopes a_i: b2 = b + (h/2) v, b3 = b2 + (h/2)^2 a1 and
-    b4 = b + h v + (h^2/2) a2, then b <- b + h v + (h^2/6)(a1 + a2 + a3)
-    and v <- v + (h/6)(a1 + 2 a2 + 2 a3 + a4).  ``ts`` are the piece's node
-    times, ``hs`` its steps and ``w0``/``wm``/``w1`` the W^2 values of each
-    step at t, t + h/2 and t + h, all as lists.  Returns the per-node b and
-    bdot lists.
-    """
-    bs = [b]
-    vs = [v]
-    for t, t1, h, wa, wb, wc in zip(ts, ts[1:], hs, w0, wm, w1):
-        hh = 0.5 * h
-        if b < _B_COLLAPSE:
-            raise TrajectoryBlowUp(_COLLAPSE_MSG, t)
-        a1 = 1.0 / (b * b * b) - wa * b
-        b2 = b + hh * v
-        if b2 < _B_COLLAPSE:
-            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + hh)
-        a2 = 1.0 / (b2 * b2 * b2) - wb * b2
-        b3 = b2 + hh * hh * a1
-        if b3 < _B_COLLAPSE:
-            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + hh)
-        a3 = 1.0 / (b3 * b3 * b3) - wb * b3
-        bh = b + h * v
-        b4 = bh + h * hh * a2
-        if b4 < _B_COLLAPSE:
-            raise TrajectoryBlowUp(_COLLAPSE_MSG, t + h)
-        a4 = 1.0 / (b4 * b4 * b4) - wc * b4
-        h6 = h / 6.0
-        b = bh + h * h6 * (a1 + a2 + a3)
-        v = v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        if not (isfinite(b) and isfinite(v)):
-            raise TrajectoryBlowUp("ODE state became non-finite", t1)
-        bs.append(b)
-        vs.append(v)
-    return bs, vs
+
+def _running_products(p, q, r, s):
+    """Overwrite the 2x2 matrices [[p, q], [r, s]] (entry arrays) with their
+    running products X_i ... X_1 X_0 by recursive doubling: after the round
+    with offset d each holds the product of its last 2d factors."""
+    d = 1
+    while d < len(p):
+        a, b, c, e = p[:-d], q[:-d], r[:-d], s[:-d]
+        # the tuple reads every old entry before the slices are assigned
+        p[d:], q[d:], r[d:], s[d:] = (p[d:] * a + q[d:] * c, p[d:] * b + q[d:] * e,
+                                      r[d:] * a + s[d:] * c, r[d:] * b + s[d:] * e)
+        d *= 2
 
 
 def forward_solve(
     profile: FrequencyProfile, b0: float = 1.0, bdot0: float = 0.0
 ) -> ScalingCurve:
-    """Integrate b'' = 1/b^3 - W^2(tau) b through the profile with RK4.
+    """Integrate b'' = 1/b^3 - W^2(tau) b through the profile.
 
-    Classical fixed-step RK4 on the grid nodes, piece by piece: W^2 at
-    each step's ends t and t + h is the stored sample ``profile.omega2``
-    (the piece's own one-sided value at a joint), and at its midpoints
+    The Ermakov solution is the modulus b = |z| of the complex solution
+    z = u + i w of the linear equation z'' + W^2 z = 0 with z(0) = b0 and
+    z'(0) = v0 + i/b0 (v0 the slope after the t = 0 kicks), whose Wronskian
+    u w' - w u' = 1; its slope is bdot = (u u' + w w')/b.  z takes classical
+    fixed-step RK4 on the grid nodes: W^2 at each step's ends t and t + h is
+    the stored sample ``profile.omega2`` (the piece's own one-sided value at
+    a joint, whose zero step maps to the identity), and at its midpoints
     t + h/2 it comes from one call of ``profile.piece_callable`` per piece
     (the closed form, else the O(h^4) cubic Hermite interpolant of the W^2
-    samples and slopes); the steps then run as a scalar float loop.  A
-    stage with b below 1e-9 aborts with that stage's time, a non-finite
-    state with the next node's time; when the piece's step h has h max W
-    above RK4's stability limit sqrt(2), the message names h, that product
-    and the limit.
+    samples and slopes).  Each step is a 2x2 matrix divided by the root of
+    its determinant, and the matrices are chained by recursive doubling, so
+    no per-step Python loop runs.
+
+    A step with h sqrt(max |W^2|) above RK4's stability limit sqrt(2) is
+    refused before any work, with h, that product, the limit and the step's
+    start time; a non-finite state (a NaN control, or overflow in a deep
+    imaginary band) raises with the time of the first non-finite node.
+    Both are ``TrajectoryBlowUp``; a b0 that is not positive and finite is
+    a ValueError.
 
     A kick D at t = 0 applies the slope jump bdot -> bdot - D b before the
     first step; one at t_f is left to the caller, as the returned curve
@@ -135,37 +134,40 @@ def forward_solve(
     itself, the slope just after the t = 0 kicks in ``b0_plus_dot`` and
     the final one in ``bf_minus_dot``.
     """
-    grid = profile.grid
-    b = np.empty(len(grid))
-    bdot = np.empty(len(grid))
-
-    state_b, state_v = float(b0), float(bdot0)
-    for t, s in profile.impulses:
+    b0 = float(b0)
+    if not 0.0 < b0 < inf:
+        raise ValueError(f"b0 must be positive and finite (got {b0!r})")
+    v0 = float(bdot0)
+    for t, kick in profile.impulses:
         if t == 0.0:
-            state_v -= s * state_b
-    b0_plus = state_v
+            v0 -= kick * b0
 
-    w2 = profile.omega2
+    grid = profile.grid
+    nodes, w2 = grid.nodes, profile.omega2
+    h = nodes[1:] - nodes[:-1]   # 0 across a joint's two rows
+    mid = np.zeros(len(h))
     for k, (lo, hi) in enumerate(grid.pieces):
-        nodes = grid.nodes[lo : hi + 1]
-        hs = nodes[1:] - nodes[:-1]
-        ts = nodes.tolist()
-        ends = w2[lo : hi + 1].tolist()
-        mid = nodes[:-1] + 0.5 * hs
-        w = (ends[:-1], np.broadcast_to(profile.piece_callable(k)(mid), mid.shape).tolist(), ends[1:])
-        try:
-            bs, vs = _rk4_piece(state_b, state_v, ts, hs.tolist(), *w)
-        except TrajectoryBlowUp as exc:
-            hw = float(hs.max()) * sqrt(max(0.0, *(max(x) for x in w)))
-            if hw > _RK4_STABLE_HW:
-                exc.args = (f"{exc}: the step h = {hs.max():.6g} gives h*max W = {hw:.6g}, above "
-                            f"RK4's stability limit sqrt(2) = {_RK4_STABLE_HW:.6g}; refine the grid",)
-            raise
-        b[lo : hi + 1] = bs
-        bdot[lo : hi + 1] = vs
-        state_b, state_v = float(b[hi]), float(bdot[hi])
-
-    b3 = b * b * b
-    bddot = 1.0 / b3 - w2 * b
-    bdddot = -3.0 * bdot / (b3 * b) - profile.domega2 * b - w2 * bdot
-    return ScalingCurve(grid, b, bdot, bddot, bdddot, b0_plus_dot=b0_plus, bf_minus_dot=float(bdot[-1]))
+        mid[lo:hi] = profile.piece_callable(k)(nodes[lo:hi] + 0.5 * h[lo:hi])
+    a, c = w2[:-1], w2[1:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hw = h * np.sqrt(np.maximum(np.maximum(np.abs(a), np.abs(mid)), np.abs(c)))
+        coarse = np.flatnonzero(hw > _RK4_STABLE_HW)   # a NaN is left to the finite check
+        if coarse.size:
+            i = coarse[0]
+            raise TrajectoryBlowUp(
+                f"the step h = {h[i]:.6g} gives h*max|W| = {hw[i]:.6g}, above RK4's stability "
+                f"limit sqrt(2) = {_RK4_STABLE_HW:.6g}; refine the grid", float(nodes[i]))
+        # row 0 holds the start (z, z') as columns (u, w); row i > 0 step i
+        p, q, r, s = np.empty((4, len(grid)))
+        p[0], q[0], r[0], s[0] = b0, 0.0, v0, 1.0 / b0
+        p[1:], q[1:], r[1:], s[1:] = _rk4_maps(h, a, mid, c)
+        _running_products(p, q, r, s)
+        b = np.hypot(p, q)
+        bdot = p / b * r + q / b * s   # u u' + w w' would overflow at b ~ 1e154
+        finite = np.isfinite(b) & np.isfinite(bdot)
+        if not finite.all():
+            raise TrajectoryBlowUp("ODE state became non-finite", float(nodes[np.argmin(finite)]))
+        b3 = b * b * b
+        bddot = 1.0 / b3 - w2 * b
+        bdddot = -3.0 * bdot / (b3 * b) - profile.domega2 * b - w2 * bdot
+    return ScalingCurve(grid, b, bdot, bddot, bdddot, b0_plus_dot=v0, bf_minus_dot=float(bdot[-1]))

@@ -32,7 +32,6 @@ from math import isfinite
 import numpy as np
 
 from . import ermakov, numerics
-from .ermakov import _B_COLLAPSE, _COLLAPSE_MSG
 from .core import (
     DEFAULT_GRID_N,
     FrequencyProfile,
@@ -311,12 +310,19 @@ def _hybrid_pieces(
     return grid, (p1, pm, p2)
 
 
+# the matching conditions' products reach (gamma omega)^4 times at most 4:
+# below this gamma*omega every one of them is a finite float
+_GAMMA_OMEGA_MAX = (float(np.finfo(float).max) / 4.0) ** 0.25
+
+
 def bang_bang_times(spec: TrapSpec, omega1: float, omega2: float) -> tuple[float, float]:
     """Switching durations (t1, t2) from the matching conditions.
 
     omega1, omega2 in units of omega0.  Requires finite omega1 >= 0 and
     omega2 >= sqrt(omega_f/omega0) (i.e. omega2 >= sqrt(omega0*omega_f)),
-    which is what makes t1 >= 0; at equality t1 = 0 exactly.
+    which is what makes t1 >= 0; at equality t1 = 0 exactly.  A frequency
+    with gamma*omega above ``_GAMMA_OMEGA_MAX`` (about 8.2e76) is refused,
+    as the conditions overflow there.
     """
     if not (math.isfinite(omega1) and math.isfinite(omega2)):
         raise ValueError(f"step frequencies must be finite, not omega1 = {omega1}, omega2 = {omega2}")
@@ -324,7 +330,14 @@ def bang_bang_times(spec: TrapSpec, omega1: float, omega2: float) -> tuple[float
         raise ValueError("omega1 must be >= 0")
     if omega2 <= 0.0:
         raise ValueError("omega2 must be > 0")
-    g2 = spec.gamma**2
+    g = spec.gamma
+    if g * max(omega1, omega2) > _GAMMA_OMEGA_MAX:
+        name, w = ("omega1", omega1) if omega1 >= omega2 else ("omega2", omega2)
+        raise ValueError(
+            f"{name} = {w:.6g} is too high at gamma = {g:.6g}: the matching "
+            f"conditions overflow above gamma*{name} ~ {_GAMMA_OMEGA_MAX:.4g}"
+        )
+    g2 = g**2
     w1s, w2s = omega1**2, omega2**2
     edge = g2 * w2s - 1.0
     if abs(edge) <= _SNAP_TOL * max(1.0, g2 * w2s):
@@ -510,6 +523,10 @@ class ShootingMismatch:
     b_error: float      # b(t_f) - gamma
     bdot_f: float
     bddot_f: float
+
+
+_B_COLLAPSE = 1e-9
+_COLLAPSE_MSG = "scaling function collapsed toward b = 0"
 
 
 def _rk4_constant_power(b, b1, b2, source, ts):

@@ -226,6 +226,14 @@ class TestProtocolCommand:
         proc = run_cli(argv)
         assert proc.returncode == 1 and proc.stdout == "" and proc.stderr == message + "\n"
 
+    def test_overflowing_step_frequency_exits_with_one_line(self):
+        # omega1**2 used to end in a raw OverflowError traceback
+        proc = run_cli(["protocol", "--family", "bang_bang", "--gamma", "10", "--omega1", "1e287",
+                        "--omega2", "1e275"])
+        assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == ("invalid protocol parameters: omega1 = 1e+287 is too high at gamma = 10: "
+                               "the matching conditions overflow above gamma*omega1 ~ 8.188e+76\n")
+
     def test_collapsed_constant_power_shot_exits_with_the_step(self, tmp_path):
         out = tmp_path / "p.csv"
         with pytest.raises(SystemExit, match=r"collapsed.*the step h = t_f/\(grid - 1\) = 2 .*larger --grid"):

@@ -14,7 +14,7 @@ from staexpand.core import (
 )
 
 from protocol_requests import make
-from rk4_reference import rk4_solve
+from rk4_reference import ermakov_rk4_solve, rk4_solve
 
 
 @pytest.fixture
@@ -96,29 +96,41 @@ class TestForwardSolve:
         assert profile.impulses[1][0] == solved.grid.t_f
         assert solved.bf_minus_dot == float(solved.bdot[-1])  # before the final kick
 
-    def test_collapse_aborts_with_time(self):
-        # a fast fall on a coarse grid steps straight through the 1/b^3 barrier
-        grid = TimeGrid.uniform(1.0, 11)
-        profile = FrequencyProfile(grid, np.zeros(11), np.zeros(11))
-        with pytest.raises(TrajectoryBlowUp) as exc:
-            ermakov.forward_solve(profile, b0=1.0, bdot0=-20.0)
-        assert "stability limit" not in str(exc.value)  # W = 0: no step is unstable
+    @pytest.mark.parametrize("n, bdot0", [(3, -4.0), (11, -20.0), (11, -15.0), (11, -8.0), (21, -15.0)])
+    def test_free_fall_is_exact(self, n, bdot0):
+        # with W = 0, z = 1 + (bdot0 + i) t, so b^2 = (1 + bdot0 t)^2 + t^2
+        # (1 - 40 t + 401 t^2 for bdot0 = -20): RK4 is exact on a line
+        grid = TimeGrid.uniform(1.0, n)
+        profile = FrequencyProfile(grid, np.zeros(n), np.zeros(n))
+        solved = ermakov.forward_solve(profile, 1.0, bdot0)
+        t = grid.nodes
+        b = np.sqrt((1.0 + bdot0 * t) ** 2 + t**2)
+        bdot = ((1.0 + bdot0 * t) * bdot0 + t) / b
+        assert np.max(np.abs(solved.b / b - 1.0)) < 1e-12
+        assert np.max(np.abs(solved.bdot - bdot)) < 1e-12 * np.max(np.abs(bdot))
 
     def test_unstable_step_is_named(self):
-        # quintic gamma 3, t_f 40 has max W = 1, so 21 nodes (h = 2) exceed
-        # RK4's limit h max W = sqrt(2) for b's oscillation at 2W; 41 do not
+        # quintic gamma 3, t_f 40 has max W = 1 (W^2 = 1 at t = 0), so 21 nodes
+        # (h = 2) exceed the step limit h max|W| = sqrt(2) and are refused
+        # before any work; 41 nodes are not
         spec = TrapSpec.from_gamma(3.0)
         profile = ermakov.inverse_engineer(make(spec, "quintic", 40.0, 21).curve)
         with pytest.raises(TrajectoryBlowUp) as exc:
             ermakov.forward_solve(profile)
         assert str(exc.value) == (
-            "scaling function collapsed toward b = 0 (t = 21): the step h = 2 gives "
-            "h*max W = 2, above RK4's stability limit sqrt(2) = 1.41421; refine the grid"
+            "the step h = 2 gives h*max|W| = 2, above RK4's stability limit "
+            "sqrt(2) = 1.41421; refine the grid (t = 0)"
         )
-        assert exc.value.t == 21.0
+        assert exc.value.t == 0.0
         curve = make(spec, "quintic", 40.0, 41).curve
         solved = ermakov.forward_solve(ermakov.inverse_engineer(curve))
         assert np.max(np.abs(solved.b - curve.b)) < 1e-3
+
+    @pytest.mark.parametrize("b0", [0.0, -1.0, np.inf, np.nan])
+    def test_start_must_be_positive(self, b0):
+        _, profile = static_pair()
+        with pytest.raises(ValueError, match="b0 must be positive and finite"):
+            ermakov.forward_solve(profile, b0=b0)
 
     def test_bang_bang_profile_round_trip(self, spec):
         bb = make(spec, "bang_bang", omega1=1.0, omega2=1.0)
@@ -195,31 +207,26 @@ class TestExcitationEnergy:
         assert float(np.min(e_na)) >= 0.0
 
 
-# --- fast integrators against the generic closure RK4 ----------------------
+# --- fast integrators against the per-step reference loops ----------------
 
 
 def reference_forward_solve(profile, b0=1.0, bdot0=0.0):
-    """forward_solve written as a closure right-hand side for rk4_solve."""
+    """forward_solve as the per-step loop ermakov_rk4_solve on each piece:
+    b = |u + i w| from u = b0, u' = bdot0 (after the t = 0 kicks), w = 0
+    and w' = 1/b0."""
     grid = profile.grid
-    b, bdot = np.empty(len(grid)), np.empty(len(grid))
-    state = np.array([float(b0), float(bdot0)])
+    v0 = float(bdot0)
     for ti, s in profile.impulses:
         if ti == 0.0:   # a profile holds kicks at t = 0 and t_f only
-            state[1] -= s * state[0]
-    b0_plus = float(state[1])
+            v0 -= s * b0
+    rows = np.empty((len(grid), 4))
+    state = (b0, v0, 0.0, 1.0 / b0)
     for k, (lo, hi) in enumerate(grid.pieces):
-        om = profile.piece_callable(k)
-
-        def rhs(t, y, om=om):
-            if y[0] < 1e-9:
-                raise TrajectoryBlowUp("collapse", float(t))
-            return np.array([y[1], 1.0 / (y[0] * y[0] * y[0]) - float(om(t)) * y[0]])
-
-        nodes = grid.nodes[lo : hi + 1]
-        traj = rk4_solve(rhs, state, nodes)
-        b[lo : hi + 1], bdot[lo : hi + 1] = traj[:, 0], traj[:, 1]
-        state = traj[-1].copy()
-    return b, bdot, b0_plus
+        rows[lo : hi + 1] = ermakov_rk4_solve(profile.piece_callable(k), state, grid.nodes[lo : hi + 1])
+        state = rows[hi]
+    u, du, w, dw = rows.T
+    b = np.hypot(u, w)
+    return b, (u * du + w * dw) / b, v0
 
 
 def reference_shoot(spec, t_f, n):
@@ -294,17 +301,6 @@ class TestFastIntegratorsMatchReference:
             solve()
         return got.value.t, ref.value.t
 
-    @pytest.mark.parametrize("n, bdot0", [(3, -4.0), (11, -20.0), (11, -15.0), (11, -8.0), (21, -15.0)])
-    def test_collapse_time(self, n, bdot0):
-        # free fall onto the 1/b^3 barrier, caught at a mid or end stage
-        grid = TimeGrid.uniform(1.0, n)
-        profile = FrequencyProfile(grid, np.zeros(n), np.zeros(n))
-        got, ref = self._blowup_times(
-            lambda: ermakov.forward_solve(profile, 1.0, bdot0),
-            lambda: reference_forward_solve(profile, 1.0, bdot0),
-        )
-        assert got == ref
-
     @pytest.mark.parametrize("gamma, t_f, n", [(100.0, 1000.0, 3), (100.0, 1000.0, 201), (1000.0, 30.0, 11)])
     def test_shoot_collapse_time(self, gamma, t_f, n):
         spec = TrapSpec.from_gamma(gamma)
@@ -316,36 +312,58 @@ class TestFastIntegratorsMatchReference:
 
     @pytest.mark.parametrize("w2", [-1e4, -1e6, np.nan])
     def test_non_finite_time(self, w2):
-        # a deep imaginary band overflows b (b*b*b to inf first, past ~5.6e102);
-        # a NaN control poisons the state on the first step
+        # a deep imaginary band has h |W| = 5 or 50 on this grid and is refused
+        # at its first step; a NaN control passes that test and poisons the
+        # state on the first step
         grid = TimeGrid.uniform(10.0, 201)
         profile = FrequencyProfile(grid, np.full(201, w2), np.zeros(201),
                                    omega2_fns=(lambda t: w2 + 0.0 * t,))
+        if np.isnan(w2):
+            got, ref = self._blowup_times(
+                lambda: ermakov.forward_solve(profile),
+                lambda: reference_forward_solve(profile),
+            )
+            assert got == ref == 0.05
+            return
+        with pytest.raises(TrajectoryBlowUp) as exc:
+            ermakov.forward_solve(profile)
+        hw = 0.05 * np.sqrt(-w2)
+        assert str(exc.value) == (
+            f"the step h = 0.05 gives h*max|W| = {hw:g}, above RK4's stability limit "
+            "sqrt(2) = 1.41421; refine the grid (t = 0)"
+        )
+
+    def test_overflow_time(self):
+        # W^2 = -1 passes the step test (h |W| = 0.5), and b ~ e^t / sqrt(2)
+        # overflows near t = ln(2^1024) + ln(sqrt(2)) = 710.1
+        grid = TimeGrid.uniform(1000.0, 2001)
+        profile = FrequencyProfile(grid, np.full(2001, -1.0), np.zeros(2001),
+                                   omega2_fns=(lambda t: -1.0 + 0.0 * t,))
         with np.errstate(over="ignore", invalid="ignore"):
             got, ref = self._blowup_times(
                 lambda: ermakov.forward_solve(profile),
                 lambda: reference_forward_solve(profile),
             )
-        assert got == ref
+        assert 709.5 <= got <= ref <= got + 1.0
 
 
 # float.hex of b[-1] and bdot[-1], and the SHA-256 of b.tobytes() + bdot.tobytes(),
 # of forward_solve on each _profiles(501) control
 FORWARD_SOLVE_PINS = {
-    "quintic": ("0x1.3fffffe747e1bp+3", "-0x1.1d92d9ac80000p-30",
-                "505707633f64781eac4f76b19f7fc4a281a46cc6bd2ba69d4ad4744998c761e1"),
-    "septic": ("0x1.4000000aee67fp+3", "0x1.9ed6638a00000p-34",
-               "0b2bf344be2e55086708e854e562fcd728e4e8b5011596bf2ed56506f0e36109"),
-    "hybrid": ("0x1.4000017b0a446p+3", "-0x1.b1d67c3c80000p-26",
-               "f3fb3a9716f3e7b78994475739a625bd1c1cb5e82ef646939d63d6d1699a7827"),
-    "dirac": ("0x1.3fffffff0651bp+3", "0x1.c6c1b47385d87p+0",
-              "9ee5473c251057843088f01d54b9668ff990dc817026f87e0ee574bf18bbfa55"),
-    "bang_bang": ("0x1.400000002c8d0p+3", "0x1.cc23ae0000000p-34",
-                  "58e0b13e0905ac848d07870ed831882550731ab4840bbcffcf15d7ae1b559855"),
-    "linear_bottom": ("0x1.3ffffffffffe0p+3", "0x1.ccccccccccccdp-2",
-                      "6e8d459d653358d744942112dc97dc2ac1af4c7dc7c95db5b8553659dbe1fe3b"),
-    "constant_power": ("0x1.d4396307a28ddp+1", "0x1.a635f7947ab5bp-2",
-                       "ba8ede39bcbed47ded6006a27b355758318acd6c851b861b1aaa01290da7ec4f"),
+    "quintic": ("0x1.40000003e6282p+3", "0x1.e148640000000p-33",
+                "39a104ff4cc221f6b32545470aa9c0bb76d14ebb7ed270b68733561ed4425011"),
+    "septic": ("0x1.400000023642ep+3", "0x1.2728068000000p-32",
+               "11527b0a10cf4c31f6106112849e9216a3bcfdcfb225576f85caab645a79c154"),
+    "hybrid": ("0x1.40000055f08a1p+3", "0x1.3f0fa28000000p-31",
+               "e8279d40b927e48f780c3725723ba7457a1d09d65399e5d2864e8dd9392e2fd2"),
+    "dirac": ("0x1.3ffffffba0cefp+3", "0x1.c6c1b46edfa7ap+0",
+              "8469963a4386755601e0b6e46af93c7b198c83137f8e2306511be1377033b55c"),
+    "bang_bang": ("0x1.3fffffffda213p+3", "0x1.97fb300000000p-34",
+                  "37adedc84f1efb99ab58f782f711169129971ec0d4cc1d305bfb430c44196d3a"),
+    "linear_bottom": ("0x1.3fffffca341dfp+3", "0x1.cccccc5a8aafap-2",
+                      "85f19903e904b63b7ac4e0a72fcb08fd6280f8773015ca2dd2d29dea4c1fa4c1"),
+    "constant_power": ("0x1.d4395f92afc01p+1", "0x1.a635f0f18b036p-2",
+                       "fdab0f8718173d72d6ec6393202f40c0c77844b8a6167ab86653a96108959d5e"),
 }
 
 

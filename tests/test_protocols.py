@@ -204,6 +204,27 @@ class TestBangBang:
         with pytest.raises(ValueError, match=message):
             make(spec, "bang_bang", omega1=omega1, omega2=omega2)
 
+    @pytest.mark.parametrize("omega1, omega2, name", [
+        (1e287, 1e275, "omega1"), (1.0, 1e200, "omega2"), (1e80, 1e80, "omega1"),
+    ])
+    def test_rejects_steps_whose_matching_conditions_overflow(self, spec, omega1, omega2, name):
+        # 1e287 squared used to raise a raw OverflowError, and at 1e80 the
+        # products overflowed to t1 = 0 and t2 = nan
+        w = omega1 if name == "omega1" else omega2
+        message = "^" + re.escape(f"{name} = {w:.6g} is too high at gamma = 10: the matching "
+                                  f"conditions overflow above gamma*{name} ~ 8.188e+76") + "$"
+        with pytest.raises(ValueError, match=message):
+            protocols.bang_bang_times(spec, omega1, omega2)
+        with pytest.raises(ValueError, match=message):
+            make(spec, "bang_bang", omega1=omega1, omega2=omega2)
+
+    def test_steps_just_below_the_overflow_edge_are_built(self, spec):
+        # gamma*omega = 8e76: t1 and t2 scale as 1/omega there, as at omega = 1e75
+        bb = make(spec, "bang_bang", omega1=8e75, omega2=8e75)
+        assert bb.extra["t1"] == pytest.approx(2.649146182805243e-75 / 8.0, rel=1e-12)
+        assert bb.extra["t2"] == pytest.approx(7.803980800603648e-76 / 8.0, rel=1e-12)
+        assert float(bb.curve.b[-1]) == pytest.approx(10.0, rel=1e-12)
+
     @pytest.mark.parametrize("w", [0.1, 1.0])   # one uniform piece (t1 = 0), two pieces
     def test_even_grid_refused_on_either_grid(self, spec, w):
         with pytest.raises(ValueError, match="odd node count"):
