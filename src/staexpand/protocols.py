@@ -58,15 +58,12 @@ def _check_duration(t_f) -> None:
 
 def _sqrt_cols(g, g1, g2, g3):
     """(b, bdot, bddot, bdddot) of b = sqrt(g) from g and its first three
-    derivatives, as arrays."""
-    r = np.sqrt(g)
-    g15 = g**1.5
-    return (
-        r,
-        g1 / (2.0 * r),
-        g2 / (2.0 * r) - g1**2 / (4.0 * g15),
-        g3 / (2.0 * r) - 3.0 * g1 * g2 / (4.0 * g15) + 3.0 * g1**3 / (8.0 * g**2.5),
-    )
+    derivatives, as arrays: each derivative of b b = g, divided by b."""
+    b = np.sqrt(g)
+    inv = 1.0 / b
+    b1 = 0.5 * g1 * inv
+    b2 = (0.5 * g2 - b1 * b1) * inv
+    return b, b1, b2, (0.5 * g3 - 3.0 * b1 * b2) * inv
 
 
 @dataclass
@@ -130,13 +127,8 @@ class _Poly:
         if m >= len(c):
             return _Poly([c[0] * 0])
         for _ in range(m):
-            c = _dcoef(c)
+            c = [j * c[j] for j in range(1, len(c))]
         return _Poly(c)
-
-
-def _dcoef(c: list) -> list:
-    """The coefficients of one differentiation step of ``_Poly.deriv``."""
-    return [j * c[j] for j in range(1, len(c))]
 
 
 def _check_time_scale(t_f: float, k: int) -> None:
@@ -152,10 +144,10 @@ def _check_time_scale(t_f: float, k: int) -> None:
 
 
 # gamma^k/t_f^3 stays this far below the float maximum: it covers each family's
-# constant factor, at most ~1.4e4 (hybrid's t_f/10 caps) for k = 2 and ~7e6 (the
-# two-step sinh segment near the gamma edge) for k = 6 on a log scan of gamma and t_f
+# constant factor, at most ~1.4e4 (hybrid's t_f/10 caps) for k = 2 on a log scan
 _SCALE_MARGIN = 1e8
-# 8 gamma^5 reaches the float maximum here: b^5 in d(W^2)/dtau, 8 g^(5/2) in _sqrt_cols
+# 8 gamma^5 reaches the float maximum here; only b^5 in d(W^2)/dtau grows as gamma^5,
+# so the 8 is a margin: b^5 overflows at gamma ~ 4.48e61, 8^(1/5) ~ 1.52 times higher
 _GAMMA_MAX = (float(np.finfo(float).max) / 8.0) ** 0.2
 _T_PER_GAMMA = (_SCALE_MARGIN / float(np.finfo(float).max)) ** (1.0 / 3.0)
 
@@ -164,8 +156,9 @@ def _check_scale(spec: TrapSpec, t_f: float, k: int) -> None:
     """Refuse a trap or duration at which a closed form overflows, the mirror
     of ``_check_time_scale``: a gamma above ``_GAMMA_MAX`` (about 2.95e61),
     and a t_f below which gamma^k/t_f^3 comes within ``_SCALE_MARGIN`` of
-    the float maximum.  k = 6 for b = sqrt(g) (its g'^3 in ``_sqrt_cols``),
-    else 2 (the power's b^2 d^3b/dt^3)."""
+    the float maximum.  k = 2 (the power's b^2 d^3b/dt^3), except 6 for
+    b = sqrt(g): conservative, as a log scan of gamma, t_f and step inputs
+    finds every value of those families finite with k = 1 in its place."""
     g = spec.gamma
     if g > _GAMMA_MAX:
         raise ValueError(
@@ -229,27 +222,35 @@ def _quasi_optimal(spec: TrapSpec, t_f: float, params: ProtocolParams) -> Protoc
     derivatives because they do not vanish."""
     _check_time_scale(t_f, 2)
     g = spec.gamma
-    B = quasi_optimal_B(spec, t_f)
-    b2mt2 = _quasi_optimal_B2_minus_tf2(spec, t_f)
-    pp = _Poly([1.0, 2.0 * B, b2mt2])  # b^2 as a polynomial in s
-    if np.min(pp(np.linspace(0.0, 1.0, 512))) <= 0.0:
-        raise ValueError("radicand of the scaling function is not positive")
-    # b^2 peaks at s = -B/(B^2 - tf^2) where that lies inside, else at s = 1;
+    # b^2 = 1 + 2 B s + (B^2 - tf^2) s^2 = ((1 - s) + q s)(1 + p s), R = sqrt(tf^2 + gamma^2),
+    # q = gamma^2/(R + tf), p = R + tf - 1: positive, and no terms ~2 tf cancel to gamma^2
+    # at s = 1; r1 = R - 1 = B and a = q - 1 are formed without cancellation near gamma = 1
+    R = math.sqrt(t_f**2 + g**2)
+    g21 = (g - 1.0) * (g + 1.0)
+    r1 = (t_f**2 + g21) / (R + 1.0)
+    p, q, a = r1 + t_f, g**2 / (R + t_f), (g21 - 2.0 * t_f) / (R + t_f + 1.0)
+    # b^2 peaks at s = -r1/(a p) where that lies inside, else at s = 1;
     # ~tf/2 for tf >> gamma^2, so b passes the gamma edge near tf ~ 1.7e123
-    top = pp(min(1.0, -B / b2mt2) if b2mt2 < 0.0 else 1.0)
+    s = min(1.0, -r1 / (a * p)) if a < 0.0 else 1.0
+    top = ((1.0 - s) + q * s) * (1.0 + p * s)
     if top > _GAMMA_MAX**2:
         raise ValueError(
             f"t_f = {t_f:.6g} is too long for this protocol at gamma = {g:.6g}: b peaks at "
             f"{math.sqrt(top):.4g}, above b ~ {_GAMMA_MAX:.4g} where its closed form overflows"
         )
-    d1, d2 = pp.deriv(1), pp.deriv(2)
 
     def piece(t):
+        # bddot = -1/b^3, the functional's Euler-Lagrange equation: (g''/2 - bdot^2)/b would
+        # cancel terms ~(gamma/tf)^2 to leave it; bdddot = -3 bdot bddot/b as g''' = 0
         s = t / t_f
-        return _sqrt_cols(pp(s), d1(s) / t_f, d2(s) / t_f**2, np.zeros_like(s))
+        b = np.sqrt(((1.0 - s) + q * s) * (1.0 + p * s))
+        inv = 1.0 / b
+        b1, b2 = (r1 + a * p * s) / t_f * inv, -(inv * inv * inv)
+        return b, b1, b2, -3.0 * b1 * b2 * inv
 
-    return _bundle(TimeGrid.uniform(t_f, params.grid_n), (piece,),
-                   b0_plus_dot=B / t_f, bf_minus_dot=(b2mt2 + B) / (g * t_f))
+    B = quasi_optimal_B(spec, t_f)
+    return _bundle(TimeGrid.uniform(t_f, params.grid_n), (piece,), b0_plus_dot=B / t_f,
+                   bf_minus_dot=(_quasi_optimal_B2_minus_tf2(spec, t_f) + B) / (g * t_f))
 
 
 def _dirac(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
@@ -387,12 +388,14 @@ def _bang_bang_seg1_fns(omega1: float) -> Piece:
         u = c / w1s
 
         def piece(t):
-            x = 2.0 * omega1 * t
-            sinh2 = np.sinh(x)
+            # sinh 2y = 2 sinh y cosh y and cosh 2y = 1 + 2 sinh^2 y at y = w1 t
+            x = omega1 * t
+            sh = np.sinh(x)
+            sh2, sinh2 = sh * sh, 2.0 * sh * np.cosh(x)
             return _sqrt_cols(
-                1.0 + u * np.sinh(omega1 * t) ** 2,
+                1.0 + u * sh2,
                 u * omega1 * sinh2,
-                2.0 * u * w1s * np.cosh(x),
+                2.0 * u * w1s * (1.0 + 2.0 * sh2),
                 4.0 * u * omega1**3 * sinh2,
             )
 
@@ -407,13 +410,14 @@ def _bang_bang_seg2_fns(gamma: float, omega2: float, t_f: float) -> Piece:
     a = (1.0 - gamma**4 * omega2**2) / (gamma**2 * omega2**2)
 
     def piece(t):
-        u = t_f - t
-        x = 2.0 * omega2 * u
-        sin2 = np.sin(x)
+        # sin 2x = 2 sin x cos x and cos 2x = cos^2 x - sin^2 x at x = w2 (t_f - t)
+        x = omega2 * (t_f - t)
+        sn, cs = np.sin(x), np.cos(x)
+        sn2, cs2, sin2 = sn * sn, cs * cs, 2.0 * sn * cs
         return _sqrt_cols(
-            gamma**2 * np.cos(omega2 * u) ** 2 + np.sin(omega2 * u) ** 2 / (gamma**2 * omega2**2),
+            gamma**2 * cs2 + sn2 / (gamma**2 * omega2**2),
             -a * omega2 * sin2,
-            2.0 * a * omega2**2 * np.cos(x),
+            2.0 * a * omega2**2 * (cs2 - sn2),
             4.0 * a * omega2**3 * sin2,
         )
 
@@ -589,13 +593,8 @@ def constant_power_shoot(
     cols = _rk4_constant_power(1.0, 0.0, 0.0, source, grid.nodes.tolist())
     b, b1, b2 = (np.array(c) for c in cols)
     b3 = (source + b2 * b1 - 4.0 * b1 / (b * b * b)) / b
-    curve = ScalingCurve(grid, b, b1, b2, b3)
-    mism = ShootingMismatch(
-        b_error=float(b[-1] - spec.gamma),
-        bdot_f=float(b1[-1]),
-        bddot_f=float(b2[-1]),
-    )
-    return curve, mism
+    mism = ShootingMismatch(float(b[-1] - spec.gamma), float(b1[-1]), float(b2[-1]))
+    return ScalingCurve(grid, b, b1, b2, b3), mism
 
 
 def _uniform_poly(coef):

@@ -8,10 +8,11 @@ moves an output byte fails there until the file is regenerated with
 
     PYTHONPATH=src python tests/byte_digests.py
 
-and each moved digest is named, with its reason, in CHANGES.md.  numpy's
-SIMD kernels for transcendental functions may round differently on another
-CPU; if a digest turns out to depend on the host, record which column moves
-and why rather than compare with a tolerance.
+which prints the name of every digest it moves; each is named, with its
+reason, in CHANGES.md.  numpy's SIMD kernels for transcendental functions
+may round differently on another CPU; if a digest turns out to depend on
+the host, record which column moves and why rather than compare with a
+tolerance.
 """
 from __future__ import annotations
 
@@ -91,6 +92,14 @@ def load() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """``kind.name`` of every case and demo digest that ``new`` adds, drops or
+    changes against ``old``, in name order."""
+    return [f"{kind}.{name}" for kind in ("cases", "demos")
+            for name in sorted(old.get(kind, {}).keys() | new[kind].keys())
+            if old.get(kind, {}).get(name) != new[kind].get(name)]
+
+
 def main() -> None:
     cases = {name: run_case(argv) for name, argv in CASES.items()}
     demos = {}
@@ -100,9 +109,13 @@ def main() -> None:
             if run.returncode != 0:
                 raise SystemExit(f"{demo.name} failed:\n{run.stderr.decode()}")
             demos[demo.stem] = sha256(run.stdout)
-    text = json.dumps({"cases": cases, "demos": demos}, indent=1, sort_keys=True) + "\n"
-    DIGESTS.write_text(text, encoding="utf-8")
-    print(f"wrote {len(cases)} case and {len(demos)} demo digests to {DIGESTS.name}")
+    new = {"cases": cases, "demos": demos}
+    changed = moved(load() if DIGESTS.exists() else {}, new)
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(cases)} case and {len(demos)} demo digests to {DIGESTS.name}; "
+          f"{len(changed)} moved")
+    for name in changed:
+        print(f"  moved: {name}")
 
 
 if __name__ == "__main__":

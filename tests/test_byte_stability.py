@@ -15,3 +15,11 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(byte_digests.CASES))
 def test_output_bytes(name):
     assert byte_digests.run_case(byte_digests.CASES[name]) == DIGESTS["cases"][name]
+
+
+def test_moved_names_every_added_dropped_and_changed_digest():
+    old = {"cases": {"a": {"exit": 0}, "b": {"exit": 0}, "c": {"exit": 0}}, "demos": {"d": "x"}}
+    new = {"cases": {"a": {"exit": 0}, "b": {"exit": 1}, "e": {"exit": 0}}, "demos": {"d": "y"}}
+    assert byte_digests.moved(old, new) == ["cases.b", "cases.c", "cases.e", "demos.d"]
+    assert byte_digests.moved(new, new) == []
+    assert byte_digests.moved({}, new) == ["cases.a", "cases.b", "cases.e", "demos.d"]

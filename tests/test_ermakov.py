@@ -357,7 +357,7 @@ FORWARD_SOLVE_PINS = {
     "hybrid": ("0x1.40000055f08a1p+3", "0x1.3f0fa28000000p-31",
                "e8279d40b927e48f780c3725723ba7457a1d09d65399e5d2864e8dd9392e2fd2"),
     "dirac": ("0x1.3ffffffba0cefp+3", "0x1.c6c1b46edfa7ap+0",
-              "8469963a4386755601e0b6e46af93c7b198c83137f8e2306511be1377033b55c"),
+              "d7e3a2815b9dd366ab67c8a009f83e66ec9c0537a91761a438b281a786f7d8b3"),
     "bang_bang": ("0x1.3fffffffda213p+3", "0x1.97fb300000000p-34",
                   "37adedc84f1efb99ab58f782f711169129971ec0d4cc1d305bfb430c44196d3a"),
     "linear_bottom": ("0x1.3fffffca341dfp+3", "0x1.cccccc5a8aafap-2",

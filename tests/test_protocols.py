@@ -12,6 +12,7 @@ from staexpand.core import DEFAULT_GRID_N, Infeasible, PowerUndefined
 from protocol_requests import make
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+EPS = float(np.finfo(float).eps)
 
 
 @pytest.fixture
@@ -90,6 +91,23 @@ class TestQuasiOptimal:
         c = make(spec, "quasi_optimal", tf).curve
         assert c.b0_plus_dot == pytest.approx(B / tf, rel=1e-12)
         assert c.bf_minus_dot == pytest.approx((B**2 + B - tf**2) / (10.0 * tf), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 10.0, 1e3])
+    @pytest.mark.parametrize("tf", [1e-6, 1e-2, 1.0, 1e3, 1e8, 1e15, 3e15, 1e16, 1e17, 1e20])
+    def test_b_is_exact_at_every_duration(self, gamma, tf):
+        # b^2 = 1 + 2 B s + (B^2 - tf^2) s^2 summed term by term cancels terms ~2 tf
+        # to gamma^2 at s = 1: b(tf) read 2.236 for gamma 1.5 at tf 1e16, and 1 at 1e17
+        mp = pytest.importorskip("mpmath")
+        c = make(TrapSpec.from_gamma(gamma), "quasi_optimal", tf, 201).curve
+        assert float(c.b[0]) == 1.0
+        assert abs(float(c.b[-1]) - gamma) <= 4.0 * math.ulp(gamma)
+        with mp.workdps(100):   # the sum below cancels 40 digits at tf 1e20
+            T = mp.mpf(tf)
+            B = mp.sqrt(T**2 + mp.mpf(gamma) ** 2) - 1
+            for t, b in zip(c.grid.nodes[::10], c.b[::10]):
+                s = mp.mpf(float(t)) / T
+                exact = mp.sqrt(1 + 2 * B * s + (B**2 - T**2) * s**2)
+                assert abs(b - exact) <= 4.0 * EPS * exact
 
 
 class TestDiracImpulse:
@@ -807,3 +825,55 @@ class TestPieceContract:
         cols = piece(curve.grid.nodes)
         for got, stored in zip(cols, (curve.b, curve.bdot, curve.bddot, curve.bdddot), strict=True):
             assert np.all(got == stored)
+
+
+def _exact_radicand(mp, kind, gamma, bundle):
+    """The radicand g(t) of a b = sqrt(g) piece of ``bundle`` in mpmath: its
+    quasi-optimal curve, or step ``kind`` 1 or 2 of its two-step protocol."""
+    g, x = mp.mpf(gamma), bundle.extra
+    if kind == "quasi_optimal":
+        T = mp.mpf(bundle.curve.grid.t_f)
+        B = mp.sqrt(T**2 + g**2) - 1
+        return lambda t: 1 + 2 * B * t / T + (B**2 - T**2) * (t / T) ** 2
+    if kind == 1:
+        w = mp.mpf(x["omega1"])
+        return lambda t: 1 + (1 + w**2) * mp.sinh(w * t) ** 2 / w**2
+    w, T = mp.mpf(x["omega2"]), mp.mpf(x["t1"] + x["t2"])
+    return lambda t: g**2 + (1 - g**4 * w**2) / (g * w) ** 2 * mp.sin(w * (T - t)) ** 2
+
+
+# name -> (kind, gamma, t_f or omega1, omega2): each quasi-optimal case, and the
+# first (1) or second (2) step of the two-step protocol at gamma 10
+SQRT_PIECES = {
+    **{f"quasi_optimal_{g:g}_{tf:g}": ("quasi_optimal", g, tf, None) for g, tf in
+       ((1.0, 0.5), (1.5, 3.0), (10.0, 1.0), (10.0, 50.0), (1e3, 1e-2), (1e3, 1e5))},
+    "bang_bang_step1_series": (1, 10.0, 9.9e-7, 0.5),   # just below the series switch 1e-6
+    "bang_bang_step1_sinh": (1, 10.0, 1.01e-6, 0.5),    # just above it
+    "bang_bang_step1": (1, 10.0, 1.0, 1.0),
+    "bang_bang_step2": (2, 10.0, 1.0, 1.0),
+    "bang_bang_step2_slow": (2, 10.0, 1.01e-6, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", SQRT_PIECES)
+def test_sqrt_columns_match_mpmath_derivatives(name):
+    """Each of b, bdot, bddot, bdddot of a b = sqrt(g) piece within 4e-15 of
+    its column's largest magnitude, against mpmath's derivatives of sqrt(g)."""
+    mp = pytest.importorskip("mpmath")
+    kind, gamma, first, omega2 = SQRT_PIECES[name]
+    spec = TrapSpec.from_gamma(gamma)
+    if kind == "quasi_optimal":
+        bundle, k = make(spec, "quasi_optimal", first, 201), 0
+    else:
+        bundle, k = make(spec, "bang_bang", n=201, omega1=first, omega2=omega2), kind - 1
+    curve = bundle.curve
+    lo, hi = curve.grid.pieces[k]
+    t = curve.grid.nodes[lo : hi + 1 : 5]
+    got = curve.fns[k](t)
+    with mp.workdps(40):
+        radicand = _exact_radicand(mp, kind, gamma, bundle)
+        exact = np.array([[float(d) for d in mp.diffs(lambda x: mp.sqrt(radicand(x)), mp.mpf(float(x)), 3)]
+                          for x in t]).T
+    for j in range(4):
+        scale = np.max(np.abs(exact[j]))
+        assert np.max(np.abs(got[j] - exact[j])) <= 4e-15 * scale, j
