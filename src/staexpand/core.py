@@ -20,8 +20,8 @@ _REAL_TOL = 1e-12   # omega^2 >= -_REAL_TOL is round-off of a real frequency
 
 
 def _check_positive(b: np.ndarray) -> None:
-    """A scaling function is a mode width: b <= 0 anywhere is a hard error."""
-    if np.any(b <= 0.0):
+    """A scaling function is a mode width: b <= 0 or NaN anywhere is a hard error."""
+    if not np.all(b > 0.0):
         raise ValueError("scaling function must stay positive")
 
 
@@ -212,11 +212,10 @@ class ScalingCurve:
     """A scaling function b and its derivatives bdot, bddot and bdddot,
     all four sampled on a grid.
 
-    b > 0 everywhere (it is a mode width; a zero crossing is a hard
-    error).  ``b0_plus_dot`` / ``bf_minus_dot`` are the one-sided
-    derivatives at 0+ and t_f-; they equal the bdot endpoints for smooth
-    protocols and carry the pre/post-impulse bookkeeping for impulse
-    protocols.  ``fns`` optionally carries one closed form per grid piece:
+    b > 0 everywhere (it is a mode width; a zero crossing or a NaN is a
+    hard error).  bdot[0] and bdot[-1] are the one-sided slopes at 0+ and
+    t_f-: an impulse protocol's kicks switch them to zero outside the
+    curve.  ``fns`` optionally carries one closed form per grid piece:
     a ``Piece``, which maps the piece's times t to the four arrays
     (b, bdot, bddot, bdddot) at t; sampled on the piece's nodes, they equal
     the stored columns bit for bit.
@@ -227,8 +226,6 @@ class ScalingCurve:
     bdot: np.ndarray
     bddot: np.ndarray
     bdddot: np.ndarray
-    b0_plus_dot: float | None = None
-    bf_minus_dot: float | None = None
     fns: tuple[Piece, ...] | None = None
 
     def __post_init__(self):
@@ -239,10 +236,6 @@ class ScalingCurve:
                 raise GridMismatch(f"{name} has {len(v)} samples for {n} nodes")
             setattr(self, name, v)
         _check_positive(self.b)
-        if self.b0_plus_dot is None:
-            self.b0_plus_dot = float(self.bdot[0])
-        if self.bf_minus_dot is None:
-            self.bf_minus_dot = float(self.bdot[-1])
         if self.fns is not None and len(self.fns) != self.grid.n_pieces:
             raise ValueError("need one closed form per grid piece")
 

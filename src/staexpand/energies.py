@@ -68,7 +68,7 @@ def impulse_contribution(curve: ScalingCurve, spec: TrapSpec) -> float:
     the boundary term of the partially-integrated route."""
     t_f = curve.grid.t_f
     c = (2 * spec.n + 1) / 4.0
-    return c / t_f * (curve.bf_minus_dot * float(curve.b[-1]) - curve.b0_plus_dot * float(curve.b[0]))
+    return c / t_f * (float(curve.bdot[-1] * curve.b[-1]) - float(curve.bdot[0] * curve.b[0]))
 
 
 def averages(

@@ -128,11 +128,10 @@ def forward_solve(
     a ValueError.
 
     A kick D at t = 0 applies the slope jump bdot -> bdot - D b before the
-    first step; one at t_f is left to the caller, as the returned curve
-    ends at t_f-.  The curve stores bddot = 1/b^3 - W^2 b and
-    bdddot = -3 bdot/b^4 - d(W^2)/dtau b - W^2 bdot from the equation
-    itself, the slope just after the t = 0 kicks in ``b0_plus_dot`` and
-    the final one in ``bf_minus_dot``.
+    first step, so bdot[0] is the slope after it; one at t_f is left to the
+    caller, and bdot[-1] is the slope before it.  The curve stores bddot =
+    1/b^3 - W^2 b and bdddot = -3 bdot/b^4 - d(W^2)/dtau b - W^2 bdot from
+    the equation itself.
     """
     b0 = float(b0)
     if not 0.0 < b0 < inf:
@@ -170,4 +169,4 @@ def forward_solve(
         b3 = b * b * b
         bddot = 1.0 / b3 - w2 * b
         bdddot = -3.0 * bdot / (b3 * b) - profile.domega2 * b - w2 * bdot
-    return ScalingCurve(grid, b, bdot, bddot, bdddot, b0_plus_dot=v0, bf_minus_dot=float(bdot[-1]))
+    return ScalingCurve(grid, b, bdot, bddot, bdddot)

@@ -46,7 +46,6 @@ _P_PEAK = (2.0 - math.sqrt(1.6)) / 3.0   # where P(s) = 8s - 20s^2 + 10s^3 peaks
 class OptimizationResult:
     params: tuple[float, ...]
     objective: float
-    feasible: bool
     iterations: int
     converged: bool
     baseline: float | None = None   # objective at the unoptimized reference
@@ -223,7 +222,7 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     nodes, weights = numerics._gauss_legendre(_CAP_NODES)
     cap_l, cap_s = caps = [_Cap(spec.gamma, t_f, launching, nodes, weights) for launching in (True, False)]
     if not all(cap.margin(seed) > 0.0 for cap, seed in zip(caps, best_p)):
-        return OptimizationResult(best_p, best_f, True, 0, False, best_f)
+        return OptimizationResult(best_p, best_f, 0, False, best_f)
     # a few ulp inside _hybrid_avg_ena's strict limit, so that on the line
     # tau_l + (limit - tau_l) rounds below 0.999 t_f
     limit = 0.999 * t_f * (1.0 - 1e-15)
@@ -243,7 +242,6 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     return OptimizationResult(
         params=tuple(params),
         objective=fx,
-        feasible=math.isfinite(fx),
         iterations=sum(run.iterations for run in runs),
         converged=all(run.converged for run in runs),
         baseline=best_f,
@@ -313,4 +311,4 @@ def optimize_septic_power(
     params, fx = res.x, full(*res.x)
     if fx > base:
         params, fx = (0.0, 0.0), base
-    return OptimizationResult(tuple(params), fx, True, res.iterations, res.converged, base)
+    return OptimizationResult(tuple(params), fx, res.iterations, res.converged, base)

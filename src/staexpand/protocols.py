@@ -78,13 +78,13 @@ class ProtocolBundle:
     extra: dict
 
 
-def _bundle(grid: TimeGrid, fns: tuple[Piece, ...], profile=None, extra=None, **kw) -> ProtocolBundle:
+def _bundle(grid: TimeGrid, fns: tuple[Piece, ...], profile=None, extra=None) -> ProtocolBundle:
     """The protocol whose curve samples the closed forms ``fns`` piece by
     piece on ``grid``; its profile is ``profile``, else the inverse-engineered one."""
     cols = np.empty((4, len(grid)))
     for fn, (lo, hi) in zip(fns, grid.pieces, strict=True):
         cols[:, lo : hi + 1] = fn(grid.nodes[lo : hi + 1])
-    curve = ScalingCurve(grid, *cols, fns=fns, **kw)
+    curve = ScalingCurve(grid, *cols, fns=fns)
     if profile is None:
         profile = ermakov.inverse_engineer(curve)
     return ProtocolBundle(curve, profile, {} if extra is None else extra)
@@ -143,8 +143,8 @@ def _check_time_scale(t_f: float, k: int) -> None:
         ) from None
 
 
-# gamma^k/t_f^3 stays this far below the float maximum: it covers each family's
-# constant factor, at most ~1.4e4 (hybrid's t_f/10 caps) for k = 2 on a log scan
+# gamma^2/t_f^3 stays this far below the float maximum: it covers each family's
+# constant factor, at most ~1.4e4 (hybrid's t_f/10 caps) on a log scan
 _SCALE_MARGIN = 1e8
 # 8 gamma^5 reaches the float maximum here; only b^5 in d(W^2)/dtau grows as gamma^5,
 # so the 8 is a margin: b^5 overflows at gamma ~ 4.48e61, 8^(1/5) ~ 1.52 times higher
@@ -152,20 +152,18 @@ _GAMMA_MAX = (float(np.finfo(float).max) / 8.0) ** 0.2
 _T_PER_GAMMA = (_SCALE_MARGIN / float(np.finfo(float).max)) ** (1.0 / 3.0)
 
 
-def _check_scale(spec: TrapSpec, t_f: float, k: int) -> None:
+def _check_scale(g: float, t_f: float) -> None:
     """Refuse a trap or duration at which a closed form overflows, the mirror
-    of ``_check_time_scale``: a gamma above ``_GAMMA_MAX`` (about 2.95e61),
-    and a t_f below which gamma^k/t_f^3 comes within ``_SCALE_MARGIN`` of
-    the float maximum.  k = 2 (the power's b^2 d^3b/dt^3), except 6 for
-    b = sqrt(g): conservative, as a log scan of gamma, t_f and step inputs
-    finds every value of those families finite with k = 1 in its place."""
-    g = spec.gamma
+    of ``_check_time_scale``: a gamma g above ``_GAMMA_MAX`` (about 2.95e61),
+    and a t_f below which g^2/t_f^3 (the power's b d^3b/dt^3) comes within
+    ``_SCALE_MARGIN`` of the float maximum.  The septic passes its bound
+    gamma + |c3| + |c4| on |b| as g."""
     if g > _GAMMA_MAX:
         raise ValueError(
             f"gamma = {g:.6g} is too large for a protocol: its closed form overflows "
             f"above gamma ~ {_GAMMA_MAX:.4g}"
         )
-    t_min = g ** (k / 3.0) * _T_PER_GAMMA
+    t_min = g ** (2.0 / 3.0) * _T_PER_GAMMA
     if t_f < t_min:
         raise ValueError(
             f"t_f = {t_f:.6g} is too short for this protocol at gamma = {g:.6g}: "
@@ -192,7 +190,10 @@ def _poly_fns(p: _Poly, t_f: float, reverse: bool = False) -> Piece:
 
 
 def _septic_coef(g: float, c3: float, c4: float) -> list:
-    """The power-series coefficients of the septic b(s) at gamma = g."""
+    """The power-series coefficients of the septic b(s) at gamma = g: of
+    1 + (g-1)(21 s^5 - 35 s^6 + 15 s^7) + c3 s^3 (1-s)^3 (1+3s) + c4 s^4 (1-s)^3,
+    whose first part rises from 1 to g and whose shape factors lie in [0, 1],
+    so |b| <= g + |c3| + |c4| on [0, 1]."""
     return [
         1.0,
         0.0,
@@ -218,8 +219,7 @@ def _quasi_optimal_B2_minus_tf2(spec: TrapSpec, t_f: float) -> float:
 
 def _quasi_optimal(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
     """Minimizer of the averaged 1/b^2 + bdot^2 functional between the
-    endpoint values; slopes at 0+ and t_f- are recorded as one-sided
-    derivatives because they do not vanish."""
+    endpoint values; its end slopes bdot[0] and bdot[-1] do not vanish."""
     _check_time_scale(t_f, 2)
     g = spec.gamma
     # b^2 = 1 + 2 B s + (B^2 - tf^2) s^2 = ((1 - s) + q s)(1 + p s), R = sqrt(tf^2 + gamma^2),
@@ -248,9 +248,7 @@ def _quasi_optimal(spec: TrapSpec, t_f: float, params: ProtocolParams) -> Protoc
         b1, b2 = (r1 + a * p * s) / t_f * inv, -(inv * inv * inv)
         return b, b1, b2, -3.0 * b1 * b2 * inv
 
-    B = quasi_optimal_B(spec, t_f)
-    return _bundle(TimeGrid.uniform(t_f, params.grid_n), (piece,), b0_plus_dot=B / t_f,
-                   bf_minus_dot=(_quasi_optimal_B2_minus_tf2(spec, t_f) + B) / (g * t_f))
+    return _bundle(TimeGrid.uniform(t_f, params.grid_n), (piece,))
 
 
 def _dirac(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
@@ -263,7 +261,7 @@ def _dirac(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle
     """
     base = _quasi_optimal(spec, t_f, params)
     c, p = base.curve, base.profile
-    kicks = ((0.0, -c.b0_plus_dot / float(c.b[0])), (t_f, c.bf_minus_dot / float(c.b[-1])))
+    kicks = ((0.0, -float(c.bdot[0] / c.b[0])), (t_f, float(c.bdot[-1] / c.b[-1])))
     return ProtocolBundle(c, FrequencyProfile(p.grid, p.omega2, p.domega2, kicks, p.omega2_fns), {})
 
 
@@ -430,7 +428,7 @@ def _bang_bang_bundle(spec: TrapSpec, times: dict, n: int) -> ProtocolBundle:
     ``_check_scale`` first, then a t2 that t1 + t2 rounds away is refused."""
     t1, t2, omega1, omega2 = times["t1"], times["t2"], times["omega1"], times["omega2"]
     t_f = t1 + t2
-    _check_scale(spec, t_f, 6)
+    _check_scale(spec.gamma, t_f)
     if t1 > 0.0 and t_f == t1:
         raise ValueError(f"the second step t2 = {t2:.6g} is lost in t1 + t2 = t1 = {t1:.6g}: "
                          "it is below t1's float spacing")
@@ -614,19 +612,19 @@ def _constant_power(spec: TrapSpec, t_f: float, params: ProtocolParams) -> Proto
     return ProtocolBundle(curve, ermakov.inverse_engineer(curve), {"mismatch": mism})
 
 
-# designed family -> (exponent k of its _check_scale, its maker (spec, t_f, params) -> bundle)
+# designed family -> its maker (spec, t_f, params) -> bundle
 _DESIGNED = {
     # b(s) = 1 + (gamma-1)(10 s^3 - 15 s^4 + 6 s^5): the smoothest textbook interpolant
-    "quintic": (2, _uniform_poly(lambda g, params: [1.0, 0.0, 0.0, 10.0 * (g - 1.0),
-                                                   -15.0 * (g - 1.0), 6.0 * (g - 1.0)])),
+    "quintic": _uniform_poly(lambda g, params: [1.0, 0.0, 0.0, 10.0 * (g - 1.0),
+                                               -15.0 * (g - 1.0), 6.0 * (g - 1.0)]),
     # all six boundary conditions for any (c3, c4), the power-shaping knobs
-    "septic": (2, _uniform_poly(lambda g, params: _septic_coef(g, params.c3, params.c4))),
-    "quasi_optimal": (6, _quasi_optimal),
-    "dirac": (6, _dirac),
-    "hybrid": (2, _hybrid),
+    "septic": _uniform_poly(lambda g, params: _septic_coef(g, params.c3, params.c4)),
+    "quasi_optimal": _quasi_optimal,
+    "dirac": _dirac,
+    "hybrid": _hybrid,
     # b = 1 + (gamma-1) s: bddot = 0, so W^2 = 1/b^4 exactly; slopes (gamma-1)/t_f at both ends
-    "linear_bottom": (2, _uniform_poly(lambda g, params: [1.0, g - 1.0])),
-    "constant_power": (2, _constant_power),
+    "linear_bottom": _uniform_poly(lambda g, params: [1.0, g - 1.0]),
+    "constant_power": _constant_power,
 }
 # two-step family -> its step inputs, from which the duration follows
 _STEP_INPUTS = {"bang_bang": ("omega1", "omega2"), "bang_bang_na": ("beta",)}
@@ -645,8 +643,8 @@ class ProtocolParams:
     family, except that bang_bang may instead be given both step
     frequencies ``omega1``/``omega2`` and bang_bang_na its stopping
     frequency ``beta``, from which the duration follows.  ``c3``/``c4``
-    shape septic; ``tau_l``/``tau_s`` are hybrid's caps (each defaults to
-    t_f/10).
+    shape septic (ValueError here if one is not finite); ``tau_l``/``tau_s``
+    are hybrid's caps (each defaults to t_f/10).
     """
 
     family: str | None
@@ -663,16 +661,19 @@ class ProtocolParams:
     def __post_init__(self):
         if self.family is not None and self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        for name in ("c3", "c4"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)!r})")
 
 
 def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     """The protocol of a request: the one family dispatch and the only
     constructor of a ``ProtocolBundle``.
 
-    A designed family's t_f goes through ``_check_scale`` with its table
-    row's exponent, then to the row's maker; a two-step family's duration
-    follows from its step inputs (``bang_bang_times``) or is solved for
-    (``two_step_times``).  Raises ValueError for a request without a
+    A designed family's t_f goes through ``_check_scale`` (the septic's with
+    gamma + |c3| + |c4|, which bounds its |b|, in gamma's place), then to
+    the family's maker; a two-step family's duration follows from its step
+    inputs (``bang_bang_times``) or is solved for (``two_step_times``).  Raises ValueError for a request without a
     family, for step inputs other than the family's own, for step inputs
     together with t_f, for a bad t_f, for another family's shape inputs
     and for a gamma or t_f at which the closed form overflows; the makers'
@@ -696,9 +697,15 @@ def build(spec: TrapSpec, params: ProtocolParams) -> ProtocolBundle:
     if ignored:
         raise ValueError(f"the {fam} family does not use {'/'.join(ignored)}")
     if fam in _DESIGNED:
-        k, make = _DESIGNED[fam]
-        _check_scale(spec, t_f, k)
-        return make(spec, t_f, params)
+        size = spec.gamma + abs(params.c3) + abs(params.c4)   # c3 = c4 = 0 but in septic
+        try:
+            _check_scale(size, t_f)
+        except ValueError as exc:
+            if size == spec.gamma:
+                raise
+            raise ValueError(f"the septic's |b| <= gamma + |c3| + |c4| = {size:.6g} takes gamma's "
+                             f"place: {exc}") from None
+        return _DESIGNED[fam](spec, t_f, params)
     if not given:
         times = two_step_times(spec, fam, t_f)
         try:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import energies, ermakov, optimize, protocols
-from .core import DEFAULT_GRID_N, Infeasible, TrapSpec
+from .core import Infeasible, TrapSpec
 
 _P = protocols.ProtocolParams
 _SEPTIC_REF = (78.5088, -459.7638)  # published power-shaping coefficients (c3, c4)
@@ -39,18 +39,18 @@ def _result(name: str, passed: bool, measured: str, tolerance: str) -> CheckResu
     return CheckResult(name, bool(passed), measured, tolerance)
 
 
-def _criterion1_protocols(t_f: float, n: int) -> list[tuple[str, protocols.ProtocolParams]]:
+def _criterion1_protocols(t_f: float) -> list[tuple[str, protocols.ProtocolParams]]:
     """(tag, request) rows of the smooth complete protocols at one duration."""
     cap = 0.1 * t_f
     return [
-        (f"quintic tf={t_f}", _P("quintic", t_f, grid_n=n)),
-        (f"septic(0,0) tf={t_f}", _P("septic", t_f, 0.0, 0.0, grid_n=n)),
-        (f"septic(78.5088,-459.7638) tf={t_f}", _P("septic", t_f, *_SEPTIC_REF, grid_n=n)),
-        (f"hybrid(0.1,0.1) tf={t_f}", _P("hybrid", t_f, tau_l=cap, tau_s=cap, grid_n=n)),
+        (f"quintic tf={t_f}", _P("quintic", t_f)),
+        (f"septic(0,0) tf={t_f}", _P("septic", t_f, 0.0, 0.0)),
+        (f"septic(78.5088,-459.7638) tf={t_f}", _P("septic", t_f, *_SEPTIC_REF)),
+        (f"hybrid(0.1,0.1) tf={t_f}", _P("hybrid", t_f, tau_l=cap, tau_s=cap)),
     ]
 
 
-def check_virial_equipartition(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_virial_equipartition() -> CheckResult:
     """avg_K = avg_V = avg_E/2 for every protocol with vanishing boundary
     slopes, impulse protocols counting their kick contribution as potential."""
     spec = TrapSpec.from_gamma(10.0)
@@ -58,11 +58,11 @@ def check_virial_equipartition(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     worst_tag = ""
     cases = []
     for t_f in (0.1, 1.0, 10.0, 25.0):
-        cases += _criterion1_protocols(t_f, n_grid)
-        cases.append((f"dirac tf={t_f}", _P("dirac", t_f, grid_n=n_grid)))
+        cases += _criterion1_protocols(t_f)
+        cases.append((f"dirac tf={t_f}", _P("dirac", t_f)))
     # the equal-step duration is derived, not chosen
     t_bb = sum(protocols.bang_bang_times(spec, 1.0, 1.0))
-    bb = _P("bang_bang", omega1=1.0, omega2=1.0, grid_n=n_grid)
+    bb = _P("bang_bang", omega1=1.0, omega2=1.0)
     cases.append((f"bang_bang(1,1) tf={t_bb:.3f}", bb))
     for tag, params in cases:
         b = protocols.build(spec, params)
@@ -79,13 +79,13 @@ def check_virial_equipartition(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_impulse_equality_chain(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_impulse_equality_chain() -> CheckResult:
     """For the impulse protocol the direct average plus the kick term, the
     partially-integrated average, and the exact bound all coincide."""
     spec = TrapSpec.from_gamma(10.0)
     worst = 0.0
     for t_f in (0.3, 1.0, 3.0):
-        b = protocols.build(spec, _P("dirac", t_f, grid_n=n_grid))
+        b = protocols.build(spec, _P("dirac", t_f))
         inst = energies.instantaneous(b.curve, b.profile, spec)
         tr = energies.averages(inst, b.curve, spec, b.profile)
         bound = energies.lower_bound_avg_energy(spec, t_f).value
@@ -101,10 +101,10 @@ def check_impulse_equality_chain(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_impulse_energy_share(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_impulse_energy_share() -> CheckResult:
     """Fast strong expansions pay half the averaged energy in the kicks."""
     spec = TrapSpec.from_gamma(100.0)
-    b = protocols.build(spec, _P("dirac", 1e-3, grid_n=n_grid))
+    b = protocols.build(spec, _P("dirac", 1e-3))
     inst = energies.instantaneous(b.curve, b.profile, spec)
     tr = energies.averages(inst, b.curve, spec, b.profile)
     share = tr.delta_delta / tr.avg_E
@@ -116,7 +116,7 @@ def check_impulse_energy_share(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_lower_bound_small_tf(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_lower_bound_small_tf() -> CheckResult:
     """E_nL -> (2n+1)/(2 omega_f t_f^2) for fast strong expansions."""
     t_f = 1e-3
     worst = 0.0
@@ -133,7 +133,7 @@ def check_lower_bound_small_tf(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_bang_bang_extremes(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_bang_bang_extremes() -> CheckResult:
     """At omega2 = sqrt(omega0 omega_f): t1 = 0, t_f = pi gamma/2, and the
     averaged energy reaches its minimum (1 + omega_f/omega0)/4 (n = 0)."""
     spec = TrapSpec.from_gamma(10.0)
@@ -157,7 +157,7 @@ def check_bang_bang_extremes(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_bang_bang_log_asymptote(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_bang_bang_log_asymptote() -> CheckResult:
     """Steep equal steps: avg_E vs (2n+1) pi ln(2 gamma)/(16 omega_f t_f^2).
 
     Expected to FAIL at the pinned +-5%: the law is log-level only, and the
@@ -179,7 +179,7 @@ def check_bang_bang_log_asymptote(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_free_expansion_limit(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_free_expansion_limit() -> CheckResult:
     """omega1 = 0, steep stop: t_f -> 1/sqrt(omega0 omega_f) and
     avg_E -> (n + 1/2)."""
     spec = TrapSpec.from_gamma(100.0)
@@ -226,7 +226,7 @@ def na_feasibility_threshold(
     return hi
 
 
-def check_na_bound_sweep(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_na_bound_sweep() -> CheckResult:
     """The averaged non-adiabatic energy respects its bound across the
     sweep; the optimized cap protocol lands within a factor 2 of the bound
     at the slowest point."""
@@ -235,14 +235,14 @@ def check_na_bound_sweep(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     worst_margin = math.inf
     hybrid_ratios = []
     for t_f in np.geomspace(1.02 * thr, 600.0, 20):
-        res = optimize.optimize_caps(spec, float(t_f), n_grid)
+        res = optimize.optimize_caps(spec, float(t_f))
         bound = energies.na_lower_bound(spec, float(t_f))
         worst_margin = min(worst_margin, res.objective / bound - 1.0)
         hybrid_ratios.append(res.objective / bound)
     t_lo = math.sqrt(spec.gamma**2 - 1.0) * 1.001
     t_hi = protocols.bang_bang_max_duration(spec) * 0.999
     for t_f in np.geomspace(t_lo, t_hi, 20):
-        bb = protocols.build(spec, _P("bang_bang_na", float(t_f), grid_n=n_grid))
+        bb = protocols.build(spec, _P("bang_bang_na", float(t_f)))
         _, avg, _ = energies.nonadiabatic_energy(bb.curve, bb.profile, spec)
         bound = energies.na_lower_bound(spec, bb.curve.grid.t_f)
         worst_margin = min(worst_margin, avg / bound - 1.0)
@@ -257,11 +257,11 @@ def check_na_bound_sweep(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_free_expansion_matching(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_free_expansion_matching() -> CheckResult:
     """omega1 = 0, beta = 1, gamma = 10: switching times 9.9 and
     arcsin(sqrt(99/9999)) ~ 0.099674, and the curve closes on (gamma, 0)."""
     spec = TrapSpec.from_gamma(10.0)
-    bb = protocols.build(spec, _P("bang_bang_na", beta=1.0, grid_n=n_grid))
+    bb = protocols.build(spec, _P("bang_bang_na", beta=1.0))
     t1, t2 = bb.extra["t1"], bb.extra["t2"]
     ok = (
         abs(t1 - 9.9) < 1e-10
@@ -279,7 +279,7 @@ def check_free_expansion_matching(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_power_integral_roundtrip(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_power_integral_roundtrip() -> CheckResult:
     """Total power integral equals the energy change (n+1/2)(omega_f -
     omega0) for the polynomial protocols, and forward-solving the
     inverse-engineered control reproduces the quintic curve."""
@@ -288,14 +288,14 @@ def check_power_integral_roundtrip(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
         spec = TrapSpec.from_gamma(10.0, n=n)
         expected = -0.495 * (2 * n + 1)
         for params in (
-            _P("quintic", 25.0, grid_n=n_grid),
-            _P("septic", 25.0, 0.0, 0.0, grid_n=n_grid),
-            _P("septic", 25.0, *_SEPTIC_REF, grid_n=n_grid),
+            _P("quintic", 25.0),
+            _P("septic", 25.0, 0.0, 0.0),
+            _P("septic", 25.0, *_SEPTIC_REF),
         ):
             b = protocols.build(spec, params)
             pw = energies.power(b.curve, b.profile, spec)
             worst = max(worst, abs(pw.integral - expected) / abs(expected))
-    q = protocols.build(TrapSpec.from_gamma(10.0), _P("quintic", 25.0, grid_n=n_grid))
+    q = protocols.build(TrapSpec.from_gamma(10.0), _P("quintic", 25.0))
     redone = ermakov.forward_solve(q.profile)
     rt_err = float(np.max(np.abs(redone.b - q.curve.b)))
     ok = worst < 1e-6 and rt_err < 1e-6
@@ -307,7 +307,7 @@ def check_power_integral_roundtrip(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_power_peak_optimization(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_power_peak_optimization() -> CheckResult:
     """With the published trap settings (2500 Hz -> 25 Hz, 8 ms), the
     optimized two-parameter interpolant flattens the power peak below the
     quintic's, never below the mean-value floor of 1."""
@@ -329,24 +329,24 @@ def check_power_peak_optimization(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_minimal_work_positivity(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_minimal_work_positivity() -> CheckResult:
     """For every real-frequency protocol the ground-state energy never
     drops below the adiabatic reference, and frequency-continuous
     protocols start and end exactly on it."""
     spec = TrapSpec.from_gamma(10.0)
-    caps = optimize.optimize_caps(spec, 250.0, n_grid).params
+    caps = optimize.optimize_caps(spec, 250.0).params
     rows = [
-        (f"{fam} tf={t_f}", _P(fam, t_f, grid_n=n_grid))
+        (f"{fam} tf={t_f}", _P(fam, t_f))
         for t_f in (40.0, 100.0)
         for fam in ("quintic", "septic")
     ]
     rows += [
-        ("septic(ref) tf=200", _P("septic", 200.0, *_SEPTIC_REF, grid_n=n_grid)),
-        ("hybrid tf=250", _P("hybrid", 250.0, tau_l=caps[0], tau_s=caps[1], grid_n=n_grid)),
+        ("septic(ref) tf=200", _P("septic", 200.0, *_SEPTIC_REF)),
+        ("hybrid tf=250", _P("hybrid", 250.0, tau_l=caps[0], tau_s=caps[1])),
     ]
-    rows += [(f"na_bang_bang beta={beta}", _P("bang_bang_na", beta=beta, grid_n=n_grid))
+    rows += [(f"na_bang_bang beta={beta}", _P("bang_bang_na", beta=beta))
              for beta in (0.5, 1.0, 2.0)]
-    rows += [(f"linear tf={t_f}", _P("linear_bottom", t_f, grid_n=n_grid)) for t_f in (1.0, 10.0)]
+    rows += [(f"linear tf={t_f}", _P("linear_bottom", t_f)) for t_f in (1.0, 10.0)]
 
     admissible = 0
     worst_min = math.inf
@@ -370,15 +370,15 @@ def check_minimal_work_positivity(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-def check_mean_value_bounds(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
+def check_mean_value_bounds() -> CheckResult:
     """max bdot >= (gamma-1)/t_f and max |bddot| >= 2(gamma-1)/t_f^2 for
     every complete protocol with vanishing boundary slopes."""
     spec = TrapSpec.from_gamma(10.0)
     g1 = spec.gamma - 1.0
     worst = math.inf
     worst_tag = ""
-    rows = [row for t_f in (0.1, 1.0, 10.0, 25.0) for row in _criterion1_protocols(t_f, n_grid)]
-    rows.append(("bang_bang(1,1)", _P("bang_bang", omega1=1.0, omega2=1.0, grid_n=n_grid)))
+    rows = [row for t_f in (0.1, 1.0, 10.0, 25.0) for row in _criterion1_protocols(t_f)]
+    rows.append(("bang_bang(1,1)", _P("bang_bang", omega1=1.0, omega2=1.0)))
     for tag, params in rows:
         curve = protocols.build(spec, params).curve
         t_f = curve.grid.t_f
@@ -395,7 +395,7 @@ def check_mean_value_bounds(n_grid: int = DEFAULT_GRID_N) -> CheckResult:
     )
 
 
-CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
     ("virial_equipartition", check_virial_equipartition),
     ("impulse_equality_chain", check_impulse_equality_chain),
     ("impulse_energy_share", check_impulse_energy_share),
@@ -412,5 +412,5 @@ CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
 )
 
 
-def run_all(n_grid: int = DEFAULT_GRID_N) -> list[CheckResult]:
-    return [fn(n_grid) for _, fn in CHECKS]
+def run_all() -> list[CheckResult]:
+    return [fn() for _, fn in CHECKS]

@@ -220,11 +220,33 @@ class TestProtocolCommand:
         (["power", "--gamma", "1e62", "--tf-dimensionless", "5"],
          "power: gamma = 1e+62 is too large for a protocol: its closed form overflows above "
          "gamma ~ 2.953e+61"),
-    ], ids=["short_tf", "large_gamma", "power_large_gamma"])
+        (["protocol", "--family", "septic", "--gamma", "10", "--tf-dimensionless", "20", "--c3", "nan"],
+         "invalid protocol parameters: c3 must be finite (got nan)"),
+        (["energy", "--family", "septic", "--gamma", "10", "--tf-dimensionless", "20", "--c4", "inf"],
+         "invalid protocol parameters: c4 must be finite (got inf)"),
+        (["protocol", "--family", "septic", "--gamma", "3", "--tf-dimensionless", "2.8e6", "--c3", "1e300"],
+         "invalid protocol parameters: the septic's |b| <= gamma + |c3| + |c4| = 1e+300 takes gamma's "
+         "place: gamma = 1e+300 is too large for a protocol: its closed form overflows above gamma ~ "
+         "2.953e+61"),
+    ], ids=["short_tf", "large_gamma", "power_large_gamma", "septic_nan_c3", "septic_inf_c4",
+            "septic_huge_c3"])
     def test_scale_edge_exits_with_one_line(self, argv, message):
-        # these used to print overflow warnings, write nan and inf, and exit 0
+        # these used to print overflow warnings, write nan and inf, and exit 0; the
+        # septic ones wrote all-NaN rows, printed avg_E = nan, and overflowed
         proc = run_cli(argv)
         assert proc.returncode == 1 and proc.stdout == "" and proc.stderr == message + "\n"
+
+    @pytest.mark.parametrize("command", ["protocol", "energy"])
+    def test_constant_power_table_reports_its_miss(self, command, capsys):
+        # the shot ends at b = 4.02, not gamma = 10: the header says so
+        assert main([command, "--family", "constant_power", "--gamma", "10", "--tf-dimensionless",
+                     "50", "--grid", "2001"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("# shooting")]
+        _, mism = protocols.constant_power_shoot(TrapSpec.from_gamma(10.0), 50.0, 2001)
+        assert round(mism.b_error, 2) == -5.98
+        assert lines == [f"# shooting mismatch b(t_f) - gamma = {mism.b_error:.12g}, "
+                         f"bdot(t_f) = {mism.bdot_f:.12g}, bddot(t_f) = {mism.bddot_f:.12g} "
+                         "(derivatives in tau = omega0 t)"]
 
     def test_overflowing_step_frequency_exits_with_one_line(self):
         # omega1**2 used to end in a raw OverflowError traceback
@@ -852,9 +874,8 @@ def test_fig1_bang_bang_row_needs_no_grid(gamma):
 
 
 def test_verify_command_reports_known_failure(capsys):
-    # small grid keeps it fast; the logarithmic asymptote check is the one
-    # documented honest failure
-    code = main(["verify", "--grid", "301"])
+    # the logarithmic asymptote check is the one documented honest failure
+    code = main(["verify"])
     out = capsys.readouterr().out
     assert code == 1
     failures = [l for l in out.splitlines() if l.startswith("FAIL")]
@@ -862,11 +883,11 @@ def test_verify_command_reports_known_failure(capsys):
     assert "bang_bang_log_asymptote" in failures[0]
 
 
-@pytest.mark.parametrize("grid", ["2000", "1"])
-def test_verify_rejects_grid_without_odd_node_count(grid, capsys):
-    with pytest.raises(SystemExit, match="odd node count"):
-        main(["verify", "--grid", grid])
-    assert capsys.readouterr().out == ""
+def test_verify_takes_no_grid(capsys):
+    # every check runs at its own pinned grids: a --grid would be an ignored input
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--grid", "301"])
+    assert exc.value.code == 2 and "unrecognized arguments: --grid 301" in capsys.readouterr().err
 
 
 _GAMMA, _SI_PAIR = "--gamma", "--omega0-hz/--omegaf-hz"
@@ -996,17 +1017,28 @@ def test_readme_lists_exactly_the_sweep_only_flags():
     assert re.findall(r"`(--[\w-]+)`", listed) == flags
 
 
-def test_no_library_module_imports_scipy():
-    """Not at module level and not inside a function: SciPy is for the tests."""
+def _library_imports():
+    """(file:line, module name) of every absolute import in the package's modules."""
     package = Path(staexpand.__file__).resolve().parent
-    found = []
-    for path in sorted(package.rglob("*.py")):
+    paths = sorted(package.rglob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
-    assert len(list(package.rglob("*.py"))) > 5 and found == []
+            yield from ((f"{path.name}:{node.lineno}", n) for n in names)
+
+
+def test_no_library_module_imports_scipy():
+    """Not at module level and not inside a function: SciPy is for the tests."""
+    assert [f"{at} {n}" for at, n in _library_imports() if n.split(".")[0] == "scipy"] == []
+
+
+def test_no_library_module_imports_itself_by_its_absolute_name():
+    """Every import inside the package is relative, so two checkouts of it
+    can be imported side by side in one process under different names."""
+    assert [f"{at} {n}" for at, n in _library_imports() if n.split(".")[0] == "staexpand"] == []

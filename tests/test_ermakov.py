@@ -84,7 +84,7 @@ class TestForwardSolve:
         b_f = float(solved.b[-1])
         df = profile.impulses[1][1]  # the final kick stops the slope
         assert b_f == pytest.approx(10.0, abs=1e-6)
-        assert abs(solved.bf_minus_dot - df * b_f) < 1e-6
+        assert abs(solved.bdot[-1] - df * b_f) < 1e-6
 
     def test_impulse_jump_rule(self, spec):
         # bdot jumps by exactly -D b across a kick
@@ -92,9 +92,8 @@ class TestForwardSolve:
         curve, profile = bundle.curve, bundle.profile
         solved = ermakov.forward_solve(profile)
         d0 = profile.impulses[0][1]
-        assert solved.b0_plus_dot == pytest.approx(-d0 * float(solved.b[0]), rel=1e-12)
-        assert profile.impulses[1][0] == solved.grid.t_f
-        assert solved.bf_minus_dot == float(solved.bdot[-1])  # before the final kick
+        assert solved.bdot[0] == pytest.approx(-d0 * float(solved.b[0]), rel=1e-12)
+        assert profile.impulses[1][0] == solved.grid.t_f  # bdot[-1] is before the final kick
 
     @pytest.mark.parametrize("n, bdot0", [(3, -4.0), (11, -20.0), (11, -15.0), (11, -8.0), (21, -15.0)])
     def test_free_fall_is_exact(self, n, bdot0):
@@ -271,8 +270,8 @@ class TestFastIntegratorsMatchReference:
             for x, ref in ((got.b, b_ref), (got.bdot, bdot_ref)):
                 err = np.max(np.abs(x - ref))
                 assert err <= 1e-12 * np.max(np.abs(ref)), (name, err)
-            assert got.b0_plus_dot == b0_plus
-            assert abs(got.bf_minus_dot - bdot_ref[-1]) <= 1e-12 * np.max(np.abs(bdot_ref))
+            assert got.bdot[0] == b0_plus
+            assert abs(got.bdot[-1] - bdot_ref[-1]) <= 1e-12 * np.max(np.abs(bdot_ref))
             b3 = got.b * got.b * got.b
             bddot = 1.0 / b3 - profile.omega2 * got.b
             assert np.array_equal(got.bddot, bddot)

@@ -17,7 +17,7 @@ def spec():
 class TestOptimizeCaps:
     def test_result_feasible_and_above_bound(self, spec):
         res = optimize.optimize_caps(spec, 300.0, n_grid=1001)
-        assert res.feasible
+        assert math.isfinite(res.objective)
         bound = energies.na_lower_bound(spec, 300.0)
         assert res.objective > bound          # the bound is approached, not reached
         assert res.objective < 2.0 * bound    # but not by much at slow protocols
@@ -164,7 +164,7 @@ class TestCapSearchOffTheGrid:
         monkeypatch.setattr(optimize, "best_cap_seed", lambda *args: (value, caps))
         res = optimize.optimize_caps(spec, 300.0, 501)
         assert math.isfinite(value) and res.params == caps and res.objective == res.baseline == value
-        assert (res.iterations, res.converged, res.feasible) == (0, False, True)
+        assert (res.iterations, res.converged) == (0, False)
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +465,7 @@ class TestSearchesPinned:
         assert [x.hex() for x in res.params] == ["0x1.629ab1bb8967dp+1", "0x1.ba3e189eecf9ap+7"]
         assert res.objective.hex() == "0x1.1a1801a1f0b9ap-12"
         assert res.baseline.hex() == "0x1.3faebff7ab2f4p-12"
-        assert (res.iterations, res.converged, res.feasible) == (29, True, True)
+        assert (res.iterations, res.converged) == (29, True)
 
     def test_septic_power_search(self, fig4):
         spec, t_f = fig4
@@ -473,7 +473,7 @@ class TestSearchesPinned:
         assert [x.hex() for x in res.params] == ["0x1.39c541a4781e3p+6", "-0x1.cb481dcdc06c1p+8"]
         assert res.objective.hex() == "0x1.0f0a9a3127482p+1"
         assert res.baseline.hex() == "0x1.eb5f8dcaf8ce4p+1"
-        assert (res.iterations, res.converged, res.feasible) == (162, True, True)
+        assert (res.iterations, res.converged) == (162, True)
 
     def test_cap_search_on_the_benchmark_grid(self, spec):
         res = optimize.optimize_caps(spec, 300.0, 2001)
@@ -481,7 +481,7 @@ class TestSearchesPinned:
         assert [x.hex() for x in res.params] == ["0x1.629ab1bb8967dp+1", "0x1.ba3e189eecf9ap+7"]
         assert res.objective.hex() == "0x1.1a1801a1cd15ap-12"
         assert res.baseline.hex() == "0x1.3faebfebf8d76p-12"
-        assert (res.iterations, res.converged, res.feasible) == (29, True, True)
+        assert (res.iterations, res.converged) == (29, True)
 
     def test_septic_power_search_on_the_benchmark_grid(self, fig4):
         spec, t_f = fig4
@@ -489,7 +489,7 @@ class TestSearchesPinned:
         assert [x.hex() for x in res.params] == ["0x1.3a0cd4fb96102p+6", "-0x1.cbca931cf8724p+8"]
         assert res.objective.hex() == "0x1.0f0af6e79f88ap+1"
         assert res.baseline.hex() == "0x1.eb6002675d105p+1"
-        assert (res.iterations, res.converged, res.feasible) == (155, True, True)
+        assert (res.iterations, res.converged) == (155, True)
 
     def test_short_cap_protocol_has_no_feasible_seed(self, spec):
         with pytest.raises(Infeasible, match="no real-frequency cap protocol found at t_f = 100"):

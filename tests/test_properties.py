@@ -18,7 +18,8 @@ grids have 201-501 nodes.  Tolerances come from the methods:
 The grid contract all of these rest on is a property over durations
 1e-9 to 1e15.  The last property spans the whole scale every family is
 built at: gamma log-uniform in [1, 2.95e61] and t_f in [1e-300, 1e300],
-where each request gives finite numbers or a typed refusal.
+where each request gives finite numbers or a typed refusal, and so does
+every septic shape c3, c4 of magnitude 1e-300 to 1e300, NaN or infinite.
 """
 import math
 
@@ -318,22 +319,66 @@ TYPED_ERRORS = (ValueError, Infeasible, TrajectoryBlowUp)
 def test_every_family_is_finite_or_refused_over_the_whole_scale(family, log_gamma, log_tf, n):
     spec = TrapSpec.from_gamma(10.0**log_gamma)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        try:
-            bundle = protocols.build(spec, protocols.ProtocolParams(family, 10.0**log_tf, grid_n=n))
-            c, p = bundle.curve, bundle.profile
-            trace = energies.full_trace(c, p, spec)
-        except TYPED_ERRORS:
-            return
-        rows = [c.b, c.bdot, c.bddot, c.bdddot, p.omega2, p.domega2, trace.E, trace.K, trace.V]
-        values = [trace.avg_E, trace.avg_K, trace.avg_V, trace.delta_delta, *(d for _, d in p.impulses)]
-        if trace.Ena is not None:
-            rows.append(trace.Ena)
-            values.append(trace.avg_Ena)
-        try:
-            pw = energies.power(c, p, spec)
-        except TYPED_ERRORS:
-            pass
-        else:
-            rows += [pw.P, pw.P_rel]
-            values += [pw.integral, pw.peak_rel]
+        assert_finite_or_refused(spec, protocols.ProtocolParams(family, 10.0**log_tf, grid_n=n))
+
+
+def assert_finite_or_refused(spec, params):
+    """build, full_trace and power of the request give finite values, or
+    build or full_trace raises one of ``TYPED_ERRORS``."""
+    try:
+        bundle = protocols.build(spec, params)
+        c, p = bundle.curve, bundle.profile
+        trace = energies.full_trace(c, p, spec)
+    except TYPED_ERRORS:
+        return
+    rows = [c.b, c.bdot, c.bddot, c.bdddot, p.omega2, p.domega2, trace.E, trace.K, trace.V]
+    values = [trace.avg_E, trace.avg_K, trace.avg_V, trace.delta_delta, *(d for _, d in p.impulses)]
+    if trace.Ena is not None:
+        rows.append(trace.Ena)
+        values.append(trace.avg_Ena)
+    try:
+        pw = energies.power(c, p, spec)
+    except TYPED_ERRORS:
+        pass
+    else:
+        rows += [pw.P, pw.P_rel]
+        values += [pw.integral, pw.peak_rel]
     assert all(np.isfinite(r).all() for r in rows) and all(map(math.isfinite, values))
+
+
+# a septic shape input: a magnitude 1e-300 to 1e300 of either sign, or a non-finite value
+septic_shapes = st.one_of(
+    st.tuples(st.floats(-300.0, 300.0), st.sampled_from((1.0, -1.0))).map(lambda e: e[1] * 10.0 ** e[0]),
+    st.sampled_from((math.nan, math.inf, -math.inf)),
+)
+
+
+@hyp.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@hyp.given(c3=septic_shapes, c4=septic_shapes, log_gamma=st.floats(0.0, 3.0),
+           log_tf=st.floats(-1.0, 7.0), n=st.sampled_from((3, 101)))
+def test_every_septic_shape_is_finite_or_refused(c3, c4, log_gamma, log_tf, n):
+    # a NaN shape used to give an all-NaN curve, an infinite one NaN averages,
+    # and c3 = 1e300 an overflow; the request refuses the non-finite ones by
+    # name.  Underflow is allowed: at gamma = 1 a tiny shape's bdot^2 rounds to 0
+    spec = TrapSpec.from_gamma(10.0**log_gamma)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            params = protocols.ProtocolParams("septic", 10.0**log_tf, c3=c3, c4=c4, grid_n=n)
+        except ValueError as exc:
+            assert not math.isfinite(c3 if str(exc).startswith("c3") else c4)
+            return
+        assert_finite_or_refused(spec, params)
+
+
+@hyp.settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@hyp.given(log_gamma=st.floats(math.log10(1.5), 2.0), log_tf=st.floats(-1.0, math.log10(200.0)),
+           u=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_benchmark_septic_shapes_build(log_gamma, log_tf, u):
+    # the benchmark's draws: |c3|, |c4| <= gamma - 1, kept where b >= 1/2 at 101 points
+    gamma = 10.0**log_gamma
+    c3, c4 = ((gamma - 1.0) * x for x in u)
+    s = np.linspace(0.0, 1.0, 101)
+    hyp.assume(np.polynomial.polynomial.polyval(s, protocols._septic_coef(gamma, c3, c4)).min() >= 0.5)
+    bundle = protocols.build(TrapSpec.from_gamma(gamma),
+                             protocols.ProtocolParams("septic", 10.0**log_tf, c3=c3, c4=c4))
+    assert np.isfinite(bundle.profile.omega2).all()

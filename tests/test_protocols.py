@@ -89,8 +89,8 @@ class TestQuasiOptimal:
         tf = 1.0
         B = math.sqrt(101.0) - 1.0
         c = make(spec, "quasi_optimal", tf).curve
-        assert c.b0_plus_dot == pytest.approx(B / tf, rel=1e-12)
-        assert c.bf_minus_dot == pytest.approx((B**2 + B - tf**2) / (10.0 * tf), rel=1e-12)
+        assert c.bdot[0] == pytest.approx(B / tf, rel=1e-12)
+        assert c.bdot[-1] == pytest.approx((B**2 + B - tf**2) / (10.0 * tf), rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [1.0, 1.5, 10.0, 1e3])
     @pytest.mark.parametrize("tf", [1e-6, 1e-2, 1.0, 1e3, 1e8, 1e15, 3e15, 1e16, 1e17, 1e20])
@@ -118,6 +118,21 @@ class TestDiracImpulse:
         assert (t0, tf) == (0.0, 1.0)
         assert d0 == pytest.approx(-B, rel=1e-12)
         assert df == pytest.approx((B**2 + B - 1.0) / 100.0, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.0 + 1e-9, 1.5, 10.0, 1e3])
+    @pytest.mark.parametrize("tf", [1e-6, 1e-3, 1.0, 50.0, 1e8])
+    def test_strengths_are_exact(self, gamma, tf):
+        # the kicks are the curve's own end slopes over b: D0 = -B/tf and
+        # Df = (B + B^2 - tf^2)/(gamma^2 tf), B = sqrt(tf^2 + gamma^2) - 1; B formed
+        # by that difference read 8.9e-5 off at gamma 1, tf 1e-6
+        mp = pytest.importorskip("mpmath")
+        spec = TrapSpec.from_gamma(gamma)
+        (_, d0), (_, df) = make(spec, "dirac", tf, 201).profile.impulses
+        with mp.workdps(50):
+            g, T = mp.mpf(spec.gamma), mp.mpf(tf)
+            B = mp.sqrt(T**2 + g**2) - 1
+            for got, exact in ((d0, -B / T), (df, (B + B**2 - T**2) / (g**2 * T))):
+                assert abs(got - exact) <= 1e-15 * abs(exact)
 
     @pytest.mark.parametrize("tf", [0.1, 1.0, 30.0, 200.0])
     def test_first_impulse_always_negative(self, spec, tf):
@@ -512,7 +527,7 @@ def _two_step_bundle(spec, omega1, omega2, n):
 def test_build_dispatch_covers_families(spec):
     def row(family, t_f, **inputs):   # the family table's maker, past build's checks
         params = protocols.ProtocolParams(family, t_f, grid_n=201, **inputs)
-        return lambda: protocols._DESIGNED[family][1](spec, t_f, params)
+        return lambda: protocols._DESIGNED[family](spec, t_f, params)
 
     cases = [
         ("quintic", dict(t_f=2.0), row("quintic", 2.0)),
@@ -535,8 +550,6 @@ def test_build_dispatch_covers_families(spec):
         assert bundle.curve.grid == ref.curve.grid
         for name in ("b", "bdot", "bddot", "bdddot"):
             assert np.array_equal(getattr(bundle.curve, name), getattr(ref.curve, name)), (family, name)
-        assert (bundle.curve.b0_plus_dot, bundle.curve.bf_minus_dot) == (
-            ref.curve.b0_plus_dot, ref.curve.bf_minus_dot)
         assert np.array_equal(bundle.profile.omega2, ref.profile.omega2), family
         assert np.array_equal(bundle.profile.domega2, ref.profile.domega2), family
         assert bundle.profile.impulses == ref.profile.impulses
@@ -609,14 +622,19 @@ def test_duration_too_short_for_the_closed_form_refused(family, gamma):
 
 def test_two_step_duration_too_short_for_the_closed_form_refused():
     # the sinh segment's g'^3 used to overflow at gamma 1e50 and t_f 0.5, and
-    # with given steps at gamma 2.9e61; the solved duration is checked
+    # with given steps at gamma 2.9e61.  The edge gamma^(2/3) 8.2e-101 (1.77e-67
+    # at gamma 1e50) lies below every duration the step frequencies reach, so
+    # those build finite, and only a solved duration below it is refused
     spec = TrapSpec.from_gamma(1e50)
-    with pytest.raises(Infeasible, match=r"equal-step .* too short .* below t_f ~ 0.8224$"):
-        protocols.build(spec, protocols.ProtocolParams("bang_bang", 0.5, grid_n=201))
-    _assert_finite_run(spec, protocols.build(spec, protocols.ProtocolParams("bang_bang", 0.831,
-                                                                            grid_n=201)))
-    steps = protocols.ProtocolParams("bang_bang", omega1=1.0, omega2=1.0, grid_n=201)
-    _named_edge(TrapSpec.from_gamma(2.9e61), steps, "below t_f")
+    with np.errstate(all="raise"):
+        _assert_finite_run(spec, protocols.build(spec, protocols.ProtocolParams("bang_bang", 0.5,
+                                                                                grid_n=201)))
+    big = TrapSpec.from_gamma(2.9e61)
+    _assert_finite_run(big, protocols.build(big, protocols.ProtocolParams("bang_bang", omega1=1.0,
+                                                                          omega2=1.0, grid_n=201)))
+    times = {"t1": 0.0, "t2": 1e-70, "omega1": 1.0, "omega2": 1.0}
+    with pytest.raises(ValueError, match=r"t_f = 1e-70 is too short .* below t_f ~ 1.772e-67$"):
+        protocols._bang_bang_bundle(spec, times, 201)
 
 
 @pytest.mark.parametrize("family, t_f", [
@@ -711,11 +729,31 @@ def test_build_refuses_a_request_without_family(spec):
     ("hybrid", dict(t_f=20.0, c3=1.0), "hybrid family does not use c3$"),
     ("dirac", dict(t_f=2.0, tau_s=0.0), "dirac family does not use tau_s$"),
     ("bang_bang", dict(omega1=1.0, omega2=1.0, c4=-1.0), "bang_bang family does not use c4$"),
-    ("bang_bang_na", dict(t_f=12.0, c3=math.nan), "bang_bang_na family does not use c3$"),
+    ("bang_bang_na", dict(t_f=12.0, c3=-1e-300), "bang_bang_na family does not use c3$"),
+    # a shape that is not a finite number, refused by the request itself: a NaN
+    # used to give an all-NaN septic, and an infinite one NaN averages
+    ("septic", dict(t_f=2.0, c3=math.nan), r"^c3 must be finite \(got nan\)$"),
+    ("septic", dict(t_f=2.0, c4=math.inf), r"^c4 must be finite \(got inf\)$"),
+    ("septic", dict(t_f=2.0, c3=-math.inf), r"^c3 must be finite \(got -inf\)$"),
 ])
 def test_build_refuses_ignored_or_conflicting_step_inputs(spec, family, inputs, message):
     with pytest.raises(ValueError, match=message):
         protocols.build(spec, protocols.ProtocolParams(family=family, grid_n=101, **inputs))
+
+
+def test_septic_shape_takes_gamma_s_place_in_the_scale_check():
+    # |b| <= gamma + |c3| + |c4|, and that bound is the gamma of both scale edges:
+    # c3 = 1e300 at gamma 3 and t_f 2.8e6 used to overflow
+    spec = TrapSpec.from_gamma(3.0)
+    with pytest.raises(ValueError, match=r"^the septic's \|b\| <= gamma \+ \|c3\| \+ \|c4\| = 1e\+300 "
+                                         r"takes gamma's place: .* above gamma ~ 2.953e\+61$"):
+        protocols.build(spec, protocols.ProtocolParams("septic", 2.8e6, c3=1e300))
+    # just inside the edge that a shape names, every value is finite
+    shape = dict(c4=1e30, grid_n=201)
+    t_min = _named_edge(spec, protocols.ProtocolParams("septic", 1e-82, **shape), "below t_f")
+    assert t_min == pytest.approx((3.0 + 1e30) ** (2.0 / 3.0) * protocols._T_PER_GAMMA, rel=1e-3)
+    _assert_finite_run(spec, protocols.build(spec, protocols.ProtocolParams("septic", 1.01 * t_min,
+                                                                            **shape)))
 
 
 @pytest.mark.parametrize("family", protocols._FAMILIES)

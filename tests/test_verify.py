@@ -13,7 +13,7 @@ def test_registry_names_unique():
 
 
 def test_virial_check_passes_on_default_grid():
-    assert verify.check_virial_equipartition(501).passed
+    assert verify.check_virial_equipartition().passed
 
 
 def test_virial_check_catches_injected_sign_error(monkeypatch):
@@ -27,7 +27,7 @@ def test_virial_check_catches_injected_sign_error(monkeypatch):
         return trace
 
     monkeypatch.setattr(verify.energies, "averages", broken)
-    assert not verify.check_virial_equipartition(301).passed
+    assert not verify.check_virial_equipartition().passed
 
 
 def test_quadrature_identities_degrade_gracefully_on_coarse_grids():
