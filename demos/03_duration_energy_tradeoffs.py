@@ -24,7 +24,7 @@ for tau in np.geomspace(0.05 * t_max, t_max, 10):
     bound = energies.lower_bound_avg_energy(spec, float(tau)).value
     try:
         times = protocols.two_step_times(spec, "bang_bang", float(tau))
-        e_bb = energies.bang_bang_energies(spec, **times).avg_E
+        e_bb = energies.bang_bang_energies(spec, **times)
         bb_txt = f"{e_bb:9.4f}"
     except Infeasible:
         bb_txt = "        -"

@@ -357,7 +357,7 @@ def _sweep_row(preset: str, spec: TrapSpec, t_f: float, family: str, grid_n: int
             return optimize.optimize_caps(spec, t_f, grid_n).objective, ""
         if fig1 and family == "bang_bang":  # closed form in the switching times: no grid
             times = protocols.two_step_times(spec, "bang_bang", t_f)
-            return energies.bang_bang_energies(spec, **times).avg_E, ""
+            return energies.bang_bang_energies(spec, **times), ""
         params = protocols.ProtocolParams(_SWEEP_FAMILY.get(family, family), t_f, grid_n=grid_n)
         b = protocols.build(spec, params)
         if fig1:

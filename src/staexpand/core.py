@@ -25,6 +25,12 @@ def _check_positive(b: np.ndarray) -> None:
         raise ValueError("scaling function must stay positive")
 
 
+def _check_duration(t_f) -> None:
+    """The one duration check of ``build`` and the public solvers: 0 < t_f < inf."""
+    if t_f is None or not 0.0 < t_f < math.inf:
+        raise ValueError(f"t_f must be positive and finite (got {t_f!r})")
+
+
 def _is_imaginary(omega2: np.ndarray) -> bool:
     """min omega^2 < -1e-12 (or NaN): omega(t) is not real somewhere.
 
@@ -203,6 +209,14 @@ class TimeGrid:
         return cls(edges, tuple(intervals))
 
 
+def _samples(name: str, values, grid: TimeGrid) -> np.ndarray:
+    """``values`` as a float array of one sample per node of ``grid``."""
+    v = np.asarray(values, dtype=float)
+    if len(v) != len(grid):
+        raise GridMismatch(f"{name} has {len(v)} samples for {len(grid)} nodes")
+    return v
+
+
 # the closed form of one grid piece: times t -> (b, bdot, bddot, bdddot) at t
 Piece = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
@@ -229,12 +243,8 @@ class ScalingCurve:
     fns: tuple[Piece, ...] | None = None
 
     def __post_init__(self):
-        n = len(self.grid)
         for name in ("b", "bdot", "bddot", "bdddot"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if len(v) != n:
-                raise GridMismatch(f"{name} has {len(v)} samples for {n} nodes")
-            setattr(self, name, v)
+            setattr(self, name, _samples(name, getattr(self, name), self.grid))
         _check_positive(self.b)
         if self.fns is not None and len(self.fns) != self.grid.n_pieces:
             raise ValueError("need one closed form per grid piece")
@@ -265,12 +275,8 @@ class FrequencyProfile:
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.omega2 = np.asarray(self.omega2, dtype=float)
-        if len(self.omega2) != len(self.grid):
-            raise GridMismatch("omega2 sample count does not match the grid")
-        self.domega2 = np.asarray(self.domega2, dtype=float)
-        if len(self.domega2) != len(self.grid):
-            raise GridMismatch("domega2 sample count does not match the grid")
+        self.omega2 = _samples("omega2", self.omega2, self.grid)
+        self.domega2 = _samples("domega2", self.domega2, self.grid)
         self.impulses = tuple((float(t), float(s)) for t, s in self.impulses)
         for t, _ in self.impulses:
             if t not in (0.0, self.grid.t_f):

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics, protocols
+from . import numerics
 from .core import (
     FrequencyProfile,
     GridMismatch,
     PowerUndefined,
     ScalingCurve,
     TrapSpec,
+    _check_duration,
 )
 
 
@@ -126,7 +127,7 @@ def lower_bound_avg_energy(spec: TrapSpec, t_f: float) -> EnergyLowerBound:
     cancellation.  No grid enters: the value is the same for every grid
     the caller samples its protocols on.
     """
-    protocols._check_duration(t_f)
+    _check_duration(t_f)
     g = spec.gamma
     c2 = (2 * spec.n + 1) / 2.0
     r = math.hypot(g, t_f)
@@ -134,10 +135,11 @@ def lower_bound_avg_energy(spec: TrapSpec, t_f: float) -> EnergyLowerBound:
     value = c2 * (d * d - 2.0 / (g + r) + 2.0 * math.asinh(t_f / g) / t_f)
 
     try:
-        B = protocols.quasi_optimal_B(spec, t_f)
-        b2mt2 = protocols._quasi_optimal_B2_minus_tf2(spec, t_f)
+        R = math.sqrt(t_f**2 + g**2)
     except OverflowError:   # t_f^2 overflows above ~1.34e154, where B/t_f rounds to 1: invalid
         return EnergyLowerBound(value, None, False)
+    # B = R - 1; B^2 - t_f^2 = gamma^2 + 1 - 2R, free of the cancellation of the difference
+    B, b2mt2 = R - 1.0, g**2 + 1.0 - 2.0 * R
     a1 = (b2mt2 + B) / t_f
     a2 = B / t_f
     closed = None
@@ -205,7 +207,8 @@ def nonadiabatic_energy(
 
 @dataclass
 class PowerTrace:
-    """Sampled power within smooth segments plus analytic step terms.
+    """Sampled relative power P/C within smooth segments (see ``power``),
+    plus analytic step terms.
 
     ``steps`` lists (time, energy jump) for every nonzero jump of W^2: from
     1 to W^2(0+) at t = 0, across each interior joint, and from W^2(t_f-)
@@ -215,11 +218,9 @@ class PowerTrace:
     (n+1/2)(omega_f/omega0 - 1) for every complete protocol.
     """
 
-    P: np.ndarray
     P_rel: np.ndarray
     steps: tuple[tuple[float, float], ...]
     integral: float
-    integral_expected: float
     peak_rel: float
 
 
@@ -270,38 +271,19 @@ def power(curve: ScalingCurve, profile: FrequencyProfile, spec: TrapSpec) -> Pow
     integral = numerics.integrate(P, grid) + sum(s for _, s in steps)
     C = expected / grid.t_f
     P_rel = P / C
-    return PowerTrace(
-        P=P,
-        P_rel=P_rel,
-        steps=tuple(steps),
-        integral=integral,
-        integral_expected=expected,
-        peak_rel=float(np.max(np.abs(P_rel))),
-    )
+    return PowerTrace(P_rel, tuple(steps), integral, float(np.max(np.abs(P_rel))))
 
 
-@dataclass
-class BangBangEnergies:
-    """Constant segment energies of a two-step protocol and their average."""
-
-    e_segment1: float
-    e_segment2: float
-    avg_E: float
-    t_f: float
-
-
-def bang_bang_energies(
-    spec: TrapSpec, omega1: float, omega2: float, t1: float, t2: float
-) -> BangBangEnergies:
-    """Total energy is constant within each constant-frequency interval:
-    ((n+1/2)/2)(1 - W1^2) on (0, t1) and ((n+1/2)/2)(Wf^2 + W2^2)/Wf on
-    (t1, t_f), in units of hbar*omega0."""
+def bang_bang_energies(spec: TrapSpec, omega1: float, omega2: float, t1: float, t2: float) -> float:
+    """Averaged energy (t1 e1 + t2 e2)/(t1 + t2) of a two-step protocol: the
+    total energy is constant within each constant-frequency interval,
+    e1 = ((n+1/2)/2)(1 - W1^2) on (0, t1) and e2 = ((n+1/2)/2)(Wf^2 + W2^2)/Wf
+    on (t1, t_f), in units of hbar*omega0."""
     half = spec.n + 0.5
     wf = spec.omega_f_rel
     e1 = 0.5 * half * (1.0 - omega1**2)
     e2 = 0.5 * half * (wf**2 + omega2**2) / wf
-    t_f = t1 + t2
-    return BangBangEnergies(e1, e2, (t1 * e1 + t2 * e2) / t_f, t_f)
+    return (t1 * e1 + t2 * e2) / (t1 + t2)
 
 
 @dataclass
@@ -317,7 +299,6 @@ class BoundReport:
     tf_max: float                  # pi*gamma/2, dimensionless
     E_min: float                   # (2n+1)(1 + omega_f/omega0)/4 at the extreme
     E_nL_small_tf: float           # (2n+1) gamma^2 / (2 t_f^2)
-    bb_equal_steps_avg_E: float    # (2n+1) pi ln(2 gamma) / (16 Wf t_f^2)
     free_expansion_tf: float       # gamma
     free_expansion_avg_E: float    # n + 1/2
 
@@ -332,7 +313,6 @@ def bound_report(spec: TrapSpec, t_f: float) -> BoundReport:
         tf_max=math.pi * g / 2.0,
         E_min=tn * (1.0 + wf) / 4.0,
         E_nL_small_tf=_per_tf2(tn * g**2, 2.0, t_f),
-        bb_equal_steps_avg_E=_per_tf2(tn * math.pi * math.log(2.0 * g), 16.0 * wf, t_f),
         free_expansion_tf=g,
         free_expansion_avg_E=spec.n + 0.5,
     )

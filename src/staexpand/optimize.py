@@ -33,6 +33,7 @@ from .core import (
     Infeasible,
     TimeGrid,
     TrapSpec,
+    _check_duration,
     _is_imaginary,
     _real_omega,
 )
@@ -109,7 +110,7 @@ def best_cap_seed(
     (short protocols cannot avoid an imaginary band), and ValueError for a
     t_f that is not positive and finite.
     """
-    protocols._check_duration(t_f)
+    _check_duration(t_f)
     if spec.n != 0:
         raise ValueError("cap optimization targets the ground-state energy excess")
     evaluated = sorted(

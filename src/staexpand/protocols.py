@@ -41,6 +41,7 @@ from .core import (
     TimeGrid,
     TrajectoryBlowUp,
     TrapSpec,
+    _check_duration,
 )
 
 _OMEGA1_SERIES_SWITCH = 1e-6  # below this, sinh(w1 t)/w1 is evaluated by series
@@ -48,12 +49,6 @@ _SNAP_TOL = 1e-12
 # Brent root tolerance relative to the step frequency (~1/gamma at large gamma),
 # which an absolute one cannot resolve to the 1e-12 duration postcondition
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
-
-
-def _check_duration(t_f) -> None:
-    """The one duration check of ``build`` and the public solvers: 0 < t_f < inf."""
-    if t_f is None or not 0.0 < t_f < math.inf:
-        raise ValueError(f"t_f must be positive and finite (got {t_f!r})")
 
 
 def _sqrt_cols(g, g1, g2, g3):
@@ -174,8 +169,8 @@ def _check_scale(g: float, t_f: float) -> None:
 def _poly_fns(p: _Poly, t_f: float, reverse: bool = False) -> Piece:
     """The piece b(t) = p(x) with x = t/t_f, or x = (t_f - t)/t_f when
     ``reverse`` (odd orders change sign), and its first three time
-    derivatives; p is differentiated here, once, not per evaluation."""
-    _check_time_scale(t_f, 3)
+    derivatives; p is differentiated here, once, not per evaluation.  The
+    caller checks t_f**3 (``_check_time_scale``), once per protocol."""
     derivs = [(p.deriv(j), t_f**j, reverse and j % 2) for j in (1, 2, 3)]
 
     def piece(t):
@@ -204,17 +199,6 @@ def _septic_coef(g: float, c3: float, c4: float) -> list:
         (35.0 + 8.0 * c3 + 3.0 * c4 - 35.0 * g),
         -(15.0 + 3.0 * c3 + c4 - 15.0 * g),
     ]
-
-
-def quasi_optimal_B(spec: TrapSpec, t_f: float) -> float:
-    """B = sqrt(tf^2 + gamma^2) - 1 (positive root)."""
-    return math.sqrt(t_f**2 + spec.gamma**2) - 1.0
-
-
-def _quasi_optimal_B2_minus_tf2(spec: TrapSpec, t_f: float) -> float:
-    # B^2 - tf^2 = gamma^2 + 1 - 2 sqrt(tf^2 + gamma^2), free of the
-    # catastrophic cancellation the direct difference hits for long protocols
-    return spec.gamma**2 + 1.0 - 2.0 * math.sqrt(t_f**2 + spec.gamma**2)
 
 
 def _quasi_optimal(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
@@ -285,7 +269,7 @@ def _hybrid_pieces(
     and linear middle in s = t/t_f and of its stopping cap in u = 1 - s,
     in grid order."""
     _check_duration(t_f)
-    _check_time_scale(t_f, 3)   # here as well: the cap objective never forms t_f**3
+    _check_time_scale(t_f, 3)   # here, not in _hybrid: the cap objective enters without build
     if not (tau_l > 0.0 and tau_s > 0.0):
         raise ValueError("cap durations must be positive")
     if tau_l + tau_s >= t_f:
@@ -599,10 +583,30 @@ def _uniform_poly(coef):
     """The maker of a family whose b(s) is the one polynomial with power
     series ``coef(gamma, params)`` on a uniform grid."""
     def make(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
+        _check_time_scale(t_f, 3)
         p = _Poly(coef(spec.gamma, params))
         return _bundle(TimeGrid.uniform(t_f, params.grid_n), (_poly_fns(p, t_f),))
 
     return make
+
+
+# the largest end miss of a septic, relative to gamma, gamma/t_f and gamma/t_f^2
+_SEPTIC_END_TOL = 1e-9
+
+
+def _septic(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
+    """The septic of shape (c3, c4), refused where its stored ends miss
+    b(t_f) = gamma, bdot(t_f) = bddot(t_f) = 0 by more than ``_SEPTIC_END_TOL``:
+    the power series' coefficients grow with |c3| and |c4| and cancel at s = 1."""
+    bundle = _uniform_poly(lambda g, p: _septic_coef(g, p.c3, p.c4))(spec, t_f, params)
+    c, g = bundle.curve, spec.gamma
+    misses = ((c.b[-1] - g) / g, c.bdot[-1] * t_f / g, c.bddot[-1] * t_f**2 / g)
+    if not max(map(abs, misses)) <= _SEPTIC_END_TOL:
+        raise ValueError(
+            f"the septic shape c3 = {params.c3:.6g}, c4 = {params.c4:.6g} loses its end conditions to "
+            f"round-off: (b - gamma)/gamma = {misses[0]:.3g}, bdot t_f/gamma = {misses[1]:.3g} and "
+            f"bddot t_f^2/gamma = {misses[2]:.3g} at t_f, above {_SEPTIC_END_TOL:g}")
+    return bundle
 
 
 def _constant_power(spec: TrapSpec, t_f: float, params: ProtocolParams) -> ProtocolBundle:
@@ -618,7 +622,7 @@ _DESIGNED = {
     "quintic": _uniform_poly(lambda g, params: [1.0, 0.0, 0.0, 10.0 * (g - 1.0),
                                                -15.0 * (g - 1.0), 6.0 * (g - 1.0)]),
     # all six boundary conditions for any (c3, c4), the power-shaping knobs
-    "septic": _uniform_poly(lambda g, params: _septic_coef(g, params.c3, params.c4)),
+    "septic": _septic,
     "quasi_optimal": _quasi_optimal,
     "dirac": _dirac,
     "hybrid": _hybrid,

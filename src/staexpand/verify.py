@@ -2,11 +2,12 @@
 
 Each check returns a CheckResult with the measured worst case and its
 tolerance, so the report reads as evidence rather than a bare verdict.
-``run_all`` drives the CLI ``verify`` subcommand; the test suite asserts
-the same registry one check at a time.
+``CHECKS`` registers each ``check_*`` function under its name without the
+prefix; ``run_all`` drives the CLI ``verify`` subcommand; the test suite
+asserts the same registry one check at a time.
 
 One check is expected to fail and is kept honest rather than loosened:
-``bang_bang_log_asymptote`` pins the steep-equal-steps scaling law
+the bang-bang log asymptote pins the steep-equal-steps scaling law
 avg_E ~ (2n+1) pi ln(2 gamma) / (16 omega_f t_f^2) to +-5% at gamma = 100,
 but the law is only logarithmically accurate: the exact ratio tends to
 (ln(sqrt(2) gamma) + pi/4) / ln(2 gamma) = 1.082 at gamma = 100 and
@@ -14,6 +15,7 @@ approaches 1 only as gamma grows beyond ~3000.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,8 +37,22 @@ class CheckResult:
     tolerance: str
 
 
-def _result(name: str, passed: bool, measured: str, tolerance: str) -> CheckResult:
-    return CheckResult(name, bool(passed), measured, tolerance)
+# check name -> check, in definition order: the ``check_*`` functions without the prefix
+CHECKS: dict[str, Callable[[], CheckResult]] = {}
+
+
+def _check(fn: Callable[[], tuple[bool, str, str]]) -> Callable[[], CheckResult]:
+    """Register ``fn`` in ``CHECKS`` under its name without ``check_``, as a
+    check that returns fn's (passed, measured, tolerance) as a CheckResult."""
+    name = fn.__name__.removeprefix("check_")
+
+    @functools.wraps(fn)
+    def check() -> CheckResult:
+        passed, measured, tolerance = fn()
+        return CheckResult(name, bool(passed), measured, tolerance)
+
+    CHECKS[name] = check
+    return check
 
 
 def _criterion1_protocols(t_f: float) -> list[tuple[str, protocols.ProtocolParams]]:
@@ -50,7 +66,8 @@ def _criterion1_protocols(t_f: float) -> list[tuple[str, protocols.ProtocolParam
     ]
 
 
-def check_virial_equipartition() -> CheckResult:
+@_check
+def check_virial_equipartition() -> tuple[bool, str, str]:
     """avg_K = avg_V = avg_E/2 for every protocol with vanishing boundary
     slopes, impulse protocols counting their kick contribution as potential."""
     spec = TrapSpec.from_gamma(10.0)
@@ -71,15 +88,11 @@ def check_virial_equipartition() -> CheckResult:
         ratio = abs(tr.avg_K - tr.avg_V) / tr.avg_E
         if ratio > worst:
             worst, worst_tag = ratio, tag
-    return _result(
-        "virial_equipartition",
-        worst < 1e-6,
-        f"worst |K-V|/E = {worst:.3e} ({worst_tag})",
-        "< 1e-6",
-    )
+    return worst < 1e-6, f"worst |K-V|/E = {worst:.3e} ({worst_tag})", "< 1e-6"
 
 
-def check_impulse_equality_chain() -> CheckResult:
+@_check
+def check_impulse_equality_chain() -> tuple[bool, str, str]:
     """For the impulse protocol the direct average plus the kick term, the
     partially-integrated average, and the exact bound all coincide."""
     spec = TrapSpec.from_gamma(10.0)
@@ -93,30 +106,22 @@ def check_impulse_equality_chain() -> CheckResult:
         scale = max(abs(v) for v in vals)
         spread = (max(vals) - min(vals)) / scale
         worst = max(worst, spread)
-    return _result(
-        "impulse_equality_chain",
-        worst < 1e-6,
-        f"worst pairwise relative spread = {worst:.3e}",
-        "< 1e-6",
-    )
+    return worst < 1e-6, f"worst pairwise relative spread = {worst:.3e}", "< 1e-6"
 
 
-def check_impulse_energy_share() -> CheckResult:
+@_check
+def check_impulse_energy_share() -> tuple[bool, str, str]:
     """Fast strong expansions pay half the averaged energy in the kicks."""
     spec = TrapSpec.from_gamma(100.0)
     b = protocols.build(spec, _P("dirac", 1e-3))
     inst = energies.instantaneous(b.curve, b.profile, spec)
     tr = energies.averages(inst, b.curve, spec, b.profile)
     share = tr.delta_delta / tr.avg_E
-    return _result(
-        "impulse_energy_share",
-        0.49 <= share <= 0.51,
-        f"delta share = {share:.6f}",
-        "in [0.49, 0.51]",
-    )
+    return 0.49 <= share <= 0.51, f"delta share = {share:.6f}", "in [0.49, 0.51]"
 
 
-def check_lower_bound_small_tf() -> CheckResult:
+@_check
+def check_lower_bound_small_tf() -> tuple[bool, str, str]:
     """E_nL -> (2n+1)/(2 omega_f t_f^2) for fast strong expansions."""
     t_f = 1e-3
     worst = 0.0
@@ -125,39 +130,35 @@ def check_lower_bound_small_tf() -> CheckResult:
         e = energies.lower_bound_avg_energy(spec, t_f).value
         ratio = e * 2.0 * spec.omega_f_rel * t_f**2 / (2 * n + 1)
         worst = max(worst, abs(ratio - 1.0))
-    return _result(
-        "lower_bound_small_tf",
-        worst <= 0.02,
-        f"worst |ratio - 1| = {worst:.4f}",
-        "ratio in [0.98, 1.02]",
-    )
+    return worst <= 0.02, f"worst |ratio - 1| = {worst:.4f}", "ratio in [0.98, 1.02]"
 
 
-def check_bang_bang_extremes() -> CheckResult:
+@_check
+def check_bang_bang_extremes() -> tuple[bool, str, str]:
     """At omega2 = sqrt(omega0 omega_f): t1 = 0, t_f = pi gamma/2, and the
     averaged energy reaches its minimum (1 + omega_f/omega0)/4 (n = 0)."""
     spec = TrapSpec.from_gamma(10.0)
     w = math.sqrt(spec.omega_f_rel)
     t1, t2 = protocols.bang_bang_times(spec, w, w)
-    e = energies.bang_bang_energies(spec, w, w, t1, t2)
+    t_f, avg_E = t1 + t2, energies.bang_bang_energies(spec, w, w, t1, t2)
     si = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * 25.0)
     tf_si = math.pi / (2.0 * math.sqrt(si.omega0 * si.omega_f))
     ok = (
         t1 < 1e-12
-        and abs(e.t_f - 5.0 * math.pi) < 1e-9
-        and abs(e.avg_E - 0.2525) < 1e-12
+        and abs(t_f - 5.0 * math.pi) < 1e-9
+        and abs(avg_E - 0.2525) < 1e-12
         and abs(tf_si - 1e-3) < 1e-9
     )
-    return _result(
-        "bang_bang_extremes",
+    return (
         ok,
-        f"t1 = {t1:.2e}, t_f - 5pi = {e.t_f - 5*math.pi:.2e}, "
-        f"avg_E - 0.2525 = {e.avg_E - 0.2525:.2e}, t_f(SI) - 1 ms = {tf_si - 1e-3:.2e} s",
+        f"t1 = {t1:.2e}, t_f - 5pi = {t_f - 5*math.pi:.2e}, "
+        f"avg_E - 0.2525 = {avg_E - 0.2525:.2e}, t_f(SI) - 1 ms = {tf_si - 1e-3:.2e} s",
         "t1 < 1e-12, |t_f - 5pi| < 1e-9, |avg_E - 0.2525| < 1e-12, |t_f - 1 ms| < 1e-9 s",
     )
 
 
-def check_bang_bang_log_asymptote() -> CheckResult:
+@_check
+def check_bang_bang_log_asymptote() -> tuple[bool, str, str]:
     """Steep equal steps: avg_E vs (2n+1) pi ln(2 gamma)/(16 omega_f t_f^2).
 
     Expected to FAIL at the pinned +-5%: the law is log-level only, and the
@@ -167,30 +168,24 @@ def check_bang_bang_log_asymptote() -> CheckResult:
     spec = TrapSpec.from_gamma(100.0)
     w = 1000.0
     t1, t2 = protocols.bang_bang_times(spec, w, w)
-    e = energies.bang_bang_energies(spec, w, w, t1, t2)
-    ratio = e.avg_E * 16.0 * spec.omega_f_rel * e.t_f**2 / (
+    avg_E = energies.bang_bang_energies(spec, w, w, t1, t2)
+    ratio = avg_E * 16.0 * spec.omega_f_rel * (t1 + t2)**2 / (
         (2 * spec.n + 1) * math.pi * math.log(2.0 * spec.gamma)
     )
-    return _result(
-        "bang_bang_log_asymptote",
-        0.95 <= ratio <= 1.05,
-        f"ratio = {ratio:.6f}",
-        "in [0.95, 1.05]",
-    )
+    return 0.95 <= ratio <= 1.05, f"ratio = {ratio:.6f}", "in [0.95, 1.05]"
 
 
-def check_free_expansion_limit() -> CheckResult:
+@_check
+def check_free_expansion_limit() -> tuple[bool, str, str]:
     """omega1 = 0, steep stop: t_f -> 1/sqrt(omega0 omega_f) and
     avg_E -> (n + 1/2)."""
     spec = TrapSpec.from_gamma(100.0)
     beta = 1000.0
     t1, t2 = protocols.bang_bang_times(spec, 0.0, beta)
-    e = energies.bang_bang_energies(spec, 0.0, beta, t1, t2)
-    tf_ratio = e.t_f / spec.gamma
-    avg_ratio = e.avg_E / (spec.n + 0.5)
+    tf_ratio = (t1 + t2) / spec.gamma
+    avg_ratio = energies.bang_bang_energies(spec, 0.0, beta, t1, t2) / (spec.n + 0.5)
     ok = 0.95 <= tf_ratio <= 1.05 and 0.95 <= avg_ratio <= 1.05
-    return _result(
-        "free_expansion_limit",
+    return (
         ok,
         f"t_f/gamma = {tf_ratio:.6f}, avg_E/(n+1/2) = {avg_ratio:.6f}",
         "both in [0.95, 1.05]",
@@ -226,7 +221,8 @@ def na_feasibility_threshold(
     return hi
 
 
-def check_na_bound_sweep() -> CheckResult:
+@_check
+def check_na_bound_sweep() -> tuple[bool, str, str]:
     """The averaged non-adiabatic energy respects its bound across the
     sweep; the optimized cap protocol lands within a factor 2 of the bound
     at the slowest point."""
@@ -247,8 +243,7 @@ def check_na_bound_sweep() -> CheckResult:
         bound = energies.na_lower_bound(spec, bb.curve.grid.t_f)
         worst_margin = min(worst_margin, avg / bound - 1.0)
     ok = worst_margin >= -1e-6 and hybrid_ratios[-1] <= 2.0
-    return _result(
-        "na_bound_sweep",
+    return (
         ok,
         f"worst avg/bound - 1 = {worst_margin:.3e}, "
         f"slowest-point hybrid avg/bound = {hybrid_ratios[-1]:.3f} "
@@ -257,7 +252,8 @@ def check_na_bound_sweep() -> CheckResult:
     )
 
 
-def check_free_expansion_matching() -> CheckResult:
+@_check
+def check_free_expansion_matching() -> tuple[bool, str, str]:
     """omega1 = 0, beta = 1, gamma = 10: switching times 9.9 and
     arcsin(sqrt(99/9999)) ~ 0.099674, and the curve closes on (gamma, 0)."""
     spec = TrapSpec.from_gamma(10.0)
@@ -269,8 +265,7 @@ def check_free_expansion_matching() -> CheckResult:
         and abs(float(bb.curve.b[-1]) - spec.gamma) < 1e-8
         and abs(float(bb.curve.bdot[-1])) < 1e-8
     )
-    return _result(
-        "free_expansion_matching",
+    return (
         ok,
         f"t1 - 9.9 = {t1 - 9.9:.2e}, t2 = {t2:.8f}, "
         f"b(t_f) - gamma = {float(bb.curve.b[-1]) - spec.gamma:.2e}, "
@@ -279,7 +274,8 @@ def check_free_expansion_matching() -> CheckResult:
     )
 
 
-def check_power_integral_roundtrip() -> CheckResult:
+@_check
+def check_power_integral_roundtrip() -> tuple[bool, str, str]:
     """Total power integral equals the energy change (n+1/2)(omega_f -
     omega0) for the polynomial protocols, and forward-solving the
     inverse-engineered control reproduces the quintic curve."""
@@ -299,15 +295,15 @@ def check_power_integral_roundtrip() -> CheckResult:
     redone = ermakov.forward_solve(q.profile)
     rt_err = float(np.max(np.abs(redone.b - q.curve.b)))
     ok = worst < 1e-6 and rt_err < 1e-6
-    return _result(
-        "power_integral_roundtrip",
+    return (
         ok,
         f"worst integral rel err = {worst:.3e}, roundtrip max |db| = {rt_err:.3e}",
         "both < 1e-6",
     )
 
 
-def check_power_peak_optimization() -> CheckResult:
+@_check
+def check_power_peak_optimization() -> tuple[bool, str, str]:
     """With the published trap settings (2500 Hz -> 25 Hz, 8 ms), the
     optimized two-parameter interpolant flattens the power peak below the
     quintic's, never below the mean-value floor of 1."""
@@ -319,8 +315,7 @@ def check_power_peak_optimization() -> CheckResult:
     ref = protocols.build(spec, _P("septic", t_f, *_SEPTIC_REF, grid_n=4001))
     ref_peak = energies.power(ref.curve, ref.profile, spec).peak_rel
     ok = res.objective <= q_peak and res.objective >= 1.0 and ref_peak <= q_peak
-    return _result(
-        "power_peak_optimization",
+    return (
         ok,
         f"optimized peak = {res.objective:.4f} at (c3, c4) = "
         f"({res.params[0]:.4f}, {res.params[1]:.4f}); quintic peak = {q_peak:.4f}; "
@@ -329,7 +324,8 @@ def check_power_peak_optimization() -> CheckResult:
     )
 
 
-def check_minimal_work_positivity() -> CheckResult:
+@_check
+def check_minimal_work_positivity() -> tuple[bool, str, str]:
     """For every real-frequency protocol the ground-state energy never
     drops below the adiabatic reference, and frequency-continuous
     protocols start and end exactly on it."""
@@ -361,8 +357,7 @@ def check_minimal_work_positivity() -> CheckResult:
         if params.family in ("quintic", "septic"):  # frequency continuous at both ends
             worst_end = max(worst_end, abs(float(ena[0])), abs(float(ena[-1])))
     ok = admissible >= 6 and worst_min >= -1e-9 and worst_end < 1e-9
-    return _result(
-        "minimal_work_positivity",
+    return (
         ok,
         f"{admissible} admissible protocols; min Ena = {worst_min:.2e}; "
         f"worst endpoint |Ena| = {worst_end:.2e}",
@@ -370,7 +365,8 @@ def check_minimal_work_positivity() -> CheckResult:
     )
 
 
-def check_mean_value_bounds() -> CheckResult:
+@_check
+def check_mean_value_bounds() -> tuple[bool, str, str]:
     """max bdot >= (gamma-1)/t_f and max |bddot| >= 2(gamma-1)/t_f^2 for
     every complete protocol with vanishing boundary slopes."""
     spec = TrapSpec.from_gamma(10.0)
@@ -387,30 +383,12 @@ def check_mean_value_bounds() -> CheckResult:
         m = min(m1, m2)
         if m < worst:
             worst, worst_tag = m, tag
-    return _result(
-        "mean_value_bounds",
+    return (
         worst >= 1.0 - 1e-12,
         f"worst margin (sampled max / bound) = {worst:.6f} ({worst_tag})",
         ">= 1 (round-off only)",
     )
 
 
-CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
-    ("virial_equipartition", check_virial_equipartition),
-    ("impulse_equality_chain", check_impulse_equality_chain),
-    ("impulse_energy_share", check_impulse_energy_share),
-    ("lower_bound_small_tf", check_lower_bound_small_tf),
-    ("bang_bang_extremes", check_bang_bang_extremes),
-    ("bang_bang_log_asymptote", check_bang_bang_log_asymptote),
-    ("free_expansion_limit", check_free_expansion_limit),
-    ("na_bound_sweep", check_na_bound_sweep),
-    ("free_expansion_matching", check_free_expansion_matching),
-    ("power_integral_roundtrip", check_power_integral_roundtrip),
-    ("power_peak_optimization", check_power_peak_optimization),
-    ("minimal_work_positivity", check_minimal_work_positivity),
-    ("mean_value_bounds", check_mean_value_bounds),
-)
-
-
 def run_all() -> list[CheckResult]:
-    return [fn() for _, fn in CHECKS]
+    return [check() for check in CHECKS.values()]

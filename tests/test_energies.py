@@ -32,6 +32,11 @@ def excitation_energy(curve, profile):
     return 0.5 * curve.bdot**2 + 0.5 * (profile.omega2 * b**2 + 1.0 / b**2 - 2.0 * omega)
 
 
+def energy_change(spec):
+    """(n + 1/2)(omega_f/omega0 - 1): what the power integral of a complete protocol matches."""
+    return (spec.n + 0.5) * (spec.omega_f_rel - 1.0)
+
+
 def trace_for(curve, profile, spec):
     return energies.averages(
         energies.instantaneous(curve, profile, spec), curve, spec, profile
@@ -237,6 +242,22 @@ class TestLowerBound:
         assert not lb.closed_form_valid
         assert lb.closed_form is None
 
+    @pytest.mark.parametrize("gamma, t_f, closed_form", [
+        # t_f = k (gamma^2 - 1)/2: the printed form is valid above k = 1 only
+        *((g, k * (g * g - 1.0) / 2.0, pin) for g, k, pin in [
+            (1.5, 0.5, None), (1.5, 1.1, "0x1.2f41a2b34b348p-1"), (1.5, 2.0, "0x1.96ae37a7051fep-2"),
+            (10.0, 0.5, None), (10.0, 1.1, "0x1.5b12d999460cfp-5"), (10.0, 2.0, "0x1.9c9e2cd453af7p-6"),
+            (1e3, 0.5, None), (1e3, 1.1, "0x1.a5b299c83dc10p-17"), (1e3, 2.0, "0x1.dc88b16b0b3dbp-18"),
+        ]),
+        (10.0, 1e160, None),                        # t_f^2 overflows
+        (1.0, 1e-3, "0x1.fffffd352e57fp-2"),        # B cancels: 1.2e-10 off the exact value
+    ])
+    def test_closed_form_bits_are_pinned(self, gamma, t_f, closed_form):
+        # the printed arctanh form computes its own B and B^2 - t_f^2, with these bits
+        lb = energies.lower_bound_avg_energy(TrapSpec.from_gamma(gamma), t_f)
+        assert lb.closed_form_valid == (closed_form is not None)
+        assert lb.closed_form == (None if closed_form is None else float.fromhex(closed_form))
+
     @pytest.mark.parametrize("t_f", [1e-155, 1e-200])
     def test_closed_form_invalid_where_tf_squared_underflows(self, t_f):
         # at gamma = 1 both arctanh arguments are in range, but t_f^2 is
@@ -421,12 +442,12 @@ class TestPower:
     def test_step_protocols_account_jumps(self, spec):
         bb = make(spec, "bang_bang", omega1=1.0, omega2=1.0)
         pw = energies.power(bb.curve, bb.profile, spec)
-        assert np.max(np.abs(pw.P)) == 0.0  # constant frequency inside segments
-        assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-9)
+        assert np.max(np.abs(pw.P_rel)) == 0.0  # constant frequency inside segments
+        assert pw.integral == pytest.approx(energy_change(spec), rel=1e-9)
         curve = make(spec, "hybrid", 25.0, tau_l=2.5, tau_s=2.5).curve
         pw = energies.power(curve, ermakov.inverse_engineer(curve), spec)
         assert len(pw.steps) == 4  # both endpoints and both cap joints
-        assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-6)
+        assert pw.integral == pytest.approx(energy_change(spec), rel=1e-6)
 
     def test_every_nonzero_jump_counts_near_gamma_one(self):
         # near gamma = 1 the frequency jumps are tiny yet carry the whole
@@ -437,12 +458,12 @@ class TestPower:
         bb = make(s, "bang_bang", omega1=1.0 / g, omega2=1.0 / g)
         pw = energies.power(bb.curve, bb.profile, s)
         assert len(pw.steps) == 2
-        assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-9)
+        assert pw.integral == pytest.approx(energy_change(s), rel=1e-9)
         s = TrapSpec.from_gamma(1.0 + 2.7e-7)
         hy = protocols.build(s, protocols.ProtocolParams("hybrid", 1000.0))
         pw = energies.power(hy.curve, hy.profile, s)
         assert len(pw.steps) == 4
-        assert pw.integral == pytest.approx(pw.integral_expected, rel=1e-9)
+        assert pw.integral == pytest.approx(energy_change(s), rel=1e-9)
 
     def test_constant_power_trajectory_is_flat(self, spec):
         curve, _ = protocols.constant_power_shoot(spec, 10.0)
@@ -450,25 +471,33 @@ class TestPower:
         assert np.max(np.abs(pw.P_rel - 1.0)) < 1e-6
 
 
+def segment_energies(spec, omega1, omega2):
+    """The constant total energies ((n+1/2)/2)(1 - W1^2) and
+    ((n+1/2)/2)(Wf^2 + W2^2)/Wf of the two steps."""
+    half, wf = spec.n + 0.5, spec.omega_f_rel
+    return 0.5 * half * (1.0 - omega1**2), 0.5 * half * (wf**2 + omega2**2) / wf
+
+
 class TestBangBangEnergies:
     def test_extreme_point_average(self, spec):
         w = math.sqrt(spec.omega_f_rel)
         bb = make(spec, "bang_bang", omega1=w, omega2=w)
-        e = energies.bang_bang_energies(spec, **bb.extra)
-        assert e.avg_E == pytest.approx(0.2525, abs=1e-12)
+        assert energies.bang_bang_energies(spec, **bb.extra) == pytest.approx(0.2525, abs=1e-12)
 
     def test_first_segment_dies_at_omega0(self, spec):
+        # the first step adds exactly nothing: the average is the second step's share
         bb = make(spec, "bang_bang", omega1=1.0, omega2=1.0)
-        e = energies.bang_bang_energies(spec, **bb.extra)
-        assert e.e_segment1 == 0.0
+        t1, t2 = bb.extra["t1"], bb.extra["t2"]
+        e1, e2 = segment_energies(spec, 1.0, 1.0)
+        assert e1 == 0.0 and t1 > 0.0
+        assert energies.bang_bang_energies(spec, **bb.extra) == t2 * e2 / (t1 + t2)
 
     def test_segment_energies_match_trace(self, spec):
         bb = make(spec, "bang_bang", omega1=0.7, omega2=2.0)
-        e = energies.bang_bang_energies(spec, **bb.extra)
         tr = trace_for(bb.curve, bb.profile, spec)
-        lo, hi = bb.curve.grid.pieces[0]
-        assert np.max(np.abs(tr.E[lo : hi + 1] - e.e_segment1)) < 1e-9
-        assert tr.avg_E == pytest.approx(e.avg_E, rel=1e-9)
+        for (lo, hi), e in zip(bb.curve.grid.pieces, segment_energies(spec, 0.7, 2.0), strict=True):
+            assert np.max(np.abs(tr.E[lo : hi + 1] - e)) < 1e-9
+        assert tr.avg_E == pytest.approx(energies.bang_bang_energies(spec, **bb.extra), rel=1e-9)
 
     def test_log_asymptote_quality(self):
         # the steep-equal-steps law is log-level: the exact ratio at finite
@@ -477,8 +506,8 @@ class TestBangBangEnergies:
         for gamma in (1e2, 1e4, 1e6):
             spec = TrapSpec.from_gamma(gamma)
             t1, t2 = protocols.bang_bang_times(spec, 1000.0, 1000.0)
-            e = energies.bang_bang_energies(spec, 1000.0, 1000.0, t1, t2)
-            ratio = e.avg_E * 16.0 * spec.omega_f_rel * e.t_f**2 / (
+            avg_E = energies.bang_bang_energies(spec, 1000.0, 1000.0, t1, t2)
+            ratio = avg_E * 16.0 * spec.omega_f_rel * (t1 + t2)**2 / (
                 math.pi * math.log(2.0 * gamma)
             )
             vals.append(ratio)
@@ -500,14 +529,11 @@ class TestBeyondSquaredDuration:
         rep = energies.bound_report(spec, 1e160)
         assert rep.E_nL == lb and rep.Ena_L == energies.na_lower_bound(spec, 1e160)
         assert rep.E_nL_small_tf == pytest.approx(gamma**2 / 2e320, rel=1e-14)
-        wf = spec.omega_f_rel
-        bb = math.pi * math.log(2.0 * gamma) / (16.0 * wf) / 1e320
-        assert rep.bb_equal_steps_avg_E == pytest.approx(bb, rel=1e-14)
 
     def test_values_underflow_rather_than_raise(self):
         spec = TrapSpec.from_gamma(10.0)
         rep = energies.bound_report(spec, 1e300)
-        assert rep.Ena_L == rep.E_nL_small_tf == rep.bb_equal_steps_avg_E == 0.0
+        assert rep.Ena_L == rep.E_nL_small_tf == 0.0
         assert rep.E_nL.value > 0.0
 
     @pytest.mark.parametrize("gamma, ena_l", [(10.0, math.inf), (1.0, 0.0)])
@@ -521,12 +547,11 @@ class TestBeyondSquaredDuration:
         # float; where it overflows to inf (4 t_f^2 and 2 t_f^2 at 1.3e154) the
         # expression would read 0, and the values are num/den/t_f/t_f instead
         spec = TrapSpec.from_gamma(10.0, n=1)
-        g, wf, tn = spec.gamma, spec.omega_f_rel, 3
+        g, tn = spec.gamma, 3
         rep = energies.bound_report(spec, t_f)
         for value, num, den in (
             (energies.na_lower_bound(spec, t_f), (g - 1.0) ** 2, 4.0),
             (rep.E_nL_small_tf, tn * g**2, 2.0),
-            (rep.bb_equal_steps_avg_E, tn * math.pi * math.log(2.0 * g), 16.0 * wf),
         ):
             if den * t_f**2 < math.inf:
                 assert value == num / (den * t_f**2)
@@ -542,7 +567,7 @@ class TestBeyondSquaredDuration:
             assert below > value > above
             assert value == pytest.approx((spec.gamma - 1.0) ** 2 / 4.0 / t_f**2, rel=1e-15)
             rep = energies.bound_report(spec, t_f)
-            assert rep.Ena_L == value and rep.E_nL_small_tf > 0.0 and rep.bb_equal_steps_avg_E > 0.0
+            assert rep.Ena_L == value and rep.E_nL_small_tf > 0.0
 
 
 class TestBoundReport:

@@ -74,11 +74,6 @@ class TestSeptic:
 
 
 class TestQuasiOptimal:
-    def test_B_value(self, spec):
-        assert protocols.quasi_optimal_B(spec, 1.0) == pytest.approx(
-            math.sqrt(101.0) - 1.0, rel=1e-14
-        )
-
     def test_endpoints(self, spec):
         c = make(spec, "quasi_optimal", 1.0).curve
         assert float(c.b[0]) == 1.0
@@ -603,7 +598,7 @@ def _assert_finite_run(spec, bundle):
         except PowerUndefined:      # kicks, or gamma = 1
             assert p.impulses or spec.gamma == 1.0
         else:
-            rows += [pw.P, pw.P_rel]
+            rows += [pw.P_rel]
             values += [pw.integral, pw.peak_rel]
     assert all(np.isfinite(r).all() for r in rows) and all(map(math.isfinite, values))
 
@@ -748,10 +743,11 @@ def test_septic_shape_takes_gamma_s_place_in_the_scale_check():
     with pytest.raises(ValueError, match=r"^the septic's \|b\| <= gamma \+ \|c3\| \+ \|c4\| = 1e\+300 "
                                          r"takes gamma's place: .* above gamma ~ 2.953e\+61$"):
         protocols.build(spec, protocols.ProtocolParams("septic", 2.8e6, c3=1e300))
-    # just inside the edge that a shape names, every value is finite
-    shape = dict(c4=1e30, grid_n=201)
-    t_min = _named_edge(spec, protocols.ProtocolParams("septic", 1e-82, **shape), "below t_f")
-    assert t_min == pytest.approx((3.0 + 1e30) ** (2.0 / 3.0) * protocols._T_PER_GAMMA, rel=1e-3)
+    # just inside the edge that a shape names, every value is finite (a shape that
+    # keeps its ends: c4 = 1e30 loses them to round-off and is refused for that)
+    shape = dict(c4=1e14, grid_n=201)
+    t_min = _named_edge(spec, protocols.ProtocolParams("septic", 1e-95, **shape), "below t_f")
+    assert t_min == pytest.approx((3.0 + 1e14) ** (2.0 / 3.0) * protocols._T_PER_GAMMA, rel=1e-3)
     _assert_finite_run(spec, protocols.build(spec, protocols.ProtocolParams("septic", 1.01 * t_min,
                                                                             **shape)))
 

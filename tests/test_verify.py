@@ -8,8 +8,22 @@ from protocol_requests import make
 
 
 def test_registry_names_unique():
-    names = [name for name, _ in verify.CHECKS]
+    names = list(verify.CHECKS)
     assert len(names) == len(set(names)) == 13
+
+
+def test_registry_lists_the_checks_in_print_order():
+    # each check is registered under its function's name without "check_", in definition order
+    assert list(verify.CHECKS) == [
+        "virial_equipartition", "impulse_equality_chain", "impulse_energy_share",
+        "lower_bound_small_tf", "bang_bang_extremes", "bang_bang_log_asymptote",
+        "free_expansion_limit", "na_bound_sweep", "free_expansion_matching",
+        "power_integral_roundtrip", "power_peak_optimization", "minimal_work_positivity",
+        "mean_value_bounds",
+    ]
+    assert all(verify.CHECKS[name] is getattr(verify, f"check_{name}") for name in verify.CHECKS)
+    result = verify.check_impulse_energy_share()
+    assert isinstance(result, verify.CheckResult) and result.name == "impulse_energy_share"
 
 
 def test_virial_check_passes_on_default_grid():
