@@ -236,17 +236,18 @@ def _cell(value) -> str:
 def _write_table(path: str | None, lines: list[str], columns: dict) -> None:
     """Write the ``#`` lines, a header of the column names, then the rows.
 
-    A numpy column is written %.12g, a list column by ``_cell``, and a
-    ``None`` column is left empty.  The body is one ``%`` of a row format
-    built from the column kinds (never from the data) and repeated once per
-    row, so a text cell holding ``%`` is written as it is.  Columns of
-    unequal length raise ``zip``'s ValueError.  A file gets the UTF-8 bytes
-    in one write; an OSError opening or writing it exits with one line."""
+    A numpy column is written %.12g (a bool one %d, the same bytes), a
+    list column by ``_cell``, and a ``None`` column is left empty.  The
+    body is one ``%`` of a row format built from the column kinds (never
+    from the data) and repeated once per row, so a text cell holding ``%``
+    is written as it is.  Columns of unequal length raise ``zip``'s
+    ValueError.  A file gets the UTF-8 bytes in one write; an OSError
+    opening or writing it exits with one line."""
     n_rows = len(next(iter(columns.values())))
     specs, fields = [], []
     for col in columns.values():
         if isinstance(col, np.ndarray):
-            specs.append("%.12g")
+            specs.append("%d" if col.dtype == bool else "%.12g")
             fields.append(col.tolist())
         else:
             specs.append("%s")
@@ -295,7 +296,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
     _write_table(cfg.out, lines, {
         "t": cfg.time_out(curve.grid.nodes), "b": curve.b, "bdot": curve.bdot,
         "bddot": curve.bddot, "omega2": profile.omega2,
-        "omega2_negative": (profile.omega2 < 0.0).astype(int),
+        "omega2_negative": profile.omega2 < 0.0,
     })
     return 0
 

@@ -120,9 +120,19 @@ _MIN_STEP, _TINY = 4.0 * float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _MIN_PIECE_INTERVALS = 32                   # per segment of a piecewise grid
 
 
+class _Edges(tuple):
+    """Piece boundaries that ``_checked_edges`` has passed."""
+
+    __slots__ = ()
+
+
 def _checked_edges(edges: Sequence[float]) -> tuple[float, ...]:
-    """Piece boundaries as floats: from 0, strictly increasing, finite."""
-    edges = tuple(float(e) for e in edges)
+    """Piece boundaries as floats: from 0, strictly increasing, finite.
+    Boundaries it has passed before come back as they are, so a grid that
+    ``piecewise`` allocates is checked once."""
+    if type(edges) is _Edges:
+        return edges
+    edges = _Edges(float(e) for e in edges)
     if len(edges) < 2 or edges[0] != 0.0:
         raise ValueError("edges must start at 0")
     if not (all(e0 < e1 for e0, e1 in zip(edges[:-1], edges[1:])) and math.isfinite(edges[-1])):

@@ -1,14 +1,14 @@
 """Simpson quadrature on grid pieces, Gauss-Legendre nodes, Brent's
-bracketing root finder, Brent's bounded minimizer and the two-variable
-Nelder-Mead minimizer.
+bracketing root finder, Brent's bounded minimizer and the step of a
+two-variable trust-region minimax.
 
-The last three are operation-for-operation ports of SciPy 1.17.1 (BSD-3,
-Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), so they
-return the same bits as ``scipy.optimize.brentq``,
-``scipy.optimize.minimize_scalar(method="bounded")`` and
-``scipy.optimize.minimize(method="Nelder-Mead")`` without importing SciPy.
-All three run on Python floats, whose IEEE operations are numpy's;
-Nelder-Mead keeps only SciPy's ``np.argsort``, for its order of tied values.
+The root finder and the bounded minimizer are operation-for-operation
+ports of SciPy 1.17.1 (BSD-3, Copyright (c) 2001-2002 Enthought, Inc.,
+2003 SciPy Developers), so they return the same bits as
+``scipy.optimize.brentq`` and
+``scipy.optimize.minimize_scalar(method="bounded")`` without importing
+SciPy.  Both run on Python floats, whose IEEE operations are numpy's, and
+so does the minimax step.
 """
 from __future__ import annotations
 
@@ -253,115 +253,90 @@ def _minimize_bounded(f: Callable, lo: float, hi: float, xatol: float = 1e-5,
     return MinimizeResult((xf,), fx, converged, num)
 
 
-class _MaxEvals(Exception):
-    """The evaluation budget of ``nelder_mead_2d`` is spent."""
+def _minimax_step(rows: Sequence, hess: Sequence[float], box: Sequence[float]) -> tuple:
+    """The step d in the box |d_1| <= r_1, |d_2| <= r_2 that minimizes the
+    model max_a(f_a + g_a . d) + d.H.d/2 of a two-variable minimax, as
+    (d_1, d_2, model value, weights): ``rows`` holds the (f_a, g_a1, g_a2),
+    ``hess`` is (H_11, H_12, H_22) and need not be definite, and the weights
+    are (a, lambda_a) pairs, the multipliers of the rows tied at d, which
+    sum to 1.
 
-
-def _sorted(sim: list, fsim: list) -> tuple[list, list]:
-    """The vertices and their values in the order of ``np.argsort(fsim)``,
-    SciPy's sort, whose order of tied values is the platform's."""
-    ind = np.argsort(fsim).tolist()
-    return [sim[k] for k in ind], [fsim[k] for k in ind]
-
-
-def nelder_mead_2d(
-    f: Callable,
-    start: Sequence[float],
-    f_start: float,
-    rel_tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> MinimizeResult:
-    """Nelder-Mead local minimization of f(x, y) (deterministic).
-
-    Nelder & Mead, Comput. J. 7, 308 (1965), as SciPy 1.17.1's
-    ``_minimize_neldermead`` implements it (``scipy/optimize/_optimize.py``,
-    BSD-3, Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers):
-    the unbounded, non-adaptive branch with its default start simplex.  The
-    three vertices are pairs of Python floats, each coordinate formed by
-    SciPy's operations in SciPy's order and sorted by ``np.argsort`` as
-    SciPy sorts them, so iterates match it bit for bit; f is called with two
-    Python floats.  Stops when the simplex is within xatol = rel_tol
-    (1 + max|start|) and its values within fatol = 1e-12 (1 + |f(start)|)
-    (a NaN fails both, as under SciPy's ``np.max``), after ``max_iter``
-    iterations, or at the 4 ``max_iter``-th evaluation; only the first
-    counts as converged.  The caller passes ``f_start`` = f(start), which
-    it has already evaluated: it sets fatol and is the first vertex's value,
-    and it counts against the budget there, as SciPy's first call does.
+    The minimum lies in the relative interior of a face: one to three tied
+    rows and the box bounds that hold as equalities.  There it is the
+    stationary point of the tied rows' common value plus the quadratic on
+    that face, a linear solve of at most three unknowns; where that solve
+    is singular, the minimum is also on a face of lower dimension.  So
+    every face's stationary point is a candidate, with the box's corners
+    and d = 0, and the least model value among them is the minimum over the
+    box: no LP or QP solver.  Rows that cannot be the largest anywhere in
+    the box take no part.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    start = np.asarray(start, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(start)))
-    x0 = tuple(start.tolist())
-    fatol = 1e-12 * (1.0 + abs(f_start)) if np.isfinite(f_start) else 1e-12
-    xatol = rel_tol * scale
-    max_evals = 4 * max_iter
-    evals = 0
+    (h11, h12, h22), (r1, r2) = hess, box
+    floor = max(f - abs(g1) * r1 - abs(g2) * r2 for f, g1, g2 in rows)
+    live = [(a, f, g1, g2) for a, (f, g1, g2) in enumerate(rows) if f + abs(g1) * r1 + abs(g2) * r2 >= floor]
+    best = [math.inf, 0.0, 0.0, ((0, 1.0),)]
 
-    def func(x, known=None):
-        nonlocal evals
-        if evals >= max_evals:
-            raise _MaxEvals
-        evals += 1
-        return float(f(*x) if known is None else known)
+    def consider(d1, d2, weights=None):
+        if not (abs(d1) <= r1 * (1.0 + 1e-12) and abs(d2) <= r2 * (1.0 + 1e-12)):
+            return   # outside the box, or NaN
+        d1, d2 = min(max(d1, -r1), r1), min(max(d2, -r2), r2)
+        top, arg = max((f + g1 * d1 + g2 * d2, a) for a, f, g1, g2 in live)
+        value = top + 0.5 * (h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2)
+        if value < best[0]:
+            best[:] = value, d1, d2, weights or ((arg, 1.0),)
 
-    sim = [x0]
-    for k in range(2):
-        y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(tuple(y))
-    fsim = [math.inf] * 3
-    try:
-        for k in range(3):   # the first vertex is start: f_start, counted as SciPy counts it
-            fsim[k] = func(sim[k], f_start if k == 0 else None)
-    except _MaxEvals:
-        pass
-    # SciPy sorts twice here; an unstable argsort may reorder ties again.
-    for _ in range(2):
-        sim, fsim = _sorted(sim, fsim)
+    def pair(a, b, lam):
+        lam = min(max(lam, 0.0), 1.0)
+        return (a, lam), (b, 1.0 - lam)
 
-    iterations = 1
-    while evals < max_evals and iterations < max_iter:
-        try:
-            (a0, a1), (b0, b1), (c0, c1) = sim
-            if (all(d <= xatol for d in (abs(b0 - a0), abs(b1 - a1), abs(c0 - a0), abs(c1 - a1)))
-                    and all(d <= fatol for d in (abs(fsim[0] - fsim[1]), abs(fsim[0] - fsim[2])))):
-                break
-            m0, m1 = (a0 + b0) / 2, (a1 + b1) / 2   # xbar, the centroid of the best two
-            xr = ((1 + rho) * m0 - rho * c0, (1 + rho) * m1 - rho * c1)
-            fxr = func(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = ((1 + rho * chi) * m0 - rho * chi * c0, (1 + rho * chi) * m1 - rho * chi * c1)
-                fxe = func(xe)
-                if fxe < fxr:
-                    sim[2], fsim[2] = xe, fxe
-                else:
-                    sim[2], fsim[2] = xr, fxr
-            elif fxr < fsim[1]:
-                sim[2], fsim[2] = xr, fxr
-            elif fxr < fsim[2]:  # outside contraction
-                xc = ((1 + psi * rho) * m0 - psi * rho * c0, (1 + psi * rho) * m1 - psi * rho * c1)
-                fxc = func(xc)
-                if fxc <= fxr:
-                    sim[2], fsim[2] = xc, fxc
-                else:
-                    shrink = True
-            else:  # inside contraction
-                xcc = ((1 - psi) * m0 + psi * c0, (1 - psi) * m1 + psi * c1)
-                fxcc = func(xcc)
-                if fxcc < fsim[2]:
-                    sim[2], fsim[2] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in (1, 2):
-                    sj = sim[j]
-                    sim[j] = (a0 + sigma * (sj[0] - a0), a1 + sigma * (sj[1] - a1))
-                    fsim[j] = func(sim[j])
-            iterations += 1
-        except _MaxEvals:
-            pass
-        sim, fsim = _sorted(sim, fsim)
-
-    converged = evals < max_evals and iterations < max_iter
-    return MinimizeResult(sim[0], float(np.min(fsim)), converged, iterations)
+    consider(0.0, 0.0)
+    for d1 in (-r1, r1):
+        for d2 in (-r2, r2):
+            consider(d1, d2)
+    det = h11 * h22 - h12 * h12
+    for i, (a, fa, ga1, ga2) in enumerate(live):
+        one = ((a, 1.0),)
+        if det != 0.0:   # no bound
+            consider((h12 * ga2 - h22 * ga1) / det, (h12 * ga1 - h11 * ga2) / det, one)
+        if h22 != 0.0:   # d_1 on a bound
+            for d1 in (-r1, r1):
+                consider(d1, -(ga2 + h12 * d1) / h22, one)
+        if h11 != 0.0:   # d_2 on a bound
+            for d2 in (-r2, r2):
+                consider(-(ga1 + h12 * d2) / h11, d2, one)
+        for j, (b, fb, gb1, gb2) in enumerate(live[i + 1 :], i + 1):
+            e1, e2, de = ga1 - gb1, ga2 - gb2, fb - fa   # a and b tie where e . d = de
+            ee = e1 * e1 + e2 * e2
+            if ee == 0.0:
+                continue
+            # along the tie line x + tau v, v = (e2, -e1): H d + g_b + lambda_a e = 0
+            x1, x2 = de * e1 / ee, de * e2 / ee
+            curv = h11 * e2 * e2 - 2.0 * h12 * e1 * e2 + h22 * e1 * e1
+            if curv != 0.0:
+                tau = -((gb1 + h11 * x1 + h12 * x2) * e2 - (gb2 + h12 * x1 + h22 * x2) * e1) / curv
+                d1, d2 = x1 + tau * e2, x2 - tau * e1
+                lam = -(e1 * (h11 * d1 + h12 * d2 + gb1) + e2 * (h12 * d1 + h22 * d2 + gb2)) / ee
+                consider(d1, d2, pair(a, b, lam))
+            if e2 != 0.0:
+                for d1 in (-r1, r1):
+                    d2 = (de - e1 * d1) / e2
+                    consider(d1, d2, pair(a, b, -(h12 * d1 + h22 * d2 + gb2) / e2))
+            if e1 != 0.0:
+                for d2 in (-r2, r2):
+                    d1 = (de - e2 * d2) / e1
+                    consider(d1, d2, pair(a, b, -(h11 * d1 + h12 * d2 + gb1) / e1))
+            for c, fc, gc1, gc2 in live[j + 1 :]:   # a vertex, where c ties too: k . d = dk
+                k1, k2, dk = ga1 - gc1, ga2 - gc2, fc - fa
+                det3 = e1 * k2 - e2 * k1
+                if det3 == 0.0:
+                    continue
+                d1, d2 = (de * k2 - e2 * dk) / det3, (e1 * dk - k1 * de) / det3
+                # lambda_b e + lambda_c k = H d + g_a, and lambda_a = 1 - lambda_b - lambda_c
+                q1, q2 = h11 * d1 + h12 * d2 + ga1, h12 * d1 + h22 * d2 + ga2
+                lb, lc = (q1 * k2 - k1 * q2) / det3, (e1 * q2 - e2 * q1) / det3
+                lams = (max(1.0 - lb - lc, 0.0), max(lb, 0.0), max(lc, 0.0))
+                total = lams[0] + lams[1] + lams[2]
+                if total > 0.0:
+                    consider(d1, d2, tuple(zip((a, b, c), (lam / total for lam in lams))))
+    value, d1, d2, weights = best
+    return d1, d2, value, weights

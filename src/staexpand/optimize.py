@@ -5,25 +5,24 @@ best of nine seed caps on the grid objective (lexicographic tie-breaking),
 then refines off the grid: the objective separates into one excess per
 cap, each minimized by a bounded 1-D search on the interval where that cap
 has a real frequency, and a third along the joint limit where the two
-minima break it.  The septic search refines (0, 0) with Nelder-Mead; a
-septic b that is not positive is penalized with +inf, so the simplex walks
-back into the feasible region on its own.
+minima break it.  The septic search is a trust-region minimax from
+(0, 0) over the local maxima of the power, each polished off the grid; a
+step onto a shape whose b is not positive is rejected like a poor one.
 
-The grid objectives compute only the number they return, writing into
-preallocated node rows.  The cap objective calls the per-node kernels the
-public path calls (``protocols._Poly``, ``ermakov._omega2``,
-``energies._ena``, ``core._real_omega``), equals it bit for bit (tests
-compare with ``==``) and stops at the first imaginary piece, the stopping
-cap first.  The septic one builds its rows with ``_Poly`` and takes the
-power in its own fused form, not with ``ermakov._domega2`` and
-``energies._power_samples``; it is within ~1e-13 of the public path and
-stops where b is not positive.
+The cap grid objective computes only the number it returns, writing into
+preallocated node rows: it calls the per-node kernels the public path
+calls (``protocols._Poly``, ``ermakov._omega2``, ``energies._ena``,
+``core._real_omega``), equals it bit for bit (tests compare with ``==``)
+and stops at the first imaginary piece, the stopping cap first.  The
+septic search samples the power on preallocated rows built with ``_Poly``
+in its own fused form, not with ``ermakov._domega2`` and
+``energies._power_samples``, within ~1e-13 of the public path, to find
+the maxima that it then polishes on the closed form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -249,43 +248,112 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     )
 
 
-def _septic_peak(spec: TrapSpec, t_f: float, n_grid: int) -> Callable[[float, float], float]:
-    """The peak relative power of the septic family as a function of
-    (c3, c4), and +inf where b <= 0 somewhere (a shape the search
-    penalizes, where ``septic`` refuses the curve); no checks run here.
+_SEPTIC_SHAPES = ([0, 0, 0, 1, 0, -6, 8, -3], [0, 0, 0, 0, 1, -3, 3, -1])   # db/dc3, db/dc4
+
+
+class _SepticPeaks:
+    """The local maxima of |P_rel(s; c3, c4)| over s = t/t_f in [0, 1] of
+    the septic family, polished off the grid, as rows for the minimax
+    search; ``None`` where b <= 0 on a node (a shape the search rejects,
+    where ``septic`` refuses the curve).  No checks run here.
 
     b is affine in (c3, c4): its node rows (b and three time derivatives)
     are R0 + c3 R3 + c4 R4, three (4, n) blocks built once with ``_Poly``
-    from the terms of ``_septic_coef`` and the full path's 1/t_f^j.  A call
-    combines them in four ufunc calls, then takes the power in the search's
-    own fused form, d(W^2)/dtau b^2 = bddot bdot - b bdddot - 4 bdot/b^3
-    (no pow, no division by b^5): within ~1e-13 relative of
-    ``power(...).peak_rel``, (0, 0) included.  The public path keeps
-    ``ermakov._domega2`` and ``energies._power_samples``: where W^2 is
-    constant (the two-step pieces) they give exactly 0, where this form
-    gives round-off.
-    """
-    x = TimeGrid.uniform(t_f, n_grid).nodes / t_f
-    scale = energies._energy_change(spec) / t_f
-    r0, r3, r4, rows, work = blocks = np.empty((5, 4, len(x)))
-    basis = protocols._septic_coef(spec.gamma, 0.0, 0.0), [0, 0, 0, 1, 0, -6, 8, -3], [0, 0, 0, 0, 1, -3, 3, -1]
-    for coef, block in zip(basis, blocks):
-        for j, row in enumerate(block):
-            np.divide(protocols._Poly(coef).deriv(j)(x, out=row), t_f**j, out=row)
-    b, bdot, bddot, bdddot = rows
-    p, term = work[0], work[1]
+    from the terms of ``_septic_coef`` and the full path's 1/t_f^j.
+    ``power`` combines them in four ufunc calls, then takes P_rel in a
+    fused form, d(W^2)/dtau b^2 = bddot bdot - b bdddot - 4 bdot/b^3 (no
+    pow, no division by b^5): within ~1e-13 relative of the public path.
 
-    def peak(c3: float, c4: float) -> float:
+    Every sampled local maximum of |P_rel|, an end included, is polished by
+    Newton's method in s, inside the node intervals next to it, on the
+    power series of ``_septic_coef``, which ``build`` samples: with
+    b^(j) = d^j b/ds^j, |P_rel| = k |u| for u = b'' b' - b b''' - kappa b'/b^3,
+    kappa = 4 t_f^2 and k = (2n+1)/(4 |E| t_f^2), E the energy change.
+    b^(j) and the shapes' d^j(db/dc)/ds^j are ``_Poly`` sums of Python
+    floats.
+    A maximum gives the row (phi, g_3, g_4, H_33, H_34, H_44): its value
+    phi = sigma k u (sigma the sign of u), its gradient sigma k u_c by the
+    envelope theorem, and its Hessian sigma k (u_cc - u_cs u_cs^T/u_ss).
+    At an end whose slope points out of [0, 1] the maximum stays at the
+    end, and its Hessian is sigma k u_cc.
+    """
+
+    def __init__(self, spec: TrapSpec, t_f: float, n_grid: int):
+        self.s = TimeGrid.uniform(t_f, n_grid).nodes / t_f
+        energy = energies._energy_change(spec)
+        self.scale = ((2 * spec.n + 1) / 4.0) / (energy / t_f)
+        self.k, self.kappa = abs(self.scale) / t_f**3, 4.0 * t_f * t_f
+        self.blocks = np.empty((5, 4, len(self.s)))
+        basis = (protocols._septic_coef(spec.gamma, 0.0, 0.0), *_SEPTIC_SHAPES)
+        for coef, block in zip(basis, self.blocks):
+            for j, row in enumerate(block):
+                np.divide(protocols._Poly(coef).deriv(j)(self.s, out=row), t_f**j, out=row)
+        self.widths = [float(np.max(np.abs(block[0]))) for block in self.blocks[1:3]]   # max |db/dc_i|
+        self.gamma = spec.gamma
+        self.shapes = [[protocols._Poly(coef).deriv(j) for j in range(5)] for coef in _SEPTIC_SHAPES]
+
+    def power(self, c3: float, c4: float) -> np.ndarray | None:
+        """P_rel on the nodes (a view of a work row), or None where b <= 0 on one."""
+        r0, r3, r4, rows, work = self.blocks
         np.add(r0, np.multiply(r3, c3, out=rows), out=rows)
         np.add(rows, np.multiply(r4, c4, out=work), out=rows)
+        b, bdot, bddot, bdddot = rows
         if not np.minimum.reduce(b) > 0.0:
-            return math.inf
+            return None
+        p, term = work[0], work[1]
         np.subtract(np.multiply(bddot, bdot, out=p), np.multiply(b, bdddot, out=term), out=p)
         np.multiply(np.multiply(b, b, out=term), b, out=term)
         np.subtract(p, np.multiply(np.divide(bdot, term, out=term), 4.0, out=term), out=p)
-        return float(np.maximum.reduce(np.abs(p, out=p))) * ((2 * spec.n + 1) / 4.0) / abs(scale)
+        return np.multiply(p, self.scale, out=p)
 
-    return peak
+    def __call__(self, c3: float, c4: float) -> list | None:
+        p = self.power(c3, c4)
+        if p is None:
+            return None
+        a = np.abs(p)
+        up = a[1:] >= a[:-1]   # a local maximum: no fall into it and a fall out of it, or an end
+        tops = np.flatnonzero(np.concatenate(([True], up)) & np.concatenate((~up, [True]))).tolist()
+        beta = [protocols._Poly(protocols._septic_coef(self.gamma, c3, c4))]
+        for _ in range(5):
+            beta.append(beta[-1].deriv(1))
+        s, last = self.s, len(self.s) - 1
+        rows = [self._polish(beta, float(s[i]), float(s[max(i - 1, 0)]), float(s[min(i + 1, last)]),
+                             1.0 if (p[i] > 0.0) == (self.scale > 0.0) else -1.0)
+                for i in tops]
+        return None if None in rows else rows
+
+    def _polish(self, beta: list, s: float, lo: float, hi: float, sigma: float) -> tuple | None:
+        kappa, nxt = self.kappa, s
+        for _ in range(20):
+            s = nxt
+            b0, b1, b2, b3, b4, b5 = (poly(s) for poly in beta)
+            if not b0 > 0.0:   # b dips to zero between the nodes
+                return None
+            q = 1.0 / b0
+            q3 = q * q * q
+            u1 = b2 * b2 - b0 * b4 - kappa * q3 * (b2 - 3.0 * b1 * b1 * q)
+            u2 = 2.0 * b2 * b3 - b1 * b4 - b0 * b5 - kappa * q3 * (b3 - q * b1 * (9.0 * b2 - 12.0 * b1 * b1 * q))
+            if not sigma * u2 < 0.0:
+                break
+            nxt = min(max(s - u1 / u2, lo), hi)
+            if abs(nxt - s) <= 1e-10:
+                break
+        q4 = q3 * q
+        u = b2 * b1 - b0 * b3 - kappa * q3 * b1
+        d3, d4 = ([poly(s) for poly in shape] for shape in self.shapes)
+        uc = [e2 * b1 + b2 * e1 - e0 * b3 - b0 * e3 - kappa * q3 * (e1 - 3.0 * b1 * e0 * q)
+              for e0, e1, e2, e3, _ in (d3, d4)]
+        ucc = [e[2] * f[1] + f[2] * e[1] - e[0] * f[3] - f[0] * e[3]
+               + kappa * q4 * (3.0 * (e[1] * f[0] + f[1] * e[0]) - 12.0 * b1 * e[0] * f[0] * q)
+               for e, f in ((d3, d3), (d3, d4), (d4, d4))]
+        at_end = sigma * u1 <= 0.0 if s == 0.0 else s == 1.0 and sigma * u1 >= 0.0
+        if sigma * u2 < 0.0 and not at_end:   # the maximum moves with the shape
+            ucs = [2.0 * b2 * e2 - e0 * b4 - b0 * e4
+                   - kappa * q3 * (e2 - q * (3.0 * b2 * e0 + 6.0 * b1 * e1) + 12.0 * b1 * b1 * e0 * q * q)
+                   for e0, e1, e2, _, e4 in (d3, d4)]
+            ucc = [ucc[0] - ucs[0] * ucs[0] / u2, ucc[1] - ucs[0] * ucs[1] / u2, ucc[2] - ucs[1] * ucs[1] / u2]
+        k = sigma * self.k
+        return (k * u, k * uc[0], k * uc[1], k * ucc[0], k * ucc[1], k * ucc[2])
 
 
 def optimize_septic_power(
@@ -294,22 +362,57 @@ def optimize_septic_power(
     """Minimize the peak relative power of the septic family over
     (c3, c4), starting from (0, 0).
 
-    The peak is taken over a dense grid (minimax objectives need it), and
-    the result is clamped to never exceed the starting point.  1 is the
-    mean-value floor for the peak of any complete expansion.  ``baseline``
-    and ``objective`` are ``power(...).peak_rel`` of ``build`` at (0, 0),
-    first, so it raises the full path's errors, and at the result.  The
-    search runs on ``_septic_peak``, within ~1e-13 of them; its +inf at a
-    non-positive b makes the search step back.
+    A trust-region minimax over the polished local maxima of |P_rel|
+    (``_SepticPeaks``), after Hald & Madsen, Math. Programming 20 (1981)
+    49-62.  Each step minimizes max_a(phi_a + g_a . d) + d.B.d/2 in the box
+    |d_i| <= r/m_i (``numerics._minimax_step``), m_i the largest |db/dc_i|
+    on the nodes; B sums the rows' Hessians with the multipliers of the
+    last step (the largest row's alone at first).  A step is taken where
+    the peak falls by at least 1/100 of what the model promised; a shape
+    with b <= 0 on a node counts as no fall.  r starts at (gamma - 1)/10,
+    doubles after a step the model predicted to within 1/4 that reached
+    the box's edge, and falls to a quarter after a poor one.  The search
+    converges when the model promises less than 1e-13 of the peak or r
+    falls below 1e-13 (gamma - 1 + |m . c|); 500 steps end it unconverged.
+
+    The search minimizes the continuous peak; ``baseline`` and
+    ``objective`` report ``power(...).peak_rel``, the sampled one, of
+    ``build`` at (0, 0), first, so it raises the full path's errors, and at
+    the result, clamped to never exceed the starting point.  1 is the
+    mean-value floor for the peak of any complete expansion.
     """
     def full(c3: float, c4: float) -> float:
         bundle = protocols.build(spec, protocols.ProtocolParams("septic", t_f, c3, c4, grid_n=n_grid))
         return energies.power(bundle.curve, bundle.profile, spec).peak_rel
 
     base = full(0.0, 0.0)
-    peak = _septic_peak(spec, t_f, n_grid)
-    res = numerics.nelder_mead_2d(peak, (0.0, 0.0), base, rel_tol=1e-6, max_iter=2000)
-    params, fx = res.x, full(*res.x)
+    peaks = _SepticPeaks(spec, t_f, n_grid)
+    m3, m4 = peaks.widths
+    c3 = c4 = 0.0
+    rows = peaks(c3, c4)
+    value = max(row[0] for row in rows)
+    hess = next(row[3:] for row in rows if row[0] == value)
+    radius, converged, iterations = 0.1 * (spec.gamma - 1.0), False, 0
+    while iterations < 500:
+        iterations += 1
+        d3, d4, model, weights = numerics._minimax_step([row[:3] for row in rows], hess, (radius / m3, radius / m4))
+        promised = value - model
+        if not promised > 1e-13 * value:
+            converged = True
+            break
+        trial = peaks(c3 + d3, c4 + d4)
+        ratio = (value - max(row[0] for row in trial)) / promised if trial else -math.inf
+        hess = [sum(lam * rows[a][j] for a, lam in weights) for j in (3, 4, 5)]
+        if ratio >= 0.01:
+            c3, c4, rows, value = c3 + d3, c4 + d4, trial, max(row[0] for row in trial)
+        if ratio >= 0.75 and max(abs(d3) * m3, abs(d4) * m4) >= 0.99 * radius:
+            radius *= 2.0
+        elif not ratio >= 0.25:
+            radius *= 0.25
+            if radius < 1e-13 * (spec.gamma - 1.0 + abs(c3) * m3 + abs(c4) * m4):
+                converged = True
+                break
+    params, fx = (c3, c4), full(c3, c4)
     if fx > base:
         params, fx = (0.0, 0.0), base
-    return OptimizationResult(tuple(params), fx, res.iterations, res.converged, base)
+    return OptimizationResult(params, fx, iterations, converged, base)

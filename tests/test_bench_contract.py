@@ -64,8 +64,11 @@ def test_caps_ops_pass_their_checks(bench, tmp_path, t_f, feasible):
     bench.checks.CHECKERS["caps"](op, res)
 
 
-def test_septic_power_op_passes_its_check(bench, tmp_path):
-    op = {"kind": "septic_power", "t_f": bench.inputs.FIG4_OMEGA0 * 8e-3, "n": 401}
+@pytest.mark.parametrize("t_f_s, n", [(8e-3, 401), (5e-3, None), (12e-3, None)])
+def test_septic_power_op_passes_its_check(bench, tmp_path, t_f_s, n):
+    # None: the search workload's own grid, at both ends of its drawn durations
+    op = {"kind": "septic_power", "t_f": bench.inputs.FIG4_OMEGA0 * t_f_s,
+          "n": n or bench.inputs.Search.POWER_GRID}
     bench.checks.CHECKERS["septic_power"](op, bench.ops.run(op, str(tmp_path)))
 
 

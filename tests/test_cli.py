@@ -553,14 +553,14 @@ class TestPowerCommand:
             main(["power", "--preset", "fig4", "--gamma", "10", "--out", str(tmp_path / "q.csv")])
 
     def test_search_over_a_non_positive_b_runs(self, tmp_path):
-        # the septic search steps onto a shape whose b dips to zero; this used
-        # to exit 1 with a "scaling function must stay positive" traceback
+        # Nelder-Mead stepped onto a shape whose b dips to zero here, and once
+        # exited 1 with a "scaling function must stay positive" traceback
         out = tmp_path / "p.csv"
         proc = run_cli(["power", "--gamma", "1000", "--tf-dimensionless", "1e5", "--grid", "201",
                         "--out", str(out)])
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert ("# septic optimized (c3, c4) = (1002.45145518, -11802.7410801), "
-                "peak |P_rel| = 5.45335406259") in read_lines(out)
+        assert ("# septic optimized (c3, c4) = (986.533687652, -11587.7777962), "
+                "peak |P_rel| = 5.4539944405") in read_lines(out)
         assert "# quintic peak |P_rel| = 25.5113137491" in read_lines(out)
 
     def test_no_expansion_exits_with_message(self, tmp_path):
@@ -770,6 +770,7 @@ def test_write_table_matches_the_per_cell_reference(tmp_path, capsys):
     columns = {
         "x": np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0, 1e-300]),
         "i": np.array([0, 1, -3, 2**40, 2**62, -(2**63), 7, 12345678901234, 9]),
+        "flag": np.array([True, False, False, True, True, False, True, False, True]),
         "none": None,
         "text": ["a,b", 'say "hi"', "cr\r", "lf\n", "100%", "%s %d %% %(k)s", None, 2.5, math.nan],
         "num": [math.inf, -0.0, 5e-324, 1e308, None, 0.0, 3, "plain", ""],
@@ -784,15 +785,16 @@ def test_write_table_matches_the_per_cell_reference(tmp_path, capsys):
     assert capsys.readouterr().out == expected
     header, *rows = csv.reader(io.StringIO(expected.split("\n", len(lines))[-1], newline=""))
     assert header == list(columns) and all(len(r) == len(columns) for r in rows)
-    assert [r[3] for r in rows[:6]] == ["a,b", 'say "hi"', "cr\r", "lf\n", "100%", "%s %d %% %(k)s"]
+    assert [r[4] for r in rows[:6]] == ["a,b", 'say "hi"', "cr\r", "lf\n", "100%", "%s %d %% %(k)s"]
+    assert [r[2] for r in rows] == ["1", "0", "0", "1", "1", "0", "1", "0", "1"]
 
 
 def test_write_table_matches_the_per_cell_reference_on_drawn_columns(tmp_path, capsys):
     """Columns drawn with hypothesis: floats with NaN, infinities, signed
     zeros, subnormals, values near the float limits and exact ties of
-    %.12g's 12-digit rounding; int64 values of 1e12 and beyond; lists that
-    mix None, numbers and text holding %, a comma, a double quote, CR or LF;
-    and None columns."""
+    %.12g's 12-digit rounding; int64 values of 1e12 and beyond; bools;
+    lists that mix None, numbers and text holding %, a comma, a double
+    quote, CR or LF; and None columns."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -814,6 +816,8 @@ def test_write_table_matches_the_per_cell_reference_on_drawn_columns(tmp_path, c
             return st.lists(floats, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float))
         if kind == "int":
             return st.lists(ints, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+        if kind == "bool":
+            return st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool))
         if kind == "list":
             return st.lists(cells, min_size=n, max_size=n)
         return st.none()
@@ -821,7 +825,7 @@ def test_write_table_matches_the_per_cell_reference_on_drawn_columns(tmp_path, c
     @st.composite
     def tables(draw):
         n = draw(st.integers(0, 12))
-        kinds = draw(st.lists(st.sampled_from(["float", "int", "list", "none"]), min_size=1,
+        kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "list", "none"]), min_size=1,
                               max_size=5).filter(lambda k: k[0] != "none"))
         return {f"c{i}": draw(column(kind, n)) for i, kind in enumerate(kinds)}
 

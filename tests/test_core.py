@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from staexpand import TimeGrid, TrapSpec
+from staexpand import TimeGrid, TrapSpec, core
 from staexpand.core import FrequencyProfile, GridMismatch, ScalingCurve
 
 
@@ -111,6 +111,25 @@ def test_grid_rejects_too_short_step():
     with pytest.raises(ValueError, match="too short"):
         TimeGrid.piecewise((0.0, 1e16, 1e16 + 4), 101)
     TimeGrid((0.0, 1e16, 1e16 + 20), (32, 2))  # step 10 passes
+
+
+def test_piecewise_checks_its_edges_once(monkeypatch):
+    """``piecewise`` checks the edges, and the grid it builds takes them as
+    checked: one check does work, and the grid equals the one built from
+    plain edges."""
+    checked, passes = core._checked_edges, []
+
+    def counted(edges):
+        out = checked(edges)
+        if out is not edges:
+            passes.append(edges)
+        return out
+
+    monkeypatch.setattr(core, "_checked_edges", counted)
+    g = TimeGrid.piecewise([0.0, 0.3, 1.0], 101)
+    assert passes == [[0.0, 0.3, 1.0]]
+    plain = TimeGrid((0.0, 0.3, 1.0), g.intervals)
+    assert g == plain and g.edges == (0.0, 0.3, 1.0) and np.array_equal(g.nodes, plain.nodes)
 
 
 @pytest.mark.parametrize("n", [2000, 2, 1, 0, -1, -7])

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from staexpand import TimeGrid, TrapSpec, numerics, optimize, protocols
 from staexpand.core import GridMismatch, Infeasible, TrajectoryBlowUp
 from staexpand.numerics import (
     _brent_root,
     _gauss_legendre,
+    _minimax_step,
     _minimize_bounded,
     integrate,
-    nelder_mead_2d,
 )
 
 from rk4_reference import rk4_solve
@@ -92,21 +92,8 @@ def test_rk4_blowup_reports_time():
         rk4_solve(lambda t, y: y**2, [1.0], np.linspace(0.0, 5.0, 101))
 
 
-def test_nelder_mead_bowl():
-    res = nelder_mead_2d(lambda x, y: x**2 + y**2, (1.0, 1.0), 2.0)
-    assert res.converged
-    assert abs(res.x[0]) < 1e-6 and abs(res.x[1]) < 1e-6
-
-
-def test_nelder_mead_rosenbrock():
-    rosen = lambda x, y: (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2  # noqa: E731
-    res = nelder_mead_2d(rosen, (-1.2, 1.0), rosen(-1.2, 1.0))
-    assert res.x[0] == pytest.approx(1.0, abs=1e-4)
-    assert res.x[1] == pytest.approx(1.0, abs=1e-4)
-
-
 # ---------------------------------------------------------------------------
-# The Brent root and Nelder-Mead ports return SciPy's bits (compared with ==).
+# The Brent root and bounded-minimizer ports return SciPy's bits (compared with ==).
 
 ROOT_FAMILIES = (
     lambda c: (lambda x: x**3 - c),
@@ -182,123 +169,9 @@ def test_brent_root_refusals_read_like_brentq():
     assert _brent_root(lambda x: x, 0.0, 2.0, xtol=1e-12) == 0.0
 
 
-def scipy_nelder_mead(f, start, rel_tol=1e-8, max_iter=10_000):
-    """What nelder_mead_2d returned when it called SciPy."""
-    start = np.asarray(start, dtype=float)
-    f0 = f(start[0], start[1])
-    res = minimize(
-        lambda p: f(p[0], p[1]),
-        start,
-        method="Nelder-Mead",
-        options={
-            "xatol": rel_tol * (1.0 + float(np.max(np.abs(start)))),
-            "fatol": 1e-12 * (1.0 + abs(f0)) if np.isfinite(f0) else 1e-12,
-            "maxiter": max_iter,
-            "maxfev": 4 * max_iter,
-        },
-    )
-    return tuple(float(v) for v in res.x), float(res.fun), bool(res.success), int(res.nit)
-
-
 def _bits(x, fx, converged, iterations):
     """A result with its floats as hex strings: NaN equals NaN, and 0.0 is not -0.0."""
     return [v.hex() for v in x], fx.hex(), converged, iterations
-
-
-def assert_same_as_scipy(f, start, rel_tol=1e-8, max_iter=10_000):
-    ours = nelder_mead_2d(f, start, f(*np.asarray(start, dtype=float).tolist()), rel_tol, max_iter)
-    theirs = scipy_nelder_mead(f, start, rel_tol, max_iter)
-    assert _bits(ours.x, ours.fx, ours.converged, ours.iterations) == _bits(*theirs)
-    return ours
-
-
-@pytest.mark.parametrize("t_f", [230.0, 1000.0])
-def test_nelder_mead_matches_scipy_on_the_cap_search(t_f):
-    spec = TrapSpec.from_gamma(10.0)
-    _, seed = optimize.best_cap_seed(spec, t_f, 501)
-    res = assert_same_as_scipy(lambda tl, ts: optimize._hybrid_avg_ena(spec, t_f, tl, ts, 501), seed)
-    assert res.converged
-
-
-def test_nelder_mead_matches_scipy_on_the_septic_power_search():
-    spec = TrapSpec.from_gamma(10.0)
-    assert_same_as_scipy(optimize._septic_peak(spec, 30.0, 201), (0.0, 0.0), 1e-6, 2000)
-
-
-def test_nelder_mead_matches_scipy_when_cut_short():
-    rosen = lambda x, y: (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2  # noqa: E731
-    assert not assert_same_as_scipy(rosen, (-1.2, 1.0), max_iter=5).converged
-    assert_same_as_scipy(rosen, (0.0, 0.0))
-    assert_same_as_scipy(lambda x, y: abs(x - 3.0) + (math.inf if y > 1.0 else y * y), (2.0, 0.5))
-
-
-def _counted(f):
-    """f, and the list of the points it is called at."""
-    calls = []
-
-    def g(x, y):
-        calls.append((x, y))
-        return f(x, y)
-
-    return g, calls
-
-
-def test_nelder_mead_matches_scipy_through_tied_infinite_vertices():
-    """Two +inf vertices at once: every step is a failed contraction and a
-    shrink, and the +inf ties keep the order numpy's argsort gives them."""
-    only_start = lambda x, y: 0.5 if (x, y) == (1.0, 2.0) else math.inf  # noqa: E731
-    res = assert_same_as_scipy(only_start, (1.0, 2.0), max_iter=40)
-    assert not res.converged and res.fx == 0.5
-    counted, calls = _counted(only_start)
-    nelder_mead_2d(counted, (1.0, 2.0), 0.5, max_iter=40)
-    assert len(calls) == 2 + 4 * (res.iterations - 1)  # reflect, contract, shrink two
-    # a wall of +inf: shrinks until the simplex fits on the finite side
-    wall = lambda x, y: (x - 0.3) ** 2 + (y + 0.2) ** 2 if x + y < 1e-4 else math.inf  # noqa: E731
-    assert assert_same_as_scipy(wall, (0.0, 0.0)).converged
-    assert_same_as_scipy(wall, (2e-4, -1e-4))
-
-
-def test_nelder_mead_matches_scipy_on_nan_values():
-    """NaN never compares below anything, fails both convergence tests, and
-    is the final value while any vertex holds it (np.min's NaN)."""
-    # the minimum sits on the edge of a NaN half-plane: from (0.5, 1.0) a NaN
-    # vertex stays while the other two close in, and holds the simplex open
-    edge = lambda x, y: (x - 0.5) ** 2 + (y - 1.0) ** 2 if x <= 0.5 else math.nan  # noqa: E731
-    assert_same_as_scipy(edge, (0.45, 1.0))
-    assert assert_same_as_scipy(edge, (0.5, 1.0), max_iter=200).iterations == 50
-    only_start = lambda x, y: 1.0 if (x, y) == (0.0, 0.0) else math.nan  # noqa: E731
-    res = assert_same_as_scipy(only_start, (0.0, 0.0), max_iter=20)
-    assert math.isnan(res.fx) and not res.converged
-
-
-def test_nelder_mead_hands_the_objective_python_floats():
-    bowl, calls = _counted(lambda x, y: (x - 1.0) ** 2 + (y + 2.0) ** 2)
-    nelder_mead_2d(bowl, np.array([0.5, 0.5]), 6.5)
-    assert {(type(x), type(y)) for x, y in calls} == {(float, float)}
-
-
-@pytest.mark.parametrize("start, max_iter", [((-1.2, 1.0), 10_000), ((-1.2, 1.0), 5), ((0.0, 0.0), 1)])
-def test_nelder_mead_calls_the_objective_as_often_as_scipy(start, max_iter):
-    """f(start) sets fatol and is the first vertex's value, counted against
-    the budget; the caller passes it, so the minimizer calls f at every
-    point SciPy's nfev counts but the start: nfev - 1 calls and no more."""
-    calls = []
-
-    def rosen(x, y):
-        calls.append((float(x), float(y)))
-        return (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2
-
-    f_start = rosen(*start)
-    calls.clear()
-    nelder_mead_2d(rosen, start, f_start, max_iter=max_iter)
-    ours = list(calls)
-    nfev = minimize(
-        lambda p: rosen(p[0], p[1]), np.asarray(start, dtype=float), method="Nelder-Mead",
-        options={"xatol": 1e-8 * (1.0 + max(map(abs, start))), "fatol": 1e-12 * (1.0 + rosen(*start)),
-                 "maxiter": max_iter, "maxfev": 4 * max_iter},
-    ).nfev
-    assert len(ours) == nfev - 1 and nfev <= 4 * max_iter
-    assert ours.count(tuple(map(float, start))) == 0
 
 
 def test_gauss_legendre_matches_numpy_leggauss():
@@ -366,3 +239,53 @@ def test_minimize_bounded_refusals_read_like_scipy():
             minimize_scalar(lambda x: x * x, bounds=(lo, hi), method="bounded")
         with pytest.raises(ValueError, match=f"^{message}$"):
             _minimize_bounded(lambda x: x * x, lo, hi)
+
+
+def _model(rows, hess, d1, d2):
+    h11, h12, h22 = hess
+    return (max(f + g1 * d1 + g2 * d2 for f, g1, g2 in rows)
+            + 0.5 * (h11 * d1 * d1 + 2.0 * h12 * d1 * d2 + h22 * d2 * d2))
+
+
+def test_minimax_step_finds_a_vertex_of_three_rows():
+    # three planes through 0 at (0.3, -0.1), and 0 = (g_1 + g_2/2 + g_3/2)/2
+    rows = [(-0.3, 1.0, 0.0), (0.4, -1.0, 1.0), (0.2, -1.0, -1.0), (-5.0, 0.5, 0.5)]
+    d1, d2, value, weights = _minimax_step(rows, (0.0, 0.0, 0.0), (1.0, 1.0))
+    assert (d1, d2) == pytest.approx((0.3, -0.1), abs=1e-15) and value == pytest.approx(0.0, abs=1e-15)
+    assert dict(weights) == pytest.approx({0: 0.5, 1: 0.25, 2: 0.25}, abs=1e-15)
+
+
+def test_minimax_step_is_the_least_model_value_in_the_box():
+    """Against a 401 x 401 scan of the box, over definite, indefinite and
+    zero Hessians; the weights are multipliers of rows tied at the step,
+    and where the step is inside the box with a definite Hessian, they
+    make the model stationary there."""
+    rng = np.random.default_rng(20261021)
+    inside = 0
+    for trial in range(60):
+        rows = [tuple(v) for v in rng.uniform(-1.0, 1.0, (int(rng.integers(1, 7)), 3)).tolist()]
+        a = rng.uniform(-1.0, 1.0, (2, 2))
+        hess = [a @ a.T, a + a.T, np.zeros((2, 2))][trial % 3]
+        hess = (float(hess[0, 0]), float(hess[0, 1]), float(hess[1, 1]))
+        box = tuple(rng.uniform(0.05, 2.0, 2).tolist())
+        d1, d2, value, weights = _minimax_step(rows, hess, box)
+        assert abs(d1) <= box[0] and abs(d2) <= box[1]
+        assert value == _model(rows, hess, d1, d2)
+        grid1, grid2 = np.meshgrid(np.linspace(-box[0], box[0], 401), np.linspace(-box[1], box[1], 401))
+        top = np.max([f + g1 * grid1 + g2 * grid2 for f, g1, g2 in rows], axis=0)
+        scan = top + 0.5 * (hess[0] * grid1**2 + 2.0 * hess[1] * grid1 * grid2 + hess[2] * grid2**2)
+        assert value <= float(scan.min()) + 1e-12
+        lams = dict(weights)
+        assert all(lam >= 0.0 for lam in lams.values()) and sum(lams.values()) == pytest.approx(1.0, abs=1e-14)
+        peak = max(f + g1 * d1 + g2 * d2 for f, g1, g2 in rows)
+        for a_, lam in lams.items():
+            f, g1, g2 = rows[a_]
+            if lam > 1e-9:
+                assert f + g1 * d1 + g2 * d2 == pytest.approx(peak, abs=1e-12)
+        if trial % 3 == 0 and abs(d1) < box[0] and abs(d2) < box[1]:
+            inside += 1
+            s1 = hess[0] * d1 + hess[1] * d2 + sum(lam * rows[a_][1] for a_, lam in lams.items())
+            s2 = hess[1] * d1 + hess[2] * d2 + sum(lam * rows[a_][2] for a_, lam in lams.items())
+            assert abs(s1) < 1e-12 and abs(s2) < 1e-12
+    assert inside >= 5
+

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from staexpand import TrapSpec, energies, ermakov, numerics, optimize, protocols
 from staexpand.core import Infeasible, PowerUndefined, TimeGrid
@@ -94,13 +95,24 @@ def _exact_avg_ena(spec, t_f, caps):
     return energies.na_lower_bound(spec, t_f) + (excess[0] + excess[1]) / t_f
 
 
+def _scipy_nelder_mead(f, start, f_start, rel_tol):
+    """SciPy's Nelder-Mead on f(x, y) from ``start``, stopping within
+    xatol = rel_tol (1 + max|start|) and fatol = 1e-12 (1 + |f(start)|)."""
+    res = minimize(lambda p: f(float(p[0]), float(p[1])), np.asarray(start, dtype=float),
+                   method="Nelder-Mead",
+                   options={"xatol": rel_tol * (1.0 + max(map(abs, start))),
+                            "fatol": 1e-12 * (1.0 + abs(f_start)) if math.isfinite(f_start) else 1e-12,
+                            "maxiter": 10_000, "maxfev": 40_000})
+    return tuple(float(v) for v in res.x), float(res.fun), bool(res.success), int(res.nit)
+
+
 def _nelder_mead_on_the_grid(spec, t_f, n):
     """Caps from the 2-D refinement the search ran before: Nelder-Mead on
     the grid objective from the best seed, which bounds it."""
     best_f, best_p = optimize.best_cap_seed(spec, t_f, n)
-    res = numerics.nelder_mead_2d(
-        lambda tl, ts: optimize._hybrid_avg_ena(spec, t_f, tl, ts, n), best_p, best_f, rel_tol=1e-8)
-    return res.x if math.isfinite(res.fx) and res.fx <= best_f else best_p
+    x, fx, _, _ = _scipy_nelder_mead(
+        lambda tl, ts: optimize._hybrid_avg_ena(spec, t_f, tl, ts, n), best_p, best_f, 1e-8)
+    return x if math.isfinite(fx) and fx <= best_f else best_p
 
 
 class TestCapSearchOffTheGrid:
@@ -207,6 +219,52 @@ class TestOptimizeSepticPower:
         b = optimize.optimize_septic_power(spec, t_f, n_grid=801)
         assert a.params == b.params and a.objective == b.objective
 
+    # the 64001-node peak at the shape that Nelder-Mead on the 4001-node
+    # sampled peak returned (its last version, before the minimax search)
+    NELDER_MEAD_TRUE_PEAKS = {
+        "fig4": "0x1.0f0affa372365p+1",
+        (10.0, 30.0): "0x1.0bc8cf1d8d4cbp+2",
+        (1.5, 3.0): "0x1.400daeb25ee4fp+1",
+        (100.0, 300.0): "0x1.eec392b5cc87ap+2",
+        (3.0, 1.0): "0x1.72df195a5d7c0p+6",
+        (2.0, 7.0): "0x1.f39315e3213b7p+0",   # a ridge: 12 random restarts reach 1.8505
+    }
+
+    @pytest.mark.parametrize("point", list(NELDER_MEAD_TRUE_PEAKS), ids=str)
+    def test_true_peak_no_higher_than_nelder_mead(self, fig4, point):
+        spec, t_f = fig4 if point == "fig4" else (TrapSpec.from_gamma(point[0]), point[1])
+        res = optimize.optimize_septic_power(spec, t_f)
+        assert res.converged
+        true_peak = _full_septic_peak(spec, t_f, *res.params, 64001)
+        assert true_peak <= float.fromhex(self.NELDER_MEAD_TRUE_PEAKS[point])
+        if point == (2.0, 7.0):
+            assert true_peak <= 1.8505
+
+    @pytest.mark.parametrize("gamma, t_f, shape", [
+        (10.0, 30.0, (27.5, 80.4)), (1.5, 3.0, (4.0, -0.9)), (100.0, 300.0, (0.0, 0.0)), (3.0, 1.0, (27.0, -46.0)),
+    ])
+    def test_polished_peaks_are_the_local_maxima(self, gamma, t_f, shape):
+        """The rows are the local maxima of a 64001-node scan of |P_rel|,
+        in order, each at or within 1e-8 above its scanned value, and their
+        gradients and Hessians match central differences of the rows'
+        values and gradients."""
+        spec = TrapSpec.from_gamma(gamma)
+        peaks = optimize._SepticPeaks(spec, t_f, 4001)
+        rows = peaks(*shape)
+        fine = np.abs(_full_septic_power(spec, t_f, *shape, 64001).P_rel)
+        tops = [i for i in range(len(fine)) if fine[i] == fine[max(i - 1, 0) : i + 2].max()]
+        assert len(rows) == len(tops)
+        for row, i in zip(rows, tops):
+            assert fine[i] <= row[0] * (1.0 + 1e-12) and row[0] <= fine[i] * (1.0 + 1e-8)
+        h = 1e-4
+        for j in (0, 1):
+            step = np.array([h, 0.0] if j == 0 else [0.0, h])
+            up, down = peaks(*(shape + step)), peaks(*(shape - step))
+            for row, hi, lo in zip(rows, up, down):
+                assert row[1 + j] == pytest.approx((hi[0] - lo[0]) / (2 * h), rel=1e-6, abs=1e-9 * row[0])
+                for k in (0, 1):   # H[j][k] from the gradients
+                    assert row[3 + j + k] == pytest.approx((hi[1 + k] - lo[1 + k]) / (2 * h), rel=1e-5, abs=1e-9)
+
 
 def _full_cap_objective(spec, t_f, tau_l, tau_s, n):
     """The cap objective through the public path: protocol, profile, energy report."""
@@ -217,9 +275,24 @@ def _full_cap_objective(spec, t_f, tau_l, tau_s, n):
     return energies.nonadiabatic_energy(curve, profile, spec)[1]
 
 
-def _full_septic_peak(spec, t_f, c3, c4, n):
+def _full_septic_power(spec, t_f, c3, c4, n):
     b = protocols.build(spec, protocols.ProtocolParams("septic", t_f, c3, c4, grid_n=n))
-    return energies.power(b.curve, b.profile, spec).peak_rel
+    return energies.power(b.curve, b.profile, spec)
+
+
+def _full_septic_peak(spec, t_f, c3, c4, n):
+    return _full_septic_power(spec, t_f, c3, c4, n).peak_rel
+
+
+def _fused_septic_peak(spec, t_f, n):
+    """The sampled peak of ``optimize._SepticPeaks.power``, +inf where b <= 0."""
+    peaks = optimize._SepticPeaks(spec, t_f, n)
+
+    def peak(c3, c4):
+        p = peaks.power(c3, c4)
+        return math.inf if p is None else float(np.maximum.reduce(np.abs(p)))
+
+    return peak
 
 
 def _public_kernel_septic_peak(spec, t_f, n):
@@ -366,15 +439,16 @@ class TestObjectivesMatchFullPath:
 
     def test_septic_evaluator_equals_full_path(self):
         # the affine node rows and the fused power form round differently
-        # from one Horner pass and the public kernels: within 1e-12 relative,
-        # (0, 0) included, far inside the search's fatol of 1e-12 (1 + f)
+        # from one Horner pass and the public kernels: within 1e-12 of the
+        # peak at every node, (0, 0) included
         for spec, t_f, n, shapes in self._septic_draws():
-            peak = optimize._septic_peak(spec, t_f, n)
+            peaks = optimize._SepticPeaks(spec, t_f, n)
             for c3, c4 in shapes:
-                assert peak(c3, c4) == pytest.approx(_full_septic_peak(spec, t_f, c3, c4, n), rel=1e-12, abs=0.0)
+                public = _full_septic_power(spec, t_f, c3, c4, n)
+                assert np.max(np.abs(peaks.power(c3, c4) - public.P_rel)) <= 1e-12 * public.peak_rel
 
     def test_septic_search_reports_the_full_path(self):
-        # the ground state only: a search costs ~20 ms, and P_rel does not depend on the mode
+        # the ground state only: P_rel does not depend on the mode
         for spec, t_f, n, _ in self._septic_draws():
             if spec.n:
                 continue
@@ -416,49 +490,52 @@ class TestObjectivesMatchFullPath:
 
     def test_septic_evaluator_penalizes_a_non_positive_b(self, spec):
         # b dips below zero for a strongly negative c3: the full path refuses
-        # the curve, the search's objective reads +inf there
+        # the curve, the search's evaluator gives no peaks there
         with pytest.raises(ValueError, match="scaling function must stay positive"):
             _full_septic_peak(spec, 30.0, -1e4, 0.0, 201)
-        assert optimize._septic_peak(spec, 30.0, 201)(-1e4, 0.0) == math.inf
+        peaks = optimize._SepticPeaks(spec, 30.0, 201)
+        assert peaks.power(-1e4, 0.0) is None and peaks(-1e4, 0.0) is None
 
-    def test_septic_search_steps_over_a_non_positive_b(self):
-        # Nelder-Mead reaches (c3, c4) ~ (2176, -24104), where b <= 0, after
-        # 297 evaluations; the search used to abort there with a ValueError
+    def test_septic_search_steps_over_a_non_positive_b(self, monkeypatch):
+        """A step onto a shape with b <= 0 is rejected, the trust region
+        shrinks to a quarter, and the search goes on to the same optimum."""
         spec = TrapSpec.from_gamma(1000.0)
-        peak = optimize._septic_peak(spec, 1e5, 201)
-        values = []
+        plain = optimize.optimize_septic_power(spec, 1e5, 201)
+        step, boxes = numerics._minimax_step, []
 
-        def recorded(c3, c4):
-            values.append(peak(c3, c4))
-            return values[-1]
+        def first_step_too_far(rows, hess, box):
+            boxes.append(box)
+            d3, d4, model, weights = step(rows, hess, box)
+            return (-1e4, 0.0, model, weights) if len(boxes) == 1 else (d3, d4, model, weights)
 
-        start = recorded(0.0, 0.0)
-        res = numerics.nelder_mead_2d(recorded, (0.0, 0.0), start, rel_tol=1e-6, max_iter=2000)
-        assert len(values) > 297 and values[296] == math.inf == max(values)
-        assert values.count(math.inf) == 1 and math.isfinite(res.fx)
-        opt = optimize.optimize_septic_power(spec, 1e5, 201)
-        assert opt.converged and 1.0 <= opt.objective < opt.baseline
-        assert opt.objective == _full_septic_peak(spec, 1e5, *opt.params, 201)
+        monkeypatch.setattr(numerics, "_minimax_step", first_step_too_far)
+        res = optimize.optimize_septic_power(spec, 1e5, 201)
+        assert optimize._SepticPeaks(spec, 1e5, 201)(-1e4, 0.0) is None
+        assert boxes[1] == (boxes[0][0] / 4.0, boxes[0][1] / 4.0)
+        assert res.converged and 1.0 <= res.objective < res.baseline
+        assert res.objective == _full_septic_peak(spec, 1e5, *res.params, 201)
+        assert res.objective == pytest.approx(plain.objective, rel=1e-9)
 
     def test_fused_power_form_takes_the_same_search_steps(self, fig4):
         # the fused form rounds differently from the public kernels, so the
-        # final values may differ in their last bits; the simplex must not
+        # final values may differ in their last bits; SciPy's Nelder-Mead
+        # simplex must not
         spec4 = fig4[0]
         cases = [(spec4, spec4.omega0 * t, 801) for t in np.geomspace(5e-3, 12e-3, 6)]
         cases += [(TrapSpec.from_gamma(10.0), 30.0, 201), (TrapSpec.from_gamma(1000.0), 1e5, 201)]
         for spec, t_f, n in cases:
             start = _full_septic_peak(spec, t_f, 0.0, 0.0, n)
             public, fused = (
-                numerics.nelder_mead_2d(peak, (0.0, 0.0), start, rel_tol=1e-6, max_iter=2000)
-                for peak in (_public_kernel_septic_peak(spec, t_f, n), optimize._septic_peak(spec, t_f, n))
+                _scipy_nelder_mead(peak, (0.0, 0.0), start, 1e-6)
+                for peak in (_public_kernel_septic_peak(spec, t_f, n), _fused_septic_peak(spec, t_f, n))
             )
-            assert fused.x == public.x and fused.iterations == public.iterations, (t_f, n)
-            assert fused.converged and public.converged
-            assert fused.fx == pytest.approx(public.fx, rel=1e-12, abs=0.0)
+            assert fused[0] == public[0] and fused[3] == public[3], (t_f, n)
+            assert fused[2] and public[2]
+            assert fused[1] == pytest.approx(public[1], rel=1e-12, abs=0.0)
 
 
 class TestSearchesPinned:
-    """Both searches, bit for bit as before the objectives were trimmed."""
+    """Both searches, pinned bit for bit."""
 
     def test_cap_search(self, spec):
         res = optimize.optimize_caps(spec, 300.0, 501)
@@ -470,10 +547,10 @@ class TestSearchesPinned:
     def test_septic_power_search(self, fig4):
         spec, t_f = fig4
         res = optimize.optimize_septic_power(spec, t_f, 801)
-        assert [x.hex() for x in res.params] == ["0x1.39c541a4781e3p+6", "-0x1.cb481dcdc06c1p+8"]
-        assert res.objective.hex() == "0x1.0f0a9a3127482p+1"
+        assert [x.hex() for x in res.params] == ["0x1.3a08ff49c41e0p+6", "-0x1.cbc38ebcb3c77p+8"]
+        assert res.objective.hex() == "0x1.0f0ae3457cb06p+1"
         assert res.baseline.hex() == "0x1.eb5f8dcaf8ce4p+1"
-        assert (res.iterations, res.converged) == (162, True)
+        assert (res.iterations, res.converged) == (11, True)
 
     def test_cap_search_on_the_benchmark_grid(self, spec):
         res = optimize.optimize_caps(spec, 300.0, 2001)
@@ -486,10 +563,11 @@ class TestSearchesPinned:
     def test_septic_power_search_on_the_benchmark_grid(self, fig4):
         spec, t_f = fig4
         res = optimize.optimize_septic_power(spec, t_f, 4001)
-        assert [x.hex() for x in res.params] == ["0x1.3a0cd4fb96102p+6", "-0x1.cbca931cf8724p+8"]
-        assert res.objective.hex() == "0x1.0f0af6e79f88ap+1"
+        # the shape on 801 nodes to 2e-11: the search minimizes the continuous peak
+        assert [x.hex() for x in res.params] == ["0x1.3a08ff49d0982p+6", "-0x1.cbc38ebcca953p+8"]
+        assert res.objective.hex() == "0x1.0f0af8eeae8a7p+1"
         assert res.baseline.hex() == "0x1.eb6002675d105p+1"
-        assert (res.iterations, res.converged) == (155, True)
+        assert (res.iterations, res.converged) == (11, True)
 
     def test_short_cap_protocol_has_no_feasible_seed(self, spec):
         with pytest.raises(Infeasible, match="no real-frequency cap protocol found at t_f = 100"):
