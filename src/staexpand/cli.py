@@ -30,8 +30,6 @@ import numpy as np
 from . import energies, optimize, protocols
 from .core import DEFAULT_GRID_N, Infeasible, TrajectoryBlowUp, TrapSpec
 
-_POWER_GRID_N = 4001   # power's default grid: its peaks need the dense grid
-
 _PRESETS = {
     "fig1": {"omega0_hz": 2500.0, "omegaf_hz": 25.0},
     "fig3": {"omega0_hz": 2500.0, "omegaf_hz": 25.0},
@@ -90,7 +88,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau-l", type=float, help="launching cap duration (same unit as the tf flag)")
     p.add_argument("--tau-s", type=float, help="stopping cap duration (same unit as the tf flag)")
     p.add_argument("--grid", type=int, default=None,
-                   help=f"grid nodes (default {DEFAULT_GRID_N}; power: {_POWER_GRID_N})")
+                   help=f"grid nodes (default {DEFAULT_GRID_N}; power: {optimize._POWER_GRID_N})")
     p.add_argument("--out", help="output file (directory for sweep)")
     p.add_argument("--tf-min", type=float, help="sweep start (same unit as tf flags)")
     p.add_argument("--tf-max", type=float, help="sweep end (same unit as tf flags)")
@@ -163,7 +161,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
     points_per_decade = 60 if args.points_per_decade is None else args.points_per_decade
     if points_per_decade < 1:
         raise SystemExit(f"--points-per-decade must be >= 1 (got {points_per_decade})")
-    grid = (_POWER_GRID_N if args.command == "power" else DEFAULT_GRID_N) if args.grid is None else args.grid
+    grid = (optimize._POWER_GRID_N if args.command == "power" else DEFAULT_GRID_N) if args.grid is None else args.grid
     if grid < 3 or grid % 2 == 0:   # uniform grids need an odd node count: refused before any work
         raise SystemExit(f"--grid must be an odd node count >= 3 (got {grid})")
     try:
@@ -432,9 +430,9 @@ def cmd_power(cfg: RunConfig) -> int:
     try:
         q = protocols.build(spec, protocols.ProtocolParams("quintic", t_f, grid_n=grid_n))
         qp = energies.power(q.curve, q.profile, spec)
-    except ValueError as exc:  # a bad duration, or PowerUndefined
+        res = optimize.optimize_septic_power(spec, t_f, grid_n)
+    except ValueError as exc:  # a bad duration, PowerUndefined, or a grid too coarse for the search
         raise SystemExit(f"power: {exc}") from None
-    res = optimize.optimize_septic_power(spec, t_f, grid_n)
     sep = protocols.build(spec, protocols.ProtocolParams("septic", t_f, *res.params, grid_n=grid_n))
     sp = energies.power(sep.curve, sep.profile, spec)
 

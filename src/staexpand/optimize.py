@@ -40,6 +40,7 @@ from .core import (
 _CAP_SEED_FRACTIONS = (0.01, 0.05, 0.2)
 _CAP_NODES = 32                          # Gauss-Legendre nodes per cap
 _P_PEAK = (2.0 - math.sqrt(1.6)) / 3.0   # where P(s) = 8s - 20s^2 + 10s^3 peaks
+_POWER_GRID_N = 4001                     # the power search's default grid: its peaks need a dense one
 
 
 @dataclass
@@ -248,7 +249,9 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     )
 
 
-_SEPTIC_SHAPES = ([0, 0, 0, 1, 0, -6, 8, -3], [0, 0, 0, 0, 1, -3, 3, -1])   # db/dc3, db/dc4
+_SEPTIC_SHAPES = tuple(   # db/dc3, db/dc4: b is linear in (c3, c4)
+    [c - c0 for c, c0 in zip(protocols._septic_coef(1.0, *unit), protocols._septic_coef(1.0, 0.0, 0.0))]
+    for unit in ((1.0, 0.0), (0.0, 1.0)))
 
 
 class _SepticPeaks:
@@ -357,7 +360,7 @@ class _SepticPeaks:
 
 
 def optimize_septic_power(
-    spec: TrapSpec, t_f: float, n_grid: int = 4001
+    spec: TrapSpec, t_f: float, n_grid: int = _POWER_GRID_N
 ) -> OptimizationResult:
     """Minimize the peak relative power of the septic family over
     (c3, c4), starting from (0, 0).
@@ -379,7 +382,8 @@ def optimize_septic_power(
     ``objective`` report ``power(...).peak_rel``, the sampled one, of
     ``build`` at (0, 0), first, so it raises the full path's errors, and at
     the result, clamped to never exceed the starting point.  1 is the
-    mean-value floor for the peak of any complete expansion.
+    mean-value floor for the peak of any complete expansion: a grid too
+    coarse to see the maxima reports less, which is refused (ValueError).
     """
     def full(c3: float, c4: float) -> float:
         bundle = protocols.build(spec, protocols.ProtocolParams("septic", t_f, c3, c4, grid_n=n_grid))
@@ -415,4 +419,6 @@ def optimize_septic_power(
     params, fx = (c3, c4), full(c3, c4)
     if fx > base:
         params, fx = (0.0, 0.0), base
+    if fx < 1.0:
+        raise ValueError(f"n_grid = {n_grid} is too coarse: the septic peak {fx:.6g} lies below its floor of 1")
     return OptimizationResult(params, fx, iterations, converged, base)

@@ -44,11 +44,8 @@ from .core import (
     _check_duration,
 )
 
-_OMEGA1_SERIES_SWITCH = 1e-6  # below this, sinh(w1 t)/w1 is evaluated by series
+_OMEGA1_SERIES_SWITCH = 1e-100  # below it omega1^3 nears underflow; the series is exact (w1 t < 1e-38)
 _SNAP_TOL = 1e-12
-# Brent root tolerance relative to the step frequency (~1/gamma at large gamma),
-# which an absolute one cannot resolve to the 1e-12 duration postcondition
-_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 def _sqrt_cols(g, g1, g2, g3):
@@ -320,35 +317,31 @@ def bang_bang_times(spec: TrapSpec, omega1: float, omega2: float) -> tuple[float
             f"{name} = {w:.6g} is too high at gamma = {g:.6g}: the matching "
             f"conditions overflow above gamma*{name} ~ {_GAMMA_OMEGA_MAX:.4g}"
         )
-    g2 = g**2
-    w1s, w2s = omega1**2, omega2**2
-    edge = g2 * w2s - 1.0
-    if abs(edge) <= _SNAP_TOL * max(1.0, g2 * w2s):
-        edge = 0.0
-    if edge < 0.0:
+    e = g**2 * omega2**2 - 1.0
+    if abs(e) <= _SNAP_TOL * max(1.0, g**2 * omega2**2):
+        e = 0.0
+    if e < 0.0:
         raise ValueError(
             "omega2 >= sqrt(omega0*omega_f) is required for t1 >= 0 "
-            f"(gamma^2 omega2^2 - 1 = {edge:.3g})"
+            f"(gamma^2 omega2^2 - 1 = {e:.3g})"
         )
-    x = (g2 - 1.0) * edge / (g2 * (w2s + w1s) * (1.0 + w1s))
-    c = math.sqrt(max(x, 0.0))
-    if omega1 < _OMEGA1_SERIES_SWITCH:
-        z = omega1 * c
-        t1 = c * (1.0 - z**2 / 6.0 + 3.0 * z**4 / 40.0)
-    else:
-        t1 = math.asinh(omega1 * c) / omega1
-    if edge == 0.0:
-        # At gamma^2 omega2^2 = 1 the arcsin argument reduces to
-        # omega2^2 (gamma^2 omega1^2 + 1) / (omega2^2 + omega1^2) = 1 exactly;
-        # evaluating it in floating point would hit the sqrt singularity.
-        arg = 1.0
-    else:
-        arg = w2s * (g2 - 1.0) * (g2 * w1s + 1.0) / ((w2s + w1s) * (g2**2 * w2s - 1.0))
-        if arg > 1.0:
-            if arg > 1.0 + 1e-9:
-                raise ValueError(f"arcsin argument {arg:.12g} > 1 in the matching condition")
-            arg = 1.0
-    t2 = math.asin(math.sqrt(arg)) / omega2
+    return _switching_times(g, omega1, omega2, e)
+
+
+def _switching_times(g: float, omega1: float, omega2: float, e: float) -> tuple[float, float]:
+    """(t1, t2) of the steps omega1 >= 0 and omega2 > 0 at gamma = g, given
+    e = g^2 omega2^2 - 1 >= 0 formed without cancellation: sinh^2(omega1 t1)
+    is omega1^2 (g^2 - 1) e / (g^2 (omega2^2 + omega1^2)(1 + omega1^2)), and
+    sin^2 and cos^2 of omega2 t2 are omega2^2 (g^2 - 1)(g^2 omega1^2 + 1) and
+    (g^2 omega2^2 + omega1^2) e over their sum, which nothing subtracts."""
+    g21, w1s, w2s = (g - 1.0) * (g + 1.0), omega1**2, omega2**2
+    c = math.sqrt(g21 * e / (g**2 * (w2s + w1s) * (1.0 + w1s)))
+    z = omega1 * c
+    t1 = math.asinh(z) / omega1 if z else c
+    sn = math.sqrt(w2s * g21 * (g**2 * w1s + 1.0))
+    cs = math.sqrt((g**2 * w2s + w1s) * e)
+    # both vanish only at gamma = 1 with e = 0, where the extreme point lasts a quarter period
+    t2 = (math.atan2(sn, cs) if sn or cs else 0.5 * math.pi) / omega2
     return t1, t2
 
 
@@ -357,13 +350,15 @@ def _bang_bang_seg1_fns(omega1: float) -> Piece:
     w1s = omega1**2
     c = 1.0 + w1s
     if omega1 < _OMEGA1_SERIES_SWITCH:
-        # sinh^2(w1 t)/w1^2 and derivatives by series: exact at omega1 = 0
+        # sinh^2(w1 t)/w1^2 and derivatives by series in z = (w1 t)^2: exact at
+        # omega1 = 0, and no power of t beyond t^2 overflows at t ~ 1e61
         def piece(t):
+            z = w1s * t * t
             return _sqrt_cols(
-                1.0 + c * (t**2 + w1s * t**4 / 3.0 + 2.0 * w1s**2 * t**6 / 45.0),
-                c * (2.0 * t + 4.0 * w1s * t**3 / 3.0 + 4.0 * w1s**2 * t**5 / 15.0),
-                c * (2.0 + 4.0 * w1s * t**2 + 4.0 * w1s**2 * t**4 / 3.0),
-                c * (8.0 * w1s * t + 16.0 * w1s**2 * t**3 / 3.0),
+                1.0 + c * (t * t * (1.0 + z / 3.0 + 2.0 * z * z / 45.0)),
+                c * (t * (2.0 + 4.0 * z / 3.0 + 4.0 * z * z / 15.0)),
+                c * (2.0 + 4.0 * z + 4.0 * z * z / 3.0),
+                c * (w1s * t * (8.0 + 16.0 * z / 3.0)),
             )
 
     else:
@@ -452,47 +447,48 @@ def two_step_times(spec: TrapSpec, family: str, t_f: float) -> dict:
     bang_bang has equal steps omega1 = omega2 = w and reaches durations in
     (0, pi*gamma/2]; bang_bang_na (free expansion) has omega1 = 0 and
     omega2 = beta and reaches (sqrt(gamma^2 - 1), pi*gamma/2], beta =
-    1/gamma at the upper end and beta -> infinity at the lower.  The
-    duration falls from pi*gamma/2 as the free frequency grows, so
-    t1 + t2 = t_f is solved for it by root bracketing.  Postcondition:
+    1/gamma at the upper end and beta -> infinity at the lower.  t1 + t2 =
+    t_f is solved by root bracketing for v = gamma sqrt(e/(gamma^2 - 1)),
+    e = gamma^2 omega2^2 - 1: the duration leaves pi*gamma/2 at v = 0
+    without omega2's square-root singularity, and at every gamma it has
+    fallen by a fraction of order 1 at v = 1.  Postcondition:
     |t1 + t2 - t_f| <= 1e-12 t_f, else Infeasible.
     """
     _check_duration(t_f)
-    if family == "bang_bang":
-        t_min, w_lo = 0.0, math.sqrt(spec.omega_f_rel)
-        steps = lambda w: (w, w)   # noqa: E731
-    elif family == "bang_bang_na":
-        t_min, w_lo = math.sqrt(spec.gamma**2 - 1.0), 1.0 / spec.gamma
-        steps = lambda beta: (0.0, beta)   # noqa: E731
-    else:
+    if family not in _TWO_STEP_LABELS:
         raise ValueError(f"{family!r} is not a two-step family; choose from {tuple(_TWO_STEP_LABELS)}")
-    label = _TWO_STEP_LABELS[family]
+    label, free, g = _TWO_STEP_LABELS[family], family == "bang_bang_na", spec.gamma
+    g21 = (g - 1.0) * (g + 1.0)
+    t_min = math.sqrt(g21) if free else 0.0
     t_max = bang_bang_max_duration(spec)
     if not t_min < t_f <= t_max:
         raise Infeasible(f"{label} protocols need {t_min:.6g} < t_f <= {t_max:.6g}")
 
-    def duration_gap(w):
-        return sum(bang_bang_times(spec, *steps(w))) - t_f
+    def frequencies(v):   # (omega1, omega2, e) at v
+        e = g21 * (v / g) ** 2
+        w = math.sqrt(1.0 + e) / g
+        return 0.0 if free else w, w, e
 
-    if t_f >= t_max * (1.0 - 1e-12):
-        w = w_lo
-    elif spec.gamma == 1.0:
-        # At gamma = 1 both switching times vanish except at the extreme point,
-        # so every duration below t_max = pi/2 is out of reach; the root search
-        # would land on the jump of the duration gap instead.
+    def duration_gap(v):
+        return sum(_switching_times(g, *frequencies(v))) - t_f
+
+    if g == 1.0 and t_f < t_max:   # both switching times vanish except at the extreme point
         raise Infeasible(f"without expansion (gamma = 1) two-step protocols only last {t_max:.6g}")
-    else:
-        w_hi = max(1.0, 2.0 * w_lo)
-        while duration_gap(w_hi) > 0.0:
-            w_hi *= 2.0
-            if w_hi > 1e12:
+    v = 0.0   # the extreme point, unless it lasts longer than t_f
+    if duration_gap(v) > 0.0:
+        # the duration falls about as t_max/v for v >> 1; omega2 stays below 1e12 at v = 1e12 gamma
+        v_lo, v_hi = 0.0, min(t_max / t_f, 1e12 * g)
+        while duration_gap(v_hi) > 0.0:
+            v_lo, v_hi = v_hi, 2.0 * v_hi
+            if frequencies(v_hi)[1] > 1e12:
                 raise Infeasible(f"could not bracket the step frequency of {label} protocols")
         try:
-            w = numerics._brent_root(duration_gap, w_lo, w_hi, xtol=_ROOT_RTOL * w_lo)
+            # v's scale is 1 at every gamma: its absolute tolerance is Brent's relative one
+            v = numerics._brent_root(duration_gap, v_lo, v_hi, xtol=numerics._BRENT_RTOL)
         except RuntimeError as exc:  # no convergence within the iteration limit
             raise Infeasible(f"{label} protocol for t_f = {t_f:.12g}: {exc}") from None
-    omega1, omega2 = steps(w)
-    t1, t2 = bang_bang_times(spec, omega1, omega2)
+    omega1, omega2, e = frequencies(v)
+    t1, t2 = _switching_times(g, omega1, omega2, e)
     lasts = t1 + t2   # the float the bundle's grid ends at
     if abs(lasts - t_f) > _DURATION_RTOL * t_f:
         raise Infeasible(

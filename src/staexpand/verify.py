@@ -309,10 +309,10 @@ def check_power_peak_optimization() -> tuple[bool, str, str]:
     quintic's, never below the mean-value floor of 1."""
     spec = TrapSpec(2.0 * math.pi * 2500.0, 2.0 * math.pi * 25.0)
     t_f = spec.omega0 * 8e-3
-    q = protocols.build(spec, _P("quintic", t_f, grid_n=4001))
+    q = protocols.build(spec, _P("quintic", t_f, grid_n=optimize._POWER_GRID_N))
     q_peak = energies.power(q.curve, q.profile, spec).peak_rel
     res = optimize.optimize_septic_power(spec, t_f)
-    ref = protocols.build(spec, _P("septic", t_f, *_SEPTIC_REF, grid_n=4001))
+    ref = protocols.build(spec, _P("septic", t_f, *_SEPTIC_REF, grid_n=optimize._POWER_GRID_N))
     ref_peak = energies.power(ref.curve, ref.profile, spec).peak_rel
     ok = res.objective <= q_peak and res.objective >= 1.0 and ref_peak <= q_peak
     return (

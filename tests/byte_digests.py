@@ -49,7 +49,7 @@ _POINTS = {
 CASES = {
     "sweep_fig1": ["sweep", "--preset", "fig1", "--out", "{out}"],
     # up to just below t_max = pi*gamma/2, where the equal-step duration solve
-    # lands on t_max and refuses the rows closest to it
+    # meets the extreme point
     "sweep_fig1_gamma1.5_near_tmax": ["sweep", "--preset", "fig1", "--gamma", "1.5",
                                       "--tf-min", "2.356", "--tf-max", "2.35619449",
                                       "--points-per-decade", "1000000", "--out", "{out}"],

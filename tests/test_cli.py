@@ -552,6 +552,14 @@ class TestPowerCommand:
         with pytest.raises(SystemExit, match="power needs a duration"):
             main(["power", "--preset", "fig4", "--gamma", "10", "--out", str(tmp_path / "q.csv")])
 
+    def test_grid_too_coarse_for_the_search_exits_with_one_line(self, tmp_path):
+        # the search read a peak of 0.81 here, below the floor of 1
+        proc = run_cli(["power", "--gamma", "10", "--tf-dimensionless", "30", "--grid", "5",
+                        "--out", str(tmp_path / "p.csv")])
+        assert proc.returncode == 1 and proc.stderr == (
+            "power: n_grid = 5 is too coarse: the septic peak 0.808657 lies below its floor of 1\n")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_search_over_a_non_positive_b_runs(self, tmp_path):
         # Nelder-Mead stepped onto a shape whose b dips to zero here, and once
         # exited 1 with a "scaling function must stay positive" traceback

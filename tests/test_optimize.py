@@ -213,6 +213,26 @@ class TestOptimizeSepticPower:
         ref_peak = energies.power(ref, ermakov.inverse_engineer(ref), spec).peak_rel
         assert res.objective == pytest.approx(ref_peak, rel=1e-3)
 
+    @pytest.mark.parametrize("point, n, peak", [((10.0, 30.0), 5, "0.808657"), ("fig4", 3, "0.080857")], ids=str)
+    def test_peak_below_the_floor_is_refused(self, fig4, point, n, peak):
+        # a grid too coarse to see the maxima read these impossible peaks
+        spec, t_f = fig4 if point == "fig4" else (TrapSpec.from_gamma(point[0]), point[1])
+        with pytest.raises(ValueError, match=rf"^n_grid = {n} is too coarse: the septic peak {peak} lies below"):
+            optimize.optimize_septic_power(spec, t_f, n)
+
+    def test_septic_shapes_give_the_same_node_rows(self, fig4, monkeypatch):
+        # the shape columns derived from _septic_coef equal the hand copy they
+        # replace, and so do the rows built from them, bit for bit
+        hand = ([0, 0, 0, 1, 0, -6, 8, -3], [0, 0, 0, 0, 1, -3, 3, -1])
+        assert optimize._SEPTIC_SHAPES == hand
+        for spec, t_f in (fig4, (TrapSpec.from_gamma(10.0), 30.0)):
+            derived = optimize._SepticPeaks(spec, t_f, 4001)
+            monkeypatch.setattr(optimize, "_SEPTIC_SHAPES", hand)
+            copied = optimize._SepticPeaks(spec, t_f, 4001)
+            monkeypatch.undo()
+            assert derived.blocks[:3].tobytes() == copied.blocks[:3].tobytes()
+            assert derived(78.5, -459.8) == copied(78.5, -459.8)
+
     def test_deterministic(self, fig4):
         spec, t_f = fig4
         a = optimize.optimize_septic_power(spec, t_f, n_grid=801)
