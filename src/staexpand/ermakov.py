@@ -36,8 +36,11 @@ _RK4_STABLE_HW = sqrt(2.0)
 
 def _omega2(b, bddot, out=None):
     """The control W^2 = 1/b^4 - bddot/b read off the Ermakov equation,
-    into ``out`` when given (it must not be an input); a float for a float b."""
-    return np.subtract(np.divide(1.0, np.power(b, 4.0, out=out), out=out), np.divide(bddot, b), out=out)
+    into ``out`` when given (it must not be an input); a float for a float b.
+    b^4 makes the one output array, and 1/b^4 - bddot/b lands in it."""
+    w2 = np.power(b, 4.0, out=out)
+    into = w2 if isinstance(w2, np.ndarray) else None   # a ufunc cannot write into a float
+    return np.subtract(np.divide(1.0, w2, out=into), np.divide(bddot, b), out=into)
 
 
 def _domega2(b, bdot, bddot, bdddot):

@@ -3,11 +3,12 @@
 Both are deterministic.  The cap search gates and bounds itself with the
 best of nine seed caps on the grid objective (lexicographic tie-breaking),
 then refines off the grid: the objective separates into one excess per
-cap, each minimized by a bounded 1-D search on the interval where that cap
-has a real frequency, and a third along the joint limit where the two
-minima break it.  The septic search is a trust-region minimax from
-(0, 0) over the local maxima of the power, each polished off the grid; a
-step onto a shape whose b is not positive is rejected like a poor one.
+cap, each minimized by a bounded 1-D search in ln tau on the interval
+where that cap has a real frequency, to about 1e-8 relative at every
+duration, and a third along the joint limit where the two minima break
+it.  The septic search is a trust-region minimax from (0, 0) over the
+local maxima of the power, each polished off the grid; a step onto a
+shape whose b is not positive is rejected like a poor one.
 
 The cap grid objective computes only the number it returns, writing into
 preallocated node rows: it calls the per-node kernels the public path
@@ -150,6 +151,11 @@ class _Cap:
     or -gamma (stopping): D P(s) -+ b(0) has the sign of d(+-r b^3)/ds.
     h(tau) = t_f tau - d max(...) is concave, so the real caps form one
     interval.
+
+    Long protocols (D -> 0, b -> b0, y -> 1, and the r_i^2 weights sum to
+    the integral of r^2, 4) give X -> (d/t_f)^2 (tau/30 + b0^4/(4 tau)),
+    least at tau_inf = sqrt(7.5) b0^2: 2.7386 for the launching cap,
+    gamma^2 sqrt(7.5) for the stopping cap, at every t_f.
     """
 
     def __init__(self, gamma: float, t_f: float, launching: bool, nodes: np.ndarray, weights: np.ndarray):
@@ -209,17 +215,25 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     the ``baseline``.  The objective separates: Ena = Ena_L on the line, so
     avg Ena = Ena_L + (X_l(tau_l) + X_s(tau_s))/t_f.  Each cap's excess X
     and real-frequency interval come off the grid (``_Cap``), and X is
-    minimized on that interval with ``_minimize_bounded``.  Where the two
+    minimized on that interval with ``_minimize_bounded`` in x = ln tau
+    (xatol 1e-12), where the long-protocol minimum tau_inf = sqrt(7.5) b0^2
+    sits mid-interval at every t_f: the caps come out to about 1e-8
+    relative, the search's own sqrt(eps) |x| step floor.  Where the two
     minima break the joint limit tau_l + tau_s < 0.999 t_f, one more bounded
-    search runs along a line just inside it.  The result reports
+    search runs in ln tau_l along a line just inside it.  The interval's
+    edges are root-solved in tau.  The result reports
     ``_hybrid_avg_ena`` at the found caps, the grid value that the seeds
-    report; where it is not below the best seed (a tie at gamma = 1), the
-    seed is the result.  So is a best seed with a real frequency on the
-    grid only, within its round-off tolerance: then no search runs, and the
-    result is not converged.  ``iterations`` sums the bounded searches'
-    evaluations, and ``converged`` holds when all of them converged.
+    report; where it is not below the best seed, the seed is the result.
+    So is a best seed with a real frequency on the grid only, within its
+    round-off tolerance: then no search runs, and the result is not
+    converged.  At gamma = 1 every excess is 0 and the real caps reach
+    down to tau = 0: the best seed is a minimum, returned converged with no
+    search.  ``iterations`` sums the bounded searches' evaluations, and
+    ``converged`` holds when all of them converged.
     """
     best_f, best_p = best_cap_seed(spec, t_f, n_grid)
+    if spec.gamma == 1.0:   # no ln tau at the interval's lower edge, 0
+        return OptimizationResult(best_p, best_f, 0, True, best_f)
     nodes, weights = numerics._gauss_legendre(_CAP_NODES)
     cap_l, cap_s = caps = [_Cap(spec.gamma, t_f, launching, nodes, weights) for launching in (True, False)]
     if not all(cap.margin(seed) > 0.0 for cap, seed in zip(caps, best_p)):
@@ -228,17 +242,21 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     # tau_l + (limit - tau_l) rounds below 0.999 t_f
     limit = 0.999 * t_f * (1.0 - 1e-15)
     (lo_l, hi_l), (lo_s, hi_s) = bounds = [cap.interval(seed, limit) for cap, seed in zip(caps, best_p)]
-    xatol = 1e-10 * t_f   # finer than the reported grid value resolves the caps
-    runs = [numerics._minimize_bounded(cap.excess, lo, hi, xatol) for cap, (lo, hi) in zip(caps, bounds)]
-    (tau_l,), (tau_s,) = runs[0].x, runs[1].x
+
+    def search(excess, lo: float, hi: float) -> tuple[float, numerics.MinimizeResult]:
+        # a tolerance relative in tau, finer than the reported grid value resolves
+        run = numerics._minimize_bounded(lambda x: excess(math.exp(x)), math.log(lo), math.log(hi), 1e-12)
+        return math.exp(run.x[0]), run
+
+    (tau_l, run_l), (tau_s, run_s) = [search(cap.excess, lo, hi) for cap, (lo, hi) in zip(caps, bounds)]
+    runs = [run_l, run_s]
     if not tau_l + tau_s < limit:
-        runs.append(numerics._minimize_bounded(
-            lambda tau: cap_l.excess(tau) + cap_s.excess(limit - tau),
-            max(lo_l, limit - hi_s), min(hi_l, limit - lo_s), xatol))
-        (tau_l,) = runs[-1].x
+        tau_l, run = search(lambda tau: cap_l.excess(tau) + cap_s.excess(limit - tau),
+                            max(lo_l, limit - hi_s), min(hi_l, limit - lo_s))
         tau_s = limit - tau_l
+        runs.append(run)
     params, fx = (tau_l, tau_s), _hybrid_avg_ena(spec, t_f, tau_l, tau_s, n_grid)
-    if not fx < best_f:   # at gamma = 1 every excess is 0: the tie keeps the seed
+    if not fx < best_f:
         params, fx = best_p, best_f
     return OptimizationResult(
         params=tuple(params),
