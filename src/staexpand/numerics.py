@@ -1,20 +1,17 @@
 """Simpson quadrature on grid pieces, Gauss-Legendre nodes, Brent's
-bracketing root finder, Brent's bounded minimizer and the step of a
-two-variable trust-region minimax.
+bracketing root finder and the step of a two-variable trust-region
+minimax.
 
-The root finder and the bounded minimizer are operation-for-operation
-ports of SciPy 1.17.1 (BSD-3, Copyright (c) 2001-2002 Enthought, Inc.,
-2003 SciPy Developers), so they return the same bits as
-``scipy.optimize.brentq`` and
-``scipy.optimize.minimize_scalar(method="bounded")`` without importing
-SciPy.  Both run on Python floats, whose IEEE operations are numpy's, and
-so does the minimax step.
+The root finder is an operation-for-operation port of SciPy 1.17.1's
+``brentq`` (BSD-3, Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
+Developers), so it returns the same bits without importing SciPy.  It runs
+on Python floats, whose IEEE operations are numpy's, and so does the
+minimax step.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,108 +146,6 @@ def _brent_root(f: Callable, a: float, b: float, xtol: float) -> float:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
-
-
-@dataclass
-class MinimizeResult:
-    x: tuple[float, ...]
-    fx: float
-    converged: bool
-    iterations: int
-
-
-_SQRT_EPS = math.sqrt(2.2e-16)            # fminbound's own, not sqrt(machine eps)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _unit(v: float) -> float:
-    """SciPy's ``np.sign(v) + (v == 0)``: -1.0 below zero, else 1.0."""
-    return -1.0 if v < 0.0 else 1.0
-
-
-def _minimize_bounded(f: Callable, lo: float, hi: float, xatol: float = 1e-5,
-                      max_iter: int = 500) -> MinimizeResult:
-    """Local minimum of f(x) on [lo, hi] by Brent's method (fminbound).
-
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5,
-    as SciPy 1.17.1's ``_minimize_scalar_bounded`` implements it
-    (``scipy/optimize/_optimize.py``): a parabola through the three best
-    points where it steps inside the bracket and shrinks the step, a
-    golden-section step otherwise, and never a step shorter than
-    tol1 = sqrt(2.2e-16) |x| + xatol/3.  f is called with Python floats,
-    never at lo or hi.  Stops when x is within 2 tol1 - (b - a)/2 of the
-    middle of the bracket [a, b], or at the ``max_iter``-th evaluation;
-    only the first counts as converged, and a NaN x or value fails it.
-    ``iterations`` counts evaluations, as both SciPy's nit and nfev do.
-    Raises ValueError for bounds that are not finite or out of order.
-    """
-    a, b = float(lo), float(hi)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if a > b:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    fulc = nfc = xf = a + _GOLDEN_MEAN * (b - a)
-    rat = e = 0.0
-    fx = float(f(xf))
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    converged = True
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * _unit(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN_MEAN * e
-        x = xf + _unit(rat) * max(abs(rat), tol1)
-        fu = float(f(x))
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= max_iter:
-            converged = False
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        converged = False
-    return MinimizeResult((xf,), fx, converged, num)
 
 
 def _minimax_step(rows: Sequence, hess: Sequence[float], box: Sequence[float]) -> tuple:

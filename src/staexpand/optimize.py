@@ -3,12 +3,12 @@
 Both are deterministic.  The cap search gates and bounds itself with the
 best of nine seed caps on the grid objective (lexicographic tie-breaking),
 then refines off the grid: the objective separates into one excess per
-cap, each minimized by a bounded 1-D search in ln tau on the interval
-where that cap has a real frequency, to about 1e-8 relative at every
-duration, and a third along the joint limit where the two minima break
-it.  The septic search is a trust-region minimax from (0, 0) over the
-local maxima of the power, each polished off the grid; a step onto a
-shape whose b is not positive is rejected like a poor one.
+cap, each minimized at the root of its closed-form slope in ln tau on the
+interval where that cap has a real frequency, and a third root along the
+joint limit where the two minima break it.  The septic search is a
+trust-region minimax from (0, 0) over the local maxima of the power, each
+polished off the grid; a step onto a shape whose b is not positive is
+rejected like a poor one.
 
 The cap grid objective computes only the number it returns, writing into
 preallocated node rows: it calls the per-node kernels the public path
@@ -42,6 +42,8 @@ _CAP_SEED_FRACTIONS = (0.01, 0.05, 0.2)
 _CAP_NODES = 32                          # Gauss-Legendre nodes per cap
 _P_PEAK = (2.0 - math.sqrt(1.6)) / 3.0   # where P(s) = 8s - 20s^2 + 10s^3 peaks
 _POWER_GRID_N = 4001                     # the power search's default grid: its peaks need a dense one
+# 0-d arrays: a ufunc takes them faster than Python floats
+_EPS, _ONE = np.array(np.finfo(float).eps), np.array(1.0)
 
 
 @dataclass
@@ -128,29 +130,46 @@ def best_cap_seed(
     return best_f, best_p
 
 
+def _falling_root(k: float) -> float:
+    """The middle root of P(s) = 10s^3 - 20s^2 + 8s = k, the one on P's
+    falling branch between its local extrema P(0.245) = 0.907 and
+    P(1.088) = -2.093, by the trigonometric form of Cardano's formula:
+    s = 2/3 + t, where t^3 - (8/15) t - (8/135 + k/10) = 0."""
+    arg = min(max(math.sqrt(45.0 / 8.0) * (1.0 / 6.0 + 0.28125 * k), -1.0), 1.0)
+    return 2.0 / 3.0 + math.sqrt(32.0 / 45.0) * math.cos(math.acos(arg) / 3.0 - 2.0 * math.pi / 3.0)
+
+
 class _Cap:
     """One cap of the cap protocol as a function of its duration tau, off
     the grid: its excess X(tau), the integral of Ena - Ena_L over the cap,
-    and its margin h(tau), >= 0 exactly where W^2 >= 0 on the whole cap.
+    the slope X'(tau), and its margin h(tau), >= 0 exactly where W^2 >= 0
+    on the whole cap.
 
     In the cap's own variable s in [0, 1] (t/tau on the launching cap,
-    (t_f - t)/tau on the stopping cap), with d = gamma - 1, D = d tau/t_f and
-    r = 4 - 6s: b = 1 + D(2s^2 - s^3), or gamma - D(2s^2 - s^3) on the
-    stopping cap; bdot = d(4s - 3s^2)/t_f and bddot b^3 = +-d r b^3/(t_f tau).
-    With y = W b^2 = sqrt(1 - bddot b^3), the Ena kernel
+    (t_f - t)/tau on the stopping cap), with d = gamma - 1, a = +-d/t_f (+ on
+    the launching cap), c = 2s^2 - s^3 and r = 4 - 6s: b = b0 + a tau c,
+    bdot = d(4s - 3s^2)/t_f and bddot b^3 = a r b^3/tau.  With
+    y = W b^2 = sqrt(1 - bddot b^3), the Ena kernel
     (bdot^2 + W^2 b^2 + 1/b^2)/4 - W/2 is bdot^2/4 + (bddot b^2/(1 + y))^2/4,
     free of cancellation, and the bdot^2/4 part exceeds the line's
     d^2/(4 t_f^2) by 2/15 of it on average.  So, on Gauss-Legendre nodes s_i
-    and weights w_i on [0, 1],
+    and weights w_i on [0, 1], with q = b^2/(1 + y), S = sum_i w_i r_i^2 q_i^2
+    and T = sum_i w_i r_i^2 q_i q_i',
 
-        X(tau) = (d/t_f)^2 [tau/30 + sum_i w_i (r_i b_i^2/(1 + y_i))^2/(4 tau)].
+        X(tau) = (d/t_f)^2 [tau/30 + S/(4 tau)],
+        X'(tau) = (d/t_f)^2 [1/30 + (2 tau T - S)/(4 tau^2)],
+
+    where b' = a c, y' = a r b^2 (b/tau - 3 a c)/(2 y tau) and
+    q' = 2 b b'/(1 + y) - b^2 y'/(1 + y)^2 (primes: d/dtau).  y^2 is known to
+    about eps, so y is floored at sqrt(eps), which keeps y' finite at the
+    ends of the real interval.
 
     W^2 >= 0 iff t_f tau >= d max(+-r b^3) over the half of the cap where
-    +-r > 0, [0, 2/3] or [2/3, 1].  The maximum is at an end, or on the
-    falling branch of P = 8s - 20s^2 + 10s^3 where D P(s) = 1 (launching)
-    or -gamma (stopping): D P(s) -+ b(0) has the sign of d(+-r b^3)/ds.
-    h(tau) = t_f tau - d max(...) is concave, so the real caps form one
-    interval.
+    +-r > 0, [0, 2/3] or [2/3, 1].  With D = d tau/t_f, d(+-r b^3)/ds =
+    6 b^2 (D P(s) -+ b0), P = 8s - 20s^2 + 10s^3, so the maximum is at an end
+    of the half, or where D P(s) = +-b0 on P's falling branch, the cubic's
+    middle root (``_falling_root``).  h(tau) = t_f tau - d max(...) is
+    concave, so the real caps form one interval.
 
     Long protocols (D -> 0, b -> b0, y -> 1, and the r_i^2 weights sum to
     the integral of r^2, 4) give X -> (d/t_f)^2 (tau/30 + b0^4/(4 tau)),
@@ -161,23 +180,50 @@ class _Cap:
     def __init__(self, gamma: float, t_f: float, launching: bool, nodes: np.ndarray, weights: np.ndarray):
         self.d, self.t_f = gamma - 1.0, t_f
         if launching:
-            self.b0, self.sign, self.half = 1.0, 1.0, (0.0, 2.0 / 3.0)
+            self.b0, self.sign, half = 1.0, 1.0, (0.0, 2.0 / 3.0)
         else:
-            self.b0, self.sign, self.half = gamma, -1.0, (2.0 / 3.0, 1.0)
-        self.c = nodes * nodes * (2.0 - nodes)
+            self.b0, self.sign, half = gamma, -1.0, (2.0 / 3.0, 1.0)
+        self.half = half
+        # P = 8s - 20s^2 + 10s^3 where its falling branch enters the half, and at its end
+        self.p_ends = [s * (8.0 + s * (10.0 * s - 20.0)) for s in (max(half[0], _P_PEAK), half[1])]
+        self.tau_inf = math.sqrt(7.5) * self.b0**2
+        self.a = self.sign * self.d / t_f
+        self.ac = self.a * (nodes * nodes * (2.0 - nodes))   # b'
+        self.ac2 = 2.0 * self.ac
         self.r = 4.0 - 6.0 * nodes
         self.wr2 = weights * self.r * self.r
+        self.rows = np.empty((6, len(nodes)))
+        self.sums = self.rows[2:4]
+        self.b0_ = np.array(self.b0)   # 0-d, as _ONE
+
+    def _weighted_q2(self, tau: float) -> np.ndarray:
+        """w r^2 q^2 on the nodes (row 3), leaving b, m = -(a/tau) r b^2, y
+        and 1 + y in rows 0, 1, 2 and 4; ``sums`` views rows 2 and 3."""
+        b, m, y, q, opy, _ = self.rows
+        np.add(np.multiply(self.ac, tau, out=b), self.b0_, out=b)
+        np.multiply(b, b, out=q)
+        np.multiply(np.multiply(q, self.r, out=m), -self.a / tau, out=m)
+        np.add(np.multiply(m, b, out=y), _ONE, out=y)
+        np.sqrt(np.maximum(y, _EPS, out=y), out=y)
+        np.divide(q, np.add(y, _ONE, out=opy), out=q)
+        return np.multiply(np.multiply(q, q, out=q), self.wr2, out=q)
 
     def excess(self, tau: float) -> float:
-        d, t_f, sign = self.d, self.t_f, self.sign
-        b = self.b0 + (sign * d * tau / t_f) * self.c
-        b2 = b * b
-        y = 1.0 - (sign * d / (t_f * tau)) * self.r * b2 * b
-        np.sqrt(np.maximum(y, 0.0, out=y), out=y)      # round-off at an edge of the interval
-        q = np.divide(b2, 1.0 + y, out=y)
         # a ufunc reduction, not np.dot: BLAS would add its buffers to the process
-        total = float(np.add.reduce(self.wr2 * q * q))
-        return (d / t_f) ** 2 * (tau / 30.0 + total / (4.0 * tau))
+        total = float(np.add.reduce(self._weighted_q2(tau)))
+        return (self.d / self.t_f) ** 2 * (tau / 30.0 + total / (4.0 * tau))
+
+    def slope(self, tau: float) -> float:
+        wq2 = self._weighted_q2(tau)
+        b, m, y, _, opy, work = self.rows
+        # q'/q = 2 b'/b - y'/(1 + y), where y' = m (a c - b0/(2 tau))/y, as
+        # b/tau - 3 a c = b0/tau - 2 a c
+        np.multiply(np.subtract(self.ac, 0.5 * self.b0 / tau, out=work), m, out=work)
+        np.divide(work, np.multiply(y, opy, out=y), out=work)
+        np.subtract(np.divide(self.ac2, b, out=b), work, out=b)
+        np.multiply(b, wq2, out=y)   # w r^2 q q', beside w r^2 q^2: one reduction sums both
+        total_t, total_s = np.add.reduce(self.sums, axis=1).tolist()
+        return (self.d / self.t_f) ** 2 * (1.0 / 30.0 + (2.0 * tau * total_t - total_s) / (4.0 * tau * tau))
 
     def margin(self, tau: float) -> float:
         big_d, b0, sign = self.d * tau / self.t_f, self.b0, self.sign
@@ -185,14 +231,11 @@ class _Cap:
         def peak(s: float) -> float:
             return sign * (4.0 - 6.0 * s) * (b0 + sign * big_d * s * s * (2.0 - s)) ** 3
 
-        def slope(s: float) -> float:
-            return big_d * s * (8.0 + s * (10.0 * s - 20.0)) - sign * b0
-
         lo, hi = self.half
         top = max(peak(lo), peak(hi))
-        start = max(lo, _P_PEAK)
-        if slope(start) > 0.0 > slope(hi):
-            top = max(top, peak(numerics._brent_root(slope, start, hi, 1e-12)))
+        start, end = self.p_ends
+        if big_d * start > sign * b0 > big_d * end:   # the slope falls through 0 inside the half
+            top = max(top, peak(_falling_root(sign * b0 / big_d)))
         return self.t_f * tau - self.d * top
 
     def interval(self, inside: float, limit: float) -> tuple[float, float]:
@@ -206,6 +249,36 @@ class _Cap:
         return lo, numerics._brent_root(self.margin, inside, limit, xtol)
 
 
+def _minimum(slope, lo: float, hi: float, guess: float) -> tuple[float, int]:
+    """The minimum on [lo, hi] of a function whose derivative is ``slope``,
+    as (tau, evaluations of ``slope``).
+
+    In x = ln tau: the slope's sign at the guess (clipped to [lo, hi]) says
+    on which side the minimum lies.  The bracket is the step of 0.1 from the
+    guess to that side or, where the slope keeps its sign over that step,
+    the rest of [lo, hi] beyond it; ``_brent_root`` finds the slope's sign
+    change in it.  An end of [lo, hi] where the slope still points down out
+    of it is the minimum, found with no search.
+    """
+    seen = {}
+
+    def g(x: float) -> float:
+        if x not in seen:
+            seen[x] = slope(math.exp(x))
+        return seen[x]
+
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    a = min(max(math.log(guess), x_lo), x_hi)
+    down = -1.0 if g(a) > 0.0 else 1.0   # the side where the minimum lies
+    b = min(max(a + 0.1 * down, x_lo), x_hi)
+    if down * g(b) < 0.0:                # still falling over the step
+        a, b = b, (x_lo if down < 0.0 else x_hi)
+        if down * g(b) <= 0.0:
+            return (lo if down < 0.0 else hi), len(seen)
+    # a tolerance relative in tau, finer than the reported grid value resolves
+    return math.exp(numerics._brent_root(g, a, b, 1e-12)), len(seen)
+
+
 def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> OptimizationResult:
     """Minimize the averaged non-adiabatic energy over the cap durations
     (tau_l, tau_s), constrained to real frequencies.
@@ -215,21 +288,22 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     the ``baseline``.  The objective separates: Ena = Ena_L on the line, so
     avg Ena = Ena_L + (X_l(tau_l) + X_s(tau_s))/t_f.  Each cap's excess X
     and real-frequency interval come off the grid (``_Cap``), and X is
-    minimized on that interval with ``_minimize_bounded`` in x = ln tau
-    (xatol 1e-12), where the long-protocol minimum tau_inf = sqrt(7.5) b0^2
-    sits mid-interval at every t_f: the caps come out to about 1e-8
-    relative, the search's own sqrt(eps) |x| step floor.  Where the two
-    minima break the joint limit tau_l + tau_s < 0.999 t_f, one more bounded
-    search runs in ln tau_l along a line just inside it.  The interval's
-    edges are root-solved in tau.  The result reports
+    minimized on that interval at the root of its slope X' in x = ln tau
+    (``_minimum``, from a bracket around the long-protocol minimum
+    tau_inf = sqrt(7.5) b0^2): the caps come out within about 1e-12
+    relative of the Gauss-Legendre excess minimum.  Where the two minima
+    break the joint limit tau_l + tau_s < 0.999 t_f, a third root, of
+    X_l'(tau_l) - X_s'(L - tau_l), is found on a line L just inside it.  The
+    interval's edges are root-solved in tau.  The result reports
     ``_hybrid_avg_ena`` at the found caps, the grid value that the seeds
     report; where it is not below the best seed, the seed is the result.
     So is a best seed with a real frequency on the grid only, within its
     round-off tolerance: then no search runs, and the result is not
     converged.  At gamma = 1 every excess is 0 and the real caps reach
     down to tau = 0: the best seed is a minimum, returned converged with no
-    search.  ``iterations`` sums the bounded searches' evaluations, and
-    ``converged`` holds when all of them converged.
+    search.  ``iterations`` counts the slope evaluations (an evaluation of
+    the line's slope, which takes both caps' slopes, counts once), and every
+    search converges.
     """
     best_f, best_p = best_cap_seed(spec, t_f, n_grid)
     if spec.gamma == 1.0:   # no ln tau at the interval's lower edge, 0
@@ -242,29 +316,17 @@ def optimize_caps(spec: TrapSpec, t_f: float, n_grid: int = DEFAULT_GRID_N) -> O
     # tau_l + (limit - tau_l) rounds below 0.999 t_f
     limit = 0.999 * t_f * (1.0 - 1e-15)
     (lo_l, hi_l), (lo_s, hi_s) = bounds = [cap.interval(seed, limit) for cap, seed in zip(caps, best_p)]
-
-    def search(excess, lo: float, hi: float) -> tuple[float, numerics.MinimizeResult]:
-        # a tolerance relative in tau, finer than the reported grid value resolves
-        run = numerics._minimize_bounded(lambda x: excess(math.exp(x)), math.log(lo), math.log(hi), 1e-12)
-        return math.exp(run.x[0]), run
-
-    (tau_l, run_l), (tau_s, run_s) = [search(cap.excess, lo, hi) for cap, (lo, hi) in zip(caps, bounds)]
-    runs = [run_l, run_s]
+    (tau_l, evals_l), (tau_s, evals_s) = [_minimum(cap.slope, lo, hi, cap.tau_inf)
+                                          for cap, (lo, hi) in zip(caps, bounds)]
+    evals = evals_l + evals_s
     if not tau_l + tau_s < limit:
-        tau_l, run = search(lambda tau: cap_l.excess(tau) + cap_s.excess(limit - tau),
-                            max(lo_l, limit - hi_s), min(hi_l, limit - lo_s))
-        tau_s = limit - tau_l
-        runs.append(run)
+        tau_l, more = _minimum(lambda tau: cap_l.slope(tau) - cap_s.slope(limit - tau),
+                               max(lo_l, limit - hi_s), min(hi_l, limit - lo_s), limit * tau_l / (tau_l + tau_s))
+        tau_s, evals = limit - tau_l, evals + more
     params, fx = (tau_l, tau_s), _hybrid_avg_ena(spec, t_f, tau_l, tau_s, n_grid)
     if not fx < best_f:
         params, fx = best_p, best_f
-    return OptimizationResult(
-        params=tuple(params),
-        objective=fx,
-        iterations=sum(run.iterations for run in runs),
-        converged=all(run.converged for run in runs),
-        baseline=best_f,
-    )
+    return OptimizationResult(params, fx, evals, True, best_f)
 
 
 _SEPTIC_SHAPES = tuple(   # db/dc3, db/dc4: b is linear in (c3, c4)

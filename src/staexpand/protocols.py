@@ -274,11 +274,19 @@ def _hybrid_pieces(
     d = spec.gamma - 1.0
     s_l = tau_l / t_f
     u_r = tau_s / t_f
+    # a cap's bdddot is 6 d/(tau^2 t_f): the scale check's bound on gamma^2/t_f^3,
+    # with 100 tau^2 t_f in t_f^3's place, as t_f/10 caps have it
+    tau_min = spec.gamma * _T_PER_GAMMA**1.5 / (10.0 * math.sqrt(t_f))
     for name, tau, frac in (("launching cap tau_l", tau_l, s_l), ("stopping cap tau_s", tau_s, u_r)):
         if not (frac**2 > 0.0 and isfinite(d / frac**2)):
             raise ValueError(
                 f"{name} = {tau:.6g} is too short: its cubic coefficient "
                 f"(gamma - 1)/(tau/t_f)^2 is not a finite float"
+            )
+        if tau < tau_min:
+            raise ValueError(
+                f"{name} = {tau:.6g} is too short for t_f = {t_f:.6g} at gamma = {spec.gamma:.6g}: "
+                f"its closed form overflows below tau ~ {tau_min:.4g}"
             )
     # cap 1 in s:  1 + (2d/s_l) s^2 - (d/s_l^2) s^3
     p1 = _Poly([1.0, 0.0, 2.0 * d / s_l, -d / s_l**2])

@@ -188,6 +188,18 @@ class TestProtocolCommand:
                                "coefficient (gamma - 1)/(tau/t_f)^2 is not a finite float\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["protocol", "energy"])
+    def test_cap_too_short_for_its_scale_exits_with_one_line(self, tmp_path, command):
+        # bdddot = 6 (gamma - 1)/(tau^2 t_f) overflowed with a RuntimeWarning, and
+        # energy printed avg_E = 4.1e191
+        out = tmp_path / "p.csv"
+        proc = run_cli([command, "--family", "hybrid", "--gamma", "10", "--tf-dimensionless", "1e-95",
+                        "--tau-l", "1e-110", "--tau-s", "1e-96", "--out", str(out)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("invalid protocol parameters: launching cap tau_l = 1e-110 is too short for "
+                               "t_f = 1e-95 at gamma = 10: its closed form overflows below tau ~ 2.359e-103\n")
+        assert not out.exists()
+
     def test_too_long_closed_form_exits_with_one_line(self, tmp_path):
         # t_f^3 of the polynomial pieces used to overflow into an OverflowError traceback
         out = tmp_path / "p.csv"

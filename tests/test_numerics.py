@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from staexpand import TimeGrid, TrapSpec, numerics, optimize, protocols
+from staexpand import TimeGrid, TrapSpec, numerics, protocols
 from staexpand.core import GridMismatch, Infeasible, TrajectoryBlowUp
 from staexpand.numerics import (
     _brent_root,
     _gauss_legendre,
     _minimax_step,
-    _minimize_bounded,
     integrate,
 )
 
@@ -93,7 +92,7 @@ def test_rk4_blowup_reports_time():
 
 
 # ---------------------------------------------------------------------------
-# The Brent root and bounded-minimizer ports return SciPy's bits (compared with ==).
+# The Brent root port returns SciPy's bits (compared with ==).
 
 ROOT_FAMILIES = (
     lambda c: (lambda x: x**3 - c),
@@ -169,11 +168,6 @@ def test_brent_root_refusals_read_like_brentq():
     assert _brent_root(lambda x: x, 0.0, 2.0, xtol=1e-12) == 0.0
 
 
-def _bits(x, fx, converged, iterations):
-    """A result with its floats as hex strings: NaN equals NaN, and 0.0 is not -0.0."""
-    return [v.hex() for v in x], fx.hex(), converged, iterations
-
-
 def test_gauss_legendre_matches_numpy_leggauss():
     for m in (1, 2, 16, 32, 128):
         x, w = np.polynomial.legendre.leggauss(m)
@@ -182,63 +176,6 @@ def test_gauss_legendre_matches_numpy_leggauss():
         assert np.abs(weights - w / 2.0).max() < 1e-14
     nodes, weights = _gauss_legendre(32)   # exact to degree 63
     assert float(np.dot(weights, nodes**63)) == pytest.approx(1.0 / 64.0, rel=1e-13)
-
-
-def assert_bounded_same_as_scipy(f, lo, hi, xatol=1e-5, max_iter=500):
-    """x, fun, success and nit of ``minimize_scalar(method="bounded")``, bit
-    for bit, with f called exactly nfev times, at Python floats."""
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return f(x)
-
-    ours = _minimize_bounded(counted, lo, hi, xatol, max_iter)
-    theirs = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                             options={"xatol": xatol, "maxiter": max_iter})
-    assert _bits(ours.x, ours.fx, ours.converged, ours.iterations) == _bits(
-        (float(theirs.x),), float(theirs.fun), bool(theirs.success), int(theirs.nit))
-    assert len(calls) == theirs.nfev == theirs.nit
-    assert {type(x) for x in calls} == {float}
-    return ours
-
-
-@pytest.mark.parametrize("gamma, t_f", [(10.0, 300.0), (3.0, 20.0)])
-def test_minimize_bounded_matches_scipy_on_the_cap_excesses(gamma, t_f):
-    nodes, weights = _gauss_legendre(32)
-    seeds = optimize.best_cap_seed(TrapSpec.from_gamma(gamma), t_f, 501)[1]
-    for launching, seed in zip((True, False), seeds):
-        cap = optimize._Cap(gamma, t_f, launching, nodes, weights)
-        lo, hi = cap.interval(seed, 0.999 * t_f)
-        assert assert_bounded_same_as_scipy(cap.excess, lo, hi, 1e-10 * t_f).converged
-
-
-def test_minimize_bounded_matches_scipy_on_smooth_functions():
-    wave = lambda x: math.cos(x) + 0.1 * x  # noqa: E731
-    quartic = lambda x: (x - 1.0) ** 4 + 0.5 * x  # noqa: E731
-    for xatol in (1e-5, 1e-12):
-        assert assert_bounded_same_as_scipy(wave, 0.0, 10.0, xatol).converged
-        assert assert_bounded_same_as_scipy(quartic, -2.0, 3.0, xatol).converged
-    # the minimum on a bound, and a budget spent before convergence
-    assert assert_bounded_same_as_scipy(quartic, 1.5, 3.0).converged
-    assert not assert_bounded_same_as_scipy(wave, 0.0, 10.0, 1e-12, max_iter=6).converged
-
-
-def test_minimize_bounded_matches_scipy_on_nan_values():
-    """A NaN value is never accepted as a better point, and fails convergence."""
-    half = lambda x: math.nan if x > 0.5 else (x - 0.2) ** 2  # noqa: E731
-    assert assert_bounded_same_as_scipy(half, 0.0, 1.0).fx == pytest.approx(0.0, abs=1e-10)
-    assert not assert_bounded_same_as_scipy(lambda x: math.nan, 0.0, 1.0).converged
-
-
-def test_minimize_bounded_refusals_read_like_scipy():
-    for lo, hi, message in ((0.0, math.inf, "Optimization bounds must be finite scalars."),
-                            (math.nan, 1.0, "Optimization bounds must be finite scalars."),
-                            (2.0, 1.0, "The lower bound exceeds the upper bound.")):
-        with pytest.raises(ValueError, match=message):
-            minimize_scalar(lambda x: x * x, bounds=(lo, hi), method="bounded")
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            _minimize_bounded(lambda x: x * x, lo, hi)
 
 
 def _model(rows, hess, d1, d2):

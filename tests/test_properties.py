@@ -19,7 +19,9 @@ The grid contract all of these rest on is a property over durations
 1e-9 to 1e15.  The last property spans the whole scale every family is
 built at: gamma log-uniform in [1, 2.95e61] and t_f in [1e-300, 1e300],
 where each request gives finite numbers or a typed refusal, and so does
-every septic shape c3, c4 of magnitude 1e-300 to 1e300, NaN or infinite.
+every septic shape c3, c4 of magnitude 1e-300 to 1e300, NaN or infinite,
+and every pair of hybrid caps from 1e-300 to t_f/2, for t_f in
+[1e-100, 1e100].
 """
 import math
 import re
@@ -351,6 +353,27 @@ def assert_finite_or_refused(spec, params):
         values += [pw.integral, pw.peak_rel]
     assert all(np.isfinite(r).all() for r in rows) and all(map(math.isfinite, values))
     return bundle
+
+
+def test_every_hybrid_cap_is_finite_or_refused():
+    # one cap log-uniform in [1e-300, t_f/2], the other in [1e-6, 1/2] t_f (a
+    # stopping cap below ~4 eps t_f is refused by the grid): a launching cap
+    # far shorter than t_f/10 used to give bdddot = inf and a non-finite
+    # d(W^2)/dt with only a RuntimeWarning.  numpy draws, not hypothesis: its
+    # floats crowd the ends of each range, where every cap is refused
+    rng = np.random.default_rng(20261022)
+    built = 0
+    for k in range(300):
+        log_tf = rng.uniform(-100.0, 100.0)
+        spec = TrapSpec.from_gamma(10.0 ** rng.uniform(0.0, math.log10(2.95e61)))
+        short = 10.0 ** rng.uniform(-300.0, log_tf - math.log10(2.0))
+        other = 10.0 ** (log_tf + rng.uniform(-6.0, -math.log10(2.0)))
+        tau_l, tau_s = (short, other) if k % 2 else (other, short)
+        params = protocols.ProtocolParams("hybrid", 10.0**log_tf, tau_l=float(tau_l), tau_s=float(tau_s),
+                                          grid_n=int(rng.choice((3, 101))))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            built += assert_finite_or_refused(spec, params) is not None
+    assert built >= 50
 
 
 # a septic shape input: a magnitude 1e-300 to 1e300 of either sign, or a non-finite value

@@ -602,6 +602,24 @@ def test_duration_too_short_for_the_closed_form_refused(family, gamma):
                                                                             grid_n=201)))
 
 
+def test_hybrid_cap_too_short_for_the_closed_form_refused(spec):
+    # a cap's bdddot = 6 (gamma - 1)/(tau^2 t_f) overflowed at caps far shorter
+    # than t_f/10 inside the duration's own edge; just inside the cap's edge every
+    # value is finite, and so are the benchmark's shortest caps, 0.02 t_f at t_f 0.1
+    def request(tau_l, tau_s=1e-96):
+        return protocols.ProtocolParams("hybrid", 1e-95, tau_l=tau_l, tau_s=tau_s, grid_n=201)
+
+    with pytest.raises(ValueError, match=r"^launching cap tau_l = 1e-110 is too short for t_f = 1e-95 at "
+                                         r"gamma = 10: its closed form overflows below tau ~ 2.359e-103$"):
+        protocols.build(spec, request(1e-110))
+    tau_min = _named_edge(spec, request(1e-110), "below tau")
+    assert _named_edge(spec, request(1e-96, 1e-110), "below tau") == tau_min
+    _assert_finite_run(spec, protocols.build(spec, request(1.01 * tau_min)))
+    for gamma in (1.5, 100.0):
+        _assert_finite_run(TrapSpec.from_gamma(gamma), protocols.build(
+            TrapSpec.from_gamma(gamma), protocols.ProtocolParams("hybrid", 0.1, tau_l=0.002, tau_s=0.002)))
+
+
 def test_two_step_duration_too_short_for_the_closed_form_refused():
     # the sinh segment's g'^3 used to overflow at gamma 1e50 and t_f 0.5, and
     # with given steps at gamma 2.9e61.  The edge gamma^(2/3) 8.2e-101 (1.77e-67
