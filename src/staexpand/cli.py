@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import energies, optimize, protocols
+from . import energies, numerics, optimize, protocols
 from .core import DEFAULT_GRID_N, Infeasible, TrajectoryBlowUp, TrapSpec
 
 _PRESETS = {
@@ -95,9 +95,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points-per-decade", type=int, default=None)
 
 
-# inputs a command reads no value of, refused when given as a flag or in --config:
-# power compares quintic with the optimized septic, sweeps run their preset's
-# families over a duration range, and only sweeps read the range
+# inputs a command (or a command with a preset) reads no value of, refused when
+# given as a flag or in --config: power compares quintic with the optimized
+# septic, sweeps run their preset's families over a duration range, only sweeps
+# read the range, and no fig1 column samples a grid
 _PROTOCOL_INPUTS = ("family", "c3", "c4", "tau_l", "tau_s", "beta", "omega1", "omega2")
 _SWEEP_INPUTS = ("tf_min", "tf_max", "points_per_decade")
 _UNUSED_INPUTS = {
@@ -105,6 +106,7 @@ _UNUSED_INPUTS = {
     "energy": _SWEEP_INPUTS,
     "power": (*_PROTOCOL_INPUTS, *_SWEEP_INPUTS),
     "sweep": ("tf", "tf_dimensionless", *_PROTOCOL_INPUTS),
+    "sweep --preset fig1": ("grid",),
 }
 
 
@@ -125,10 +127,11 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         for key, val in vars(from_file).items():
             if opts[key] is None:
                 opts[key] = val
-    unused = [k for k in _UNUSED_INPUTS.get(args.command, ()) if opts[k] is not None]
-    if unused:
-        flags = ", ".join(f"--{k.replace('_', '-')}" for k in unused)
-        raise SystemExit(f"{args.command} does not use {flags}")
+    for reader in (args.command, f"{args.command} --preset {args.preset}"):
+        unused = [k for k in _UNUSED_INPUTS.get(reader, ()) if opts[k] is not None]
+        if unused:
+            flags = ", ".join(f"--{k.replace('_', '-')}" for k in unused)
+            raise SystemExit(f"{reader} does not use {flags}")
     if args.preset and args.gamma is None:  # a --gamma trap takes none of the preset's SI values
         for key, val in _PRESETS[args.preset].items():
             if opts[key] is None:
@@ -191,16 +194,15 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
     )
 
 
-def _config_header(cfg: RunConfig, command: str, nodes: int | None = None) -> list[str]:
-    """Run settings as ``#`` lines; ``grid`` is as requested, ``nodes`` the rows written."""
+def _config_header(cfg: RunConfig, command: str, nodes: int | None = None,
+                   grid: bool = True) -> list[str]:
+    """Run settings as ``#`` lines; ``grid`` is as requested, and left out
+    where the command samples none, ``nodes`` the rows written."""
     spec = cfg.spec
     lines = [f"# staexpand {command}"]
-    items = {
-        "gamma": spec.gamma,
-        "omega_f/omega0": spec.omega_f_rel,
-        "grid": cfg.params.grid_n,
-        "time_unit": cfg.time_unit,
-    }
+    items = {"gamma": spec.gamma, "omega_f/omega0": spec.omega_f_rel, "time_unit": cfg.time_unit}
+    if grid:
+        items["grid"] = cfg.params.grid_n
     if cfg.si_mode:
         items["omega0_rad_s"] = spec.omega0
         items["omegaf_rad_s"] = spec.omega_f
@@ -344,14 +346,36 @@ def cmd_energy(cfg: RunConfig) -> int:
     return 0
 
 
+def _quintic_virial_terms(spec: TrapSpec) -> tuple[float, float]:
+    """The integrals over s = t/t_f in [0, 1] of b'(s)^2 and of 1/b(s)^2 on
+    the quintic at ``spec``'s gamma, by ``numerics.graded_gauss_legendre``.
+
+    Neither depends on t_f: by the virial theorem a complete protocol has
+    avg_E = 2<K> = ((2n+1)/2)(<bdot^2> + <1/b^2>), so the quintic of
+    duration t_f has avg_E = ((2n+1)/2)(first/t_f^2 + second).  1/b^2 falls
+    from 1 within s ~ (10 gamma)^(-1/3) of s = 0, where b ~ 1 + 10 (gamma-1) s^3."""
+    b = protocols._Poly(protocols._quintic_coef(spec.gamma))
+    slope, layer = b.deriv(1), (10.0 * spec.gamma) ** (-1.0 / 3.0)
+    bdot2, _ = numerics.graded_gauss_legendre(lambda s: slope(s) ** 2)
+    inv_b2, _ = numerics.graded_gauss_legendre(lambda s: 1.0 / b(s) ** 2, layer)
+    return bdot2, inv_b2
+
+
 def _sweep_row(preset: str, spec: TrapSpec, t_f: float, family: str, grid_n: int,
-               bound: float) -> tuple[float | None, str]:
+               bound: float, quintic_terms: tuple[float, float] | None = None) -> tuple[float | None, str]:
     """One (family, t_f) point of a preset's sweep whose bound at t_f is
-    ``bound``: its value, and the reason when it has none."""
+    ``bound``: its value, and the reason when it has none.  fig1's quintic
+    row is the virial form of ``quintic_terms`` (``_quintic_virial_terms``),
+    refused where ``build`` refuses that quintic, with its reason."""
     fig1 = preset == "fig1"  # fig1: avg_E against E_nL; fig3: avg_Ena against Ena_L
     try:
         if family == "bound":
             return bound, ""
+        if fig1 and family == "quintic":  # the virial theorem: no grid
+            protocols._check_scale(spec.gamma, t_f)
+            protocols._check_time_scale(t_f, 3)
+            bdot2, inv_b2 = quintic_terms
+            return (2 * spec.n + 1) / 2.0 * (bdot2 / t_f**2 + inv_b2), ""
         if family == "hybrid":  # fig3's cap protocol, optimized at each duration
             return optimize.optimize_caps(spec, t_f, grid_n).objective, ""
         if fig1 and family == "bang_bang":  # closed form in the switching times: no grid
@@ -359,9 +383,6 @@ def _sweep_row(preset: str, spec: TrapSpec, t_f: float, family: str, grid_n: int
             return energies.bang_bang_energies(spec, **times), ""
         params = protocols.ProtocolParams(_SWEEP_FAMILY.get(family, family), t_f, grid_n=grid_n)
         b = protocols.build(spec, params)
-        if fig1:
-            inst = energies.instantaneous(b.curve, b.profile, spec)
-            return energies.averages(inst, b.curve, spec, b.profile).avg_E, ""
         if b.profile.has_imaginary:
             return None, "imaginary frequency band"
         return energies.nonadiabatic_energy(b.curve, b.profile, spec)[1], ""
@@ -404,17 +425,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     n_points = max(2, int(round(cfg.points_per_decade * math.log10(hi / lo))))
     taus = np.geomspace(lo, hi, n_points)
     durations = taus.tolist()
+    quintic_terms = None
     if cfg.preset == "fig1":
         bounds = [energies.lower_bound_avg_energy(spec, t_f).value for t_f in durations]
+        quintic_terms = _quintic_virial_terms(spec)
     else:
         bounds = [energies.na_lower_bound(spec, t_f) for t_f in durations]
-    rows = {family: [_sweep_row(cfg.preset, spec, t_f, family, cfg.params.grid_n, bound)
+    rows = {family: [_sweep_row(cfg.preset, spec, t_f, family, cfg.params.grid_n, bound, quintic_terms)
                      for t_f, bound in zip(durations, bounds)] for family in families}
     # reasons quote durations as the library raised them, dimensionless
     note = "; durations in reasons: 1/omega0" if cfg.si_mode else ""
     for family, family_rows in rows.items():
         values, reasons = zip(*family_rows)
-        lines = _config_header(cfg, f"sweep {cfg.preset} {family}")
+        lines = _config_header(cfg, f"sweep {cfg.preset} {family}", grid=cfg.preset != "fig1")
         lines.append(f"# values in hbar*omega0; t_f column unit: {cfg.time_unit}{note}")
         _write_table(os.path.join(cfg.out, f"{cfg.preset}_{family}.csv"), lines, {
             "t_f": cfg.time_out(taus), value_name: values, bound_name: bounds, "reason": reasons,

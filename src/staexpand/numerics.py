@@ -78,6 +78,36 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+_GRADED_LEVELS = 12   # the fewest panels toward each end: the last is 0.5 * 4^-12 ~ 3e-8 wide
+
+
+def graded_gauss_legendre(f: Callable[[np.ndarray], np.ndarray], layer: float = 1.0) -> tuple[float, float]:
+    """The integral of f over [0, 1] and an estimate of its error.
+
+    Gauss-Legendre on panels graded geometrically toward both ends, with
+    edges 0.5 * 4^-k for k = 1 ... K from 0, and their mirror images from 1,
+    so that a feature of width ``layer`` next to s = 0 spans about five
+    panels, the narrowest a thousandth of its width: K is the larger of 12
+    and log4(0.5 / (1e-3 layer)).  f takes an array of s in [0, 1] and
+    returns its values there elementwise.  The value is GL-64 on every
+    panel; the estimate is the sum over panels of its change from GL-32,
+    which is far above GL-64's own error where f is smooth on each panel.
+    A feature narrower than the panels around it falls between the nodes of
+    both rules, and the estimate cannot see it: pass its width as ``layer``.
+    """
+    levels = max(_GRADED_LEVELS, math.ceil(math.log(0.5 / (1e-3 * layer), 4)))
+    left = [0.5 * 4.0**-k for k in range(levels, 0, -1)]
+    right = [1.0 - 0.5 * 4.0**-k for k in range(1, _GRADED_LEVELS + 1)]
+    edges = np.array([0.0, *left, 0.5, *right, 1.0])
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    panels = []
+    for m in (32, 64):
+        x, w = _gauss_legendre(m)
+        panels.append(np.sum(width * w * f(lo + width * x), axis=1))
+    coarse, fine = panels
+    return float(np.sum(fine)), float(np.sum(np.abs(fine - coarse)))
+
+
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # brentq's default rtol
 _BRENT_MAXITER = 100
 

@@ -181,6 +181,12 @@ def _poly_fns(p: _Poly, t_f: float, reverse: bool = False) -> Piece:
     return piece
 
 
+def _quintic_coef(g: float, params=None) -> list:
+    """The power-series coefficients of the quintic b(s) at gamma = g: of
+    1 + (g-1)(10 s^3 - 15 s^4 + 6 s^5), the smoothest textbook interpolant."""
+    return [1.0, 0.0, 0.0, 10.0 * (g - 1.0), -15.0 * (g - 1.0), 6.0 * (g - 1.0)]
+
+
 def _septic_coef(g: float, c3: float, c4: float) -> list:
     """The power-series coefficients of the septic b(s) at gamma = g: of
     1 + (g-1)(21 s^5 - 35 s^6 + 15 s^7) + c3 s^3 (1-s)^3 (1+3s) + c4 s^4 (1-s)^3,
@@ -264,9 +270,11 @@ def _hybrid_pieces(
 ) -> tuple[TimeGrid, tuple[_Poly, _Poly, _Poly]]:
     """The grid of the hybrid family and the polynomials of its launching cap
     and linear middle in s = t/t_f and of its stopping cap in u = 1 - s,
-    in grid order."""
+    in grid order.  The durations are taken as Python floats: on numpy
+    scalars the checks of a cap too short would overflow with a warning."""
     _check_duration(t_f)
     _check_time_scale(t_f, 3)   # here, not in _hybrid: the cap objective enters without build
+    t_f, tau_l, tau_s = float(t_f), float(tau_l), float(tau_s)
     if not (tau_l > 0.0 and tau_s > 0.0):
         raise ValueError("cap durations must be positive")
     if tau_l + tau_s >= t_f:
@@ -622,9 +630,7 @@ def _constant_power(spec: TrapSpec, t_f: float, params: ProtocolParams) -> Proto
 
 # designed family -> its maker (spec, t_f, params) -> bundle
 _DESIGNED = {
-    # b(s) = 1 + (gamma-1)(10 s^3 - 15 s^4 + 6 s^5): the smoothest textbook interpolant
-    "quintic": _uniform_poly(lambda g, params: [1.0, 0.0, 0.0, 10.0 * (g - 1.0),
-                                               -15.0 * (g - 1.0), 6.0 * (g - 1.0)]),
+    "quintic": _uniform_poly(_quintic_coef),
     # all six boundary conditions for any (c3, c4), the power-shaping knobs
     "septic": _septic,
     "quasi_optimal": _quasi_optimal,

@@ -346,7 +346,7 @@ class TestSweepCommand:
         out = tmp_path / "sw"
         main([
             "sweep", "--preset", "fig1", "--out", str(out),
-            "--points-per-decade", "8", "--grid", "501", "--tf-min", "1e-4",
+            "--points-per-decade", "8", "--tf-min", "1e-4",
         ])
         for fam in ("quintic", "bang_bang", "bound"):
             assert (out / f"fig1_{fam}.csv").exists()
@@ -389,9 +389,9 @@ class TestSweepCommand:
         # fig3 used to end in a ZeroDivisionError from t_f^2 underflowing to 0,
         # and fig1 wrote inf into every E_nL cell and exited 0
         out = tmp_path / preset
+        grid = ["--grid", "201"] if preset == "fig3" else []   # fig1 samples no grid
         proc = run_cli(["sweep", "--preset", preset, "--gamma", "10", "--tf-min", "1e-200",
-                        "--tf-max", "1e-199", "--points-per-decade", "1", "--grid", "201",
-                        "--out", str(out)])
+                        "--tf-max", "1e-199", "--points-per-decade", "1", *grid, "--out", str(out)])
         assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr == ("sweep: t_f = 1e-200 is too short for this protocol at gamma = 10: "
                                "its closed form overflows below t_f ~ 3.817e-100\n")
@@ -429,8 +429,26 @@ class TestSweepCommand:
     def test_even_grid_exits_with_message(self, tmp_path):
         out = tmp_path / "sw"
         with pytest.raises(SystemExit, match="odd node count"):
-            main(["sweep", "--preset", "fig1", "--grid", "2000", "--out", str(out)])
+            main(["sweep", "--preset", "fig3", "--grid", "2000", "--out", str(out)])
         assert not out.exists()
+
+    def test_fig1_refuses_grid_and_states_none(self, tmp_path):
+        # no fig1 column samples a grid: --grid used to set only the quintic
+        # rows' nodes and was printed as "# grid = ..." in every fig1 file
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit, match=r"^sweep --preset fig1 does not use --grid$"):
+            main(["sweep", "--preset", "fig1", "--grid", "501", "--out", str(out)])
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("preset = fig1\ngrid = 501\n", encoding="utf-8")
+        with pytest.raises(SystemExit, match=r"^sweep --preset fig1 does not use --grid$"):
+            main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+        assert not out.exists()
+        assert main(["sweep", "--preset", "fig1", "--points-per-decade", "2", "--out", str(out)]) == 0
+        for path in out.iterdir():
+            assert not any(l.startswith("# grid") for l in read_lines(path))
+        assert main(["sweep", "--preset", "fig3", "--tf-min", "100", "--tf-max", "200",
+                     "--points-per-decade", "2", "--grid", "301", "--out", str(tmp_path / "f3")]) == 0
+        assert "# grid = 301" in read_lines(tmp_path / "f3" / "fig3_quintic.csv")
 
     def test_non_positive_range_exits_with_message(self, tmp_path):
         with pytest.raises(SystemExit, match="positive, finite duration range"):
@@ -450,14 +468,15 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("preset, bound_fn, trap", [
         ("fig1", "lower_bound_avg_energy", []),
-        ("fig3", "na_lower_bound", ["--tf-min", "0.012", "--tf-max", "0.02", "--points-per-decade", "20"]),
+        ("fig3", "na_lower_bound", ["--tf-min", "0.012", "--tf-max", "0.02", "--points-per-decade", "20",
+                                    "--grid", "301"]),
     ])
     def test_each_duration_takes_its_bound_once(self, tmp_path, monkeypatch, preset, bound_fn, trap):
         # every family's row used to take the bound again: 396 calls for fig1's 132 durations
         calls = []
         original = getattr(energies, bound_fn)
         monkeypatch.setattr(energies, bound_fn, lambda spec, t_f: calls.append(t_f) or original(spec, t_f))
-        assert main(["sweep", "--preset", preset, *trap, "--grid", "301", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--preset", preset, *trap, "--out", str(tmp_path)]) == 0
         _, rows = csv_rows(tmp_path / f"{preset}_bound.csv")
         assert len(calls) == len(rows) == len(set(calls))
 
@@ -506,7 +525,7 @@ class TestSweepCommand:
     def test_si_value_overrides_its_preset_value(self, tmp_path):
         out = tmp_path / "sw"
         assert main(["sweep", "--preset", "fig1", "--omega0-hz", "5000", "--points-per-decade", "2",
-                     "--grid", "201", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         lines = read_lines(out / "fig1_bound.csv")
         assert f"# gamma = {math.sqrt(200.0):.12g}" in lines and "# time_unit = s" in lines
         with pytest.raises(SystemExit, match="either the SI pair or --gamma"):
@@ -974,7 +993,7 @@ def test_unwritable_out_exits_with_one_line(tmp_path, command):
 
 def test_sweep_out_that_cannot_hold_its_files_exits_with_one_line(tmp_path):
     argv = ["sweep", "--preset", "fig1", "--gamma", "10", "--tf-min", "1", "--tf-max", "2",
-            "--points-per-decade", "1", "--grid", "101"]
+            "--points-per-decade", "1"]
     taken = tmp_path / "file"    # used to end in a raw FileExistsError traceback
     taken.write_text("kept", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from staexpand.numerics import (
     _brent_root,
     _gauss_legendre,
     _minimax_step,
+    graded_gauss_legendre,
     integrate,
 )
 
@@ -176,6 +177,25 @@ def test_gauss_legendre_matches_numpy_leggauss():
         assert np.abs(weights - w / 2.0).max() < 1e-14
     nodes, weights = _gauss_legendre(32)   # exact to degree 63
     assert float(np.dot(weights, nodes**63)) == pytest.approx(1.0 / 64.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("width", [1.0, 1e-6, 1e-30, 1e-60])
+def test_graded_gauss_legendre_resolves_a_layer_at_zero(width):
+    # a Lorentzian of the given width at s = 0: its integral atan(1/width)
+    # needs the grading to reach the layer.  The default 12 levels end near
+    # 3e-8, and below that no node of either rule sees a narrower layer, so
+    # the value misses it and the estimate cannot tell
+    value, estimate = graded_gauss_legendre(lambda s: width / (width**2 + s * s), width)
+    exact = math.atan(1.0 / width)
+    assert abs(value - exact) <= 4e-16 * exact and estimate <= 4e-16 * exact
+    if width < 1e-10:
+        value, estimate = graded_gauss_legendre(lambda s: width / (width**2 + s * s))
+        assert value < 1e-3 * exact and estimate < 1e-3 * exact
+
+
+def test_graded_gauss_legendre_is_exact_for_polynomials():
+    value, estimate = graded_gauss_legendre(lambda s: 9.0 * s**8 - 4.0 * s**3)
+    assert abs(value) <= 1e-15 and estimate <= 1e-15
 
 
 def _model(rows, hess, d1, d2):

@@ -21,7 +21,9 @@ built at: gamma log-uniform in [1, 2.95e61] and t_f in [1e-300, 1e300],
 where each request gives finite numbers or a typed refusal, and so does
 every septic shape c3, c4 of magnitude 1e-300 to 1e300, NaN or infinite,
 and every pair of hybrid caps from 1e-300 to t_f/2, for t_f in
-[1e-100, 1e100].
+[1e-100, 1e100].  Last, fig1's quintic rows (the virial form) are held to
+the built quintic's Simpson average from the scale edge to t_f = 1e4, and
+to mpmath at gamma up to 2.9e61.
 """
 import math
 import re
@@ -29,7 +31,7 @@ import re
 import numpy as np
 import pytest
 
-from staexpand import TimeGrid, TrapSpec, energies, ermakov, numerics, protocols
+from staexpand import TimeGrid, TrapSpec, cli, energies, ermakov, numerics, protocols
 from staexpand.core import Infeasible, PowerUndefined, TrajectoryBlowUp
 
 hyp = pytest.importorskip("hypothesis")
@@ -417,3 +419,67 @@ def test_benchmark_septic_shapes_build(log_gamma, log_tf, u):
     bundle = protocols.build(TrapSpec.from_gamma(gamma),
                              protocols.ProtocolParams("septic", 10.0**log_tf, c3=c3, c4=c4))
     assert np.isfinite(bundle.profile.omega2).all()
+
+
+@SETTINGS
+@hyp.given(log_gamma=log_gammas, u=st.floats(0.0, 1.0))
+@hyp.example(log_gamma=0.0, u=0.5)
+@hyp.example(log_gamma=3.0, u=0.0)
+def test_fig1_quintic_row_is_the_built_quintics_average(log_gamma, u):
+    # the two paths of the quintic's avg_E: the sweep row's virial form, one
+    # graded quadrature, and Simpson's average of E on the built 2001 nodes,
+    # for t_f log-uniform from the scale edge to 1e4.  Simpson misses by up
+    # to a few percent more than its Richardson estimate (the h^6 term of a
+    # degree-8 integrand), so the estimate counts SAFETY times, as above
+    spec = TrapSpec.from_gamma(10.0**log_gamma)
+    edge = spec.gamma ** (2.0 / 3.0) * protocols._T_PER_GAMMA
+    t_f = edge * (1e4 / edge) ** u
+    bound = energies.lower_bound_avg_energy(spec, t_f).value
+    row, reason = cli._sweep_row("fig1", spec, t_f, "quintic", 2001, bound, cli._quintic_virial_terms(spec))
+    assert reason == "" and row >= bound * (1.0 - 1e-14)
+    coarse, fine = with_refined(spec, protocols.ProtocolParams("quintic", t_f))
+
+    def energy(bundle):
+        return energies.instantaneous(bundle.curve, bundle.profile, spec).E
+
+    curve = coarse.curve
+    avg_e = energies.averages(energies.instantaneous(curve, coarse.profile, spec), curve, spec,
+                              coarse.profile).avg_E
+    richardson = simpson_error(energy(coarse), curve.grid, energy(fine), fine.curve.grid) / t_f
+    assert abs(row - avg_e) <= SAFETY * richardson + 1e-15 * row, (spec.gamma, t_f)
+
+
+def quintic_inv_b2_reference(mp, gamma):
+    """The integral of 1/b^2 over the quintic's s in [0, 1], split at
+    4^k times its boundary layer's width (10 gamma)^(-1/3)."""
+    g = mp.mpf(gamma)
+    layer = (10 * g) ** (-mp.mpf(1) / 3)
+    splits = [layer * 4**k for k in range(-6, 40) if layer * 4**k < 1]
+    return mp.quad(lambda s: 1 / (1 + (g - 1) * s**3 * (10 - 15 * s + 6 * s**2)) ** 2, [0, *splits, 1])
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.0 + 1e-9, 1.5, 10.0, 1e4, 1e8, 1e20, 1e40, 2.9e61])
+def test_fig1_quintic_column_against_mpmath(gamma):
+    # the graded rule's own estimate and its value, 1e-14 relative, up to
+    # gamma's largest value, where the boundary layer is ~1e-21 wide; the
+    # rows are ((2n+1)/2)((10/7)(gamma-1)^2/t_f^2 + I) for n = 0
+    mp = pytest.importorskip("mpmath")
+    spec = TrapSpec.from_gamma(gamma)
+    b = protocols._Poly(protocols._quintic_coef(gamma))
+    slope = b.deriv(1)
+    terms = cli._quintic_virial_terms(spec)
+    for (value, estimate), term in zip(
+            (numerics.graded_gauss_legendre(lambda s: slope(s) ** 2),
+             numerics.graded_gauss_legendre(lambda s: 1.0 / b(s) ** 2, (10.0 * gamma) ** (-1.0 / 3.0))),
+            terms):
+        assert value == term and estimate <= 1e-14 * value
+    with mp.workdps(30):
+        inv_b2 = quintic_inv_b2_reference(mp, gamma)
+        edge = spec.gamma ** (2.0 / 3.0) * protocols._T_PER_GAMMA
+        for t_f in (edge, 1e-3, 1.0, 1e3 * gamma, 1e100):
+            bound = energies.lower_bound_avg_energy(spec, t_f).value
+            row, reason = cli._sweep_row("fig1", spec, t_f, "quintic", 2001, bound, terms)
+            ref = (mp.mpf(10) / 7 * (mp.mpf(gamma) - 1) ** 2 / mp.mpf(t_f) ** 2 + inv_b2) / 2
+            assert reason == "" and abs(row - ref) <= 1e-14 * ref, t_f
+            if gamma == 1.0:
+                assert row == 0.5

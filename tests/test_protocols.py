@@ -176,6 +176,18 @@ class TestHybridCaps:
         with pytest.raises(ValueError, match=f"^{cap} is too short"):
             make(spec, "hybrid", 300.0, 201, tau_l=tl, tau_s=ts)
 
+    @pytest.mark.parametrize("tl,ts", [(1e-158, 60.0), (3.0, 1e-300)])
+    def test_numpy_scalar_caps_refused_as_floats(self, spec, tl, ts):
+        # a numpy scalar cap used to overflow (or underflow) in numpy's scalar
+        # arithmetic first, so that with floating-point errors raised the
+        # FloatingPointError came instead of the ValueError
+        reasons = []
+        for cast in (float, np.float64):
+            with np.errstate(all="raise"), pytest.raises(ValueError) as exc:
+                make(spec, "hybrid", cast(300.0), 201, tau_l=cast(tl), tau_s=cast(ts))
+            reasons.append(str(exc.value))
+        assert reasons[0] == reasons[1] and "is too short" in reasons[0]
+
     @pytest.mark.parametrize("tl,ts", [(math.nan, 0.1), (0.1, math.nan)])
     def test_rejects_nan_caps(self, spec, tl, ts):
         with pytest.raises(ValueError, match="cap durations must be positive"):
